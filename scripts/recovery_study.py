@@ -61,7 +61,8 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=5_000,
                         help="base seed; replicate r uses seed + r")
     parser.add_argument("--parallel", action="store_true",
-                        help="run each replicate's chains in threads")
+                        help="accepted; has no effect (all chains advance "
+                        "together)")
     parser.add_argument("--out", help="write the per-parameter table as TSV")
     return parser.parse_args(argv)
 
@@ -81,7 +82,7 @@ def run_replicate(rep, args):
         centered,
         McmcConfig(
             chains=args.chains, adapt=args.adapt, burn_in=args.burn_in,
-            samples=args.samples, seed=rep, parallel=args.parallel,
+            samples=args.samples, seed=rep,
         ),
         PriorSpec(),
     )

@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="center covariates before fitting (default: on)")
     p_fit.add_argument("--parallel", action=argparse.BooleanOptionalAction,
-                       default=None, help="run chains in a thread pool")
+                       default=None, help="accepted; has no effect (all "
+                       "chains advance together)")
     p_fit.add_argument("--diagnostics", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="compute shrink factors (default: on; needs >= 2 "
@@ -250,7 +251,6 @@ def cmd_fit(args) -> int:
             thin=st.thin,
             seed=st.seed,
             likelihood=st.likelihood,
-            parallel=st.parallel,
         )
         prior = PriorSpec(coeff_sd=st.coeff_sd, tau_upper=st.tau_upper)
     except ValueError as e:
@@ -266,6 +266,11 @@ def cmd_fit(args) -> int:
         rel = f"chains/chain_{chain.chain_index + 1}.tsv"
         write_chain_tsv(chain, out / rel)
         outputs.append(rel)
+    # Chain files of an earlier fit into the same directory would be
+    # read by diagnose as part of this run.
+    for path in (out / "chains").glob("chain_*.tsv"):
+        if f"chains/{path.name}" not in outputs:
+            path.unlink()
     write_summary_tsv(summaries, out / "summary.tsv")
     outputs.append("summary.tsv")
     if st.diagnostics:
@@ -289,6 +294,8 @@ def cmd_fit(args) -> int:
                 "file": f"chains/chain_{c.chain_index + 1}.tsv",
                 "seed_used": c.seed_used,
                 "accept_rate": c.accept_rate,
+                "proposal_log_scale": c.proposal_log_scale,
+                "nonfinite_rejections": c.nonfinite_rejections,
             }
             for c in chains
         ],

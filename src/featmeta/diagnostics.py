@@ -175,7 +175,8 @@ def read_chain_tsv(
 
     Only the draws and parameter names survive the round trip; the
     acceptance rate and proposal scale are not stored in the file and
-    come back as NaN (and ``seed_used`` as -1).
+    come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
+    as -1).
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -199,6 +200,7 @@ def read_chain_tsv(
         accept_rate=math.nan,
         seed_used=-1,
         proposal_log_scale=math.nan,
+        nonfinite_rejections=-1,
     )
 
 

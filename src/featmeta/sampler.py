@@ -21,13 +21,19 @@ Proposals are diagonal Gaussian with per-coordinate scales adapted
 toward a 0.234 acceptance rate by Robbins-Monro updates during a
 dedicated adaptation phase, then frozen. tau is sampled on the log
 scale (with the Jacobian term), keeping its support positive.
+
+All chains of a run advance in lockstep as one (chains, dim) state in
+a single loop: each iteration makes one batched design product, one
+density evaluation over a (chains, observations) block and one
+vectorized accept step. Chain k still draws from its own random
+stream, so its draws do not depend on which chains run with it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +66,8 @@ __all__ = [
 TARGET_ACCEPT = 0.234
 SCALE_FLOOR = 1e-6
 INIT_RETRIES = 100
+LANES = 4  # rows of one padded design product (see _DesignProduct)
+DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 
 
 class SamplerError(Exception):
@@ -88,7 +96,9 @@ class McmcConfig:
     with the tuned proposal but are discarded, then ``samples`` draws
     are recorded every ``thin`` iterations. ``seed`` fixes the whole
     run: chain k draws from an independent stream spawned from it, so
-    results are identical whether chains run serially or in threads.
+    its draws do not depend on how many chains run. ``parallel`` is
+    accepted for old callers and manifests and changes nothing: all
+    chains always advance together in one loop.
     """
 
     chains: int = 4
@@ -126,6 +136,9 @@ class ChainOutput:
     ``draws`` has shape (samples, n_parameters) in canonical order
     (intercept, beta, gamma, phi, eta, tau) with tau on its natural
     scale. ``seed_used`` is the derived stream key recorded for reruns.
+    ``nonfinite_rejections`` counts proposals rejected because their log
+    posterior was not finite (NaN or infinite) inside the prior's
+    support; -1 where unknown.
     """
 
     chain_index: int
@@ -134,6 +147,7 @@ class ChainOutput:
     accept_rate: float
     seed_used: int
     proposal_log_scale: float
+    nonfinite_rejections: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -260,11 +274,11 @@ def assemble(dataset: Dataset) -> AssembledDataset:
 # ---------------------------------------------------------------------------
 
 
-def _log_prior_arrays(
-    coefficients: np.ndarray, tau: float, prior: PriorSpec
-) -> float:
-    if not 0.0 < tau < prior.tau_upper:
+def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
+    """Joint log prior of a parameter vector; -inf outside tau's support."""
+    if not 0.0 < params.tau < prior.tau_upper:
         return -math.inf
+    coefficients = params.coefficients()
     k = coefficients.shape[0]
     normal_part = -0.5 * (
         k * math.log(2.0 * math.pi * prior.coeff_sd**2)
@@ -273,30 +287,23 @@ def _log_prior_arrays(
     return normal_part - math.log(prior.tau_upper)
 
 
-def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
-    """Joint log prior of a parameter vector; -inf outside tau's support."""
-    return _log_prior_arrays(params.coefficients(), params.tau, prior)
-
-
 def _as_assembled(data: Dataset | AssembledDataset) -> AssembledDataset:
     if isinstance(data, AssembledDataset):
         return data
     return assemble(data)
 
 
-def _marginal(
-    assembled: AssembledDataset, coefficients: np.ndarray, tau: float
-) -> float:
-    denom = assembled.stacked_eigenvalues + tau * tau
-    resid = assembled.stacked_y - assembled.stacked_design @ coefficients
-    return float(
-        -0.5
-        * (
-            assembled.log_density_const
-            + np.sum(np.log(denom))
-            + np.sum(resid * resid / denom)
-        )
-    )
+def _marginal_rows(
+    assembled: AssembledDataset, mean: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Marginal log likelihood of each row of ``mean`` (the whitened,
+    stacked X c) at the matching entry of ``tau``; one row per entry."""
+    denom = assembled.stacked_eigenvalues + (tau * tau)[..., None]
+    terms = assembled.stacked_y - mean
+    terms *= terms
+    terms /= denom
+    terms += np.log(denom, out=denom)
+    return -0.5 * (assembled.log_density_const + terms.sum(axis=-1))
 
 
 def log_likelihood_marginal(
@@ -307,7 +314,9 @@ def log_likelihood_marginal(
     Accepts a raw dataset or a pre-assembled one; pass the latter when
     evaluating many parameter values.
     """
-    return _marginal(_as_assembled(data), params.coefficients(), params.tau)
+    assembled = _as_assembled(data)
+    mean = assembled.stacked_design @ params.coefficients()
+    return float(_marginal_rows(assembled, mean, np.float64(params.tau)))
 
 
 def log_likelihood_marginal_direct(
@@ -412,7 +421,7 @@ def log_likelihood_latent(
 
 
 # ---------------------------------------------------------------------------
-# Random-walk Metropolis with per-coordinate adaptation
+# Random-walk Metropolis with per-coordinate adaptation, chains in lockstep
 # ---------------------------------------------------------------------------
 
 
@@ -422,114 +431,215 @@ def _chain_rng(seed: int, chain_index: int) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seq), derived
 
 
+class _DesignProduct:
+    """``stacked_design @ c`` for each row c of a batch of coefficients.
+
+    A BLAS product over C rows rounds each row differently for each C.
+    Chain k therefore always sits in row ``k % LANES`` of a zero-padded
+    block of LANES rows, so every product has the same shape and each
+    chain's row is bit-identical whichever chains share the batch. The
+    returned rows are overwritten by the next call.
+    """
+
+    def __init__(self, design: np.ndarray, chains: Sequence[int]):
+        blocks = sorted({k // LANES for k in chains})
+        rows = [blocks.index(k // LANES) * LANES + k % LANES for k in chains]
+        # A slice keeps the common case, chains 0..C-1, free of copies.
+        self.rows = (
+            slice(0, len(rows)) if rows == list(range(len(rows)))
+            else np.array(rows)
+        )
+        self.design_t = np.ascontiguousarray(design.T)
+        self.coefficients = np.zeros((len(blocks) * LANES, design.shape[1]))
+        self.product = np.empty((len(blocks) * LANES, design.shape[0]))
+        self.blocks = [
+            (self.coefficients[lo : lo + LANES], self.product[lo : lo + LANES])
+            for lo in range(0, len(blocks) * LANES, LANES)
+        ]
+
+    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
+        self.coefficients[self.rows] = coefficients
+        for block, out in self.blocks:
+            np.matmul(block, self.design_t, out=out)
+        return self.product[self.rows]
+
+
+class _LogPosterior:
+    """Log posterior of a (chains, dim) batch of sampler states.
+
+    A state holds the coefficients, log(tau), then (latent form only)
+    the stacked arm effects. The result is -inf where tau is outside
+    the prior's support and NaN where the density is not finite inside
+    it. Each row depends on that row alone: the marginal form is
+    evaluated for the whole batch at once, the latent form row by row.
+    """
+
+    def __init__(
+        self,
+        assembled: AssembledDataset,
+        prior: PriorSpec,
+        latent: bool,
+        chains: Sequence[int],
+    ):
+        self.assembled = assembled
+        self.prior = prior
+        self.latent = latent
+        self.n_coeff = assembled.n_coefficients
+        self.design = _DesignProduct(assembled.stacked_design, chains)
+        # Normal and uniform normalizing constants of the prior.
+        self.prior_const = -0.5 * self.n_coeff * math.log(
+            2.0 * math.pi * prior.coeff_sd**2
+        ) - math.log(prior.tau_upper)
+        self.half_precision = 0.5 / prior.coeff_sd**2
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        n = self.n_coeff
+        coeffs = states[:, :n]
+        log_tau = states[:, n]
+        # exp overflows to inf for log(tau) > 709, which lies outside the
+        # support; the caller silences floating-point warnings.
+        tau = np.exp(log_tau)
+        support = (tau > 0.0) & (tau < self.prior.tau_upper)
+        if self.latent:
+            a = self.assembled
+            ll = np.array([
+                _latent(a, s[:n], t, _split_deltas(a, s[n + 1 :]))
+                if ok else -math.inf
+                for s, t, ok in zip(states, tau, support)
+            ])
+        else:
+            ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
+        quad = (coeffs * coeffs).sum(axis=1)
+        # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
+        lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
+        return np.where(
+            support, np.where(np.isfinite(lp), lp, math.nan), -math.inf
+        )
+
+
 def run_chain(
     assembled: AssembledDataset,
     config: McmcConfig,
     prior: PriorSpec,
-    chain_index: int,
-) -> ChainOutput:
-    """Run one Metropolis chain; deterministic given (config.seed, chain_index).
+    chains: Sequence[int],
+) -> list[ChainOutput]:
+    """Run the Metropolis chains ``chains``, advancing them in lockstep.
 
-    State layout: fixed-effect coefficients, log(tau), then (latent form
-    only) the stacked arm effects. Only the model parameters are
-    recorded, with tau mapped back to its natural scale.
+    Chain k's output depends on (config.seed, k) alone, never on which
+    other chains run with it: its proposals and acceptance uniforms come
+    from its own stream, taken in blocks sized from the state dimension,
+    and every batched operation treats each chain's row on its own.
+    Only the model parameters are recorded, with tau mapped back to its
+    natural scale. A proposal whose log posterior is not finite inside
+    the prior's support is rejected and counted.
     """
-    rng, seed_used = _chain_rng(config.seed, chain_index)
+    chains = list(chains)
+    if not chains or len(set(chains)) != len(chains):
+        raise ValueError(f"need distinct chain indices, got {chains}")
+    n_chains = len(chains)
     n_coeff = assembled.n_coefficients
     latent = config.likelihood == "latent"
-    latent_dim = assembled.total_dimension if latent else 0
-    dim = n_coeff + 1 + latent_dim
-
-    def log_post(state: np.ndarray) -> float:
-        coeffs = state[:n_coeff]
-        log_tau = state[n_coeff]
-        if log_tau > 700.0:  # exp would overflow; tau is far out of support
-            return -math.inf
-        tau = math.exp(log_tau)
-        lp = _log_prior_arrays(coeffs, tau, prior)
-        if not math.isfinite(lp):
-            return -math.inf
-        if latent:
-            ll = _latent(
-                assembled, coeffs, tau,
-                _split_deltas(assembled, state[n_coeff + 1 :]),
-            )
-        else:
-            ll = _marginal(assembled, coeffs, tau)
-        # Jacobian of the tau -> log(tau) reparameterization.
-        return lp + ll + log_tau
+    dim = n_coeff + 1 + (assembled.total_dimension if latent else 0)
+    log_post = _LogPosterior(assembled, prior, latent, chains)
+    streams = [_chain_rng(config.seed, k) for k in chains]
+    rngs = [rng for rng, _ in streams]
 
     # Initial state: zero coefficients, tau at a tenth of its prior range,
     # latent effects at the observations; small jitter separates chains.
-    state = None
-    for _ in range(INIT_RETRIES):
-        candidate = np.zeros(dim)
-        candidate[n_coeff] = math.log(0.1 * prior.tau_upper)
-        if latent:
-            candidate[n_coeff + 1 :] = np.concatenate(
-                [t.y for t in assembled.trials]
-            )
-        candidate += rng.normal(0.0, 0.01, size=dim)
-        if math.isfinite(log_post(candidate)):
-            state = candidate
-            break
-    if state is None:
+    # A chain whose start is not finite draws a new jitter, up to
+    # INIT_RETRIES times.
+    start = np.zeros(dim)
+    start[n_coeff] = math.log(0.1 * prior.tau_upper)
+    if latent:
+        start[n_coeff + 1 :] = np.concatenate([t.y for t in assembled.trials])
+    state = np.tile(start, (n_chains, 1))
+    current_lp = np.full(n_chains, math.nan)
+    with np.errstate(all="ignore"):
+        for _ in range(INIT_RETRIES):
+            retry = np.flatnonzero(~np.isfinite(current_lp))
+            if retry.size == 0:
+                break
+            for c in retry:
+                state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
+            current_lp[retry] = log_post(state)[retry]
+    stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
+    if stuck:
         raise SamplerError(
-            f"chain {chain_index}: no finite starting point after "
+            f"chain(s) {stuck}: no finite starting point after "
             f"{INIT_RETRIES} attempts"
         )
-    current_lp = log_post(state)
 
     # Robbins-Monro adaptation of a global step multiplier and
     # per-coordinate spread estimates (frozen after the adapt phase).
-    log_scale = 0.0
+    log_scale = np.zeros(n_chains)
     running_mean = state.copy()
-    running_var = np.full(dim, 1e-4)
+    running_var = np.full((n_chains, dim), 1e-4)
 
-    draws = np.empty((config.samples, n_coeff + 1))
-    accepted_sampling = 0
+    block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
+    normals = np.empty((n_chains, block, dim))
+    uniforms = np.empty((n_chains, block))
+    log_u = np.empty((n_chains, block))
+
+    draws = np.empty((n_chains, config.samples, n_coeff + 1))
+    accepted = np.zeros(n_chains, dtype=np.int64)
+    nonfinite = np.zeros(n_chains, dtype=np.int64)
     recorded = 0
-    total_iters = config.adapt + config.burn_in + config.samples * config.thin
+    warm = config.adapt + config.burn_in
+    total_iters = warm + config.samples * config.thin
 
-    for it in range(total_iters):
-        adapting = it < config.adapt
-        sampling = it >= config.adapt + config.burn_in
+    with np.errstate(all="ignore"):
+        for it in range(total_iters):
+            j = it % block
+            if j == 0:
+                for c, rng in enumerate(rngs):
+                    rng.standard_normal(out=normals[c])
+                    rng.random(out=uniforms[c])
+                np.log(uniforms, out=log_u)
+            adapting = it < config.adapt
+            if it <= config.adapt:  # the step is frozen once adaptation ends
+                step = np.exp(log_scale)[:, None] * np.maximum(
+                    np.sqrt(running_var), SCALE_FLOOR
+                )
 
-        step = math.exp(log_scale) * np.maximum(
-            np.sqrt(running_var), SCALE_FLOOR
-        )
-        proposal = state + rng.normal(size=dim) * step
-        proposal_lp = log_post(proposal)
-        log_ratio = proposal_lp - current_lp
-        accept_prob = min(1.0, math.exp(min(log_ratio, 0.0)))
-        if rng.random() < accept_prob:
-            state = proposal
-            current_lp = proposal_lp
-            if sampling:
-                accepted_sampling += 1
+            proposal = state + normals[:, j] * step
+            proposal_lp = log_post(proposal)
+            # A NaN log ratio fails the test below, so the proposal is
+            # rejected; it is counted here and scores 0 in the adaptation.
+            nonfinite += np.isnan(proposal_lp)
+            log_ratio = proposal_lp - current_lp
+            accept = log_u[:, j] < log_ratio
+            np.copyto(state, proposal, where=accept[:, None])
+            np.copyto(current_lp, proposal_lp, where=accept)
 
-        if adapting:
-            gamma = (10.0 + it) ** -0.6
-            delta = state - running_mean
-            running_mean = running_mean + gamma * delta
-            running_var = (1.0 - gamma) * running_var + gamma * delta * delta
-            log_scale += gamma * (accept_prob - config.target_accept)
-
-        if sampling and (it - config.adapt - config.burn_in + 1) % config.thin == 0:
-            out = state[: n_coeff + 1].copy()
-            out[n_coeff] = math.exp(out[n_coeff])
-            draws[recorded] = out
-            recorded += 1
+            if adapting:
+                gamma = (10.0 + it) ** -0.6
+                delta = state - running_mean
+                running_mean += gamma * delta
+                running_var = (1.0 - gamma) * running_var + gamma * delta * delta
+                accept_prob = np.nan_to_num(
+                    np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
+                )
+                log_scale += gamma * (accept_prob - config.target_accept)
+            elif it >= warm:
+                accepted += accept
+                if (it - warm + 1) % config.thin == 0:
+                    draws[:, recorded] = state[:, : n_coeff + 1]
+                    recorded += 1
 
     assert recorded == config.samples
-    return ChainOutput(
-        chain_index=chain_index,
-        draws=draws,
-        parameter_names=assembled.parameter_names,
-        accept_rate=accepted_sampling / max(config.samples * config.thin, 1),
-        seed_used=seed_used,
-        proposal_log_scale=log_scale,
-    )
+    draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])
+    return [
+        ChainOutput(
+            chain_index=k,
+            draws=draws[c],
+            parameter_names=assembled.parameter_names,
+            accept_rate=float(accepted[c]) / (config.samples * config.thin),
+            seed_used=seed_used,
+            proposal_log_scale=float(log_scale[c]),
+            nonfinite_rejections=int(nonfinite[c]),
+        )
+        for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
+    ]
 
 
 def run_mcmc(
@@ -537,11 +647,10 @@ def run_mcmc(
     config: McmcConfig = McmcConfig(),
     prior: PriorSpec = PriorSpec(),
 ) -> list[ChainOutput]:
-    """Sample the posterior with ``config.chains`` independent chains.
+    """Sample the posterior with ``config.chains`` chains.
 
-    Chains are reproducible from ``config.seed`` alone and independent
-    of execution order; with ``config.parallel`` they run in a thread
-    pool and return bit-identical draws.
+    All chains advance together in one ``run_chain`` call. Each chain is
+    reproducible from ``config.seed`` and its index alone.
     """
     if dataset.centering is None and dataset.schema.n_parameters > 2:
         warnings.warn(
@@ -550,14 +659,4 @@ def run_mcmc(
             stacklevel=2,
         )
     assembled = assemble(dataset)
-    indices = range(config.chains)
-    if config.parallel and config.chains > 1:
-        with ThreadPoolExecutor(max_workers=config.chains) as pool:
-            chains = list(
-                pool.map(
-                    lambda k: run_chain(assembled, config, prior, k), indices
-                )
-            )
-    else:
-        chains = [run_chain(assembled, config, prior, k) for k in indices]
-    return chains
+    return run_chain(assembled, config, prior, range(config.chains))

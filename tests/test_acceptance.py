@@ -19,6 +19,7 @@ from featmeta import (
     ParameterVector,
     PriorSpec,
     SimConfig,
+    assemble,
     between_structure,
     build_between_covariance,
     build_within_covariance,
@@ -27,6 +28,7 @@ from featmeta import (
     gelman_rubin,
     log_likelihood_latent,
     log_likelihood_marginal,
+    run_chain,
     run_mcmc,
     simulate_dataset,
     summarize,
@@ -436,6 +438,31 @@ def test_criterion_6_determinism(report):
         f"rerun identical: {rerun_ok}, serial-vs-threaded identical: "
         f"{parallel_ok}",
     )
+
+
+def test_criterion_6_chain_subsets_agree_bitwise():
+    # Additive to criterion 6: chains advance in lockstep, yet chain k's
+    # draws depend on (seed, k) alone, never on which chains run with it.
+    config = SimConfig(
+        schema=CovariateSchema(n=2, p=1, q=2, interactions=()),
+        params=ParameterVector(
+            alpha=-0.02, beta=(0.01, 0.0), gamma=(0.02,), phi=(-0.01,),
+            eta=(), tau=0.04,
+        ),
+        n_trials=20,
+        seed=61,
+    )
+    dataset, _ = center_covariates(simulate_dataset(config))
+    assembled = assemble(dataset)
+    mcmc = McmcConfig(chains=4, adapt=500, burn_in=200, samples=600, seed=77)
+    full = run_chain(assembled, mcmc, PriorSpec(), range(4))
+    pair = dict(zip([1, 3], run_chain(assembled, mcmc, PriorSpec(), [1, 3])))
+    for k in range(4):
+        [alone] = run_chain(assembled, mcmc, PriorSpec(), [k])
+        for other in [full[k]] + ([pair[k]] if k in pair else []):
+            assert np.array_equal(alone.draws, other.draws), f"chain {k}"
+            assert alone.seed_used == other.seed_used, f"chain {k}"
+            assert alone.accept_rate == other.accept_rate, f"chain {k}"
 
 
 # ---------------------------------------------------------------------------

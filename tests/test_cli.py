@@ -146,6 +146,38 @@ def test_fit_manifest_replay_is_bit_identical(data_file, tmp_path):
     ).read_bytes()
 
 
+def test_fit_manifest_records_per_chain_sampler_state(data_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for k, entry in enumerate(manifest["chains"]):
+        assert entry["index"] == k
+        assert entry["file"] == f"chains/chain_{k + 1}.tsv"
+        assert {"seed_used", "accept_rate"} <= set(entry)
+        assert isinstance(entry["proposal_log_scale"], float)
+        assert entry["nonfinite_rejections"] == 0
+
+
+def test_fit_parallel_flag_and_manifest_setting_change_nothing(
+    data_file, tmp_path
+):
+    plain = tmp_path / "plain"
+    flagged = tmp_path / "flagged"
+    replayed = tmp_path / "replayed"
+    assert main(fast_fit_args(data_file, plain)) == 0
+    assert main(fast_fit_args(data_file, flagged, parallel=None)) == 0
+    manifest = json.loads((flagged / "manifest.json").read_text())
+    assert manifest["settings"]["parallel"] is True
+    assert main([
+        "fit", "--from-manifest", str(flagged / "manifest.json"),
+        "--out", str(replayed),
+    ]) == 0
+    for k in (1, 2):
+        expected = (plain / f"chains/chain_{k}.tsv").read_bytes()
+        for run in (flagged, replayed):
+            assert (run / f"chains/chain_{k}.tsv").read_bytes() == expected
+
+
 def test_fit_explicit_flags_override_manifest(data_file, tmp_path):
     first = tmp_path / "run1"
     assert main(fast_fit_args(data_file, first)) == 0
@@ -290,6 +322,21 @@ def test_diagnose_recomputes_summary_from_chains(data_file, tmp_path, capsys):
     assert (out / "summary.tsv").read_bytes() == original
     assert (out / "rhat_trace.tsv").exists()
     assert "parameter" in capsys.readouterr().out
+
+
+def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
+    data_file, tmp_path
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out, chains=3)) == 0
+    assert main(fast_fit_args(data_file, out, chains=2)) == 0
+    written = (out / "summary.tsv").read_bytes()
+    assert sorted(p.name for p in (out / "chains").iterdir()) == [
+        "chain_1.tsv", "chain_2.tsv",
+    ]
+
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert (out / "summary.tsv").read_bytes() == written
 
 
 def test_diagnose_without_chains_is_usage_error(tmp_path, capsys):

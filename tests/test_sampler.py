@@ -304,8 +304,8 @@ def centered_basic_dataset():
 def test_identical_seeds_bitwise_identical_draws():
     assembled = assemble(centered_basic_dataset())
     config = small_config()
-    first = run_chain(assembled, config, PriorSpec(), 0)
-    second = run_chain(assembled, config, PriorSpec(), 0)
+    [first] = run_chain(assembled, config, PriorSpec(), [0])
+    [second] = run_chain(assembled, config, PriorSpec(), [0])
     assert np.array_equal(first.draws, second.draws)
     assert first.seed_used == second.seed_used
     assert first.accept_rate == second.accept_rate
@@ -314,7 +314,7 @@ def test_identical_seeds_bitwise_identical_draws():
 def test_chains_have_distinct_streams():
     assembled = assemble(centered_basic_dataset())
     config = small_config()
-    chains = [run_chain(assembled, config, PriorSpec(), k) for k in range(3)]
+    chains = run_chain(assembled, config, PriorSpec(), range(3))
     assert not np.array_equal(chains[0].draws, chains[1].draws)
     assert not np.array_equal(chains[1].draws, chains[2].draws)
     assert len({c.seed_used for c in chains}) == 3
@@ -356,10 +356,54 @@ def test_accept_rate_lands_near_target():
 
 def test_thinning_keeps_every_kth_draw():
     assembled = assemble(centered_basic_dataset())
-    thin = run_chain(
-        assembled, small_config(samples=100, thin=3), PriorSpec(), 0
+    [thin] = run_chain(
+        assembled, small_config(samples=100, thin=3), PriorSpec(), [0]
     )
     assert thin.draws.shape[0] == 100
+
+
+def test_chain_draws_do_not_depend_on_other_chains():
+    # Chains advance in lockstep, but chain k's draws must depend on
+    # (seed, k) alone: alone, in a subset, or among all of them. Six
+    # chains span two padded blocks of the batched design product.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(chains=6)
+    full = run_chain(assembled, config, PriorSpec(), range(6))
+    subset = dict(
+        zip([1, 3, 5], run_chain(assembled, config, PriorSpec(), [1, 3, 5]))
+    )
+    for k in range(6):
+        [alone] = run_chain(assembled, config, PriorSpec(), [k])
+        runs = [alone, full[k]] + ([subset[k]] if k in subset else [])
+        for other in runs[1:]:
+            assert other.chain_index == k
+            assert np.array_equal(alone.draws, other.draws)
+            assert alone.seed_used == other.seed_used
+            assert alone.accept_rate == other.accept_rate
+
+
+def test_run_chain_rejects_repeated_or_missing_chains():
+    assembled = assemble(centered_basic_dataset())
+    for chains in ([], [0, 0]):
+        with pytest.raises(ValueError, match="distinct chain indices"):
+            run_chain(assembled, small_config(), PriorSpec(), chains)
+
+
+def test_nonfinite_proposals_are_rejected_and_counted():
+    # A negative eigenvalue -e makes the density NaN for tau^2 < e. Such
+    # proposals must be rejected and counted, never accepted.
+    config = small_config(adapt=500, burn_in=0, samples=2000)
+    assembled = assemble(centered_basic_dataset())
+    [clean] = run_chain(assembled, config, PriorSpec(), [0])
+    assert clean.nonfinite_rejections == 0
+    # -0.2 as first seen, then a cut through the bulk of the posterior.
+    for cut in (0.2, float(np.quantile(clean.draws[:, -1] ** 2, 0.25))):
+        assembled.stacked_eigenvalues[0] = -cut
+        [chain] = run_chain(assembled, config, PriorSpec(), [0])
+        assert chain.accept_rate < 1.0
+        assert chain.nonfinite_rejections > 0
+        assert np.all(np.isfinite(chain.draws))
+        assert np.all(chain.draws[:, -1] ** 2 > cut)
 
 
 def test_latent_sampler_runs_and_respects_support():
