@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success; 1 when the inputs are well-formed but the run
 fails on their content (validation violations, covariance or sampler
-failures); 2 for usage errors, unreadable or unparseable files, and
-inconsistent settings.
+failures); 2 for usage errors, unreadable or unparseable files (chain
+files included), and inconsistent settings.
 
 Every fit writes a manifest.json capturing the exact settings and
 per-chain seeds; ``fit --from-manifest`` replays it bit for bit.
@@ -418,16 +418,32 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
-    chain_files = sorted(
-        run_dir.glob("chains/chain_*.tsv"),
-        key=lambda p: int(re.search(r"chain_(\d+)", p.name).group(1)),
-    )
+    numbered = {}
+    for path in run_dir.glob("chains/chain_*.tsv"):
+        match = re.fullmatch(r"chain_([1-9]\d*)\.tsv", path.name)
+        if match is None:
+            raise ConfigError(f"{path}: not a chain file name (chain_<k>.tsv)")
+        numbered[int(match.group(1))] = path
+    chain_files = [numbered[k] for k in sorted(numbered)]
     if not chain_files:
         raise ConfigError(f"{run_dir}: no chain files under chains/")
-    chains = [
-        read_chain_tsv(path, chain_index=i)
-        for i, path in enumerate(chain_files)
-    ]
+    chains = []
+    for i, path in enumerate(chain_files):
+        try:
+            chain = read_chain_tsv(path, chain_index=i)
+        except OSError as e:
+            raise ConfigError(f"{path}: {e.strerror or e}") from e
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
+        if chain.n_samples < 2:
+            raise ConfigError(
+                f"{path}: {chain.n_samples} draw(s); diagnose needs at least 2"
+            )
+        if chains and chain.parameter_names != chains[0].parameter_names:
+            raise ConfigError(
+                f"{path}: header differs from that of {chain_files[0]}"
+            )
+        chains.append(chain)
     lengths = {c.n_samples for c in chains}
     if len(lengths) > 1:
         raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")

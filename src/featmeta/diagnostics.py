@@ -10,6 +10,7 @@ posterior probabilities of lying strictly below / strictly above zero.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -30,6 +31,11 @@ __all__ = [
     "write_rhat_trace_tsv",
     "read_chain_tsv",
 ]
+
+# Rows formatted per write in write_chain_tsv.
+_BLOCK_ROWS = 1024
+# Largest (params, chains, draws) stack built to compute shrink factors.
+_STACK_BYTES = 2**20
 
 SUMMARY_COLUMNS = (
     "name",
@@ -60,6 +66,46 @@ class PosteriorSummary:
     r_hat: float
 
 
+def _draw_stack(
+    draws: Sequence[np.ndarray], columns: slice = slice(None)
+) -> np.ndarray:
+    """Stack per-chain (draws, params) arrays as (params, chains, draws).
+
+    Only the parameters in ``columns`` are stacked. Each parameter's
+    draws lie contiguous along the last axis, so a reduction over draws
+    sums the same values in the same order as a reduction over one
+    chain's column copied on its own.
+    """
+    m = len(draws)
+    if m < 2:
+        raise ValueError("the shrink factor needs at least two chains")
+    s = draws[0].shape[0]
+    if s < 2 or any(d.shape != draws[0].shape for d in draws):
+        raise ValueError("chains must have equal length >= 2")
+    stack = np.empty((draws[0][:, columns].shape[1], m, s))
+    for k, d in enumerate(draws):
+        stack[:, k, :] = d[:, columns].T
+    return stack
+
+
+def _shrink_factors(stack: np.ndarray) -> np.ndarray:
+    """Shrink factor of each parameter of a (params, chains, draws) stack.
+
+    Uses the pooled-variance estimate with the between-chain sampling
+    correction. A parameter with zero within-chain variance gets 1.0
+    when the chains agree and inf when they do not.
+    """
+    m, s = stack.shape[1:]
+    within = np.mean(np.var(stack, axis=2, ddof=1), axis=1)
+    between = s * np.var(np.mean(stack, axis=2), axis=1, ddof=1)
+    pooled = (s - 1) / s * within + between / s + between / (m * s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = np.sqrt(pooled / within)
+    flat = within == 0.0
+    factors[flat] = np.where(pooled[flat] <= 0.0, 1.0, math.inf)
+    return factors
+
+
 def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
     """Potential scale reduction factor for one scalar parameter.
 
@@ -68,20 +114,8 @@ def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
     between-chain sampling correction; identical chains give a value
     slightly below 1 (exactly sqrt((s-1)/s)).
     """
-    arrays = [np.asarray(c, dtype=float).ravel() for c in chain_draws]
-    m = len(arrays)
-    if m < 2:
-        raise ValueError("the shrink factor needs at least two chains")
-    s = arrays[0].shape[0]
-    if s < 2 or any(a.shape[0] != s for a in arrays):
-        raise ValueError("chains must have equal length >= 2")
-    stacked = np.stack(arrays)
-    within = float(np.mean(np.var(stacked, axis=1, ddof=1)))
-    between = s * float(np.var(np.mean(stacked, axis=1), ddof=1))
-    pooled = (s - 1) / s * within + between / s + between / (m * s)
-    if within == 0.0:
-        return 1.0 if pooled <= 0.0 else math.inf
-    return math.sqrt(pooled / within)
+    columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in chain_draws]
+    return float(_shrink_factors(_draw_stack(columns))[0])
 
 
 def shrink_factor_trace(
@@ -96,13 +130,27 @@ def shrink_factor_trace(
     if len(chains) < 2:
         raise ValueError("the shrink factor needs at least two chains")
     s = chains[0].n_samples
-    n_params = chains[0].draws.shape[1]
     ends = np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
-    values = np.empty((ends.shape[0], n_params))
-    for i, end in enumerate(ends):
-        for j in range(n_params):
-            values[i, j] = gelman_rubin([c.draws[:end, j] for c in chains])
-    return ends, values
+    return ends, _prefix_shrink_factors([c.draws for c in chains], ends)
+
+
+def _prefix_shrink_factors(
+    draws: Sequence[np.ndarray], ends: Sequence[int]
+) -> np.ndarray:
+    """Shrink factors of every parameter over each chain's first ``ends``
+    draws, as an (ends, params) array."""
+    n_params = draws[0].shape[1]
+    values = np.empty((len(ends), n_params))
+    # Parameters are stacked a group at a time. A larger stack, with the
+    # deviations np.var takes of it, raised the peak resident memory of
+    # a default four-chain fit of 150 trials by up to 4 MB.
+    group = max(1, _STACK_BYTES // (len(draws) * draws[0].shape[0] * 8))
+    for first in range(0, n_params, group):
+        columns = slice(first, first + group)
+        stack = _draw_stack(draws, columns)
+        for i, end in enumerate(ends):
+            values[i, columns] = _shrink_factors(stack[:, :, :end])
+    return values
 
 
 def summarize(chains: Sequence[ChainOutput]) -> list[PosteriorSummary]:
@@ -114,14 +162,16 @@ def summarize(chains: Sequence[ChainOutput]) -> list[PosteriorSummary]:
     if not chains:
         raise ValueError("no chains to summarize")
     names = chains[0].parameter_names
+    if len(chains) >= 2:
+        r_hats = _prefix_shrink_factors(
+            [c.draws for c in chains], [chains[0].n_samples]
+        )[0]
+    else:
+        r_hats = np.full(len(names), math.nan)
     pooled = np.vstack([c.draws for c in chains])
     out = []
-    for j, name in enumerate(names):
+    for j, (name, r_hat) in enumerate(zip(names, r_hats)):
         column = pooled[:, j]
-        if len(chains) >= 2:
-            r_hat = gelman_rubin([c.draws[:, j] for c in chains])
-        else:
-            r_hat = math.nan
         low, mid, high = np.quantile(column, [0.025, 0.5, 0.975])
         out.append(
             PosteriorSummary(
@@ -176,26 +226,39 @@ def read_chain_tsv(
     Only the draws and parameter names survive the round trip; the
     acceptance rate and proposal scale are not stored in the file and
     come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
-    as -1).
+    as -1). Raises ValueError when the header does not start with
+    ``iteration``, a row has the wrong number of fields or a field is
+    not a number, or the iteration column is not 1..n.
     """
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+        return _read_chain(source, chain_index)
+    with open(source) as stream:
+        return _read_chain(stream, chain_index)
+
+
+def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
+    first = stream.readline()
+    if not first:
         raise ValueError("empty chain file")
-    header = lines[0].split("\t")
-    if not header or header[0] != "iteration":
+    header = first.rstrip("\r\n").split("\t")
+    if header[0] != "iteration":
         raise ValueError("chain file must start with an 'iteration' column")
     names = tuple(header[1:])
-    draws = np.array(
-        [[float(v) for v in ln.split("\t")[1:]] for ln in lines[1:]],
-        dtype=float,
-    ).reshape(len(lines) - 1, len(names))
+    with warnings.catch_warnings():
+        # A header-only file is a chain with no draws.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(stream, delimiter="\t", comments=None, ndmin=2)
+    if table.size == 0:
+        table = table.reshape(0, len(names) + 1)
+    if table.shape[1] != len(names) + 1:
+        raise ValueError(
+            f"rows have {table.shape[1]} fields, the header {len(names) + 1}"
+        )
+    if not np.array_equal(table[:, 0], np.arange(1, table.shape[0] + 1)):
+        raise ValueError(f"iteration column is not 1..{table.shape[0]}")
     return ChainOutput(
         chain_index=chain_index,
-        draws=draws,
+        draws=np.ascontiguousarray(table[:, 1:]),
         parameter_names=names,
         accept_rate=math.nan,
         seed_used=-1,
@@ -224,16 +287,24 @@ def write_summary_tsv(
 def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
     """Write one chain's draws as TSV: iteration column, then parameters.
 
-    Values use shortest round-trip formatting, so rereading reproduces
-    the draws bit for bit.
+    Values use shortest round-trip formatting (``repr``), so rereading
+    reproduces the draws bit for bit. Rows are formatted a block at a
+    time, which bounds the temporary objects to one block's worth.
     """
+    draws = chain.draws
+    n, k = draws.shape
+    # The iteration number shares the float block; %d prints it whole.
+    row = "%d" + "\t%r" * k + "\n"
+    block = np.empty((min(n, _BLOCK_ROWS), k + 1))
     stream, owned = _open_for_write(dest)
     try:
         stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
-        for i, row in enumerate(chain.draws, start=1):
-            stream.write(
-                str(i) + "\t" + "\t".join(repr(float(v)) for v in row) + "\n"
-            )
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            part = block[: stop - start]
+            part[:, 0] = np.arange(start + 1, stop + 1)
+            part[:, 1:] = draws[start:stop]
+            stream.write(row * (stop - start) % tuple(part.ravel().tolist()))
     finally:
         if owned:
             stream.close()

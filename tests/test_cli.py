@@ -346,6 +346,100 @@ def test_diagnose_without_chains_is_usage_error(tmp_path, capsys):
     assert "no chain files" in capsys.readouterr().err
 
 
+def _keep_lines(path, count):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:count]))
+
+
+def _edit_line(path, index, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = edit(lines[index])
+    path.write_text("".join(lines))
+
+
+def _drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(ln.rsplit("\t", 1)[0] + "\n" for ln in lines))
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+MALFORMED_CHAIN_FILES = {
+    "ragged row": ("chain_1.tsv", lambda p: _edit_line(
+        p, 5, lambda ln: ln.rsplit("\t", 1)[0] + "\n"), "columns changed"),
+    "non-numeric cell": ("chain_1.tsv", lambda p: _edit_line(
+        p, 5, lambda ln: ln.rsplit("\t", 1)[0] + "\tnot-a-number\n"),
+        "could not convert"),
+    "header only": ("chain_1.tsv", lambda p: _keep_lines(p, 1), "0 draw(s)"),
+    "one draw": ("chain_2.tsv", lambda p: _keep_lines(p, 2), "1 draw(s)"),
+    "column counts differ": ("chain_2.tsv", _drop_last_column,
+                             "header differs"),
+    "empty file": ("chain_1.tsv", lambda p: _keep_lines(p, 0), "empty"),
+    "directory": ("chain_1.tsv", _replace_with_directory, "directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHAIN_FILES))
+def test_diagnose_malformed_chain_file_is_usage_error(
+    case, data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    name, corrupt, message = MALFORMED_CHAIN_FILES[case]
+    path = out / "chains" / name
+    corrupt(path)
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+
+
+def test_diagnose_rejects_an_unnumbered_chain_file(data_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    stray = out / "chains" / "chain_old.tsv"
+    stray.write_bytes((out / "chains" / "chain_1.tsv").read_bytes())
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 2
+    assert f"error: {stray}: not a chain file name" in capsys.readouterr().err
+
+
+def test_diagnose_rejects_chain_files_whose_headers_disagree(
+    data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    written = (out / "summary.tsv").read_bytes()
+    _edit_line(out / "chains" / "chain_2.tsv", 0,
+               lambda ln: ln.replace("alpha", "intercept"))
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 2
+    assert "chain_2.tsv: header differs" in capsys.readouterr().err
+    assert (out / "summary.tsv").read_bytes() == written
+
+
+def test_diagnose_rejects_an_iteration_column_other_than_1_to_n(
+    data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    _edit_line(out / "chains" / "chain_2.tsv", 3,
+               lambda ln: "7" + ln[ln.index("\t"):])
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 2
+    assert "chain_2.tsv: iteration column is not 1..150" in (
+        capsys.readouterr().err
+    )
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------

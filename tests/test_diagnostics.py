@@ -19,6 +19,7 @@ from featmeta import (
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
+from featmeta import diagnostics
 from featmeta.diagnostics import (
     SUMMARY_COLUMNS,
     effective_sample_size,
@@ -40,6 +41,46 @@ def make_chain(draws, index=0, names=None):
         seed_used=index,
         proposal_log_scale=0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: one float, one parameter at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_gelman_rubin(chain_draws):
+    """The scalar shrink factor, computed for one parameter on its own."""
+    arrays = [np.asarray(c, dtype=float).ravel() for c in chain_draws]
+    m = len(arrays)
+    s = arrays[0].shape[0]
+    stacked = np.stack(arrays)
+    within = float(np.mean(np.var(stacked, axis=1, ddof=1)))
+    between = s * float(np.var(np.mean(stacked, axis=1), ddof=1))
+    pooled = (s - 1) / s * within + between / s + between / (m * s)
+    if within == 0.0:
+        return 1.0 if pooled <= 0.0 else math.inf
+    return math.sqrt(pooled / within)
+
+
+def reference_shrink_factor_trace(chains, n_points=20):
+    """One reference_gelman_rubin call per parameter per prefix."""
+    s = chains[0].n_samples
+    n_params = chains[0].draws.shape[1]
+    ends = np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
+    values = np.empty((ends.shape[0], n_params))
+    for i, end in enumerate(ends):
+        for j in range(n_params):
+            values[i, j] = reference_gelman_rubin(
+                [c.draws[:end, j] for c in chains]
+            )
+    return ends, values
+
+
+def reference_write_chain_tsv(chain, stream):
+    """One repr call per float."""
+    stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
+    for i, row in enumerate(chain.draws, start=1):
+        stream.write(str(i) + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +185,59 @@ def test_trace_flat_for_identical_chains():
 def test_trace_needs_two_chains():
     with pytest.raises(ValueError):
         shrink_factor_trace([two_param_chains()[0]])
+
+
+def mixed_chains(m, s, seed):
+    """Chains with normal columns at several scales and offsets, a column
+    constant and equal across chains (factor 1.0) and a column constant
+    within each chain but different between them (factor inf)."""
+    rng = np.random.default_rng(seed)
+    scales = np.array([1.0, 1e-6, 3e4, 0.05])
+    offsets = np.array([0.0, 2e-6, -1e5, 7.0])
+    chains = []
+    for k in range(m):
+        normal = rng.standard_normal((s, 4)) * scales + offsets
+        normal[:, 3] += 0.01 * k  # chains that disagree a little
+        equal = np.full((s, 1), 0.25)
+        disjoint = np.full((s, 1), float(k))
+        odd = 2.5 * normal[:, :1]  # an odd parameter count splits unevenly
+        chains.append(
+            make_chain(np.hstack([normal, equal, disjoint, odd]), index=k)
+        )
+    return chains
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("s", [3, 101, 1999])
+def test_trace_equals_per_parameter_reference(m, s):
+    chains = mixed_chains(m, s, seed=100 * m + s)
+    ends, values = shrink_factor_trace(chains, n_points=13)
+    ref_ends, ref_values = reference_shrink_factor_trace(chains, n_points=13)
+    assert np.array_equal(ends, ref_ends)
+    assert np.array_equal(values, ref_values)
+    assert np.all(values[:, 4] == 1.0)
+    assert np.all(values[:, 5] == math.inf)
+
+
+
+
+def test_trace_is_the_same_for_any_parameter_grouping(monkeypatch):
+    chains = mixed_chains(4, 2001, seed=12)
+    _, reference = reference_shrink_factor_trace(chains)
+    one_parameter = 4 * 2001 * 8
+    for budget in (1, 3 * one_parameter, 2**30):
+        monkeypatch.setattr(diagnostics, "_STACK_BYTES", budget)
+        _, values = shrink_factor_trace(chains)
+        assert np.array_equal(values, reference)
+
+
+def test_summary_and_gelman_rubin_equal_reference():
+    chains = mixed_chains(4, 777, seed=13)
+    summaries = summarize(chains)
+    for j, summary in enumerate(summaries):
+        columns = [c.draws[:, j] for c in chains]
+        assert summary.r_hat == reference_gelman_rubin(columns)
+        assert gelman_rubin(columns) == summary.r_hat
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +369,70 @@ def test_chain_tsv_requires_iteration_column():
     bad = io.StringIO("a\tb\n1.0\t2.0\n")
     with pytest.raises(ValueError, match="iteration"):
         read_chain_tsv(bad)
+
+
+SPECIAL_DRAWS = [
+    -0.0, 1e-7, 1.5e-5, 1e16, 1e17, 5e-324, 2.2250738585072014e-309,
+    123456789.0, 0.1, -1.0 / 3.0, 1.7976931348623157e308,
+]
+
+
+def special_chain(n_rows):
+    rng = np.random.default_rng(n_rows)
+    draws = rng.standard_normal((n_rows, 3)) * np.array([1.0, 1e-9, 1e12])
+    specials = np.resize(np.array(SPECIAL_DRAWS), n_rows)
+    draws = np.column_stack([specials, draws, specials[::-1]])
+    return make_chain(draws, names=("alpha", "beta_1", "beta_2", "phi_1", "tau"))
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [
+        1,
+        diagnostics._BLOCK_ROWS - 1,
+        diagnostics._BLOCK_ROWS,
+        3 * diagnostics._BLOCK_ROWS + 17,
+    ],
+)
+def test_chain_tsv_writer_matches_per_float_reference(n_rows, tmp_path):
+    chain = special_chain(n_rows)
+    expected = io.StringIO()
+    reference_write_chain_tsv(chain, expected)
+
+    buffer = io.StringIO()
+    write_chain_tsv(chain, buffer)
+    assert buffer.getvalue() == expected.getvalue()
+    path = tmp_path / "chain_1.tsv"
+    write_chain_tsv(chain, path)
+    assert path.read_text() == expected.getvalue()
+
+    for source in (path, io.StringIO(expected.getvalue())):
+        back = read_chain_tsv(source)
+        assert back.parameter_names == chain.parameter_names
+        assert np.array_equal(
+            back.draws.view(np.int64), chain.draws.view(np.int64)
+        )
+
+
+def test_chain_tsv_header_only_has_no_draws():
+    back = read_chain_tsv(io.StringIO("iteration\ta\tb\n"))
+    assert back.parameter_names == ("a", "b")
+    assert back.draws.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1\t0.5\t1.5\n2\t0.5\n", "columns changed"),
+        ("1\t0.5\t1.5\n2\t0.5\tx\n", "could not convert"),
+        ("1\t0.5\n2\t0.5\n", "rows have 2 fields, the header 3"),
+        ("1\t0.5\t1.5\n3\t0.5\t1.5\n", "not 1..2"),
+        ("0\t0.5\t1.5\n1\t0.5\t1.5\n", "not 1..2"),
+    ],
+)
+def test_chain_tsv_rejects_malformed_rows(body, message):
+    with pytest.raises(ValueError, match=message):
+        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
 
 
 def test_rhat_trace_tsv_layout(tmp_path):
