@@ -61,7 +61,6 @@ from .diagnostics import (
 )
 from .sampler import (
     AssembledDataset,
-    AssembledTrial,
     ChainOutput,
     McmcConfig,
     PriorSpec,
@@ -123,7 +122,6 @@ __all__ = [
     "ChainOutput",
     "SamplerError",
     "AssembledDataset",
-    "AssembledTrial",
     "assemble",
     "log_prior",
     "log_likelihood_marginal",

@@ -56,7 +56,6 @@ FIT_DEFAULTS = {
     "seed": 0,
     "tau_upper": 5.0,
     "coeff_sd": 100.0,
-    "likelihood": "marginal",
     "rho_y": None,
     "rho_d": None,
     "center": True,
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the dataset's same-arm correlation")
     p_fit.add_argument("--rho-d", type=float, dest="rho_d",
                        help="override the dataset's reference-change correlation")
-    p_fit.add_argument("--likelihood", choices=("marginal", "latent"))
     p_fit.add_argument("--center", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="center covariates before fitting (default: on)")
@@ -150,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    dataset = load_dataset(_readable(args.data), validate=False)
+    with _readable(args.data) as fh:
+        dataset = load_dataset(fh, validate=False)
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:
@@ -180,7 +179,6 @@ class FitSettings:
     seed: int
     tau_upper: float
     coeff_sd: float
-    likelihood: str
     rho_y: float | None
     rho_d: float | None
     center: bool
@@ -201,6 +199,15 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
                 "(missing 'settings' or 'data')"
             )
         manifest_settings = dict(manifest["settings"])
+        # Manifests written before the latent-effects sampler was removed
+        # record the likelihood; only the marginal one can be replayed.
+        likelihood = manifest_settings.get("likelihood")
+        if likelihood not in (None, "marginal"):
+            raise ConfigError(
+                f"{args.from_manifest}: settings.likelihood is "
+                f"{likelihood!r}, but the latent-effects sampler was "
+                "removed; only the marginal likelihood can be sampled"
+            )
         if data_path is None:
             recorded = Path(manifest["data"])
             if not recorded.is_absolute():
@@ -233,7 +240,8 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
 
 def cmd_fit(args) -> int:
     data_path, st = _resolve_fit_settings(args)
-    dataset = load_dataset(_readable(data_path))
+    with _readable(data_path) as fh:
+        dataset = load_dataset(fh)
     if st.rho_y is not None:
         dataset = replace(dataset, base_rho_y=st.rho_y)
     if st.rho_d is not None:
@@ -250,7 +258,6 @@ def cmd_fit(args) -> int:
             samples=st.samples,
             thin=st.thin,
             seed=st.seed,
-            likelihood=st.likelihood,
         )
         prior = PriorSpec(coeff_sd=st.coeff_sd, tau_upper=st.tau_upper)
     except ValueError as e:

@@ -3,10 +3,10 @@
 The model: per trial i, observed contrasts y_i ~ N(delta_i, V_i) with
 heterogeneous arm effects delta_i ~ N(X_i c, tau^2 S_i), where c packs
 the fixed-effect coefficients, V_i is the within-trial covariance, and
-S_i = 0.5(I + 11') carries the common-reference correlation. Integrating
-delta out gives the marginal form y_i ~ N(X_i c, V_i + tau^2 S_i); the
-latent form keeps delta_i as explicit parameters. Both are available and
-target the same coefficient posterior.
+S_i = 0.5(I + 11') carries the common-reference correlation. The
+sampler integrates delta out and samples the marginal form
+y_i ~ N(X_i c, V_i + tau^2 S_i). ``log_likelihood_latent`` keeps the
+joint density of y and delta as a reference density for checks.
 
 The marginal density is evaluated through a per-trial simultaneous
 diagonalization fixed at assembly time: with L the Cholesky factor of
@@ -52,7 +52,6 @@ __all__ = [
     "PriorSpec",
     "McmcConfig",
     "ChainOutput",
-    "AssembledTrial",
     "AssembledDataset",
     "assemble",
     "log_prior",
@@ -107,7 +106,6 @@ class McmcConfig:
     samples: int = 20_000
     thin: int = 1
     seed: int = 0
-    likelihood: str = "marginal"
     target_accept: float = TARGET_ACCEPT
     parallel: bool = False
 
@@ -122,11 +120,6 @@ class McmcConfig:
             raise ValueError("thin must be at least 1")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
-        if self.likelihood not in ("marginal", "latent"):
-            raise ValueError(
-                f"likelihood must be 'marginal' or 'latent', got "
-                f"{self.likelihood!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,51 +152,14 @@ class ChainOutput:
 # ---------------------------------------------------------------------------
 
 
-def _chol_with_jitter(matrix: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor, adding escalating diagonal jitter if needed."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    scale = float(np.mean(np.diag(matrix)))
-    jitter = 1e-12 * max(scale, 1.0)
-    for _ in range(7):
-        try:
-            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise CovarianceError(f"{context}: Cholesky failed even with jitter")
-
-
-@dataclass(eq=False)
-class AssembledTrial:
-    """Per-trial constants for likelihood evaluation."""
-
-    trial_id: str
-    y: np.ndarray
-    design: np.ndarray
-    within: np.ndarray  # V
-    structure: np.ndarray  # S
-    structure_chol: np.ndarray  # L with L L' = S
-    structure_logdet: float
-    within_chol: np.ndarray  # for the latent form's y | delta term
-    eigenvalues: np.ndarray  # lam of L^-1 V L^-T
-    projector: np.ndarray  # P = Q' L^-1
-
-    @property
-    def dimension(self) -> int:
-        return self.y.shape[0]
-
-
 @dataclass(eq=False)
 class AssembledDataset:
     """Dataset compiled to stacked arrays for fast marginal evaluation."""
 
     dataset: Dataset
-    trials: list[AssembledTrial]
     stacked_y: np.ndarray  # concat of P_i y_i
     stacked_design: np.ndarray  # vstack of P_i X_i
-    stacked_eigenvalues: np.ndarray
+    stacked_eigenvalues: np.ndarray  # concat of lam_i, clipped at 0
     log_density_const: float  # sum_i (dim_i log 2pi + logdet S_i)
     n_coefficients: int
 
@@ -215,56 +171,43 @@ class AssembledDataset:
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(self.dataset.schema.parameter_names())
 
-    @property
-    def total_dimension(self) -> int:
-        return self.stacked_y.shape[0]
 
-
-def assemble(dataset: Dataset) -> AssembledDataset:
-    """Precompute design matrices, covariances, and diagonalizations."""
-    schema = dataset.schema
-    assembled: list[AssembledTrial] = []
+def _trials_with_covariance(dataset: Dataset):
+    """Yield (trial, V, X) per trial, built from scratch."""
     for trial in dataset.trials:
         within = build_within_covariance(
             trial, dataset.base_rho_y, dataset.base_rho_d
         ).matrix
+        yield trial, within, trial_design_matrix(
+            dataset.schema, trial, dataset.centering
+        )
+
+
+def assemble(dataset: Dataset) -> AssembledDataset:
+    """Whiten every trial once (see the module docstring) and stack them."""
+    ys, designs, eigenvalues = [], [], []
+    const = 0.0
+    for trial, within, design in _trials_with_covariance(dataset):
         dim = within.shape[0]
-        structure = between_structure(dim)
-        chol_s = np.linalg.cholesky(structure)
+        chol_s = np.linalg.cholesky(between_structure(dim))
         inv_chol = np.linalg.inv(chol_s)
         whitened = inv_chol @ within @ inv_chol.T
         whitened = 0.5 * (whitened + whitened.T)
         lam, q = np.linalg.eigh(whitened)
-        assembled.append(
-            AssembledTrial(
-                trial_id=trial.trial_id,
-                y=trial.y_vector(),
-                design=trial_design_matrix(schema, trial, dataset.centering),
-                within=within,
-                structure=structure,
-                structure_chol=chol_s,
-                structure_logdet=2.0 * float(np.sum(np.log(np.diag(chol_s)))),
-                within_chol=_chol_with_jitter(
-                    within, f"within-trial covariance of {trial.trial_id!r}"
-                ),
-                eigenvalues=np.clip(lam, 0.0, None),
-                projector=q.T @ inv_chol,
-            )
+        projector = q.T @ inv_chol  # P
+        ys.append(projector @ trial.y_vector())
+        designs.append(projector @ design)
+        eigenvalues.append(np.clip(lam, 0.0, None))
+        const += dim * math.log(2.0 * math.pi) + 2.0 * float(
+            np.sum(np.log(np.diag(chol_s)))
         )
-    stacked_y = np.concatenate([t.projector @ t.y for t in assembled])
-    stacked_design = np.vstack([t.projector @ t.design for t in assembled])
-    stacked_eigenvalues = np.concatenate([t.eigenvalues for t in assembled])
-    const = sum(
-        t.dimension * math.log(2.0 * math.pi) + t.structure_logdet
-        for t in assembled
-    )
+    stacked_design = np.vstack(designs)
     return AssembledDataset(
         dataset=dataset,
-        trials=assembled,
-        stacked_y=stacked_y,
+        stacked_y=np.concatenate(ys),
         stacked_design=stacked_design,
-        stacked_eigenvalues=stacked_eigenvalues,
-        log_density_const=float(const),
+        stacked_eigenvalues=np.concatenate(eigenvalues),
+        log_density_const=const,
         n_coefficients=stacked_design.shape[1],
     )
 
@@ -285,12 +228,6 @@ def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
         + float(coefficients @ coefficients) / prior.coeff_sd**2
     )
     return normal_part - math.log(prior.tau_upper)
-
-
-def _as_assembled(data: Dataset | AssembledDataset) -> AssembledDataset:
-    if isinstance(data, AssembledDataset):
-        return data
-    return assemble(data)
 
 
 def _marginal_rows(
@@ -314,7 +251,7 @@ def log_likelihood_marginal(
     Accepts a raw dataset or a pre-assembled one; pass the latter when
     evaluating many parameter values.
     """
-    assembled = _as_assembled(data)
+    assembled = data if isinstance(data, AssembledDataset) else assemble(data)
     mean = assembled.stacked_design @ params.coefficients()
     return float(_marginal_rows(assembled, mean, np.float64(params.tau)))
 
@@ -327,69 +264,33 @@ def log_likelihood_marginal_direct(
     Slow path kept as an independent cross-check of the diagonalized
     evaluation; both must agree to floating-point accuracy.
     """
-    schema = dataset.schema
     coeffs = params.coefficients()
     total = 0.0
-    for trial in dataset.trials:
-        within = build_within_covariance(
-            trial, dataset.base_rho_y, dataset.base_rho_d
-        ).matrix
-        design = trial_design_matrix(schema, trial, dataset.centering)
+    for trial, within, design in _trials_with_covariance(dataset):
         cov = within + params.tau**2 * between_structure(within.shape[0])
         total += mvn_logpdf(trial.y_vector(), design @ coeffs, cov)
     return total
 
 
-def _latent(
-    assembled: AssembledDataset,
-    coefficients: np.ndarray,
-    tau: float,
-    deltas: list[np.ndarray],
-) -> float:
-    if tau <= 0.0:
-        return -math.inf
-    log_tau = math.log(tau)
-    total = 0.0
-    for t, delta in zip(assembled.trials, deltas):
-        # y | delta ~ N(delta, V)
-        r = np.linalg.solve(t.within_chol, t.y - delta)
-        logdet_v = 2.0 * float(np.sum(np.log(np.diag(t.within_chol))))
-        total += -0.5 * (
-            t.dimension * math.log(2.0 * math.pi) + logdet_v + float(r @ r)
-        )
-        # delta | c, tau ~ N(X c, tau^2 S)
-        s = np.linalg.solve(t.structure_chol, delta - t.design @ coefficients)
-        total += -0.5 * (
-            t.dimension * math.log(2.0 * math.pi)
-            + t.structure_logdet
-            + 2.0 * t.dimension * log_tau
-            + float(s @ s) / (tau * tau)
-        )
-    return total
-
-
 def _split_deltas(
-    assembled: AssembledDataset, deltas: list[np.ndarray] | np.ndarray
+    dataset: Dataset, deltas: list[np.ndarray] | np.ndarray
 ) -> list[np.ndarray]:
     if isinstance(deltas, np.ndarray) and deltas.ndim == 1:
-        split: list[np.ndarray] = []
-        at = 0
-        for t in assembled.trials:
-            split.append(deltas[at : at + t.dimension])
-            at += t.dimension
-        if at != deltas.shape[0]:
+        dims = [t.dimension for t in dataset.trials]
+        if deltas.shape[0] != sum(dims):
             raise ValueError(
-                f"stacked deltas have length {deltas.shape[0]}, expected {at}"
+                f"stacked deltas have length {deltas.shape[0]}, "
+                f"expected {sum(dims)}"
             )
-        return split
+        return np.split(deltas, np.cumsum(dims)[:-1])
     out = [np.asarray(d, dtype=float) for d in deltas]
-    for t, d in zip(assembled.trials, out):
+    for t, d in zip(dataset.trials, out):
         if d.shape != (t.dimension,):
             raise ValueError(
                 f"delta for trial {t.trial_id!r} has shape {d.shape}, "
                 f"expected ({t.dimension},)"
             )
-    if len(out) != len(assembled.trials):
+    if len(out) != len(dataset.trials):
         raise ValueError("one delta vector required per trial")
     return out
 
@@ -401,23 +302,32 @@ def log_likelihood_latent(
 ) -> float:
     """Joint log density of y and the latent arm effects delta.
 
+    A reference density, rebuilt trial by trial like
+    ``log_likelihood_marginal_direct``: the sum over trials of
+    log N(y_i; delta_i, V_i) + log N(delta_i; X_i c, tau^2 S_i).
+    Integrating delta out gives ``log_likelihood_marginal``.
+
     ``deltas`` is either one stacked vector (concatenated in trial
     order) or a list of per-trial vectors. tau must be positive: at
     tau = 0 the heterogeneity covariance is singular and the marginal
-    form must be used instead.
+    form must be used instead. A singular V raises CovarianceError.
     """
     if params.tau <= 0.0:
         raise CovarianceError(
             "latent likelihood undefined at tau = 0 (singular heterogeneity "
             "covariance); use the marginal form"
         )
-    assembled = _as_assembled(data)
-    return _latent(
-        assembled,
-        params.coefficients(),
-        params.tau,
-        _split_deltas(assembled, deltas),
-    )
+    dataset = data.dataset if isinstance(data, AssembledDataset) else data
+    split = _split_deltas(dataset, deltas)
+    coeffs = params.coefficients()
+    total = 0.0
+    for (trial, within, design), delta in zip(
+        _trials_with_covariance(dataset), split
+    ):
+        heterogeneity = params.tau**2 * between_structure(within.shape[0])
+        total += mvn_logpdf(trial.y_vector(), delta, within)
+        total += mvn_logpdf(delta, design @ coeffs, heterogeneity)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -467,23 +377,19 @@ class _DesignProduct:
 class _LogPosterior:
     """Log posterior of a (chains, dim) batch of sampler states.
 
-    A state holds the coefficients, log(tau), then (latent form only)
-    the stacked arm effects. The result is -inf where tau is outside
-    the prior's support and NaN where the density is not finite inside
-    it. Each row depends on that row alone: the marginal form is
-    evaluated for the whole batch at once, the latent form row by row.
+    A state holds the coefficients, then log(tau). The result is -inf
+    where tau is outside the prior's support and NaN where the density
+    is not finite inside it. Each row depends on that row alone.
     """
 
     def __init__(
         self,
         assembled: AssembledDataset,
         prior: PriorSpec,
-        latent: bool,
         chains: Sequence[int],
     ):
         self.assembled = assembled
         self.prior = prior
-        self.latent = latent
         self.n_coeff = assembled.n_coefficients
         self.design = _DesignProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
@@ -500,15 +406,7 @@ class _LogPosterior:
         # support; the caller silences floating-point warnings.
         tau = np.exp(log_tau)
         support = (tau > 0.0) & (tau < self.prior.tau_upper)
-        if self.latent:
-            a = self.assembled
-            ll = np.array([
-                _latent(a, s[:n], t, _split_deltas(a, s[n + 1 :]))
-                if ok else -math.inf
-                for s, t, ok in zip(states, tau, support)
-            ])
-        else:
-            ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
+        ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
         quad = (coeffs * coeffs).sum(axis=1)
         # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
         lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
@@ -529,29 +427,24 @@ def run_chain(
     other chains run with it: its proposals and acceptance uniforms come
     from its own stream, taken in blocks sized from the state dimension,
     and every batched operation treats each chain's row on its own.
-    Only the model parameters are recorded, with tau mapped back to its
-    natural scale. A proposal whose log posterior is not finite inside
-    the prior's support is rejected and counted.
+    tau is recorded on its natural scale. A proposal whose log posterior
+    is not finite inside the prior's support is rejected and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
         raise ValueError(f"need distinct chain indices, got {chains}")
     n_chains = len(chains)
     n_coeff = assembled.n_coefficients
-    latent = config.likelihood == "latent"
-    dim = n_coeff + 1 + (assembled.total_dimension if latent else 0)
-    log_post = _LogPosterior(assembled, prior, latent, chains)
+    dim = n_coeff + 1
+    log_post = _LogPosterior(assembled, prior, chains)
     streams = [_chain_rng(config.seed, k) for k in chains]
     rngs = [rng for rng, _ in streams]
 
-    # Initial state: zero coefficients, tau at a tenth of its prior range,
-    # latent effects at the observations; small jitter separates chains.
-    # A chain whose start is not finite draws a new jitter, up to
-    # INIT_RETRIES times.
+    # Initial state: zero coefficients, tau at a tenth of its prior range;
+    # small jitter separates chains. A chain whose start is not finite
+    # draws a new jitter, up to INIT_RETRIES times.
     start = np.zeros(dim)
     start[n_coeff] = math.log(0.1 * prior.tau_upper)
-    if latent:
-        start[n_coeff + 1 :] = np.concatenate([t.y for t in assembled.trials])
     state = np.tile(start, (n_chains, 1))
     current_lp = np.full(n_chains, math.nan)
     with np.errstate(all="ignore"):
@@ -580,7 +473,7 @@ def run_chain(
     uniforms = np.empty((n_chains, block))
     log_u = np.empty((n_chains, block))
 
-    draws = np.empty((n_chains, config.samples, n_coeff + 1))
+    draws = np.empty((n_chains, config.samples, dim))
     accepted = np.zeros(n_chains, dtype=np.int64)
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     recorded = 0
@@ -623,7 +516,7 @@ def run_chain(
             elif it >= warm:
                 accepted += accept
                 if (it - warm + 1) % config.thin == 0:
-                    draws[:, recorded] = state[:, : n_coeff + 1]
+                    draws[:, recorded] = state
                     recorded += 1
 
     assert recorded == config.samples

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -241,6 +243,70 @@ def test_fit_no_center_skips_centering_record(data_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["centering"] is None
     assert manifest["settings"]["center"] is False
+
+
+def test_fit_likelihood_flag_is_gone(data_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(fast_fit_args(data_file, tmp_path / "run", likelihood="latent"))
+    assert exc.value.code == 2
+    assert "--likelihood" in capsys.readouterr().err
+
+
+def _edit_manifest_settings(run, **settings):
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["settings"].update(settings)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def test_manifest_with_latent_likelihood_is_config_error(
+    data_file, tmp_path, capsys
+):
+    first = tmp_path / "run1"
+    assert main(fast_fit_args(data_file, first)) == 0
+    manifest = _edit_manifest_settings(first, likelihood="latent")
+    capsys.readouterr()
+    code = main([
+        "fit", "--from-manifest", str(manifest), "--out", str(tmp_path / "run2"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "settings.likelihood is 'latent'" in err
+    assert "latent-effects sampler was removed" in err
+    assert not (tmp_path / "run2").exists()
+
+
+def test_manifest_with_marginal_likelihood_replays_bit_identically(
+    data_file, tmp_path
+):
+    # Manifests written while the latent sampler existed carry
+    # "likelihood": "marginal"; they replay unchanged.
+    first = tmp_path / "run1"
+    second = tmp_path / "run2"
+    assert main(fast_fit_args(data_file, first)) == 0
+    assert "likelihood" not in json.loads(
+        (first / "manifest.json").read_text()
+    )["settings"]
+    manifest = _edit_manifest_settings(first, likelihood="marginal")
+    assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
+    for k in (1, 2):
+        assert (first / f"chains/chain_{k}.tsv").read_bytes() == (
+            second / f"chains/chain_{k}.tsv"
+        ).read_bytes()
+    assert "likelihood" not in json.loads(
+        (second / "manifest.json").read_text()
+    )["settings"]
+
+
+def test_validate_and_fit_close_the_dataset_file(data_file, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--data", str(data_file)]) == 0
+        assert main(fast_fit_args(data_file, tmp_path / "run")) == 0
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from featmeta import (
     mvn_logpdf,
     run_chain,
     run_mcmc,
+    trial_design_matrix,
+    validate_dataset,
 )
 from featmeta.diagnostics import mcse_mean
 
@@ -283,6 +285,80 @@ def test_latent_quadrature_matches_marginal_dim_one():
     )
 
 
+def test_latent_factors_into_delta_conditional_and_marginal():
+    # For every delta, p(y, delta | c, tau) = p(delta | y, c, tau) p(y | c, tau)
+    # with delta_i | y, c, tau ~ N(m_i, C_i), C_i = (V_i^-1 + (tau^2 S_i)^-1)^-1
+    # and m_i = C_i (V_i^-1 y_i + (tau^2 S_i)^-1 X_i c). The basic dataset
+    # has multi-arm, multi-follow-up trials of dimension 4, 3 and 2.
+    dataset = build_basic_dataset()
+    assert [t.dimension for t in dataset.trials] == [4, 3, 2]
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        params = basic_params(
+            dataset.schema, rng.normal(0.0, 0.2, size=7),
+            tau=float(rng.uniform(0.05, 0.6)),
+        )
+        deltas = [
+            t.y_vector() + rng.normal(0.0, 0.2, size=t.dimension)
+            for t in dataset.trials
+        ]
+        conditional = 0.0
+        for trial, delta in zip(dataset.trials, deltas):
+            within = build_within_covariance(
+                trial, dataset.base_rho_y, dataset.base_rho_d
+            ).matrix
+            prec_v = np.linalg.inv(within)
+            prec_h = np.linalg.inv(
+                params.tau**2 * between_structure(trial.dimension)
+            )
+            cov = np.linalg.inv(prec_v + prec_h)
+            theta = trial_design_matrix(dataset.schema, trial) @ (
+                params.coefficients()
+            )
+            mean = cov @ (prec_v @ trial.y_vector() + prec_h @ theta)
+            conditional += mvn_logpdf(delta, mean, cov)
+        joint = log_likelihood_latent(dataset, params, deltas)
+        assert joint - conditional == pytest.approx(
+            log_likelihood_marginal(dataset, params), rel=1e-9
+        )
+
+
+def singular_within_dataset():
+    # Two arms at one follow-up with ref_change_var == v: V = [[v, v], [v, v]].
+    trial = grid_trial(
+        "s1", "control", [arm("a", (1.0, 0.0)), arm("b", (0.0, 1.0))],
+        categories=(1,), q=3, z=(0.2,), v=0.01,
+        y={("a", 1): 0.03, ("b", 1): -0.01}, ref_change_var={1: 0.01},
+    )
+    return Dataset(
+        schema=build_basic_schema(), trials=(trial,),
+        base_rho_y=0.8, base_rho_d=0.64,
+    )
+
+
+def test_singular_within_covariance_marginal_matches_direct():
+    dataset = singular_within_dataset()
+    [trial] = dataset.trials
+    within = build_within_covariance(trial, 0.8, 0.64).matrix
+    assert np.array_equal(within, np.full((2, 2), 0.01))
+    assert validate_dataset(dataset) == []
+    assembled = assemble(dataset)
+    assert np.all(assembled.stacked_eigenvalues >= 0.0)
+    for tau in (0.05, 0.1, 0.7):
+        params = basic_params(dataset.schema, 0.03 * np.ones(7), tau=tau)
+        assert log_likelihood_marginal(assembled, params) == pytest.approx(
+            log_likelihood_marginal_direct(dataset, params), rel=1e-12
+        )
+
+
+def test_singular_within_covariance_has_no_latent_density():
+    dataset = singular_within_dataset()
+    params = basic_params(dataset.schema, tau=0.1)
+    [trial] = dataset.trials
+    with pytest.raises(CovarianceError, match="not positive definite"):
+        log_likelihood_latent(dataset, params, [trial.y_vector()])
+
+
 # ---------------------------------------------------------------------------
 # run_chain / run_mcmc mechanics
 # ---------------------------------------------------------------------------
@@ -406,21 +482,12 @@ def test_nonfinite_proposals_are_rejected_and_counted():
         assert np.all(chain.draws[:, -1] ** 2 > cut)
 
 
-def test_latent_sampler_runs_and_respects_support():
-    dataset = centered_basic_dataset()
-    chains = run_mcmc(
-        dataset, small_config(likelihood="latent", chains=2), PriorSpec()
-    )
-    for chain in chains:
-        # only model parameters are recorded, not the latent effects
-        assert chain.draws.shape[1] == dataset.schema.n_parameters
-        assert np.all(chain.draws[:, -1] > 0.0)
-
-
 @pytest.mark.filterwarnings("ignore:fitting on uncentered")
-def test_marginal_and_latent_samplers_agree():
-    # Cross-sampler check on a small synthetic set: posterior means from
-    # the two likelihood forms agree within 3 combined Monte-Carlo SEs.
+def test_marginal_sampler_matches_exact_posterior():
+    # Three dim-1 trials. With c ~ N(0, sd^2 I) integrated out,
+    # y | tau ~ N(0, sd^2 X X' + D), D = diag(v + tau^2), and
+    # E[c | tau, y] = sd^2 X' (sd^2 X X' + D)^-1 y. Weighting a fine tau
+    # grid by that density gives the exact posterior means.
     trials = [
         scalar_trial("c1", y=0.05, v=0.004),
         scalar_trial("c2", y=0.02, v=0.006),
@@ -428,25 +495,37 @@ def test_marginal_and_latent_samplers_agree():
     ]
     data = scalar_dataset(trials)
     prior = PriorSpec(coeff_sd=1.0, tau_upper=1.0)
-    marginal = run_mcmc(
+    y = np.concatenate([t.y_vector() for t in data.trials])
+    design = np.vstack(
+        [trial_design_matrix(data.schema, t) for t in data.trials]
+    )
+    v = np.array([
+        build_within_covariance(t, data.base_rho_y, data.base_rho_d).matrix[0, 0]
+        for t in data.trials
+    ])
+    taus = (np.arange(4000) + 0.5) / 4000 * prior.tau_upper
+    log_weights = np.empty(taus.size)
+    conditional_means = np.empty((taus.size, design.shape[1]))
+    for i, tau in enumerate(taus):
+        cov = prior.coeff_sd**2 * design @ design.T + np.diag(v + tau**2)
+        log_weights[i] = mvn_logpdf(y, np.zeros_like(y), cov)
+        conditional_means[i] = prior.coeff_sd**2 * design.T @ np.linalg.solve(
+            cov, y
+        )
+    weights = np.exp(log_weights - log_weights.max())
+    weights /= weights.sum()
+    exact = np.append(weights @ conditional_means, weights @ taus)
+
+    chains = run_mcmc(
         data,
         McmcConfig(chains=2, adapt=3000, burn_in=2000, samples=10_000, seed=5),
         prior,
     )
-    latent = run_mcmc(
-        data,
-        McmcConfig(
-            chains=2, adapt=4000, burn_in=3000, samples=15_000, seed=17,
-            likelihood="latent",
-        ),
-        prior,
-    )
-    pooled_m = np.vstack([c.draws for c in marginal])
-    pooled_l = np.vstack([c.draws for c in latent])
-    for j in range(pooled_m.shape[1]):
-        se = math.hypot(mcse_mean(pooled_m[:, j]), mcse_mean(pooled_l[:, j]))
-        gap = abs(pooled_m[:, j].mean() - pooled_l[:, j].mean())
-        assert gap < 3.0 * se, f"parameter {j}: gap {gap:.3g} vs se {se:.3g}"
+    pooled = np.vstack([c.draws for c in chains])
+    for j, name in enumerate(chains[0].parameter_names):
+        se = mcse_mean(pooled[:, j])
+        gap = abs(pooled[:, j].mean() - exact[j])
+        assert gap < 3.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
 
 
 def test_uncentered_fit_warns():
@@ -477,7 +556,6 @@ def test_centered_fit_does_not_warn(recwarn):
         dict(thin=0),
         dict(adapt=-1),
         dict(burn_in=-1),
-        dict(likelihood="exact"),
         dict(target_accept=0.0),
         dict(target_accept=1.0),
     ],
