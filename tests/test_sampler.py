@@ -558,6 +558,7 @@ def test_centered_fit_does_not_warn(recwarn):
         dict(burn_in=-1),
         dict(target_accept=0.0),
         dict(target_accept=1.0),
+        dict(target_accept=1.5),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
