@@ -63,6 +63,8 @@ FIT_DEFAULTS = {
     "diagnostics": True,
     "trace_points": 20,
 }
+# Settings that older manifests record and that replay ignores.
+RETIRED_SETTINGS = frozenset({"likelihood"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,6 +201,14 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
                 "(missing 'settings' or 'data')"
             )
         manifest_settings = dict(manifest["settings"])
+        unknown = sorted(
+            set(manifest_settings) - set(FIT_DEFAULTS) - RETIRED_SETTINGS
+        )
+        if unknown:
+            raise ConfigError(
+                f"{args.from_manifest}: unknown settings "
+                + ", ".join(repr(name) for name in unknown)
+            )
         # Manifests written before the latent-effects sampler was removed
         # record the likelihood; only the marginal one can be replayed.
         likelihood = manifest_settings.get("likelihood")

@@ -10,7 +10,6 @@ posterior probabilities of lying strictly below / strictly above zero.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -226,9 +225,13 @@ def read_chain_tsv(
     Only the draws and parameter names survive the round trip; the
     acceptance rate and proposal scale are not stored in the file and
     come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
-    as -1). Raises ValueError when the header does not start with
+    as -1). A row that repeats the values of the row before (a rejected
+    proposal) takes that row's parsed values, so each distinct row is
+    parsed once, with ``np.loadtxt``'s cell syntax. Blank lines hold no
+    row. Raises ValueError when the header does not start with
     ``iteration``, a row has the wrong number of fields or a field is
-    not a number, or the iteration column is not 1..n.
+    not a number (naming the file line, the header being line 1), or
+    the iteration column is not 1..n.
     """
     if hasattr(source, "read"):
         return _read_chain(source, chain_index)
@@ -244,18 +247,39 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
     if header[0] != "iteration":
         raise ValueError("chain file must start with an 'iteration' column")
     names = tuple(header[1:])
-    with warnings.catch_warnings():
-        # A header-only file is a chain with no draws.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(stream, delimiter="\t", comments=None, ndmin=2)
-    if table.size == 0:
-        table = table.reshape(0, len(names) + 1)
-    if table.shape[1] != len(names) + 1:
+    width = len(names) + 1
+    lines = stream.readlines()
+    numbers = np.arange(2, len(lines) + 2)
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    blank = [
+        i for i in np.flatnonzero(lengths <= 2).tolist()
+        if not lines[i].strip("\r\n")
+    ]
+    if blank:
+        # np.loadtxt skips blank lines; they hold no row.
+        numbers, lengths = np.delete(numbers, blank), np.delete(lengths, blank)
+        lines = [line for line in lines if line.strip("\r\n")]
+    repeats = _repeated_rows(lines, lengths)
+    distinct = np.flatnonzero(~repeats)
+    if len(distinct) < len(lines):
+        rows = [lines[i] for i in distinct.tolist()]
+    else:
+        rows = lines
+    table = _parse_rows(rows, numbers[distinct], width)
+    if table.shape[1] != width:
         raise ValueError(
-            f"rows have {table.shape[1]} fields, the header {len(names) + 1}"
+            f"rows have {table.shape[1]} fields, the header {width} "
+            f"(from line {numbers[0]})"
         )
-    if not np.array_equal(table[:, 0], np.arange(1, table.shape[0] + 1)):
-        raise ValueError(f"iteration column is not 1..{table.shape[0]}")
+    wrong = np.flatnonzero(table[:, 0] != distinct + 1)
+    if wrong.size:
+        raise ValueError(
+            f"iteration column is not 1..{len(lines)}: line "
+            f"{numbers[distinct[wrong[0]]]} holds {table[wrong[0], 0]:g}"
+        )
+    if len(distinct) < len(lines):
+        # Each row takes the values of the distinct row it repeats.
+        table = table[np.cumsum(~repeats) - 1]
     return ChainOutput(
         chain_index=chain_index,
         draws=np.ascontiguousarray(table[:, 1:]),
@@ -265,6 +289,82 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
         proposal_log_scale=math.nan,
         nonfinite_rejections=-1,
     )
+
+
+def _repeated_rows(lines: list[str], lengths: np.ndarray) -> np.ndarray:
+    """Which rows repeat the text of the row before after its number.
+
+    Only rows numbered canonically (``str(i)`` and a tab, for row i) are
+    matched, so a repeat's number needs no parsing. Rows are compared
+    only where their ``lengths``, less their numbers, agree with the row
+    before, and not at all when fewer than a quarter do: then most agree
+    by chance (as in independent or thinned draws), and comparing them
+    would cost more than the parsing it saves. A row left unmatched is
+    parsed, so the draws are the same either way.
+    """
+    n = len(lines)
+    repeats = np.zeros(n, dtype=bool)
+    iteration = np.arange(1, n + 1)
+    digits = np.ones(n, dtype=np.intp)
+    power = 10
+    while power <= n:
+        digits += iteration >= power
+        power *= 10
+    rest = lengths - digits
+    candidates = np.flatnonzero(rest[1:] == rest[:-1]) + 1
+    if 4 * len(candidates) < n:
+        return repeats
+    found = []
+    tail = ""
+    for i in candidates.tolist():
+        if not found or found[-1] != i - 1:
+            # Row i - 1 is not a repeat: take its values' text.
+            head = f"{i}\t"
+            before = lines[i - 1]
+            if not before.startswith(head):
+                continue
+            tail = before[len(head):]
+        # With the lengths equal, this is lines[i] == f"{i + 1}\t" + tail.
+        line = lines[i]
+        if line.endswith(tail) and line.startswith(f"{i + 1}\t"):
+            found.append(i)
+    repeats[found] = True
+    return repeats
+
+
+def _parse_rows(rows: list[str], numbers: np.ndarray, width: int) -> np.ndarray:
+    """Parse tab-separated rows with one ``np.loadtxt`` call.
+
+    No rows give a (0, width) table. On failure the rows are checked one
+    at a time, and the error names the file line (from ``numbers``) of
+    the first row at fault.
+    """
+    if not rows:
+        return np.empty((0, width))
+    try:
+        return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+    except ValueError as error:
+        raise _row_error(rows, numbers) or error from None
+
+
+def _row_error(rows: list[str], numbers: np.ndarray) -> ValueError | None:
+    fields = rows[0].count("\t") + 1
+    for row, number in zip(rows, numbers.tolist()):
+        count = row.count("\t") + 1
+        if count != fields:
+            return ValueError(
+                f"the number of columns changed from {fields} to {count} "
+                f"at line {number}"
+            )
+        try:
+            np.loadtxt([row], delimiter="\t", comments=None, ndmin=2)
+        except ValueError as error:
+            message = str(error)
+            located = message.replace("at row 0,", f"at line {number},")
+            return ValueError(
+                located if located != message else f"line {number}: {message}"
+            )
+    return None
 
 
 def write_summary_tsv(
@@ -289,22 +389,43 @@ def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
 
     Values use shortest round-trip formatting (``repr``), so rereading
     reproduces the draws bit for bit. Rows are formatted a block at a
-    time, which bounds the temporary objects to one block's worth.
+    time, which bounds the temporary objects to one block's worth. A row
+    whose bits equal those of the row before (a rejected proposal; -0.0
+    and 0.0, or NaNs with different payloads, differ) reuses that row's
+    formatted values, so each distinct row is formatted once. A block
+    without such a repeat is formatted in one call.
     """
-    draws = chain.draws
+    draws = np.asarray(chain.draws, dtype=float)
     n, k = draws.shape
+    bits = draws.view(np.int64)
+    repeats = np.zeros(n, dtype=bool)
+    repeats[1:] = np.all(bits[1:] == bits[:-1], axis=1)
     # The iteration number shares the float block; %d prints it whole.
     row = "%d" + "\t%r" * k + "\n"
+    values = "\t%r" * k + "\n"
     block = np.empty((min(n, _BLOCK_ROWS), k + 1))
     stream, owned = _open_for_write(dest)
     try:
         stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
-            part = block[: stop - start]
-            part[:, 0] = np.arange(start + 1, stop + 1)
-            part[:, 1:] = draws[start:stop]
-            stream.write(row * (stop - start) % tuple(part.ravel().tolist()))
+            fresh = ~repeats[start:stop]
+            fresh[0] = True
+            if fresh.all():
+                part = block[: stop - start]
+                part[:, 0] = np.arange(start + 1, stop + 1)
+                part[:, 1:] = draws[start:stop]
+                stream.write(row * (stop - start) % tuple(part.ravel().tolist()))
+                continue
+            # Format each distinct row's values once, then write every
+            # row as its number and the text of the values it repeats.
+            distinct = draws[start:stop][fresh]
+            texts = values * len(distinct) % tuple(distinct.ravel().tolist())
+            texts = texts.split("\n")
+            cells = [None] * (2 * (stop - start))
+            cells[0::2] = range(start + 1, stop + 1)
+            cells[1::2] = [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
+            stream.write("%d%s\n" * (stop - start) % tuple(cells))
     finally:
         if owned:
             stream.close()

@@ -299,6 +299,24 @@ def test_manifest_with_marginal_likelihood_replays_bit_identically(
     )["settings"]
 
 
+def test_manifest_with_unknown_setting_is_config_error(
+    data_file, tmp_path, capsys
+):
+    # A misspelled "samples" would otherwise replay the default 20 000
+    # draws per chain instead of the recorded 150.
+    first = tmp_path / "run1"
+    assert main(fast_fit_args(data_file, first)) == 0
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["settings"]["sample"] = manifest["settings"].pop("samples")
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["fit", "--from-manifest", str(path), "--out", str(tmp_path / "run2")])
+    assert code == 2
+    assert "unknown settings 'sample'" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+
+
 def test_validate_and_fit_close_the_dataset_file(data_file, tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

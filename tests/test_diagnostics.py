@@ -435,6 +435,131 @@ def test_chain_tsv_rejects_malformed_rows(body, message):
         read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("4\t0.5\tx\n", "could not convert string 'x' to float64 at line 5"),
+        ("4\t0.5\n", "columns changed from 3 to 2 at line 5"),
+        ("4\t0.5\t1.5\t2.5\n", "columns changed from 3 to 4 at line 5"),
+        ("\t0.5\t1.5\n", "could not convert string '' to float64 at line 5"),
+        ("7\t0.5\t1.5\n", "not 1..4: line 5 holds 7"),
+    ],
+)
+@pytest.mark.parametrize("blank_line", [False, True])
+def test_chain_tsv_errors_name_the_file_line(bad_row, message, blank_line):
+    # Rows 1-3 repeat one another, so the faulty row is the second
+    # distinct row; a blank line before it moves it to file line 6.
+    body = "1\t0.5\t1.5\n2\t0.5\t1.5\n3\t0.5\t1.5\n" + "\n" * blank_line
+    if blank_line:
+        message = message.replace("line 5", "line 6")
+    with pytest.raises(ValueError, match=message):
+        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body + bad_row))
+
+
+def assert_round_trip(chain):
+    """The writer matches the per-float reference byte for byte, and the
+    reader gives back the draws bit for bit (a NaN as a NaN)."""
+    expected = io.StringIO()
+    reference_write_chain_tsv(chain, expected)
+    buffer = io.StringIO()
+    write_chain_tsv(chain, buffer)
+    assert buffer.getvalue() == expected.getvalue()
+    back = read_chain_tsv(io.StringIO(buffer.getvalue()))
+    assert back.parameter_names == chain.parameter_names
+    nan = np.isnan(chain.draws)
+    assert np.array_equal(np.isnan(back.draws), nan)
+    assert np.array_equal(
+        back.draws.view(np.int64)[~nan], chain.draws.view(np.int64)[~nan]
+    )
+    assert back.draws.flags.c_contiguous
+
+
+def test_chain_tsv_rows_equal_as_numbers_but_not_as_bits_are_distinct():
+    draws = np.array([
+        [0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+        [0.0, 2.0], [0.0, 2.0], [0.0, 2.0], [0.0, 2.0],
+    ])
+    # Quiet NaNs with different payloads and signs.
+    draws.view(np.uint64)[4:, 0] = [
+        0x7FF8000000000000, 0x7FF8000000000001, 0x7FF8000000000001,
+        0xFFF8000000000000,
+    ]
+    assert_round_trip(make_chain(draws))
+
+
+def test_chain_tsv_runs_across_block_boundaries():
+    rows = diagnostics._BLOCK_ROWS
+    # Runs that end just before, cross, start at and span block edges.
+    runs = [rows - 3, 7, 1, 2 * rows - 5, 1, rows - 1, 3]
+    values = np.random.default_rng(4).standard_normal((len(runs), 4))
+    chain = make_chain(np.repeat(values, runs, axis=0))
+    assert chain.draws.shape[0] == 4 * rows + 3
+    assert_round_trip(chain)
+
+
+@pytest.mark.parametrize("moves", [False, True])
+def test_chain_tsv_chain_that_never_moves_or_always_moves(moves):
+    rng = np.random.default_rng(5)
+    n_rows = 2 * diagnostics._BLOCK_ROWS + 11
+    if moves:
+        draws = rng.standard_normal((n_rows, 5))
+    else:
+        draws = np.tile(rng.standard_normal(5), (n_rows, 1))
+    assert_round_trip(make_chain(draws))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(st.integers(1, 400), min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_tsv_round_trips_any_repeat_pattern(runs, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((len(runs), 3))
+    # Special values, including 0.0 next to -0.0 and NaN, in some cells.
+    specials = np.array(SPECIAL_DRAWS + [0.0, math.nan, -math.inf])
+    pick = rng.random(values.shape) < 0.3
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    assert_round_trip(make_chain(np.repeat(values, runs, axis=0)))
+
+
+def test_chain_tsv_reader_parses_each_distinct_row_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    runs = rng.integers(1, 9, size=50)
+    chain = make_chain(np.repeat(rng.standard_normal((50, 3)), runs, axis=0))
+    text = io.StringIO()
+    write_chain_tsv(chain, text)
+
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(rows, *args, **kwargs):
+        parsed.append(len(rows))
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    back = read_chain_tsv(io.StringIO(text.getvalue()))
+    assert parsed == [50]
+    assert np.array_equal(back.draws, chain.draws)
+
+
+def test_chain_tsv_repeats_numbered_other_than_str_i_are_parsed():
+    # "2.0" is iteration 2 to np.loadtxt; "2" on row 3 is not 3.
+    body = "1\t0.5\t1.5\n2.0\t0.5\t1.5\n3\t0.5\t1.5\n"
+    back = read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
+    assert back.draws.tolist() == [[0.5, 1.5]] * 3
+    body = "1\t0.5\t1.5\n2\t0.5\t1.5\n2\t0.5\t1.5\n"
+    with pytest.raises(ValueError, match="not 1..3: line 4 holds 2"):
+        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
+
+
+def test_chain_tsv_reads_crlf_line_ends():
+    body = "1\t0.5\t1.5\r\n2\t0.5\t1.5\r\n3\t0.25\t1.5\r\n\r\n"
+    back = read_chain_tsv(io.StringIO("iteration\ta\tb\r\n" + body))
+    assert back.parameter_names == ("a", "b")
+    assert back.draws.tolist() == [[0.5, 1.5], [0.5, 1.5], [0.25, 1.5]]
+
+
 def test_rhat_trace_tsv_layout(tmp_path):
     chains = two_param_chains(seed=11, s=400)
     dest = tmp_path / "rhat_trace.tsv"
