@@ -225,10 +225,10 @@ def read_chain_tsv(
     Only the draws and parameter names survive the round trip; the
     acceptance rate and proposal scale are not stored in the file and
     come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
-    as -1). A row that repeats the values of the row before (a rejected
-    proposal) takes that row's parsed values, so each distinct row is
-    parsed once, with ``np.loadtxt``'s cell syntax. Blank lines hold no
-    row. Raises ValueError when the header does not start with
+    as -1). Cells are parsed with ``np.loadtxt``'s syntax; where many
+    rows repeat the values of the row before (rejected proposals), each
+    run of equal rows is parsed once. Blank lines hold no row. Raises
+    ValueError when the header does not start with
     ``iteration``, a row has the wrong number of fields or a field is
     not a number (naming the file line, the header being line 1), or
     the iteration column is not 1..n.
