@@ -51,7 +51,8 @@ TRUE = ParameterVector(
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replicates", type=int, default=20)
+    parser.add_argument("--replicates", type=int, default=20,
+                        help="replicate datasets (at least 2, for the bias sd)")
     parser.add_argument("--trials", type=int, default=150,
                         help="trials per replicate dataset")
     parser.add_argument("--chains", type=int, default=4)
@@ -60,11 +61,11 @@ def parse_args(argv):
     parser.add_argument("--samples", type=int, default=5_000)
     parser.add_argument("--seed", type=int, default=5_000,
                         help="base seed; replicate r uses seed + r")
-    parser.add_argument("--parallel", action="store_true",
-                        help="accepted; has no effect (all chains advance "
-                        "together)")
     parser.add_argument("--out", help="write the per-parameter table as TSV")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.replicates < 2:
+        parser.error("--replicates must be at least 2")
+    return args
 
 
 def run_replicate(rep, args):

@@ -40,15 +40,7 @@ from .data import (
     validate_dataset,
     validate_trial,
 )
-from .design import (
-    DesignRow,
-    ParameterVector,
-    dataset_design_matrix,
-    design_row,
-    fixed_effects,
-    interaction_value,
-    trial_design_matrix,
-)
+from .design import ParameterVector, fixed_effects, trial_design_matrix
 from .diagnostics import (
     PosteriorSummary,
     gelman_rubin,
@@ -66,9 +58,7 @@ from .sampler import (
     PriorSpec,
     SamplerError,
     assemble,
-    log_likelihood_latent,
     log_likelihood_marginal,
-    log_likelihood_marginal_direct,
     log_prior,
     run_chain,
     run_mcmc,
@@ -100,11 +90,7 @@ __all__ = [
     "center_covariates",
     # design
     "ParameterVector",
-    "DesignRow",
-    "interaction_value",
     "trial_design_matrix",
-    "dataset_design_matrix",
-    "design_row",
     "fixed_effects",
     # covariance
     "WithinCovariance",
@@ -125,8 +111,6 @@ __all__ = [
     "assemble",
     "log_prior",
     "log_likelihood_marginal",
-    "log_likelihood_marginal_direct",
-    "log_likelihood_latent",
     "run_chain",
     "run_mcmc",
     # diagnostics

@@ -7,6 +7,9 @@ files included), and inconsistent settings.
 
 Every fit writes a manifest.json capturing the exact settings and
 per-chain seeds; ``fit --from-manifest`` replays it bit for bit.
+``FitSettings`` is the one table of fit settings: each field's name,
+type and default serve the ``fit`` flags, the manifest's ``settings``
+and the checks on a replayed manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +34,7 @@ from .data import (
 )
 from .design import ParameterVector
 from .diagnostics import (
+    TRACE_POINTS,
     read_chain_tsv,
     summarize,
     write_chain_tsv,
@@ -47,24 +51,8 @@ class ConfigError(Exception):
     """Settings are inconsistent or a configuration file is unusable."""
 
 
-FIT_DEFAULTS = {
-    "chains": 4,
-    "adapt": 10_000,
-    "burn_in": 10_000,
-    "samples": 20_000,
-    "thin": 1,
-    "seed": 0,
-    "tau_upper": 5.0,
-    "coeff_sd": 100.0,
-    "rho_y": None,
-    "rho_d": None,
-    "center": True,
-    "parallel": False,
-    "diagnostics": True,
-    "trace_points": 20,
-}
 # Settings that older manifests record and that replay ignores.
-RETIRED_SETTINGS = frozenset({"likelihood"})
+RETIRED_SETTINGS = frozenset({"likelihood", "parallel"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--center", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="center covariates before fitting (default: on)")
-    p_fit.add_argument("--parallel", action=argparse.BooleanOptionalAction,
-                       default=None, help="accepted; has no effect (all "
-                       "chains advance together)")
     p_fit.add_argument("--diagnostics", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="compute shrink factors (default: on; needs >= 2 "
@@ -139,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--run", required=True,
                         help="output directory of a previous fit")
     p_diag.add_argument("--trace-points", type=int, dest="trace_points",
-                        default=20)
+                        default=TRACE_POINTS)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
@@ -173,25 +158,48 @@ def cmd_validate(args) -> int:
 
 @dataclass(frozen=True)
 class FitSettings:
-    chains: int
-    adapt: int
-    burn_in: int
-    samples: int
-    thin: int
-    seed: int
-    tau_upper: float
-    coeff_sd: float
-    rho_y: float | None
-    rho_d: float | None
-    center: bool
-    parallel: bool
-    diagnostics: bool
-    trace_points: int
+    """The settings of one fit, in the order of the manifest's ``settings``.
+
+    Each field is a ``fit`` flag (``--trace-points`` for ``trace_points``)
+    and a manifest setting of the annotated type. The defaults are the
+    paper's protocol, taken from ``McmcConfig`` and ``PriorSpec``;
+    ``rho_y`` and ``rho_d`` of None keep the dataset's correlations.
+    """
+
+    chains: int = McmcConfig.chains
+    adapt: int = McmcConfig.adapt
+    burn_in: int = McmcConfig.burn_in
+    samples: int = McmcConfig.samples
+    thin: int = McmcConfig.thin
+    seed: int = McmcConfig.seed
+    tau_upper: float = PriorSpec.tau_upper
+    coeff_sd: float = PriorSpec.coeff_sd
+    rho_y: float | None = None
+    rho_d: float | None = None
+    center: bool = True
+    diagnostics: bool = True
+    trace_points: int = TRACE_POINTS
 
 
-def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
-    """Merge explicit flags over manifest values over built-in defaults."""
-    manifest_settings: dict = {}
+# The JSON values a manifest may record, by FitSettings annotation. A
+# JSON true or false is a bool, and only a bool setting accepts it.
+_MANIFEST_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "bool": (bool,),
+}
+
+
+def _resolve_fit_settings(
+    args,
+) -> tuple[str, FitSettings, McmcConfig, PriorSpec]:
+    """Merge explicit flags over manifest values over the defaults.
+
+    Every settings error is raised here, before the data file is read
+    or anything is written.
+    """
+    recorded: dict = {}
     data_path = args.data
     if args.from_manifest:
         manifest = _load_json(args.from_manifest, "manifest")
@@ -200,10 +208,13 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
                 f"{args.from_manifest}: not a fit manifest "
                 "(missing 'settings' or 'data')"
             )
-        manifest_settings = dict(manifest["settings"])
-        unknown = sorted(
-            set(manifest_settings) - set(FIT_DEFAULTS) - RETIRED_SETTINGS
-        )
+        recorded = manifest["settings"]
+        if not isinstance(recorded, dict):
+            raise ConfigError(
+                f"{args.from_manifest}: settings must be a JSON object"
+            )
+        names = {field.name for field in fields(FitSettings)}
+        unknown = sorted(set(recorded) - names - RETIRED_SETTINGS)
         if unknown:
             raise ConfigError(
                 f"{args.from_manifest}: unknown settings "
@@ -211,7 +222,7 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
             )
         # Manifests written before the latent-effects sampler was removed
         # record the likelihood; only the marginal one can be replayed.
-        likelihood = manifest_settings.get("likelihood")
+        likelihood = recorded.get("likelihood")
         if likelihood not in (None, "marginal"):
             raise ConfigError(
                 f"{args.from_manifest}: settings.likelihood is "
@@ -219,37 +230,57 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
                 "removed; only the marginal likelihood can be sampled"
             )
         if data_path is None:
-            recorded = Path(manifest["data"])
-            if not recorded.is_absolute():
-                recorded = Path(args.from_manifest).parent / recorded
-            data_path = str(recorded)
+            path = Path(manifest["data"])
+            if not path.is_absolute():
+                path = Path(args.from_manifest).parent / path
+            data_path = str(path)
     if data_path is None:
         raise ConfigError("fit needs --data (or --from-manifest)")
 
-    def pick(name):
-        value = getattr(args, name)
+    chosen = {}
+    for field in fields(FitSettings):
+        value = getattr(args, field.name)
+        if value is None and field.name in recorded:
+            value = recorded[field.name]
+            allowed = _MANIFEST_TYPES[field.type]
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                raise ConfigError(
+                    f"{args.from_manifest}: settings.{field.name} must be "
+                    f"{field.type}, got {json.dumps(value)}"
+                )
         if value is not None:
-            return value
-        if name in manifest_settings and manifest_settings[name] is not None:
-            return manifest_settings[name]
-        return FIT_DEFAULTS[name]
+            chosen[field.name] = value
+    settings = FitSettings(**chosen)
 
-    settings = FitSettings(
-        **{name: pick(name) for name in FIT_DEFAULTS}
-    )
     for name in ("rho_y", "rho_d"):
         rho = getattr(settings, name)
         if rho is not None and not 0.0 <= rho < 1.0:
             raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1)")
+    if settings.trace_points < 1:
+        raise ConfigError("--trace-points must be at least 1")
     if settings.diagnostics and settings.chains < 2:
         raise ConfigError(
             "R-hat requires >= 2 chains; add chains or pass --no-diagnostics"
         )
-    return data_path, settings
+    try:
+        config = McmcConfig(
+            chains=settings.chains,
+            adapt=settings.adapt,
+            burn_in=settings.burn_in,
+            samples=settings.samples,
+            thin=settings.thin,
+            seed=settings.seed,
+        )
+        prior = PriorSpec(coeff_sd=settings.coeff_sd, tau_upper=settings.tau_upper)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return data_path, settings, config, prior
 
 
 def cmd_fit(args) -> int:
-    data_path, st = _resolve_fit_settings(args)
+    data_path, st, config, prior = _resolve_fit_settings(args)
     with _readable(data_path) as fh:
         dataset = load_dataset(fh)
     if st.rho_y is not None:
@@ -259,19 +290,6 @@ def cmd_fit(args) -> int:
     centering = None
     if st.center:
         dataset, centering = center_covariates(dataset)
-
-    try:
-        config = McmcConfig(
-            chains=st.chains,
-            adapt=st.adapt,
-            burn_in=st.burn_in,
-            samples=st.samples,
-            thin=st.thin,
-            seed=st.seed,
-        )
-        prior = PriorSpec(coeff_sd=st.coeff_sd, tau_upper=st.tau_upper)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
     chains = run_mcmc(dataset, config, prior)
     summaries = summarize(chains)
@@ -300,9 +318,7 @@ def cmd_fit(args) -> int:
         "version": __version__,
         "command": "fit",
         "data": str(data_path),
-        "settings": {
-            name: getattr(st, name) for name in FIT_DEFAULTS
-        },
+        "settings": asdict(st),
         "centering": centering.as_dict() if centering is not None else None,
         "parameters": list(chains[0].parameter_names),
         "chains": [
@@ -434,6 +450,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.trace_points < 1:
+        raise ConfigError("--trace-points must be at least 1")
     run_dir = Path(args.run)
     numbered = {}
     for path in run_dir.glob("chains/chain_*.tsv"):

@@ -134,22 +134,6 @@ class CovariateSchema:
         names.append("tau")
         return names
 
-    def parameter_labels(self) -> list[str]:
-        """Display labels in sampling order, using ``names`` when provided."""
-        names = self.names or {}
-
-        def block(key, count, fallback):
-            given = list(names.get(key, ()))
-            return [given[j] if j < len(given) else fallback(j) for j in range(count)]
-
-        labels = ["intercept"]
-        labels += block("x", self.n, lambda j: f"x{j + 1}")
-        labels += block("z", self.p, lambda j: f"z{j + 1}")
-        labels += block("w", self.q - 1, lambda j: f"w{j + 1}")
-        labels += block("interactions", self.l, lambda j: f"J{j + 1}")
-        labels.append("heterogeneity")
-        return labels
-
     @property
     def n_parameters(self) -> int:
         """Model parameter count: intercept + coefficients + heterogeneity SD."""

@@ -31,6 +31,8 @@ __all__ = [
     "read_chain_tsv",
 ]
 
+# Default rows of a shrink-factor trace.
+TRACE_POINTS = 20
 # Rows formatted per write in write_chain_tsv.
 _BLOCK_ROWS = 1024
 # Largest (params, chains, draws) stack built to compute shrink factors.
@@ -118,7 +120,7 @@ def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
 
 
 def shrink_factor_trace(
-    chains: Sequence[ChainOutput], n_points: int = 20
+    chains: Sequence[ChainOutput], n_points: int = TRACE_POINTS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink factor over growing draw prefixes, per parameter.
 
@@ -128,6 +130,8 @@ def shrink_factor_trace(
     """
     if len(chains) < 2:
         raise ValueError("the shrink factor needs at least two chains")
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     s = chains[0].n_samples
     ends = np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
     return ends, _prefix_shrink_factors([c.draws for c in chains], ends)
@@ -434,7 +438,7 @@ def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
 def write_rhat_trace_tsv(
     chains: Sequence[ChainOutput],
     dest: str | Path | IO[str],
-    n_points: int = 20,
+    n_points: int = TRACE_POINTS,
 ) -> None:
     """Write the per-parameter shrink-factor trace as TSV."""
     ends, values = shrink_factor_trace(chains, n_points=n_points)

@@ -5,17 +5,14 @@ heterogeneous arm effects delta_i ~ N(X_i c, tau^2 S_i), where c packs
 the fixed-effect coefficients, V_i is the within-trial covariance, and
 S_i = 0.5(I + 11') carries the common-reference correlation. The
 sampler integrates delta out and samples the marginal form
-y_i ~ N(X_i c, V_i + tau^2 S_i). ``log_likelihood_latent`` keeps the
-joint density of y and delta as a reference density for checks.
+y_i ~ N(X_i c, V_i + tau^2 S_i).
 
 The marginal density is evaluated through a per-trial simultaneous
 diagonalization fixed at assembly time: with L the Cholesky factor of
 S and A = L^-1 V L^-T = Q diag(lam) Q', the map P = Q' L^-1 turns
 V + tau^2 S into diag(lam + tau^2), so each likelihood evaluation is a
 vector operation with no refactorization. This is exact, not an
-approximation; ``log_likelihood_marginal_direct`` recomputes the same
-quantity from scratch via per-trial Cholesky solves as an independent
-cross-check.
+approximation.
 
 Proposals are diagonal Gaussian with per-coordinate scales adapted
 toward a 0.234 acceptance rate by Robbins-Monro updates during a
@@ -38,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    CovarianceError,
-    between_structure,
-    build_within_covariance,
-    mvn_logpdf,
-)
+from .covariance import between_structure, build_within_covariance
 from .data import Dataset
 from .design import ParameterVector, trial_design_matrix
 
@@ -56,8 +48,6 @@ __all__ = [
     "assemble",
     "log_prior",
     "log_likelihood_marginal",
-    "log_likelihood_marginal_direct",
-    "log_likelihood_latent",
     "run_chain",
     "run_mcmc",
 ]
@@ -81,10 +71,10 @@ class PriorSpec:
     tau_upper: float = 5.0
 
     def __post_init__(self):
-        if self.coeff_sd <= 0:
-            raise ValueError("coeff_sd must be positive")
-        if self.tau_upper <= 0:
-            raise ValueError("tau_upper must be positive")
+        if not 0.0 < self.coeff_sd < math.inf:
+            raise ValueError("coeff_sd must be positive and finite")
+        if not 0.0 < self.tau_upper < math.inf:
+            raise ValueError("tau_upper must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -95,9 +85,8 @@ class McmcConfig:
     with the tuned proposal but are discarded, then ``samples`` draws
     are recorded every ``thin`` iterations. ``seed`` fixes the whole
     run: chain k draws from an independent stream spawned from it, so
-    its draws do not depend on how many chains run. ``parallel`` is
-    accepted for old callers and manifests and changes nothing: all
-    chains always advance together in one loop.
+    its draws do not depend on how many chains run. The defaults are
+    the paper's protocol.
     """
 
     chains: int = 4
@@ -107,7 +96,6 @@ class McmcConfig:
     thin: int = 1
     seed: int = 0
     target_accept: float = TARGET_ACCEPT
-    parallel: bool = False
 
     def __post_init__(self):
         if self.chains < 1:
@@ -118,6 +106,8 @@ class McmcConfig:
             raise ValueError("need at least one retained sample")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
 
@@ -254,80 +244,6 @@ def log_likelihood_marginal(
     assembled = data if isinstance(data, AssembledDataset) else assemble(data)
     mean = assembled.stacked_design @ params.coefficients()
     return float(_marginal_rows(assembled, mean, np.float64(params.tau)))
-
-
-def log_likelihood_marginal_direct(
-    dataset: Dataset, params: ParameterVector
-) -> float:
-    """Marginal log likelihood rebuilt trial by trial via Cholesky solves.
-
-    Slow path kept as an independent cross-check of the diagonalized
-    evaluation; both must agree to floating-point accuracy.
-    """
-    coeffs = params.coefficients()
-    total = 0.0
-    for trial, within, design in _trials_with_covariance(dataset):
-        cov = within + params.tau**2 * between_structure(within.shape[0])
-        total += mvn_logpdf(trial.y_vector(), design @ coeffs, cov)
-    return total
-
-
-def _split_deltas(
-    dataset: Dataset, deltas: list[np.ndarray] | np.ndarray
-) -> list[np.ndarray]:
-    if isinstance(deltas, np.ndarray) and deltas.ndim == 1:
-        dims = [t.dimension for t in dataset.trials]
-        if deltas.shape[0] != sum(dims):
-            raise ValueError(
-                f"stacked deltas have length {deltas.shape[0]}, "
-                f"expected {sum(dims)}"
-            )
-        return np.split(deltas, np.cumsum(dims)[:-1])
-    out = [np.asarray(d, dtype=float) for d in deltas]
-    for t, d in zip(dataset.trials, out):
-        if d.shape != (t.dimension,):
-            raise ValueError(
-                f"delta for trial {t.trial_id!r} has shape {d.shape}, "
-                f"expected ({t.dimension},)"
-            )
-    if len(out) != len(dataset.trials):
-        raise ValueError("one delta vector required per trial")
-    return out
-
-
-def log_likelihood_latent(
-    data: Dataset | AssembledDataset,
-    params: ParameterVector,
-    deltas: list[np.ndarray] | np.ndarray,
-) -> float:
-    """Joint log density of y and the latent arm effects delta.
-
-    A reference density, rebuilt trial by trial like
-    ``log_likelihood_marginal_direct``: the sum over trials of
-    log N(y_i; delta_i, V_i) + log N(delta_i; X_i c, tau^2 S_i).
-    Integrating delta out gives ``log_likelihood_marginal``.
-
-    ``deltas`` is either one stacked vector (concatenated in trial
-    order) or a list of per-trial vectors. tau must be positive: at
-    tau = 0 the heterogeneity covariance is singular and the marginal
-    form must be used instead. A singular V raises CovarianceError.
-    """
-    if params.tau <= 0.0:
-        raise CovarianceError(
-            "latent likelihood undefined at tau = 0 (singular heterogeneity "
-            "covariance); use the marginal form"
-        )
-    dataset = data.dataset if isinstance(data, AssembledDataset) else data
-    split = _split_deltas(dataset, deltas)
-    coeffs = params.coefficients()
-    total = 0.0
-    for (trial, within, design), delta in zip(
-        _trials_with_covariance(dataset), split
-    ):
-        heterogeneity = params.tau**2 * between_structure(within.shape[0])
-        total += mvn_logpdf(trial.y_vector(), delta, within)
-        total += mvn_logpdf(delta, design @ coeffs, heterogeneity)
-    return total
 
 
 # ---------------------------------------------------------------------------

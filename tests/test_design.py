@@ -10,11 +10,9 @@ from featmeta import (
     Factor,
     FollowUpIndicator,
     ParameterVector,
-    design_row,
     fixed_effects,
-    interaction_value,
 )
-from featmeta.design import trial_design_matrix
+from featmeta.design import design_row, interaction_value, trial_design_matrix
 
 from conftest import arm, build_basic_dataset, decomposed_control_trial, grid_trial
 
