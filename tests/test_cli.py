@@ -339,7 +339,7 @@ def test_manifest_setting_of_the_wrong_type_is_config_error(
     assert not (tmp_path / "run2").exists()
 
 
-def test_manifest_numbers_of_the_table_types_replay(data_file, tmp_path):
+def test_manifest_int_for_a_float_setting_replays_bit_identically(data_file, tmp_path):
     # A float setting takes an int, and rho_y takes null.
     first = tmp_path / "run1"
     second = tmp_path / "run2"
