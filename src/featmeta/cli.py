@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -329,6 +330,11 @@ def cmd_fit(args) -> int:
                 "accept_rate": c.accept_rate,
                 "proposal_log_scale": c.proposal_log_scale,
                 "nonfinite_rejections": c.nonfinite_rejections,
+                # NaN (no adaptation phase) is written as null.
+                "adapt_accept_rate": (
+                    None if math.isnan(c.adapt_accept_rate)
+                    else c.adapt_accept_rate
+                ),
             }
             for c in chains
         ],
@@ -363,25 +369,79 @@ def format_summary_table(summaries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params_from_dict(raw: dict, schema) -> ParameterVector:
+def _number(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(values) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"must be a list of numbers, got {values!r}")
+    return tuple(_number(v) for v in values)
+
+
+def _range(values) -> tuple[float, ...]:
+    pair = _numbers(values)
+    if len(pair) != 2:
+        raise ValueError(f"must hold 2 numbers, got {len(pair)}")
+    return pair
+
+
+def _patterns(values) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(values, list) or not all(
+        isinstance(p, list) for p in values
+    ):
+        raise TypeError(f"must be a list of category lists, got {values!r}")
+    return tuple(tuple(int(c) for c in p) for p in values)
+
+
+# Optional generator settings, each with its conversion from JSON.
+_SIM_OPTIONAL = {
+    "control_fraction": _number,
+    "max_coded_arms": int,
+    "followup_patterns": _patterns,
+    "pattern_weights": _numbers,
+    "variance_range": _range,
+    "ref_var_fraction_range": _range,
+    "rho_y": _number,
+    "rho_d": _number,
+    "feature_prob": _number,
+    "z_sd": _number,
+}
+
+
+def _converted(key: str, convert, value):
+    """``convert(value)``; a failure is a ConfigError naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
+def _params_from_dict(raw, schema) -> ParameterVector:
+    if not isinstance(raw, dict):
+        raise ConfigError("params must be a JSON object")
+
     def block(key, count):
-        values = raw.get(key, [])
+        values = _converted(f"params.{key}", _numbers, raw.get(key, []))
         if len(values) != count:
             raise ConfigError(
                 f"params.{key}: expected {count} value(s), got {len(values)}"
             )
-        return tuple(float(v) for v in values)
+        return values
 
     missing = {"alpha", "tau"} - set(raw)
     if missing:
         raise ConfigError(f"params: missing {sorted(missing)}")
     return ParameterVector(
-        alpha=float(raw["alpha"]),
+        alpha=_converted("params.alpha", _number, raw["alpha"]),
         beta=block("beta", schema.n),
         gamma=block("gamma", schema.p),
         phi=block("phi", schema.q - 1),
         eta=block("eta", schema.l),
-        tau=float(raw["tau"]),
+        tau=_converted("params.tau", _number, raw["tau"]),
     )
 
 
@@ -394,40 +454,23 @@ def cmd_simulate(args) -> int:
         schema = schema_from_dict(raw["schema"])
     except (DataFormatError, DataValidationError) as e:
         raise ConfigError(f"{args.config}: {e}") from e
-    params = _params_from_dict(raw["params"], schema)
-
-    optional = {
-        key: raw[key]
-        for key in (
-            "control_fraction",
-            "max_coded_arms",
-            "variance_range",
-            "ref_var_fraction_range",
-            "rho_y",
-            "rho_d",
-            "feature_prob",
-            "z_sd",
-            "pattern_weights",
-        )
-        if key in raw
-    }
-    if "followup_patterns" in raw:
-        optional["followup_patterns"] = tuple(
-            tuple(int(c) for c in p) for p in raw["followup_patterns"]
-        )
-    for key in ("variance_range", "ref_var_fraction_range"):
-        if key in optional:
-            optional[key] = tuple(float(v) for v in optional[key])
-    if "pattern_weights" in optional:
-        optional["pattern_weights"] = tuple(
-            float(v) for v in optional["pattern_weights"]
-        )
+    try:
+        params = _params_from_dict(raw["params"], schema)
+        optional = {
+            key: _converted(key, convert, raw[key])
+            for key, convert in _SIM_OPTIONAL.items()
+            if key in raw
+        }
+        n_trials = _converted("n_trials", int, raw["n_trials"])
+        seed = _converted("seed", int, raw.get("seed", 0))
+    except ConfigError as e:
+        raise ConfigError(f"{args.config}: {e}") from e
     try:
         config = SimConfig(
             schema=schema,
             params=params,
-            n_trials=args.trials if args.trials is not None else int(raw["n_trials"]),
-            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
+            n_trials=args.trials if args.trials is not None else n_trials,
+            seed=args.seed if args.seed is not None else seed,
             **optional,
         )
     except (TypeError, ValueError) as e:

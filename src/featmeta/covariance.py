@@ -200,7 +200,7 @@ def ensure_positive_semidefinite(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise CovarianceError(f"{context}: not a square matrix")
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(matrix, matrix.T):
         raise CovarianceError(f"{context}: not symmetric")
     eigvals = np.linalg.eigvalsh(matrix)
     scale = max(abs(eigvals[-1]), 1.0)

@@ -227,7 +227,7 @@ def read_chain_tsv(
     """Read a chain TSV back into a ChainOutput.
 
     Only the draws and parameter names survive the round trip; the
-    acceptance rate and proposal scale are not stored in the file and
+    acceptance rates and proposal scale are not stored in the file and
     come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
     as -1). Cells are parsed with ``np.loadtxt``'s syntax; where many
     rows repeat the values of the row before (rejected proposals), each
@@ -292,6 +292,7 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
         seed_used=-1,
         proposal_log_scale=math.nan,
         nonfinite_rejections=-1,
+        adapt_accept_rate=math.nan,
     )
 
 

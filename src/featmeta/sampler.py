@@ -20,10 +20,20 @@ dedicated adaptation phase, then frozen. tau is sampled on the log
 scale (with the Jacobian term), keeping its support positive.
 
 All chains of a run advance in lockstep as one (chains, dim) state in
-a single loop: each iteration makes one batched design product, one
-density evaluation over a (chains, observations) block and one
-vectorized accept step. Chain k still draws from its own random
-stream, so its draws do not depend on which chains run with it.
+a single loop: each iteration makes one batched design product and one
+density evaluation over a (chains, observations) block. Chain k still
+draws from its own random stream, so its draws do not depend on which
+chains run with it.
+
+numpy does the work whose size grows with the data: the design product
+and the density's (chains, observations) arithmetic, in buffers
+allocated once, and the per-block proposal increments once the step is
+frozen. Per-chain scalars (log posteriors, acceptance, counters) are
+Python floats and ints, since a numpy call on a handful of values costs
+more than the arithmetic; each is formed with the same IEEE operations
+in the same order, so the draws are those of an all-numpy loop bit for
+bit. The adaptation keeps numpy's exp, which may differ from math.exp
+in the last bit.
 """
 
 from __future__ import annotations
@@ -121,7 +131,9 @@ class ChainOutput:
     scale. ``seed_used`` is the derived stream key recorded for reruns.
     ``nonfinite_rejections`` counts proposals rejected because their log
     posterior was not finite (NaN or infinite) inside the prior's
-    support; -1 where unknown.
+    support; -1 where unknown. ``adapt_accept_rate`` is the acceptance
+    rate over the adaptation phase; NaN where unknown or with no
+    adaptation.
     """
 
     chain_index: int
@@ -131,6 +143,7 @@ class ChainOutput:
     seed_used: int
     proposal_log_scale: float
     nonfinite_rejections: int = 0
+    adapt_accept_rate: float = math.nan
 
     @property
     def n_samples(self) -> int:
@@ -177,10 +190,18 @@ def assemble(dataset: Dataset) -> AssembledDataset:
     """Whiten every trial once (see the module docstring) and stack them."""
     ys, designs, eigenvalues = [], [], []
     const = 0.0
+    # L^-1 and the trial's constant depend on the dimension alone.
+    by_dim: dict[int, tuple[np.ndarray, float]] = {}
     for trial, within, design in _trials_with_covariance(dataset):
         dim = within.shape[0]
-        chol_s = np.linalg.cholesky(between_structure(dim))
-        inv_chol = np.linalg.inv(chol_s)
+        if dim not in by_dim:
+            chol_s = np.linalg.cholesky(between_structure(dim))
+            log_det_s = 2.0 * float(np.sum(np.log(np.diag(chol_s))))
+            by_dim[dim] = (
+                np.linalg.inv(chol_s),
+                dim * math.log(2.0 * math.pi) + log_det_s,
+            )
+        inv_chol, trial_const = by_dim[dim]
         whitened = inv_chol @ within @ inv_chol.T
         whitened = 0.5 * (whitened + whitened.T)
         lam, q = np.linalg.eigh(whitened)
@@ -188,9 +209,7 @@ def assemble(dataset: Dataset) -> AssembledDataset:
         ys.append(projector @ trial.y_vector())
         designs.append(projector @ design)
         eigenvalues.append(np.clip(lam, 0.0, None))
-        const += dim * math.log(2.0 * math.pi) + 2.0 * float(
-            np.sum(np.log(np.diag(chol_s)))
-        )
+        const += trial_const
     stacked_design = np.vstack(designs)
     return AssembledDataset(
         dataset=dataset,
@@ -220,17 +239,28 @@ def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
     return normal_part - math.log(prior.tau_upper)
 
 
-def _marginal_rows(
-    assembled: AssembledDataset, mean: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Marginal log likelihood of each row of ``mean`` (the whitened,
-    stacked X c) at the matching entry of ``tau``; one row per entry."""
-    denom = assembled.stacked_eigenvalues + (tau * tau)[..., None]
-    terms = assembled.stacked_y - mean
-    terms *= terms
-    terms /= denom
-    terms += np.log(denom, out=denom)
-    return -0.5 * (assembled.log_density_const + terms.sum(axis=-1))
+def _marginal_sums(
+    y: np.ndarray,
+    eigenvalues: np.ndarray,
+    mean: np.ndarray,
+    tau_sq,
+    denom: np.ndarray | None = None,
+    resid: np.ndarray | None = None,
+):
+    """Sum over observations of r^2 / (lam + tau^2) + log(lam + tau^2),
+    with r = y - mean, for each row of ``mean`` (the whitened, stacked
+    X c); ``y`` and ``eigenvalues`` are the stacked arrays of
+    ``assemble`` or rows of copies of them. The marginal log likelihood
+    is -0.5 * (log_density_const + sum). ``tau_sq`` is a scalar or an
+    array that broadcasts against ``mean``; ``denom`` and ``resid``,
+    buffers shaped like ``mean``, are overwritten when given.
+    """
+    denom = np.add(eigenvalues, tau_sq, out=denom)
+    resid = np.subtract(y, mean, out=resid)
+    np.multiply(resid, resid, out=resid)
+    np.divide(resid, denom, out=resid)
+    np.add(resid, np.log(denom, out=denom), out=resid)
+    return np.add.reduce(resid, axis=-1)  # as resid.sum(axis=-1)
 
 
 def log_likelihood_marginal(
@@ -243,7 +273,13 @@ def log_likelihood_marginal(
     """
     assembled = data if isinstance(data, AssembledDataset) else assemble(data)
     mean = assembled.stacked_design @ params.coefficients()
-    return float(_marginal_rows(assembled, mean, np.float64(params.tau)))
+    tau = float(params.tau)
+    total = float(
+        _marginal_sums(
+            assembled.stacked_y, assembled.stacked_eigenvalues, mean, tau * tau
+        )
+    )
+    return -0.5 * (assembled.log_density_const + total)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +327,15 @@ class _DesignProduct:
 
 
 class _LogPosterior:
-    """Log posterior of a (chains, dim) batch of sampler states.
+    """Log posterior of a batch of sampler states, one per chain.
 
-    A state holds the coefficients, then log(tau). The result is -inf
-    where tau is outside the prior's support and NaN where the density
-    is not finite inside it. Each row depends on that row alone.
+    A call takes the (chains, coefficients) and (chains,) log(tau) parts
+    of the states and returns one float per chain: -inf where tau is
+    outside the prior's support and NaN where the density is not finite
+    inside it. Each chain's value depends on its own state alone. The
+    (chains, observations) work runs in buffers allocated once; each
+    chain's few scalars are finished in Python, with the IEEE operations
+    numpy would do, in the same order.
     """
 
     def __init__(
@@ -304,31 +344,54 @@ class _LogPosterior:
         prior: PriorSpec,
         chains: Sequence[int],
     ):
-        self.assembled = assembled
-        self.prior = prior
-        self.n_coeff = assembled.n_coefficients
+        n_chains = len(chains)
+        n_obs = assembled.stacked_y.shape[0]
+        self.log_density_const = assembled.log_density_const
+        self.tau_upper = prior.tau_upper
+        n_coeff = assembled.n_coefficients
         self.design = _DesignProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
-        self.prior_const = -0.5 * self.n_coeff * math.log(
+        self.prior_const = -0.5 * n_coeff * math.log(
             2.0 * math.pi * prior.coeff_sd**2
         ) - math.log(prior.tau_upper)
         self.half_precision = 0.5 / prior.coeff_sd**2
+        # A row per chain: a ufunc runs slower when an operand is
+        # broadcast along the rows and slower still along the columns.
+        self.y = np.tile(assembled.stacked_y, (n_chains, 1))
+        self.eigenvalues = np.tile(assembled.stacked_eigenvalues, (n_chains, 1))
+        self.tau = np.empty(n_chains)
+        self.tau_sq = np.empty(n_chains)
+        self.tau_sq_column = self.tau_sq[:, None]
+        self.tau_sq_rows = np.empty((n_chains, n_obs))
+        self.squares = np.empty((n_chains, n_coeff))
+        self.denom = np.empty((n_chains, n_obs))
+        self.resid = np.empty((n_chains, n_obs))
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        n = self.n_coeff
-        coeffs = states[:, :n]
-        log_tau = states[:, n]
+    def __call__(self, coeffs: np.ndarray, log_tau: np.ndarray) -> list[float]:
         # exp overflows to inf for log(tau) > 709, which lies outside the
         # support; the caller silences floating-point warnings.
-        tau = np.exp(log_tau)
-        support = (tau > 0.0) & (tau < self.prior.tau_upper)
-        ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
-        quad = (coeffs * coeffs).sum(axis=1)
-        # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
-        lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
-        return np.where(
-            support, np.where(np.isfinite(lp), lp, math.nan), -math.inf
+        tau = np.exp(log_tau, out=self.tau)
+        np.multiply(tau, tau, out=self.tau_sq)
+        np.copyto(self.tau_sq_rows, self.tau_sq_column)
+        sums = _marginal_sums(
+            self.y, self.eigenvalues, self.design(coeffs), self.tau_sq_rows,
+            self.denom, self.resid,
         )
+        squares = np.multiply(coeffs, coeffs, out=self.squares)
+        quads = np.add.reduce(squares, axis=1)
+        const = self.log_density_const
+        upper, hp, pc = self.tau_upper, self.half_precision, self.prior_const
+        out = []
+        for s, q, lt, t in zip(
+            sums.tolist(), quads.tolist(), log_tau.tolist(), tau.tolist()
+        ):
+            if not 0.0 < t < upper:
+                out.append(-math.inf)
+                continue
+            # lt is the Jacobian of the tau -> log(tau) reparameterization.
+            lp = -0.5 * (const + s) - hp * q + (lt + pc)
+            out.append(lp if math.isfinite(lp) else math.nan)
+        return out
 
 
 def run_chain(
@@ -362,16 +425,22 @@ def run_chain(
     start = np.zeros(dim)
     start[n_coeff] = math.log(0.1 * prior.tau_upper)
     state = np.tile(start, (n_chains, 1))
-    current_lp = np.full(n_chains, math.nan)
+    current_lp = [math.nan] * n_chains
+
+    def unstarted() -> list[int]:
+        return [c for c, lp in enumerate(current_lp) if not math.isfinite(lp)]
+
     with np.errstate(all="ignore"):
         for _ in range(INIT_RETRIES):
-            retry = np.flatnonzero(~np.isfinite(current_lp))
-            if retry.size == 0:
+            retry = unstarted()
+            if not retry:
                 break
             for c in retry:
                 state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
-            current_lp[retry] = log_post(state)[retry]
-    stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
+            lps = log_post(state[:, :n_coeff], state[:, n_coeff])
+            for c in retry:
+                current_lp[c] = lps[c]
+    stuck = [chains[c] for c in unstarted()]
     if stuck:
         raise SamplerError(
             f"chain(s) {stuck}: no finite starting point after "
@@ -380,57 +449,97 @@ def run_chain(
 
     # Robbins-Monro adaptation of a global step multiplier and
     # per-coordinate spread estimates (frozen after the adapt phase).
-    log_scale = np.zeros(n_chains)
+    log_scale = [0.0] * n_chains
     running_mean = state.copy()
     running_var = np.full((n_chains, dim), 1e-4)
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
     normals = np.empty((n_chains, block, dim))
+    increments = np.empty((block, n_chains, dim))  # one (chains, dim) per row
     uniforms = np.empty((n_chains, block))
-    log_u = np.empty((n_chains, block))
+    proposal = np.empty((n_chains, dim))
+    proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
+    delta = np.empty((n_chains, dim))
+    weighted = np.empty((n_chains, dim))
+    step = np.empty((n_chains, dim))
 
     draws = np.empty((n_chains, config.samples, dim))
-    accepted = np.zeros(n_chains, dtype=np.int64)
-    nonfinite = np.zeros(n_chains, dtype=np.int64)
+    adapt_accepted = [0] * n_chains
+    burn_accepted = [0] * n_chains
+    accepted = [0] * n_chains
+    nonfinite = [0] * n_chains
     recorded = 0
     warm = config.adapt + config.burn_in
     total_iters = warm + config.samples * config.thin
 
+    def update_step() -> None:
+        """step = exp(log_scale) * max(sqrt(running_var), SCALE_FLOOR)."""
+        np.sqrt(running_var, out=step)
+        np.maximum(step, SCALE_FLOOR, out=step)
+        # np.exp, not math.exp: the two may differ in the last bit.
+        np.multiply(step, np.exp(log_scale)[:, None], out=step)
+
+    def metropolis(log_u: list[float], counts: list[int]) -> list[float]:
+        """Accept or reject each chain's ``proposal``, counting acceptances
+        in ``counts``; return the log ratios. A NaN ratio fails
+        ``log_u < ratio``, so its proposal is rejected; it is counted."""
+        ratios = []
+        for c, (lp, lu) in enumerate(zip(log_post(*proposed), log_u)):
+            ratio = lp - current_lp[c]
+            if lu < ratio:
+                state[c] = proposal[c]
+                current_lp[c] = lp
+                counts[c] += 1
+            elif ratio != ratio:
+                nonfinite[c] += 1
+            ratios.append(ratio)
+        return ratios
+
     with np.errstate(all="ignore"):
-        for it in range(total_iters):
-            j = it % block
-            if j == 0:
-                for c, rng in enumerate(rngs):
-                    rng.standard_normal(out=normals[c])
-                    rng.random(out=uniforms[c])
-                np.log(uniforms, out=log_u)
-            adapting = it < config.adapt
-            if it <= config.adapt:  # the step is frozen once adaptation ends
-                step = np.exp(log_scale)[:, None] * np.maximum(
-                    np.sqrt(running_var), SCALE_FLOOR
-                )
+        for lo in range(0, total_iters, block):
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=normals[c])
+                rng.random(out=uniforms[c])
+            log_u = np.log(uniforms).T.tolist()
+            hi = min(lo + block, total_iters)
+            frozen = min(max(lo, config.adapt), hi)  # adaptation ends here
 
-            proposal = state + normals[:, j] * step
-            proposal_lp = log_post(proposal)
-            # A NaN log ratio fails the test below, so the proposal is
-            # rejected; it is counted here and scores 0 in the adaptation.
-            nonfinite += np.isnan(proposal_lp)
-            log_ratio = proposal_lp - current_lp
-            accept = log_u[:, j] < log_ratio
-            np.copyto(state, proposal, where=accept[:, None])
-            np.copyto(current_lp, proposal_lp, where=accept)
-
-            if adapting:
+            for it in range(lo, frozen):
+                update_step()
+                np.multiply(normals[:, it - lo], step, out=proposal)
+                proposal += state
+                ratios = metropolis(log_u[it - lo], adapt_accepted)
                 gamma = (10.0 + it) ** -0.6
-                delta = state - running_mean
-                running_mean += gamma * delta
-                running_var = (1.0 - gamma) * running_var + gamma * delta * delta
-                accept_prob = np.nan_to_num(
-                    np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
-                )
-                log_scale += gamma * (accept_prob - config.target_accept)
-            elif it >= warm:
-                accepted += accept
+                np.subtract(state, running_mean, out=delta)
+                np.multiply(delta, gamma, out=weighted)
+                running_mean += weighted
+                # var <- (1 - gamma) var + gamma delta^2, in place.
+                running_var *= 1.0 - gamma
+                weighted *= delta
+                running_var += weighted
+                # A NaN ratio scores 0. np.exp, as in update_step.
+                accept_prob = np.exp(
+                    [min(r, 0.0) if r == r else -math.inf for r in ratios]
+                ).tolist()
+                log_scale = [
+                    ls + gamma * (p - config.target_accept)
+                    for ls, p in zip(log_scale, accept_prob)
+                ]
+
+            if frozen == hi:
+                continue
+            if frozen == config.adapt:  # the step is frozen from here on
+                update_step()
+            np.multiply(
+                normals[:, frozen - lo : hi - lo], step[:, None, :],
+                out=increments[frozen - lo : hi - lo].transpose(1, 0, 2),
+            )
+            for it in range(frozen, hi):
+                np.add(state, increments[it - lo], out=proposal)
+                if it < warm:
+                    metropolis(log_u[it - lo], burn_accepted)
+                    continue
+                metropolis(log_u[it - lo], accepted)
                 if (it - warm + 1) % config.thin == 0:
                     draws[:, recorded] = state
                     recorded += 1
@@ -442,10 +551,13 @@ def run_chain(
             chain_index=k,
             draws=draws[c],
             parameter_names=assembled.parameter_names,
-            accept_rate=float(accepted[c]) / (config.samples * config.thin),
+            accept_rate=accepted[c] / (config.samples * config.thin),
             seed_used=seed_used,
-            proposal_log_scale=float(log_scale[c]),
-            nonfinite_rejections=int(nonfinite[c]),
+            proposal_log_scale=log_scale[c],
+            nonfinite_rejections=nonfinite[c],
+            adapt_accept_rate=(
+                adapt_accepted[c] / config.adapt if config.adapt else math.nan
+            ),
         )
         for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
     ]

@@ -15,6 +15,7 @@ semidefinite by construction rather than by luck.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,8 +70,10 @@ class SimConfig:
             raise ValueError("control_fraction must lie in [0, 1]")
         if self.max_coded_arms < 1:
             raise ValueError("need at least one coded arm per trial")
-        if self.params.tau < 0:
-            raise ValueError("tau must be non-negative")
+        if not 0.0 <= self.params.tau < math.inf:
+            raise ValueError("tau must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         lo, hi = self.variance_range
         if not 0 < lo <= hi:
             raise ValueError("variance_range must be positive and ordered")

@@ -1,17 +1,35 @@
-"""Reference densities the tests compare the sampler's fast path against.
+"""Reference code the tests compare the sampler's fast paths against.
 
-Each is rebuilt trial by trial from the covariance and design layers,
-without the whitened, stacked arrays of ``featmeta.sampler.assemble``.
+The densities are rebuilt trial by trial from the covariance and design
+layers, without the whitened, stacked arrays of
+``featmeta.sampler.assemble``. ``reference_run_chain`` is the sampler
+loop written with numpy arrays for every per-chain quantity, and
+``reference_assemble`` the assembly that factors S once per trial.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from featmeta.covariance import CovarianceError, between_structure, mvn_logpdf
 from featmeta.data import Dataset
 from featmeta.design import ParameterVector
-from featmeta.sampler import AssembledDataset, _trials_with_covariance
+from featmeta.sampler import (
+    DRAW_BLOCK_VALUES,
+    INIT_RETRIES,
+    SCALE_FLOOR,
+    AssembledDataset,
+    ChainOutput,
+    McmcConfig,
+    PriorSpec,
+    SamplerError,
+    _chain_rng,
+    _DesignProduct,
+    _trials_with_covariance,
+)
 
 
 def log_likelihood_marginal_direct(
@@ -86,3 +104,217 @@ def log_likelihood_latent(
         total += mvn_logpdf(trial.y_vector(), delta, within)
         total += mvn_logpdf(delta, design @ coeffs, heterogeneity)
     return total
+
+
+def _marginal_rows(
+    assembled: AssembledDataset, mean: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Marginal log likelihood of each row of ``mean`` (the whitened,
+    stacked X c) at the matching entry of ``tau``; one row per entry."""
+    denom = assembled.stacked_eigenvalues + (tau * tau)[..., None]
+    terms = assembled.stacked_y - mean
+    terms *= terms
+    terms /= denom
+    terms += np.log(denom, out=denom)
+    return -0.5 * (assembled.log_density_const + terms.sum(axis=-1))
+
+
+class _LogPosterior:
+    """Log posterior of a (chains, dim) batch of sampler states.
+
+    A state holds the coefficients, then log(tau). The result is -inf
+    where tau is outside the prior's support and NaN where the density
+    is not finite inside it. Each row depends on that row alone.
+    """
+
+    def __init__(
+        self,
+        assembled: AssembledDataset,
+        prior: PriorSpec,
+        chains: Sequence[int],
+    ):
+        self.assembled = assembled
+        self.prior = prior
+        self.n_coeff = assembled.n_coefficients
+        self.design = _DesignProduct(assembled.stacked_design, chains)
+        # Normal and uniform normalizing constants of the prior.
+        self.prior_const = -0.5 * self.n_coeff * math.log(
+            2.0 * math.pi * prior.coeff_sd**2
+        ) - math.log(prior.tau_upper)
+        self.half_precision = 0.5 / prior.coeff_sd**2
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        n = self.n_coeff
+        coeffs = states[:, :n]
+        log_tau = states[:, n]
+        # exp overflows to inf for log(tau) > 709, which lies outside the
+        # support; the caller silences floating-point warnings.
+        tau = np.exp(log_tau)
+        support = (tau > 0.0) & (tau < self.prior.tau_upper)
+        ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
+        quad = (coeffs * coeffs).sum(axis=1)
+        # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
+        lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
+        return np.where(
+            support, np.where(np.isfinite(lp), lp, math.nan), -math.inf
+        )
+
+
+def reference_run_chain(
+    assembled: AssembledDataset,
+    config: McmcConfig,
+    prior: PriorSpec,
+    chains: Sequence[int],
+) -> list[ChainOutput]:
+    """The vectorized lockstep loop ``featmeta.sampler.run_chain`` had
+    before its per-chain bookkeeping moved to Python floats; the sampler
+    must reproduce it bit for bit. It also counts adaptation-phase
+    acceptances, for ``adapt_accept_rate``.
+
+    Run the Metropolis chains ``chains``, advancing them in lockstep.
+
+    Chain k's output depends on (config.seed, k) alone, never on which
+    other chains run with it: its proposals and acceptance uniforms come
+    from its own stream, taken in blocks sized from the state dimension,
+    and every batched operation treats each chain's row on its own.
+    tau is recorded on its natural scale. A proposal whose log posterior
+    is not finite inside the prior's support is rejected and counted.
+    """
+    chains = list(chains)
+    if not chains or len(set(chains)) != len(chains):
+        raise ValueError(f"need distinct chain indices, got {chains}")
+    n_chains = len(chains)
+    n_coeff = assembled.n_coefficients
+    dim = n_coeff + 1
+    log_post = _LogPosterior(assembled, prior, chains)
+    streams = [_chain_rng(config.seed, k) for k in chains]
+    rngs = [rng for rng, _ in streams]
+
+    # Initial state: zero coefficients, tau at a tenth of its prior range;
+    # small jitter separates chains. A chain whose start is not finite
+    # draws a new jitter, up to INIT_RETRIES times.
+    start = np.zeros(dim)
+    start[n_coeff] = math.log(0.1 * prior.tau_upper)
+    state = np.tile(start, (n_chains, 1))
+    current_lp = np.full(n_chains, math.nan)
+    with np.errstate(all="ignore"):
+        for _ in range(INIT_RETRIES):
+            retry = np.flatnonzero(~np.isfinite(current_lp))
+            if retry.size == 0:
+                break
+            for c in retry:
+                state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
+            current_lp[retry] = log_post(state)[retry]
+    stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
+    if stuck:
+        raise SamplerError(
+            f"chain(s) {stuck}: no finite starting point after "
+            f"{INIT_RETRIES} attempts"
+        )
+
+    # Robbins-Monro adaptation of a global step multiplier and
+    # per-coordinate spread estimates (frozen after the adapt phase).
+    log_scale = np.zeros(n_chains)
+    running_mean = state.copy()
+    running_var = np.full((n_chains, dim), 1e-4)
+
+    block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
+    normals = np.empty((n_chains, block, dim))
+    uniforms = np.empty((n_chains, block))
+    log_u = np.empty((n_chains, block))
+
+    draws = np.empty((n_chains, config.samples, dim))
+    accepted = np.zeros(n_chains, dtype=np.int64)
+    adapt_accepted = np.zeros(n_chains, dtype=np.int64)
+    nonfinite = np.zeros(n_chains, dtype=np.int64)
+    recorded = 0
+    warm = config.adapt + config.burn_in
+    total_iters = warm + config.samples * config.thin
+
+    with np.errstate(all="ignore"):
+        for it in range(total_iters):
+            j = it % block
+            if j == 0:
+                for c, rng in enumerate(rngs):
+                    rng.standard_normal(out=normals[c])
+                    rng.random(out=uniforms[c])
+                np.log(uniforms, out=log_u)
+            adapting = it < config.adapt
+            if it <= config.adapt:  # the step is frozen once adaptation ends
+                step = np.exp(log_scale)[:, None] * np.maximum(
+                    np.sqrt(running_var), SCALE_FLOOR
+                )
+
+            proposal = state + normals[:, j] * step
+            proposal_lp = log_post(proposal)
+            # A NaN log ratio fails the test below, so the proposal is
+            # rejected; it is counted here and scores 0 in the adaptation.
+            nonfinite += np.isnan(proposal_lp)
+            log_ratio = proposal_lp - current_lp
+            accept = log_u[:, j] < log_ratio
+            np.copyto(state, proposal, where=accept[:, None])
+            np.copyto(current_lp, proposal_lp, where=accept)
+
+            if adapting:
+                adapt_accepted += accept
+                gamma = (10.0 + it) ** -0.6
+                delta = state - running_mean
+                running_mean += gamma * delta
+                running_var = (1.0 - gamma) * running_var + gamma * delta * delta
+                accept_prob = np.nan_to_num(
+                    np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
+                )
+                log_scale += gamma * (accept_prob - config.target_accept)
+            elif it >= warm:
+                accepted += accept
+                if (it - warm + 1) % config.thin == 0:
+                    draws[:, recorded] = state
+                    recorded += 1
+
+    assert recorded == config.samples
+    draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])
+    return [
+        ChainOutput(
+            chain_index=k,
+            draws=draws[c],
+            parameter_names=assembled.parameter_names,
+            accept_rate=float(accepted[c]) / (config.samples * config.thin),
+            seed_used=seed_used,
+            proposal_log_scale=float(log_scale[c]),
+            nonfinite_rejections=int(nonfinite[c]),
+            adapt_accept_rate=(
+                float(adapt_accepted[c]) / config.adapt if config.adapt
+                else math.nan
+            ),
+        )
+        for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
+    ]
+
+
+def reference_assemble(dataset: Dataset) -> AssembledDataset:
+    """``featmeta.sampler.assemble`` as it was: S factored once per trial."""
+    ys, designs, eigenvalues = [], [], []
+    const = 0.0
+    for trial, within, design in _trials_with_covariance(dataset):
+        dim = within.shape[0]
+        chol_s = np.linalg.cholesky(between_structure(dim))
+        inv_chol = np.linalg.inv(chol_s)
+        whitened = inv_chol @ within @ inv_chol.T
+        whitened = 0.5 * (whitened + whitened.T)
+        lam, q = np.linalg.eigh(whitened)
+        projector = q.T @ inv_chol  # P
+        ys.append(projector @ trial.y_vector())
+        designs.append(projector @ design)
+        eigenvalues.append(np.clip(lam, 0.0, None))
+        const += dim * math.log(2.0 * math.pi) + 2.0 * float(
+            np.sum(np.log(np.diag(chol_s)))
+        )
+    stacked_design = np.vstack(designs)
+    return AssembledDataset(
+        dataset=dataset,
+        stacked_y=np.concatenate(ys),
+        stacked_design=stacked_design,
+        stacked_eigenvalues=np.concatenate(eigenvalues),
+        log_density_const=const,
+        n_coefficients=stacked_design.shape[1],
+    )

@@ -160,6 +160,18 @@ def test_fit_manifest_records_per_chain_sampler_state(data_file, tmp_path):
         assert entry["nonfinite_rejections"] == 0
 
 
+def test_fit_manifest_records_adaptation_acceptance(data_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["chains"]:
+        assert 0.0 < entry["adapt_accept_rate"] < 1.0
+    bare = tmp_path / "no-adapt"
+    assert main(fast_fit_args(data_file, bare, adapt=0)) == 0
+    manifest = json.loads((bare / "manifest.json").read_text())
+    assert [e["adapt_accept_rate"] for e in manifest["chains"]] == [None, None]
+
+
 def test_fit_explicit_flags_override_manifest(data_file, tmp_path):
     first = tmp_path / "run1"
     assert main(fast_fit_args(data_file, first)) == 0
@@ -440,6 +452,60 @@ def test_simulate_wrong_block_length_is_config_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "expected 2 value(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"params": {"alpha": "x"}}, "params.alpha: could not convert"),
+        ({"params": {"beta": 5}}, "params.beta: must be a list of numbers"),
+        ({"params": {"eta": ["x"]}}, "params.eta: could not convert"),
+        ({"params": {"tau": float("nan")}}, "params.tau: must be a finite"),
+        ({"params": [1, 2]}, "params must be a JSON object"),
+        ({"followup_patterns": 3}, "followup_patterns: must be a list"),
+        ({"followup_patterns": [["a"]]}, "followup_patterns: invalid literal"),
+        ({"variance_range": "ab"}, "variance_range: must be a list"),
+        ({"variance_range": ["a", "b"]}, "variance_range: could not convert"),
+        ({"variance_range": [0.001]}, "variance_range: must hold 2 numbers"),
+        ({"pattern_weights": {"a": 1}}, "pattern_weights: must be a list"),
+        ({"control_fraction": "half"}, "control_fraction: could not convert"),
+        ({"max_coded_arms": "two"}, "max_coded_arms: invalid literal"),
+        ({"rho_y": float("inf")}, "rho_y: must be a finite number"),
+        ({"n_trials": "x"}, "n_trials: invalid literal"),
+        ({"seed": "x"}, "seed: invalid literal"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ],
+)
+def test_simulate_bad_generator_value_is_config_error(
+    tmp_path, capsys, change, message
+):
+    bad = json.loads(json.dumps(SIM_CONFIG))
+    for key, value in change.items():
+        if key == "params" and isinstance(value, dict):
+            bad["params"].update(value)
+        else:
+            bad[key] = value
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "x.json"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_flag_is_config_error(tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(SIM_CONFIG))
+    out = tmp_path / "x.json"
+    code = main([
+        "simulate", "--config", str(config), "--out", str(out), "--seed", "-1"
+    ])
+    assert code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,8 @@ def test_chain_tsv_round_trip_is_exact(tmp_path):
     back = read_chain_tsv(dest)
     assert back.parameter_names == ("a", "b", "tau")
     assert np.array_equal(back.draws, chain.draws)
+    # Bookkeeping the file does not hold comes back as unknown.
+    assert math.isnan(back.accept_rate) and math.isnan(back.adapt_accept_rate)
 
 
 def test_chain_tsv_requires_iteration_column():

@@ -1,5 +1,7 @@
 """Posterior density pieces and the adaptive Metropolis sampler."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import featmeta.sampler as sampler
 from featmeta import (
+    ChainOutput,
     CovarianceError,
     CovariateSchema,
     Dataset,
+    Factor,
     McmcConfig,
     ParameterVector,
     PriorSpec,
+    SimConfig,
     assemble,
     between_structure,
     build_within_covariance,
@@ -24,13 +30,20 @@ from featmeta import (
     mvn_logpdf,
     run_chain,
     run_mcmc,
+    simulate_dataset,
     trial_design_matrix,
     validate_dataset,
 )
 from featmeta.diagnostics import mcse_mean
 
+import reference
 from conftest import arm, build_basic_dataset, build_basic_schema, grid_trial
-from reference import log_likelihood_latent, log_likelihood_marginal_direct
+from reference import (
+    log_likelihood_latent,
+    log_likelihood_marginal_direct,
+    reference_assemble,
+    reference_run_chain,
+)
 
 
 def scalar_schema():
@@ -359,6 +372,71 @@ def test_singular_within_covariance_has_no_latent_density():
 
 
 # ---------------------------------------------------------------------------
+# assemble
+# ---------------------------------------------------------------------------
+
+
+def recovery_sim_config(seed):
+    """A 150-trial dataset of the recovery schema (3 follow-ups, 2
+    interactions, up to 3 coded arms), as in the benchmark's inputs."""
+    schema = CovariateSchema(
+        n=4, p=1, q=3,
+        interactions=(
+            (Factor("intervention", 0), Factor("study", 0)),
+            (Factor("intervention", 1), Factor("followup", 0)),
+        ),
+    )
+    truth = ParameterVector(
+        alpha=-0.04, beta=(0.004, 0.01, -0.02, 0.003), gamma=(-0.035,),
+        phi=(-0.0085, -0.007), eta=(0.089, 0.04), tau=0.05,
+    )
+    return SimConfig(
+        schema=schema, params=truth, n_trials=150, seed=seed,
+        control_fraction=0.5, max_coded_arms=3,
+    )
+
+
+def assembled_digest(assembled):
+    digest = hashlib.sha256()
+    for array in (
+        assembled.stacked_y,
+        assembled.stacked_design,
+        assembled.stacked_eigenvalues,
+    ):
+        digest.update(array.tobytes())
+    return digest.hexdigest(), assembled.log_density_const.hex()
+
+
+# The stacked arrays of the two centered 150-trial datasets (generator
+# seeds 1000 and 1001) as assembled with S factored once per trial
+# (numpy 2.4, x86-64); factoring once per dimension must keep every bit.
+ASSEMBLED_DIGESTS = {
+    1000: (
+        "684cd10e7838b5173849baa77582ca947f2b80557f5cb3c703ba4df9fc328f8c",
+        "0x1.6e016b0f81743p+9",
+    ),
+    1001: (
+        "d40ffc082ea916691aada567348ab684f8503d0f6f8a0a9a4d1bd4ea2b16429a",
+        "0x1.938128f46a235p+9",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ASSEMBLED_DIGESTS))
+def test_assemble_keeps_every_bit_of_the_stacked_arrays(seed):
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(seed)))
+    assembled = assemble(centered)
+    want = reference_assemble(centered)
+    for name in ("stacked_y", "stacked_design", "stacked_eigenvalues"):
+        got = getattr(assembled, name)
+        assert np.array_equal(
+            got.view(np.int64), getattr(want, name).view(np.int64)
+        ), name
+    assert assembled.log_density_const == want.log_density_const
+    assert assembled_digest(assembled) == ASSEMBLED_DIGESTS[seed]
+
+
+# ---------------------------------------------------------------------------
 # run_chain / run_mcmc mechanics
 # ---------------------------------------------------------------------------
 
@@ -467,6 +545,111 @@ def test_nonfinite_proposals_are_rejected_and_counted():
         assert chain.nonfinite_rejections > 0
         assert np.all(np.isfinite(chain.draws))
         assert np.all(chain.draws[:, -1] ** 2 > cut)
+
+
+def assert_same_chains(got, want):
+    """Bit-equal draws and equal values of every other ChainOutput field."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.draws.shape == w.draws.shape
+        assert np.array_equal(g.draws.view(np.int64), w.draws.view(np.int64))
+        for field in dataclasses.fields(ChainOutput):
+            if field.name == "draws":
+                continue
+            a, b = getattr(g, field.name), getattr(w, field.name)
+            same_nan = isinstance(a, float) and math.isnan(a) and math.isnan(b)
+            assert a == b or same_nan, (field.name, a, b)
+            assert type(a) is type(b), field.name
+
+
+def draw_block(assembled):
+    return max(1, sampler.DRAW_BLOCK_VALUES // assembled.n_parameters)
+
+
+# Each case names the chains and the run lengths; "edge" and "mid" put
+# the end of adaptation on a refill of the random blocks or inside one.
+REFERENCE_CASES = {
+    "group [2, 0]": ([2, 0], dict(chains=3)),
+    "group [1]": ([1], dict(chains=3)),
+    "six chains, two lane blocks": (range(6), dict(chains=6)),
+    "no adaptation or burn-in": ([0, 1], dict(adapt=0, burn_in=0)),
+    "no burn-in": ([0, 1], dict(burn_in=0)),
+    "adaptation ends at a block edge": ([0, 1], dict(adapt="edge")),
+    "adaptation ends mid-block": ([0, 1], dict(adapt="mid")),
+    "thin 3": ([0, 1], dict(thin=3)),
+    "samples not a multiple of the block": (
+        [0, 1], dict(adapt=0, burn_in=0, samples="uneven")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_run_chain_matches_reference_loop_bit_for_bit(case):
+    assembled = assemble(centered_basic_dataset())
+    block = draw_block(assembled)
+    chains, overrides = REFERENCE_CASES[case]
+    lengths = {"edge": block, "mid": block + block // 3, "uneven": 2 * block + 5}
+    overrides = {k: lengths.get(v, v) for k, v in overrides.items()}
+    config = small_config(**overrides)
+    got = run_chain(assembled, config, PriorSpec(), chains)
+    assert_same_chains(
+        got, reference_run_chain(assembled, config, PriorSpec(), chains)
+    )
+    assert [c.chain_index for c in got] == list(chains)
+
+
+def test_run_chain_matches_reference_loop_with_nan_densities():
+    # The eigenvalue -0.2 of test_nonfinite_proposals_are_rejected_and_counted:
+    # NaN proposals are rejected, counted and score 0 in the adaptation.
+    config = small_config(adapt=500, burn_in=0, samples=2000)
+    assembled = assemble(centered_basic_dataset())
+    assembled.stacked_eigenvalues[0] = -0.2
+    got = run_chain(assembled, config, PriorSpec(), [0])
+    assert got[0].nonfinite_rejections > 0
+    assert_same_chains(
+        got, reference_run_chain(assembled, config, PriorSpec(), [0])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chains=st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    adapt=st.integers(0, 150),
+    burn_in=st.integers(0, 60),
+    samples=st.integers(1, 120),
+    thin=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    block_values=st.sampled_from([7, 40, 8192]),
+    tau_upper=st.sampled_from([0.3, 5.0]),
+)
+def test_run_chain_matches_reference_loop_property(
+    chains, adapt, burn_in, samples, thin, seed, block_values, tau_upper
+):
+    # Small random blocks put the refills and the end of adaptation
+    # anywhere in the run.
+    assembled = assemble(centered_basic_dataset())
+    config = McmcConfig(
+        chains=8, adapt=adapt, burn_in=burn_in, samples=samples, thin=thin,
+        seed=seed,
+    )
+    prior = PriorSpec(tau_upper=tau_upper)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "DRAW_BLOCK_VALUES", block_values)
+        mp.setattr(reference, "DRAW_BLOCK_VALUES", block_values)
+        got = run_chain(assembled, config, prior, chains)
+        want = reference_run_chain(assembled, config, prior, chains)
+    assert_same_chains(got, want)
+
+
+def test_adapt_accept_rate_is_recorded_per_chain():
+    assembled = assemble(centered_basic_dataset())
+    chains = run_chain(assembled, small_config(chains=3), PriorSpec(), range(3))
+    for chain in chains:
+        assert 0.0 < chain.adapt_accept_rate < 1.0
+        # A count over the 300 adaptation iterations.
+        assert round(chain.adapt_accept_rate * 300) / 300 == chain.adapt_accept_rate
+    [bare] = run_chain(assembled, small_config(adapt=0), PriorSpec(), [0])
+    assert math.isnan(bare.adapt_accept_rate)
 
 
 @pytest.mark.filterwarnings("ignore:fitting on uncentered")

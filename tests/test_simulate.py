@@ -204,3 +204,16 @@ def test_config_rejects_bad_settings(kwargs):
 def test_config_rejects_negative_tau():
     with pytest.raises(ValueError, match="tau"):
         SimConfig(schema=sim_schema(), params=sim_params(tau=-0.1), n_trials=5)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be non-negative and finite"):
+        SimConfig(schema=sim_schema(), params=sim_params(tau=tau), n_trials=5)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig(
+            schema=sim_schema(), params=sim_params(tau=0.1), n_trials=5, seed=-1
+        )
