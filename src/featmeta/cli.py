@@ -454,17 +454,14 @@ def cmd_simulate(args) -> int:
         schema = schema_from_dict(raw["schema"])
     except (DataFormatError, DataValidationError) as e:
         raise ConfigError(f"{args.config}: {e}") from e
-    try:
-        params = _params_from_dict(raw["params"], schema)
-        optional = {
-            key: _converted(key, convert, raw[key])
-            for key, convert in _SIM_OPTIONAL.items()
-            if key in raw
-        }
-        n_trials = _converted("n_trials", int, raw["n_trials"])
-        seed = _converted("seed", int, raw.get("seed", 0))
-    except ConfigError as e:
-        raise ConfigError(f"{args.config}: {e}") from e
+    params = _params_from_dict(raw["params"], schema)
+    optional = {
+        key: _converted(key, convert, raw[key])
+        for key, convert in _SIM_OPTIONAL.items()
+        if key in raw
+    }
+    n_trials = _converted("n_trials", int, raw["n_trials"])
+    seed = _converted("seed", int, raw.get("seed", 0))
     try:
         config = SimConfig(
             schema=schema,

@@ -260,7 +260,7 @@ def _marginal_sums(
     np.multiply(resid, resid, out=resid)
     np.divide(resid, denom, out=resid)
     np.add(resid, np.log(denom, out=denom), out=resid)
-    return np.add.reduce(resid, axis=-1)  # as resid.sum(axis=-1)
+    return np.add.reduce(resid, axis=-1)  # resid.sum without its wrapper
 
 
 def log_likelihood_marginal(

@@ -641,17 +641,6 @@ def test_run_chain_matches_reference_loop_property(
     assert_same_chains(got, want)
 
 
-def test_adapt_accept_rate_is_recorded_per_chain():
-    assembled = assemble(centered_basic_dataset())
-    chains = run_chain(assembled, small_config(chains=3), PriorSpec(), range(3))
-    for chain in chains:
-        assert 0.0 < chain.adapt_accept_rate < 1.0
-        # A count over the 300 adaptation iterations.
-        assert round(chain.adapt_accept_rate * 300) / 300 == chain.adapt_accept_rate
-    [bare] = run_chain(assembled, small_config(adapt=0), PriorSpec(), [0])
-    assert math.isnan(bare.adapt_accept_rate)
-
-
 @pytest.mark.filterwarnings("ignore:fitting on uncentered")
 def test_marginal_sampler_matches_exact_posterior():
     # Three dim-1 trials. With c ~ N(0, sd^2 I) integrated out,
