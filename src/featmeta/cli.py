@@ -369,6 +369,12 @@ def format_summary_table(summaries) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _number(value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -394,13 +400,13 @@ def _patterns(values) -> tuple[tuple[int, ...], ...]:
         isinstance(p, list) for p in values
     ):
         raise TypeError(f"must be a list of category lists, got {values!r}")
-    return tuple(tuple(int(c) for c in p) for p in values)
+    return tuple(tuple(_integer(c) for c in p) for p in values)
 
 
 # Optional generator settings, each with its conversion from JSON.
 _SIM_OPTIONAL = {
     "control_fraction": _number,
-    "max_coded_arms": int,
+    "max_coded_arms": _integer,
     "followup_patterns": _patterns,
     "pattern_weights": _numbers,
     "variance_range": _range,
@@ -460,8 +466,8 @@ def cmd_simulate(args) -> int:
         for key, convert in _SIM_OPTIONAL.items()
         if key in raw
     }
-    n_trials = _converted("n_trials", int, raw["n_trials"])
-    seed = _converted("seed", int, raw.get("seed", 0))
+    n_trials = _converted("n_trials", _integer, raw["n_trials"])
+    seed = _converted("seed", _integer, raw.get("seed", 0))
     try:
         config = SimConfig(
             schema=schema,

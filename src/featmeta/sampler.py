@@ -455,7 +455,6 @@ def run_chain(
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
     normals = np.empty((n_chains, block, dim))
-    increments = np.empty((block, n_chains, dim))  # one (chains, dim) per row
     uniforms = np.empty((n_chains, block))
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
@@ -465,7 +464,7 @@ def run_chain(
 
     draws = np.empty((n_chains, config.samples, dim))
     adapt_accepted = [0] * n_chains
-    burn_accepted = [0] * n_chains
+    burn_accepted = [0] * n_chains  # counted, not reported
     accepted = [0] * n_chains
     nonfinite = [0] * n_chains
     recorded = 0
@@ -530,12 +529,12 @@ def run_chain(
                 continue
             if frozen == config.adapt:  # the step is frozen from here on
                 update_step()
-            np.multiply(
-                normals[:, frozen - lo : hi - lo], step[:, None, :],
-                out=increments[frozen - lo : hi - lo].transpose(1, 0, 2),
-            )
+            # With the step frozen, scale the rest of the block at once:
+            # each normal becomes its iteration's proposal increment.
+            rest = normals[:, frozen - lo : hi - lo]
+            np.multiply(rest, step[:, None, :], out=rest)
             for it in range(frozen, hi):
-                np.add(state, increments[it - lo], out=proposal)
+                np.add(state, normals[:, it - lo], out=proposal)
                 if it < warm:
                     metropolis(log_u[it - lo], burn_accepted)
                     continue

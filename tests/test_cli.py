@@ -463,16 +463,18 @@ def test_simulate_wrong_block_length_is_config_error(tmp_path, capsys):
         ({"params": {"tau": float("nan")}}, "params.tau: must be a finite"),
         ({"params": [1, 2]}, "params must be a JSON object"),
         ({"followup_patterns": 3}, "followup_patterns: must be a list"),
-        ({"followup_patterns": [["a"]]}, "followup_patterns: invalid literal"),
+        ({"followup_patterns": [["a"]]}, "followup_patterns: must be an integer"),
         ({"variance_range": "ab"}, "variance_range: must be a list"),
         ({"variance_range": ["a", "b"]}, "variance_range: could not convert"),
         ({"variance_range": [0.001]}, "variance_range: must hold 2 numbers"),
         ({"pattern_weights": {"a": 1}}, "pattern_weights: must be a list"),
         ({"control_fraction": "half"}, "control_fraction: could not convert"),
-        ({"max_coded_arms": "two"}, "max_coded_arms: invalid literal"),
+        ({"max_coded_arms": "two"}, "max_coded_arms: must be an integer"),
         ({"rho_y": float("inf")}, "rho_y: must be a finite number"),
-        ({"n_trials": "x"}, "n_trials: invalid literal"),
-        ({"seed": "x"}, "seed: invalid literal"),
+        ({"n_trials": "x"}, "n_trials: must be an integer"),
+        ({"n_trials": 12.9}, "n_trials: must be an integer"),
+        ({"seed": 1.5}, "seed: must be an integer"),
+        ({"seed": True}, "seed: must be an integer"),
         ({"seed": -1}, "seed must be non-negative"),
     ],
 )
