@@ -426,21 +426,17 @@ def run_chain(
     start[n_coeff] = math.log(0.1 * prior.tau_upper)
     state = np.tile(start, (n_chains, 1))
     current_lp = [math.nan] * n_chains
-
-    def unstarted() -> list[int]:
-        return [c for c, lp in enumerate(current_lp) if not math.isfinite(lp)]
-
     with np.errstate(all="ignore"):
         for _ in range(INIT_RETRIES):
-            retry = unstarted()
-            if not retry:
+            retry = np.flatnonzero(~np.isfinite(current_lp))
+            if retry.size == 0:
                 break
             for c in retry:
                 state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
             lps = log_post(state[:, :n_coeff], state[:, n_coeff])
             for c in retry:
                 current_lp[c] = lps[c]
-    stuck = [chains[c] for c in unstarted()]
+    stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
     if stuck:
         raise SamplerError(
             f"chain(s) {stuck}: no finite starting point after "

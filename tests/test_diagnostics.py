@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,8 +364,19 @@ def test_chain_tsv_round_trip_is_exact(tmp_path):
     back = read_chain_tsv(dest)
     assert back.parameter_names == ("a", "b", "tau")
     assert np.array_equal(back.draws, chain.draws)
-    # Bookkeeping the file does not hold comes back as unknown.
+
+
+def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown():
+    chain = replace(
+        make_chain(np.arange(6.0).reshape(3, 2)),
+        nonfinite_rejections=2, adapt_accept_rate=0.3,
+    )
+    stream = io.StringIO()
+    write_chain_tsv(chain, stream)
+    back = read_chain_tsv(io.StringIO(stream.getvalue()))
     assert math.isnan(back.accept_rate) and math.isnan(back.adapt_accept_rate)
+    assert math.isnan(back.proposal_log_scale)
+    assert back.seed_used == -1 and back.nonfinite_rejections == -1
 
 
 def test_chain_tsv_requires_iteration_column():
