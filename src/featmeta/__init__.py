@@ -10,14 +10,11 @@ by adaptive random-walk Metropolis.
 """
 
 from .covariance import (
-    BetweenCovariance,
     CovarianceError,
     WithinCovariance,
     between_structure,
-    build_between_covariance,
     build_within_covariance,
     impute_ref_change_variance,
-    mvn_logpdf,
     rho_for_separation,
 )
 from .data import (
@@ -94,14 +91,11 @@ __all__ = [
     "fixed_effects",
     # covariance
     "WithinCovariance",
-    "BetweenCovariance",
     "between_structure",
     "CovarianceError",
     "rho_for_separation",
     "impute_ref_change_variance",
     "build_within_covariance",
-    "build_between_covariance",
-    "mvn_logpdf",
     # sampler
     "PriorSpec",
     "McmcConfig",

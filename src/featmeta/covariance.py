@@ -31,7 +31,6 @@ from .data import TrialRecord
 __all__ = [
     "CovarianceError",
     "WithinCovariance",
-    "BetweenCovariance",
     "CASE_SAME_ARM_SAME_TIME",
     "CASE_DIFF_ARM_SAME_TIME",
     "CASE_SAME_ARM_DIFF_TIME",
@@ -39,10 +38,8 @@ __all__ = [
     "rho_for_separation",
     "impute_ref_change_variance",
     "build_within_covariance",
-    "build_between_covariance",
     "between_structure",
     "ensure_positive_semidefinite",
-    "mvn_logpdf",
 ]
 
 # Entry-type codes recorded alongside each V entry (diagnostics/tests).
@@ -73,22 +70,6 @@ class WithinCovariance:
     matrix: np.ndarray
     order: tuple[tuple[str, int], ...]
     case_codes: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class BetweenCovariance:
-    """Heterogeneity covariance tau^2 * S for one trial (S = 0.5(I + 11')).
-
-    Positive definite for tau > 0 at any dimension: the eigenvalues are
-    tau^2/2 (multiplicity dim-1) and tau^2 (dim+1)/2.
-    """
-
-    matrix: np.ndarray
-    tau: float
 
     @property
     def dimension(self) -> int:
@@ -175,20 +156,6 @@ def between_structure(dim: int) -> np.ndarray:
     return 0.5 * (np.eye(dim) + np.ones((dim, dim)))
 
 
-def build_between_covariance(dimension: int, tau: float) -> BetweenCovariance:
-    """Heterogeneity covariance tau^2 * S for a trial of this dimension.
-
-    Entries are formed by scaling the exact structure constants (1 and
-    1/2), so the Appendix-style identity var(delta_k - delta_k') =
-    S_kk + S_k'k' - 2 S_kk' = tau^2 holds to the last bit.
-    """
-    if dimension < 1:
-        raise ValueError(f"dimension must be at least 1, got {dimension}")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    return BetweenCovariance(matrix=tau**2 * between_structure(dimension), tau=tau)
-
-
 def ensure_positive_semidefinite(
     matrix: np.ndarray, context: str, rel_tol: float = PSD_REL_TOL
 ) -> np.ndarray:
@@ -214,20 +181,3 @@ def ensure_positive_semidefinite(
         repaired = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         matrix = 0.5 * (repaired + repaired.T)
     return matrix
-
-
-def mvn_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Multivariate normal log-density via Cholesky factorization."""
-    y = np.asarray(y, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    dim = y.shape[0]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as e:
-        raise CovarianceError(
-            f"covariance of dimension {dim} is not positive definite"
-        ) from e
-    resid = np.linalg.solve(chol, y - mean)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (dim * np.log(2.0 * np.pi) + log_det + resid @ resid))

@@ -22,6 +22,8 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .design import _raw_rows
+
 __all__ = [
     "DataError",
     "DataFormatError",
@@ -502,35 +504,70 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 # which are 1-based everywhere).
 
 
-def _require(mapping, key, path):
+# JSON value kinds as exact Python types, so true and false are no numbers.
+_NUMBER, _INTEGER, _LIST, _OBJECT = (int, float), (int,), (list,), (dict,)
+_EXPECTED = {
+    _NUMBER: "a number", _INTEGER: "an integer",
+    _LIST: "a list", _OBJECT: "an object",
+}
+
+
+def _wrong_type(path, kind, value) -> DataFormatError:
+    return DataFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+
+
+def _require(mapping, key, path, kind=None):
+    """``mapping[key]``, which must be of the JSON ``kind`` if one is given."""
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{path}: expected an object")
     if key not in mapping:
         raise DataFormatError(f"{path}: missing required field {key!r}")
-    return mapping[key]
+    value = mapping[key]
+    if kind is not None and type(value) not in kind:
+        raise _wrong_type(f"{path}.{key}", kind, value)
+    return value
 
 
-def _parse_schema(raw) -> CovariateSchema:
-    n = int(_require(raw, "n", "schema"))
-    p = int(_require(raw, "p", "schema"))
-    q = int(_require(raw, "q", "schema"))
-    l = int(_require(raw, "l", "schema"))
+def _optional(mapping, key, path, kind):
+    if mapping.get(key) is None:
+        return None
+    return _require(mapping, key, path, kind)
+
+
+def _numbers(mapping, key, path) -> list:
+    values = _require(mapping, key, path, _LIST)
+    for k, v in enumerate(values):
+        if type(v) not in _NUMBER:
+            raise _wrong_type(f"{path}.{key}[{k}]", _NUMBER, v)
+    return values
+
+
+def schema_from_dict(raw: dict) -> CovariateSchema:
+    """Build a schema from its file representation (1-based indices)."""
+    n, p, q, l = (_require(raw, key, "schema", _INTEGER) for key in "npql")
     factor_sets = []
-    for j, raw_set in enumerate(raw.get("interactions", [])):
+    raw_sets = raw.get("interactions", [])
+    if type(raw_sets) not in _LIST:
+        raise _wrong_type("schema.interactions", _LIST, raw_sets)
+    for j, raw_set in enumerate(raw_sets):
+        if type(raw_set) not in _LIST:
+            raise _wrong_type(f"schema.interactions[{j}]", _LIST, raw_set)
         factors = []
         for k, raw_f in enumerate(raw_set):
             path = f"schema.interactions[{j}][{k}]"
             level = _require(raw_f, "level", path)
-            index = int(_require(raw_f, "index", path))
+            index = _require(raw_f, "index", path, _INTEGER)
             if index < 1:
                 raise DataFormatError(f"{path}: index is 1-based, got {index}")
+            if level not in FACTOR_LEVELS:
+                raise DataFormatError(f"{path}: unknown factor level {level!r}")
             factors.append(Factor(level=level, index=index - 1))
         factor_sets.append(tuple(factors))
     if len(factor_sets) != l:
         raise DataFormatError(
             f"schema: l={l} but {len(factor_sets)} interactions defined"
         )
-    names = raw.get("names")
+    names = _optional(raw, "names", "schema", _OBJECT)
     try:
         return CovariateSchema(
             n=n, p=p, q=q, interactions=tuple(factor_sets), names=names
@@ -544,18 +581,18 @@ def _parse_trial(raw, schema: CovariateSchema, idx: int) -> TrialRecord:
     trial_id = str(_require(raw, "id", path))
     comparison = _require(raw, "comparison", path)
     arms = []
-    for k, raw_arm in enumerate(_require(raw, "arms", path)):
+    for k, raw_arm in enumerate(_require(raw, "arms", path, _LIST)):
         apath = f"{path}.arms[{k}]"
         arms.append(
             InterventionArm(
                 arm_id=str(_require(raw_arm, "id", apath)),
-                x=tuple(float(v) for v in _require(raw_arm, "x", apath)),
+                x=_numbers(raw_arm, "x", apath),
             )
         )
     observations = []
-    for k, raw_obs in enumerate(_require(raw, "observations", path)):
+    for k, raw_obs in enumerate(_require(raw, "observations", path, _LIST)):
         opath = f"{path}.observations[{k}]"
-        category = int(_require(raw_obs, "category", opath))
+        category = _require(raw_obs, "category", opath, _INTEGER)
         if not 1 <= category <= schema.q:
             raise DataValidationError(
                 f"{opath}: category {category} outside 1..{schema.q}"
@@ -564,41 +601,39 @@ def _parse_trial(raw, schema: CovariateSchema, idx: int) -> TrialRecord:
             Observation(
                 arm_id=str(_require(raw_obs, "arm", opath)),
                 time=FollowUpIndicator.from_category(category, schema.q),
-                y=float(_require(raw_obs, "y", opath)),
-                v=float(_require(raw_obs, "v", opath)),
+                y=float(_require(raw_obs, "y", opath, _NUMBER)),
+                v=float(_require(raw_obs, "v", opath, _NUMBER)),
             )
         )
-    ref_change_var = None
-    if raw.get("ref_change_var") is not None:
-        ref_change_var = {
-            int(k): float(v) for k, v in raw["ref_change_var"].items()
-        }
+    ref_change_var = _optional(raw, "ref_change_var", path, _OBJECT)
+    for key, value in (ref_change_var or {}).items():
+        if not (key.isdecimal() and type(value) in _NUMBER):
+            raise DataFormatError(
+                f"{path}.ref_change_var: expected numbers keyed by category, "
+                f"got {key!r}: {value!r}"
+            )
     return TrialRecord(
         trial_id=trial_id,
         comparison=comparison,
         arms=tuple(arms),
-        z=tuple(float(v) for v in _require(raw, "z", path)),
+        z=_numbers(raw, "z", path),
         observations=tuple(observations),
         reference_arm=raw.get("reference_arm"),
         ref_change_var=ref_change_var,
-        rho_y=raw.get("rho_y"),
-        rho_d=raw.get("rho_d"),
+        rho_y=_optional(raw, "rho_y", path, _NUMBER),
+        rho_d=_optional(raw, "rho_d", path, _NUMBER),
     )
-
-
-def schema_from_dict(raw: dict) -> CovariateSchema:
-    """Build a schema from its file representation (1-based indices)."""
-    return _parse_schema(raw)
 
 
 def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset:
     """Parse and (by default) fully validate a dataset document.
 
     ``source`` may be a path or an open text stream. Raises
-    DataFormatError for unparseable or structurally malformed input and
-    DataValidationError (naming the trial) when an invariant fails.
-    Pass ``validate=False`` to obtain the parsed dataset and run
-    ``validate_dataset`` separately, e.g. to report every violation.
+    DataFormatError for unparseable or structurally malformed input (a
+    value of the wrong JSON type names its path) and DataValidationError
+    (naming the trial) when an invariant fails. Pass ``validate=False``
+    to obtain the parsed dataset and run ``validate_dataset`` separately,
+    e.g. to report every violation.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -613,17 +648,21 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
     if not isinstance(raw, dict):
         raise DataFormatError("top level: expected an object")
 
-    schema = _parse_schema(_require(raw, "schema", "top level"))
+    schema = schema_from_dict(_require(raw, "schema", "top level"))
     correlations = _require(raw, "correlations", "top level")
     trials = [
         _parse_trial(t, schema, i)
-        for i, t in enumerate(_require(raw, "trials", "top level"))
+        for i, t in enumerate(_require(raw, "trials", "top level", _LIST))
     ]
     dataset = Dataset(
         schema=schema,
         trials=tuple(trials),
-        base_rho_y=float(_require(correlations, "rho_y", "correlations")),
-        base_rho_d=float(_require(correlations, "rho_d", "correlations")),
+        base_rho_y=float(
+            _require(correlations, "rho_y", "correlations", _NUMBER)
+        ),
+        base_rho_d=float(
+            _require(correlations, "rho_d", "correlations", _NUMBER)
+        ),
     )
     if validate:
         violations = validate_dataset(dataset)
@@ -708,19 +747,17 @@ def center_covariates(dataset: Dataset) -> tuple[Dataset, CenteringRecord]:
     are unchanged. Centering only shifts the intercept's interpretation;
     the record's ``intercept_shift`` recovers the raw scale.
     """
-    from .design import control_design_blocks
-
     schema = dataset.schema
-    rows = []
-    for trial in dataset.trials:
-        if trial.comparison != "control":
-            continue
-        rows.extend(control_design_blocks(schema, trial))
-    if not rows:
+    blocks = [
+        _raw_rows(schema, trial)
+        for trial in dataset.trials
+        if trial.comparison == "control"
+    ]
+    if not sum(len(b) for b in blocks):
         raise DataValidationError(
             "cannot center: dataset has no control-comparison design rows"
         )
-    stacked = np.array(rows, dtype=float)
+    stacked = np.vstack(blocks)
     means = stacked.mean(axis=0)
     n, p, w_len = schema.n, schema.p, schema.q - 1
     record = CenteringRecord(

@@ -1,4 +1,4 @@
-"""Design-row assembly and the fixed-effects regression surface.
+"""Design matrices and the fixed-effects regression surface.
 
 The expected contrast for arm k of trial i at follow-up t has two forms.
 Control-comparison trials regress on the arm's own covariates:
@@ -10,35 +10,33 @@ r, so the intercept, study covariates, and follow-up terms cancel:
 
     theta = beta.(x_k - x_r) + eta.(J_k - J_r)
 
-Both are linear in the coefficients, so each observation reduces to one
-design row; interaction columns are products of the raw covariates,
-formed before any centering is applied.
+Both are linear in the coefficients. ``_raw_rows`` builds each
+observation's raw columns r = [x z w J], every interaction the product
+of its raw factors; ``featmeta.data.center_covariates`` averages them
+over the control trials. A control trial's design row is [1, r - means];
+an active trial's is [0, r - r_ref] with z and w zeroed, where r_ref is
+built from the reference arm's features.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import (
-    CenteringRecord,
-    CovariateSchema,
-    Dataset,
-    FollowUpIndicator,
-    InterventionArm,
-    TrialRecord,
-)
+if TYPE_CHECKING:
+    from .data import (
+        CenteringRecord,
+        CovariateSchema,
+        InterventionArm,
+        TrialRecord,
+    )
 
 __all__ = [
     "ParameterVector",
-    "DesignRow",
-    "interaction_value",
-    "design_row",
-    "control_design_blocks",
     "trial_design_matrix",
-    "dataset_design_matrix",
     "fixed_effects",
 ]
 
@@ -108,113 +106,29 @@ class ParameterVector:
         )
 
 
-@dataclass(frozen=True)
-class DesignRow:
-    """One observation's regression row.
-
-    ``intercept`` is 1 for control-comparison rows, 0 for active ones
-    (where it cancels); the remaining blocks multiply beta, gamma, phi,
-    and eta respectively.
-    """
-
-    intercept: float
-    x: tuple[float, ...]
-    z: tuple[float, ...]
-    w: tuple[float, ...]
-    interactions: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.intercept], self.x, self.z, self.w, self.interactions]
-        )
-
-    def expected_value(self, params: ParameterVector) -> float:
-        return float(self.as_array() @ params.coefficients())
-
-
-def interaction_value(
-    schema: CovariateSchema,
-    term: int,
-    x: Sequence[float],
-    z: Sequence[float],
-    w: Sequence[float],
-) -> float:
-    """Product of the raw covariates referenced by interaction ``term``."""
-    pools = {"intervention": x, "study": z, "followup": w}
-    value = 1.0
-    for factor in schema.interactions[term]:
-        value *= float(pools[factor.level][factor.index])
-    return value
-
-
-def _raw_blocks(
-    schema: CovariateSchema,
-    arm: InterventionArm,
-    z: Sequence[float],
-    time: FollowUpIndicator,
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    w = time.w
-    j = tuple(
-        interaction_value(schema, term, arm.x, z, w)
-        for term in range(schema.l)
-    )
-    return arm.x, tuple(float(v) for v in z), w, j
-
-
-def control_design_blocks(
-    schema: CovariateSchema, trial: TrialRecord
-) -> list[list[float]]:
-    """Raw covariate columns [x z w J] per observation of a control trial.
-
-    Rows follow the trial's canonical observation order; this is the
-    population over which centering means are taken.
-    """
-    rows = []
-    arm_by_id = {a.arm_id: a for a in trial.contrast_arms}
-    for obs in trial.ordered_observations():
-        x, z, w, j = _raw_blocks(schema, arm_by_id[obs.arm_id], trial.z, obs.time)
-        rows.append(list(x) + list(z) + list(w) + list(j))
-    return rows
-
-
-def design_row(
+def _raw_rows(
     schema: CovariateSchema,
     trial: TrialRecord,
-    arm: InterventionArm,
-    time: FollowUpIndicator,
-    centering: CenteringRecord | None = None,
-) -> DesignRow:
-    """Build the regression row for one (arm, follow-up) observation.
+    arm: InterventionArm | None = None,
+) -> np.ndarray:
+    """Raw [x z w J] columns per observation, in canonical order.
 
-    For active-comparison trials the row is the difference between the
-    arm's raw blocks and the reference arm's, with study and follow-up
-    columns identically zero; centering cancels there, so the record
-    only affects control-comparison rows.
+    x is the observation's own arm's features, or ``arm``'s for every
+    row when given; interactions are products of the raw covariates.
     """
-    if trial.comparison == "active":
-        reference = trial.reference
-        if reference is None:
-            raise ValueError(
-                f"trial {trial.trial_id!r}: active comparison without a "
-                "resolvable reference arm"
-            )
-        xk, zk, wk, jk = _raw_blocks(schema, arm, trial.z, time)
-        xr, _, _, jr = _raw_blocks(schema, reference, trial.z, time)
-        return DesignRow(
-            intercept=0.0,
-            x=tuple(a - b for a, b in zip(xk, xr)),
-            z=(0.0,) * schema.p,
-            w=(0.0,) * (schema.q - 1),
-            interactions=tuple(a - b for a, b in zip(jk, jr)),
-        )
-
-    x, z, w, j = _raw_blocks(schema, arm, trial.z, time)
-    if centering is not None:
-        x = tuple(a - m for a, m in zip(x, centering.x_means))
-        z = tuple(a - m for a, m in zip(z, centering.z_means))
-        w = tuple(a - m for a, m in zip(w, centering.w_means))
-        j = tuple(a - m for a, m in zip(j, centering.j_means))
-    return DesignRow(intercept=1.0, x=x, z=z, w=w, interactions=j)
+    x_of = {a.arm_id: a.x for a in trial.contrast_arms}
+    rows = []
+    for obs in trial.ordered_observations():
+        x = x_of[obs.arm_id] if arm is None else arm.x
+        w = obs.time.w
+        pools = {"intervention": x, "study": trial.z, "followup": w}
+        rows.append([
+            *x, *trial.z, *w,
+            *(math.prod(pools[f.level][f.index] for f in factors)
+              for factors in schema.interactions),
+        ])
+    width = schema.n + schema.p + (schema.q - 1) + schema.l
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def trial_design_matrix(
@@ -222,14 +136,32 @@ def trial_design_matrix(
     trial: TrialRecord,
     centering: CenteringRecord | None = None,
 ) -> np.ndarray:
-    """Stack the trial's design rows (canonical observation order)."""
-    arm_by_id = {a.arm_id: a for a in trial.contrast_arms}
-    rows = [
-        design_row(schema, trial, arm_by_id[o.arm_id], o.time, centering).as_array()
-        for o in trial.ordered_observations()
-    ]
-    return np.array(rows, dtype=float).reshape(len(rows), 1 + schema.n + schema.p
-                                               + (schema.q - 1) + schema.l)
+    """The trial's design rows [1 x z w J] in canonical observation order.
+
+    Active-comparison rows are the arm's raw columns minus the reference
+    arm's, with the intercept, study and follow-up columns zero; the
+    centering means cancel there, so ``centering`` only shifts
+    control-comparison rows.
+    """
+    raw = _raw_rows(schema, trial)
+    if trial.comparison == "active":
+        reference = trial.reference
+        if reference is None:
+            raise ValueError(
+                f"trial {trial.trial_id!r}: active comparison without a "
+                "resolvable reference arm"
+            )
+        raw -= _raw_rows(schema, trial, reference)
+        raw[:, schema.n : schema.n + schema.p + schema.q - 1] = 0.0
+        intercept = 0.0
+    else:
+        if centering is not None:
+            raw -= np.concatenate([
+                centering.x_means, centering.z_means,
+                centering.w_means, centering.j_means,
+            ])
+        intercept = 1.0
+    return np.concatenate([np.full((len(raw), 1), intercept), raw], axis=1)
 
 
 def fixed_effects(
@@ -240,16 +172,3 @@ def fixed_effects(
 ) -> np.ndarray:
     """Expected contrast vector theta_i for one trial, canonical order."""
     return trial_design_matrix(schema, trial, centering) @ params.coefficients()
-
-
-def dataset_design_matrix(dataset: Dataset) -> np.ndarray:
-    """All trials' design rows stacked (dataset centering applied)."""
-    blocks = [
-        trial_design_matrix(dataset.schema, t, dataset.centering)
-        for t in dataset.trials
-    ]
-    width = 1 + dataset.schema.n + dataset.schema.p + (dataset.schema.q - 1) \
-        + dataset.schema.l
-    if not blocks:
-        return np.empty((0, width))
-    return np.vstack(blocks)

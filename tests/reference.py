@@ -1,21 +1,33 @@
-"""Reference code the tests compare the sampler's fast paths against.
+"""Reference code the tests compare the program's fast paths against.
 
 The densities are rebuilt trial by trial from the covariance and design
 layers, without the whitened, stacked arrays of
-``featmeta.sampler.assemble``. ``reference_run_chain`` is the sampler
-loop written with numpy arrays for every per-chain quantity, and
-``reference_assemble`` the assembly that factors S once per trial.
+``featmeta.sampler.assemble``; ``mvn_logpdf`` is the dense Gaussian
+density and ``build_between_covariance`` the heterogeneity covariance
+tau^2 S they use. ``reference_run_chain`` is the sampler loop written
+with numpy arrays for every per-chain quantity, ``reference_assemble``
+the assembly that factors S once per trial, and
+``reference_trial_design_matrix`` the design matrix built one
+``DesignRow`` object per observation.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from featmeta.covariance import CovarianceError, between_structure, mvn_logpdf
-from featmeta.data import Dataset
+from featmeta.covariance import CovarianceError, between_structure
+from featmeta.data import (
+    CenteringRecord,
+    CovariateSchema,
+    Dataset,
+    FollowUpIndicator,
+    InterventionArm,
+    TrialRecord,
+)
 from featmeta.design import ParameterVector
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
@@ -30,6 +42,53 @@ from featmeta.sampler import (
     _DesignProduct,
     _trials_with_covariance,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class BetweenCovariance:
+    """Heterogeneity covariance tau^2 * S for one trial (S = 0.5(I + 11')).
+
+    Positive definite for tau > 0 at any dimension: the eigenvalues are
+    tau^2/2 (multiplicity dim-1) and tau^2 (dim+1)/2.
+    """
+
+    matrix: np.ndarray
+    tau: float
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+
+def build_between_covariance(dimension: int, tau: float) -> BetweenCovariance:
+    """Heterogeneity covariance tau^2 * S for a trial of this dimension.
+
+    Entries are formed by scaling the exact structure constants (1 and
+    1/2), so the Appendix-style identity var(delta_k - delta_k') =
+    S_kk + S_k'k' - 2 S_kk' = tau^2 holds to the last bit.
+    """
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
+    if tau < 0:
+        raise ValueError(f"tau must be non-negative, got {tau}")
+    return BetweenCovariance(matrix=tau**2 * between_structure(dimension), tau=tau)
+
+
+def mvn_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """Multivariate normal log-density via Cholesky factorization."""
+    y = np.asarray(y, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    dim = y.shape[0]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as e:
+        raise CovarianceError(
+            f"covariance of dimension {dim} is not positive definite"
+        ) from e
+    resid = np.linalg.solve(chol, y - mean)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return float(-0.5 * (dim * np.log(2.0 * np.pi) + log_det + resid @ resid))
 
 
 def log_likelihood_marginal_direct(
@@ -318,3 +377,111 @@ def reference_assemble(dataset: Dataset) -> AssembledDataset:
         log_density_const=const,
         n_coefficients=stacked_design.shape[1],
     )
+
+
+@dataclass(frozen=True)
+class DesignRow:
+    """One observation's regression row.
+
+    ``intercept`` is 1 for control-comparison rows, 0 for active ones
+    (where it cancels); the remaining blocks multiply beta, gamma, phi,
+    and eta respectively.
+    """
+
+    intercept: float
+    x: tuple[float, ...]
+    z: tuple[float, ...]
+    w: tuple[float, ...]
+    interactions: tuple[float, ...]
+
+    def as_array(self) -> np.ndarray:
+        return np.concatenate(
+            [[self.intercept], self.x, self.z, self.w, self.interactions]
+        )
+
+    def expected_value(self, params: ParameterVector) -> float:
+        return float(self.as_array() @ params.coefficients())
+
+
+def interaction_value(
+    schema: CovariateSchema,
+    term: int,
+    x: Sequence[float],
+    z: Sequence[float],
+    w: Sequence[float],
+) -> float:
+    """Product of the raw covariates referenced by interaction ``term``."""
+    pools = {"intervention": x, "study": z, "followup": w}
+    value = 1.0
+    for factor in schema.interactions[term]:
+        value *= float(pools[factor.level][factor.index])
+    return value
+
+
+def _raw_blocks(
+    schema: CovariateSchema,
+    arm: InterventionArm,
+    z: Sequence[float],
+    time: FollowUpIndicator,
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    w = time.w
+    j = tuple(
+        interaction_value(schema, term, arm.x, z, w)
+        for term in range(schema.l)
+    )
+    return arm.x, tuple(float(v) for v in z), w, j
+
+
+def design_row(
+    schema: CovariateSchema,
+    trial: TrialRecord,
+    arm: InterventionArm,
+    time: FollowUpIndicator,
+    centering: CenteringRecord | None = None,
+) -> DesignRow:
+    """Build the regression row for one (arm, follow-up) observation.
+
+    For active-comparison trials the row is the difference between the
+    arm's raw blocks and the reference arm's, with study and follow-up
+    columns identically zero; centering cancels there, so the record
+    only affects control-comparison rows.
+    """
+    if trial.comparison == "active":
+        reference = trial.reference
+        if reference is None:
+            raise ValueError(
+                f"trial {trial.trial_id!r}: active comparison without a "
+                "resolvable reference arm"
+            )
+        xk, zk, wk, jk = _raw_blocks(schema, arm, trial.z, time)
+        xr, _, _, jr = _raw_blocks(schema, reference, trial.z, time)
+        return DesignRow(
+            intercept=0.0,
+            x=tuple(a - b for a, b in zip(xk, xr)),
+            z=(0.0,) * schema.p,
+            w=(0.0,) * (schema.q - 1),
+            interactions=tuple(a - b for a, b in zip(jk, jr)),
+        )
+
+    x, z, w, j = _raw_blocks(schema, arm, trial.z, time)
+    if centering is not None:
+        x = tuple(a - m for a, m in zip(x, centering.x_means))
+        z = tuple(a - m for a, m in zip(z, centering.z_means))
+        w = tuple(a - m for a, m in zip(w, centering.w_means))
+        j = tuple(a - m for a, m in zip(j, centering.j_means))
+    return DesignRow(intercept=1.0, x=x, z=z, w=w, interactions=j)
+
+
+def reference_trial_design_matrix(
+    schema: CovariateSchema,
+    trial: TrialRecord,
+    centering: CenteringRecord | None = None,
+) -> np.ndarray:
+    """Stack the trial's design rows (canonical observation order)."""
+    arm_by_id = {a.arm_id: a for a in trial.contrast_arms}
+    rows = [
+        design_row(schema, trial, arm_by_id[o.arm_id], o.time, centering).as_array()
+        for o in trial.ordered_observations()
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), 1 + schema.n + schema.p
+                                               + (schema.q - 1) + schema.l)

@@ -21,7 +21,6 @@ from featmeta import (
     SimConfig,
     assemble,
     between_structure,
-    build_between_covariance,
     build_within_covariance,
     center_covariates,
     fixed_effects,
@@ -36,7 +35,7 @@ from featmeta import (
 from featmeta.diagnostics import effective_sample_size, mcse_mean
 
 from conftest import arm, grid_trial
-from reference import log_likelihood_latent
+from reference import build_between_covariance, log_likelihood_latent
 
 
 @pytest.fixture

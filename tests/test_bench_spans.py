@@ -1,0 +1,42 @@
+"""The per-layer contract between featmeta and perfbench/spans.py.
+
+The benchmark's per-layer metrics come from spans recorded around the
+functions named in ``spans.TRACED``. A rename, or a call that bypasses
+the module attribute, would leave a metric such as ``design.matrix_s``
+reading zero without any error, so these checks fail first.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import featmeta
+from featmeta import center_covariates
+
+from conftest import build_basic_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    for module_name, names in spans.TRACED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_assemble_spans_one_design_and_one_covariance_call_per_trial():
+    centered, _ = center_covariates(build_basic_dataset())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        featmeta.sampler.assemble(centered)
+    finally:
+        tracer.remove()
+    [top] = tracer.named("sampler.assemble")
+    children = [tracer.spans[i].name for i in tracer.children(top)]
+    assert children.count("design.trial_design_matrix") == centered.n_trials
+    assert children.count("covariance.build_within_covariance") == (
+        centered.n_trials
+    )

@@ -98,6 +98,60 @@ def test_validate_malformed_json_is_usage_error(tmp_path, capsys):
     assert "parse error at line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("trials", 0, "observations", 0, "y"), "abc",
+         "trials[0].observations[0].y: expected a number"),
+        (("correlations", "rho_y"), "a",
+         "correlations.rho_y: expected a number"),
+        (("trials", 0, "observations", 0, "v"), [1],
+         "trials[0].observations[0].v: expected a number"),
+        (("trials", 0, "z"), 3, "trials[0].z: expected a list"),
+        (("trials", 0, "observations"), 5,
+         "trials[0].observations: expected a list"),
+        (("trials", 0, "observations", 0, "category"), "x",
+         "trials[0].observations[0].category: expected an integer"),
+        (("trials", 0, "arms", 0, "x"), "ab",
+         "trials[0].arms[0].x: expected a list"),
+        (("trials", 0, "arms", 0, "x"), "10",
+         "trials[0].arms[0].x: expected a list"),
+        (("schema", "n"), "x", "schema.n: expected an integer"),
+        (("trials", 1, "ref_change_var"), [1],
+         "trials[1].ref_change_var: expected an object"),
+        (("trials", 0, "rho_y"), "a", "trials[0].rho_y: expected a number"),
+        (("trials", 1, "ref_change_var"), {"x": 0.003},
+         "trials[1].ref_change_var: expected numbers keyed by category"),
+        (("schema", "interactions", 0, 0, "level"), "time",
+         "schema.interactions[0][0]: unknown factor level 'time'"),
+        (("schema", "names"), ["x1"], "schema.names: expected an object"),
+    ],
+)
+def test_validate_wrongly_typed_value_is_usage_error(
+    tmp_path, capsys, where, value, message
+):
+    doc = dataset_to_dict(build_basic_dataset())
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "Traceback" not in err
+
+
+def test_validate_nan_value_is_a_violation(tmp_path, capsys):
+    doc = dataset_to_dict(build_basic_dataset())
+    doc["trials"][0]["observations"][0]["y"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(bad)]) == 1
+    assert "non-finite mean difference" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from featmeta import (
     CovarianceError,
-    build_between_covariance,
     build_within_covariance,
     impute_ref_change_variance,
-    mvn_logpdf,
     rho_for_separation,
 )
 from featmeta.covariance import (
@@ -23,6 +21,7 @@ from featmeta.covariance import (
 )
 
 from conftest import arm, decomposed_control_trial, grid_trial
+from reference import build_between_covariance, mvn_logpdf
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from featmeta import (
     validate_dataset,
     validate_trial,
 )
-from featmeta.design import dataset_design_matrix
+from featmeta.design import trial_design_matrix
 
 from conftest import arm, grid_trial
 
@@ -235,6 +235,14 @@ def test_double_one_dummy_unrepresentable():
 # ---------------------------------------------------------------------------
 # centering
 # ---------------------------------------------------------------------------
+
+
+def dataset_design_matrix(dataset):
+    """All trials' design rows stacked (dataset centering applied)."""
+    return np.vstack([
+        trial_design_matrix(dataset.schema, t, dataset.centering)
+        for t in dataset.trials
+    ])
 
 
 def control_design_columns(dataset):

@@ -7,14 +7,22 @@ from hypothesis import strategies as st
 
 from featmeta import (
     CovariateSchema,
+    Dataset,
     Factor,
-    FollowUpIndicator,
     ParameterVector,
+    center_covariates,
     fixed_effects,
 )
-from featmeta.design import design_row, interaction_value, trial_design_matrix
+from featmeta.design import trial_design_matrix
 
-from conftest import arm, build_basic_dataset, decomposed_control_trial, grid_trial
+from conftest import (
+    arm,
+    build_basic_dataset,
+    decomposed_control_trial,
+    grid_trial,
+    random_binary_x,
+)
+from reference import reference_trial_design_matrix
 
 
 @pytest.fixture
@@ -31,16 +39,25 @@ def four_feature_schema():
 
 
 # ---------------------------------------------------------------------------
-# interaction_value
+# interaction columns
 # ---------------------------------------------------------------------------
 
 
+def interaction_column(schema, x, z, categories):
+    """The first interaction column of a one-arm control trial."""
+    trial = grid_trial(
+        "t", "control", [arm("a", x)],
+        categories=categories, q=schema.q, z=z,
+    )
+    return trial_design_matrix(schema, trial)[:, -schema.l]
+
+
 def test_interaction_product_of_ones(basic_schema):
-    assert interaction_value(basic_schema, 0, x=(1.0, 0.0), z=(1.0,), w=(0, 0)) == 1.0
+    assert interaction_column(basic_schema, (1.0, 0.0), (1.0,), (1,))[0] == 1.0
 
 
 def test_interaction_zero_factor_annihilates(basic_schema):
-    assert interaction_value(basic_schema, 0, x=(0.0, 1.0), z=(5.0,), w=(0, 0)) == 0.0
+    assert interaction_column(basic_schema, (0.0, 1.0), (5.0,), (1,))[0] == 0.0
 
 
 def test_three_factor_interaction():
@@ -51,7 +68,7 @@ def test_three_factor_interaction():
              Factor("study", 1)),
         ),
     )
-    value = interaction_value(schema, 0, x=(1.0, 1.0), z=(9.0, 0.5), w=(0.0,))
+    value = interaction_column(schema, (1.0, 1.0), (9.0, 0.5), (1,))[0]
     assert value == 1.0 * 1.0 * 0.5
 
 
@@ -60,14 +77,13 @@ def test_followup_factor_uses_dummy_not_category():
         n=1, p=0, q=3,
         interactions=((Factor("intervention", 0), Factor("followup", 1)),),
     )
-    w_mid = FollowUpIndicator.from_category(2, 3).w
-    w_late = FollowUpIndicator.from_category(3, 3).w
-    assert interaction_value(schema, 0, (1.0,), (), w_mid) == 0.0
-    assert interaction_value(schema, 0, (1.0,), (), w_late) == 1.0
+    at_mid, at_late = interaction_column(schema, (1.0,), (), (2, 3))
+    assert at_mid == 0.0
+    assert at_late == 1.0
 
 
 # ---------------------------------------------------------------------------
-# design_row
+# design rows
 # ---------------------------------------------------------------------------
 
 
@@ -77,11 +93,8 @@ def test_active_identical_arms_give_zero_row(four_feature_schema):
         "t", "active", [arm("r", x), arm("k", x)],
         categories=(1,), q=3, z=(0.7,), reference_arm="r",
     )
-    row = design_row(
-        four_feature_schema, trial, trial.contrast_arms[0],
-        FollowUpIndicator.from_category(1, 3),
-    )
-    assert np.array_equal(row.as_array(), np.zeros(10))
+    row = trial_design_matrix(four_feature_schema, trial)[0]
+    assert np.array_equal(row, np.zeros(10))
 
 
 def test_control_intercept_only_row(four_feature_schema):
@@ -89,13 +102,10 @@ def test_control_intercept_only_row(four_feature_schema):
         "t", "control", [arm("a", (0.0, 0.0, 0.0, 0.0))],
         categories=(1,), q=3, z=(0.0,),
     )
-    row = design_row(
-        four_feature_schema, trial, trial.arms[0],
-        FollowUpIndicator.from_category(1, 3),
-    )
-    assert row.intercept == 1.0
-    assert row.w == (0.0, 0.0)  # short-term observation
-    assert np.array_equal(row.as_array(), np.eye(10)[0])
+    row = trial_design_matrix(four_feature_schema, trial)[0]
+    assert row[0] == 1.0
+    assert tuple(row[6:8]) == (0.0, 0.0)  # short-term observation
+    assert np.array_equal(row, np.eye(10)[0])
 
 
 def test_active_feature_differencing(four_feature_schema):
@@ -104,14 +114,11 @@ def test_active_feature_differencing(four_feature_schema):
         [arm("r", (0.0, 1.0, 1.0, 0.0)), arm("k", (1.0, 0.0, 1.0, 0.0))],
         categories=(1,), q=3, z=(0.7,), reference_arm="r",
     )
-    row = design_row(
-        four_feature_schema, trial, trial.contrast_arms[0],
-        FollowUpIndicator.from_category(1, 3),
-    )
-    assert row.intercept == 0.0
-    assert row.x == (1.0, -1.0, 0.0, 0.0)
-    assert row.z == (0.0,)
-    assert row.w == (0.0, 0.0)
+    row = trial_design_matrix(four_feature_schema, trial)[0]
+    assert row[0] == 0.0
+    assert tuple(row[1:5]) == (1.0, -1.0, 0.0, 0.0)
+    assert tuple(row[5:6]) == (0.0,)
+    assert tuple(row[6:8]) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,73 @@ def test_fixed_effects_linear_in_params(seed, a, b):
             p2, trial, schema
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@st.composite
+def schemas(draw):
+    """n, p >= 0, q of 1 to 4, and up to 3 interactions of 1 to 3 factors."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=2))
+    q = draw(st.integers(min_value=1, max_value=4))
+    pool = (
+        [Factor("intervention", j) for j in range(n)]
+        + [Factor("study", j) for j in range(p)]
+        + [Factor("followup", j) for j in range(q - 1)]
+    )
+    terms = []
+    if pool:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            size = draw(st.integers(min_value=1, max_value=min(3, len(pool))))
+            terms.append(tuple(draw(st.permutations(pool))[:size]))
+    return CovariateSchema(n=n, p=p, q=q, interactions=tuple(terms))
+
+
+def random_trial(rng, schema, trial_id, comparison):
+    n_arms = int(rng.integers(1, 4))
+    arms = [
+        arm(f"a{k}", random_binary_x(rng, schema.n)) for k in range(n_arms + 1)
+    ]
+    categories = tuple(
+        c for c in range(1, schema.q + 1) if c == 1 or rng.random() < 0.6
+    )
+    if comparison == "control":
+        arms = arms[:-1]
+    return grid_trial(
+        trial_id, comparison, arms, categories=categories, q=schema.q,
+        z=tuple(rng.normal(0.0, 2.0, schema.p)),
+        reference_arm=arms[-1].arm_id if comparison == "active" else None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(schema=schemas(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_design_matrix_matches_the_row_by_row_reference(schema, seed):
+    rng = np.random.default_rng(seed)
+    comparisons = ["control"] + [
+        "active" if rng.random() < 0.5 else "control" for _ in range(4)
+    ]
+    trials = [
+        random_trial(rng, schema, f"t{i}", comparison)
+        for i, comparison in enumerate(comparisons)
+    ]
+    _, record = center_covariates(Dataset(schema=schema, trials=trials))
+    for trial in trials:
+        for centering in (None, record):
+            fast = trial_design_matrix(schema, trial, centering)
+            slow = reference_trial_design_matrix(schema, trial, centering)
+            assert fast.shape == slow.shape
+            assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+    # The centering means are those of the raw control rows, bit for bit.
+    raw = np.vstack([
+        reference_trial_design_matrix(schema, t)[:, 1:]
+        for t in trials if t.comparison == "control"
+    ])
+    means = np.concatenate(
+        [record.x_means, record.z_means, record.w_means, record.j_means]
+    )
+    assert np.array_equal(
+        means.view(np.int64), raw.mean(axis=0).view(np.int64)
+    )
 
 
 def test_design_matrix_row_order_time_major(basic_dataset):

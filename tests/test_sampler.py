@@ -27,7 +27,6 @@ from featmeta import (
     fixed_effects,
     log_likelihood_marginal,
     log_prior,
-    mvn_logpdf,
     run_chain,
     run_mcmc,
     simulate_dataset,
@@ -41,6 +40,7 @@ from conftest import arm, build_basic_dataset, build_basic_schema, grid_trial
 from reference import (
     log_likelihood_latent,
     log_likelihood_marginal_direct,
+    mvn_logpdf,
     reference_assemble,
     reference_run_chain,
 )
