@@ -52,13 +52,17 @@ from .sampler import (
     AssembledDataset,
     ChainOutput,
     McmcConfig,
+    McmcRun,
+    Preconditioner,
     PriorSpec,
     SamplerError,
     assemble,
     log_likelihood_marginal,
     log_prior,
+    precondition,
     run_chain,
     run_mcmc,
+    sample_posterior,
 )
 from .simulate import SimConfig, draw_trial_outcomes, simulate_dataset
 
@@ -102,10 +106,14 @@ __all__ = [
     "ChainOutput",
     "SamplerError",
     "AssembledDataset",
+    "Preconditioner",
+    "McmcRun",
     "assemble",
     "log_prior",
     "log_likelihood_marginal",
+    "precondition",
     "run_chain",
+    "sample_posterior",
     "run_mcmc",
     # diagnostics
     "PosteriorSummary",

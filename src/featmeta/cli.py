@@ -42,7 +42,7 @@ from .diagnostics import (
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
-from .sampler import McmcConfig, PriorSpec, SamplerError, run_mcmc
+from .sampler import McmcConfig, PriorSpec, SamplerError, sample_posterior
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = ["main", "cmd_validate", "cmd_fit", "cmd_simulate", "cmd_diagnose"]
@@ -292,7 +292,8 @@ def cmd_fit(args) -> int:
     if st.center:
         dataset, centering = center_covariates(dataset)
 
-    chains = run_mcmc(dataset, config, prior)
+    run = sample_posterior(dataset, config, prior)
+    chains = run.chains
     summaries = summarize(chains)
 
     out = Path(args.out)
@@ -322,6 +323,13 @@ def cmd_fit(args) -> int:
         "settings": asdict(st),
         "centering": centering.as_dict() if centering is not None else None,
         "parameters": list(chains[0].parameter_names),
+        "zeroed_eigenvalues": run.zeroed_eigenvalues,
+        "weakly_identified": list(run.weak_coefficients),
+        "preconditioner": {
+            "tau_mode": run.preconditioner.tau_mode,
+            "log_tau_sd": run.preconditioner.log_tau_sd,
+            "condition_number": run.preconditioner.condition_number,
+        },
         "chains": [
             {
                 "index": c.chain_index,
@@ -376,6 +384,9 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
+    # A JSON string or boolean is no number, as in load_dataset.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"could not convert {value!r}: expected a JSON number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"must be a finite number, got {value!r}")

@@ -568,6 +568,11 @@ def schema_from_dict(raw: dict) -> CovariateSchema:
             f"schema: l={l} but {len(factor_sets)} interactions defined"
         )
     names = _optional(raw, "names", "schema", _OBJECT)
+    for key, labels in (names or {}).items():
+        if type(labels) not in _LIST or not all(type(v) is str for v in labels):
+            raise DataFormatError(
+                f"schema.names.{key}: expected a list of strings, got {labels!r}"
+            )
     try:
         return CovariateSchema(
             n=n, p=p, q=q, interactions=tuple(factor_sets), names=names

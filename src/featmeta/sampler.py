@@ -1,4 +1,4 @@
-"""Posterior sampling by adaptive random-walk Metropolis.
+"""Posterior sampling by random-walk Metropolis with a model-derived proposal.
 
 The model: per trial i, observed contrasts y_i ~ N(delta_i, V_i) with
 heterogeneous arm effects delta_i ~ N(X_i c, tau^2 S_i), where c packs
@@ -12,22 +12,34 @@ diagonalization fixed at assembly time: with L the Cholesky factor of
 S and A = L^-1 V L^-T = Q diag(lam) Q', the map P = Q' L^-1 turns
 V + tau^2 S into diag(lam + tau^2), so each likelihood evaluation is a
 vector operation with no refactorization. This is exact, not an
-approximation.
+approximation. Eigenvalues at or below a trial's rounding floor are set
+to 0 and counted; where lam + tau^2 = 0 the density is -inf.
 
-Proposals are diagonal Gaussian with per-coordinate scales adapted
-toward a 0.234 acceptance rate by Robbins-Monro updates during a
-dedicated adaptation phase, then frozen. tau is sampled on the log
-scale (with the Jacobian term), keeping its support positive.
+The proposal comes from the model. Given tau the coefficients are
+conjugate: with D = diag(lam + tau^2) and Lambda = X'D^-1 X + I/sd^2
+(whitened, stacked arrays), c | tau, y ~ N(Lambda^-1 X'D^-1 y, Lambda^-1),
+so u = log tau has a one-dimensional collapsed density f(u) (Rue,
+Martino & Chopin 2009). Its mode, its curvature there and the slope of
+the conditional mean of c give a Gaussian (Laplace) approximation of
+the joint posterior of (c, u), computed once per run from the assembled
+arrays and the prior. Each chain proposes x + exp(l) R z, with R the
+lower Cholesky factor of that approximation's covariance, z standard
+normal, and one log-scale l per chain: it starts at log(2.38/sqrt(dim))
+(Roberts & Rosenthal 2001) and moves toward a 0.234 acceptance rate by
+Robbins-Monro updates during a dedicated adaptation phase, then is
+frozen. tau is sampled on the log scale (with the Jacobian term),
+keeping its support positive.
 
 All chains of a run advance in lockstep as one (chains, dim) state in
 a single loop: each iteration makes one batched design product and one
 density evaluation over a (chains, observations) block. Chain k still
-draws from its own random stream, so its draws do not depend on which
-chains run with it.
+draws from its own random stream and turns each block of normals into
+proposal directions with its own fixed-shape product by R', so its
+draws do not depend on which chains run with it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
-allocated once, and the per-block proposal increments once the step is
+allocated once, and the per-block proposal increments once the scale is
 frozen. Per-chain scalars (log posteriors, acceptance, counters) are
 Python floats and ints, since a numpy call on a handful of values costs
 more than the arithmetic; each is formed with the same IEEE operations
@@ -55,16 +67,26 @@ __all__ = [
     "McmcConfig",
     "ChainOutput",
     "AssembledDataset",
+    "Preconditioner",
+    "McmcRun",
     "assemble",
     "log_prior",
     "log_likelihood_marginal",
+    "precondition",
     "run_chain",
+    "sample_posterior",
     "run_mcmc",
 ]
 
 TARGET_ACCEPT = 0.234
-SCALE_FLOOR = 1e-6
 INIT_RETRIES = 100
+LOG_TAU_SPAN = 12.0  # the mode of f is sought on (log tau_upper - span, log tau_upper)
+LOG_TAU_GRID = 25  # grid nodes over that bracket
+ZOOM_NODES = 9  # nodes of each refinement between a node's two neighbours
+ZOOMS = 6  # refinements; each narrows the bracket by (ZOOM_NODES - 1) / 2
+FD_STEP = 1e-3  # finite-difference step in log(tau)
+COLLAPSED_BYTES = 1 << 20  # largest temporary of the collapsed density
+WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded design product (see _DesignProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 
@@ -162,9 +184,10 @@ class AssembledDataset:
     dataset: Dataset
     stacked_y: np.ndarray  # concat of P_i y_i
     stacked_design: np.ndarray  # vstack of P_i X_i
-    stacked_eigenvalues: np.ndarray  # concat of lam_i, clipped at 0
+    stacked_eigenvalues: np.ndarray  # concat of lam_i, rounding noise set to 0
     log_density_const: float  # sum_i (dim_i log 2pi + logdet S_i)
     n_coefficients: int
+    zeroed_eigenvalues: int = 0  # lam_i at or below the trial's rounding floor
 
     @property
     def n_parameters(self) -> int:
@@ -187,9 +210,15 @@ def _trials_with_covariance(dataset: Dataset):
 
 
 def assemble(dataset: Dataset) -> AssembledDataset:
-    """Whiten every trial once (see the module docstring) and stack them."""
+    """Whiten every trial once (see the module docstring) and stack them.
+
+    An eigenvalue of the whitened V at or below the trial's rounding
+    floor, dim * eps * max(lam), is set to 0 and counted: it is a
+    singular direction of V, or a negative one repaired to 0.
+    """
     ys, designs, eigenvalues = [], [], []
     const = 0.0
+    zeroed = 0
     # L^-1 and the trial's constant depend on the dimension alone.
     by_dim: dict[int, tuple[np.ndarray, float]] = {}
     for trial, within, design in _trials_with_covariance(dataset):
@@ -208,7 +237,9 @@ def assemble(dataset: Dataset) -> AssembledDataset:
         projector = q.T @ inv_chol  # P
         ys.append(projector @ trial.y_vector())
         designs.append(projector @ design)
-        eigenvalues.append(np.clip(lam, 0.0, None))
+        noise = lam <= dim * np.finfo(float).eps * lam[-1]  # eigh sorts lam
+        zeroed += int(np.count_nonzero(noise))
+        eigenvalues.append(np.where(noise, 0.0, lam))
         const += trial_const
     stacked_design = np.vstack(designs)
     return AssembledDataset(
@@ -218,6 +249,7 @@ def assemble(dataset: Dataset) -> AssembledDataset:
         stacked_eigenvalues=np.concatenate(eigenvalues),
         log_density_const=const,
         n_coefficients=stacked_design.shape[1],
+        zeroed_eigenvalues=zeroed,
     )
 
 
@@ -269,21 +301,29 @@ def log_likelihood_marginal(
     """Marginal log likelihood over all trials (delta integrated out).
 
     Accepts a raw dataset or a pre-assembled one; pass the latter when
-    evaluating many parameter values.
+    evaluating many parameter values. -inf where some lam + tau^2 is 0
+    (a singular V at tau = 0).
     """
     assembled = data if isinstance(data, AssembledDataset) else assemble(data)
     mean = assembled.stacked_design @ params.coefficients()
     tau = float(params.tau)
-    total = float(
-        _marginal_sums(
-            assembled.stacked_y, assembled.stacked_eigenvalues, mean, tau * tau
+    eigenvalues = assembled.stacked_eigenvalues
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = float(
+            _marginal_sums(assembled.stacked_y, eigenvalues, mean, tau * tau)
         )
-    )
+    if not math.isfinite(total) and _zero_denominator(eigenvalues, tau * tau):
+        return -math.inf
     return -0.5 * (assembled.log_density_const + total)
 
 
+def _zero_denominator(eigenvalues: np.ndarray, tau_sq: float) -> bool:
+    """Whether some lam + tau^2 is 0, where the density is -inf."""
+    return bool(np.any(eigenvalues + tau_sq == 0.0))
+
+
 # ---------------------------------------------------------------------------
-# Random-walk Metropolis with per-coordinate adaptation, chains in lockstep
+# Chains in lockstep: streams and the batched log posterior
 # ---------------------------------------------------------------------------
 
 
@@ -331,8 +371,9 @@ class _LogPosterior:
 
     A call takes the (chains, coefficients) and (chains,) log(tau) parts
     of the states and returns one float per chain: -inf where tau is
-    outside the prior's support and NaN where the density is not finite
-    inside it. Each chain's value depends on its own state alone. The
+    outside the prior's support or some lam + tau^2 is 0, and NaN where
+    the density is otherwise not finite inside the support. Each chain's
+    value depends on its own state alone. The
     (chains, observations) work runs in buffers allocated once; each
     chain's few scalars are finished in Python, with the IEEE operations
     numpy would do, in the same order.
@@ -347,6 +388,7 @@ class _LogPosterior:
         n_chains = len(chains)
         n_obs = assembled.stacked_y.shape[0]
         self.log_density_const = assembled.log_density_const
+        self.stacked_eigenvalues = assembled.stacked_eigenvalues
         self.tau_upper = prior.tau_upper
         n_coeff = assembled.n_coefficients
         self.design = _DesignProduct(assembled.stacked_design, chains)
@@ -390,8 +432,179 @@ class _LogPosterior:
                 continue
             # lt is the Jacobian of the tau -> log(tau) reparameterization.
             lp = -0.5 * (const + s) - hp * q + (lt + pc)
-            out.append(lp if math.isfinite(lp) else math.nan)
+            if not math.isfinite(lp):
+                zero = _zero_denominator(self.stacked_eigenvalues, t * t)
+                lp = -math.inf if zero else math.nan
+            out.append(lp)
         return out
+
+
+# ---------------------------------------------------------------------------
+# The proposal: a Laplace approximation built on the collapsed density
+# ---------------------------------------------------------------------------
+
+
+def _collapsed(
+    assembled: AssembledDataset, prior: PriorSpec, log_tau
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The collapsed log density f(u) of u = log(tau), the mean of
+    c | tau, y and the lower Cholesky factor L of its precision Lambda,
+    at each u of ``log_tau``.
+
+    f(u) = -1/2 sum log(lam + tau^2) - 1/2 log det Lambda
+    - 1/2 (y'D^-1 y - b'Lambda^-1 b) + u, with b = X'D^-1 y, is
+    log p(u | y) up to a constant, the prior's uniform bound aside. f is
+    -inf wherever it is not finite (some lam + tau^2 <= 0 among them);
+    the mean and L are NaN there. Several u are evaluated at once, in
+    temporaries of at most about COLLAPSED_BYTES.
+
+    One Cholesky factor per u does it: that of [X y]'D^-1 [X y] plus
+    diag(1/sd^2, ..., 1/sd^2, 1) has L in its leading block, L^-1 b below
+    it and sqrt(1 + y'D^-1 y - b'Lambda^-1 b) last; the 1 keeps that
+    pivot positive when the fit is exact.
+    """
+    columns = np.column_stack([assembled.stacked_design, assembled.stacked_y])
+    n_obs, width = columns.shape
+    k = width - 1
+    u = np.asarray(log_tau, dtype=float)
+    f = np.full(u.shape, -math.inf)
+    mean = np.full((u.size, k), math.nan)
+    lower = np.full((u.size, k, k), math.nan)
+    diagonal = np.arange(width)
+    ridge = np.append(np.full(k, 1.0 / prior.coeff_sd**2), 1.0)
+    columns_t = np.ascontiguousarray(columns.T)
+    per_u = max(1, COLLAPSED_BYTES // (8 * n_obs * width))
+    with np.errstate(all="ignore"):
+        for lo in range(0, u.size, per_u):
+            part = slice(lo, lo + per_u)
+            denom = assembled.stacked_eigenvalues + np.exp(2.0 * u[part])[:, None]
+            weighted = columns_t * (1.0 / denom)[:, None, :]  # [X y]'D^-1 per u
+            gram = np.matmul(weighted, columns)
+            gram[:, diagonal, diagonal] += ridge
+            good = np.all(denom > 0.0, axis=1) & np.all(
+                np.isfinite(gram), axis=(1, 2)
+            )
+            gram[~good] = np.eye(width)  # keeps the factorization finite
+            chol = _cholesky(gram)
+            log_det = 2.0 * np.log(chol[:, diagonal[:k], diagonal[:k]]).sum(axis=1)
+            quad = chol[:, k, k] ** 2 - 1.0
+            value = u[part] - 0.5 * (np.log(denom).sum(axis=1) + log_det + quad)
+            good &= np.isfinite(value)
+            f[part] = np.where(good, value, -math.inf)
+            # The mean L^-T (L^-1 b); the upper-triangular L' needs no
+            # pivoting.
+            upper = chol[:, :k, :k].transpose(0, 2, 1)
+            upper[~good] = np.eye(k)
+            m = np.linalg.solve(upper, chol[:, k, :k, None])[:, :, 0]
+            mean[part][good] = m[good]
+            lower[part][good] = chol[good, :k, :k]
+    return f, mean, lower
+
+
+def _cholesky(matrices: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of matrices; NaN for one that is
+    not numerically positive definite."""
+    try:
+        return np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        out = np.full_like(matrices, math.nan)
+        for i, matrix in enumerate(matrices):
+            try:
+                out[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class Preconditioner:
+    """Gaussian (Laplace) approximation of the posterior of (c, log tau).
+
+    ``tau_mode`` is exp of the mode u of the collapsed density f,
+    ``log_tau_sd`` is s = (-f''(u))^-1/2, or 1 where the mode sits on
+    the edge of the bracket or of the region where f is finite, or f''
+    is not negative there. With g the slope in u of the conditional mean
+    of c, the covariance is Sigma_cc = Lambda(u)^-1 + s^2 g g',
+    Sigma_cu = s^2 g and Sigma_uu = s^2; ``factor`` is its lower
+    Cholesky factor R and ``condition_number`` its 2-norm condition
+    number. ``conditional_sd`` is the sd of each coefficient given tau
+    at the mode.
+    """
+
+    factor: np.ndarray
+    tau_mode: float
+    log_tau_sd: float
+    condition_number: float
+    conditional_sd: np.ndarray
+
+
+def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditioner:
+    """The proposal shape of ``run_chain``, from the assembled arrays and
+    the prior alone.
+
+    The mode of f is found on a grid over (log tau_upper - LOG_TAU_SPAN,
+    log tau_upper), then refined ZOOMS times between the best node's
+    neighbours; f'' and g come from central differences.
+    """
+    top = math.log(prior.tau_upper)
+    nodes = np.linspace(top - LOG_TAU_SPAN, top, LOG_TAU_GRID)
+    values, _, _ = _collapsed(assembled, prior, nodes)
+    best = int(np.argmax(values))
+    if values[best] == -math.inf:
+        raise SamplerError(
+            "the collapsed posterior of tau is not finite anywhere on "
+            f"({nodes[0]:.4g}, {top:.4g}) in log(tau)"
+        )
+    interior = 0 < best < nodes.size - 1 and (
+        values[best - 1] > -math.inf and values[best + 1] > -math.inf
+    )
+    mode = float(nodes[best])
+    if interior:
+        lo, hi = nodes[best - 1], nodes[best + 1]
+        for _ in range(ZOOMS):
+            zoom = np.linspace(lo, hi, ZOOM_NODES)
+            best = int(np.argmax(_collapsed(assembled, prior, zoom)[0]))
+            mode = float(zoom[best])
+            lo, hi = zoom[max(best - 1, 0)], zoom[min(best + 1, ZOOM_NODES - 1)]
+    values, means, lowers = _collapsed(
+        assembled, prior, mode + FD_STEP * np.array([-1.0, 0.0, 1.0])
+    )
+    k = assembled.n_coefficients
+    root = np.linalg.solve(lowers[1].T, np.eye(k))  # L^-T
+    cov = root @ root.T  # Lambda(u)^-1
+    curvature = (values[0] - 2.0 * values[1] + values[2]) / FD_STEP**2
+    sd = (
+        1.0 / math.sqrt(-curvature)
+        if interior and -math.inf < curvature < 0.0 else 1.0
+    )
+    slope = (means[2] - means[0]) / (2.0 * FD_STEP)
+    if not np.all(np.isfinite(slope)):
+        slope = np.zeros_like(slope)  # f is not finite on one side
+    sigma = np.empty((k + 1, k + 1))
+    sigma[:k, :k] = 0.5 * (cov + cov.T) + sd * sd * np.outer(slope, slope)
+    sigma[:k, k] = sigma[k, :k] = sd * sd * slope
+    sigma[k, k] = sd * sd
+    try:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as e:
+        raise SamplerError(
+            "the Laplace approximation of the posterior is not positive "
+            f"definite (condition number {np.linalg.cond(sigma):.3g}); "
+            "coefficients that only a very wide prior constrains, such as "
+            "those of collinear covariates, make it so"
+        ) from e
+    return Preconditioner(
+        factor=factor,
+        tau_mode=math.exp(mode),
+        log_tau_sd=sd,
+        condition_number=float(np.linalg.cond(sigma)),
+        conditional_sd=np.sqrt(np.diagonal(cov)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Random-walk Metropolis with one adapted scale per chain, in lockstep
+# ---------------------------------------------------------------------------
 
 
 def run_chain(
@@ -399,15 +612,19 @@ def run_chain(
     config: McmcConfig,
     prior: PriorSpec,
     chains: Sequence[int],
+    preconditioner: Preconditioner | None = None,
 ) -> list[ChainOutput]:
     """Run the Metropolis chains ``chains``, advancing them in lockstep.
 
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its proposals and acceptance uniforms come
     from its own stream, taken in blocks sized from the state dimension,
-    and every batched operation treats each chain's row on its own.
-    tau is recorded on its natural scale. A proposal whose log posterior
-    is not finite inside the prior's support is rejected and counted.
+    the proposal shape R depends on the data and the prior alone, and
+    every batched operation treats each chain's row on its own.
+    ``preconditioner`` is ``precondition(assembled, prior)``, computed
+    here when not given. tau is recorded on its natural scale. A
+    proposal whose log posterior is not finite inside the prior's
+    support is rejected and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -442,21 +659,20 @@ def run_chain(
             f"chain(s) {stuck}: no finite starting point after "
             f"{INIT_RETRIES} attempts"
         )
+    if preconditioner is None:
+        preconditioner = precondition(assembled, prior)
+    factor_t = preconditioner.factor.T
 
-    # Robbins-Monro adaptation of a global step multiplier and
-    # per-coordinate spread estimates (frozen after the adapt phase).
-    log_scale = [0.0] * n_chains
-    running_mean = state.copy()
-    running_var = np.full((n_chains, dim), 1e-4)
+    # One log-scale per chain, moved by Robbins-Monro toward the target
+    # acceptance during the adapt phase, then frozen.
+    log_scale = [math.log(2.38 / math.sqrt(dim))] * n_chains
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
     normals = np.empty((n_chains, block, dim))
+    increments = np.empty((n_chains, block, dim))  # normals @ R'
     uniforms = np.empty((n_chains, block))
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
-    delta = np.empty((n_chains, dim))
-    weighted = np.empty((n_chains, dim))
-    step = np.empty((n_chains, dim))
 
     draws = np.empty((n_chains, config.samples, dim))
     adapt_accepted = [0] * n_chains
@@ -466,13 +682,6 @@ def run_chain(
     recorded = 0
     warm = config.adapt + config.burn_in
     total_iters = warm + config.samples * config.thin
-
-    def update_step() -> None:
-        """step = exp(log_scale) * max(sqrt(running_var), SCALE_FLOOR)."""
-        np.sqrt(running_var, out=step)
-        np.maximum(step, SCALE_FLOOR, out=step)
-        # np.exp, not math.exp: the two may differ in the last bit.
-        np.multiply(step, np.exp(log_scale)[:, None], out=step)
 
     def metropolis(log_u: list[float], counts: list[int]) -> list[float]:
         """Accept or reject each chain's ``proposal``, counting acceptances
@@ -492,27 +701,24 @@ def run_chain(
 
     with np.errstate(all="ignore"):
         for lo in range(0, total_iters, block):
+            # A fixed-shape product per chain: one product over all chains
+            # would round each chain's rows differently for each count.
             for c, rng in enumerate(rngs):
                 rng.standard_normal(out=normals[c])
                 rng.random(out=uniforms[c])
+                np.matmul(normals[c], factor_t, out=increments[c])
             log_u = np.log(uniforms).T.tolist()
             hi = min(lo + block, total_iters)
             frozen = min(max(lo, config.adapt), hi)  # adaptation ends here
 
             for it in range(lo, frozen):
-                update_step()
-                np.multiply(normals[:, it - lo], step, out=proposal)
+                # np.exp, not math.exp: the two may differ in the last bit.
+                scale = np.exp(log_scale)
+                np.multiply(increments[:, it - lo], scale[:, None], out=proposal)
                 proposal += state
                 ratios = metropolis(log_u[it - lo], adapt_accepted)
                 gamma = (10.0 + it) ** -0.6
-                np.subtract(state, running_mean, out=delta)
-                np.multiply(delta, gamma, out=weighted)
-                running_mean += weighted
-                # var <- (1 - gamma) var + gamma delta^2, in place.
-                running_var *= 1.0 - gamma
-                weighted *= delta
-                running_var += weighted
-                # A NaN ratio scores 0. np.exp, as in update_step.
+                # A NaN ratio scores 0.
                 accept_prob = np.exp(
                     [min(r, 0.0) if r == r else -math.inf for r in ratios]
                 ).tolist()
@@ -523,14 +729,14 @@ def run_chain(
 
             if frozen == hi:
                 continue
-            if frozen == config.adapt:  # the step is frozen from here on
-                update_step()
-            # With the step frozen, scale the rest of the block at once:
-            # each normal becomes its iteration's proposal increment.
-            rest = normals[:, frozen - lo : hi - lo]
-            np.multiply(rest, step[:, None, :], out=rest)
+            if frozen == config.adapt:  # the scale is frozen from here on
+                scale = np.exp(log_scale)
+            # With the scale frozen, scale the rest of the block at once:
+            # each increment becomes its iteration's proposal step.
+            rest = increments[:, frozen - lo : hi - lo]
+            np.multiply(rest, scale[:, None, None], out=rest)
             for it in range(frozen, hi):
-                np.add(state, normals[:, it - lo], out=proposal)
+                np.add(state, increments[:, it - lo], out=proposal)
                 if it < warm:
                     metropolis(log_u[it - lo], burn_accepted)
                     continue
@@ -558,21 +764,68 @@ def run_chain(
     ]
 
 
-def run_mcmc(
+@dataclass(frozen=True, eq=False)
+class McmcRun:
+    """The chains of ``sample_posterior`` and what the run found out.
+
+    ``weak_coefficients`` names the coefficients that only the prior
+    constrains: their ``Preconditioner.conditional_sd`` exceeds
+    WEAK_SD_FRACTION of the prior sd. ``zeroed_eigenvalues`` is
+    ``AssembledDataset.zeroed_eigenvalues``.
+    """
+
+    chains: list[ChainOutput]
+    preconditioner: Preconditioner
+    weak_coefficients: tuple[str, ...]
+    zeroed_eigenvalues: int
+
+
+def sample_posterior(
     dataset: Dataset,
     config: McmcConfig = McmcConfig(),
     prior: PriorSpec = PriorSpec(),
-) -> list[ChainOutput]:
+) -> McmcRun:
     """Sample the posterior with ``config.chains`` chains.
 
     All chains advance together in one ``run_chain`` call. Each chain is
-    reproducible from ``config.seed`` and its index alone.
+    reproducible from ``config.seed`` and its index alone. Warns about
+    uncentered covariates and about weakly identified coefficients.
     """
     if dataset.centering is None and dataset.schema.n_parameters > 2:
         warnings.warn(
             "fitting on uncentered covariates; the intercept and "
             "coefficients may mix poorly (see center_covariates)",
-            stacklevel=2,
+            stacklevel=3,
         )
     assembled = assemble(dataset)
-    return run_chain(assembled, config, prior, range(config.chains))
+    preconditioner = precondition(assembled, prior)
+    weak = tuple(
+        name
+        for name, sd in zip(assembled.parameter_names, preconditioner.conditional_sd)
+        if sd > WEAK_SD_FRACTION * prior.coeff_sd
+    )
+    if weak:
+        warnings.warn(
+            f"weakly identified coefficient(s) {', '.join(weak)}: their "
+            f"posterior sd given tau exceeds {WEAK_SD_FRACTION:g} of the "
+            f"prior sd {prior.coeff_sd:g}, so the prior alone constrains them",
+            stacklevel=3,
+        )
+    chains = run_chain(
+        assembled, config, prior, range(config.chains), preconditioner
+    )
+    return McmcRun(
+        chains=chains,
+        preconditioner=preconditioner,
+        weak_coefficients=weak,
+        zeroed_eigenvalues=assembled.zeroed_eigenvalues,
+    )
+
+
+def run_mcmc(
+    dataset: Dataset,
+    config: McmcConfig = McmcConfig(),
+    prior: PriorSpec = PriorSpec(),
+) -> list[ChainOutput]:
+    """The chains of ``sample_posterior``."""
+    return sample_posterior(dataset, config, prior).chains

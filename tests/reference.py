@@ -4,8 +4,10 @@ The densities are rebuilt trial by trial from the covariance and design
 layers, without the whitened, stacked arrays of
 ``featmeta.sampler.assemble``; ``mvn_logpdf`` is the dense Gaussian
 density and ``build_between_covariance`` the heterogeneity covariance
-tau^2 S they use. ``reference_run_chain`` is the sampler loop written
-with numpy arrays for every per-chain quantity, ``reference_assemble``
+tau^2 S they use. ``conditional_coefficients`` is the mean and
+precision of c | tau, y by a dense solve over the trials.
+``reference_run_chain`` is the sampler loop written with numpy arrays
+for every per-chain quantity, ``reference_assemble``
 the assembly that factors S once per trial, and
 ``reference_trial_design_matrix`` the design matrix built one
 ``DesignRow`` object per observation.
@@ -32,7 +34,6 @@ from featmeta.design import ParameterVector
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
     INIT_RETRIES,
-    SCALE_FLOOR,
     AssembledDataset,
     ChainOutput,
     McmcConfig,
@@ -41,6 +42,7 @@ from featmeta.sampler import (
     _chain_rng,
     _DesignProduct,
     _trials_with_covariance,
+    precondition,
 )
 
 
@@ -105,6 +107,22 @@ def log_likelihood_marginal_direct(
         cov = within + params.tau**2 * between_structure(within.shape[0])
         total += mvn_logpdf(trial.y_vector(), design @ coeffs, cov)
     return total
+
+
+def conditional_coefficients(
+    dataset: Dataset, tau: float, coeff_sd: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and precision of c | tau, y under the prior N(0, coeff_sd^2 I),
+    by a dense solve per trial: Lambda = sum_i X_i' C_i^-1 X_i + I/sd^2
+    and mean = Lambda^-1 sum_i X_i' C_i^-1 y_i, with C_i = V_i + tau^2 S_i.
+    """
+    precision = np.eye(dataset.schema.n_parameters - 1) / coeff_sd**2
+    rhs = np.zeros(precision.shape[0])
+    for trial, within, design in _trials_with_covariance(dataset):
+        cov = within + tau**2 * between_structure(within.shape[0])
+        precision += design.T @ np.linalg.solve(cov, design)
+        rhs += design.T @ np.linalg.solve(cov, trial.y_vector())
+    return np.linalg.solve(precision, rhs), precision
 
 
 def _split_deltas(
@@ -182,8 +200,9 @@ class _LogPosterior:
     """Log posterior of a (chains, dim) batch of sampler states.
 
     A state holds the coefficients, then log(tau). The result is -inf
-    where tau is outside the prior's support and NaN where the density
-    is not finite inside it. Each row depends on that row alone.
+    where tau is outside the prior's support or some lam + tau^2 is 0,
+    and NaN where the density is otherwise not finite inside the
+    support. Each row depends on that row alone.
     """
 
     def __init__(
@@ -214,8 +233,13 @@ class _LogPosterior:
         quad = (coeffs * coeffs).sum(axis=1)
         # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
         lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
+        zero = np.any(
+            self.assembled.stacked_eigenvalues + (tau * tau)[:, None] == 0.0,
+            axis=1,
+        )
+        nonfinite = np.where(zero, -math.inf, math.nan)
         return np.where(
-            support, np.where(np.isfinite(lp), lp, math.nan), -math.inf
+            support, np.where(np.isfinite(lp), lp, nonfinite), -math.inf
         )
 
 
@@ -225,19 +249,19 @@ def reference_run_chain(
     prior: PriorSpec,
     chains: Sequence[int],
 ) -> list[ChainOutput]:
-    """The vectorized lockstep loop ``featmeta.sampler.run_chain`` had
-    before its per-chain bookkeeping moved to Python floats; the sampler
-    must reproduce it bit for bit. It also counts adaptation-phase
-    acceptances, for ``adapt_accept_rate``.
+    """``featmeta.sampler.run_chain`` with every per-chain quantity in
+    numpy arrays, one iteration at a time; the sampler must reproduce it
+    bit for bit. The proposal shape R is ``precondition``'s.
 
     Run the Metropolis chains ``chains``, advancing them in lockstep.
-
-    Chain k's output depends on (config.seed, k) alone, never on which
-    other chains run with it: its proposals and acceptance uniforms come
-    from its own stream, taken in blocks sized from the state dimension,
-    and every batched operation treats each chain's row on its own.
-    tau is recorded on its natural scale. A proposal whose log posterior
-    is not finite inside the prior's support is rejected and counted.
+    Chain k proposes x + exp(l_k) R z with one log-scale l_k, adapted by
+    Robbins-Monro toward the target acceptance, then frozen. Chain k's
+    output depends on (config.seed, k) alone: its normals and uniforms
+    come from its own stream, taken in blocks sized from the state
+    dimension, and each block of its normals is multiplied by R' on its
+    own. tau is recorded on its natural scale. A proposal whose log
+    posterior is not finite inside the prior's support is rejected and
+    counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -270,15 +294,12 @@ def reference_run_chain(
             f"chain(s) {stuck}: no finite starting point after "
             f"{INIT_RETRIES} attempts"
         )
-
-    # Robbins-Monro adaptation of a global step multiplier and
-    # per-coordinate spread estimates (frozen after the adapt phase).
-    log_scale = np.zeros(n_chains)
-    running_mean = state.copy()
-    running_var = np.full((n_chains, dim), 1e-4)
+    factor = precondition(assembled, prior).factor
+    log_scale = np.full(n_chains, math.log(2.38 / math.sqrt(dim)))
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
     normals = np.empty((n_chains, block, dim))
+    increments = np.empty((n_chains, block, dim))
     uniforms = np.empty((n_chains, block))
     log_u = np.empty((n_chains, block))
 
@@ -297,14 +318,13 @@ def reference_run_chain(
                 for c, rng in enumerate(rngs):
                     rng.standard_normal(out=normals[c])
                     rng.random(out=uniforms[c])
+                    increments[c] = normals[c] @ factor.T
                 np.log(uniforms, out=log_u)
             adapting = it < config.adapt
-            if it <= config.adapt:  # the step is frozen once adaptation ends
-                step = np.exp(log_scale)[:, None] * np.maximum(
-                    np.sqrt(running_var), SCALE_FLOOR
-                )
+            if it <= config.adapt:  # the scale is frozen once adaptation ends
+                scale = np.exp(log_scale)
 
-            proposal = state + normals[:, j] * step
+            proposal = state + increments[:, j] * scale[:, None]
             proposal_lp = log_post(proposal)
             # A NaN log ratio fails the test below, so the proposal is
             # rejected; it is counted here and scores 0 in the adaptation.
@@ -317,9 +337,6 @@ def reference_run_chain(
             if adapting:
                 adapt_accepted += accept
                 gamma = (10.0 + it) ** -0.6
-                delta = state - running_mean
-                running_mean += gamma * delta
-                running_var = (1.0 - gamma) * running_var + gamma * delta * delta
                 accept_prob = np.nan_to_num(
                     np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
                 )

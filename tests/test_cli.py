@@ -226,6 +226,19 @@ def test_fit_manifest_records_adaptation_acceptance(data_file, tmp_path):
     assert [e["adapt_accept_rate"] for e in manifest["chains"]] == [None, None]
 
 
+def test_fit_manifest_records_the_proposal_and_the_checks(data_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    pre = manifest["preconditioner"]
+    assert set(pre) == {"tau_mode", "log_tau_sd", "condition_number"}
+    assert 0.0 < pre["tau_mode"] < manifest["settings"]["tau_upper"]
+    assert pre["log_tau_sd"] > 0.0
+    assert pre["condition_number"] >= 1.0
+    assert manifest["zeroed_eigenvalues"] == 0
+    assert isinstance(manifest["weakly_identified"], list)
+
+
 def test_fit_explicit_flags_override_manifest(data_file, tmp_path):
     first = tmp_path / "run1"
     assert main(fast_fit_args(data_file, first)) == 0
@@ -550,6 +563,57 @@ def test_simulate_bad_generator_value_is_config_error(
     assert message in err, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"params": {"alpha": "-0.04"}}, "params.alpha"),
+        ({"params": {"tau": False}}, "params.tau"),
+        ({"params": {"beta": ["0.01", -0.02]}}, "params.beta"),
+        ({"control_fraction": "0.5"}, "control_fraction"),
+        ({"rho_y": True}, "rho_y"),
+        ({"variance_range": ["0.001", 0.01]}, "variance_range"),
+    ],
+)
+def test_simulate_number_written_as_string_or_boolean_is_config_error(
+    tmp_path, capsys, change, key
+):
+    bad = json.loads(json.dumps(SIM_CONFIG))
+    for name, value in change.items():
+        if name == "params":
+            bad["params"].update(value)
+        else:
+            bad[name] = value
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "x.json"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key}: could not convert" in err and "expected a JSON number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [5, "beta", ["a", 3], {"a": "b"}])
+def test_schema_names_must_be_lists_of_strings(tmp_path, capsys, labels):
+    bad = json.loads(json.dumps(SIM_CONFIG))
+    bad["schema"]["names"] = {"x": labels}
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "x.json"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "schema.names.x: expected a list of strings" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    doc = dataset_to_dict(build_basic_dataset())
+    doc["schema"]["names"] = {"x": labels}
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(data)]) == 2
+    assert "schema.names.x: expected a list of strings" in capsys.readouterr().err
 
 
 def test_simulate_negative_seed_flag_is_config_error(tmp_path, capsys):

@@ -38,6 +38,7 @@ from featmeta.diagnostics import mcse_mean
 import reference
 from conftest import arm, build_basic_dataset, build_basic_schema, grid_trial
 from reference import (
+    conditional_coefficients,
     log_likelihood_latent,
     log_likelihood_marginal_direct,
     mvn_logpdf,
@@ -363,6 +364,37 @@ def test_singular_within_covariance_marginal_matches_direct():
         )
 
 
+def test_singular_within_covariance_is_minus_inf_at_tau_zero():
+    # The zero eigenvalue of V = [[v, v], [v, v]] comes out of eigh as
+    # rounding noise; assemble sets it to 0 and counts it, so the density
+    # at tau = 0 is -inf, not a huge finite number.
+    dataset = singular_within_dataset()
+    assembled = assemble(dataset)
+    assert assembled.zeroed_eigenvalues == 1
+    assert np.count_nonzero(assembled.stacked_eigenvalues == 0.0) == 1
+    params = basic_params(dataset.schema, 0.03 * np.ones(7), tau=0.0)
+    assert log_likelihood_marginal(assembled, params) == -math.inf
+    for tau in (0.01, 0.05):
+        params = basic_params(dataset.schema, 0.03 * np.ones(7), tau=tau)
+        assert log_likelihood_marginal(assembled, params) == pytest.approx(
+            log_likelihood_marginal_direct(dataset, params), rel=1e-12
+        )
+    # tau = exp(-400) lies inside the support, but tau^2 underflows to 0.
+    log_post = sampler._LogPosterior(assembled, PriorSpec(), [0])
+    coeffs = 0.03 * np.ones((1, 7))
+    with np.errstate(all="ignore"):  # as in run_chain
+        assert log_post(coeffs, np.array([-400.0])) == [-math.inf]
+        assert math.isfinite(log_post(coeffs, np.array([math.log(0.05)]))[0])
+    f, _, _ = sampler._collapsed(assembled, PriorSpec(), np.array([-3.0, 0.0]))
+    assert np.all(np.isfinite(f))
+
+
+def test_regular_datasets_zero_no_eigenvalue():
+    assert assemble(build_basic_dataset()).zeroed_eigenvalues == 0
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    assert assemble(centered).zeroed_eigenvalues == 0
+
+
 def test_singular_within_covariance_has_no_latent_density():
     dataset = singular_within_dataset()
     params = basic_params(dataset.schema, tau=0.1)
@@ -434,6 +466,174 @@ def test_assemble_keeps_every_bit_of_the_stacked_arrays(seed):
         ), name
     assert assembled.log_density_const == want.log_density_const
     assert assembled_digest(assembled) == ASSEMBLED_DIGESTS[seed]
+
+
+# ---------------------------------------------------------------------------
+# the collapsed density of log(tau) and the proposal built on it
+# ---------------------------------------------------------------------------
+
+
+def log_conditional_density(c, mean, precision):
+    """log N(c; mean, precision^-1)."""
+    resid = c - mean
+    _, log_det = np.linalg.slogdet(precision)
+    return -0.5 * (
+        c.size * math.log(2.0 * math.pi) - log_det + resid @ precision @ resid
+    )
+
+
+@pytest.mark.parametrize("which", ["basic", "recovery"])
+def test_collapsed_density_matches_the_dense_identity(which):
+    # log p(tau | y) = log p(y | c, tau) + log p(c) - log p(c | tau, y)
+    # + const at any c; f adds the Jacobian u = log tau. Differences of f
+    # between tau pairs must match the right side at two different c.
+    if which == "basic":
+        dataset = centered_basic_dataset()
+    else:
+        dataset, _ = center_covariates(
+            simulate_dataset(recovery_sim_config(1000))
+        )
+    prior = PriorSpec()
+    assembled = assemble(dataset)
+    k = assembled.n_coefficients
+    rng = np.random.default_rng(7)
+    taus = np.exp(rng.uniform(math.log(0.01), math.log(1.0), size=6))
+    f, means, _ = sampler._collapsed(assembled, prior, np.log(taus))
+    coeffs = [rng.normal(0.0, 0.05, size=k) for _ in range(2)]
+    rights = []
+    for c in coeffs:
+        right = []
+        for i, tau in enumerate(taus):
+            mean, precision = conditional_coefficients(
+                dataset, float(tau), prior.coeff_sd
+            )
+            np.testing.assert_allclose(means[i], mean, rtol=1e-8, atol=1e-12)
+            params = ParameterVector.from_array(np.append(c, tau), dataset.schema)
+            right.append(
+                log_likelihood_marginal_direct(dataset, params)
+                + log_prior(params, prior)
+                - log_conditional_density(c, mean, precision)
+            )
+        rights.append(np.array(right))
+    for i, j in [(0, 1), (2, 3), (4, 5), (1, 4)]:
+        want = f[i] - f[j] - (math.log(taus[i]) - math.log(taus[j]))
+        for right in rights:
+            assert want == pytest.approx(right[i] - right[j], abs=1e-9)
+
+
+def test_preconditioner_sits_at_a_local_maximum_of_f():
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    prior = PriorSpec()
+    assembled = assemble(centered)
+    pre = sampler.precondition(assembled, prior)
+    mode = math.log(pre.tau_mode)
+    f, _, _ = sampler._collapsed(
+        assembled, prior, mode + np.array([-1e-3, 0.0, 1e-3])
+    )
+    assert f[1] >= f[0] and f[1] >= f[2]
+    assert 0.0 < pre.log_tau_sd < 1.0
+    # The factor reproduces the stated covariance, rebuilt from the dense
+    # conditional moments: Lambda^-1 + s^2 g g', s^2 g and s^2.
+    h = 1e-3
+    lower, _ = conditional_coefficients(centered, pre.tau_mode * math.exp(-h), 100.0)
+    upper, _ = conditional_coefficients(centered, pre.tau_mode * math.exp(h), 100.0)
+    _, precision = conditional_coefficients(centered, pre.tau_mode, 100.0)
+    g = (upper - lower) / (2.0 * h)
+    s2 = pre.log_tau_sd**2
+    k = assembled.n_coefficients
+    sigma = np.empty((k + 1, k + 1))
+    sigma[:k, :k] = np.linalg.inv(precision) + s2 * np.outer(g, g)
+    sigma[:k, k] = sigma[k, :k] = s2 * g
+    sigma[k, k] = s2
+    np.testing.assert_allclose(
+        pre.factor @ pre.factor.T, sigma, rtol=1e-6, atol=1e-12
+    )
+    assert np.array_equal(pre.factor, np.tril(pre.factor))
+    assert pre.condition_number == pytest.approx(np.linalg.cond(sigma), rel=1e-6)
+    np.testing.assert_allclose(
+        pre.conditional_sd, np.sqrt(np.diag(np.linalg.inv(precision))),
+        rtol=1e-9,
+    )
+
+
+def test_preconditioner_falls_back_to_unit_log_tau_sd_at_the_bracket_edge():
+    # Criterion 4's toy: tau_upper = 1e-6 makes the posterior of log(tau)
+    # proportional to tau, so f rises up to the top of the bracket.
+    schema = CovariateSchema(n=0, p=0, q=1, interactions=())
+    trial = grid_trial("toy", "control", [arm("a", ())],
+                       categories=(1,), q=1, v=0.005, y=0.03)
+    dataset = Dataset(schema=schema, trials=(trial,), base_rho_y=0.8,
+                      base_rho_d=0.64)
+    pre = sampler.precondition(
+        assemble(dataset), PriorSpec(coeff_sd=1e8, tau_upper=1e-6)
+    )
+    assert pre.log_tau_sd == 1.0
+    assert pre.tau_mode == pytest.approx(1e-6)
+    assert pre.conditional_sd[0] == pytest.approx(math.sqrt(0.005), rel=1e-6)
+
+
+def test_preconditioner_survives_nan_densities():
+    # With an eigenvalue of -0.2, f is NaN for tau^2 < 0.2: the mode sits
+    # on the edge of the region where f is finite, and the factor stays
+    # finite.
+    assembled = assemble(centered_basic_dataset())
+    assembled.stacked_eigenvalues[0] = -0.2
+    pre = sampler.precondition(assembled, PriorSpec())
+    assert np.all(np.isfinite(pre.factor))
+    assert pre.tau_mode**2 > 0.2
+    assert pre.log_tau_sd == 1.0
+    f, _, _ = sampler._collapsed(
+        assembled, PriorSpec(), np.array([math.log(0.3), math.log(0.5)])
+    )
+    assert f[0] == -math.inf and math.isfinite(f[1])
+
+
+def test_preconditioner_refuses_a_density_finite_nowhere():
+    assembled = assemble(centered_basic_dataset())
+    assembled.stacked_eigenvalues[0] = -30.0  # NaN below tau^2 = 30 > 5^2
+    with pytest.raises(sampler.SamplerError, match="not finite anywhere"):
+        sampler.precondition(assembled, PriorSpec())
+
+
+def test_unadapted_chain_keeps_the_initial_scale():
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(adapt=0, burn_in=0, samples=50)
+    [chain] = run_chain(assembled, config, PriorSpec(), [0])
+    dim = assembled.n_parameters
+    assert chain.proposal_log_scale == math.log(2.38 / math.sqrt(dim))
+
+
+def with_constant_feature(dataset, j):
+    """The dataset with intervention feature j set to 1 in every arm."""
+    def constant(arm_):
+        x = list(arm_.x)
+        x[j] = 1.0
+        return dataclasses.replace(arm_, x=tuple(x))
+
+    return dataclasses.replace(dataset, trials=tuple(
+        dataclasses.replace(t, arms=tuple(constant(a) for a in t.arms))
+        for t in dataset.trials
+    ))
+
+
+def test_feature_that_never_varies_is_reported_weakly_identified():
+    raw = with_constant_feature(simulate_dataset(recovery_sim_config(1000)), 3)
+    centered, _ = center_covariates(raw)
+    config = small_config(adapt=100, burn_in=0, samples=50)
+    with pytest.warns(UserWarning, match="weakly identified coefficient.*beta_4"):
+        run = sampler.sample_posterior(centered, config, PriorSpec())
+    assert run.weak_coefficients == ("beta_4",)
+    assert run.preconditioner.conditional_sd[4] == pytest.approx(100.0)
+
+
+def test_recovery_schema_raises_no_identifiability_warning(recwarn):
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    config = small_config(adapt=100, burn_in=0, samples=50)
+    run = sampler.sample_posterior(centered, config, PriorSpec())
+    assert run.weak_coefficients == ()
+    assert run.zeroed_eigenvalues == 0
+    assert not [w for w in recwarn if "weakly identified" in str(w.message)]
+    assert len(run.chains) == config.chains
 
 
 # ---------------------------------------------------------------------------
