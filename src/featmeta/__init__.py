@@ -58,7 +58,6 @@ from .sampler import (
     SamplerError,
     assemble,
     log_likelihood_marginal,
-    log_prior,
     precondition,
     run_chain,
     run_mcmc,
@@ -109,7 +108,6 @@ __all__ = [
     "Preconditioner",
     "McmcRun",
     "assemble",
-    "log_prior",
     "log_likelihood_marginal",
     "precondition",
     "run_chain",

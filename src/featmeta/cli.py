@@ -301,12 +301,13 @@ def cmd_fit(args) -> int:
     outputs = []
     for chain in chains:
         rel = f"chains/chain_{chain.chain_index + 1}.tsv"
-        write_chain_tsv(chain, out / rel)
-        outputs.append(rel)
+        copy = write_chain_tsv(chain, out / rel)
+        outputs += [rel, copy.relative_to(out).as_posix()]
     # Chain files of an earlier fit into the same directory would be
     # read by diagnose as part of this run.
-    for path in (out / "chains").glob("chain_*.tsv"):
-        if f"chains/{path.name}" not in outputs:
+    suffixes = {Path(rel).suffix for rel in outputs}
+    for path in (out / "chains").glob("chain_*"):
+        if path.suffix in suffixes and f"chains/{path.name}" not in outputs:
             path.unlink()
     write_summary_tsv(summaries, out / "summary.tsv")
     outputs.append("summary.tsv")

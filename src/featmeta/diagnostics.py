@@ -5,11 +5,18 @@ within-chain variability of each parameter; values near 1 indicate the
 chains have mixed into the same distribution. Summaries are computed on
 the draws pooled across chains: median, central 95% interval, and the
 posterior probabilities of lying strictly below / strictly above zero.
+
+A chain TSV written to a path gets a binary copy beside it (``.npz`` in
+place of the file's suffix) holding the draws and the SHA-256 of the
+TSV's bytes. The TSV is normative: the reader takes the draws from the
+copy only while that digest matches the TSV, and parses the TSV in
+every other case.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -35,6 +42,8 @@ __all__ = [
 TRACE_POINTS = 20
 # Rows formatted per write in write_chain_tsv.
 _BLOCK_ROWS = 1024
+# Bytes of a chain TSV hashed per read.
+_HASH_BYTES = 1 << 16
 # Largest (params, chains, draws) stack built to compute shrink factors.
 _STACK_BYTES = 2**20
 
@@ -236,21 +245,105 @@ def read_chain_tsv(
     ``iteration``, a row has the wrong number of fields or a field is
     not a number (naming the file line, the header being line 1), or
     the iteration column is not 1..n.
+
+    Given a path, the draws come from the binary copy that
+    ``write_chain_tsv`` put beside the file, without parsing, when the
+    copy is intact, holds the SHA-256 of the file's present bytes and
+    one column per parameter of its header. They are the draws parsing
+    would give, bit for bit.
     """
     if hasattr(source, "read"):
         return _read_chain(source, chain_index)
+    stored = _read_copy(Path(source))
+    if stored is not None:
+        return _chain_output(chain_index, *stored)
     with open(source) as stream:
         return _read_chain(stream, chain_index)
 
 
-def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
-    first = stream.readline()
+def _copy_path(path: Path) -> Path | None:
+    """Where the binary copy of the chain TSV at ``path`` lives; None for
+    a file whose copy would be the file itself."""
+    copy = path.with_suffix(".npz")
+    return None if copy == path else copy
+
+
+def _sha256(stream: IO[bytes]) -> bytes:
+    # Imported here, since every command imports this module: loading
+    # hashlib's OpenSSL library takes about 5 ms.
+    import hashlib
+
+    digest = hashlib.sha256()
+    while block := stream.read(_HASH_BYTES):
+        digest.update(block)
+    return digest.digest()
+
+
+def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
+    """The draws and parameter names of the chain TSV at ``path`` from its
+    binary copy; None when there is none to trust."""
+    copy = _copy_path(path)
+    if copy is None or not copy.is_file():
+        return None
+    try:
+        with open(path) as stream:
+            names = _header_names(stream.readline())
+        with open(path, "rb") as stream:
+            digest = _sha256(stream)
+    except (OSError, ValueError):
+        return None  # parsing reports the fault
+    try:
+        with zipfile.ZipFile(copy) as archive:
+            if _member(archive, "sha256.npy").tobytes() != digest:
+                return None
+            draws = _member(archive, "draws.npy")
+    except Exception:
+        # A truncated archive, or one with a byte flipped, raises
+        # BadZipFile, KeyError, EOFError, ValueError, NotImplementedError
+        # (a compression method) or RuntimeError (an encryption flag),
+        # among others. The TSV is parsed instead.
+        return None
+    if draws.dtype != np.float64 or draws.shape[1:] != (len(names),):
+        return None
+    return np.ascontiguousarray(draws), names
+
+
+def _member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One array of an ``np.savez`` archive, read to the member's end so
+    that zipfile checks its CRC-32."""
+    with archive.open(name) as member:
+        array = np.lib.format.read_array(member, allow_pickle=False)
+        if member.read(1):
+            raise ValueError(f"{name} holds bytes after its array")
+    return array
+
+
+def _header_names(first: str) -> tuple[str, ...]:
     if not first:
         raise ValueError("empty chain file")
     header = first.rstrip("\r\n").split("\t")
     if header[0] != "iteration":
         raise ValueError("chain file must start with an 'iteration' column")
-    names = tuple(header[1:])
+    return tuple(header[1:])
+
+
+def _chain_output(
+    chain_index: int, draws: np.ndarray, names: tuple[str, ...]
+) -> ChainOutput:
+    return ChainOutput(
+        chain_index=chain_index,
+        draws=draws,
+        parameter_names=names,
+        accept_rate=math.nan,
+        seed_used=-1,
+        proposal_log_scale=math.nan,
+        nonfinite_rejections=-1,
+        adapt_accept_rate=math.nan,
+    )
+
+
+def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
+    names = _header_names(stream.readline())
     width = len(names) + 1
     lines = stream.readlines()
     numbers = np.arange(2, len(lines) + 2)
@@ -284,16 +377,7 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
     if len(distinct) < len(lines):
         # Each row takes the values of the distinct row it repeats.
         table = table[np.cumsum(~repeats) - 1]
-    return ChainOutput(
-        chain_index=chain_index,
-        draws=np.ascontiguousarray(table[:, 1:]),
-        parameter_names=names,
-        accept_rate=math.nan,
-        seed_used=-1,
-        proposal_log_scale=math.nan,
-        nonfinite_rejections=-1,
-        adapt_accept_rate=math.nan,
-    )
+    return _chain_output(chain_index, np.ascontiguousarray(table[:, 1:]), names)
 
 
 def _repeated_rows(lines: list[str], lengths: np.ndarray) -> np.ndarray:
@@ -389,7 +473,9 @@ def write_summary_tsv(
             stream.close()
 
 
-def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
+def write_chain_tsv(
+    chain: ChainOutput, dest: str | Path | IO[str]
+) -> Path | None:
     """Write one chain's draws as TSV: iteration column, then parameters.
 
     Values use shortest round-trip formatting (``repr``), so rereading
@@ -399,6 +485,12 @@ def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
     and 0.0, or NaNs with different payloads, differ) reuses that row's
     formatted values, so each distinct row is formatted once. A block
     without such a repeat is formatted in one call.
+
+    Given a path, the draws are also saved beside the file, with the
+    SHA-256 of the bytes written, for ``read_chain_tsv``; the path of
+    that copy is returned. Every NaN is saved as the NaN that parsing
+    "nan" gives. Given a stream, nothing else is written and None is
+    returned.
     """
     draws = np.asarray(chain.draws, dtype=float)
     n, k = draws.shape
@@ -434,6 +526,28 @@ def write_chain_tsv(chain: ChainOutput, dest: str | Path | IO[str]) -> None:
     finally:
         if owned:
             stream.close()
+    copy = _copy_path(Path(dest)) if owned else None
+    if copy is None:
+        return None
+    with open(dest, "rb") as written:
+        digest = _sha256(written)
+    nan = np.isnan(draws)
+    if nan.any():
+        draws = np.where(nan, math.nan, draws)
+    _save_arrays(copy, draws=draws, sha256=np.frombuffer(digest, dtype=np.uint8))
+    return copy
+
+
+def _save_arrays(path: Path, **arrays: np.ndarray) -> None:
+    """Save arrays in ``np.savez``'s format, each written from its own
+    memory: ``np.savez`` copies an array whole on its way into the zip."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(array.data)
 
 
 def write_rhat_trace_tsv(

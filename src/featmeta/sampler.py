@@ -70,7 +70,6 @@ __all__ = [
     "Preconditioner",
     "McmcRun",
     "assemble",
-    "log_prior",
     "log_likelihood_marginal",
     "precondition",
     "run_chain",
@@ -258,19 +257,6 @@ def assemble(dataset: Dataset) -> AssembledDataset:
 # ---------------------------------------------------------------------------
 
 
-def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
-    """Joint log prior of a parameter vector; -inf outside tau's support."""
-    if not 0.0 < params.tau < prior.tau_upper:
-        return -math.inf
-    coefficients = params.coefficients()
-    k = coefficients.shape[0]
-    normal_part = -0.5 * (
-        k * math.log(2.0 * math.pi * prior.coeff_sd**2)
-        + float(coefficients @ coefficients) / prior.coeff_sd**2
-    )
-    return normal_part - math.log(prior.tau_upper)
-
-
 def _marginal_sums(
     y: np.ndarray,
     eigenvalues: np.ndarray,
@@ -444,61 +430,84 @@ class _LogPosterior:
 # ---------------------------------------------------------------------------
 
 
-def _collapsed(
-    assembled: AssembledDataset, prior: PriorSpec, log_tau
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Collapsed:
     """The collapsed log density f(u) of u = log(tau), the mean of
     c | tau, y and the lower Cholesky factor L of its precision Lambda,
-    at each u of ``log_tau``.
+    for one assembled dataset and prior.
 
     f(u) = -1/2 sum log(lam + tau^2) - 1/2 log det Lambda
     - 1/2 (y'D^-1 y - b'Lambda^-1 b) + u, with b = X'D^-1 y, is
     log p(u | y) up to a constant, the prior's uniform bound aside. f is
     -inf wherever it is not finite (some lam + tau^2 <= 0 among them);
     the mean and L are NaN there. Several u are evaluated at once, in
-    temporaries of at most about COLLAPSED_BYTES.
+    temporaries of at most about COLLAPSED_BYTES; the arrays that do not
+    depend on u are built once, with the object.
 
     One Cholesky factor per u does it: that of [X y]'D^-1 [X y] plus
     diag(1/sd^2, ..., 1/sd^2, 1) has L in its leading block, L^-1 b below
     it and sqrt(1 + y'D^-1 y - b'Lambda^-1 b) last; the 1 keeps that
     pivot positive when the fit is exact.
     """
-    columns = np.column_stack([assembled.stacked_design, assembled.stacked_y])
-    n_obs, width = columns.shape
-    k = width - 1
-    u = np.asarray(log_tau, dtype=float)
-    f = np.full(u.shape, -math.inf)
-    mean = np.full((u.size, k), math.nan)
-    lower = np.full((u.size, k, k), math.nan)
-    diagonal = np.arange(width)
-    ridge = np.append(np.full(k, 1.0 / prior.coeff_sd**2), 1.0)
-    columns_t = np.ascontiguousarray(columns.T)
-    per_u = max(1, COLLAPSED_BYTES // (8 * n_obs * width))
-    with np.errstate(all="ignore"):
-        for lo in range(0, u.size, per_u):
-            part = slice(lo, lo + per_u)
-            denom = assembled.stacked_eigenvalues + np.exp(2.0 * u[part])[:, None]
-            weighted = columns_t * (1.0 / denom)[:, None, :]  # [X y]'D^-1 per u
-            gram = np.matmul(weighted, columns)
-            gram[:, diagonal, diagonal] += ridge
+
+    def __init__(self, assembled: AssembledDataset, prior: PriorSpec):
+        columns = np.column_stack([assembled.stacked_design, assembled.stacked_y])
+        n_obs, width = columns.shape
+        self.k = width - 1
+        self.columns = columns
+        self.columns_t = np.ascontiguousarray(columns.T)
+        self.eigenvalues = assembled.stacked_eigenvalues
+        self.diagonal = np.arange(width)
+        self.ridge = np.append(np.full(self.k, 1.0 / prior.coeff_sd**2), 1.0)
+        self.per_u = max(1, COLLAPSED_BYTES // (8 * n_obs * width))
+
+    def _blocks(self, u: np.ndarray):
+        """For each block of ``u``: its slice, where f is finite there, f
+        and the Cholesky factors. Call with numpy's errors ignored."""
+        k, diagonal = self.k, self.diagonal
+        for lo in range(0, u.size, self.per_u):
+            part = slice(lo, lo + self.per_u)
+            denom = self.eigenvalues + np.exp(2.0 * u[part])[:, None]
+            weighted = self.columns_t * (1.0 / denom)[:, None, :]  # [X y]'D^-1
+            gram = np.matmul(weighted, self.columns)
+            gram[:, diagonal, diagonal] += self.ridge
             good = np.all(denom > 0.0, axis=1) & np.all(
                 np.isfinite(gram), axis=(1, 2)
             )
-            gram[~good] = np.eye(width)  # keeps the factorization finite
+            gram[~good] = np.eye(k + 1)  # keeps the factorization finite
             chol = _cholesky(gram)
             log_det = 2.0 * np.log(chol[:, diagonal[:k], diagonal[:k]]).sum(axis=1)
             quad = chol[:, k, k] ** 2 - 1.0
             value = u[part] - 0.5 * (np.log(denom).sum(axis=1) + log_det + quad)
             good &= np.isfinite(value)
-            f[part] = np.where(good, value, -math.inf)
-            # The mean L^-T (L^-1 b); the upper-triangular L' needs no
-            # pivoting.
-            upper = chol[:, :k, :k].transpose(0, 2, 1)
-            upper[~good] = np.eye(k)
-            m = np.linalg.solve(upper, chol[:, k, :k, None])[:, :, 0]
-            mean[part][good] = m[good]
-            lower[part][good] = chol[good, :k, :k]
-    return f, mean, lower
+            yield part, good, np.where(good, value, -math.inf), chol
+
+    def density(self, log_tau) -> np.ndarray:
+        """f at each u of ``log_tau``."""
+        u = np.asarray(log_tau, dtype=float)
+        f = np.full(u.shape, -math.inf)
+        with np.errstate(all="ignore"):
+            for part, _, value, _ in self._blocks(u):
+                f[part] = value
+        return f
+
+    def moments(self, log_tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f, the mean of c | tau, y and L at each u of ``log_tau``."""
+        u = np.asarray(log_tau, dtype=float)
+        k = self.k
+        f = np.full(u.shape, -math.inf)
+        mean = np.full((u.size, k), math.nan)
+        lower = np.full((u.size, k, k), math.nan)
+        with np.errstate(all="ignore"):
+            for part, good, value, chol in self._blocks(u):
+                f[part] = value
+                # The mean L^-T (L^-1 b); the upper-triangular L' needs no
+                # pivoting.
+                upper = chol[:, :k, :k].transpose(0, 2, 1)
+                upper[~good] = np.eye(k)
+                m = np.linalg.solve(upper, chol[:, k, :k, None])[:, :, 0]
+                mean[part][good] = m[good]
+                lower[part][good] = chol[good, :k, :k]
+        return f, mean, lower
 
 
 def _cholesky(matrices: np.ndarray) -> np.ndarray:
@@ -546,9 +555,10 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
     log tau_upper), then refined ZOOMS times between the best node's
     neighbours; f'' and g come from central differences.
     """
+    collapsed = _Collapsed(assembled, prior)
     top = math.log(prior.tau_upper)
     nodes = np.linspace(top - LOG_TAU_SPAN, top, LOG_TAU_GRID)
-    values, _, _ = _collapsed(assembled, prior, nodes)
+    values = collapsed.density(nodes)
     best = int(np.argmax(values))
     if values[best] == -math.inf:
         raise SamplerError(
@@ -563,11 +573,11 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
         lo, hi = nodes[best - 1], nodes[best + 1]
         for _ in range(ZOOMS):
             zoom = np.linspace(lo, hi, ZOOM_NODES)
-            best = int(np.argmax(_collapsed(assembled, prior, zoom)[0]))
+            best = int(np.argmax(collapsed.density(zoom)))
             mode = float(zoom[best])
             lo, hi = zoom[max(best - 1, 0)], zoom[min(best + 1, ZOOM_NODES - 1)]
-    values, means, lowers = _collapsed(
-        assembled, prior, mode + FD_STEP * np.array([-1.0, 0.0, 1.0])
+    values, means, lowers = collapsed.moments(
+        mode + FD_STEP * np.array([-1.0, 0.0, 1.0])
     )
     k = assembled.n_coefficients
     root = np.linalg.solve(lowers[1].T, np.eye(k))  # L^-T

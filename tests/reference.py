@@ -10,7 +10,8 @@ precision of c | tau, y by a dense solve over the trials.
 for every per-chain quantity, ``reference_assemble``
 the assembly that factors S once per trial, and
 ``reference_trial_design_matrix`` the design matrix built one
-``DesignRow`` object per observation.
+``DesignRow`` object per observation. ``log_prior`` is the joint log prior
+of a ``ParameterVector``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ from featmeta.sampler import (
     _trials_with_covariance,
     precondition,
 )
+
+
+def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
+    """Joint log prior of a parameter vector; -inf outside tau's support."""
+    if not 0.0 < params.tau < prior.tau_upper:
+        return -math.inf
+    coefficients = params.coefficients()
+    k = coefficients.shape[0]
+    normal_part = -0.5 * (
+        k * math.log(2.0 * math.pi * prior.coeff_sd**2)
+        + float(coefficients @ coefficients) / prior.coeff_sd**2
+    )
+    return normal_part - math.log(prior.tau_upper)
 
 
 @dataclass(frozen=True, eq=False)

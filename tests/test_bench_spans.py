@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import featmeta
+import featmeta.cli
 from featmeta import center_covariates
 
 from conftest import build_basic_dataset
@@ -40,3 +41,30 @@ def test_assemble_spans_one_design_and_one_covariance_call_per_trial():
     assert children.count("covariance.build_within_covariance") == (
         centered.n_trials
     )
+
+
+def test_fit_and_diagnose_span_one_chain_file_call_per_chain(tmp_path, capsys):
+    # perfbench/run.py reads diagnostics.write_chain_s and read_chain_s
+    # from these spans; without them it has no measurement of either.
+    data = tmp_path / "trials.json"
+    featmeta.save_dataset(build_basic_dataset(), data)
+    out = tmp_path / "run"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("fit"):
+            assert featmeta.cli.main([
+                "fit", "--data", str(data), "--out", str(out), "--chains", "3",
+                "--adapt", "100", "--burn-in", "50", "--samples", "60",
+            ]) == 0
+        with tracer.span("diagnose"):
+            assert featmeta.cli.main(["diagnose", "--run", str(out)]) == 0
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    for command, name in (("fit", "diagnostics.write_chain_tsv"),
+                          ("diagnose", "diagnostics.read_chain_tsv")):
+        [top] = tracer.named(command)
+        calls = [i for i in tracer.named(name) if tracer.spans[i].parent == top]
+        assert len(calls) == 3, (command, name)
+        assert len(tracer.named(name)) == 3

@@ -655,11 +655,79 @@ def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
     assert main(fast_fit_args(data_file, out, chains=2)) == 0
     written = (out / "summary.tsv").read_bytes()
     assert sorted(p.name for p in (out / "chains").iterdir()) == [
-        "chain_1.tsv", "chain_2.tsv",
+        "chain_1.npz", "chain_1.tsv", "chain_2.npz", "chain_2.tsv",
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [
+        "chains/chain_1.tsv", "chains/chain_1.npz",
+        "chains/chain_2.tsv", "chains/chain_2.npz",
+        "summary.tsv", "rhat_trace.tsv",
     ]
 
     assert main(["diagnose", "--run", str(out)]) == 0
     assert (out / "summary.tsv").read_bytes() == written
+
+
+def _delete_copies(out):
+    for copy in (out / "chains").glob("*.npz"):
+        copy.unlink()
+
+
+def _cut_copy(out):
+    copy = out / "chains" / "chain_1.npz"
+    copy.write_bytes(copy.read_bytes()[:-100])
+
+
+def _flip_copy_byte(out):
+    copy = out / "chains" / "chain_2.npz"
+    data = bytearray(copy.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    copy.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", [
+    None,  # the copies as the fit wrote them
+    _delete_copies,  # chain TSVs alone, as fits before the copies wrote them
+    _cut_copy,
+    _flip_copy_byte,
+])
+def test_diagnose_writes_the_same_bytes_whatever_the_state_of_the_copies(
+    damage, data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    written = {name: (out / name).read_bytes()
+               for name in ("summary.tsv", "rhat_trace.tsv")}
+    if damage is not None:
+        damage(out)
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for name, data in written.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_diagnose_reads_a_chain_file_changed_after_the_fit(
+    data_file, tmp_path
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    written = (out / "summary.tsv").read_bytes()
+
+    def set_alpha(line):
+        cells = line.split("\t")
+        cells[1] = "100.0"
+        return "\t".join(cells)
+
+    _edit_line(out / "chains" / "chain_1.tsv", 5, set_alpha)
+
+    assert main(["diagnose", "--run", str(out)]) == 0
+    edited = (out / "summary.tsv").read_bytes()
+    assert edited != written
+    _delete_copies(out)
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert (out / "summary.tsv").read_bytes() == edited
 
 
 def test_out_of_range_settings_are_usage_errors_before_any_output(

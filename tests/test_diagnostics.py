@@ -574,6 +574,132 @@ def test_chain_tsv_reads_crlf_line_ends():
     assert back.draws.tolist() == [[0.5, 1.5], [0.5, 1.5], [0.25, 1.5]]
 
 
+# ---------------------------------------------------------------------------
+# The binary copy beside a chain TSV
+# ---------------------------------------------------------------------------
+
+
+def odd_values_chain():
+    """Rows with -0.0, +-inf, NaNs of several payloads and signs, and
+    repeats."""
+    draws = np.random.default_rng(12).standard_normal((9, 3))
+    draws[1] = draws[0]
+    draws[2, 0], draws[3, 1], draws[4, 2] = -0.0, math.inf, -math.inf
+    draws.view(np.uint64)[5:8, 1] = [
+        0x7FF8000000000123, 0xFFF8000000000000, 0x7FF0000000000001,
+    ]
+    return make_chain(draws, names=("alpha", "beta_1", "tau"))
+
+
+def parsed(path):
+    """The chain as parsing the TSV at ``path`` gives it."""
+    with open(path) as stream:
+        return read_chain_tsv(stream)
+
+
+def assert_same_chain(a, b):
+    assert a.parameter_names == b.parameter_names
+    assert a.draws.shape == b.draws.shape
+    assert np.array_equal(a.draws.view(np.int64), b.draws.view(np.int64))
+    assert a.draws.flags.c_contiguous and b.draws.flags.c_contiguous
+
+
+def test_chain_copy_gives_the_parsed_draws_bit_for_bit(tmp_path, monkeypatch):
+    path = tmp_path / "chain_1.tsv"
+    copy = write_chain_tsv(odd_values_chain(), path)
+    assert copy == tmp_path / "chain_1.npz" and copy.is_file()
+    want = parsed(path)
+    assert np.isnan(want.draws[5:8, 1]).all()
+
+    def no_parsing(*args):
+        raise AssertionError("the TSV was parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_read_chain", no_parsing)
+        from_copy = read_chain_tsv(str(path), chain_index=2)
+    assert from_copy.chain_index == 2
+    assert_same_chain(from_copy, want)
+
+    copy.unlink()
+    assert_same_chain(read_chain_tsv(path), want)
+
+
+def test_chain_copy_is_not_written_for_a_stream_or_onto_the_tsv(tmp_path):
+    assert write_chain_tsv(odd_values_chain(), io.StringIO()) is None
+    assert write_chain_tsv(odd_values_chain(), tmp_path / "chain.npz") is None
+    assert [p.name for p in tmp_path.iterdir()] == ["chain.npz"]
+    assert_same_chain(
+        read_chain_tsv(tmp_path / "chain.npz"), parsed(tmp_path / "chain.npz")
+    )
+
+
+def test_chain_copy_of_a_changed_tsv_is_ignored(tmp_path):
+    path = tmp_path / "chain_1.tsv"
+    write_chain_tsv(odd_values_chain(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "1\t0.25\t0.5\t0.75\n"
+    path.write_text("".join(lines))
+    back = read_chain_tsv(path)
+    assert back.draws[0].tolist() == [0.25, 0.5, 0.75]
+    assert_same_chain(back, parsed(path))
+
+    path.write_text("".join(lines[:1] + lines[2:]))
+    with pytest.raises(ValueError, match="not 1..8: line 2 holds 2"):
+        read_chain_tsv(path)
+
+
+def test_chain_copy_with_any_byte_flipped_or_cut_off_leaves_the_tsv_parsed(
+    tmp_path,
+):
+    path = tmp_path / "chain_1.tsv"
+    copy = write_chain_tsv(odd_values_chain(), path)
+    want = parsed(path)
+    intact = copy.read_bytes()
+    damaged = [intact[:cut] for cut in range(len(intact))]
+    for i in range(len(intact)):
+        flipped = bytearray(intact)
+        flipped[i] ^= 0x10
+        damaged.append(bytes(flipped))
+    for data in damaged:
+        copy.write_bytes(data)
+        assert_same_chain(read_chain_tsv(path), want)
+
+
+def test_chain_copy_of_the_wrong_shape_or_type_is_ignored(tmp_path):
+    path = tmp_path / "chain_1.tsv"
+    chain = odd_values_chain()
+    copy = write_chain_tsv(chain, path)
+    want = parsed(path)
+    with np.load(copy, allow_pickle=False) as stored:
+        digest = stored["sha256"]
+    for draws in (
+        chain.draws[:, :2], chain.draws.ravel(), chain.draws.view(np.int64),
+        chain.draws[None],
+    ):
+        np.savez(copy, draws=draws, sha256=digest)
+        assert_same_chain(read_chain_tsv(path), want)
+
+
+_unpickled = []
+
+
+class _Trap:
+    def __reduce__(self):
+        return _unpickled.append, (True,)
+
+
+def test_chain_copy_is_loaded_without_unpickling(tmp_path):
+    path = tmp_path / "chain_1.tsv"
+    copy = write_chain_tsv(odd_values_chain(), path)
+    with np.load(copy, allow_pickle=False) as stored:
+        digest = stored["sha256"]
+    draws = np.empty((9, 3), dtype=object)
+    draws[...] = _Trap()
+    np.savez(copy, draws=draws, sha256=digest)
+    assert_same_chain(read_chain_tsv(path), parsed(path))
+    assert _unpickled == []
+
+
 def test_rhat_trace_tsv_layout(tmp_path):
     chains = two_param_chains(seed=11, s=400)
     dest = tmp_path / "rhat_trace.tsv"

@@ -26,7 +26,6 @@ from featmeta import (
     center_covariates,
     fixed_effects,
     log_likelihood_marginal,
-    log_prior,
     run_chain,
     run_mcmc,
     simulate_dataset,
@@ -41,6 +40,7 @@ from reference import (
     conditional_coefficients,
     log_likelihood_latent,
     log_likelihood_marginal_direct,
+    log_prior,
     mvn_logpdf,
     reference_assemble,
     reference_run_chain,
@@ -385,7 +385,7 @@ def test_singular_within_covariance_is_minus_inf_at_tau_zero():
     with np.errstate(all="ignore"):  # as in run_chain
         assert log_post(coeffs, np.array([-400.0])) == [-math.inf]
         assert math.isfinite(log_post(coeffs, np.array([math.log(0.05)]))[0])
-    f, _, _ = sampler._collapsed(assembled, PriorSpec(), np.array([-3.0, 0.0]))
+    f = sampler._Collapsed(assembled, PriorSpec()).density(np.array([-3.0, 0.0]))
     assert np.all(np.isfinite(f))
 
 
@@ -498,7 +498,7 @@ def test_collapsed_density_matches_the_dense_identity(which):
     k = assembled.n_coefficients
     rng = np.random.default_rng(7)
     taus = np.exp(rng.uniform(math.log(0.01), math.log(1.0), size=6))
-    f, means, _ = sampler._collapsed(assembled, prior, np.log(taus))
+    f, means, _ = sampler._Collapsed(assembled, prior).moments(np.log(taus))
     coeffs = [rng.normal(0.0, 0.05, size=k) for _ in range(2)]
     rights = []
     for c in coeffs:
@@ -521,14 +521,28 @@ def test_collapsed_density_matches_the_dense_identity(which):
             assert want == pytest.approx(right[i] - right[j], abs=1e-9)
 
 
+def test_collapsed_density_alone_equals_that_of_the_moments():
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    assembled = assemble(centered)
+    assembled.stacked_eigenvalues[0] = -0.2  # -inf below tau^2 = 0.2
+    collapsed = sampler._Collapsed(assembled, PriorSpec())
+    u = np.linspace(-6.0, 1.5, 2 * collapsed.per_u + 3)  # three blocks
+    f, mean, lower = collapsed.moments(u)
+    assert np.array_equal(collapsed.density(u), f)
+    bad = f == -math.inf
+    assert 0 < bad.sum() < u.size
+    assert np.isnan(mean[bad]).all() and np.isnan(lower[bad]).all()
+    assert np.isfinite(mean[~bad]).all() and np.isfinite(lower[~bad]).all()
+
+
 def test_preconditioner_sits_at_a_local_maximum_of_f():
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
     prior = PriorSpec()
     assembled = assemble(centered)
     pre = sampler.precondition(assembled, prior)
     mode = math.log(pre.tau_mode)
-    f, _, _ = sampler._collapsed(
-        assembled, prior, mode + np.array([-1e-3, 0.0, 1e-3])
+    f = sampler._Collapsed(assembled, prior).density(
+        mode + np.array([-1e-3, 0.0, 1e-3])
     )
     assert f[1] >= f[0] and f[1] >= f[2]
     assert 0.0 < pre.log_tau_sd < 1.0
@@ -582,8 +596,8 @@ def test_preconditioner_survives_nan_densities():
     assert np.all(np.isfinite(pre.factor))
     assert pre.tau_mode**2 > 0.2
     assert pre.log_tau_sd == 1.0
-    f, _, _ = sampler._collapsed(
-        assembled, PriorSpec(), np.array([math.log(0.3), math.log(0.5)])
+    f = sampler._Collapsed(assembled, PriorSpec()).density(
+        np.array([math.log(0.3), math.log(0.5)])
     )
     assert f[0] == -math.inf and math.isfinite(f[1])
 
