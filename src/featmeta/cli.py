@@ -282,6 +282,13 @@ def _resolve_fit_settings(
 
 def cmd_fit(args) -> int:
     data_path, st, config, prior = _resolve_fit_settings(args)
+    out = Path(args.out)
+    try:
+        (out / "chains").mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"--out {out}: cannot make {out / 'chains'}: {e.strerror or e}"
+        ) from e
     with _readable(data_path) as fh:
         dataset = load_dataset(fh)
     if st.rho_y is not None:
@@ -296,8 +303,6 @@ def cmd_fit(args) -> int:
     chains = run.chains
     summaries = summarize(chains)
 
-    out = Path(args.out)
-    (out / "chains").mkdir(parents=True, exist_ok=True)
     outputs = []
     for chain in chains:
         rel = f"chains/chain_{chain.chain_index + 1}.tsv"

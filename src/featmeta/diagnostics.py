@@ -238,11 +238,9 @@ def read_chain_tsv(
     Only the draws and parameter names survive the round trip; the
     acceptance rates and proposal scale are not stored in the file and
     come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
-    as -1). Cells are parsed with ``np.loadtxt``'s syntax; where many
-    rows repeat the values of the row before (rejected proposals), each
-    run of equal rows is parsed once. Blank lines hold no row. Raises
-    ValueError when the header does not start with
-    ``iteration``, a row has the wrong number of fields or a field is
+    as -1). Every row is parsed, with ``np.loadtxt``'s syntax; blank
+    lines hold no row. Raises ValueError when the header does not start
+    with ``iteration``, a row has the wrong number of fields or a field is
     not a number (naming the file line, the header being line 1), or
     the iteration column is not 1..n.
 
@@ -346,82 +344,25 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
     names = _header_names(stream.readline())
     width = len(names) + 1
     lines = stream.readlines()
-    numbers = np.arange(2, len(lines) + 2)
-    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    blank = [
-        i for i in np.flatnonzero(lengths <= 2).tolist()
-        if not lines[i].strip("\r\n")
-    ]
-    if blank:
-        # np.loadtxt skips blank lines; they hold no row.
-        numbers, lengths = np.delete(numbers, blank), np.delete(lengths, blank)
-        lines = [line for line in lines if line.strip("\r\n")]
-    repeats = _repeated_rows(lines, lengths)
-    distinct = np.flatnonzero(~repeats)
-    if len(distinct) < len(lines):
-        rows = [lines[i] for i in distinct.tolist()]
-    else:
-        rows = lines
-    table = _parse_rows(rows, numbers[distinct], width)
+    # np.loadtxt skips blank lines; they hold no row. Errors name a row
+    # by its file line, the header being line 1.
+    numbers = [i + 2 for i, line in enumerate(lines) if line.strip("\r\n")]
+    table = _parse_rows([lines[n - 2] for n in numbers], numbers, width)
     if table.shape[1] != width:
         raise ValueError(
             f"rows have {table.shape[1]} fields, the header {width} "
             f"(from line {numbers[0]})"
         )
-    wrong = np.flatnonzero(table[:, 0] != distinct + 1)
+    wrong = np.flatnonzero(table[:, 0] != np.arange(1, len(table) + 1))
     if wrong.size:
         raise ValueError(
-            f"iteration column is not 1..{len(lines)}: line "
-            f"{numbers[distinct[wrong[0]]]} holds {table[wrong[0], 0]:g}"
+            f"iteration column is not 1..{len(table)}: line "
+            f"{numbers[wrong[0]]} holds {table[wrong[0], 0]:g}"
         )
-    if len(distinct) < len(lines):
-        # Each row takes the values of the distinct row it repeats.
-        table = table[np.cumsum(~repeats) - 1]
     return _chain_output(chain_index, np.ascontiguousarray(table[:, 1:]), names)
 
 
-def _repeated_rows(lines: list[str], lengths: np.ndarray) -> np.ndarray:
-    """Which rows repeat the text of the row before after its number.
-
-    Only rows numbered canonically (``str(i)`` and a tab, for row i) are
-    matched, so a repeat's number needs no parsing. Rows are compared
-    only where their ``lengths``, less their numbers, agree with the row
-    before, and not at all when fewer than a quarter do: then most agree
-    by chance (as in independent or thinned draws), and comparing them
-    would cost more than the parsing it saves. A row left unmatched is
-    parsed, so the draws are the same either way.
-    """
-    n = len(lines)
-    repeats = np.zeros(n, dtype=bool)
-    iteration = np.arange(1, n + 1)
-    digits = np.ones(n, dtype=np.intp)
-    power = 10
-    while power <= n:
-        digits += iteration >= power
-        power *= 10
-    rest = lengths - digits
-    candidates = np.flatnonzero(rest[1:] == rest[:-1]) + 1
-    if 4 * len(candidates) < n:
-        return repeats
-    found = []
-    tail = ""
-    for i in candidates.tolist():
-        if not found or found[-1] != i - 1:
-            # Row i - 1 is not a repeat: take its values' text.
-            head = f"{i}\t"
-            before = lines[i - 1]
-            if not before.startswith(head):
-                continue
-            tail = before[len(head):]
-        # With the lengths equal, this is lines[i] == f"{i + 1}\t" + tail.
-        line = lines[i]
-        if line.endswith(tail) and line.startswith(f"{i + 1}\t"):
-            found.append(i)
-    repeats[found] = True
-    return repeats
-
-
-def _parse_rows(rows: list[str], numbers: np.ndarray, width: int) -> np.ndarray:
+def _parse_rows(rows: list[str], numbers: list[int], width: int) -> np.ndarray:
     """Parse tab-separated rows with one ``np.loadtxt`` call.
 
     No rows give a (0, width) table. On failure the rows are checked one
@@ -436,9 +377,9 @@ def _parse_rows(rows: list[str], numbers: np.ndarray, width: int) -> np.ndarray:
         raise _row_error(rows, numbers) or error from None
 
 
-def _row_error(rows: list[str], numbers: np.ndarray) -> ValueError | None:
+def _row_error(rows: list[str], numbers: list[int]) -> ValueError | None:
     fields = rows[0].count("\t") + 1
-    for row, number in zip(rows, numbers.tolist()):
+    for row, number in zip(rows, numbers):
         count = row.count("\t") + 1
         if count != fields:
             return ValueError(
@@ -534,20 +475,8 @@ def write_chain_tsv(
     nan = np.isnan(draws)
     if nan.any():
         draws = np.where(nan, math.nan, draws)
-    _save_arrays(copy, draws=draws, sha256=np.frombuffer(digest, dtype=np.uint8))
+    np.savez(copy, draws=draws, sha256=np.frombuffer(digest, dtype=np.uint8))
     return copy
-
-
-def _save_arrays(path: Path, **arrays: np.ndarray) -> None:
-    """Save arrays in ``np.savez``'s format, each written from its own
-    memory: ``np.savez`` copies an array whole on its way into the zip."""
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            header = np.lib.format.header_data_from_array_1_0(array)
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                member.write(array.data)
 
 
 def write_rhat_trace_tsv(

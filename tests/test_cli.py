@@ -730,6 +730,28 @@ def test_diagnose_reads_a_chain_file_changed_after_the_fit(
     assert (out / "summary.tsv").read_bytes() == edited
 
 
+@pytest.mark.parametrize("blocked", ["out", "out/chains"])
+def test_unusable_out_is_usage_error_before_the_data_is_read(
+    data_file, tmp_path, capsys, monkeypatch, blocked
+):
+    # A regular file where the run directory or its chains/ must go.
+    out = tmp_path / "out"
+    (tmp_path / blocked).parent.mkdir(exist_ok=True)
+    (tmp_path / blocked).write_text("")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("fit went past the --out check")
+
+    monkeypatch.setattr("featmeta.cli.load_dataset", unreachable)
+    monkeypatch.setattr("featmeta.cli.sample_posterior", unreachable)
+    assert main(fast_fit_args(data_file, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--out {out}: cannot make {out / 'chains'}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert (tmp_path / blocked).read_text() == ""
+
+
 def test_out_of_range_settings_are_usage_errors_before_any_output(
     data_file, tmp_path, capsys
 ):
