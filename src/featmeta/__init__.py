@@ -25,7 +25,6 @@ from .data import (
     Dataset,
     DataValidationError,
     Factor,
-    FollowUpIndicator,
     InterventionArm,
     Observation,
     TrialRecord,
@@ -73,7 +72,6 @@ __all__ = [
     "CovariateSchema",
     "Factor",
     "InterventionArm",
-    "FollowUpIndicator",
     "Observation",
     "TrialRecord",
     "Dataset",

@@ -502,7 +502,12 @@ def cmd_simulate(args) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return 1
-    save_dataset(dataset, args.out)
+    try:
+        save_dataset(dataset, args.out)
+    except OSError as e:
+        raise ConfigError(
+            f"--out {args.out}: cannot write: {e.strerror or e}"
+        ) from e
     print(f"wrote {dataset.n_trials} trials to {args.out}")
     return 0
 

@@ -1,19 +1,20 @@
 """Within-trial and between-trial covariance construction.
 
 Observed contrasts from one trial share the reference arm's change score
-and may repeat arms across follow-up categories, so the within-trial
-sampling covariance V has four entry types for rows (t, k) and columns
-(t', k'):
+and may repeat arms across follow-up categories. The within-trial
+sampling covariance V has one rule for rows (k, t) and columns (k', t'):
 
-    same arm, same time:        v                 (the observation variance)
-    different arm, same time:   var_d(t)          (reference change variance)
-    same arm, different time:   rho_y(t,t') * sqrt(v_t * v_t')
-    different arm, diff. time:  rho_d(t,t') * sqrt(var_d(t) * var_d(t'))
+    V = rho^|t - t'| * sqrt(s_t * s_t')
 
-Correlations decay geometrically in the follow-up category separation.
-The reference arm's change-score variance is rarely reported; when
-absent it is imputed as half the smallest contrast variance at that
-follow-up, which keeps V positive semidefinite.
+with (rho, s) = (rho_y, v) for the same arm, v the observation variance,
+and (rho, s) = (rho_d, var_d) for different arms, var_d the reference
+arm's change-score variance at that follow-up. At equal times
+rho^0 = 1 and sqrt(s * s) = s, so the rule gives v on the diagonal and
+var_d(t) between arms at one follow-up. Correlations decay
+geometrically in the follow-up category separation. The reference
+arm's change-score variance is rarely reported; when absent it is
+imputed as half the smallest contrast variance at that follow-up, which
+keeps V positive semidefinite.
 
 Between-trial heterogeneity in the arm effects delta has covariance
 tau^2 on the diagonal and tau^2 / 2 everywhere else (arm effects within
@@ -31,22 +32,12 @@ from .data import TrialRecord
 __all__ = [
     "CovarianceError",
     "WithinCovariance",
-    "CASE_SAME_ARM_SAME_TIME",
-    "CASE_DIFF_ARM_SAME_TIME",
-    "CASE_SAME_ARM_DIFF_TIME",
-    "CASE_DIFF_ARM_DIFF_TIME",
     "rho_for_separation",
     "impute_ref_change_variance",
     "build_within_covariance",
     "between_structure",
     "ensure_positive_semidefinite",
 ]
-
-# Entry-type codes recorded alongside each V entry (diagnostics/tests).
-CASE_SAME_ARM_SAME_TIME = 1
-CASE_DIFF_ARM_SAME_TIME = 2
-CASE_SAME_ARM_DIFF_TIME = 3
-CASE_DIFF_ARM_DIFF_TIME = 4
 
 # Eigenvalues above -PSD_REL_TOL * scale are treated as rounding noise and
 # clipped; anything below that is a genuine inconsistency in the inputs.
@@ -59,21 +50,10 @@ class CovarianceError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class WithinCovariance:
-    """Within-trial covariance with its row ordering and entry provenance.
-
-    ``order`` lists (arm_id, category) per row, time-major then arm;
-    ``case_codes`` records which of the four entry types produced each
-    cell (CASE_* constants).
-    """
+    """A trial's within-study covariance V, rows in canonical order."""
 
     trial_id: str
     matrix: np.ndarray
-    order: tuple[tuple[str, int], ...]
-    case_codes: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def rho_for_separation(base_rho: float, t: int, t_prime: int) -> float:
@@ -91,9 +71,7 @@ def impute_ref_change_variance(trial: TrialRecord, category: int) -> float:
     """
     if trial.ref_change_var is not None and category in trial.ref_change_var:
         return trial.ref_change_var[category]
-    arm_vars = [
-        o.v for o in trial.observations if o.time.category_index == category
-    ]
+    arm_vars = [o.v for o in trial.observations if o.category == category]
     if not arm_vars:
         raise CovarianceError(
             f"trial {trial.trial_id!r}: no observations at category {category}"
@@ -113,42 +91,30 @@ def build_within_covariance(
     """
     rho_y = trial.rho_y if trial.rho_y is not None else base_rho_y
     rho_d = trial.rho_d if trial.rho_d is not None else base_rho_d
-    obs = trial.ordered_observations()
-    dim = len(obs)
-    order = tuple((o.arm_id, o.time.category_index) for o in obs)
     dvar = {
         t: impute_ref_change_variance(trial, t) for t in trial.observed_categories
     }
+    cells = [
+        (o.arm_id, o.category, o.v, dvar[o.category])
+        for o in trial.ordered_observations()
+    ]
+    dim = len(cells)
 
     matrix = np.empty((dim, dim))
-    cases = np.empty((dim, dim), dtype=np.int8)
-    for i in range(dim):
-        arm_i, t_i = order[i]
+    for i, (arm_i, t_i, v_i, d_i) in enumerate(cells):
         for j in range(i, dim):
-            arm_j, t_j = order[j]
-            if arm_i == arm_j and t_i == t_j:
-                value, case = obs[i].v, CASE_SAME_ARM_SAME_TIME
-            elif t_i == t_j:
-                value, case = dvar[t_i], CASE_DIFF_ARM_SAME_TIME
-            elif arm_i == arm_j:
-                value = rho_for_separation(rho_y, t_i, t_j) * np.sqrt(
-                    obs[i].v * obs[j].v
-                )
-                case = CASE_SAME_ARM_DIFF_TIME
-            else:
-                value = rho_for_separation(rho_d, t_i, t_j) * np.sqrt(
-                    dvar[t_i] * dvar[t_j]
-                )
-                case = CASE_DIFF_ARM_DIFF_TIME
-            matrix[i, j] = matrix[j, i] = value
-            cases[i, j] = cases[j, i] = case
+            arm_j, t_j, v_j, d_j = cells[j]
+            rho, s_i, s_j = (
+                (rho_y, v_i, v_j) if arm_i == arm_j else (rho_d, d_i, d_j)
+            )
+            matrix[i, j] = matrix[j, i] = rho_for_separation(
+                rho, t_i, t_j
+            ) * np.sqrt(s_i * s_j)
 
     matrix = ensure_positive_semidefinite(
         matrix, f"within-trial covariance of trial {trial.trial_id!r}"
     )
-    return WithinCovariance(
-        trial_id=trial.trial_id, matrix=matrix, order=order, case_codes=cases
-    )
+    return WithinCovariance(trial_id=trial.trial_id, matrix=matrix)
 
 
 def between_structure(dim: int) -> np.ndarray:

@@ -4,8 +4,10 @@ A dataset holds contrast-level observations from randomized trials: each
 observation is a mean difference in change from baseline between an
 intervention arm and a trial-specific reference arm, at one follow-up
 category. Interventions are coded as binary feature vectors against a
-shared schema; trials also carry study-level covariates and follow-up
-indicators, with optional interaction terms defined on the schema.
+shared schema; trials also carry study-level covariates, and each
+observation its follow-up category as a plain integer 1..q (the design
+layer turns it into the q-1 dummy columns w), with optional interaction
+terms defined on the schema.
 
 Trials whose reference arm is an inactive control are "control
 comparison" trials; trials whose reference is itself a coded intervention
@@ -31,7 +33,6 @@ __all__ = [
     "Factor",
     "CovariateSchema",
     "InterventionArm",
-    "FollowUpIndicator",
     "Observation",
     "TrialRecord",
     "Dataset",
@@ -159,45 +160,16 @@ class InterventionArm:
 
 
 @dataclass(frozen=True)
-class FollowUpIndicator:
-    """Follow-up category with its dummy encoding.
-
-    Category 1 maps to the all-zero dummy vector; category c > 1 sets a
-    single 1 at dummy position c-1. Multiple simultaneous dummies are
-    unrepresentable by construction.
-    """
-
-    category_index: int
-    q: int
-
-    def __post_init__(self):
-        if not 1 <= self.category_index <= self.q:
-            raise ValueError(
-                f"category {self.category_index} outside 1..{self.q}"
-            )
-
-    @property
-    def w(self) -> tuple[float, ...]:
-        dummies = [0.0] * (self.q - 1)
-        if self.category_index > 1:
-            dummies[self.category_index - 2] = 1.0
-        return tuple(dummies)
-
-    @classmethod
-    def from_category(cls, category: int, q: int) -> "FollowUpIndicator":
-        return cls(category_index=category, q=q)
-
-
-@dataclass(frozen=True)
 class Observation:
     """One contrast-level measurement: arm vs reference at one follow-up.
 
-    ``y`` is the mean difference in change from baseline; ``v`` its
-    within-study sampling variance (squared standard error).
+    ``category`` is the follow-up category, 1..q of the schema; ``y`` is
+    the mean difference in change from baseline; ``v`` its within-study
+    sampling variance (squared standard error).
     """
 
     arm_id: str
-    time: FollowUpIndicator
+    category: int
     y: float
     v: float
 
@@ -265,7 +237,7 @@ class TrialRecord:
 
     @property
     def observed_categories(self) -> tuple[int, ...]:
-        return tuple(sorted({o.time.category_index for o in self.observations}))
+        return tuple(sorted({o.category for o in self.observations}))
 
     @property
     def n_followups(self) -> int:
@@ -278,9 +250,7 @@ class TrialRecord:
 
     def ordered_observations(self) -> list[Observation]:
         """Observations in canonical (time-major, then arm) order."""
-        index = {
-            (o.arm_id, o.time.category_index): o for o in self.observations
-        }
+        index = {(o.arm_id, o.category): o for o in self.observations}
         out = []
         for t in self.observed_categories:
             for arm in self.contrast_arms:
@@ -291,12 +261,6 @@ class TrialRecord:
 
     def y_vector(self) -> np.ndarray:
         return np.array([o.y for o in self.ordered_observations()])
-
-    def variance_at(self, arm_id: str, category: int) -> float:
-        for o in self.observations:
-            if o.arm_id == arm_id and o.time.category_index == category:
-                return o.v
-        raise KeyError(f"no observation for arm {arm_id!r} at category {category}")
 
 
 @dataclass(frozen=True)
@@ -421,12 +385,7 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
     seen_obs = set()
     per_arm_cats: dict[str, set[int]] = {a: set() for a in contrast_ids}
     for obs in trial.observations:
-        cat = obs.time.category_index
-        if obs.time.q != schema.q:
-            out.append(
-                f"observation ({obs.arm_id!r}, {cat}): follow-up indicator "
-                f"sized for q={obs.time.q}, schema has q={schema.q}"
-            )
+        cat = obs.category
         if not 1 <= cat <= schema.q:
             out.append(f"follow-up category {cat} outside 1..{schema.q}")
         if obs.arm_id not in contrast_ids:
@@ -451,9 +410,7 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
 
     if trial.ref_change_var is not None:
         for cat, val in trial.ref_change_var.items():
-            arm_vars = [
-                o.v for o in trial.observations if o.time.category_index == cat
-            ]
+            arm_vars = [o.v for o in trial.observations if o.category == cat]
             if not arm_vars:
                 out.append(f"ref_change_var given for unobserved category {cat}")
                 continue
@@ -489,7 +446,11 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         rho = getattr(dataset, name)
         if not 0.0 <= rho < 1.0:
             out.append(f"dataset: {name}={rho} outside [0, 1)")
+    seen_ids: set[str] = set()
     for trial in dataset.trials:
+        if trial.trial_id in seen_ids:
+            out.append(f"dataset: duplicate trial id {trial.trial_id!r}")
+        seen_ids.add(trial.trial_id)
         for violation in validate_trial(trial, dataset.schema):
             out.append(f"trial {trial.trial_id!r}: {violation}")
     return out
@@ -581,7 +542,7 @@ def schema_from_dict(raw: dict) -> CovariateSchema:
         raise DataValidationError(f"schema: {e}") from e
 
 
-def _parse_trial(raw, schema: CovariateSchema, idx: int) -> TrialRecord:
+def _parse_trial(raw, idx: int) -> TrialRecord:
     path = f"trials[{idx}]"
     trial_id = str(_require(raw, "id", path))
     comparison = _require(raw, "comparison", path)
@@ -597,15 +558,10 @@ def _parse_trial(raw, schema: CovariateSchema, idx: int) -> TrialRecord:
     observations = []
     for k, raw_obs in enumerate(_require(raw, "observations", path, _LIST)):
         opath = f"{path}.observations[{k}]"
-        category = _require(raw_obs, "category", opath, _INTEGER)
-        if not 1 <= category <= schema.q:
-            raise DataValidationError(
-                f"{opath}: category {category} outside 1..{schema.q}"
-            )
         observations.append(
             Observation(
                 arm_id=str(_require(raw_obs, "arm", opath)),
-                time=FollowUpIndicator.from_category(category, schema.q),
+                category=_require(raw_obs, "category", opath, _INTEGER),
                 y=float(_require(raw_obs, "y", opath, _NUMBER)),
                 v=float(_require(raw_obs, "v", opath, _NUMBER)),
             )
@@ -656,7 +612,7 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
     schema = schema_from_dict(_require(raw, "schema", "top level"))
     correlations = _require(raw, "correlations", "top level")
     trials = [
-        _parse_trial(t, schema, i)
+        _parse_trial(t, i)
         for i, t in enumerate(_require(raw, "trials", "top level", _LIST))
     ]
     dataset = Dataset(
@@ -707,7 +663,7 @@ def dataset_to_dict(dataset: Dataset) -> dict:
             "observations": [
                 {
                     "arm": o.arm_id,
-                    "category": o.time.category_index,
+                    "category": o.category,
                     "y": o.y,
                     "v": o.v,
                 }

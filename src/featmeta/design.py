@@ -114,13 +114,15 @@ def _raw_rows(
     """Raw [x z w J] columns per observation, in canonical order.
 
     x is the observation's own arm's features, or ``arm``'s for every
-    row when given; interactions are products of the raw covariates.
+    row when given; w holds the q-1 follow-up dummies, a single 1 at
+    position c-1 for category c > 1 and all zero for category 1;
+    interactions are products of the raw covariates.
     """
     x_of = {a.arm_id: a.x for a in trial.contrast_arms}
     rows = []
     for obs in trial.ordered_observations():
         x = x_of[obs.arm_id] if arm is None else arm.x
-        w = obs.time.w
+        w = [float(obs.category == c) for c in range(2, schema.q + 1)]
         pools = {"intervention": x, "study": trial.z, "followup": w}
         rows.append([
             *x, *trial.z, *w,

@@ -77,7 +77,7 @@ __all__ = [
     "run_mcmc",
 ]
 
-TARGET_ACCEPT = 0.234
+TARGET_ACCEPT = 0.234  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
 LOG_TAU_SPAN = 12.0  # the mode of f is sought on (log tau_upper - span, log tau_upper)
 LOG_TAU_GRID = 25  # grid nodes over that bracket
@@ -126,7 +126,6 @@ class McmcConfig:
     samples: int = 20_000
     thin: int = 1
     seed: int = 0
-    target_accept: float = TARGET_ACCEPT
 
     def __post_init__(self):
         if self.chains < 1:
@@ -139,8 +138,6 @@ class McmcConfig:
             raise ValueError("thin must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,7 +730,7 @@ def run_chain(
                     [min(r, 0.0) if r == r else -math.inf for r in ratios]
                 ).tolist()
                 log_scale = [
-                    ls + gamma * (p - config.target_accept)
+                    ls + gamma * (p - TARGET_ACCEPT)
                     for ls, p in zip(log_scale, accept_prob)
                 ]
 

@@ -24,7 +24,6 @@ from .covariance import between_structure, build_within_covariance
 from .data import (
     CovariateSchema,
     Dataset,
-    FollowUpIndicator,
     InterventionArm,
     Observation,
     TrialRecord,
@@ -160,7 +159,7 @@ def _draw_structure(
             observations.append(
                 Observation(
                     arm_id=arm.arm_id,
-                    time=FollowUpIndicator.from_category(cat, schema.q),
+                    category=cat,
                     y=0.0,
                     v=shared_v,
                 )

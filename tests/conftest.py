@@ -6,20 +6,10 @@ from featmeta import (
     CovariateSchema,
     Dataset,
     Factor,
-    FollowUpIndicator,
     InterventionArm,
     Observation,
     TrialRecord,
 )
-
-
-def obs(arm_id, category, q, y=0.0, v=0.01):
-    return Observation(
-        arm_id=arm_id,
-        time=FollowUpIndicator.from_category(category, q),
-        y=y,
-        v=v,
-    )
 
 
 def grid_trial(
@@ -27,7 +17,6 @@ def grid_trial(
     comparison,
     arms,
     categories,
-    q,
     z=(),
     v=0.01,
     y=0.0,
@@ -48,7 +37,7 @@ def grid_trial(
 
     contrast = [a for a in arms if a.arm_id != reference_arm]
     observations = tuple(
-        obs(a.arm_id, c, q, y=at(y, a.arm_id, c), v=at(v, a.arm_id, c))
+        Observation(a.arm_id, c, y=at(y, a.arm_id, c), v=at(v, a.arm_id, c))
         for c in categories
         for a in contrast
     )
@@ -82,11 +71,10 @@ def build_basic_schema():
 def build_basic_dataset(basic_schema=None):
     """Two control trials and one active trial, hand-sized."""
     basic_schema = basic_schema or build_basic_schema()
-    q = basic_schema.q
     t1 = grid_trial(
         "t1", "control",
         [arm("a1", (1.0, 0.0)), arm("a2", (0.0, 1.0))],
-        categories=(1, 2), q=q, z=(0.3,),
+        categories=(1, 2), z=(0.3,),
         v={("a1", 1): 0.010, ("a2", 1): 0.012,
            ("a1", 2): 0.011, ("a2", 2): 0.014},
         y={("a1", 1): -0.05, ("a2", 1): 0.02,
@@ -95,7 +83,7 @@ def build_basic_dataset(basic_schema=None):
     t2 = grid_trial(
         "t2", "control",
         [arm("b1", (1.0, 1.0))],
-        categories=(1, 2, 3), q=q, z=(-0.8,),
+        categories=(1, 2, 3), z=(-0.8,),
         v=0.008,
         y={("b1", 1): -0.02, ("b1", 2): -0.04, ("b1", 3): -0.01},
         ref_change_var={1: 0.003, 2: 0.003, 3: 0.002},
@@ -103,7 +91,7 @@ def build_basic_dataset(basic_schema=None):
     t3 = grid_trial(
         "t3", "active",
         [arm("c1", (1.0, 0.0)), arm("c2", (0.0, 1.0)), arm("c3", (1.0, 1.0))],
-        categories=(1,), q=q, z=(1.1,),
+        categories=(1,), z=(1.1,),
         v=0.02,
         y={("c2", 1): 0.03, ("c3", 1): -0.06},
         reference_arm="c1",
@@ -137,9 +125,9 @@ def decomposed_control_trial(rng, n_arms, n_times, n_features=2, seed_id=0):
     with f drawn for the uncoded control arm too; the observation
     variance for arm k at t is then (f_k + f_C) g_t and the reference
     change variance is f_C g_t. With a common base correlation for both
-    the same-arm and cross-arm decay, the four-case within-trial matrix
-    equals the covariance implied by the decomposition exactly, which is
-    what makes brute-force oracle comparisons possible.
+    the same-arm and cross-arm decay, the within-trial matrix equals the
+    covariance implied by the decomposition exactly, which is what makes
+    brute-force oracle comparisons possible.
 
     Returns (trial, f, g) with f[0] belonging to the control arm.
     """
@@ -160,7 +148,6 @@ def decomposed_control_trial(rng, n_arms, n_times, n_features=2, seed_id=0):
         "control",
         arms,
         categories=categories,
-        q=n_times,
         z=(float(rng.normal()),),
         v=v,
         y=y,

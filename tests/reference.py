@@ -10,8 +10,9 @@ precision of c | tau, y by a dense solve over the trials.
 for every per-chain quantity, ``reference_assemble``
 the assembly that factors S once per trial, and
 ``reference_trial_design_matrix`` the design matrix built one
-``DesignRow`` object per observation. ``log_prior`` is the joint log prior
-of a ``ParameterVector``.
+``DesignRow`` object per observation. ``reference_within_covariance`` is
+the within-trial covariance built from its four entry types one case at
+a time. ``log_prior`` is the joint log prior of a ``ParameterVector``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featmeta.covariance import CovarianceError, between_structure
+from featmeta.covariance import (
+    CovarianceError,
+    WithinCovariance,
+    between_structure,
+    ensure_positive_semidefinite,
+    impute_ref_change_variance,
+    rho_for_separation,
+)
 from featmeta.data import (
     CenteringRecord,
     CovariateSchema,
     Dataset,
-    FollowUpIndicator,
     InterventionArm,
     TrialRecord,
 )
@@ -35,6 +42,7 @@ from featmeta.design import ParameterVector
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
     INIT_RETRIES,
+    TARGET_ACCEPT,
     AssembledDataset,
     ChainOutput,
     McmcConfig,
@@ -88,6 +96,53 @@ def build_between_covariance(dimension: int, tau: float) -> BetweenCovariance:
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     return BetweenCovariance(matrix=tau**2 * between_structure(dimension), tau=tau)
+
+
+def reference_within_covariance(
+    trial: TrialRecord,
+    base_rho_y: float,
+    base_rho_d: float,
+) -> WithinCovariance:
+    """The within-trial covariance V built case by case.
+
+    Each entry takes one of four forms: v on the diagonal, var_d(t)
+    between arms at one follow-up, rho_y^|t-t'| sqrt(v_t v_t') for one
+    arm at two follow-ups and rho_d^|t-t'| sqrt(var_d(t) var_d(t')) for
+    two arms at two follow-ups. ``build_within_covariance`` folds the
+    four into one rule and must reproduce this matrix bit for bit.
+    """
+    rho_y = trial.rho_y if trial.rho_y is not None else base_rho_y
+    rho_d = trial.rho_d if trial.rho_d is not None else base_rho_d
+    obs = trial.ordered_observations()
+    dim = len(obs)
+    order = tuple((o.arm_id, o.category) for o in obs)
+    dvar = {
+        t: impute_ref_change_variance(trial, t) for t in trial.observed_categories
+    }
+
+    matrix = np.empty((dim, dim))
+    for i in range(dim):
+        arm_i, t_i = order[i]
+        for j in range(i, dim):
+            arm_j, t_j = order[j]
+            if arm_i == arm_j and t_i == t_j:
+                value = obs[i].v
+            elif t_i == t_j:
+                value = dvar[t_i]
+            elif arm_i == arm_j:
+                value = rho_for_separation(rho_y, t_i, t_j) * np.sqrt(
+                    obs[i].v * obs[j].v
+                )
+            else:
+                value = rho_for_separation(rho_d, t_i, t_j) * np.sqrt(
+                    dvar[t_i] * dvar[t_j]
+                )
+            matrix[i, j] = matrix[j, i] = value
+
+    matrix = ensure_positive_semidefinite(
+        matrix, f"within-trial covariance of trial {trial.trial_id!r}"
+    )
+    return WithinCovariance(trial_id=trial.trial_id, matrix=matrix)
 
 
 def mvn_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -354,7 +409,7 @@ def reference_run_chain(
                 accept_prob = np.nan_to_num(
                     np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
                 )
-                log_scale += gamma * (accept_prob - config.target_accept)
+                log_scale += gamma * (accept_prob - TARGET_ACCEPT)
             elif it >= warm:
                 accepted += accept
                 if (it - warm + 1) % config.thin == 0:
@@ -453,9 +508,12 @@ def _raw_blocks(
     schema: CovariateSchema,
     arm: InterventionArm,
     z: Sequence[float],
-    time: FollowUpIndicator,
+    category: int,
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    w = time.w
+    dummies = [0.0] * (schema.q - 1)
+    if category > 1:
+        dummies[category - 2] = 1.0
+    w = tuple(dummies)
     j = tuple(
         interaction_value(schema, term, arm.x, z, w)
         for term in range(schema.l)
@@ -467,7 +525,7 @@ def design_row(
     schema: CovariateSchema,
     trial: TrialRecord,
     arm: InterventionArm,
-    time: FollowUpIndicator,
+    category: int,
     centering: CenteringRecord | None = None,
 ) -> DesignRow:
     """Build the regression row for one (arm, follow-up) observation.
@@ -484,8 +542,8 @@ def design_row(
                 f"trial {trial.trial_id!r}: active comparison without a "
                 "resolvable reference arm"
             )
-        xk, zk, wk, jk = _raw_blocks(schema, arm, trial.z, time)
-        xr, _, _, jr = _raw_blocks(schema, reference, trial.z, time)
+        xk, zk, wk, jk = _raw_blocks(schema, arm, trial.z, category)
+        xr, _, _, jr = _raw_blocks(schema, reference, trial.z, category)
         return DesignRow(
             intercept=0.0,
             x=tuple(a - b for a, b in zip(xk, xr)),
@@ -494,7 +552,7 @@ def design_row(
             interactions=tuple(a - b for a, b in zip(jk, jr)),
         )
 
-    x, z, w, j = _raw_blocks(schema, arm, trial.z, time)
+    x, z, w, j = _raw_blocks(schema, arm, trial.z, category)
     if centering is not None:
         x = tuple(a - m for a, m in zip(x, centering.x_means))
         z = tuple(a - m for a, m in zip(z, centering.z_means))
@@ -511,7 +569,9 @@ def reference_trial_design_matrix(
     """Stack the trial's design rows (canonical observation order)."""
     arm_by_id = {a.arm_id: a for a in trial.contrast_arms}
     rows = [
-        design_row(schema, trial, arm_by_id[o.arm_id], o.time, centering).as_array()
+        design_row(
+            schema, trial, arm_by_id[o.arm_id], o.category, centering
+        ).as_array()
         for o in trial.ordered_observations()
     ]
     return np.array(rows, dtype=float).reshape(len(rows), 1 + schema.n + schema.p

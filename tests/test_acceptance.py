@@ -108,7 +108,7 @@ def projection_cases(n_cases=N_PROJECTION_CASES, seed=971):
         control = grid_trial(
             f"ctl-{rep}", "control",
             [arm(a, x) for a, x in zip(arm_ids, xs)],
-            categories=cats, q=3, z=z,
+            categories=cats, z=z,
             v={(a, t): (f[k + 1] + f[0]) * g[t - 1]
                for k, a in enumerate(arm_ids) for t in cats},
             ref_change_var={t: f[0] * g[t - 1] for t in cats},
@@ -116,7 +116,7 @@ def projection_cases(n_cases=N_PROJECTION_CASES, seed=971):
         projection = grid_trial(
             f"act-{rep}", "active",
             [arm(a, x) for a, x in zip(arm_ids, xs)],
-            categories=cats, q=3, z=z,
+            categories=cats, z=z,
             v={(a, t): (f[k + 1] + f[1]) * g[t - 1]
                for k, a in enumerate(arm_ids) for t in cats if k >= 1},
             ref_change_var={t: f[1] * g[t - 1] for t in cats},
@@ -238,11 +238,11 @@ def test_criterion_3_marginal_matches_quadrature(report):
     schema = CovariateSchema(n=1, p=0, q=1, interactions=())
     trials = (
         grid_trial("c1", "control", [arm("a", (1.0,))],
-                   categories=(1,), q=1, v=0.006, y=0.035),
+                   categories=(1,), v=0.006, y=0.035),
         grid_trial("c2", "control", [arm("b", (0.0,))],
-                   categories=(1,), q=1, v=0.004, y=-0.01),
+                   categories=(1,), v=0.004, y=-0.01),
         grid_trial("a1", "active", [arm("r", (0.0,)), arm("k", (1.0,))],
-                   categories=(1,), q=1, v=0.008, y=0.02,
+                   categories=(1,), v=0.008, y=0.02,
                    reference_arm="r"),
     )
     dataset = Dataset(schema=schema, trials=trials, base_rho_y=0.8,
@@ -299,7 +299,7 @@ def test_criterion_4_conjugate_posterior(report):
     y, v = 0.03, 0.005
     schema = CovariateSchema(n=0, p=0, q=1, interactions=())
     trial = grid_trial("toy", "control", [arm("a", ())],
-                       categories=(1,), q=1, v=v, y=y)
+                       categories=(1,), v=v, y=y)
     dataset = Dataset(schema=schema, trials=(trial,), base_rho_y=0.8,
                       base_rho_d=0.64)
 
@@ -523,7 +523,7 @@ def test_criterion_8_psd_guardrails(report):
 
     corrupted = grid_trial(
         "bad", "control", [arm("a", (1.0, 0.0, 0.0)), arm("b", (0.0, 1.0, 0.0))],
-        categories=(1,), q=3, z=(0.0,), v=0.01,
+        categories=(1,), z=(0.0,), v=0.01,
         ref_change_var={1: 0.02},  # exceeds every observation variance
     )
     violations = validate_trial(corrupted, PROJECTION_SCHEMA)

@@ -86,6 +86,36 @@ def test_validate_reports_each_violation(tmp_path, capsys):
     assert "violation(s) found" in captured.err
 
 
+def test_validate_lists_out_of_range_categories_with_other_faults(
+    tmp_path, capsys
+):
+    doc = dataset_to_dict(build_basic_dataset())
+    trial = doc["trials"][0]
+    trial["observations"][0]["category"] = 0
+    trial["observations"][1]["category"] = 4
+    trial["arms"][0]["x"] = [2.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(bad)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "trial 't1': follow-up category 0 outside 1..3" in lines
+    assert "trial 't1': follow-up category 4 outside 1..3" in lines
+    assert "trial 't1': arm 'a1': non-binary intervention covariate" in lines
+    assert "Traceback" not in captured.err
+
+
+def test_validate_reports_duplicate_trial_ids(tmp_path, capsys):
+    doc = dataset_to_dict(build_basic_dataset())
+    doc["trials"][1]["id"] = doc["trials"][0]["id"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["dataset: duplicate trial id 't1'"]
+    assert "1 violation(s) found" in captured.err
+
+
 def test_validate_unreadable_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", "--data", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -593,6 +623,20 @@ def test_simulate_number_written_as_string_or_boolean_is_config_error(
     err = capsys.readouterr().err
     assert f"{key}: could not convert" in err and "expected a JSON number" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(SIM_CONFIG))
+    out = tmp_path / where
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"--out {out}: cannot write" in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("labels", [5, "beta", ["a", 3], {"a": "b"}])

@@ -1,5 +1,7 @@
 """Within- and between-trial covariance assembly."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,14 @@ from featmeta import (
     impute_ref_change_variance,
     rho_for_separation,
 )
-from featmeta.covariance import (
-    CASE_DIFF_ARM_DIFF_TIME,
-    CASE_DIFF_ARM_SAME_TIME,
-    CASE_SAME_ARM_DIFF_TIME,
-    CASE_SAME_ARM_SAME_TIME,
-    between_structure,
-    ensure_positive_semidefinite,
-)
+from featmeta.covariance import between_structure, ensure_positive_semidefinite
 
 from conftest import arm, decomposed_control_trial, grid_trial
-from reference import build_between_covariance, mvn_logpdf
+from reference import (
+    build_between_covariance,
+    mvn_logpdf,
+    reference_within_covariance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,7 @@ from reference import build_between_covariance, mvn_logpdf
 def test_supplied_reference_variance_passthrough():
     trial = grid_trial(
         "t", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1,), q=1, v=0.01, ref_change_var={1: 0.004},
+        categories=(1,), v=0.01, ref_change_var={1: 0.004},
     )
     assert impute_ref_change_variance(trial, 1) == 0.004
 
@@ -40,7 +39,7 @@ def test_supplied_reference_variance_passthrough():
 def test_imputation_takes_half_the_minimum():
     trial = grid_trial(
         "t", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1,), q=1, v={("a", 1): 0.01, ("b", 1): 0.02},
+        categories=(1,), v={("a", 1): 0.01, ("b", 1): 0.02},
     )
     dvar = impute_ref_change_variance(trial, 1)
     assert dvar == 0.005
@@ -51,12 +50,11 @@ def test_imputation_takes_half_the_minimum():
 
 def test_single_contrast_trial_never_uses_cross_arm_value():
     trial = grid_trial(
-        "t", "control", [arm("a", (1.0,))], categories=(1,), q=1, v=0.0123,
+        "t", "control", [arm("a", (1.0,))], categories=(1,), v=0.0123,
     )
     within = build_within_covariance(trial, 0.8, 0.64)
     assert within.matrix.shape == (1, 1)
     assert within.matrix[0, 0] == 0.0123
-    assert within.case_codes[0, 0] == CASE_SAME_ARM_SAME_TIME
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,7 @@ def test_rho_rejects_bad_base():
 
 def test_two_arm_single_followup_is_scalar():
     trial = grid_trial(
-        "t", "control", [arm("a", (1.0,))], categories=(1,), q=1, v=0.01,
+        "t", "control", [arm("a", (1.0,))], categories=(1,), v=0.01,
     )
     within = build_within_covariance(trial, 0.8, 0.64)
     assert np.array_equal(within.matrix, [[0.01]])
@@ -100,43 +98,33 @@ def test_two_arm_single_followup_is_scalar():
 def test_three_arm_single_followup_case_two():
     trial = grid_trial(
         "t", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1,), q=1,
+        categories=(1,),
         v={("a", 1): 0.01, ("b", 1): 0.02}, ref_change_var={1: 0.004},
     )
     within = build_within_covariance(trial, 0.8, 0.64)
     assert within.matrix == pytest.approx(
         np.array([[0.01, 0.004], [0.004, 0.02]]), abs=1e-15
     )
-    assert within.case_codes[0, 1] == CASE_DIFF_ARM_SAME_TIME
 
 
 def test_two_arm_two_followup_case_three():
     trial = grid_trial(
-        "t", "control", [arm("a", (1.0,))], categories=(1, 2), q=2, v=0.01,
+        "t", "control", [arm("a", (1.0,))], categories=(1, 2), v=0.01,
     )
     within = build_within_covariance(trial, 0.8, 0.64)
     assert within.matrix == pytest.approx(
         np.array([[0.01, 0.008], [0.008, 0.01]]), abs=1e-15
     )
-    assert within.case_codes[0, 1] == CASE_SAME_ARM_DIFF_TIME
 
 
 def test_all_four_cases_appear_and_decay():
     trial = grid_trial(
         "t", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1, 2, 3), q=3, v=0.01,
+        categories=(1, 2, 3), v=0.01,
         ref_change_var={1: 0.004, 2: 0.004, 3: 0.004},
     )
     within = build_within_covariance(trial, 0.8, 0.8)
     # order: (1,a) (1,b) (2,a) (2,b) (3,a) (3,b)
-    assert within.order == (
-        ("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)
-    )
-    codes = within.case_codes
-    assert codes[0, 0] == CASE_SAME_ARM_SAME_TIME
-    assert codes[0, 1] == CASE_DIFF_ARM_SAME_TIME
-    assert codes[0, 2] == CASE_SAME_ARM_DIFF_TIME
-    assert codes[0, 3] == CASE_DIFF_ARM_DIFF_TIME
     # same-arm decay with separation: rho, rho^2
     assert within.matrix[0, 2] == pytest.approx(0.8 * 0.01)
     assert within.matrix[0, 4] == pytest.approx(0.8**2 * 0.01)
@@ -148,7 +136,7 @@ def test_all_four_cases_appear_and_decay():
 def test_distinct_rho_d_applied_cross_arm():
     trial = grid_trial(
         "t", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1, 2), q=2, v=0.01, ref_change_var={1: 0.004, 2: 0.004},
+        categories=(1, 2), v=0.01, ref_change_var={1: 0.004, 2: 0.004},
     )
     within = build_within_covariance(trial, 0.8, 0.6)
     assert within.matrix[0, 2] == pytest.approx(0.8 * 0.01)  # same arm
@@ -157,7 +145,7 @@ def test_distinct_rho_d_applied_cross_arm():
 
 def test_per_trial_override_beats_base():
     trial = grid_trial(
-        "t", "control", [arm("a", (1.0,))], categories=(1, 2), q=2,
+        "t", "control", [arm("a", (1.0,))], categories=(1, 2),
         v=0.01, rho_y=0.2,
     )
     within = build_within_covariance(trial, 0.9, 0.9)
@@ -166,7 +154,7 @@ def test_per_trial_override_beats_base():
 
 def test_zero_correlations_single_followup_diagonal():
     trial = grid_trial(
-        "t", "control", [arm("a", (1.0,))], categories=(1,), q=1, v=0.02,
+        "t", "control", [arm("a", (1.0,))], categories=(1,), v=0.02,
     )
     within = build_within_covariance(trial, 0.0, 0.0)
     assert np.array_equal(within.matrix, np.diag([0.02]))
@@ -183,12 +171,67 @@ def test_within_symmetric_and_diagonal_matches_v(seed, n_arms, n_times):
     trial, _, _ = decomposed_control_trial(rng, n_arms, n_times)
     within = build_within_covariance(trial, 0.8, 0.8)
     assert np.array_equal(within.matrix, within.matrix.T)  # 0 ulps
-    expected_diag = [
-        trial.variance_at(arm_id, cat) for arm_id, cat in within.order
-    ]
+    expected_diag = [o.v for o in trial.ordered_observations()]
     assert np.array_equal(np.diag(within.matrix), expected_diag)
     assert np.linalg.eigvalsh(within.matrix)[0] >= -1e-10 * max(
         1.0, np.linalg.eigvalsh(within.matrix)[-1]
+    )
+
+
+correlations = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    comparison=st.sampled_from(["control", "active"]),
+    n_arms=st.integers(min_value=1, max_value=4),
+    categories=st.lists(
+        st.integers(min_value=1, max_value=3), min_size=1, max_size=3,
+        unique=True,
+    ).map(sorted),
+    base_rho_y=correlations,
+    base_rho_d=correlations,
+    rho_y=st.none() | correlations,
+    rho_d=st.none() | correlations,
+    supplied=st.booleans(),
+)
+def test_within_matches_the_four_case_reference_bit_for_bit(
+    data, comparison, n_arms, categories, base_rho_y, base_rho_d, rho_y,
+    rho_d, supplied,
+):
+    contrast = [arm(f"k{k}", (1.0,)) for k in range(n_arms)]
+    reference_arm = "r" if comparison == "active" else None
+    arms = [arm("r", (0.0,))] + contrast if reference_arm else contrast
+    log_v = st.floats(min_value=-12.0, max_value=6.0)
+    v = {
+        (a.arm_id, c): 10.0 ** data.draw(log_v)
+        for a in contrast for c in categories
+    }
+    ref_change_var = None
+    if supplied:
+        fraction = st.floats(min_value=0.01, max_value=1.0)
+        ref_change_var = {
+            c: data.draw(fraction) * min(x for (_, t), x in v.items() if t == c)
+            for c in categories
+        }
+    trial = grid_trial(
+        "t", comparison, arms, categories=categories, v=v,
+        reference_arm=reference_arm, ref_change_var=ref_change_var,
+        rho_y=rho_y, rho_d=rho_d,
+    )
+    try:
+        expected = reference_within_covariance(trial, base_rho_y, base_rho_d)
+    except CovarianceError as e:
+        with pytest.raises(CovarianceError, match=re.escape(str(e))):
+            build_within_covariance(trial, base_rho_y, base_rho_d)
+        return
+    within = build_within_covariance(trial, base_rho_y, base_rho_d)
+    assert within.trial_id == expected.trial_id
+    assert np.array_equal(
+        within.matrix.view(np.int64), expected.matrix.view(np.int64)
     )
 
 
@@ -197,7 +240,7 @@ def test_materially_non_psd_rejected_with_trial_name():
     # variances makes the same-time block indefinite
     trial = grid_trial(
         "broken", "control", [arm("a", (1.0,)), arm("b", (0.0,))],
-        categories=(1,), q=1, v=0.01, ref_change_var={1: 0.05},
+        categories=(1,), v=0.01, ref_change_var={1: 0.05},
     )
     with pytest.raises(CovarianceError, match="broken") as err:
         build_within_covariance(trial, 0.8, 0.64)

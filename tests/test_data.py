@@ -15,7 +15,6 @@ from featmeta import (
     Dataset,
     DataValidationError,
     Factor,
-    FollowUpIndicator,
     center_covariates,
     load_dataset,
     save_dataset,
@@ -107,7 +106,7 @@ def test_round_trip_ten_covariate_configuration():
     t1 = grid_trial(
         "s1", "control",
         [arm("a", (1.0, 0.0, 1.0, 0.0)), arm("b", (0.0, 1.0, 0.0, 1.0))],
-        categories=(1, 2, 3), q=3, z=(0.25,),
+        categories=(1, 2, 3), z=(0.25,),
         v={(a, c): 0.01 + 0.001 * c for a in ("a", "b") for c in (1, 2, 3)},
         y={(a, c): -0.02 * c if a == "a" else 0.01 for a in ("a", "b")
            for c in (1, 2, 3)},
@@ -116,7 +115,7 @@ def test_round_trip_ten_covariate_configuration():
     t2 = grid_trial(
         "s2", "active",
         [arm("r", (1.0, 1.0, 0.0, 0.0)), arm("k", (0.0, 0.0, 1.0, 1.0))],
-        categories=(1, 2), q=3, z=(-1.5,), v=0.02, y=0.03,
+        categories=(1, 2), z=(-1.5,), v=0.02, y=0.03,
         reference_arm="r", rho_y=0.7,
     )
     ds = Dataset(schema=schema, trials=(t1, t2), base_rho_y=0.8, base_rho_d=0.64)
@@ -144,7 +143,7 @@ def test_save_then_load_is_identity_on_file_bytes(tmp_path):
 def test_non_binary_feature_flagged(basic_schema):
     trial = grid_trial(
         "bad", "control", [arm("a1", (2.0, 0.0))], categories=(1,),
-        q=basic_schema.q, z=(0.0,),
+        z=(0.0,),
     )
     violations = validate_trial(trial, basic_schema)
     assert any("non-binary intervention covariate" in v for v in violations)
@@ -154,7 +153,7 @@ def test_active_trial_missing_reference_flagged(basic_schema):
     trial = grid_trial(
         "bad", "active",
         [arm("a1", (1.0, 0.0)), arm("a2", (0.0, 1.0))],
-        categories=(1,), q=basic_schema.q, z=(0.0,),
+        categories=(1,), z=(0.0,),
     )
     violations = validate_trial(trial, basic_schema)
     assert any("reference-arm" in v for v in violations)
@@ -171,7 +170,7 @@ def test_excess_reference_variance_flagged(basic_schema):
     trial = grid_trial(
         "bad", "control",
         [arm("a1", (1.0, 0.0)), arm("a2", (0.0, 1.0))],
-        categories=(1,), q=basic_schema.q, z=(0.0,),
+        categories=(1,), z=(0.0,),
         v=v, ref_change_var={1: d},
     )
     violations = validate_trial(trial, basic_schema)
@@ -185,7 +184,7 @@ def test_control_trial_with_reference_arm_flagged(basic_schema):
     trial = grid_trial(
         "bad", "control",
         [arm("a1", (1.0, 0.0)), arm("a2", (0.0, 1.0))],
-        categories=(1,), q=basic_schema.q, z=(0.0,), reference_arm="a1",
+        categories=(1,), z=(0.0,), reference_arm="a1",
     )
     assert validate_trial(trial, basic_schema)
 
@@ -194,11 +193,18 @@ def test_ragged_followup_grid_flagged(basic_schema):
     trial = grid_trial(
         "bad", "control",
         [arm("a1", (1.0, 0.0)), arm("a2", (0.0, 1.0))],
-        categories=(1, 2), q=basic_schema.q, z=(0.0,),
+        categories=(1, 2), z=(0.0,),
     )
     trial = replace(trial, observations=trial.observations[:-1])
     violations = validate_trial(trial, basic_schema)
     assert any("differing follow-up categories" in v for v in violations)
+
+
+def test_duplicate_trial_id_flagged(basic_dataset):
+    t1, t2, t3 = basic_dataset.trials
+    dataset = replace(basic_dataset, trials=(t1, replace(t2, trial_id="t1"), t3))
+    assert validate_dataset(dataset) == ["dataset: duplicate trial id 't1'"]
+    assert validate_dataset(basic_dataset) == []
 
 
 def test_valid_trial_observation_count(basic_dataset):
@@ -209,14 +215,21 @@ def test_valid_trial_observation_count(basic_dataset):
 
 
 # ---------------------------------------------------------------------------
-# FollowUpIndicator
+# follow-up dummies
 # ---------------------------------------------------------------------------
+
+
+def followup_columns(q, categories):
+    """The w columns of a one-arm control trial's design rows."""
+    schema = CovariateSchema(n=0, p=0, q=q)
+    trial = grid_trial("t", "control", [arm("a")], categories=categories)
+    return [tuple(row[1:]) for row in trial_design_matrix(schema, trial)]
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_followup_dummy_bijection(q, data):
     category = data.draw(st.integers(min_value=1, max_value=q))
-    w = FollowUpIndicator.from_category(category, q).w
+    (w,) = followup_columns(q, (category,))
     assert len(w) == q - 1
     assert sum(w) in (0.0, 1.0)
     # Invert the encoding: the category is recoverable from w alone.
@@ -226,10 +239,12 @@ def test_followup_dummy_bijection(q, data):
 
 def test_double_one_dummy_unrepresentable():
     # (w1, w2) = (1, 1) has no category preimage for q = 3.
-    encodings = {FollowUpIndicator.from_category(c, 3).w for c in (1, 2, 3)}
+    encodings = set(followup_columns(3, (1, 2, 3)))
     assert encodings == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
-    with pytest.raises(ValueError):
-        FollowUpIndicator.from_category(4, 3)
+    outside = grid_trial("t", "control", [arm("a")], categories=(4,))
+    assert validate_trial(outside, CovariateSchema(n=0, p=0, q=3)) == [
+        "follow-up category 4 outside 1..3"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,7 @@ def test_constant_feature_centers_to_zero(basic_schema):
     trials = tuple(
         grid_trial(
             f"t{i}", "control", [arm("a", (1.0, float(i % 2)))],
-            categories=(1,), q=basic_schema.q, z=(float(i),),
+            categories=(1,), z=(float(i),),
         )
         for i in range(4)
     )
@@ -277,7 +292,7 @@ def test_balanced_binary_centers_to_half(basic_schema):
     trials = tuple(
         grid_trial(
             f"t{i}", "control", [arm("a", (float(i % 2), 0.0))],
-            categories=(1,), q=basic_schema.q, z=(0.0,),
+            categories=(1,), z=(0.0,),
         )
         for i in range(4)
     )
@@ -319,7 +334,7 @@ def test_interactions_formed_before_centering(basic_schema):
     trials = tuple(
         grid_trial(
             f"t{i}", "control", [arm("a", (x, 0.0))],
-            categories=(1,), q=basic_schema.q, z=(z,),
+            categories=(1,), z=(z,),
         )
         for i, (x, z) in enumerate([(1.0, 2.0), (0.0, 4.0)])
     )
@@ -343,7 +358,7 @@ def test_centering_record_restores_raw_intercept(seed):
         grid_trial(
             f"t{i}", "control",
             [arm("a", tuple(float(b) for b in rng.integers(0, 2, 2)))],
-            categories=(1, 2), q=2, z=(float(rng.normal()),),
+            categories=(1, 2), z=(float(rng.normal()),),
         )
         for i in range(3)
     )

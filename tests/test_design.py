@@ -47,7 +47,7 @@ def interaction_column(schema, x, z, categories):
     """The first interaction column of a one-arm control trial."""
     trial = grid_trial(
         "t", "control", [arm("a", x)],
-        categories=categories, q=schema.q, z=z,
+        categories=categories, z=z,
     )
     return trial_design_matrix(schema, trial)[:, -schema.l]
 
@@ -91,7 +91,7 @@ def test_active_identical_arms_give_zero_row(four_feature_schema):
     x = (1.0, 0.0, 1.0, 0.0)
     trial = grid_trial(
         "t", "active", [arm("r", x), arm("k", x)],
-        categories=(1,), q=3, z=(0.7,), reference_arm="r",
+        categories=(1,), z=(0.7,), reference_arm="r",
     )
     row = trial_design_matrix(four_feature_schema, trial)[0]
     assert np.array_equal(row, np.zeros(10))
@@ -100,7 +100,7 @@ def test_active_identical_arms_give_zero_row(four_feature_schema):
 def test_control_intercept_only_row(four_feature_schema):
     trial = grid_trial(
         "t", "control", [arm("a", (0.0, 0.0, 0.0, 0.0))],
-        categories=(1,), q=3, z=(0.0,),
+        categories=(1,), z=(0.0,),
     )
     row = trial_design_matrix(four_feature_schema, trial)[0]
     assert row[0] == 1.0
@@ -112,7 +112,7 @@ def test_active_feature_differencing(four_feature_schema):
     trial = grid_trial(
         "t", "active",
         [arm("r", (0.0, 1.0, 1.0, 0.0)), arm("k", (1.0, 0.0, 1.0, 0.0))],
-        categories=(1,), q=3, z=(0.7,), reference_arm="r",
+        categories=(1,), z=(0.7,), reference_arm="r",
     )
     row = trial_design_matrix(four_feature_schema, trial)[0]
     assert row[0] == 0.0
@@ -142,7 +142,7 @@ def test_intercept_passthrough_when_centered_covariates_vanish():
     )
     trial = grid_trial(
         "t", "control", [arm("a", (1.0, 0.0))],
-        categories=(1,), q=2, z=(0.4,),
+        categories=(1,), z=(0.4,),
     )
     from featmeta import Dataset, center_covariates
 
@@ -161,7 +161,7 @@ def test_active_theta_hand_value(four_feature_schema):
     trial = grid_trial(
         "t", "active",
         [arm("r", (0.0, 1.0, 1.0, 0.0)), arm("k", (1.0, 0.0, 1.0, 0.0))],
-        categories=(1,), q=3, z=(0.0,), reference_arm="r",
+        categories=(1,), z=(0.0,), reference_arm="r",
     )
     params = ParameterVector(
         alpha=5.0, beta=(0.1, 0.2, 0.3, 0.4), gamma=(7.0,),
@@ -205,7 +205,7 @@ def test_transitivity_active_equals_differenced_control(seed, n_arms, n_times):
     control, _, _ = decomposed_control_trial(rng, n_arms, n_times)
     active = grid_trial(
         "act", "active", control.arms, categories=control.observed_categories,
-        q=n_times, z=control.z, v=0.01, reference_arm=control.arms[-1].arm_id,
+        z=control.z, v=0.01, reference_arm=control.arms[-1].arm_id,
     )
     params = random_parameter_vector(rng, schema)
     theta_control = fixed_effects(params, control, schema)
@@ -231,7 +231,7 @@ def test_active_theta_ignores_alpha_gamma_phi(seed):
     trial = grid_trial(
         "t", "active",
         [arm("r", (1.0, 0.0)), arm("k", (0.0, 1.0))],
-        categories=(1, 2), q=2, z=(rng.normal(),), reference_arm="r",
+        categories=(1, 2), z=(rng.normal(),), reference_arm="r",
     )
     params = random_parameter_vector(rng, schema)
     shifted = ParameterVector(
@@ -304,7 +304,7 @@ def random_trial(rng, schema, trial_id, comparison):
     if comparison == "control":
         arms = arms[:-1]
     return grid_trial(
-        trial_id, comparison, arms, categories=categories, q=schema.q,
+        trial_id, comparison, arms, categories=categories,
         z=tuple(rng.normal(0.0, 2.0, schema.p)),
         reference_arm=arms[-1].arm_id if comparison == "active" else None,
     )

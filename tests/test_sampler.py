@@ -56,7 +56,7 @@ def scalar_trial(trial_id, y, v=0.01, x=(1.0,), comparison="control"):
     if comparison == "active":
         arms = [arm("ref", (0.0,) * len(x)), arm("a", x)]
     return grid_trial(
-        trial_id, comparison, arms, categories=(1,), q=1, v=v, y=y,
+        trial_id, comparison, arms, categories=(1,), v=v, y=y,
         reference_arm="ref" if comparison == "active" else None,
     )
 
@@ -197,7 +197,7 @@ def test_active_only_dataset_constant_in_alpha_gamma_phi():
     trial = grid_trial(
         "a1", "active",
         [arm("ref", (0.0, 1.0)), arm("k", (1.0, 1.0)), arm("m", (1.0, 0.0))],
-        categories=(1, 2), q=3, z=(0.7,), v=0.01, y=0.03,
+        categories=(1, 2), z=(0.7,), v=0.01, y=0.03,
         reference_arm="ref", ref_change_var={1: 0.004, 2: 0.004},
     )
     data = Dataset(schema=schema, trials=(trial,), base_rho_y=0.8, base_rho_d=0.64)
@@ -340,7 +340,7 @@ def singular_within_dataset():
     # Two arms at one follow-up with ref_change_var == v: V = [[v, v], [v, v]].
     trial = grid_trial(
         "s1", "control", [arm("a", (1.0, 0.0)), arm("b", (0.0, 1.0))],
-        categories=(1,), q=3, z=(0.2,), v=0.01,
+        categories=(1,), z=(0.2,), v=0.01,
         y={("a", 1): 0.03, ("b", 1): -0.01}, ref_change_var={1: 0.01},
     )
     return Dataset(
@@ -575,7 +575,7 @@ def test_preconditioner_falls_back_to_unit_log_tau_sd_at_the_bracket_edge():
     # proportional to tau, so f rises up to the top of the bracket.
     schema = CovariateSchema(n=0, p=0, q=1, interactions=())
     trial = grid_trial("toy", "control", [arm("a", ())],
-                       categories=(1,), q=1, v=0.005, y=0.03)
+                       categories=(1,), v=0.005, y=0.03)
     dataset = Dataset(schema=schema, trials=(trial,), base_rho_y=0.8,
                       base_rho_d=0.64)
     pre = sampler.precondition(
@@ -929,9 +929,6 @@ def test_centered_fit_does_not_warn(recwarn):
         dict(thin=0),
         dict(adapt=-1),
         dict(burn_in=-1),
-        dict(target_accept=0.0),
-        dict(target_accept=1.0),
-        dict(target_accept=1.5),
         dict(seed=-1),
     ],
 )
