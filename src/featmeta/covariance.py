@@ -16,6 +16,14 @@ arm's change-score variance is rarely reported; when absent it is
 imputed as half the smallest contrast variance at that follow-up, which
 keeps V positive semidefinite.
 
+The rule is applied in one place, ``within_covariance_stack``: a
+vectorized kernel over a stack of trials of one dimension, each given
+per row as (arm, category, v, var_d). ``build_within_covariance`` is
+that kernel on a stack of one trial; the simulator calls it once per
+trial dimension. The powers rho^k come from a table built with Python's
+float power, not numpy's vectorized one, whose last bit can differ on
+some machines.
+
 Between-trial heterogeneity in the arm effects delta has covariance
 tau^2 on the diagonal and tau^2 / 2 everywhere else (arm effects within
 a trial share the common-reference correlation 1/2).
@@ -23,6 +31,7 @@ a trial share the common-reference correlation 1/2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,7 @@ __all__ = [
     "rho_for_separation",
     "impute_ref_change_variance",
     "build_within_covariance",
+    "within_covariance_stack",
     "between_structure",
     "ensure_positive_semidefinite",
 ]
@@ -79,6 +89,49 @@ def impute_ref_change_variance(trial: TrialRecord, category: int) -> float:
     return 0.5 * min(arm_vars)
 
 
+def within_covariance_stack(
+    arm: np.ndarray,
+    category: np.ndarray,
+    v: np.ndarray,
+    ref_var: np.ndarray,
+    rho_y: float,
+    rho_d: float,
+) -> np.ndarray:
+    """V for a stack of trials of one dimension d, before the PSD check.
+
+    Each input is (G, d), one row per trial in canonical order: the
+    row's arm (any label compared for equality), follow-up category,
+    observation variance v and the reference change variance var_d at
+    its category. Returns (G, d, d) with entry (i, j) of trial g equal to
+    rho^|t_i - t_j| * sqrt(s_i * s_j), where (rho, s) is (rho_y, v) for
+    rows of one arm and (rho_d, var_d) otherwise.
+    """
+    arm = np.asarray(arm)
+    category = np.asarray(category)
+    same = (arm[:, :, None] == arm[:, None, :]).view(np.int8)
+    lag = np.abs(category[:, :, None] - category[:, None, :])
+    # s as (2, G, d): var_d for pairs of arms (same = 0), v for one (1).
+    s = np.array([ref_var, v], dtype=float)
+    products = s[:, :, :, None] * s[:, :, None, :]
+    lags = int(lag.max()) + 1 if lag.size else 1
+    # The table is cached by the bits of each rho: -0.0 == 0.0, yet
+    # (-0.0)^1 and 0.0^1 differ in sign.
+    powers = _powers(float(rho_d).hex(), float(rho_y).hex(), lags, rho_d, rho_y)
+    return powers[same, lag] * np.sqrt(np.where(same, products[1], products[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(key_d: str, key_y: str, lags: int, rho_d: float, rho_y: float):
+    """rho^k for k < lags, rho_d's row then rho_y's, by Python's float
+    power: numpy's vectorized power may differ in the last bit."""
+    table = np.array([
+        [rho_for_separation(rho, 0, k) for k in range(lags)]
+        for rho in (rho_d, rho_y)
+    ])
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
 def build_within_covariance(
     trial: TrialRecord,
     base_rho_y: float,
@@ -94,23 +147,15 @@ def build_within_covariance(
     dvar = {
         t: impute_ref_change_variance(trial, t) for t in trial.observed_categories
     }
-    cells = [
-        (o.arm_id, o.category, o.v, dvar[o.category])
-        for o in trial.ordered_observations()
-    ]
-    dim = len(cells)
-
-    matrix = np.empty((dim, dim))
-    for i, (arm_i, t_i, v_i, d_i) in enumerate(cells):
-        for j in range(i, dim):
-            arm_j, t_j, v_j, d_j = cells[j]
-            rho, s_i, s_j = (
-                (rho_y, v_i, v_j) if arm_i == arm_j else (rho_d, d_i, d_j)
-            )
-            matrix[i, j] = matrix[j, i] = rho_for_separation(
-                rho, t_i, t_j
-            ) * np.sqrt(s_i * s_j)
-
+    rows = trial.ordered_observations()
+    matrix = within_covariance_stack(
+        [[o.arm_id for o in rows]],
+        [[o.category for o in rows]],
+        [[o.v for o in rows]],
+        [[dvar[o.category] for o in rows]],
+        rho_y,
+        rho_d,
+    )[0]
     matrix = ensure_positive_semidefinite(
         matrix, f"within-trial covariance of trial {trial.trial_id!r}"
     )

@@ -17,6 +17,7 @@ ordered time-major, then arm (in input order).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .design import _raw_rows
+from .design import _raw_rows, _trial_rows
 
 __all__ = [
     "DataError",
@@ -46,6 +47,12 @@ __all__ = [
 ]
 
 FACTOR_LEVELS = ("intervention", "study", "followup")
+
+# Observation and reference change variances must lie in this range:
+# inside it, every product of two of them (and of half of one, the
+# imputed reference variance) is a normal double, so each entry
+# sqrt(s_i * s_j) of V is exact to rounding.
+VARIANCE_RANGE = (1e-150, 1e150)
 
 
 class DataError(Exception):
@@ -250,14 +257,19 @@ class TrialRecord:
 
     def ordered_observations(self) -> list[Observation]:
         """Observations in canonical (time-major, then arm) order."""
+        return list(self._canonical_order)
+
+    @functools.cached_property
+    def _canonical_order(self) -> tuple[Observation, ...]:
+        # Computed once per record: the design rows, V and y of a trial
+        # each walk this order.
         index = {(o.arm_id, o.category): o for o in self.observations}
-        out = []
-        for t in self.observed_categories:
-            for arm in self.contrast_arms:
-                obs = index.get((arm.arm_id, t))
-                if obs is not None:
-                    out.append(obs)
-        return out
+        return tuple(
+            index[arm.arm_id, t]
+            for t in self.observed_categories
+            for arm in self.contrast_arms
+            if (arm.arm_id, t) in index
+        )
 
     def y_vector(self) -> np.ndarray:
         return np.array([o.y for o in self.ordered_observations()])
@@ -403,6 +415,11 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
             out.append(f"non-finite mean difference at {key}")
         if not (np.isfinite(obs.v) and obs.v > 0):
             out.append(f"non-positive observation variance at {key}")
+        elif not VARIANCE_RANGE[0] <= obs.v <= VARIANCE_RANGE[1]:
+            out.append(
+                f"observation variance {obs.v:g} at {key} outside "
+                f"[{VARIANCE_RANGE[0]:g}, {VARIANCE_RANGE[1]:g}]"
+            )
 
     cat_sets = {frozenset(c) for c in per_arm_cats.values()}
     if len(cat_sets) > 1:
@@ -420,6 +437,11 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
                 out.append(
                     f"reference variance exceeds observation variance at "
                     f"category {cat}"
+                )
+            elif not VARIANCE_RANGE[0] <= val <= VARIANCE_RANGE[1]:
+                out.append(
+                    f"reference variance {val:g} at category {cat} outside "
+                    f"[{VARIANCE_RANGE[0]:g}, {VARIANCE_RANGE[1]:g}]"
                 )
 
     for name in ("rho_y", "rho_d"):
@@ -709,16 +731,20 @@ def center_covariates(dataset: Dataset) -> tuple[Dataset, CenteringRecord]:
     the record's ``intercept_shift`` recovers the raw scale.
     """
     schema = dataset.schema
-    blocks = [
-        _raw_rows(schema, trial)
-        for trial in dataset.trials
-        if trial.comparison == "control"
-    ]
-    if not sum(len(b) for b in blocks):
+    x, z, categories = [], [], []
+    for trial in dataset.trials:
+        if trial.comparison == "control":
+            trial_x, trial_categories = _trial_rows(trial)
+            x += trial_x
+            z += [trial.z] * len(trial_categories)
+            categories += trial_categories
+    if not categories:
         raise DataValidationError(
             "cannot center: dataset has no control-comparison design rows"
         )
-    stacked = np.vstack(blocks)
+    # A contiguous copy, as np.vstack of per-trial blocks gave: the means
+    # then sum in the same order.
+    stacked = np.ascontiguousarray(_raw_rows(schema, x, z, categories)[:, 1:])
     means = stacked.mean(axis=0)
     n, p, w_len = schema.n, schema.p, schema.q - 1
     record = CenteringRecord(

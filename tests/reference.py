@@ -12,14 +12,18 @@ the assembly that factors S once per trial, and
 ``reference_trial_design_matrix`` the design matrix built one
 ``DesignRow`` object per observation. ``reference_within_covariance`` is
 the within-trial covariance built from its four entry types one case at
-a time. ``log_prior`` is the joint log prior of a ``ParameterVector``.
+a time. ``reference_simulate_dataset`` is the generator that draws,
+builds V, factors it and samples the outcomes one trial at a time, on
+a y = 0 skeleton of each trial; its V and design rows come from the two
+references above. ``log_prior`` is the joint log prior of a
+``ParameterVector``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from featmeta.data import (
     CovariateSchema,
     Dataset,
     InterventionArm,
+    Observation,
     TrialRecord,
 )
 from featmeta.design import ParameterVector
@@ -53,6 +58,7 @@ from featmeta.sampler import (
     _trials_with_covariance,
     precondition,
 )
+from featmeta.simulate import SimConfig
 
 
 def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
@@ -576,3 +582,121 @@ def reference_trial_design_matrix(
     ]
     return np.array(rows, dtype=float).reshape(len(rows), 1 + schema.n + schema.p
                                                + (schema.q - 1) + schema.l)
+
+
+def reference_draw_trial_outcomes(
+    trial: TrialRecord,
+    params: ParameterVector,
+    schema: CovariateSchema,
+    base_rho_y: float,
+    base_rho_d: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sample one outcome vector for a structured trial (y values ignored).
+
+    Returns draws in the trial's canonical observation order, from
+    delta = theta + tau * L_S xi followed by y = delta + L_V xi', so
+    tau = 0 yields delta = theta exactly.
+    """
+    theta = reference_trial_design_matrix(schema, trial) @ params.coefficients()
+    within = reference_within_covariance(trial, base_rho_y, base_rho_d).matrix
+    dim = within.shape[0]
+    chol_s = np.linalg.cholesky(between_structure(dim))
+    delta = theta + params.tau * (chol_s @ rng.standard_normal(dim))
+    eigvals, eigvecs = np.linalg.eigh(within)
+    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    return delta + root @ rng.standard_normal(dim)
+
+
+def _reference_draw_structure(
+    config: SimConfig, index: int, comparison: str, rng: np.random.Generator
+) -> TrialRecord:
+    """One trial with drawn covariates and variances; outcomes zeroed."""
+    schema = config.schema
+    n_coded = int(rng.integers(1, config.max_coded_arms + 1))
+    if comparison == "active":
+        n_coded = max(2, n_coded)  # reference plus at least one contrast
+    arms = tuple(
+        InterventionArm(
+            arm_id=f"arm{k + 1}",
+            x=tuple(
+                float(rng.random() < config.feature_prob)
+                for _ in range(schema.n)
+            ),
+        )
+        for k in range(n_coded)
+    )
+    patterns = config.patterns()
+    weights = config.pattern_weights
+    if weights is not None:
+        probs = np.asarray(weights, dtype=float)
+        probs = probs / probs.sum()
+        pattern = patterns[rng.choice(len(patterns), p=probs)]
+    else:
+        pattern = patterns[rng.integers(0, len(patterns))]
+
+    reference = "arm1" if comparison == "active" else None
+    contrast = arms[1:] if comparison == "active" else arms
+    lo, hi = config.variance_range
+    flo, fhi = config.ref_var_fraction_range
+    observations = []
+    ref_change_var = {}
+    fraction = float(rng.uniform(flo, fhi))
+    for cat in pattern:
+        shared_v = float(rng.uniform(lo, hi))
+        ref_change_var[cat] = fraction * shared_v
+        for arm in contrast:
+            observations.append(
+                Observation(
+                    arm_id=arm.arm_id,
+                    category=cat,
+                    y=0.0,
+                    v=shared_v,
+                )
+            )
+    return TrialRecord(
+        trial_id=f"sim-{index + 1:03d}",
+        comparison=comparison,
+        arms=arms,
+        z=tuple(float(rng.normal(0.0, config.z_sd)) for _ in range(schema.p)),
+        observations=tuple(observations),
+        reference_arm=reference,
+        ref_change_var=ref_change_var,
+    )
+
+
+def reference_simulate_dataset(config: SimConfig) -> Dataset:
+    """Generate a complete dataset under the configured true parameters.
+
+    Deterministic in ``config.seed``. At least one control-comparison
+    trial is always present (the first trial is forced to control when
+    the draws produce none).
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))
+    )
+    comparisons = [
+        "control" if rng.random() < config.control_fraction else "active"
+        for _ in range(config.n_trials)
+    ]
+    if "control" not in comparisons:
+        comparisons[0] = "control"
+
+    trials = []
+    for i, comparison in enumerate(comparisons):
+        skeleton = _reference_draw_structure(config, i, comparison, rng)
+        y = reference_draw_trial_outcomes(
+            skeleton, config.params, config.schema, config.rho_y, config.rho_d,
+            rng,
+        )
+        observations = tuple(
+            replace(obs, y=float(val))
+            for obs, val in zip(skeleton.ordered_observations(), y)
+        )
+        trials.append(replace(skeleton, observations=observations))
+    return Dataset(
+        schema=config.schema,
+        trials=tuple(trials),
+        base_rho_y=config.rho_y,
+        base_rho_d=config.rho_d,
+    )

@@ -116,6 +116,33 @@ def test_validate_reports_duplicate_trial_ids(tmp_path, capsys):
     assert "1 violation(s) found" in captured.err
 
 
+def test_variance_v_cannot_represent_is_a_violation(tmp_path, capsys):
+    # A 2-follow-up control trial of a simulated dataset with v = 1e155:
+    # products of two such variances overflow, so V is not finite.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(SIM_CONFIG))
+    data = tmp_path / "trials.json"
+    assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    trial = next(
+        t for t in doc["trials"]
+        if t["comparison"] == "control"
+        and len({o["category"] for o in t["observations"]}) == 2
+    )
+    for obs in trial["observations"]:
+        obs["v"] = 1e155
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--data", str(data)]) == 1
+    out = capsys.readouterr().out
+    assert f"trial {trial['id']!r}: observation variance 1e+155 at " in out
+    assert "outside [1e-150, 1e+150]" in out
+    assert main(fast_fit_args(data, tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "observation variance 1e+155" in err
+    assert "not finite" not in err
+
+
 def test_validate_unreadable_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", "--data", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -573,6 +600,21 @@ def test_simulate_wrong_block_length_is_config_error(tmp_path, capsys):
         ({"seed": 1.5}, "seed: must be an integer"),
         ({"seed": True}, "seed: must be an integer"),
         ({"seed": -1}, "seed must be non-negative"),
+        ({"rho_y": 1.5}, "rho_y must lie in [0, 1)"),
+        ({"rho_d": -0.2}, "rho_d must lie in [0, 1)"),
+        ({"z_sd": -1}, "z_sd must be non-negative and finite"),
+        ({"pattern_weights": [1, -1]}, "pattern_weights must be non-negative"),
+        ({"pattern_weights": [1]},
+         "pattern_weights holds 1 weight(s) for 2 follow-up pattern(s)"),
+        ({"followup_patterns": []}, "followup_patterns must list a pattern"),
+        ({"followup_patterns": [[]]}, "followup pattern [] must hold distinct"),
+        ({"followup_patterns": [[3]]},
+         "followup pattern [3] must hold distinct categories in 1..2"),
+        ({"followup_patterns": [[1, 1]]}, "followup pattern [1, 1] must hold"),
+        ({"feature_prob": 2}, "feature_prob must lie in [0, 1]"),
+        ({"variance_range": [1e-160, 0.01]},
+         "variance_range, and its product with ref_var_fraction_range, must "
+         "lie within [1e-150, 1e+150]"),
     ],
 )
 def test_simulate_bad_generator_value_is_config_error(

@@ -13,7 +13,11 @@ from featmeta import (
     impute_ref_change_variance,
     rho_for_separation,
 )
-from featmeta.covariance import between_structure, ensure_positive_semidefinite
+from featmeta.covariance import (
+    between_structure,
+    ensure_positive_semidefinite,
+    within_covariance_stack,
+)
 
 from conftest import arm, decomposed_control_trial, grid_trial
 from reference import (
@@ -233,6 +237,75 @@ def test_within_matches_the_four_case_reference_bit_for_bit(
     assert np.array_equal(
         within.matrix.view(np.int64), expected.matrix.view(np.int64)
     )
+
+
+@st.composite
+def shaped_trials(draw, dim):
+    """A control or active trial of dimension ``dim``: its arm count and
+    follow-up categories are drawn among those whose product is dim."""
+    shapes = [(a, dim // a) for a in range(1, 5) if dim % a == 0 and dim // a <= 3]
+    n_arms, n_times = draw(st.sampled_from(shapes))
+    categories = sorted(draw(st.permutations([1, 2, 3]))[:n_times])
+    comparison = draw(st.sampled_from(["control", "active"]))
+    contrast = [arm(f"k{k}", (1.0,)) for k in range(n_arms)]
+    reference_arm = "r" if comparison == "active" else None
+    arms = [arm("r", (0.0,))] + contrast if reference_arm else contrast
+    log_v = st.floats(min_value=-12.0, max_value=6.0)
+    v = {
+        (a.arm_id, c): 10.0 ** draw(log_v) for a in contrast for c in categories
+    }
+    ref_change_var = None
+    if draw(st.booleans()):
+        fraction = st.floats(min_value=0.01, max_value=1.0)
+        ref_change_var = {
+            c: draw(fraction) * min(x for (_, t), x in v.items() if t == c)
+            for c in categories
+        }
+    return grid_trial(
+        f"t{draw(st.integers(0, 999))}", comparison, arms,
+        categories=categories, v=v, reference_arm=reference_arm,
+        ref_change_var=ref_change_var,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trials=st.sampled_from([1, 2, 3, 4, 6]).flatmap(
+        lambda dim: st.lists(shaped_trials(dim), min_size=1, max_size=5)
+    ),
+    base_rho_y=correlations,
+    base_rho_d=correlations,
+)
+def test_within_stack_matches_the_reference_trial_by_trial(
+    trials, base_rho_y, base_rho_d
+):
+    # One kernel call over trials of equal dimension but mixed shapes
+    # (arms by follow-ups) gives each trial's V bit for bit.
+    rows = [t.ordered_observations() for t in trials]
+    stack = within_covariance_stack(
+        [[o.arm_id for o in r] for r in rows],
+        [[o.category for o in r] for r in rows],
+        [[o.v for o in r] for r in rows],
+        [[impute_ref_change_variance(t, o.category) for o in r]
+         for t, r in zip(trials, rows)],
+        base_rho_y,
+        base_rho_d,
+    )
+    assert stack.shape == (len(trials),) + (len(rows[0]),) * 2
+    for trial, matrix in zip(trials, stack):
+        context = f"within-trial covariance of trial {trial.trial_id!r}"
+        try:
+            expected = reference_within_covariance(
+                trial, base_rho_y, base_rho_d
+            )
+        except CovarianceError as e:
+            with pytest.raises(CovarianceError, match=re.escape(str(e))):
+                ensure_positive_semidefinite(matrix, context)
+            continue
+        got = ensure_positive_semidefinite(matrix, context)
+        assert np.array_equal(
+            got.view(np.int64), expected.matrix.view(np.int64)
+        )
 
 
 def test_materially_non_psd_rejected_with_trial_name():

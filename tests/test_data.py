@@ -207,6 +207,31 @@ def test_duplicate_trial_id_flagged(basic_dataset):
     assert validate_dataset(basic_dataset) == []
 
 
+@pytest.mark.parametrize(
+    "v, ref, violations",
+    [
+        (1e-150, None, []),
+        (1e150, None, []),
+        (1e-151, None, ["observation variance 1e-151 at ('a', 1) outside "
+                        "[1e-150, 1e+150]"]),
+        (1e155, None, ["observation variance 1e+155 at ('a', 1) outside "
+                       "[1e-150, 1e+150]"]),
+        (0.01, 1e-150, []),
+        (0.01, 1e-160, ["reference variance 1e-160 at category 1 outside "
+                        "[1e-150, 1e+150]"]),
+    ],
+)
+def test_variances_v_cannot_represent_flagged(v, ref, violations):
+    # Inside [1e-150, 1e150] every product of two variances, and so each
+    # entry sqrt(s_i s_j) of V, stays a normal double.
+    trial = grid_trial(
+        "t", "control", [arm("a", (1.0,))], categories=(1,),
+        v={("a", 1): v}, ref_change_var=None if ref is None else {1: ref},
+    )
+    schema = CovariateSchema(n=1, p=0, q=1)
+    assert validate_trial(trial, schema) == violations
+
+
 def test_valid_trial_observation_count(basic_dataset):
     # T_i * (A_i - 1) observations in every valid trial.
     for trial in basic_dataset.trials:

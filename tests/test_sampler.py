@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from featmeta import (
     log_likelihood_marginal,
     run_chain,
     run_mcmc,
+    save_dataset,
     simulate_dataset,
     trial_design_matrix,
     validate_dataset,
@@ -466,6 +469,36 @@ def test_assemble_keeps_every_bit_of_the_stacked_arrays(seed):
         ), name
     assert assembled.log_density_const == want.log_density_const
     assert assembled_digest(assembled) == ASSEMBLED_DIGESTS[seed]
+
+
+# SHA-256 of the benchmark's seed-1 input files, as perfbench/inputs.py
+# writes them (sim_config, then save_dataset), taken before the
+# simulator was batched by dimension: the generator must keep every byte.
+# fit150's two datasets share their generator settings with recovery's
+# first two.
+INPUT_DIGESTS = {
+    ("fit150", 0): "cad77f3ed5a0c0510aa5ab887e5feef1971e03d77a85bcb8c8c336863ac42149",
+    ("fit150", 1): "36f16e2d9c61631bb2ed7c2708f1d76cc941b85615c510eec96b21b15ae075e1",
+    ("recovery", 0): "cad77f3ed5a0c0510aa5ab887e5feef1971e03d77a85bcb8c8c336863ac42149",
+    ("recovery", 1): "36f16e2d9c61631bb2ed7c2708f1d76cc941b85615c510eec96b21b15ae075e1",
+    ("recovery", 2): "5791c7dee582c16038a782e097bea940597027b1d4d49444e9efdd3278e19ff7",
+    ("recovery", 3): "35b207477ee1578428b5ec03841e824b5a613852028e488e245ee1cbc5b56bb3",
+    ("recovery", 4): "1cb7195ac8fc1639f9599d0dd7fa7093fec4e0aa717404d8a6a367a33360027c",
+    ("recovery", 5): "4ccdf72dd41d5677f48953df20a373cdcdafa2e432c0214e4d6883cf2762dd9c",
+}
+
+
+@pytest.mark.parametrize("workload, index", sorted(INPUT_DIGESTS))
+def test_benchmark_inputs_keep_every_byte(tmp_path, workload, index):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from inputs import sim_config
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / "data.json"
+    save_dataset(simulate_dataset(sim_config(workload, 1, index)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == INPUT_DIGESTS[workload, index]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Synthetic data generation against the model's own covariance rules."""
 
+import io
 import json
 
 import numpy as np
@@ -17,8 +18,16 @@ from featmeta import (
     dataset_to_dict,
     draw_trial_outcomes,
     fixed_effects,
+    save_dataset,
     simulate_dataset,
+    trial_design_matrix,
     validate_dataset,
+)
+from featmeta.simulate import _outcomes
+
+from reference import (
+    reference_draw_trial_outcomes,
+    reference_simulate_dataset,
 )
 
 
@@ -155,7 +164,9 @@ def test_control_trial_always_present():
 
 def test_replicate_covariance_converges_to_model():
     # Empirical covariance of repeated outcome draws for one fixed trial
-    # approaches V + tau^2 S.
+    # approaches V + tau^2 S. The replicates take the normals that as
+    # many draw_trial_outcomes calls would, in the same order, in one
+    # batched call.
     config = SimConfig(
         schema=sim_schema(),
         params=sim_params(tau=0.1),
@@ -169,19 +180,123 @@ def test_replicate_covariance_converges_to_model():
     trial = next(t for t in dataset.trials if t.dimension == 4)
     within = build_within_covariance(trial, config.rho_y, config.rho_d).matrix
     target = within + 0.1**2 * between_structure(4)
-    rng = np.random.default_rng(2024)
-    reps = np.stack(
-        [
-            draw_trial_outcomes(
-                trial, config.params, sim_schema(), config.rho_y, config.rho_d,
-                rng,
-            )
-            for _ in range(100_000)
-        ]
-    )
+    design = trial_design_matrix(sim_schema(), trial)
+    normals = np.random.default_rng(2024).standard_normal((100_000, 8))
+    reps = _outcomes(design[None], within[None], config.params, normals)
     emp = np.cov(reps, rowvar=False)
     rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
     assert rel < 0.05
+    rng = np.random.default_rng(2024)
+    for rep in reps[:3]:
+        one = draw_trial_outcomes(
+            trial, config.params, sim_schema(), config.rho_y, config.rho_d, rng,
+        )
+        assert np.array_equal(one.view(np.int64), rep.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [3, 21, 77])
+def test_draw_trial_outcomes_matches_the_reference_bit_for_bit(seed):
+    schema = CovariateSchema(
+        n=2, p=1, q=3,
+        interactions=((Factor("intervention", 1), Factor("followup", 1)),),
+    )
+    params = ParameterVector(
+        0.01, (0.02, -0.03), (0.05,), (0.0, -0.01), (0.04,), tau=0.08
+    )
+    config = SimConfig(
+        schema=schema, params=params, n_trials=20, seed=seed, max_coded_arms=3,
+    )
+    for trial in simulate_dataset(config).trials:
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = draw_trial_outcomes(trial, params, schema, 0.7, 0.7, rngs[0])
+        want = reference_draw_trial_outcomes(
+            trial, params, schema, 0.7, 0.7, rngs[1]
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert rngs[0].random() == rngs[1].random()
+
+
+def _factors(n, p, q):
+    pool = (
+        [Factor("intervention", j) for j in range(n)]
+        + [Factor("study", j) for j in range(p)]
+        + [Factor("followup", j) for j in range(q - 1)]
+    )
+    if not pool:
+        return st.just(())
+    term = st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+    return st.lists(term.map(tuple), max_size=3).map(tuple)
+
+
+@st.composite
+def sim_configs(draw):
+    n, p, q = draw(st.integers(0, 4)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    schema = CovariateSchema(n=n, p=p, q=q, interactions=draw(_factors(n, p, q)))
+    coefficient = st.floats(-0.1, 0.1)
+    params = ParameterVector(
+        alpha=draw(coefficient),
+        beta=draw(st.lists(coefficient, min_size=n, max_size=n)),
+        gamma=draw(st.lists(coefficient, min_size=p, max_size=p)),
+        phi=draw(st.lists(coefficient, min_size=q - 1, max_size=q - 1)),
+        eta=draw(st.lists(coefficient, min_size=schema.l, max_size=schema.l)),
+        tau=draw(st.just(0.0) | st.floats(0.01, 0.2)),
+    )
+    patterns = draw(st.none() | st.lists(
+        st.permutations(range(1, q + 1)).flatmap(
+            lambda cats: st.integers(1, q).map(lambda k: tuple(cats[:k]))
+        ),
+        min_size=1, max_size=4,
+    ))
+    count = q if patterns is None else len(patterns)
+    weights = draw(st.none() | st.lists(
+        st.just(0.0) | st.floats(0.1, 3.0), min_size=count, max_size=count,
+    ).filter(lambda w: sum(w) > 0))
+    lo = draw(st.floats(1e-4, 0.01))
+    flo = draw(st.floats(0.05, 1.0))
+    rho = st.just(0.0) | st.floats(0.0, 0.95)
+    # A fraction of 1 makes var_d = v, so V is singular and rounding
+    # often leaves a tiny negative eigenvalue for the PSD repair.
+    fractions = draw(
+        st.just((1.0, 1.0)) | st.floats(flo, 1.0).map(lambda fhi: (flo, fhi))
+    )
+    return SimConfig(
+        schema=schema,
+        params=params,
+        n_trials=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        control_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        max_coded_arms=draw(st.integers(1, 4)),
+        followup_patterns=patterns,
+        pattern_weights=weights,
+        variance_range=(lo, lo * draw(st.floats(1.0, 10.0))),
+        ref_var_fraction_range=fractions,
+        rho_y=draw(rho),
+        rho_d=draw(rho),
+        feature_prob=draw(st.floats(0.0, 1.0)),
+        z_sd=draw(st.floats(0.0, 2.0)),
+    )
+
+
+def _saved(config, simulate):
+    buffer = io.StringIO()
+    save_dataset(simulate(config), buffer)
+    return buffer.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=sim_configs())
+def test_generator_matches_the_trial_by_trial_reference_byte_for_byte(config):
+    # The reference draws, builds V, factors it and samples one trial at
+    # a time; the batched passes must write the same file, or raise the
+    # same error (an indefinite V when rho_y and rho_d differ).
+    try:
+        want = _saved(config, reference_simulate_dataset)
+    except Exception as e:
+        with pytest.raises(type(e)) as err:
+            _saved(config, simulate_dataset)
+        assert str(err.value) == str(e)
+        return
+    assert _saved(config, simulate_dataset) == want
 
 
 @pytest.mark.parametrize(
@@ -194,11 +309,44 @@ def test_replicate_covariance_converges_to_model():
         dict(n_trials=10, variance_range=(0.01, 0.001)),
         dict(n_trials=10, ref_var_fraction_range=(0.0, 0.5)),
         dict(n_trials=10, ref_var_fraction_range=(0.5, 1.5)),
+        dict(n_trials=10, variance_range=(1e-151, 0.01)),
+        dict(n_trials=10, variance_range=(1e-150, 0.01)),  # 0.25e-150 ref
+        dict(n_trials=10, variance_range=(0.01, 1e151)),
+        dict(n_trials=10, rho_y=1.5),
+        dict(n_trials=10, rho_d=1.0),
+        dict(n_trials=10, rho_y=-0.1),
+        dict(n_trials=10, rho_d=float("nan")),
+        dict(n_trials=10, z_sd=-1.0),
+        dict(n_trials=10, z_sd=float("inf")),
+        dict(n_trials=10, feature_prob=2.0),
+        dict(n_trials=10, feature_prob=-0.5),
+        dict(n_trials=10, pattern_weights=(1.0, -1.0)),
+        dict(n_trials=10, pattern_weights=(0.0, 0.0)),
+        dict(n_trials=10, pattern_weights=(1.0,)),
+        dict(n_trials=10, pattern_weights=(1e308, 1e308)),
+        dict(n_trials=10, followup_patterns=()),
+        dict(n_trials=10, followup_patterns=((),)),
+        dict(n_trials=10, followup_patterns=((3,),)),
+        dict(n_trials=10, followup_patterns=((0, 1),)),
+        dict(n_trials=10, followup_patterns=((1, 1),)),
+        dict(n_trials=10, followup_patterns=((1,), (2,)), pattern_weights=(1.0,)),
     ],
 )
 def test_config_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
         SimConfig(schema=sim_schema(), params=sim_params(tau=0.05), **kwargs)
+
+
+def test_config_accepts_the_edges_of_its_ranges():
+    config = SimConfig(
+        schema=sim_schema(), params=sim_params(tau=0.05), n_trials=6,
+        variance_range=(4e-150, 1e150), ref_var_fraction_range=(0.25, 1.0),
+        rho_y=0.0, rho_d=0.0, feature_prob=1.0, z_sd=0.0,
+        followup_patterns=((2, 1), (2,)), pattern_weights=(0.0, 1.0),
+    )
+    dataset = simulate_dataset(config)
+    assert validate_dataset(dataset) == []
+    assert all(t.observed_categories == (2,) for t in dataset.trials)
 
 
 def test_config_rejects_negative_tau():
