@@ -62,7 +62,7 @@ from .sampler import (
     run_mcmc,
     sample_posterior,
 )
-from .simulate import SimConfig, draw_trial_outcomes, simulate_dataset
+from .simulate import SimConfig, simulate_dataset
 
 __version__ = "0.1.0"
 
@@ -122,6 +122,5 @@ __all__ = [
     "write_summary_tsv",
     # simulation
     "SimConfig",
-    "draw_trial_outcomes",
     "simulate_dataset",
 ]

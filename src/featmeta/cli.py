@@ -214,13 +214,11 @@ def _resolve_fit_settings(
             raise ConfigError(
                 f"{args.from_manifest}: settings must be a JSON object"
             )
-        names = {field.name for field in fields(FitSettings)}
-        unknown = sorted(set(recorded) - names - RETIRED_SETTINGS)
-        if unknown:
-            raise ConfigError(
-                f"{args.from_manifest}: unknown settings "
-                + ", ".join(repr(name) for name in unknown)
-            )
+        _reject_unknown(
+            recorded,
+            {field.name for field in fields(FitSettings)} | RETIRED_SETTINGS,
+            f"{args.from_manifest}: unknown settings",
+        )
         # Manifests written before the latent-effects sampler was removed
         # record the likelihood; only the marginal one can be replayed.
         likelihood = recorded.get("likelihood")
@@ -277,6 +275,11 @@ def _resolve_fit_settings(
         prior = PriorSpec(coeff_sd=settings.coeff_sd, tau_upper=settings.tau_upper)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    if config.chains >= 2 and config.samples < 2:
+        raise ConfigError(
+            "R-hat of 2 or more chains requires >= 2 samples per chain; "
+            "add samples or run one chain with --no-diagnostics"
+        )
     return data_path, settings, config, prior
 
 
@@ -320,6 +323,10 @@ def cmd_fit(args) -> int:
         write_rhat_trace_tsv(chains, out / "rhat_trace.tsv",
                              n_points=st.trace_points)
         outputs.append("rhat_trace.tsv")
+    else:
+        # A trace of an earlier fit into the same directory is not this
+        # run's.
+        (out / "rhat_trace.tsv").unlink(missing_ok=True)
 
     manifest = {
         "package": "featmeta",
@@ -435,6 +442,14 @@ _SIM_OPTIONAL = {
 }
 
 
+def _reject_unknown(keys, known, message: str) -> None:
+    """Raise a ConfigError, ``message`` followed by the sorted keys, when
+    ``keys`` holds any that is not ``known``."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(message + " " + ", ".join(map(repr, unknown)))
+
+
 def _converted(key: str, convert, value):
     """``convert(value)``; a failure is a ConfigError naming ``key``."""
     try:
@@ -458,6 +473,11 @@ def _params_from_dict(raw, schema) -> ParameterVector:
     missing = {"alpha", "tau"} - set(raw)
     if missing:
         raise ConfigError(f"params: missing {sorted(missing)}")
+    _reject_unknown(
+        raw,
+        {field.name for field in fields(ParameterVector)},
+        "params: unknown keys",
+    )
     return ParameterVector(
         alpha=_converted("params.alpha", _number, raw["alpha"]),
         beta=block("beta", schema.n),
@@ -473,6 +493,11 @@ def cmd_simulate(args) -> int:
     for key in ("schema", "params", "n_trials"):
         if key not in raw:
             raise ConfigError(f"{args.config}: missing {key!r}")
+    _reject_unknown(
+        raw,
+        {"schema", "params", "n_trials", "seed", *_SIM_OPTIONAL},
+        f"{args.config}: unknown keys",
+    )
     try:
         schema = schema_from_dict(raw["schema"])
     except (DataFormatError, DataValidationError) as e:

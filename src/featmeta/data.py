@@ -706,13 +706,10 @@ def dataset_to_dict(dataset: Dataset) -> dict:
     return doc
 
 
-def save_dataset(dataset: Dataset, dest: str | Path | IO[str]) -> None:
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset in the canonical file format (UTF-8 JSON)."""
     text = json.dumps(dataset_to_dict(dataset), indent=2) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------------------

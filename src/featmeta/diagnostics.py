@@ -6,11 +6,11 @@ chains have mixed into the same distribution. Summaries are computed on
 the draws pooled across chains: median, central 95% interval, and the
 posterior probabilities of lying strictly below / strictly above zero.
 
-A chain TSV written to a path gets a binary copy beside it (``.npz`` in
-place of the file's suffix) holding the draws and the SHA-256 of the
-TSV's bytes. The TSV is normative: the reader takes the draws from the
-copy only while that digest matches the TSV, and parses the TSV in
-every other case.
+The writers and the reader take file paths. A chain TSV gets a binary
+copy beside it (``.npz`` in place of the file's suffix) holding the
+draws and the SHA-256 of the TSV's bytes. The TSV is normative: the
+reader takes the draws from the copy only while that digest matches
+the TSV, and parses the TSV in every other case.
 """
 
 from __future__ import annotations
@@ -224,15 +224,7 @@ def effective_sample_size(draws: np.ndarray, n_batches: int = 50) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _open_for_write(dest: str | Path | IO[str]):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w"), True
-
-
-def read_chain_tsv(
-    source: str | Path | IO[str], chain_index: int = 0
-) -> ChainOutput:
+def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     """Read a chain TSV back into a ChainOutput.
 
     Only the draws and parameter names survive the round trip; the
@@ -244,18 +236,15 @@ def read_chain_tsv(
     not a number (naming the file line, the header being line 1), or
     the iteration column is not 1..n.
 
-    Given a path, the draws come from the binary copy that
-    ``write_chain_tsv`` put beside the file, without parsing, when the
-    copy is intact, holds the SHA-256 of the file's present bytes and
-    one column per parameter of its header. They are the draws parsing
-    would give, bit for bit.
+    The draws come from the binary copy that ``write_chain_tsv`` put
+    beside the file, without parsing, when the copy is intact, holds the
+    SHA-256 of the file's present bytes and one column per parameter of
+    its header. They are the draws parsing would give, bit for bit.
     """
-    if hasattr(source, "read"):
-        return _read_chain(source, chain_index)
-    stored = _read_copy(Path(source))
+    stored = _read_copy(Path(path))
     if stored is not None:
         return _chain_output(chain_index, *stored)
-    with open(source) as stream:
+    with open(path) as stream:
         return _read_chain(stream, chain_index)
 
 
@@ -398,25 +387,19 @@ def _row_error(rows: list[str], numbers: list[int]) -> ValueError | None:
 
 
 def write_summary_tsv(
-    summaries: Sequence[PosteriorSummary], dest: str | Path | IO[str]
+    summaries: Sequence[PosteriorSummary], path: str | Path
 ) -> None:
     """Write summaries as TSV with the canonical column order."""
-    stream, owned = _open_for_write(dest)
-    try:
+    with open(path, "w") as stream:
         stream.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for s in summaries:
             fields = [s.name] + [
                 f"{getattr(s, c):.6g}" for c in SUMMARY_COLUMNS[1:]
             ]
             stream.write("\t".join(fields) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
-def write_chain_tsv(
-    chain: ChainOutput, dest: str | Path | IO[str]
-) -> Path | None:
+def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     """Write one chain's draws as TSV: iteration column, then parameters.
 
     Values use shortest round-trip formatting (``repr``), so rereading
@@ -427,11 +410,11 @@ def write_chain_tsv(
     formatted values, so each distinct row is formatted once. A block
     without such a repeat is formatted in one call.
 
-    Given a path, the draws are also saved beside the file, with the
-    SHA-256 of the bytes written, for ``read_chain_tsv``; the path of
-    that copy is returned. Every NaN is saved as the NaN that parsing
-    "nan" gives. Given a stream, nothing else is written and None is
-    returned.
+    The draws are also saved beside the file, with the SHA-256 of the
+    bytes written, for ``read_chain_tsv``; the path of that copy is
+    returned, or None for a file named with the copy's suffix, which
+    gets no copy. Every NaN is saved as the NaN that parsing "nan"
+    gives.
     """
     draws = np.asarray(chain.draws, dtype=float)
     n, k = draws.shape
@@ -442,8 +425,7 @@ def write_chain_tsv(
     row = "%d" + "\t%r" * k + "\n"
     values = "\t%r" * k + "\n"
     block = np.empty((min(n, _BLOCK_ROWS), k + 1))
-    stream, owned = _open_for_write(dest)
-    try:
+    with open(path, "w") as stream:
         stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
@@ -464,13 +446,10 @@ def write_chain_tsv(
             cells[0::2] = range(start + 1, stop + 1)
             cells[1::2] = [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
             stream.write("%d%s\n" * (stop - start) % tuple(cells))
-    finally:
-        if owned:
-            stream.close()
-    copy = _copy_path(Path(dest)) if owned else None
+    copy = _copy_path(Path(path))
     if copy is None:
         return None
-    with open(dest, "rb") as written:
+    with open(path, "rb") as written:
         digest = _sha256(written)
     nan = np.isnan(draws)
     if nan.any():
@@ -481,18 +460,14 @@ def write_chain_tsv(
 
 def write_rhat_trace_tsv(
     chains: Sequence[ChainOutput],
-    dest: str | Path | IO[str],
+    path: str | Path,
     n_points: int = TRACE_POINTS,
 ) -> None:
     """Write the per-parameter shrink-factor trace as TSV."""
     ends, values = shrink_factor_trace(chains, n_points=n_points)
     names = chains[0].parameter_names
-    stream, owned = _open_for_write(dest)
-    try:
+    with open(path, "w") as stream:
         stream.write("\t".join(("iteration",) + tuple(names)) + "\n")
         for end, row in zip(ends, values):
             fields = [str(int(end))] + [f"{v:.6g}" for v in row]
             stream.write("\t".join(fields) + "\n")
-    finally:
-        if owned:
-            stream.close()

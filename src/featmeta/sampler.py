@@ -31,21 +31,23 @@ frozen. tau is sampled on the log scale (with the Jacobian term),
 keeping its support positive.
 
 All chains of a run advance in lockstep as one (chains, dim) state in
-a single loop: each iteration makes one batched design product and one
-density evaluation over a (chains, observations) block. Chain k still
-draws from its own random stream and turns each block of normals into
-proposal directions with its own fixed-shape product by R', so its
-draws do not depend on which chains run with it.
+a single loop, whose one body serves the adaptation, burn-in and
+sampling phases: each iteration makes one batched design product and
+one density evaluation over a (chains, observations) block. Only
+adaptation iterations move the scales, and only sampling iterations
+record draws. Chain k still draws from its own random stream and turns
+each block of normals into proposal directions with its own
+fixed-shape product by R', so its draws do not depend on which chains
+run with it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
-allocated once, and the per-block proposal increments once the scale is
-frozen. Per-chain scalars (log posteriors, acceptance, counters) are
-Python floats and ints, since a numpy call on a handful of values costs
-more than the arithmetic; each is formed with the same IEEE operations
-in the same order, so the draws are those of an all-numpy loop bit for
-bit. The adaptation keeps numpy's exp, which may differ from math.exp
-in the last bit.
+allocated once. Per-chain scalars (log posteriors, acceptance,
+counters) are Python floats and ints, since a numpy call on a handful
+of values costs more than the arithmetic; each is formed with the same
+IEEE operations in the same order, so the draws are those of an
+all-numpy loop bit for bit. The adaptation keeps numpy's exp, which may
+differ from math.exp in the last bit.
 """
 
 from __future__ import annotations
@@ -623,6 +625,13 @@ def run_chain(
 ) -> list[ChainOutput]:
     """Run the Metropolis chains ``chains``, advancing them in lockstep.
 
+    One loop runs every iteration: each chain proposes its state plus
+    its block increment times its scale, and accepts or rejects it.
+    The first ``config.adapt`` iterations then move the log-scales, so
+    from iteration ``config.adapt`` on each scale is exp of its final
+    log-scale; the next ``config.burn_in`` are discarded, and the rest
+    are thinned into the draws.
+
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its proposals and acceptance uniforms come
     from its own stream, taken in blocks sized from the state dimension,
@@ -683,47 +692,50 @@ def run_chain(
 
     draws = np.empty((n_chains, config.samples, dim))
     adapt_accepted = [0] * n_chains
-    burn_accepted = [0] * n_chains  # counted, not reported
     accepted = [0] * n_chains
     nonfinite = [0] * n_chains
     recorded = 0
     warm = config.adapt + config.burn_in
     total_iters = warm + config.samples * config.thin
-
-    def metropolis(log_u: list[float], counts: list[int]) -> list[float]:
-        """Accept or reject each chain's ``proposal``, counting acceptances
-        in ``counts``; return the log ratios. A NaN ratio fails
-        ``log_u < ratio``, so its proposal is rejected; it is counted."""
-        ratios = []
-        for c, (lp, lu) in enumerate(zip(log_post(*proposed), log_u)):
-            ratio = lp - current_lp[c]
-            if lu < ratio:
-                state[c] = proposal[c]
-                current_lp[c] = lp
-                counts[c] += 1
-            elif ratio != ratio:
-                nonfinite[c] += 1
-            ratios.append(ratio)
-        return ratios
+    # np.exp, not math.exp: the two may differ in the last bit. One row
+    # per chain, to scale that chain's increment.
+    scale = np.exp(log_scale)[:, None]
 
     with np.errstate(all="ignore"):
-        for lo in range(0, total_iters, block):
-            # A fixed-shape product per chain: one product over all chains
-            # would round each chain's rows differently for each count.
-            for c, rng in enumerate(rngs):
-                rng.standard_normal(out=normals[c])
-                rng.random(out=uniforms[c])
-                np.matmul(normals[c], factor_t, out=increments[c])
-            log_u = np.log(uniforms).T.tolist()
-            hi = min(lo + block, total_iters)
-            frozen = min(max(lo, config.adapt), hi)  # adaptation ends here
+        for it in range(total_iters):
+            j = it % block
+            if j == 0:
+                # A fixed-shape product per chain: one product over all
+                # chains would round each chain's rows differently for
+                # each count.
+                for c, rng in enumerate(rngs):
+                    rng.standard_normal(out=normals[c])
+                    rng.random(out=uniforms[c])
+                    np.matmul(normals[c], factor_t, out=increments[c])
+                log_u = np.log(uniforms).T.tolist()
+            np.multiply(increments[:, j], scale, out=proposal)
+            proposal += state
+            # Acceptances count in the adapt and sampling phases only.
+            counts = (
+                adapt_accepted if it < config.adapt
+                else accepted if it >= warm
+                else None
+            )
+            ratios = []
+            for c, (lp, lu) in enumerate(zip(log_post(*proposed), log_u[j])):
+                ratio = lp - current_lp[c]
+                # A NaN ratio fails this test, so its proposal is
+                # rejected; it is counted.
+                if lu < ratio:
+                    state[c] = proposal[c]
+                    current_lp[c] = lp
+                    if counts is not None:
+                        counts[c] += 1
+                elif ratio != ratio:
+                    nonfinite[c] += 1
+                ratios.append(ratio)
 
-            for it in range(lo, frozen):
-                # np.exp, not math.exp: the two may differ in the last bit.
-                scale = np.exp(log_scale)
-                np.multiply(increments[:, it - lo], scale[:, None], out=proposal)
-                proposal += state
-                ratios = metropolis(log_u[it - lo], adapt_accepted)
+            if it < config.adapt:
                 gamma = (10.0 + it) ** -0.6
                 # A NaN ratio scores 0.
                 accept_prob = np.exp(
@@ -733,24 +745,10 @@ def run_chain(
                     ls + gamma * (p - TARGET_ACCEPT)
                     for ls, p in zip(log_scale, accept_prob)
                 ]
-
-            if frozen == hi:
-                continue
-            if frozen == config.adapt:  # the scale is frozen from here on
-                scale = np.exp(log_scale)
-            # With the scale frozen, scale the rest of the block at once:
-            # each increment becomes its iteration's proposal step.
-            rest = increments[:, frozen - lo : hi - lo]
-            np.multiply(rest, scale[:, None, None], out=rest)
-            for it in range(frozen, hi):
-                np.add(state, increments[:, it - lo], out=proposal)
-                if it < warm:
-                    metropolis(log_u[it - lo], burn_accepted)
-                    continue
-                metropolis(log_u[it - lo], accepted)
-                if (it - warm + 1) % config.thin == 0:
-                    draws[:, recorded] = state
-                    recorded += 1
+                scale = np.exp(log_scale)[:, None]
+            elif it >= warm and (it - warm + 1) % config.thin == 0:
+                draws[:, recorded] = state
+                recorded += 1
 
     assert recorded == config.samples
     draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])

@@ -24,8 +24,6 @@ semidefinite by construction rather than by luck.
    trial's arithmetic the same as for a trial on its own;
 3. build: each ``Observation`` and ``TrialRecord`` once, with its y, in
    canonical order.
-
-``draw_trial_outcomes`` runs the compute pass on one trial.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 
 from .covariance import (
     between_structure,
-    build_within_covariance,
     ensure_positive_semidefinite,
     within_covariance_stack,
 )
@@ -49,9 +46,9 @@ from .data import (
     Observation,
     TrialRecord,
 )
-from .design import ParameterVector, _design_matrix, trial_design_matrix
+from .design import ParameterVector, _design_matrix
 
-__all__ = ["SimConfig", "simulate_dataset", "draw_trial_outcomes"]
+__all__ = ["SimConfig", "simulate_dataset"]
 
 
 @dataclass(frozen=True)
@@ -153,28 +150,6 @@ class SimConfig:
         )
 
 
-def draw_trial_outcomes(
-    trial: TrialRecord,
-    params: ParameterVector,
-    schema: CovariateSchema,
-    base_rho_y: float,
-    base_rho_d: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample one outcome vector for a structured trial (y values ignored).
-
-    Returns draws in the trial's canonical observation order, from
-    delta = theta + tau * L_S xi followed by y = delta + V^(1/2) xi',
-    so tau = 0 yields delta = theta exactly.
-    """
-    design = trial_design_matrix(schema, trial)
-    within = build_within_covariance(trial, base_rho_y, base_rho_d).matrix
-    normals = rng.standard_normal(2 * len(within))
-    return _outcomes(
-        design[None], within[None], params, normals[None]
-    )[0]
-
-
 def _outcomes(
     design: np.ndarray,
     within: np.ndarray,
@@ -185,9 +160,11 @@ def _outcomes(
 
     ``design`` is (G, d, k), ``within`` the PSD-checked V as (G, d, d)
     and ``normals`` (G, 2d): xi for delta, then xi' for y. Any of them
-    may have G = 1 against a larger G of the others. Every product is
-    one matrix-vector or matrix-matrix product per trial, as for a
-    trial on its own, so each trial's y keeps every bit.
+    may have G = 1 against a larger G of the others. The outcomes are
+    delta = theta + tau * L_S xi, then y = delta + V^(1/2) xi', so
+    tau = 0 yields delta = theta exactly. Every product is one
+    matrix-vector or matrix-matrix product per trial, as for a trial on
+    its own, so each trial's y keeps every bit.
     """
     dim = within.shape[-1]
     theta = design @ params.coefficients()

@@ -329,6 +329,30 @@ def test_fit_single_chain_without_diagnostics_runs(data_file, tmp_path):
     assert all(line.split("\t")[-1] == "nan" for line in summary[1:])
 
 
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_fit_one_sample_with_several_chains_is_config_error(
+    data_file, tmp_path, capsys, diagnostics
+):
+    # The summary's R-hat of 2 or more chains needs 2 draws per chain.
+    out = tmp_path / "run"
+    extra = {} if diagnostics else {"no_diagnostics": None}
+    code = main(fast_fit_args(data_file, out, samples=1, **extra))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "requires >= 2 samples per chain" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fit_one_sample_of_one_chain_runs(data_file, tmp_path):
+    out = tmp_path / "run"
+    args = fast_fit_args(data_file, out, chains=1, samples=1,
+                         no_diagnostics=None)
+    assert main(args) == 0
+    lines = (out / "chains/chain_1.tsv").read_text().splitlines()
+    assert len(lines) == 1 + 1
+
+
 def test_fit_without_data_or_manifest_is_usage_error(tmp_path, capsys):
     assert main(["fit", "--out", str(tmp_path / "x")]) == 2
     assert "needs --data" in capsys.readouterr().err
@@ -615,6 +639,11 @@ def test_simulate_wrong_block_length_is_config_error(tmp_path, capsys):
         ({"variance_range": [1e-160, 0.01]},
          "variance_range, and its product with ref_var_fraction_range, must "
          "lie within [1e-150, 1e+150]"),
+        # A misspelled key would otherwise leave its default in force.
+        ({"rho_yy": 0.3, "control_fracton": 0.0},
+         "unknown keys 'control_fracton', 'rho_yy'"),
+        ({"params": {"zeta": 3, "kappa": 1}},
+         "params: unknown keys 'kappa', 'zeta'"),
     ],
 )
 def test_simulate_bad_generator_value_is_config_error(
@@ -752,6 +781,16 @@ def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
 
     assert main(["diagnose", "--run", str(out)]) == 0
     assert (out / "summary.tsv").read_bytes() == written
+
+    # A refit without diagnostics leaves no trace of the fits before it.
+    args = fast_fit_args(data_file, out, chains=1, no_diagnostics=None)
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {
+        p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()
+    }
+    assert files == {*manifest["outputs"], "manifest.json"}
+    assert "rhat_trace.tsv" not in files
 
 
 def _delete_copies(out):

@@ -89,7 +89,7 @@ def test_dataset_without_control_trial_rejected():
         load_doc(doc)
 
 
-def test_round_trip_ten_covariate_configuration():
+def test_round_trip_ten_covariate_configuration(tmp_path):
     # n=4, p=1, q=3 with two interaction terms: serialize-then-parse
     # must reproduce the dataset exactly.
     schema = CovariateSchema(
@@ -121,9 +121,9 @@ def test_round_trip_ten_covariate_configuration():
     ds = Dataset(schema=schema, trials=(t1, t2), base_rho_y=0.8, base_rho_d=0.64)
     assert validate_dataset(ds) == []
 
-    buf = io.StringIO()
-    save_dataset(ds, buf)
-    assert load_dataset(io.StringIO(buf.getvalue())) == ds
+    path = tmp_path / "data.json"
+    save_dataset(ds, path)
+    assert load_dataset(io.StringIO(path.read_text())) == ds
 
 
 def test_save_then_load_is_identity_on_file_bytes(tmp_path):

@@ -366,21 +366,34 @@ def test_chain_tsv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.draws, chain.draws)
 
 
-def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown():
+def tsv_file(directory, text):
+    """A chain TSV holding ``text``, with no binary copy beside it."""
+    path = directory / "chain.tsv"
+    path.write_text(text)
+    return path
+
+
+def parsed(path):
+    """The chain as parsing the TSV at ``path`` gives it."""
+    with open(path) as stream:
+        return diagnostics._read_chain(stream, 0)
+
+
+def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown(tmp_path):
     chain = replace(
         make_chain(np.arange(6.0).reshape(3, 2)),
         nonfinite_rejections=2, adapt_accept_rate=0.3,
     )
-    stream = io.StringIO()
-    write_chain_tsv(chain, stream)
-    back = read_chain_tsv(io.StringIO(stream.getvalue()))
+    path = tmp_path / "chain_1.tsv"
+    write_chain_tsv(chain, path)
+    back = read_chain_tsv(path)
     assert math.isnan(back.accept_rate) and math.isnan(back.adapt_accept_rate)
     assert math.isnan(back.proposal_log_scale)
     assert back.seed_used == -1 and back.nonfinite_rejections == -1
 
 
-def test_chain_tsv_requires_iteration_column():
-    bad = io.StringIO("a\tb\n1.0\t2.0\n")
+def test_chain_tsv_requires_iteration_column(tmp_path):
+    bad = tsv_file(tmp_path, "a\tb\n1.0\t2.0\n")
     with pytest.raises(ValueError, match="iteration"):
         read_chain_tsv(bad)
 
@@ -413,23 +426,19 @@ def test_chain_tsv_writer_matches_per_float_reference(n_rows, tmp_path):
     expected = io.StringIO()
     reference_write_chain_tsv(chain, expected)
 
-    buffer = io.StringIO()
-    write_chain_tsv(chain, buffer)
-    assert buffer.getvalue() == expected.getvalue()
     path = tmp_path / "chain_1.tsv"
     write_chain_tsv(chain, path)
     assert path.read_text() == expected.getvalue()
 
-    for source in (path, io.StringIO(expected.getvalue())):
-        back = read_chain_tsv(source)
+    for back in (read_chain_tsv(path), parsed(path)):
         assert back.parameter_names == chain.parameter_names
         assert np.array_equal(
             back.draws.view(np.int64), chain.draws.view(np.int64)
         )
 
 
-def test_chain_tsv_header_only_has_no_draws():
-    back = read_chain_tsv(io.StringIO("iteration\ta\tb\n"))
+def test_chain_tsv_header_only_has_no_draws(tmp_path):
+    back = read_chain_tsv(tsv_file(tmp_path, "iteration\ta\tb\n"))
     assert back.parameter_names == ("a", "b")
     assert back.draws.shape == (0, 2)
 
@@ -444,9 +453,9 @@ def test_chain_tsv_header_only_has_no_draws():
         ("0\t0.5\t1.5\n1\t0.5\t1.5\n", "not 1..2"),
     ],
 )
-def test_chain_tsv_rejects_malformed_rows(body, message):
+def test_chain_tsv_rejects_malformed_rows(body, message, tmp_path):
     with pytest.raises(ValueError, match=message):
-        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
+        read_chain_tsv(tsv_file(tmp_path, "iteration\ta\tb\n" + body))
 
 
 @pytest.mark.parametrize(
@@ -460,25 +469,29 @@ def test_chain_tsv_rejects_malformed_rows(body, message):
     ],
 )
 @pytest.mark.parametrize("blank_line", [False, True])
-def test_chain_tsv_errors_name_the_file_line(bad_row, message, blank_line):
+def test_chain_tsv_errors_name_the_file_line(
+    bad_row, message, blank_line, tmp_path
+):
     # The faulty row is the fourth row, file line 5 (the header being
     # line 1); a blank line before it moves it to file line 6.
     body = "1\t0.5\t1.5\n2\t0.5\t1.5\n3\t0.5\t1.5\n" + "\n" * blank_line
     if blank_line:
         message = message.replace("line 5", "line 6")
     with pytest.raises(ValueError, match=message):
-        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body + bad_row))
+        read_chain_tsv(
+            tsv_file(tmp_path, "iteration\ta\tb\n" + body + bad_row)
+        )
 
 
-def assert_round_trip(chain):
-    """The writer matches the per-float reference byte for byte, and the
-    reader gives back the draws bit for bit (a NaN as a NaN)."""
+def assert_round_trip(chain, directory):
+    """The writer matches the per-float reference byte for byte, and
+    parsing gives back the draws bit for bit (a NaN as a NaN)."""
     expected = io.StringIO()
     reference_write_chain_tsv(chain, expected)
-    buffer = io.StringIO()
-    write_chain_tsv(chain, buffer)
-    assert buffer.getvalue() == expected.getvalue()
-    back = read_chain_tsv(io.StringIO(buffer.getvalue()))
+    path = directory / "chain_1.tsv"
+    write_chain_tsv(chain, path)
+    assert path.read_text() == expected.getvalue()
+    back = parsed(path)
     assert back.parameter_names == chain.parameter_names
     nan = np.isnan(chain.draws)
     assert np.array_equal(np.isnan(back.draws), nan)
@@ -488,7 +501,9 @@ def assert_round_trip(chain):
     assert back.draws.flags.c_contiguous
 
 
-def test_chain_tsv_rows_equal_as_numbers_but_not_as_bits_are_distinct():
+def test_chain_tsv_rows_equal_as_numbers_but_not_as_bits_are_distinct(
+    tmp_path,
+):
     draws = np.array([
         [0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
         [0.0, 2.0], [0.0, 2.0], [0.0, 2.0], [0.0, 2.0],
@@ -498,28 +513,28 @@ def test_chain_tsv_rows_equal_as_numbers_but_not_as_bits_are_distinct():
         0x7FF8000000000000, 0x7FF8000000000001, 0x7FF8000000000001,
         0xFFF8000000000000,
     ]
-    assert_round_trip(make_chain(draws))
+    assert_round_trip(make_chain(draws), tmp_path)
 
 
-def test_chain_tsv_runs_across_block_boundaries():
+def test_chain_tsv_runs_across_block_boundaries(tmp_path):
     rows = diagnostics._BLOCK_ROWS
     # Runs that end just before, cross, start at and span block edges.
     runs = [rows - 3, 7, 1, 2 * rows - 5, 1, rows - 1, 3]
     values = np.random.default_rng(4).standard_normal((len(runs), 4))
     chain = make_chain(np.repeat(values, runs, axis=0))
     assert chain.draws.shape[0] == 4 * rows + 3
-    assert_round_trip(chain)
+    assert_round_trip(chain, tmp_path)
 
 
 @pytest.mark.parametrize("moves", [False, True])
-def test_chain_tsv_chain_that_never_moves_or_always_moves(moves):
+def test_chain_tsv_chain_that_never_moves_or_always_moves(moves, tmp_path):
     rng = np.random.default_rng(5)
     n_rows = 2 * diagnostics._BLOCK_ROWS + 11
     if moves:
         draws = rng.standard_normal((n_rows, 5))
     else:
         draws = np.tile(rng.standard_normal(5), (n_rows, 1))
-    assert_round_trip(make_chain(draws))
+    assert_round_trip(make_chain(draws), tmp_path)
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,29 +542,34 @@ def test_chain_tsv_chain_that_never_moves_or_always_moves(moves):
     runs=st.lists(st.integers(1, 400), min_size=1, max_size=25),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chain_tsv_round_trips_any_repeat_pattern(runs, seed):
+def test_chain_tsv_round_trips_any_repeat_pattern(
+    runs, seed, tmp_path_factory
+):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((len(runs), 3))
     # Special values, including 0.0 next to -0.0 and NaN, in some cells.
     specials = np.array(SPECIAL_DRAWS + [0.0, math.nan, -math.inf])
     pick = rng.random(values.shape) < 0.3
     values[pick] = rng.choice(specials, size=int(pick.sum()))
-    assert_round_trip(make_chain(np.repeat(values, runs, axis=0)))
+    assert_round_trip(
+        make_chain(np.repeat(values, runs, axis=0)),
+        tmp_path_factory.mktemp("repeats"),
+    )
 
 
-def test_chain_tsv_repeats_numbered_other_than_str_i_are_parsed():
+def test_chain_tsv_repeats_numbered_other_than_str_i_are_parsed(tmp_path):
     # "2.0" is iteration 2 to np.loadtxt; "2" on row 3 is not 3.
     body = "1\t0.5\t1.5\n2.0\t0.5\t1.5\n3\t0.5\t1.5\n"
-    back = read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
+    back = read_chain_tsv(tsv_file(tmp_path, "iteration\ta\tb\n" + body))
     assert back.draws.tolist() == [[0.5, 1.5]] * 3
     body = "1\t0.5\t1.5\n2\t0.5\t1.5\n2\t0.5\t1.5\n"
     with pytest.raises(ValueError, match="not 1..3: line 4 holds 2"):
-        read_chain_tsv(io.StringIO("iteration\ta\tb\n" + body))
+        read_chain_tsv(tsv_file(tmp_path, "iteration\ta\tb\n" + body))
 
 
-def test_chain_tsv_reads_crlf_line_ends():
+def test_chain_tsv_reads_crlf_line_ends(tmp_path):
     body = "1\t0.5\t1.5\r\n2\t0.5\t1.5\r\n3\t0.25\t1.5\r\n\r\n"
-    back = read_chain_tsv(io.StringIO("iteration\ta\tb\r\n" + body))
+    back = read_chain_tsv(tsv_file(tmp_path, "iteration\ta\tb\r\n" + body))
     assert back.parameter_names == ("a", "b")
     assert back.draws.tolist() == [[0.5, 1.5], [0.5, 1.5], [0.25, 1.5]]
 
@@ -569,12 +589,6 @@ def odd_values_chain():
         0x7FF8000000000123, 0xFFF8000000000000, 0x7FF0000000000001,
     ]
     return make_chain(draws, names=("alpha", "beta_1", "tau"))
-
-
-def parsed(path):
-    """The chain as parsing the TSV at ``path`` gives it."""
-    with open(path) as stream:
-        return read_chain_tsv(stream)
 
 
 def assert_same_chain(a, b):
@@ -604,8 +618,7 @@ def test_chain_copy_gives_the_parsed_draws_bit_for_bit(tmp_path, monkeypatch):
     assert_same_chain(read_chain_tsv(path), want)
 
 
-def test_chain_copy_is_not_written_for_a_stream_or_onto_the_tsv(tmp_path):
-    assert write_chain_tsv(odd_values_chain(), io.StringIO()) is None
+def test_chain_copy_is_not_written_onto_the_tsv(tmp_path):
     assert write_chain_tsv(odd_values_chain(), tmp_path / "chain.npz") is None
     assert [p.name for p in tmp_path.iterdir()] == ["chain.npz"]
     assert_same_chain(

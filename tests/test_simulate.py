@@ -1,6 +1,5 @@
 """Synthetic data generation against the model's own covariance rules."""
 
-import io
 import json
 
 import numpy as np
@@ -16,7 +15,6 @@ from featmeta import (
     between_structure,
     build_within_covariance,
     dataset_to_dict,
-    draw_trial_outcomes,
     fixed_effects,
     save_dataset,
     simulate_dataset,
@@ -25,10 +23,7 @@ from featmeta import (
 )
 from featmeta.simulate import _outcomes
 
-from reference import (
-    reference_draw_trial_outcomes,
-    reference_simulate_dataset,
-)
+from reference import reference_simulate_dataset
 
 
 def sim_schema():
@@ -164,9 +159,7 @@ def test_control_trial_always_present():
 
 def test_replicate_covariance_converges_to_model():
     # Empirical covariance of repeated outcome draws for one fixed trial
-    # approaches V + tau^2 S. The replicates take the normals that as
-    # many draw_trial_outcomes calls would, in the same order, in one
-    # batched call.
+    # approaches V + tau^2 S. The replicates come from one batched call.
     config = SimConfig(
         schema=sim_schema(),
         params=sim_params(tau=0.1),
@@ -186,34 +179,6 @@ def test_replicate_covariance_converges_to_model():
     emp = np.cov(reps, rowvar=False)
     rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
     assert rel < 0.05
-    rng = np.random.default_rng(2024)
-    for rep in reps[:3]:
-        one = draw_trial_outcomes(
-            trial, config.params, sim_schema(), config.rho_y, config.rho_d, rng,
-        )
-        assert np.array_equal(one.view(np.int64), rep.view(np.int64))
-
-
-@pytest.mark.parametrize("seed", [3, 21, 77])
-def test_draw_trial_outcomes_matches_the_reference_bit_for_bit(seed):
-    schema = CovariateSchema(
-        n=2, p=1, q=3,
-        interactions=((Factor("intervention", 1), Factor("followup", 1)),),
-    )
-    params = ParameterVector(
-        0.01, (0.02, -0.03), (0.05,), (0.0, -0.01), (0.04,), tau=0.08
-    )
-    config = SimConfig(
-        schema=schema, params=params, n_trials=20, seed=seed, max_coded_arms=3,
-    )
-    for trial in simulate_dataset(config).trials:
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
-        got = draw_trial_outcomes(trial, params, schema, 0.7, 0.7, rngs[0])
-        want = reference_draw_trial_outcomes(
-            trial, params, schema, 0.7, 0.7, rngs[1]
-        )
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert rngs[0].random() == rngs[1].random()
 
 
 def _factors(n, p, q):
@@ -277,26 +242,28 @@ def sim_configs(draw):
     )
 
 
-def _saved(config, simulate):
-    buffer = io.StringIO()
-    save_dataset(simulate(config), buffer)
-    return buffer.getvalue()
+def _saved(config, simulate, path):
+    save_dataset(simulate(config), path)
+    return path.read_text()
 
 
 @settings(max_examples=150, deadline=None)
 @given(config=sim_configs())
-def test_generator_matches_the_trial_by_trial_reference_byte_for_byte(config):
+def test_generator_matches_the_trial_by_trial_reference_byte_for_byte(
+    config, tmp_path_factory
+):
     # The reference draws, builds V, factors it and samples one trial at
     # a time; the batched passes must write the same file, or raise the
     # same error (an indefinite V when rho_y and rho_d differ).
+    path = tmp_path_factory.getbasetemp() / "generated.json"
     try:
-        want = _saved(config, reference_simulate_dataset)
+        want = _saved(config, reference_simulate_dataset, path)
     except Exception as e:
         with pytest.raises(type(e)) as err:
-            _saved(config, simulate_dataset)
+            _saved(config, simulate_dataset, path)
         assert str(err.value) == str(e)
         return
-    assert _saved(config, simulate_dataset) == want
+    assert _saved(config, simulate_dataset, path) == want
 
 
 @pytest.mark.parametrize(
