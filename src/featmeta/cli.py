@@ -37,6 +37,7 @@ from .design import ParameterVector
 from .diagnostics import (
     TRACE_POINTS,
     read_chain_tsv,
+    shrink_factor_trace,
     summarize,
     write_chain_tsv,
     write_rhat_trace_tsv,
@@ -304,7 +305,11 @@ def cmd_fit(args) -> int:
 
     run = sample_posterior(dataset, config, prior)
     chains = run.chains
-    summaries = summarize(chains)
+    trace = None
+    if st.diagnostics:
+        trace = shrink_factor_trace(chains, n_points=st.trace_points)
+    # summary.tsv's r_hat is the trace's last row, not computed twice.
+    summaries = summarize(chains, r_hat=None if trace is None else trace[1][-1])
 
     outputs = []
     for chain in chains:
@@ -319,9 +324,8 @@ def cmd_fit(args) -> int:
             path.unlink()
     write_summary_tsv(summaries, out / "summary.tsv")
     outputs.append("summary.tsv")
-    if st.diagnostics:
-        write_rhat_trace_tsv(chains, out / "rhat_trace.tsv",
-                             n_points=st.trace_points)
+    if trace is not None:
+        write_rhat_trace_tsv(chains, out / "rhat_trace.tsv", trace=trace)
         outputs.append("rhat_trace.tsv")
     else:
         # A trace of an earlier fit into the same directory is not this
@@ -575,12 +579,17 @@ def cmd_diagnose(args) -> int:
     lengths = {c.n_samples for c in chains}
     if len(lengths) > 1:
         raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")
-    summaries = summarize(chains)
-    write_summary_tsv(summaries, run_dir / "summary.tsv")
+    trace = None
     if len(chains) >= 2:
-        write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv",
-                             n_points=args.trace_points)
+        trace = shrink_factor_trace(chains, n_points=args.trace_points)
+    # summary.tsv's r_hat is the trace's last row, not computed twice.
+    summaries = summarize(chains, r_hat=None if trace is None else trace[1][-1])
+    write_summary_tsv(summaries, run_dir / "summary.tsv")
+    if trace is not None:
+        write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv", trace=trace)
     else:
+        # A trace of the fit's chains is not these chains'.
+        (run_dir / "rhat_trace.tsv").unlink(missing_ok=True)
         print("single chain: shrink factors unavailable", file=sys.stderr)
     print(format_summary_table(summaries))
     return 0

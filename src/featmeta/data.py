@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -707,9 +708,89 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the dataset in the canonical file format (UTF-8 JSON)."""
-    text = json.dumps(dataset_to_dict(dataset), indent=2) + "\n"
-    Path(path).write_text(text)
+    """Write the dataset in the canonical file format (UTF-8 JSON).
+
+    The text is ``json.dumps(dataset_to_dict(dataset), indent=2)`` and a
+    newline. It is formatted by ``_json_parts``: with ``indent`` set,
+    json formats every value in pure Python, which took most of the save.
+    """
+    parts: list[str] = []
+    _json_parts(dataset_to_dict(dataset), "\n", parts)
+    parts.append("\n")
+    Path(path).write_text("".join(parts))
+
+
+# json's text for the floats whose repr differs from it.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# json's text for each scalar type, by exact type.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives, its nested
+    lines starting with ``newline`` (a newline and the indent so far).
+
+    Dict keys must be strings, as they are in ``dataset_to_dict``. A
+    container formats its scalar items itself, which saves a call per
+    value.
+    """
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            label = separator + encode_basestring_ascii(key) + ": "
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                parts.append(label)
+                _json_parts(item, inner, parts)
+            else:
+                parts.append(label + scalar(item))
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                parts.append(separator)
+                _json_parts(item, inner, parts)
+            else:
+                parts.append(separator + scalar(item))
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ the TSV, and parses the TSV in every other case.
 
 from __future__ import annotations
 
+import io
 import math
 import zipfile
 from dataclasses import dataclass
@@ -44,8 +45,9 @@ TRACE_POINTS = 20
 _BLOCK_ROWS = 1024
 # Bytes of a chain TSV hashed per read.
 _HASH_BYTES = 1 << 16
-# Largest (params, chains, draws) stack built to compute shrink factors.
-_STACK_BYTES = 2**20
+# Largest (params, chains, draws) stack built to compute shrink factors;
+# the buffer for its deviations is as large again.
+_STACK_BYTES = 2**19
 
 SUMMARY_COLUMNS = (
     "name",
@@ -76,38 +78,21 @@ class PosteriorSummary:
     r_hat: float
 
 
-def _draw_stack(
-    draws: Sequence[np.ndarray], columns: slice = slice(None)
+def _shrink_factors(
+    means: np.ndarray, squares: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
-    """Stack per-chain (draws, params) arrays as (params, chains, draws).
+    """Shrink factors from each chain's mean and sum of squared deviations.
 
-    Only the parameters in ``columns`` are stacked. Each parameter's
-    draws lie contiguous along the last axis, so a reduction over draws
-    sums the same values in the same order as a reduction over one
-    chain's column copied on its own.
+    ``means`` and ``squares`` hold one row of per-chain values (chains on
+    the last axis) per factor, each over ``s`` draws; ``s`` broadcasts
+    against the factors. Uses the pooled-variance estimate with the
+    between-chain sampling correction. A parameter with zero
+    within-chain variance gets 1.0 when the chains agree and inf when
+    they do not.
     """
-    m = len(draws)
-    if m < 2:
-        raise ValueError("the shrink factor needs at least two chains")
-    s = draws[0].shape[0]
-    if s < 2 or any(d.shape != draws[0].shape for d in draws):
-        raise ValueError("chains must have equal length >= 2")
-    stack = np.empty((draws[0][:, columns].shape[1], m, s))
-    for k, d in enumerate(draws):
-        stack[:, k, :] = d[:, columns].T
-    return stack
-
-
-def _shrink_factors(stack: np.ndarray) -> np.ndarray:
-    """Shrink factor of each parameter of a (params, chains, draws) stack.
-
-    Uses the pooled-variance estimate with the between-chain sampling
-    correction. A parameter with zero within-chain variance gets 1.0
-    when the chains agree and inf when they do not.
-    """
-    m, s = stack.shape[1:]
-    within = np.mean(np.var(stack, axis=2, ddof=1), axis=1)
-    between = s * np.var(np.mean(stack, axis=2), axis=1, ddof=1)
+    m = means.shape[-1]
+    within = np.mean(squares / (s - 1)[..., None], axis=-1)
+    between = s * np.var(means, axis=-1, ddof=1)
     pooled = (s - 1) / s * within + between / s + between / (m * s)
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = np.sqrt(pooled / within)
@@ -125,7 +110,7 @@ def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
     slightly below 1 (exactly sqrt((s-1)/s)).
     """
     columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in chain_draws]
-    return float(_shrink_factors(_draw_stack(columns))[0])
+    return float(_prefix_shrink_factors(columns, [columns[0].shape[0]])[0, 0])
 
 
 def shrink_factor_trace(
@@ -151,49 +136,88 @@ def _prefix_shrink_factors(
 ) -> np.ndarray:
     """Shrink factors of every parameter over each chain's first ``ends``
     draws, as an (ends, params) array."""
-    n_params = draws[0].shape[1]
-    values = np.empty((len(ends), n_params))
-    # Parameters are stacked a group at a time. A larger stack, with the
-    # deviations np.var takes of it, raised the peak resident memory of
-    # a default four-chain fit of 150 trials by up to 4 MB.
-    group = max(1, _STACK_BYTES // (len(draws) * draws[0].shape[0] * 8))
+    m = len(draws)
+    if m < 2:
+        raise ValueError("the shrink factor needs at least two chains")
+    s, n_params = draws[0].shape
+    if s < 2 or any(d.shape != draws[0].shape for d in draws):
+        raise ValueError("chains must have equal length >= 2")
+    means = np.empty((len(ends), n_params, m))
+    squares = np.empty_like(means)
+    # Parameters are stacked a group at a time as (params, chains, draws).
+    # Each parameter's draws lie contiguous along the last axis, so a
+    # reduction over draws sums the same values in the same order as one
+    # over a chain's column copied on its own. The stack, and the buffer
+    # for the deviations of every prefix, are made once. A larger stack
+    # raised the peak resident memory of a default four-chain fit of 150
+    # trials by up to 4 MB.
+    group = max(1, min(n_params, _STACK_BYTES // (m * s * 8)))
+    stack = np.empty((group, m, s))
+    buffer = np.empty_like(stack)
     for first in range(0, n_params, group):
         columns = slice(first, first + group)
-        stack = _draw_stack(draws, columns)
+        block = stack[: min(group, n_params - first)]
+        for k, d in enumerate(draws):
+            block[:, k, :] = d[:, columns].T
         for i, end in enumerate(ends):
-            values[i, columns] = _shrink_factors(stack[:, :, :end])
-    return values
+            # Each chain's mean is formed once. The sums of squared
+            # deviations take np.var's own steps from it (sum, divide,
+            # subtract, square, sum), so the variances equal np.var's
+            # bit for bit.
+            prefix = block[:, :, :end]
+            mean = np.sum(prefix, axis=2, keepdims=True) / end
+            deviations = np.subtract(
+                prefix, mean, out=buffer[: len(block), :, :end]
+            )
+            np.square(deviations, out=deviations)
+            means[i, columns] = mean[:, :, 0]
+            np.sum(deviations, axis=2, out=squares[i, columns])
+    # The factors of every prefix at once: a few calls on small arrays.
+    return _shrink_factors(means, squares, np.asarray(ends)[:, None])
 
 
-def summarize(chains: Sequence[ChainOutput]) -> list[PosteriorSummary]:
+def summarize(
+    chains: Sequence[ChainOutput], *, r_hat: np.ndarray | None = None
+) -> list[PosteriorSummary]:
     """Per-parameter posterior summaries from one or more chains.
 
-    Quantiles use linear interpolation on the pooled draws. With a
-    single chain the shrink factor is undefined and reported as NaN.
+    Quantiles use linear interpolation on the pooled draws, which are
+    gathered one parameter at a time. With a single chain the shrink
+    factor is undefined and reported as NaN. A caller that has computed
+    ``shrink_factor_trace`` passes its last row as ``r_hat``: that row is
+    the full-length factor of each parameter, so it is not computed again.
     """
     if not chains:
         raise ValueError("no chains to summarize")
     names = chains[0].parameter_names
-    if len(chains) >= 2:
-        r_hats = _prefix_shrink_factors(
+    if r_hat is None and len(chains) >= 2:
+        r_hat = _prefix_shrink_factors(
             [c.draws for c in chains], [chains[0].n_samples]
         )[0]
-    else:
-        r_hats = np.full(len(names), math.nan)
-    pooled = np.vstack([c.draws for c in chains])
+    elif r_hat is None:
+        r_hat = np.full(len(names), math.nan)
+    # One parameter's pooled draws at a time, in one reused buffer that
+    # the quantiles partition in place.
+    column = np.empty(sum(c.n_samples for c in chains))
     out = []
-    for j, (name, r_hat) in enumerate(zip(names, r_hats)):
-        column = pooled[:, j]
-        low, mid, high = np.quantile(column, [0.025, 0.5, 0.975])
+    for j, name in enumerate(names):
+        np.concatenate([c.draws[:, j] for c in chains], out=column)
+        # Counts over the draw count: np.mean's value, without summing
+        # the flags as floats.
+        p_below = np.count_nonzero(column < 0.0) / column.size
+        p_above = np.count_nonzero(column > 0.0) / column.size
+        low, mid, high = np.quantile(
+            column, [0.025, 0.5, 0.975], overwrite_input=True
+        )
         out.append(
             PosteriorSummary(
                 name=name,
                 median=float(mid),
                 ci_low=float(low),
                 ci_high=float(high),
-                p_below=float(np.mean(column < 0.0)),
-                p_above=float(np.mean(column > 0.0)),
-                r_hat=float(r_hat),
+                p_below=p_below,
+                p_above=p_above,
+                r_hat=float(r_hat[j]),
             )
         )
     return out
@@ -255,12 +279,13 @@ def _copy_path(path: Path) -> Path | None:
     return None if copy == path else copy
 
 
-def _sha256(stream: IO[bytes]) -> bytes:
+def _sha256(stream: IO[bytes], start: bytes = b"") -> bytes:
+    """SHA-256 of ``start`` followed by the rest of ``stream``."""
     # Imported here, since every command imports this module: loading
     # hashlib's OpenSSL library takes about 5 ms.
     import hashlib
 
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(start)
     while block := stream.read(_HASH_BYTES):
         digest.update(block)
     return digest.digest()
@@ -273,10 +298,15 @@ def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
     if copy is None or not copy.is_file():
         return None
     try:
-        with open(path) as stream:
-            names = _header_names(stream.readline())
+        # One pass over the bytes: the first line is the header, and the
+        # digest continues from it.
         with open(path, "rb") as stream:
-            digest = _sha256(stream)
+            first = stream.readline()
+            digest = _sha256(stream, first)
+        # Decoded as reading the file as text would: the same encoding,
+        # and the line ends at its first "\r" or "\n".
+        with io.TextIOWrapper(io.BytesIO(first)) as text:
+            names = _header_names(text.readline())
     except (OSError, ValueError):
         return None  # parsing reports the fault
     try:
@@ -462,9 +492,18 @@ def write_rhat_trace_tsv(
     chains: Sequence[ChainOutput],
     path: str | Path,
     n_points: int = TRACE_POINTS,
+    *,
+    trace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Write the per-parameter shrink-factor trace as TSV."""
-    ends, values = shrink_factor_trace(chains, n_points=n_points)
+    """Write the per-parameter shrink-factor trace as TSV.
+
+    ``trace`` is the (iterations, values) pair of ``shrink_factor_trace``
+    when the caller has it already; otherwise it is computed with
+    ``n_points`` rows.
+    """
+    if trace is None:
+        trace = shrink_factor_trace(chains, n_points=n_points)
+    ends, values = trace
     names = chains[0].parameter_names
     with open(path, "w") as stream:
         stream.write("\t".join(("iteration",) + tuple(names)) + "\n")

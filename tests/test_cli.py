@@ -793,6 +793,20 @@ def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
     assert "rhat_trace.tsv" not in files
 
 
+def test_diagnose_of_one_chain_deletes_the_fits_trace(data_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    assert (out / "rhat_trace.tsv").is_file()
+    for path in (out / "chains").glob("chain_2.*"):
+        path.unlink()
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert "single chain: shrink factors unavailable" in capsys.readouterr().err
+    assert (out / "summary.tsv").is_file()
+    assert not (out / "rhat_trace.tsv").exists()
+
+
 def _delete_copies(out):
     for copy in (out / "chains").glob("*.npz"):
         copy.unlink()

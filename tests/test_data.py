@@ -15,7 +15,11 @@ from featmeta import (
     Dataset,
     DataValidationError,
     Factor,
+    InterventionArm,
+    Observation,
+    TrialRecord,
     center_covariates,
+    dataset_to_dict,
     load_dataset,
     save_dataset,
     validate_dataset,
@@ -133,6 +137,72 @@ def test_save_then_load_is_identity_on_file_bytes(tmp_path):
     save_dataset(ds, path1)
     save_dataset(load_dataset(path1), path2)
     assert path1.read_bytes() == path2.read_bytes()
+
+
+# Ids and labels over all of Unicode but the surrogates, which no file
+# holds.
+_labels = st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+_any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _datasets(draw):
+    n, p, q = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+               draw(st.integers(1, 3)))
+    factors = (
+        [Factor("intervention", i) for i in range(n)]
+        + [Factor("study", i) for i in range(p)]
+        + [Factor("followup", i) for i in range(q - 1)]
+    )
+    interactions = draw(st.lists(
+        st.lists(st.sampled_from(factors), min_size=1, max_size=2, unique=True),
+        max_size=2,
+    )) if factors else []
+    names = draw(st.none() | st.dictionaries(
+        st.sampled_from(("x", "z", "w", "interactions")),
+        st.lists(_labels, max_size=2),
+    ))
+    schema = CovariateSchema(n=n, p=p, q=q, interactions=interactions,
+                             names=names)
+    trials = []
+    for _ in range(draw(st.integers(0, 3))):
+        arms = [
+            InterventionArm(draw(_labels), draw(st.lists(
+                st.sampled_from((0.0, 1.0)), min_size=n, max_size=n,
+            )))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        observations = [
+            Observation(draw(_labels), draw(st.integers(-2**70, 2**70)),
+                        draw(_any_floats), draw(_any_floats))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        trials.append(TrialRecord(
+            trial_id=draw(_labels),
+            comparison=draw(st.sampled_from(("control", "active"))),
+            arms=arms,
+            z=draw(st.lists(_any_floats, min_size=p, max_size=p)),
+            observations=observations,
+            reference_arm=draw(st.none() | _labels),
+            ref_change_var=draw(st.none() | st.dictionaries(
+                st.integers(1, 3), _any_floats, max_size=2,
+            )),
+            rho_y=draw(st.none() | _any_floats),
+            rho_d=draw(st.none() | _any_floats),
+        ))
+    return Dataset(schema=schema, trials=tuple(trials),
+                   base_rho_y=draw(_any_floats), base_rho_d=draw(_any_floats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=_datasets())
+def test_save_writes_the_text_of_json_dumps(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("save") / "data.json"
+    save_dataset(dataset, path)
+    want = json.dumps(dataset_to_dict(dataset), indent=2) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -241,9 +242,58 @@ def test_summary_and_gelman_rubin_equal_reference():
         assert gelman_rubin(columns) == summary.r_hat
 
 
+def test_summary_r_hat_is_the_last_row_of_the_trace():
+    for m, s in ((2, 3), (4, 777), (5, 2001)):
+        chains = mixed_chains(m, s, seed=m + s)
+        _, values = shrink_factor_trace(chains)
+        r_hat = np.array([summary.r_hat for summary in summarize(chains)])
+        assert np.array_equal(r_hat.view(np.int64), values[-1].view(np.int64))
+        assert summarize(chains, r_hat=values[-1]) == summarize(chains)
+
+
 # ---------------------------------------------------------------------------
 # summarize
 # ---------------------------------------------------------------------------
+
+
+def reference_summarize(chains):
+    """Quantiles and tail masses of each column of the pooled draws."""
+    pooled = np.vstack([c.draws for c in chains])
+    out = []
+    for j in range(pooled.shape[1]):
+        column = pooled[:, j]
+        low, mid, high = np.quantile(column, [0.025, 0.5, 0.975])
+        out.append((mid, low, high, np.mean(column < 0.0), np.mean(column > 0.0)))
+    return out
+
+
+def test_summaries_equal_the_pooled_reference_bit_for_bit():
+    chains = mixed_chains(4, 777, seed=14)
+    chains[1].draws[5, 0] = -0.0
+    chains[2].draws[:3, 1] = 0.0
+    got = [
+        (s.median, s.ci_low, s.ci_high, s.p_below, s.p_above)
+        for s in summarize(chains)
+    ]
+    want = reference_summarize(chains)
+    assert np.array_equal(
+        np.array(got).view(np.int64), np.array(want, dtype=float).view(np.int64)
+    )
+
+
+def test_summarize_keeps_no_pooled_copy_of_the_draws():
+    # Four chains of 20 000 draws of 11 parameters, as a default fit of
+    # the recovery schema gives. A pooled (80 000, 11) copy alone is
+    # 7.04 MB; the bound is half of that.
+    rng = np.random.default_rng(15)
+    chains = [make_chain(rng.standard_normal((20_000, 11)), k) for k in range(4)]
+    tracemalloc.start()
+    try:
+        summarize(chains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.52e6
 
 
 def test_symmetric_draws_balance_tails():
@@ -616,6 +666,27 @@ def test_chain_copy_gives_the_parsed_draws_bit_for_bit(tmp_path, monkeypatch):
 
     copy.unlink()
     assert_same_chain(read_chain_tsv(path), want)
+
+
+def test_chain_copy_is_read_past_a_header_longer_than_a_hash_block(
+    tmp_path, monkeypatch
+):
+    names = tuple(f"p{j}_" + "x" * 5000 for j in range(3))
+    chain = make_chain(odd_values_chain().draws, names=names)
+    path = tmp_path / "chain_1.tsv"
+    monkeypatch.setattr(diagnostics, "_HASH_BYTES", 64)
+    write_chain_tsv(chain, path)
+    assert len(path.read_text().splitlines()[0]) > 200 * 64
+    want = parsed(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+        assert_same_chain(read_chain_tsv(path), want)
+
+    # A header changed after the fit changes the digest: the TSV is parsed.
+    path.write_text(path.read_text().replace("p1_", "q1_", 1))
+    back = read_chain_tsv(path)
+    assert back.parameter_names[1].startswith("q1_")
+    assert_same_chain(back, parsed(path))
 
 
 def test_chain_copy_is_not_written_onto_the_tsv(tmp_path):
