@@ -146,7 +146,7 @@ def main(argv=None):
     print(f"total time: {elapsed:.1f}s")
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("parameter\tcoverage\tmean_bias\tbias_sd\n")
             for row in rows:
                 fh.write("\t".join(row) + "\n")

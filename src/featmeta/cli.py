@@ -54,7 +54,7 @@ class ConfigError(Exception):
 
 
 # Settings that older manifests record and that replay ignores.
-RETIRED_SETTINGS = frozenset({"likelihood", "parallel"})
+RETIRED_SETTINGS = frozenset({"diagnostics", "likelihood", "parallel"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--center", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="center covariates before fitting (default: on)")
-    p_fit.add_argument("--diagnostics", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="compute shrink factors (default: on; needs >= 2 "
-                       "chains)")
     p_fit.add_argument("--trace-points", type=int, dest="trace_points",
                        help="rows in the shrink-factor trace")
     p_fit.set_defaults(func=cmd_fit)
@@ -179,7 +175,6 @@ class FitSettings:
     rho_y: float | None = None
     rho_d: float | None = None
     center: bool = True
-    diagnostics: bool = True
     trace_points: int = TRACE_POINTS
 
 
@@ -210,6 +205,9 @@ def _resolve_fit_settings(
                 f"{args.from_manifest}: not a fit manifest "
                 "(missing 'settings' or 'data')"
             )
+        if not isinstance(manifest["data"], str):
+            raise ConfigError(f"{args.from_manifest}: data must be a path "
+                              f"string, got {json.dumps(manifest['data'])}")
         recorded = manifest["settings"]
         if not isinstance(recorded, dict):
             raise ConfigError(
@@ -260,10 +258,6 @@ def _resolve_fit_settings(
             raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1)")
     if settings.trace_points < 1:
         raise ConfigError("--trace-points must be at least 1")
-    if settings.diagnostics and settings.chains < 2:
-        raise ConfigError(
-            "R-hat requires >= 2 chains; add chains or pass --no-diagnostics"
-        )
     try:
         config = McmcConfig(
             chains=settings.chains,
@@ -279,7 +273,7 @@ def _resolve_fit_settings(
     if config.chains >= 2 and config.samples < 2:
         raise ConfigError(
             "R-hat of 2 or more chains requires >= 2 samples per chain; "
-            "add samples or run one chain with --no-diagnostics"
+            "add samples or run one chain"
         )
     return data_path, settings, config, prior
 
@@ -305,32 +299,13 @@ def cmd_fit(args) -> int:
 
     run = sample_posterior(dataset, config, prior)
     chains = run.chains
-    trace = None
-    if st.diagnostics:
-        trace = shrink_factor_trace(chains, n_points=st.trace_points)
-    # summary.tsv's r_hat is the trace's last row, not computed twice.
-    summaries = summarize(chains, r_hat=None if trace is None else trace[1][-1])
-
-    outputs = []
+    written = []
     for chain in chains:
-        rel = f"chains/chain_{chain.chain_index + 1}.tsv"
+        rel = _chain_file(chain)
         copy = write_chain_tsv(chain, out / rel)
-        outputs += [rel, copy.relative_to(out).as_posix()]
-    # Chain files of an earlier fit into the same directory would be
-    # read by diagnose as part of this run.
-    suffixes = {Path(rel).suffix for rel in outputs}
-    for path in (out / "chains").glob("chain_*"):
-        if path.suffix in suffixes and f"chains/{path.name}" not in outputs:
-            path.unlink()
-    write_summary_tsv(summaries, out / "summary.tsv")
-    outputs.append("summary.tsv")
-    if trace is not None:
-        write_rhat_trace_tsv(chains, out / "rhat_trace.tsv", trace=trace)
-        outputs.append("rhat_trace.tsv")
-    else:
-        # A trace of an earlier fit into the same directory is not this
-        # run's.
-        (out / "rhat_trace.tsv").unlink(missing_ok=True)
+        written += [rel, copy.relative_to(out).as_posix()]
+    summaries, outputs = _write_results(out, chains, st.trace_points, written,
+                                        _FIT_OWNS)
 
     manifest = {
         "package": "featmeta",
@@ -350,7 +325,7 @@ def cmd_fit(args) -> int:
         "chains": [
             {
                 "index": c.chain_index,
-                "file": f"chains/chain_{c.chain_index + 1}.tsv",
+                "file": _chain_file(c),
                 "seed_used": c.seed_used,
                 "accept_rate": c.accept_rate,
                 "proposal_log_scale": c.proposal_log_scale,
@@ -365,15 +340,59 @@ def cmd_fit(args) -> int:
         ],
         "outputs": outputs,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_manifest(out / "manifest.json", manifest)
 
     print(format_summary_table(summaries))
     rates = ", ".join(f"{c.accept_rate:.3f}" for c in chains)
     print(f"acceptance rates: {rates}")
     print(f"results written to {out}")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# run directory
+# ---------------------------------------------------------------------------
+
+# The files of a run directory that each command owns. Having written
+# its results, a command deletes every owned file it did not write: it
+# would be an earlier run's, and diagnose would take it for this one's.
+_DIAGNOSE_OWNS = ("summary.tsv", "rhat_trace.tsv")
+_FIT_OWNS = ("chains/chain_*.tsv", "chains/chain_*.npz", *_DIAGNOSE_OWNS)
+
+
+def _chain_file(chain) -> str:
+    """The run-directory path of ``chain``'s TSV."""
+    return f"chains/chain_{chain.chain_index + 1}.tsv"
+
+
+def _write_results(run_dir: Path, chains, trace_points: int,
+                   kept: list[str], owns: tuple[str, ...]):
+    """Write ``rhat_trace.tsv`` for 2 or more chains, then ``summary.tsv``.
+
+    Returns the summaries and the run's files, in the order fit writes
+    them: ``kept`` (its chain files), then ``summary.tsv`` and the trace.
+    Every other file matching a pattern of ``owns`` is deleted.
+    """
+    outputs = [*kept, "summary.tsv"]
+    r_hat = None
+    if len(chains) >= 2:
+        trace = shrink_factor_trace(chains, n_points=trace_points)
+        write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv", trace)
+        outputs.append("rhat_trace.tsv")
+        r_hat = trace[1][-1]  # summary.tsv's r_hat, not computed twice
+    else:
+        print("single chain: shrink factors unavailable", file=sys.stderr)
+    summaries = summarize(chains, r_hat=r_hat)
+    write_summary_tsv(summaries, run_dir / "summary.tsv")
+    for pattern in owns:
+        for path in run_dir.glob(pattern):
+            if path.relative_to(run_dir).as_posix() not in outputs:
+                path.unlink()
+    return summaries, outputs
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def format_summary_table(summaries) -> str:
@@ -550,6 +569,9 @@ def cmd_diagnose(args) -> int:
     if args.trace_points < 1:
         raise ConfigError("--trace-points must be at least 1")
     run_dir = Path(args.run)
+    manifest_path = run_dir / "manifest.json"
+    manifest = (_load_json(manifest_path, "manifest")
+                if manifest_path.exists() else None)
     numbered = {}
     for path in run_dir.glob("chains/chain_*.tsv"):
         match = re.fullmatch(r"chain_([1-9]\d*)\.tsv", path.name)
@@ -579,18 +601,13 @@ def cmd_diagnose(args) -> int:
     lengths = {c.n_samples for c in chains}
     if len(lengths) > 1:
         raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")
-    trace = None
-    if len(chains) >= 2:
-        trace = shrink_factor_trace(chains, n_points=args.trace_points)
-    # summary.tsv's r_hat is the trace's last row, not computed twice.
-    summaries = summarize(chains, r_hat=None if trace is None else trace[1][-1])
-    write_summary_tsv(summaries, run_dir / "summary.tsv")
-    if trace is not None:
-        write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv", trace=trace)
-    else:
-        # A trace of the fit's chains is not these chains'.
-        (run_dir / "rhat_trace.tsv").unlink(missing_ok=True)
-        print("single chain: shrink factors unavailable", file=sys.stderr)
+    kept = [held.relative_to(run_dir).as_posix() for path in chain_files
+            for held in (path, path.with_suffix(".npz")) if held.is_file()]
+    summaries, outputs = _write_results(run_dir, chains, args.trace_points,
+                                        kept, _DIAGNOSE_OWNS)
+    if manifest is not None and manifest.get("outputs") != outputs:
+        manifest["outputs"] = outputs
+        _write_manifest(manifest_path, manifest)
     print(format_summary_table(summaries))
     return 0
 
@@ -601,14 +618,14 @@ def cmd_diagnose(args) -> int:
 
 
 def _readable(path: str):
-    """Open a file for reading, mapping OS errors to usage errors."""
+    """Open a UTF-8 file for reading, mapping OS errors to usage errors."""
     try:
-        return open(path, "r")
+        return open(path, encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _load_json(path: str, what: str) -> dict:
+def _load_json(path: str | Path, what: str) -> dict:
     with _readable(path) as fh:
         try:
             raw = json.load(fh)
@@ -616,6 +633,8 @@ def _load_json(path: str, what: str) -> dict:
             raise ConfigError(
                 f"{path}: {what} parse error at line {e.lineno}: {e.msg}"
             ) from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: {what} is not UTF-8: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")
     return raw
@@ -626,16 +645,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DataFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DataFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (CovarianceError, SamplerError) as e:
+    except (DataValidationError, CovarianceError, SamplerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -619,10 +619,12 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
     to obtain the parsed dataset and run ``validate_dataset`` separately,
     e.g. to report every violation.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    try:
+        text = (source.read() if hasattr(source, "read")
+                else Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        name = getattr(source, "name", source)
+        raise DataFormatError(f"{name}: not UTF-8: {e}") from e
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -717,7 +719,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     parts: list[str] = []
     _json_parts(dataset_to_dict(dataset), "\n", parts)
     parts.append("\n")
-    Path(path).write_text("".join(parts))
+    Path(path).write_text("".join(parts), encoding="utf-8")
 
 
 # json's text for the floats whose repr differs from it.

@@ -268,7 +268,7 @@ def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     stored = _read_copy(Path(path))
     if stored is not None:
         return _chain_output(chain_index, *stored)
-    with open(path) as stream:
+    with open(path, encoding="utf-8") as stream:
         return _read_chain(stream, chain_index)
 
 
@@ -305,7 +305,7 @@ def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
             digest = _sha256(stream, first)
         # Decoded as reading the file as text would: the same encoding,
         # and the line ends at its first "\r" or "\n".
-        with io.TextIOWrapper(io.BytesIO(first)) as text:
+        with io.TextIOWrapper(io.BytesIO(first), encoding="utf-8") as text:
             names = _header_names(text.readline())
     except (OSError, ValueError):
         return None  # parsing reports the fault
@@ -420,7 +420,7 @@ def write_summary_tsv(
     summaries: Sequence[PosteriorSummary], path: str | Path
 ) -> None:
     """Write summaries as TSV with the canonical column order."""
-    with open(path, "w") as stream:
+    with open(path, "w", encoding="utf-8") as stream:
         stream.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for s in summaries:
             fields = [s.name] + [
@@ -455,7 +455,7 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     row = "%d" + "\t%r" * k + "\n"
     values = "\t%r" * k + "\n"
     block = np.empty((min(n, _BLOCK_ROWS), k + 1))
-    with open(path, "w") as stream:
+    with open(path, "w", encoding="utf-8") as stream:
         stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
@@ -491,22 +491,15 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
 def write_rhat_trace_tsv(
     chains: Sequence[ChainOutput],
     path: str | Path,
-    n_points: int = TRACE_POINTS,
-    *,
-    trace: tuple[np.ndarray, np.ndarray] | None = None,
+    trace: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Write the per-parameter shrink-factor trace as TSV.
 
-    ``trace`` is the (iterations, values) pair of ``shrink_factor_trace``
-    when the caller has it already; otherwise it is computed with
-    ``n_points`` rows.
+    ``trace`` is the (iterations, values) pair that
+    ``shrink_factor_trace(chains)`` returns; ``chains`` name the columns.
     """
-    if trace is None:
-        trace = shrink_factor_trace(chains, n_points=n_points)
-    ends, values = trace
-    names = chains[0].parameter_names
-    with open(path, "w") as stream:
-        stream.write("\t".join(("iteration",) + tuple(names)) + "\n")
-        for end, row in zip(ends, values):
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write("\t".join(("iteration", *chains[0].parameter_names)) + "\n")
+        for end, row in zip(*trace):
             fields = [str(int(end))] + [f"{v:.6g}" for v in row]
             stream.write("\t".join(fields) + "\n")

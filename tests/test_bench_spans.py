@@ -68,3 +68,48 @@ def test_fit_and_diagnose_span_one_chain_file_call_per_chain(tmp_path, capsys):
         calls = [i for i in tracer.named(name) if tracer.spans[i].parent == top]
         assert len(calls) == 3, (command, name)
         assert len(tracer.named(name)) == 3
+
+
+def _traced_commands(tmp_path, chains):
+    """A fit of ``chains`` chains, then (for 2 or more) a diagnose of its
+    run directory, each under a span named after the command."""
+    data = tmp_path / "trials.json"
+    featmeta.save_dataset(build_basic_dataset(), data)
+    out = tmp_path / "run"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("fit"):
+            assert featmeta.cli.main([
+                "fit", "--data", str(data), "--out", str(out),
+                "--chains", str(chains), "--adapt", "100", "--burn-in", "50",
+                "--samples", "60",
+            ]) == 0
+        if chains >= 2:
+            with tracer.span("diagnose"):
+                assert featmeta.cli.main(["diagnose", "--run", str(out)]) == 0
+    finally:
+        tracer.remove()
+    return tracer
+
+
+def test_fit_and_diagnose_span_one_summary_and_one_trace(tmp_path, capsys):
+    # perfbench/run.py reads diagnostics.summarize_s and rhat_trace_s
+    # from these spans.
+    tracer = _traced_commands(tmp_path, chains=3)
+    capsys.readouterr()
+    for command in ("fit", "diagnose"):
+        [top] = tracer.named(command)
+        for name in ("diagnostics.summarize", "diagnostics.shrink_factor_trace"):
+            calls = [i for i in tracer.named(name)
+                     if tracer.spans[i].parent == top]
+            assert len(calls) == 1, (command, name)
+    for name in ("diagnostics.summarize", "diagnostics.shrink_factor_trace"):
+        assert len(tracer.named(name)) == 2, name
+
+
+def test_one_chain_fit_spans_no_trace(tmp_path, capsys):
+    tracer = _traced_commands(tmp_path, chains=1)
+    capsys.readouterr()
+    assert len(tracer.named("diagnostics.summarize")) == 1
+    assert tracer.named("diagnostics.shrink_factor_trace") == []

@@ -1,15 +1,17 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import argparse
 import gc
 import json
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import pytest
 
 from featmeta import dataset_to_dict, save_dataset
-from featmeta.cli import main
+from featmeta.cli import FitSettings, build_parser, main
 
 from conftest import build_basic_dataset
 
@@ -311,32 +313,40 @@ def test_fit_explicit_flags_override_manifest(data_file, tmp_path):
     assert manifest["settings"]["seed"] == 3  # inherited
 
 
-def test_fit_single_chain_with_diagnostics_is_config_error(
-    data_file, tmp_path, capsys
-):
-    code = main(fast_fit_args(data_file, tmp_path / "run", chains=1))
-    assert code == 2
-    assert "R-hat requires >= 2 chains" in capsys.readouterr().err
-
-
-def test_fit_single_chain_without_diagnostics_runs(data_file, tmp_path):
+def test_fit_single_chain_without_diagnostics_runs(data_file, tmp_path, capsys):
+    # One chain has no shrink factors, as in diagnose.
     out = tmp_path / "run"
-    args = fast_fit_args(data_file, out, chains=1)
-    args.append("--no-diagnostics")
-    assert main(args) == 0
+    assert main(fast_fit_args(data_file, out, chains=1)) == 0
+    assert "single chain: shrink factors unavailable" in capsys.readouterr().err
     assert not (out / "rhat_trace.tsv").exists()
     summary = (out / "summary.tsv").read_text().splitlines()
     assert all(line.split("\t")[-1] == "nan" for line in summary[1:])
 
 
-@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("flag", ["diagnostics", "no_diagnostics"])
+def test_fit_diagnostics_flags_are_gone(data_file, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(fast_fit_args(data_file, tmp_path / "run", **{flag: None}))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fit_flags_are_the_fit_settings():
+    # Each FitSettings field is a flag, and no flag outlives its setting.
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in commands.choices["fit"]._actions} - {"help"}
+    assert dests == {f.name for f in fields(FitSettings)} | {
+        "data", "out", "from_manifest",
+    }
+
+
 def test_fit_one_sample_with_several_chains_is_config_error(
-    data_file, tmp_path, capsys, diagnostics
+    data_file, tmp_path, capsys
 ):
     # The summary's R-hat of 2 or more chains needs 2 draws per chain.
     out = tmp_path / "run"
-    extra = {} if diagnostics else {"no_diagnostics": None}
-    code = main(fast_fit_args(data_file, out, samples=1, **extra))
+    code = main(fast_fit_args(data_file, out, samples=1))
     assert code == 2
     err = capsys.readouterr().err
     assert "requires >= 2 samples per chain" in err, err
@@ -346,9 +356,7 @@ def test_fit_one_sample_with_several_chains_is_config_error(
 
 def test_fit_one_sample_of_one_chain_runs(data_file, tmp_path):
     out = tmp_path / "run"
-    args = fast_fit_args(data_file, out, chains=1, samples=1,
-                         no_diagnostics=None)
-    assert main(args) == 0
+    assert main(fast_fit_args(data_file, out, chains=1, samples=1)) == 0
     lines = (out / "chains/chain_1.tsv").read_text().splitlines()
     assert len(lines) == 1 + 1
 
@@ -465,6 +473,45 @@ def test_manifest_with_parallel_setting_replays_bit_identically(
     )["settings"]
 
 
+@pytest.mark.parametrize("recorded", [True, False])
+def test_manifest_with_diagnostics_setting_replays_bit_identically(
+    data_file, tmp_path, recorded
+):
+    # Manifests written while fit had --diagnostics/--no-diagnostics record
+    # it; 2 or more chains now always get shrink factors.
+    first = tmp_path / "run1"
+    second = tmp_path / "run2"
+    assert main(fast_fit_args(data_file, first)) == 0
+    manifest = _edit_manifest_settings(first, diagnostics=recorded)
+    assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
+    for name in ("chain_1.tsv", "chain_1.npz", "chain_2.tsv", "chain_2.npz"):
+        assert (first / "chains" / name).read_bytes() == (
+            second / "chains" / name
+        ).read_bytes()
+    replayed = json.loads((second / "manifest.json").read_text())
+    assert "diagnostics" not in replayed["settings"]
+    assert "rhat_trace.tsv" in replayed["outputs"]
+
+
+@pytest.mark.parametrize("data", [5, None, ["a"]])
+def test_manifest_with_non_string_data_is_config_error(
+    data, data_file, tmp_path, capsys
+):
+    first = tmp_path / "run1"
+    assert main(fast_fit_args(data_file, first)) == 0
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["data"] = data
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["fit", "--from-manifest", str(path), "--out", str(tmp_path / "run2")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data must be a path string, got {json.dumps(data)}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run2").exists()
+
+
 BAD_MANIFEST_SETTINGS = {
     "settings a list": (["samples", 50], "settings must be a JSON object"),
     "samples a string": ({"samples": "fifty"}, 'settings.samples must be int, got "fifty"'),
@@ -538,6 +585,25 @@ def test_validate_and_fit_close_the_dataset_file(data_file, tmp_path):
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaks, [str(w.message) for w in leaks]
+
+
+@pytest.mark.parametrize("command", ["validate", "fit", "simulate", "replay"])
+def test_a_file_that_is_not_utf8_is_usage_error(
+    command, data_file, tmp_path, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": "\xff"}')
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", "--data", str(bad)],
+        "fit": fast_fit_args(bad, out),
+        "simulate": ["simulate", "--config", str(bad), "--out", str(out)],
+        "replay": ["fit", "--from-manifest", str(bad), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "not UTF-8" in err, err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -782,15 +848,74 @@ def test_refit_with_fewer_chains_leaves_no_stale_chain_files(
     assert main(["diagnose", "--run", str(out)]) == 0
     assert (out / "summary.tsv").read_bytes() == written
 
-    # A refit without diagnostics leaves no trace of the fits before it.
-    args = fast_fit_args(data_file, out, chains=1, no_diagnostics=None)
-    assert main(args) == 0
+    # A one-chain refit leaves no trace of the fits before it.
+    assert main(fast_fit_args(data_file, out, chains=1)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     files = {
         p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()
     }
     assert files == {*manifest["outputs"], "manifest.json"}
     assert "rhat_trace.tsv" not in files
+
+
+def _files(out):
+    return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+
+
+def _outputs(out):
+    return json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_run_directory_holds_the_manifests_outputs_after_every_command(
+    data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out, chains=3)) == 0
+    assert _files(out) == {*_outputs(out), "manifest.json"}
+    assert main(fast_fit_args(data_file, out, chains=2)) == 0
+    assert _files(out) == {*_outputs(out), "manifest.json"}
+    for path in (out / "chains").glob("chain_2.*"):
+        path.unlink()
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert _outputs(out) == [
+        "chains/chain_1.tsv", "chains/chain_1.npz", "summary.tsv",
+    ]
+    assert _files(out) == {*_outputs(out), "manifest.json"}
+
+
+def test_diagnose_of_an_untouched_run_leaves_its_manifest_as_it_was(
+    data_file, tmp_path
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    before = (out / "manifest.json").read_bytes()
+    (out / "summary.tsv").unlink()
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert (out / "manifest.json").read_bytes() == before
+
+    # A manifest rewritten for lost copies has the bytes a fit writes.
+    _delete_copies(out)
+    assert main(["diagnose", "--run", str(out)]) == 0
+    manifest = json.loads(before)
+    manifest["outputs"] = [
+        "chains/chain_1.tsv", "chains/chain_2.tsv", "summary.tsv", "rhat_trace.tsv",
+    ]
+    assert (out / "manifest.json").read_text() == json.dumps(manifest, indent=2) + "\n"
+
+
+def test_diagnose_with_an_unparseable_manifest_writes_nothing(
+    data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    (out / "manifest.json").write_text("{")
+    (out / "summary.tsv").unlink()
+    (out / "rhat_trace.tsv").unlink()
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out)]) == 2
+    assert "manifest parse error" in capsys.readouterr().err
+    assert not (out / "summary.tsv").exists()
+    assert not (out / "rhat_trace.tsv").exists()
 
 
 def test_diagnose_of_one_chain_deletes_the_fits_trace(data_file, tmp_path, capsys):

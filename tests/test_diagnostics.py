@@ -767,10 +767,11 @@ def test_chain_copy_is_loaded_without_unpickling(tmp_path):
 def test_rhat_trace_tsv_layout(tmp_path):
     chains = two_param_chains(seed=11, s=400)
     dest = tmp_path / "rhat_trace.tsv"
-    write_rhat_trace_tsv(chains, dest, n_points=8)
+    ends, values = shrink_factor_trace(chains, n_points=8)
+    write_rhat_trace_tsv(chains, dest, (ends, values))
     lines = dest.read_text().splitlines()
     assert lines[0].split("\t")[0] == "iteration"
     assert lines[0].split("\t")[1:] == ["p0", "p1"]
     assert lines[-1].split("\t")[0] == "400"
-    ends, _ = shrink_factor_trace(chains, n_points=8)
     assert len(lines) - 1 == ends.shape[0]
+    assert lines[-1].split("\t")[1:] == [f"{v:.6g}" for v in values[-1]]
