@@ -36,10 +36,9 @@ from .data import (
     validate_dataset,
     validate_trial,
 )
-from .design import ParameterVector, fixed_effects, trial_design_matrix
+from .design import ParameterVector, trial_design_matrix
 from .diagnostics import (
     PosteriorSummary,
-    gelman_rubin,
     read_chain_tsv,
     shrink_factor_trace,
     summarize,
@@ -89,7 +88,6 @@ __all__ = [
     # design
     "ParameterVector",
     "trial_design_matrix",
-    "fixed_effects",
     # covariance
     "WithinCovariance",
     "between_structure",
@@ -113,7 +111,6 @@ __all__ = [
     "run_mcmc",
     # diagnostics
     "PosteriorSummary",
-    "gelman_rubin",
     "read_chain_tsv",
     "shrink_factor_trace",
     "summarize",

@@ -36,6 +36,7 @@ from .data import (
 from .design import ParameterVector
 from .diagnostics import (
     TRACE_POINTS,
+    _copy_path,
     read_chain_tsv,
     shrink_factor_trace,
     summarize,
@@ -357,7 +358,11 @@ def cmd_fit(args) -> int:
 # its results, a command deletes every owned file it did not write: it
 # would be an earlier run's, and diagnose would take it for this one's.
 _DIAGNOSE_OWNS = ("summary.tsv", "rhat_trace.tsv")
-_FIT_OWNS = ("chains/chain_*.tsv", "chains/chain_*.npz", *_DIAGNOSE_OWNS)
+_FIT_OWNS = (
+    "chains/chain_*.tsv",
+    _copy_path(Path("chains/chain_*.tsv")).as_posix(),
+    *_DIAGNOSE_OWNS,
+)
 
 
 def _chain_file(chain) -> str:
@@ -602,12 +607,18 @@ def cmd_diagnose(args) -> int:
     if len(lengths) > 1:
         raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")
     kept = [held.relative_to(run_dir).as_posix() for path in chain_files
-            for held in (path, path.with_suffix(".npz")) if held.is_file()]
+            for held in (path, _copy_path(path)) if held.is_file()]
     summaries, outputs = _write_results(run_dir, chains, args.trace_points,
                                         kept, _DIAGNOSE_OWNS)
-    if manifest is not None and manifest.get("outputs") != outputs:
-        manifest["outputs"] = outputs
-        _write_manifest(manifest_path, manifest)
+    if manifest is not None:
+        # The manifest lists the files now held, and the recorded chains
+        # whose file was read; it is rewritten only when that changes it.
+        current = dict(manifest, outputs=outputs)
+        if isinstance(manifest.get("chains"), list):
+            current["chains"] = [c for c in manifest["chains"]
+                                 if isinstance(c, dict) and c.get("file") in kept]
+        if current != manifest:
+            _write_manifest(manifest_path, current)
     print(format_summary_table(summaries))
     return 0
 

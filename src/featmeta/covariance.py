@@ -167,9 +167,7 @@ def between_structure(dim: int) -> np.ndarray:
     return 0.5 * (np.eye(dim) + np.ones((dim, dim)))
 
 
-def ensure_positive_semidefinite(
-    matrix: np.ndarray, context: str, rel_tol: float = PSD_REL_TOL
-) -> np.ndarray:
+def ensure_positive_semidefinite(matrix: np.ndarray, context: str) -> np.ndarray:
     """Verify PSD-ness, repairing rounding-level negative eigenvalues.
 
     Raises CovarianceError (naming ``context`` and the offending
@@ -182,7 +180,7 @@ def ensure_positive_semidefinite(
         raise CovarianceError(f"{context}: not symmetric")
     eigvals = np.linalg.eigvalsh(matrix)
     scale = max(abs(eigvals[-1]), 1.0)
-    if eigvals[0] < -rel_tol * scale:
+    if eigvals[0] < -PSD_REL_TOL * scale:
         raise CovarianceError(
             f"{context}: not positive semidefinite "
             f"(smallest eigenvalue {eigvals[0]:.6g})"

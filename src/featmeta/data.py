@@ -237,19 +237,8 @@ class TrialRecord:
         return None
 
     @property
-    def arm_count(self) -> int:
-        """Total arm count A_i, counting the uncoded control reference."""
-        if self.comparison == "control":
-            return len(self.arms) + 1
-        return len(self.arms)
-
-    @property
     def observed_categories(self) -> tuple[int, ...]:
         return tuple(sorted({o.category for o in self.observations}))
-
-    @property
-    def n_followups(self) -> int:
-        return len(self.observed_categories)
 
     @property
     def dimension(self) -> int:
@@ -596,13 +585,15 @@ def _parse_trial(raw, idx: int) -> TrialRecord:
                 f"{path}.ref_change_var: expected numbers keyed by category, "
                 f"got {key!r}: {value!r}"
             )
+    # Ids are read as strings, the reference arm's as the arms' own.
+    reference = raw.get("reference_arm")
     return TrialRecord(
         trial_id=trial_id,
         comparison=comparison,
         arms=tuple(arms),
         z=_numbers(raw, "z", path),
         observations=tuple(observations),
-        reference_arm=raw.get("reference_arm"),
+        reference_arm=None if reference is None else str(reference),
         ref_change_var=ref_change_var,
         rho_y=_optional(raw, "rho_y", path, _NUMBER),
         rho_d=_optional(raw, "rho_d", path, _NUMBER),

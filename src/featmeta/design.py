@@ -1,4 +1,4 @@
-"""Design matrices and the fixed-effects regression surface.
+"""Design matrices of the fixed-effects regression surface.
 
 The expected contrast for arm k of trial i at follow-up t has two forms.
 Control-comparison trials regress on the arm's own covariates:
@@ -32,11 +32,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .data import CenteringRecord, CovariateSchema, TrialRecord
 
-__all__ = [
-    "ParameterVector",
-    "trial_design_matrix",
-    "fixed_effects",
-]
+__all__ = ["ParameterVector", "trial_design_matrix"]
 
 
 @dataclass(frozen=True)
@@ -90,17 +86,6 @@ class ParameterVector:
             phi=tuple(values[cuts[2] : cuts[3]]),
             eta=tuple(values[cuts[3] : cuts[4]]),
             tau=float(values[-1]),
-        )
-
-    @classmethod
-    def zeros(cls, schema: CovariateSchema, tau: float = 0.0) -> "ParameterVector":
-        return cls(
-            alpha=0.0,
-            beta=(0.0,) * schema.n,
-            gamma=(0.0,) * schema.p,
-            phi=(0.0,) * (schema.q - 1),
-            eta=(0.0,) * schema.l,
-            tau=tau,
         )
 
 
@@ -223,12 +208,3 @@ def trial_design_matrix(
         centering,
     )
 
-
-def fixed_effects(
-    params: ParameterVector,
-    trial: TrialRecord,
-    schema: CovariateSchema,
-    centering: CenteringRecord | None = None,
-) -> np.ndarray:
-    """Expected contrast vector theta_i for one trial, canonical order."""
-    return trial_design_matrix(schema, trial, centering) @ params.coefficients()

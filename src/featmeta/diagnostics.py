@@ -28,11 +28,8 @@ from .sampler import ChainOutput
 
 __all__ = [
     "PosteriorSummary",
-    "gelman_rubin",
     "shrink_factor_trace",
     "summarize",
-    "mcse_mean",
-    "effective_sample_size",
     "write_summary_tsv",
     "write_chain_tsv",
     "write_rhat_trace_tsv",
@@ -99,18 +96,6 @@ def _shrink_factors(
     flat = within == 0.0
     factors[flat] = np.where(pooled[flat] <= 0.0, 1.0, math.inf)
     return factors
-
-
-def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
-    """Potential scale reduction factor for one scalar parameter.
-
-    ``chain_draws`` holds each chain's draws (equal lengths, >= 2 draws,
-    >= 2 chains). Uses the pooled-variance estimate with the
-    between-chain sampling correction; identical chains give a value
-    slightly below 1 (exactly sqrt((s-1)/s)).
-    """
-    columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in chain_draws]
-    return float(_prefix_shrink_factors(columns, [columns[0].shape[0]])[0, 0])
 
 
 def shrink_factor_trace(
@@ -221,26 +206,6 @@ def summarize(
             )
         )
     return out
-
-
-def mcse_mean(draws: np.ndarray, n_batches: int = 50) -> float:
-    """Monte Carlo standard error of the mean, by non-overlapping batches."""
-    draws = np.asarray(draws, dtype=float).ravel()
-    if draws.shape[0] < 2 * n_batches:
-        n_batches = max(2, draws.shape[0] // 2)
-    size = draws.shape[0] // n_batches
-    means = draws[: size * n_batches].reshape(n_batches, size).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
-
-
-def effective_sample_size(draws: np.ndarray, n_batches: int = 50) -> float:
-    """Batch-means effective sample size for the mean estimator."""
-    draws = np.asarray(draws, dtype=float).ravel()
-    se = mcse_mean(draws, n_batches)
-    var = float(np.var(draws, ddof=1))
-    if se == 0.0:
-        return float(draws.shape[0])
-    return var / (se * se)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +402,7 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     time, which bounds the temporary objects to one block's worth. A row
     whose bits equal those of the row before (a rejected proposal; -0.0
     and 0.0, or NaNs with different payloads, differ) reuses that row's
-    formatted values, so each distinct row is formatted once. A block
-    without such a repeat is formatted in one call.
+    formatted values, so each distinct row is formatted once.
 
     The draws are also saved beside the file, with the SHA-256 of the
     bytes written, for ``read_chain_tsv``; the path of that copy is
@@ -451,22 +415,13 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     bits = draws.view(np.int64)
     repeats = np.zeros(n, dtype=bool)
     repeats[1:] = np.all(bits[1:] == bits[:-1], axis=1)
-    # The iteration number shares the float block; %d prints it whole.
-    row = "%d" + "\t%r" * k + "\n"
     values = "\t%r" * k + "\n"
-    block = np.empty((min(n, _BLOCK_ROWS), k + 1))
     with open(path, "w", encoding="utf-8") as stream:
         stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
             fresh = ~repeats[start:stop]
             fresh[0] = True
-            if fresh.all():
-                part = block[: stop - start]
-                part[:, 0] = np.arange(start + 1, stop + 1)
-                part[:, 1:] = draws[start:stop]
-                stream.write(row * (stop - start) % tuple(part.ravel().tolist()))
-                continue
             # Format each distinct row's values once, then write every
             # row as its number and the text of the values it repeats.
             distinct = draws[start:stop][fresh]

@@ -17,6 +17,11 @@ builds V, factors it and samples the outcomes one trial at a time, on
 a y = 0 skeleton of each trial; its V and design rows come from the two
 references above. ``log_prior`` is the joint log prior of a
 ``ParameterVector``.
+
+The helpers the tests use and the program does not live here too:
+``zero_parameters``, ``fixed_effects`` (a trial's expected contrasts),
+``arm_count`` and ``n_followups`` of a trial, and ``gelman_rubin``,
+``mcse_mean`` and ``effective_sample_size`` of draws.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from featmeta.data import (
     Observation,
     TrialRecord,
 )
-from featmeta.design import ParameterVector
+from featmeta.design import ParameterVector, trial_design_matrix
+from featmeta.diagnostics import _prefix_shrink_factors
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
     INIT_RETRIES,
@@ -72,6 +78,70 @@ def log_prior(params: ParameterVector, prior: PriorSpec) -> float:
         + float(coefficients @ coefficients) / prior.coeff_sd**2
     )
     return normal_part - math.log(prior.tau_upper)
+
+
+def zero_parameters(schema: CovariateSchema, tau: float = 0.0) -> ParameterVector:
+    return ParameterVector(
+        alpha=0.0,
+        beta=(0.0,) * schema.n,
+        gamma=(0.0,) * schema.p,
+        phi=(0.0,) * (schema.q - 1),
+        eta=(0.0,) * schema.l,
+        tau=tau,
+    )
+
+
+def fixed_effects(
+    params: ParameterVector,
+    trial: TrialRecord,
+    schema: CovariateSchema,
+    centering: CenteringRecord | None = None,
+) -> np.ndarray:
+    """Expected contrast vector theta_i for one trial, canonical order."""
+    return trial_design_matrix(schema, trial, centering) @ params.coefficients()
+
+
+def arm_count(trial: TrialRecord) -> int:
+    """Total arm count A_i, counting the uncoded control reference."""
+    if trial.comparison == "control":
+        return len(trial.arms) + 1
+    return len(trial.arms)
+
+
+def n_followups(trial: TrialRecord) -> int:
+    return len(trial.observed_categories)
+
+
+def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
+    """Potential scale reduction factor for one scalar parameter.
+
+    ``chain_draws`` holds each chain's draws (equal lengths, >= 2 draws,
+    >= 2 chains). Uses the pooled-variance estimate with the
+    between-chain sampling correction; identical chains give a value
+    slightly below 1 (exactly sqrt((s-1)/s)).
+    """
+    columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in chain_draws]
+    return float(_prefix_shrink_factors(columns, [columns[0].shape[0]])[0, 0])
+
+
+def mcse_mean(draws: np.ndarray, n_batches: int = 50) -> float:
+    """Monte Carlo standard error of the mean, by non-overlapping batches."""
+    draws = np.asarray(draws, dtype=float).ravel()
+    if draws.shape[0] < 2 * n_batches:
+        n_batches = max(2, draws.shape[0] // 2)
+    size = draws.shape[0] // n_batches
+    means = draws[: size * n_batches].reshape(n_batches, size).mean(axis=1)
+    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
+
+
+def effective_sample_size(draws: np.ndarray, n_batches: int = 50) -> float:
+    """Batch-means effective sample size for the mean estimator."""
+    draws = np.asarray(draws, dtype=float).ravel()
+    se = mcse_mean(draws, n_batches)
+    var = float(np.var(draws, ddof=1))
+    if se == 0.0:
+        return float(draws.shape[0])
+    return var / (se * se)
 
 
 @dataclass(frozen=True, eq=False)

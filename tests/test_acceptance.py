@@ -23,8 +23,6 @@ from featmeta import (
     between_structure,
     build_within_covariance,
     center_covariates,
-    fixed_effects,
-    gelman_rubin,
     log_likelihood_marginal,
     run_chain,
     run_mcmc,
@@ -32,10 +30,16 @@ from featmeta import (
     summarize,
     validate_trial,
 )
-from featmeta.diagnostics import effective_sample_size, mcse_mean
 
 from conftest import arm, grid_trial
-from reference import build_between_covariance, log_likelihood_latent
+from reference import (
+    build_between_covariance,
+    effective_sample_size,
+    fixed_effects,
+    gelman_rubin,
+    log_likelihood_latent,
+    mcse_mean,
+)
 
 
 @pytest.fixture

@@ -883,6 +883,22 @@ def test_run_directory_holds_the_manifests_outputs_after_every_command(
     assert _files(out) == {*_outputs(out), "manifest.json"}
 
 
+def test_diagnose_keeps_only_the_manifests_chains_whose_file_it_read(
+    data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["chains"]
+    for path in (out / "chains").glob("chain_2.*"):
+        path.unlink()
+    assert main(["diagnose", "--run", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["chains"] == recorded[:1]
+    for chain in manifest["chains"]:
+        assert (out / chain["file"]).is_file()
+        assert chain["file"] in manifest["outputs"]
+
+
 def test_diagnose_of_an_untouched_run_leaves_its_manifest_as_it_was(
     data_file, tmp_path
 ):

@@ -28,6 +28,7 @@ from featmeta import (
 from featmeta.design import trial_design_matrix
 
 from conftest import arm, grid_trial
+from reference import arm_count, n_followups
 
 MINIMAL_DOC = {
     "schema": {"n": 1, "p": 0, "q": 1, "l": 0, "interactions": []},
@@ -57,8 +58,8 @@ def test_load_smallest_legal_input():
     ds = load_doc(MINIMAL_DOC)
     assert ds.n_trials == 1
     trial = ds.trials[0]
-    assert trial.n_followups == 1
-    assert trial.arm_count == 2  # one coded arm plus the control reference
+    assert n_followups(trial) == 1
+    assert arm_count(trial) == 2  # one coded arm plus the control reference
     assert trial.dimension == 1
     assert trial.observations[0].v == 0.01
 
@@ -91,6 +92,27 @@ def test_dataset_without_control_trial_rejected():
     doc["trials"][0]["reference_arm"] = "a2"
     with pytest.raises(DataValidationError, match="no control-comparison"):
         load_doc(doc)
+
+
+def test_numeric_ids_name_the_same_arms_as_strings(tmp_path):
+    # Trial, arm, observation and reference-arm ids that are JSON numbers
+    # are all read as strings, so the reference arm is among the arms.
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["trials"].append({
+        "id": 2,
+        "comparison": "active",
+        "z": [],
+        "arms": [{"id": 1, "x": [0]}, {"id": 2, "x": [1]}],
+        "observations": [{"arm": 2, "category": 1, "y": 0.05, "v": 0.02}],
+        "reference_arm": 1,
+    })
+    ds = load_dataset(io.StringIO(json.dumps(doc)), validate=False)
+    assert validate_dataset(ds) == []
+    assert ds.trials[1].reference_arm == "1"
+    assert ds.trials[1].reference.arm_id == "1"
+    path = tmp_path / "data.json"
+    save_dataset(ds, path)
+    assert load_dataset(path) == ds
 
 
 def test_round_trip_ten_covariate_configuration(tmp_path):
@@ -306,7 +328,7 @@ def test_valid_trial_observation_count(basic_dataset):
     # T_i * (A_i - 1) observations in every valid trial.
     for trial in basic_dataset.trials:
         assert validate_trial(trial, basic_dataset.schema) == []
-        assert trial.dimension == trial.n_followups * (trial.arm_count - 1)
+        assert trial.dimension == n_followups(trial) * (arm_count(trial) - 1)
 
 
 # ---------------------------------------------------------------------------

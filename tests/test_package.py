@@ -1,0 +1,55 @@
+"""The library's surface: every exported name resolves, and the helpers
+only the tests use live in tests/reference.py, not in the package."""
+
+import importlib
+import inspect
+
+import pytest
+
+import featmeta
+from featmeta import ParameterVector, TrialRecord
+from featmeta.covariance import ensure_positive_semidefinite
+
+MODULES = (
+    "featmeta",
+    "featmeta.cli",
+    "featmeta.covariance",
+    "featmeta.data",
+    "featmeta.design",
+    "featmeta.diagnostics",
+    "featmeta.sampler",
+    "featmeta.simulate",
+)
+
+# Test-only helpers, by the module that used to define them.
+MOVED = {
+    "featmeta.design": ("fixed_effects",),
+    "featmeta.diagnostics": ("gelman_rubin", "mcse_mean", "effective_sample_size"),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name", sorted(MOVED))
+def test_test_only_helpers_are_not_in_the_package(module_name):
+    module = importlib.import_module(module_name)
+    for name in MOVED[module_name]:
+        assert not hasattr(module, name)
+        assert not hasattr(featmeta, name)
+        assert name not in featmeta.__all__
+
+
+def test_test_only_methods_are_not_on_the_records():
+    assert not hasattr(TrialRecord, "arm_count")
+    assert not hasattr(TrialRecord, "n_followups")
+    assert not hasattr(ParameterVector, "zeros")
+
+
+def test_positive_semidefinite_check_has_one_tolerance():
+    parameters = inspect.signature(ensure_positive_semidefinite).parameters
+    assert list(parameters) == ["matrix", "context"]

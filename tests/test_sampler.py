@@ -26,7 +26,6 @@ from featmeta import (
     between_structure,
     build_within_covariance,
     center_covariates,
-    fixed_effects,
     log_likelihood_marginal,
     run_chain,
     run_mcmc,
@@ -35,15 +34,16 @@ from featmeta import (
     trial_design_matrix,
     validate_dataset,
 )
-from featmeta.diagnostics import mcse_mean
 
 import reference
 from conftest import arm, build_basic_dataset, build_basic_schema, grid_trial
 from reference import (
     conditional_coefficients,
+    fixed_effects,
     log_likelihood_latent,
     log_likelihood_marginal_direct,
     log_prior,
+    mcse_mean,
     mvn_logpdf,
     reference_assemble,
     reference_run_chain,

@@ -15,7 +15,6 @@ from featmeta import (
     between_structure,
     build_within_covariance,
     dataset_to_dict,
-    fixed_effects,
     save_dataset,
     simulate_dataset,
     trial_design_matrix,
@@ -23,7 +22,7 @@ from featmeta import (
 )
 from featmeta.simulate import _outcomes
 
-from reference import reference_simulate_dataset
+from reference import fixed_effects, reference_simulate_dataset
 
 
 def sim_schema():
