@@ -331,10 +331,11 @@ def cmd_fit(args) -> int:
                 "accept_rate": c.accept_rate,
                 "proposal_log_scale": c.proposal_log_scale,
                 "nonfinite_rejections": c.nonfinite_rejections,
-                # NaN (no adaptation phase) is written as null.
-                "adapt_accept_rate": (
-                    None if math.isnan(c.adapt_accept_rate)
-                    else c.adapt_accept_rate
+                # NaN (no adaptation phase, or no independence step in
+                # the sampling phase) is written as null.
+                "adapt_accept_rate": _null_nan(c.adapt_accept_rate),
+                "independence_accept_rate": _null_nan(
+                    c.independence_accept_rate
                 ),
             }
             for c in chains
@@ -394,6 +395,11 @@ def _write_results(run_dir: Path, chains, trace_points: int,
             if path.relative_to(run_dir).as_posix() not in outputs:
                 path.unlink()
     return summaries, outputs
+
+
+def _null_nan(value: float) -> float | None:
+    """``value`` for JSON, with NaN written as null."""
+    return None if math.isnan(value) else value
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

@@ -112,6 +112,10 @@ def shrink_factor_trace(
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     s = chains[0].n_samples
+    # From s - 1 points on the grid holds every end 2..s, so more points
+    # than draws give the same ends; the clamp keeps the work, and the
+    # grid, proportional to the draws.
+    n_points = min(n_points, s)
     ends = np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
     return ends, _prefix_shrink_factors([c.draws for c in chains], ends)
 
@@ -321,6 +325,7 @@ def _chain_output(
         proposal_log_scale=math.nan,
         nonfinite_rejections=-1,
         adapt_accept_rate=math.nan,
+        independence_accept_rate=math.nan,
     )
 
 

@@ -21,24 +21,37 @@ conjugate: with D = diag(lam + tau^2) and Lambda = X'D^-1 X + I/sd^2
 so u = log tau has a one-dimensional collapsed density f(u) (Rue,
 Martino & Chopin 2009). Its mode, its curvature there and the slope of
 the conditional mean of c give a Gaussian (Laplace) approximation of
-the joint posterior of (c, u), computed once per run from the assembled
-arrays and the prior. Each chain proposes x + exp(l) R z, with R the
-lower Cholesky factor of that approximation's covariance, z standard
-normal, and one log-scale l per chain: it starts at log(2.38/sqrt(dim))
-(Roberts & Rosenthal 2001) and moves toward a 0.234 acceptance rate by
-Robbins-Monro updates during a dedicated adaptation phase, then is
-frozen. tau is sampled on the log scale (with the Jacobian term),
-keeping its support positive.
+the joint posterior of (c, u), N(mu, R R') with mu = (E[c | tau_mode, y],
+u_mode) and R the lower Cholesky factor of its covariance, computed once
+per run from the assembled arrays and the prior. tau is sampled on the
+log scale (with the Jacobian term), keeping its support positive.
+
+The chains cycle through two Metropolis-Hastings kernels, fixed by the
+iteration index; a fixed cycle of kernels that each leave the posterior
+invariant leaves it invariant too (Tierney 1994). Nine iterations in
+ten are random-walk steps: each chain proposes x + exp(l) R z, with z
+standard normal and one log-scale l per chain, which starts at
+log(2.38/sqrt(dim)) (Roberts & Rosenthal 2001) and moves toward a 0.234
+acceptance rate by Robbins-Monro updates during a dedicated adaptation
+phase, then is frozen. Every INDEPENDENCE_PERIOD-th iteration is an
+independence step: each chain proposes mu + R z, whatever its state,
+and accepts it with the ratio that corrects for the Gaussian proposal
+density. The approximation is close to the posterior on well-identified
+data, so these steps are mostly accepted and decorrelate the chain; the
+nine local moves keep a chain sound where it is poor, such as a mode on
+the edge of tau's bracket.
 
 All chains of a run advance in lockstep as one (chains, dim) state in
 a single loop, whose one body serves the adaptation, burn-in and
 sampling phases: each iteration makes one batched design product and
-one density evaluation over a (chains, observations) block. Only
-adaptation iterations move the scales, and only sampling iterations
-record draws. Chain k still draws from its own random stream and turns
-each block of normals into proposal directions with its own
-fixed-shape product by R', so its draws do not depend on which chains
-run with it.
+one density evaluation over a (chains, observations) block. Only the
+random-walk iterations of the adaptation phase move the scales, and
+only sampling iterations record draws. Chain k still draws from its
+own random stream and turns each block of normals into proposal
+directions with its own fixed-shape product by R'; the design product,
+and the product by R^-1 that whitens the states for an independence
+step, keep each chain in a fixed row of fixed-shape blocks. So its
+draws do not depend on which chains run with it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
@@ -88,8 +101,9 @@ ZOOMS = 6  # refinements; each narrows the bracket by (ZOOM_NODES - 1) / 2
 FD_STEP = 1e-3  # finite-difference step in log(tau)
 COLLAPSED_BYTES = 1 << 20  # largest temporary of the collapsed density
 WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
-LANES = 4  # rows of one padded design product (see _DesignProduct)
+LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
+INDEPENDENCE_PERIOD = 10  # every this many iterations, an independence step
 
 
 class SamplerError(Exception):
@@ -153,7 +167,11 @@ class ChainOutput:
     posterior was not finite (NaN or infinite) inside the prior's
     support; -1 where unknown. ``adapt_accept_rate`` is the acceptance
     rate over the adaptation phase; NaN where unknown or with no
-    adaptation.
+    adaptation. ``accept_rate`` and ``adapt_accept_rate`` count both
+    kinds of step; ``independence_accept_rate`` is the acceptance of
+    the independence steps of the sampling phase alone, NaN where
+    unknown or where the phase has none. A low value flags a poor
+    Laplace approximation.
     """
 
     chain_index: int
@@ -164,6 +182,7 @@ class ChainOutput:
     proposal_log_scale: float
     nonfinite_rejections: int = 0
     adapt_accept_rate: float = math.nan
+    independence_accept_rate: float = math.nan
 
     @property
     def n_samples(self) -> int:
@@ -318,8 +337,8 @@ def _chain_rng(seed: int, chain_index: int) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seq), derived
 
 
-class _DesignProduct:
-    """``stacked_design @ c`` for each row c of a batch of coefficients.
+class _LaneProduct:
+    """``matrix @ v`` for each row v of a batch, one row per chain.
 
     A BLAS product over C rows rounds each row differently for each C.
     Chain k therefore always sits in row ``k % LANES`` of a zero-padded
@@ -328,7 +347,7 @@ class _DesignProduct:
     returned rows are overwritten by the next call.
     """
 
-    def __init__(self, design: np.ndarray, chains: Sequence[int]):
+    def __init__(self, matrix: np.ndarray, chains: Sequence[int]):
         blocks = sorted({k // LANES for k in chains})
         rows = [blocks.index(k // LANES) * LANES + k % LANES for k in chains]
         # A slice keeps the common case, chains 0..C-1, free of copies.
@@ -336,18 +355,18 @@ class _DesignProduct:
             slice(0, len(rows)) if rows == list(range(len(rows)))
             else np.array(rows)
         )
-        self.design_t = np.ascontiguousarray(design.T)
-        self.coefficients = np.zeros((len(blocks) * LANES, design.shape[1]))
-        self.product = np.empty((len(blocks) * LANES, design.shape[0]))
+        self.matrix_t = np.ascontiguousarray(matrix.T)
+        self.vectors = np.zeros((len(blocks) * LANES, matrix.shape[1]))
+        self.product = np.empty((len(blocks) * LANES, matrix.shape[0]))
         self.blocks = [
-            (self.coefficients[lo : lo + LANES], self.product[lo : lo + LANES])
+            (self.vectors[lo : lo + LANES], self.product[lo : lo + LANES])
             for lo in range(0, len(blocks) * LANES, LANES)
         ]
 
-    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
-        self.coefficients[self.rows] = coefficients
+    def __call__(self, vectors: np.ndarray) -> np.ndarray:
+        self.vectors[self.rows] = vectors
         for block, out in self.blocks:
-            np.matmul(block, self.design_t, out=out)
+            np.matmul(block, self.matrix_t, out=out)
         return self.product[self.rows]
 
 
@@ -376,7 +395,7 @@ class _LogPosterior:
         self.stacked_eigenvalues = assembled.stacked_eigenvalues
         self.tau_upper = prior.tau_upper
         n_coeff = assembled.n_coefficients
-        self.design = _DesignProduct(assembled.stacked_design, chains)
+        self.design = _LaneProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
         self.prior_const = -0.5 * n_coeff * math.log(
             2.0 * math.pi * prior.coeff_sd**2
@@ -535,10 +554,12 @@ class Preconditioner:
     of c, the covariance is Sigma_cc = Lambda(u)^-1 + s^2 g g',
     Sigma_cu = s^2 g and Sigma_uu = s^2; ``factor`` is its lower
     Cholesky factor R and ``condition_number`` its 2-norm condition
-    number. ``conditional_sd`` is the sd of each coefficient given tau
-    at the mode.
+    number. ``mean`` is its centre, the mean of c | tau, y at the mode
+    followed by the mode u. ``conditional_sd`` is the sd of each
+    coefficient given tau at the mode.
     """
 
+    mean: np.ndarray
     factor: np.ndarray
     tau_mode: float
     log_tau_sd: float
@@ -547,8 +568,8 @@ class Preconditioner:
 
 
 def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditioner:
-    """The proposal shape of ``run_chain``, from the assembled arrays and
-    the prior alone.
+    """The proposals of ``run_chain``, from the assembled arrays and the
+    prior alone.
 
     The mode of f is found on a grid over (log tau_upper - LOG_TAU_SPAN,
     log tau_upper), then refined ZOOMS times between the best node's
@@ -603,6 +624,7 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
             "those of collinear covariates, make it so"
         ) from e
     return Preconditioner(
+        mean=np.append(means[1], mode),
         factor=factor,
         tau_mode=math.exp(mode),
         log_tau_sd=sd,
@@ -612,7 +634,8 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
 
 
 # ---------------------------------------------------------------------------
-# Random-walk Metropolis with one adapted scale per chain, in lockstep
+# Metropolis with one adapted scale per chain and independence steps,
+# in lockstep
 # ---------------------------------------------------------------------------
 
 
@@ -625,22 +648,27 @@ def run_chain(
 ) -> list[ChainOutput]:
     """Run the Metropolis chains ``chains``, advancing them in lockstep.
 
-    One loop runs every iteration: each chain proposes its state plus
-    its block increment times its scale, and accepts or rejects it.
-    The first ``config.adapt`` iterations then move the log-scales, so
-    from iteration ``config.adapt`` on each scale is exp of its final
-    log-scale; the next ``config.burn_in`` are discarded, and the rest
-    are thinned into the draws.
+    One loop runs every iteration. On iteration ``it`` with
+    ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes
+    mu + R z, its block increment added to the approximation's mean;
+    with w = R^-1 (x - mu) for its state x, the log acceptance ratio is
+    log pi(x') - log pi(x) + (|z|^2 / 2 - |w|^2 / 2). On every other
+    iteration each chain proposes its state plus its block increment
+    times its scale. The first ``config.adapt`` iterations then move the
+    log-scales, on random-walk iterations only, so from iteration
+    ``config.adapt`` on each scale is exp of its final log-scale; the
+    next ``config.burn_in`` are discarded, and the rest are thinned into
+    the draws.
 
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its proposals and acceptance uniforms come
     from its own stream, taken in blocks sized from the state dimension,
-    the proposal shape R depends on the data and the prior alone, and
-    every batched operation treats each chain's row on its own.
-    ``preconditioner`` is ``precondition(assembled, prior)``, computed
-    here when not given. tau is recorded on its natural scale. A
-    proposal whose log posterior is not finite inside the prior's
-    support is rejected and counted.
+    mu and R depend on the data and the prior alone, the kernel of an
+    iteration on its index alone, and every batched operation treats
+    each chain's row on its own. ``preconditioner`` is
+    ``precondition(assembled, prior)``, computed here when not given.
+    tau is recorded on its natural scale. A proposal whose log posterior
+    is not finite inside the prior's support is rejected and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -677,7 +705,9 @@ def run_chain(
         )
     if preconditioner is None:
         preconditioner = precondition(assembled, prior)
+    mean = preconditioner.mean
     factor_t = preconditioner.factor.T
+    whiten = _LaneProduct(np.linalg.inv(preconditioner.factor), chains)  # R^-1
 
     # One log-scale per chain, moved by Robbins-Monro toward the target
     # acceptance during the adapt phase, then frozen.
@@ -689,10 +719,13 @@ def run_chain(
     uniforms = np.empty((n_chains, block))
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
+    offset = np.empty((n_chains, dim))
+    squares = np.empty((n_chains, dim))
 
     draws = np.empty((n_chains, config.samples, dim))
     adapt_accepted = [0] * n_chains
     accepted = [0] * n_chains
+    independent_accepted = [0] * n_chains
     nonfinite = [0] * n_chains
     recorded = 0
     warm = config.adapt + config.burn_in
@@ -713,8 +746,21 @@ def run_chain(
                     rng.random(out=uniforms[c])
                     np.matmul(normals[c], factor_t, out=increments[c])
                 log_u = np.log(uniforms).T.tolist()
-            np.multiply(increments[:, j], scale, out=proposal)
-            proposal += state
+            independent = (it + 1) % INDEPENDENCE_PERIOD == 0
+            if independent:
+                np.add(mean, increments[:, j], out=proposal)
+                # |z|^2 / 2 - |w|^2 / 2 with w = R^-1 (x - mu): log q(x)
+                # - log q(x') for the proposal density q = N(mu, R R').
+                z_sq = np.add.reduce(
+                    np.multiply(normals[:, j], normals[:, j], out=squares),
+                    axis=1,
+                )
+                w = whiten(np.subtract(state, mean, out=offset))
+                w_sq = np.add.reduce(np.multiply(w, w, out=squares), axis=1)
+                corrections = (0.5 * z_sq - 0.5 * w_sq).tolist()
+            else:
+                np.multiply(increments[:, j], scale, out=proposal)
+                proposal += state
             # Acceptances count in the adapt and sampling phases only.
             counts = (
                 adapt_accepted if it < config.adapt
@@ -724,6 +770,8 @@ def run_chain(
             ratios = []
             for c, (lp, lu) in enumerate(zip(log_post(*proposed), log_u[j])):
                 ratio = lp - current_lp[c]
+                if independent:
+                    ratio += corrections[c]
                 # A NaN ratio fails this test, so its proposal is
                 # rejected; it is counted.
                 if lu < ratio:
@@ -731,11 +779,13 @@ def run_chain(
                     current_lp[c] = lp
                     if counts is not None:
                         counts[c] += 1
+                        if independent and it >= warm:
+                            independent_accepted[c] += 1
                 elif ratio != ratio:
                     nonfinite[c] += 1
                 ratios.append(ratio)
 
-            if it < config.adapt:
+            if it < config.adapt and not independent:
                 gamma = (10.0 + it) ** -0.6
                 # A NaN ratio scores 0.
                 accept_prob = np.exp(
@@ -752,6 +802,10 @@ def run_chain(
 
     assert recorded == config.samples
     draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])
+    # Independence steps of the sampling phase, iterations warm..total - 1.
+    n_independent = (
+        total_iters // INDEPENDENCE_PERIOD - warm // INDEPENDENCE_PERIOD
+    )
     return [
         ChainOutput(
             chain_index=k,
@@ -763,6 +817,10 @@ def run_chain(
             nonfinite_rejections=nonfinite[c],
             adapt_accept_rate=(
                 adapt_accepted[c] / config.adapt if config.adapt else math.nan
+            ),
+            independence_accept_rate=(
+                independent_accepted[c] / n_independent if n_independent
+                else math.nan
             ),
         )
         for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))

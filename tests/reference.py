@@ -6,8 +6,9 @@ layers, without the whitened, stacked arrays of
 density and ``build_between_covariance`` the heterogeneity covariance
 tau^2 S they use. ``conditional_coefficients`` is the mean and
 precision of c | tau, y by a dense solve over the trials.
-``reference_run_chain`` is the sampler loop written with numpy arrays
-for every per-chain quantity, ``reference_assemble``
+``reference_run_chain`` is the sampler loop, with its cycle of
+random-walk and independence steps, written with numpy arrays for every
+per-chain quantity, ``reference_assemble``
 the assembly that factors S once per trial, and
 ``reference_trial_design_matrix`` the design matrix built one
 ``DesignRow`` object per observation. ``reference_within_covariance`` is
@@ -52,6 +53,7 @@ from featmeta.design import ParameterVector, trial_design_matrix
 from featmeta.diagnostics import _prefix_shrink_factors
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
+    INDEPENDENCE_PERIOD,
     INIT_RETRIES,
     TARGET_ACCEPT,
     AssembledDataset,
@@ -60,7 +62,7 @@ from featmeta.sampler import (
     PriorSpec,
     SamplerError,
     _chain_rng,
-    _DesignProduct,
+    _LaneProduct,
     _trials_with_covariance,
     precondition,
 )
@@ -359,7 +361,7 @@ class _LogPosterior:
         self.assembled = assembled
         self.prior = prior
         self.n_coeff = assembled.n_coefficients
-        self.design = _DesignProduct(assembled.stacked_design, chains)
+        self.design = _LaneProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
         self.prior_const = -0.5 * self.n_coeff * math.log(
             2.0 * math.pi * prior.coeff_sd**2
@@ -396,17 +398,23 @@ def reference_run_chain(
 ) -> list[ChainOutput]:
     """``featmeta.sampler.run_chain`` with every per-chain quantity in
     numpy arrays, one iteration at a time; the sampler must reproduce it
-    bit for bit. The proposal shape R is ``precondition``'s.
+    bit for bit. The approximation N(mu, R R') is ``precondition``'s.
 
     Run the Metropolis chains ``chains``, advancing them in lockstep.
-    Chain k proposes x + exp(l_k) R z with one log-scale l_k, adapted by
-    Robbins-Monro toward the target acceptance, then frozen. Chain k's
-    output depends on (config.seed, k) alone: its normals and uniforms
-    come from its own stream, taken in blocks sized from the state
-    dimension, and each block of its normals is multiplied by R' on its
-    own. tau is recorded on its natural scale. A proposal whose log
-    posterior is not finite inside the prior's support is rejected and
-    counted.
+    Iterations 1, 2, ... (counting from 1) that are multiples of
+    INDEPENDENCE_PERIOD are independence steps: chain k proposes
+    mu + R z and accepts with the Metropolis-Hastings ratio
+    pi(x') q(x) / (pi(x) q(x')) for the density q of N(mu, R R'), whose
+    log is log pi(x') - log pi(x) + (|z|^2 / 2 - |R^-1 (x - mu)|^2 / 2).
+    On the other iterations chain k proposes x + exp(l_k) R z with one
+    log-scale l_k, adapted by Robbins-Monro toward the target acceptance
+    on those iterations only, then frozen. Chain k's output depends on
+    (config.seed, k) alone: its normals and uniforms come from its own
+    stream, taken in blocks sized from the state dimension, each block
+    of its normals is multiplied by R' on its own, and its state is
+    whitened by R^-1 in a fixed lane of a fixed-shape product. tau is
+    recorded on its natural scale. A proposal whose log posterior is not
+    finite inside the prior's support is rejected and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -439,7 +447,9 @@ def reference_run_chain(
             f"chain(s) {stuck}: no finite starting point after "
             f"{INIT_RETRIES} attempts"
         )
-    factor = precondition(assembled, prior).factor
+    approximation = precondition(assembled, prior)
+    mean, factor = approximation.mean, approximation.factor
+    whiten = _LaneProduct(np.linalg.inv(factor), chains)  # R^-1, per row
     log_scale = np.full(n_chains, math.log(2.38 / math.sqrt(dim)))
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
@@ -451,6 +461,8 @@ def reference_run_chain(
     draws = np.empty((n_chains, config.samples, dim))
     accepted = np.zeros(n_chains, dtype=np.int64)
     adapt_accepted = np.zeros(n_chains, dtype=np.int64)
+    independent_accepted = np.zeros(n_chains, dtype=np.int64)
+    n_independent = 0  # independence steps of the sampling phase
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     recorded = 0
     warm = config.adapt + config.burn_in
@@ -469,25 +481,39 @@ def reference_run_chain(
             if it <= config.adapt:  # the scale is frozen once adaptation ends
                 scale = np.exp(log_scale)
 
-            proposal = state + increments[:, j] * scale[:, None]
+            independent = (it + 1) % INDEPENDENCE_PERIOD == 0
+            if independent:
+                z = normals[:, j]
+                proposal = mean + increments[:, j]
+                w = whiten(state - mean)
+                half_z = 0.5 * (z * z).sum(axis=1)
+                half_w = 0.5 * (w * w).sum(axis=1)
+            else:
+                proposal = state + increments[:, j] * scale[:, None]
             proposal_lp = log_post(proposal)
             # A NaN log ratio fails the test below, so the proposal is
             # rejected; it is counted here and scores 0 in the adaptation.
             nonfinite += np.isnan(proposal_lp)
             log_ratio = proposal_lp - current_lp
+            if independent:
+                log_ratio += half_z - half_w
             accept = log_u[:, j] < log_ratio
             np.copyto(state, proposal, where=accept[:, None])
             np.copyto(current_lp, proposal_lp, where=accept)
 
             if adapting:
                 adapt_accepted += accept
-                gamma = (10.0 + it) ** -0.6
-                accept_prob = np.nan_to_num(
-                    np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
-                )
-                log_scale += gamma * (accept_prob - TARGET_ACCEPT)
+                if not independent:
+                    gamma = (10.0 + it) ** -0.6
+                    accept_prob = np.nan_to_num(
+                        np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
+                    )
+                    log_scale += gamma * (accept_prob - TARGET_ACCEPT)
             elif it >= warm:
                 accepted += accept
+                if independent:
+                    independent_accepted += accept
+                    n_independent += 1
                 if (it - warm + 1) % config.thin == 0:
                     draws[:, recorded] = state
                     recorded += 1
@@ -506,6 +532,10 @@ def reference_run_chain(
             adapt_accept_rate=(
                 float(adapt_accepted[c]) / config.adapt if config.adapt
                 else math.nan
+            ),
+            independence_accept_rate=(
+                float(independent_accepted[c]) / n_independent
+                if n_independent else math.nan
             ),
         )
         for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))

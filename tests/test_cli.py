@@ -285,6 +285,29 @@ def test_fit_manifest_records_adaptation_acceptance(data_file, tmp_path):
     assert [e["adapt_accept_rate"] for e in manifest["chains"]] == [None, None]
 
 
+def test_fit_manifest_records_independence_acceptance(
+    data_file, tmp_path, capsys
+):
+    # 150 samples hold 15 independence steps; 5 samples after 300
+    # warm-up iterations hold none, which the manifest writes as null.
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["chains"]:
+        assert 0.0 <= entry["independence_accept_rate"] <= 1.0
+        assert entry["independence_accept_rate"] * 15 == pytest.approx(
+            round(entry["independence_accept_rate"] * 15)
+        )
+    rates = ", ".join(f"{e['accept_rate']:.3f}" for e in manifest["chains"])
+    assert f"acceptance rates: {rates}\n" in capsys.readouterr().out
+    short = tmp_path / "short"
+    assert main(fast_fit_args(data_file, short, samples=5)) == 0
+    manifest = json.loads((short / "manifest.json").read_text())
+    assert [e["independence_accept_rate"] for e in manifest["chains"]] == [
+        None, None
+    ]
+
+
 def test_fit_manifest_records_the_proposal_and_the_checks(data_file, tmp_path):
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0

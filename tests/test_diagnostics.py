@@ -220,6 +220,30 @@ def test_trace_equals_per_parameter_reference(m, s):
 
 
 
+@pytest.mark.parametrize("s", [2, 3, 7, 50])
+def test_trace_with_more_points_than_draws_equals_reference(s):
+    # The grid is clamped to s points; every n_points up to s + 5 still
+    # gives the ends and values of the unclamped grid.
+    chains = mixed_chains(2, s, seed=s)
+    for n_points in range(1, s + 6):
+        ends, values = shrink_factor_trace(chains, n_points=n_points)
+        ref_ends, ref_values = reference_shrink_factor_trace(chains, n_points)
+        assert np.array_equal(ends, ref_ends), n_points
+        assert np.array_equal(values, ref_values), n_points
+
+
+def test_trace_memory_does_not_grow_with_n_points():
+    chains = two_param_chains(s=50)[:2]
+    tracemalloc.start()
+    try:
+        ends, _ = shrink_factor_trace(chains, n_points=10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ends, np.arange(2, 51))
+    assert peak < 1 << 20
+
+
 def test_trace_is_the_same_for_any_parameter_grouping(monkeypatch):
     chains = mixed_chains(4, 2001, seed=12)
     _, reference = reference_shrink_factor_trace(chains)
@@ -424,6 +448,15 @@ def parsed(path):
     """The chain as parsing the TSV at ``path`` gives it."""
     with open(path) as stream:
         return diagnostics._read_chain(stream, 0)
+
+
+def test_chain_tsv_read_leaves_independence_acceptance_unknown(tmp_path):
+    chain = replace(
+        make_chain(np.arange(6.0).reshape(3, 2)), independence_accept_rate=0.9
+    )
+    path = tmp_path / "chain_1.tsv"
+    write_chain_tsv(chain, path)
+    assert math.isnan(read_chain_tsv(path).independence_accept_rate)
 
 
 def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown(tmp_path):

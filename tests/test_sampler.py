@@ -603,6 +603,14 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
     )
 
 
+def test_preconditioner_mean_is_the_conditional_mean_at_the_mode():
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    pre = sampler.precondition(assemble(centered), PriorSpec())
+    want, _ = conditional_coefficients(centered, pre.tau_mode, 100.0)
+    np.testing.assert_allclose(pre.mean[:-1], want, rtol=1e-8, atol=1e-12)
+    assert pre.mean[-1] == math.log(pre.tau_mode)
+
+
 def test_preconditioner_falls_back_to_unit_log_tau_sd_at_the_bracket_edge():
     # Criterion 4's toy: tau_upper = 1e-6 makes the posterior of log(tau)
     # proportional to tau, so f rises up to the top of the bracket.
@@ -740,6 +748,27 @@ def test_accept_rate_lands_near_target():
     chains = run_mcmc(dataset, config, PriorSpec())
     for chain in chains:
         assert 0.1 <= chain.accept_rate <= 0.5
+
+
+@pytest.mark.parametrize(
+    "adapt, burn_in, samples, steps",
+    [(0, 0, 9, 0), (0, 0, 10, 1), (0, 0, 19, 1), (0, 0, 20, 2),
+     (5, 3, 2, 1), (5, 3, 1, 0), (300, 200, 400, 40)],
+)
+def test_independence_acceptance_counts_the_sampling_phase_steps(
+    adapt, burn_in, samples, steps
+):
+    # Iterations 10, 20, ... (counting from 1) are independence steps;
+    # the rate is over those that fall in the sampling phase.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(adapt=adapt, burn_in=burn_in, samples=samples)
+    for chain in run_chain(assembled, config, PriorSpec(), [0, 1]):
+        rate = chain.independence_accept_rate
+        if steps == 0:
+            assert math.isnan(rate)
+        else:
+            assert 0.0 <= rate <= 1.0
+            assert rate * steps == pytest.approx(round(rate * steps))
 
 
 def test_thinning_keeps_every_kth_draw():
@@ -932,6 +961,37 @@ def test_marginal_sampler_matches_exact_posterior():
         se = mcse_mean(pooled[:, j])
         gap = abs(pooled[:, j].mean() - exact[j])
         assert gap < 3.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+
+
+def test_sampler_matches_exact_posterior_on_realistic_data():
+    # 40 trials of the recovery schema against the benchmark's exact
+    # collapsed posterior, computed by quadrature over tau. Thresholds
+    # and seeds were fixed before the first run.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from oracle import CollapsedPosterior
+    finally:
+        sys.path.pop(0)
+    config = dataclasses.replace(recovery_sim_config(40), n_trials=40)
+    centered, _ = center_covariates(simulate_dataset(config))
+    prior = PriorSpec()
+    exact = CollapsedPosterior(
+        centered, coeff_sd=prior.coeff_sd, tau_upper=prior.tau_upper
+    )
+    chains = run_mcmc(
+        centered,
+        McmcConfig(chains=4, adapt=1000, burn_in=1000, samples=4000, seed=7),
+        prior,
+    )
+    for chain in chains:
+        assert chain.independence_accept_rate > 0.5, chain.chain_index
+    pooled = np.vstack([c.draws for c in chains])
+    for j, name in enumerate(chains[0].parameter_names):
+        se = mcse_mean(pooled[:, j])
+        gap = abs(pooled[:, j].mean() - exact.mean[j])
+        assert gap < 4.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+        sd = pooled[:, j].std(ddof=1)
+        assert abs(sd / exact.sd[j] - 1.0) < 0.10, f"{name}: sd {sd:.3g}"
 
 
 def test_uncentered_fit_warns():
