@@ -15,18 +15,30 @@ and the checks on a replayed manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .covariance import CovarianceError
 from .data import (
+    _BOOL,
+    _INTEGER,
+    _LIST,
+    _NUMBER,
+    _NUMBER_OR_NULL,
+    _OBJECT,
+    _STRING,
+    DataError,
     DataFormatError,
     DataValidationError,
+    _checked,
+    _items,
     center_covariates,
     load_dataset,
     save_dataset,
@@ -35,7 +47,6 @@ from .data import (
 )
 from .design import ParameterVector
 from .diagnostics import (
-    TRACE_POINTS,
     _copy_path,
     read_chain_tsv,
     shrink_factor_trace,
@@ -55,7 +66,9 @@ class ConfigError(Exception):
 
 
 # Settings that older manifests record and that replay ignores.
-RETIRED_SETTINGS = frozenset({"diagnostics", "likelihood", "parallel"})
+RETIRED_SETTINGS = frozenset(
+    {"diagnostics", "likelihood", "parallel", "trace_points"}
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--center", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="center covariates before fitting (default: on)")
-    p_fit.add_argument("--trace-points", type=int, dest="trace_points",
-                       help="rows in the shrink-factor trace")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser(
@@ -122,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diag.add_argument("--run", required=True,
                         help="output directory of a previous fit")
-    p_diag.add_argument("--trace-points", type=int, dest="trace_points",
-                        default=TRACE_POINTS)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
@@ -159,10 +168,10 @@ def cmd_validate(args) -> int:
 class FitSettings:
     """The settings of one fit, in the order of the manifest's ``settings``.
 
-    Each field is a ``fit`` flag (``--trace-points`` for ``trace_points``)
-    and a manifest setting of the annotated type. The defaults are the
-    paper's protocol, taken from ``McmcConfig`` and ``PriorSpec``;
-    ``rho_y`` and ``rho_d`` of None keep the dataset's correlations.
+    Each field is a ``fit`` flag and a manifest setting of the annotated
+    type. The defaults are the paper's protocol, taken from
+    ``McmcConfig`` and ``PriorSpec``; ``rho_y`` and ``rho_d`` of None
+    keep the dataset's correlations.
     """
 
     chains: int = McmcConfig.chains
@@ -176,17 +185,58 @@ class FitSettings:
     rho_y: float | None = None
     rho_d: float | None = None
     center: bool = True
-    trace_points: int = TRACE_POINTS
 
 
-# The JSON values a manifest may record, by FitSettings annotation. A
-# JSON true or false is a bool, and only a bool setting accepts it.
-_MANIFEST_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
-    "bool": (bool,),
+def _floats(value, path, count=None) -> tuple[float, ...]:
+    return tuple(map(float, _items(value, path, _NUMBER, count)))
+
+
+# The check of a JSON value for a dataclass field, by the field's
+# annotation; each returns the value the field takes. A tuple setting's
+# None is its default, not a JSON null.
+_FIELD_CHECKS = {
+    "int": lambda value, path: _checked(value, path, _INTEGER),
+    "bool": lambda value, path: _checked(value, path, _BOOL),
+    "float": lambda value, path: float(_checked(value, path, _NUMBER)),
+    "float | None": lambda value, path: (
+        None if _checked(value, path, _NUMBER_OR_NULL) is None else float(value)
+    ),
+    "tuple[float, ...]": _floats,
+    "tuple[float, ...] | None": _floats,
+    "tuple[float, float]": lambda value, path: _floats(value, path, 2),
+    "tuple[tuple[int, ...], ...] | None": lambda value, path: tuple(
+        tuple(_items(item, f"{path}[{k}]", _INTEGER))
+        for k, item in enumerate(_checked(value, path, _LIST))
+    ),
 }
+
+
+def _field_values(cls, raw: dict, prefix: str = "") -> dict:
+    """``raw``'s values for the fields of the dataclass ``cls``, each
+    checked by its annotation; a message names the key after ``prefix``."""
+    return {
+        field.name: _FIELD_CHECKS[field.type](raw[field.name], prefix + field.name)
+        for field in fields(cls)
+        if field.name in raw
+    }
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Raise a data error or an out-of-range value met within as a usage
+    error that names ``path``, the file being read."""
+    try:
+        yield
+    except (DataError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _reject_unknown(keys, known, message: str) -> None:
+    """Raise a DataFormatError, ``message`` followed by the sorted keys,
+    when ``keys`` holds any that is not ``known``."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise DataFormatError(message + " " + ", ".join(map(repr, unknown)))
 
 
 def _resolve_fit_settings(
@@ -197,68 +247,54 @@ def _resolve_fit_settings(
     Every settings error is raised here, before the data file is read
     or anything is written.
     """
+    explicit = {
+        field.name: getattr(args, field.name)
+        for field in fields(FitSettings)
+        if getattr(args, field.name) is not None
+    }
     recorded: dict = {}
     data_path = args.data
     if args.from_manifest:
         manifest = _load_json(args.from_manifest, "manifest")
-        if "settings" not in manifest or "data" not in manifest:
-            raise ConfigError(
-                f"{args.from_manifest}: not a fit manifest "
-                "(missing 'settings' or 'data')"
+        with _reading(args.from_manifest):
+            if "settings" not in manifest or "data" not in manifest:
+                raise DataFormatError(
+                    "not a fit manifest (missing 'settings' or 'data')"
+                )
+            data = _checked(manifest["data"], "data", _STRING)
+            settings = _checked(manifest["settings"], "settings", _OBJECT)
+            _reject_unknown(
+                settings,
+                {field.name for field in fields(FitSettings)} | RETIRED_SETTINGS,
+                "unknown settings",
             )
-        if not isinstance(manifest["data"], str):
-            raise ConfigError(f"{args.from_manifest}: data must be a path "
-                              f"string, got {json.dumps(manifest['data'])}")
-        recorded = manifest["settings"]
-        if not isinstance(recorded, dict):
-            raise ConfigError(
-                f"{args.from_manifest}: settings must be a JSON object"
-            )
-        _reject_unknown(
-            recorded,
-            {field.name for field in fields(FitSettings)} | RETIRED_SETTINGS,
-            f"{args.from_manifest}: unknown settings",
-        )
-        # Manifests written before the latent-effects sampler was removed
-        # record the likelihood; only the marginal one can be replayed.
-        likelihood = recorded.get("likelihood")
-        if likelihood not in (None, "marginal"):
-            raise ConfigError(
-                f"{args.from_manifest}: settings.likelihood is "
-                f"{likelihood!r}, but the latent-effects sampler was "
-                "removed; only the marginal likelihood can be sampled"
+            # Manifests written before the latent-effects sampler was
+            # removed record the likelihood; only the marginal one can be
+            # replayed.
+            likelihood = settings.get("likelihood")
+            if likelihood not in (None, "marginal"):
+                raise ValueError(
+                    f"settings.likelihood is {likelihood!r}, but the "
+                    "latent-effects sampler was removed; only the marginal "
+                    "likelihood can be sampled"
+                )
+            recorded = _field_values(
+                FitSettings,
+                {k: v for k, v in settings.items() if k not in explicit},
+                "settings.",
             )
         if data_path is None:
-            path = Path(manifest["data"])
-            if not path.is_absolute():
-                path = Path(args.from_manifest).parent / path
-            data_path = str(path)
+            # Relative to the working directory, as for the fit that
+            # recorded it.
+            data_path = data
     if data_path is None:
         raise ConfigError("fit needs --data (or --from-manifest)")
-
-    chosen = {}
-    for field in fields(FitSettings):
-        value = getattr(args, field.name)
-        if value is None and field.name in recorded:
-            value = recorded[field.name]
-            allowed = _MANIFEST_TYPES[field.type]
-            if not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed
-            ):
-                raise ConfigError(
-                    f"{args.from_manifest}: settings.{field.name} must be "
-                    f"{field.type}, got {json.dumps(value)}"
-                )
-        if value is not None:
-            chosen[field.name] = value
-    settings = FitSettings(**chosen)
+    settings = FitSettings(**recorded, **explicit)
 
     for name in ("rho_y", "rho_d"):
         rho = getattr(settings, name)
         if rho is not None and not 0.0 <= rho < 1.0:
             raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1)")
-    if settings.trace_points < 1:
-        raise ConfigError("--trace-points must be at least 1")
     try:
         config = McmcConfig(
             chains=settings.chains,
@@ -305,14 +341,13 @@ def cmd_fit(args) -> int:
         rel = _chain_file(chain)
         copy = write_chain_tsv(chain, out / rel)
         written += [rel, copy.relative_to(out).as_posix()]
-    summaries, outputs = _write_results(out, chains, st.trace_points, written,
-                                        _FIT_OWNS)
+    summaries, outputs = _write_results(out, chains, written, _FIT_OWNS)
 
     manifest = {
         "package": "featmeta",
         "version": __version__,
         "command": "fit",
-        "data": str(data_path),
+        "data": os.path.abspath(data_path),
         "settings": asdict(st),
         "centering": centering.as_dict() if centering is not None else None,
         "parameters": list(chains[0].parameter_names),
@@ -371,8 +406,8 @@ def _chain_file(chain) -> str:
     return f"chains/chain_{chain.chain_index + 1}.tsv"
 
 
-def _write_results(run_dir: Path, chains, trace_points: int,
-                   kept: list[str], owns: tuple[str, ...]):
+def _write_results(run_dir: Path, chains, kept: list[str],
+                   owns: tuple[str, ...]):
     """Write ``rhat_trace.tsv`` for 2 or more chains, then ``summary.tsv``.
 
     Returns the summaries and the run's files, in the order fit writes
@@ -382,7 +417,7 @@ def _write_results(run_dir: Path, chains, trace_points: int,
     outputs = [*kept, "summary.tsv"]
     r_hat = None
     if len(chains) >= 2:
-        trace = shrink_factor_trace(chains, n_points=trace_points)
+        trace = shrink_factor_trace(chains)
         write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv", trace)
         outputs.append("rhat_trace.tsv")
         r_hat = trace[1][-1]  # summary.tsv's r_hat, not computed twice
@@ -424,136 +459,51 @@ def format_summary_table(summaries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    # A JSON string or boolean is no number, as in load_dataset.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"could not convert {value!r}: expected a JSON number")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return number
-
-
-def _numbers(values) -> tuple[float, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"must be a list of numbers, got {values!r}")
-    return tuple(_number(v) for v in values)
-
-
-def _range(values) -> tuple[float, ...]:
-    pair = _numbers(values)
-    if len(pair) != 2:
-        raise ValueError(f"must hold 2 numbers, got {len(pair)}")
-    return pair
-
-
-def _patterns(values) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(values, list) or not all(
-        isinstance(p, list) for p in values
-    ):
-        raise TypeError(f"must be a list of category lists, got {values!r}")
-    return tuple(tuple(_integer(c) for c in p) for p in values)
-
-
-# Optional generator settings, each with its conversion from JSON.
-_SIM_OPTIONAL = {
-    "control_fraction": _number,
-    "max_coded_arms": _integer,
-    "followup_patterns": _patterns,
-    "pattern_weights": _numbers,
-    "variance_range": _range,
-    "ref_var_fraction_range": _range,
-    "rho_y": _number,
-    "rho_d": _number,
-    "feature_prob": _number,
-    "z_sd": _number,
-}
-
-
-def _reject_unknown(keys, known, message: str) -> None:
-    """Raise a ConfigError, ``message`` followed by the sorted keys, when
-    ``keys`` holds any that is not ``known``."""
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise ConfigError(message + " " + ", ".join(map(repr, unknown)))
-
-
-def _converted(key: str, convert, value):
-    """``convert(value)``; a failure is a ConfigError naming ``key``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{key}: {e}") from e
-
-
 def _params_from_dict(raw, schema) -> ParameterVector:
-    if not isinstance(raw, dict):
-        raise ConfigError("params must be a JSON object")
-
-    def block(key, count):
-        values = _converted(f"params.{key}", _numbers, raw.get(key, []))
-        if len(values) != count:
-            raise ConfigError(
-                f"params.{key}: expected {count} value(s), got {len(values)}"
-            )
-        return values
-
+    """The generator's true parameters; a block ``schema`` sizes at 0
+    may be left out."""
+    _checked(raw, "params", _OBJECT)
     missing = {"alpha", "tau"} - set(raw)
     if missing:
-        raise ConfigError(f"params: missing {sorted(missing)}")
+        raise DataFormatError(f"params: missing {sorted(missing)}")
     _reject_unknown(
         raw,
         {field.name for field in fields(ParameterVector)},
         "params: unknown keys",
     )
-    return ParameterVector(
-        alpha=_converted("params.alpha", _number, raw["alpha"]),
-        beta=block("beta", schema.n),
-        gamma=block("gamma", schema.p),
-        phi=block("phi", schema.q - 1),
-        eta=block("eta", schema.l),
-        tau=_converted("params.tau", _number, raw["tau"]),
+    counts = {"beta": schema.n, "gamma": schema.p, "phi": schema.q - 1,
+              "eta": schema.l}
+    values = _field_values(
+        ParameterVector, {**dict.fromkeys(counts, []), **raw}, "params."
     )
+    for key, count in counts.items():
+        if len(values[key]) != count:
+            raise DataFormatError(
+                f"params.{key}: expected {count} value(s), got {len(values[key])}"
+            )
+    return ParameterVector(**values)
 
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.config, "generator config")
-    for key in ("schema", "params", "n_trials"):
-        if key not in raw:
-            raise ConfigError(f"{args.config}: missing {key!r}")
-    _reject_unknown(
-        raw,
-        {"schema", "params", "n_trials", "seed", *_SIM_OPTIONAL},
-        f"{args.config}: unknown keys",
-    )
-    try:
-        schema = schema_from_dict(raw["schema"])
-    except (DataFormatError, DataValidationError) as e:
-        raise ConfigError(f"{args.config}: {e}") from e
-    params = _params_from_dict(raw["params"], schema)
-    optional = {
-        key: _converted(key, convert, raw[key])
-        for key, convert in _SIM_OPTIONAL.items()
-        if key in raw
-    }
-    n_trials = _converted("n_trials", _integer, raw["n_trials"])
-    seed = _converted("seed", _integer, raw.get("seed", 0))
-    try:
-        config = SimConfig(
-            schema=schema,
-            params=params,
-            n_trials=args.trials if args.trials is not None else n_trials,
-            seed=args.seed if args.seed is not None else seed,
-            **optional,
+    with _reading(args.config):
+        for field in fields(SimConfig):
+            if field.default is MISSING and field.name not in raw:
+                raise DataFormatError(f"missing {field.name!r}")
+        _reject_unknown(
+            raw, {field.name for field in fields(SimConfig)}, "unknown keys"
         )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{args.config}: {e}") from e
+        schema = schema_from_dict(raw["schema"])
+        params = _params_from_dict(raw["params"], schema)
+        settings = _field_values(
+            SimConfig,
+            {k: v for k, v in raw.items() if k not in ("schema", "params")},
+        )
+        if args.trials is not None:
+            settings["n_trials"] = args.trials
+        if args.seed is not None:
+            settings["seed"] = args.seed
+        config = SimConfig(schema=schema, params=params, **settings)
 
     dataset = simulate_dataset(config)
     violations = validate_dataset(dataset)
@@ -577,8 +527,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.trace_points < 1:
-        raise ConfigError("--trace-points must be at least 1")
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     manifest = (_load_json(manifest_path, "manifest")
@@ -614,8 +562,7 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")
     kept = [held.relative_to(run_dir).as_posix() for path in chain_files
             for held in (path, _copy_path(path)) if held.is_file()]
-    summaries, outputs = _write_results(run_dir, chains, args.trace_points,
-                                        kept, _DIAGNOSE_OWNS)
+    summaries, outputs = _write_results(run_dir, chains, kept, _DIAGNOSE_OWNS)
     if manifest is not None:
         # The manifest lists the files now held, and the recorded chains
         # whose file was read; it is rewritten only when that changes it.
@@ -652,9 +599,8 @@ def _load_json(path: str | Path, what: str) -> dict:
             ) from e
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: {what} is not UTF-8: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: {what} must be a JSON object")
-    return raw
+    with _reading(path):
+        return _checked(raw, "top level", _OBJECT)
 
 
 def main(argv=None) -> int:

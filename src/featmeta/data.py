@@ -479,14 +479,30 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 # JSON value kinds as exact Python types, so true and false are no numbers.
 _NUMBER, _INTEGER, _LIST, _OBJECT = (int, float), (int,), (list,), (dict,)
+_BOOL, _NUMBER_OR_NULL, _STRING = (bool,), (int, float, type(None)), (str,)
 _EXPECTED = {
     _NUMBER: "a number", _INTEGER: "an integer",
     _LIST: "a list", _OBJECT: "an object",
+    _BOOL: "true or false", _NUMBER_OR_NULL: "a number or null",
+    _STRING: "a string",
 }
 
 
-def _wrong_type(path, kind, value) -> DataFormatError:
-    return DataFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+def _checked(value, path, kind):
+    """``value``, which must be of the JSON ``kind``."""
+    if type(value) not in kind:
+        raise DataFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def _items(value, path, kind, count=None) -> list:
+    """``value``, a JSON list of items of the JSON ``kind``, and of
+    ``count`` items when a count is given."""
+    for k, item in enumerate(_checked(value, path, _LIST)):
+        _checked(item, f"{path}[{k}]", kind)
+    if count is not None and len(value) != count:
+        raise DataFormatError(f"{path}: expected {count} items, got {len(value)}")
+    return value
 
 
 def _require(mapping, key, path, kind=None):
@@ -496,9 +512,7 @@ def _require(mapping, key, path, kind=None):
     if key not in mapping:
         raise DataFormatError(f"{path}: missing required field {key!r}")
     value = mapping[key]
-    if kind is not None and type(value) not in kind:
-        raise _wrong_type(f"{path}.{key}", kind, value)
-    return value
+    return value if kind is None else _checked(value, f"{path}.{key}", kind)
 
 
 def _optional(mapping, key, path, kind):
@@ -508,23 +522,15 @@ def _optional(mapping, key, path, kind):
 
 
 def _numbers(mapping, key, path) -> list:
-    values = _require(mapping, key, path, _LIST)
-    for k, v in enumerate(values):
-        if type(v) not in _NUMBER:
-            raise _wrong_type(f"{path}.{key}[{k}]", _NUMBER, v)
-    return values
+    return _items(_require(mapping, key, path), f"{path}.{key}", _NUMBER)
 
 
 def schema_from_dict(raw: dict) -> CovariateSchema:
     """Build a schema from its file representation (1-based indices)."""
     n, p, q, l = (_require(raw, key, "schema", _INTEGER) for key in "npql")
     factor_sets = []
-    raw_sets = raw.get("interactions", [])
-    if type(raw_sets) not in _LIST:
-        raise _wrong_type("schema.interactions", _LIST, raw_sets)
+    raw_sets = _items(raw.get("interactions", []), "schema.interactions", _LIST)
     for j, raw_set in enumerate(raw_sets):
-        if type(raw_set) not in _LIST:
-            raise _wrong_type(f"schema.interactions[{j}]", _LIST, raw_set)
         factors = []
         for k, raw_f in enumerate(raw_set):
             path = f"schema.interactions[{j}][{k}]"

@@ -87,6 +87,10 @@ class SimConfig:
             raise ValueError("control_fraction must lie in [0, 1]")
         if self.max_coded_arms < 1:
             raise ValueError("need at least one coded arm per trial")
+        for name in ("alpha", "beta", "gamma", "phi", "eta"):
+            values = getattr(self.params, name)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values}")
         if not 0.0 <= self.params.tau < math.inf:
             raise ValueError("tau must be non-negative and finite")
         if self.seed < 0:

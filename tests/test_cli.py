@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -10,8 +11,9 @@ from dataclasses import fields
 
 import pytest
 
-from featmeta import dataset_to_dict, save_dataset
-from featmeta.cli import FitSettings, build_parser, main
+from featmeta import DataFormatError, SimConfig, dataset_to_dict, save_dataset
+from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
+from featmeta.diagnostics import TRACE_POINTS
 
 from conftest import build_basic_dataset
 
@@ -516,6 +518,122 @@ def test_manifest_with_diagnostics_setting_replays_bit_identically(
     assert "rhat_trace.tsv" in replayed["outputs"]
 
 
+def test_trace_points_setting_replays_with_the_fixed_trace(data_file, tmp_path):
+    # Manifests written while fit had --trace-points record it; the trace
+    # now always has TRACE_POINTS rows, and a later diagnose rewrites the
+    # replay's files byte for byte.
+    first = tmp_path / "run1"
+    second = tmp_path / "run2"
+    assert main(fast_fit_args(data_file, first)) == 0
+    manifest = _edit_manifest_settings(first, trace_points=50)
+    assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
+    for name in ("chain_1.tsv", "chain_1.npz", "chain_2.tsv", "chain_2.npz"):
+        assert (first / "chains" / name).read_bytes() == (
+            second / "chains" / name
+        ).read_bytes()
+    assert "trace_points" not in json.loads(
+        (second / "manifest.json").read_text()
+    )["settings"]
+    trace = (second / "rhat_trace.tsv").read_text().splitlines()
+    assert len(trace) == 1 + TRACE_POINTS
+    written = {name: (second / name).read_bytes()
+               for name in ("summary.tsv", "rhat_trace.tsv")}
+    assert main(["diagnose", "--run", str(second)]) == 0
+    for name, data in written.items():
+        assert (second / name).read_bytes() == data
+        assert (first / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_trace_points_flag_is_gone(command, data_file, tmp_path, capsys):
+    argv = {
+        "fit": fast_fit_args(data_file, tmp_path / "run"),
+        "diagnose": ["diagnose", "--run", str(tmp_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trace-points", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace-points" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_replay_from_relative_paths_runs_in_the_fits_directory(
+    data_file, tmp_path, monkeypatch
+):
+    # README's pair of examples, run where the data file lies.
+    monkeypatch.chdir(tmp_path)
+    assert main(fast_fit_args(data_file.name, "runs/a")) == 0
+    recorded = json.loads((tmp_path / "runs/a/manifest.json").read_text())["data"]
+    assert os.path.isabs(recorded) and os.path.samefile(recorded, data_file)
+    assert main([
+        "fit", "--from-manifest", "runs/a/manifest.json", "--out", "runs/c",
+    ]) == 0
+    # A manifest that records a relative path, as fits once wrote them,
+    # reads it from the working directory too.
+    old = tmp_path / "runs/a/manifest.json"
+    old.write_text(json.dumps(
+        dict(json.loads(old.read_text()), data=data_file.name)
+    ))
+    assert main(["fit", "--from-manifest", str(old), "--out", "runs/d"]) == 0
+    for replay in ("runs/c", "runs/d"):
+        for name in ("chain_1.tsv", "chain_1.npz", "chain_2.tsv", "chain_2.npz"):
+            assert (tmp_path / "runs/a/chains" / name).read_bytes() == (
+                tmp_path / replay / "chains" / name
+            ).read_bytes()
+
+
+# One wrongly typed value of each JSON kind, with the manifest setting and
+# the generator-config key of that kind (None where there is none).
+WRONG_KINDS = {
+    "integer": (12.5, "samples", "max_coded_arms"),
+    "number": ("5", "tau_upper", "z_sd"),
+    "bool": (0, "center", None),
+    "nullable number": (False, "rho_y", None),
+    "list of numbers": ([1, "2"], None, "pattern_weights"),
+    "pair": ([0.1], None, "variance_range"),
+    "category lists": ([[1], 2], None, "followup_patterns"),
+}
+
+
+def _fit_manifest_error(setting, value, data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(fast_fit_args(data_file, run, chains=1, samples=5)) == 0
+    manifest = _edit_manifest_settings(run, **{setting: value})
+    capsys.readouterr()
+    argv = ["fit", "--from-manifest", str(manifest), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    return capsys.readouterr().err.removeprefix(
+        f"error: {manifest}: settings.{setting}"
+    )
+
+
+def _simulate_error(key, value, data_file, tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({**SIM_CONFIG, key: value}))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    return capsys.readouterr().err.removeprefix(f"error: {config}: {key}")
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_KINDS))
+def test_each_json_kind_is_checked_by_one_rule(kind, data_file, tmp_path, capsys):
+    # The message after the key is the one the annotation's check gives,
+    # whichever file holds the value.
+    value, setting, key = WRONG_KINDS[kind]
+    messages = set()
+    for cls, name, error in ((FitSettings, setting, _fit_manifest_error),
+                             (SimConfig, key, _simulate_error)):
+        if name is None:
+            continue
+        annotation = {f.name: f.type for f in fields(cls)}[name]
+        with pytest.raises(DataFormatError) as exc:
+            _FIELD_CHECKS[annotation](value, "")
+        messages |= {error(name, value, data_file, tmp_path, capsys),
+                     f"{exc.value}\n"}
+    assert len(messages) == 1, messages
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("data", [5, None, ["a"]])
 def test_manifest_with_non_string_data_is_config_error(
     data, data_file, tmp_path, capsys
@@ -530,21 +648,36 @@ def test_manifest_with_non_string_data_is_config_error(
     code = main(["fit", "--from-manifest", str(path), "--out", str(tmp_path / "run2")])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"data must be a path string, got {json.dumps(data)}" in err
+    assert f"data: expected a string, got {data!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run2").exists()
 
 
 BAD_MANIFEST_SETTINGS = {
-    "settings a list": (["samples", 50], "settings must be a JSON object"),
-    "samples a string": ({"samples": "fifty"}, 'settings.samples must be int, got "fifty"'),
-    "samples a float": ({"samples": 30.5}, "settings.samples must be int, got 30.5"),
-    "samples a bool": ({"samples": True}, "settings.samples must be int, got true"),
-    "center a string": ({"center": "no"}, 'settings.center must be bool, got "no"'),
-    "center a number": ({"center": 0}, "settings.center must be bool, got 0"),
-    "trace_points a string": ({"trace_points": "x"}, "settings.trace_points must be int"),
-    "tau_upper a string": ({"tau_upper": "5"}, "settings.tau_upper must be float"),
-    "rho_y a bool": ({"rho_y": False}, "settings.rho_y must be float | None"),
+    "settings a list": (
+        ["samples", 50], "settings: expected an object, got ['samples', 50]"
+    ),
+    "samples a string": (
+        {"samples": "fifty"}, "settings.samples: expected an integer, got 'fifty'"
+    ),
+    "samples a float": (
+        {"samples": 30.5}, "settings.samples: expected an integer, got 30.5"
+    ),
+    "samples a bool": (
+        {"samples": True}, "settings.samples: expected an integer, got True"
+    ),
+    "center a string": (
+        {"center": "no"}, "settings.center: expected true or false, got 'no'"
+    ),
+    "center a number": (
+        {"center": 0}, "settings.center: expected true or false, got 0"
+    ),
+    "tau_upper a string": (
+        {"tau_upper": "5"}, "settings.tau_upper: expected a number, got '5'"
+    ),
+    "rho_y a bool": (
+        {"rho_y": False}, "settings.rho_y: expected a number or null, got False"
+    ),
 }
 
 
@@ -691,27 +824,60 @@ def test_simulate_wrong_block_length_is_config_error(tmp_path, capsys):
     assert "expected 2 value(s)" in capsys.readouterr().err
 
 
+def _case(change, message, rule):
+    """A row whose id, ``change<k>-<rule>``, names the rule it breaks."""
+    return pytest.param(change, message, id=rule)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"params": {"alpha": "x"}}, "params.alpha: could not convert"),
-        ({"params": {"beta": 5}}, "params.beta: must be a list of numbers"),
-        ({"params": {"eta": ["x"]}}, "params.eta: could not convert"),
-        ({"params": {"tau": float("nan")}}, "params.tau: must be a finite"),
-        ({"params": [1, 2]}, "params must be a JSON object"),
-        ({"followup_patterns": 3}, "followup_patterns: must be a list"),
-        ({"followup_patterns": [["a"]]}, "followup_patterns: must be an integer"),
-        ({"variance_range": "ab"}, "variance_range: must be a list"),
-        ({"variance_range": ["a", "b"]}, "variance_range: could not convert"),
-        ({"variance_range": [0.001]}, "variance_range: must hold 2 numbers"),
-        ({"pattern_weights": {"a": 1}}, "pattern_weights: must be a list"),
-        ({"control_fraction": "half"}, "control_fraction: could not convert"),
-        ({"max_coded_arms": "two"}, "max_coded_arms: must be an integer"),
-        ({"rho_y": float("inf")}, "rho_y: must be a finite number"),
-        ({"n_trials": "x"}, "n_trials: must be an integer"),
-        ({"n_trials": 12.9}, "n_trials: must be an integer"),
-        ({"seed": 1.5}, "seed: must be an integer"),
-        ({"seed": True}, "seed: must be an integer"),
+        _case({"params": {"alpha": "x"}},
+              "params.alpha: expected a number, got 'x'",
+              "change0-params.alpha: could not convert"),
+        _case({"params": {"beta": 5}}, "params.beta: expected a list, got 5",
+              "change1-params.beta: must be a list of numbers"),
+        _case({"params": {"eta": ["x"]}},
+              "params.eta[0]: expected a number, got 'x'",
+              "change2-params.eta: could not convert"),
+        _case({"params": {"tau": float("nan")}},
+              "tau must be non-negative and finite",
+              "change3-params.tau: must be a finite"),
+        _case({"params": [1, 2]}, "params: expected an object, got [1, 2]",
+              "change4-params must be a JSON object"),
+        _case({"followup_patterns": 3}, "followup_patterns: expected a list, got 3",
+              "change5-followup_patterns: must be a list"),
+        _case({"followup_patterns": [["a"]]},
+              "followup_patterns[0][0]: expected an integer, got 'a'",
+              "change6-followup_patterns: must be an integer"),
+        _case({"variance_range": "ab"},
+              "variance_range: expected a list, got 'ab'",
+              "change7-variance_range: must be a list"),
+        _case({"variance_range": ["a", "b"]},
+              "variance_range[0]: expected a number, got 'a'",
+              "change8-variance_range: could not convert"),
+        _case({"variance_range": [0.001]},
+              "variance_range: expected 2 items, got 1",
+              "change9-variance_range: must hold 2 numbers"),
+        _case({"pattern_weights": {"a": 1}},
+              "pattern_weights: expected a list, got {'a': 1}",
+              "change10-pattern_weights: must be a list"),
+        _case({"control_fraction": "half"},
+              "control_fraction: expected a number, got 'half'",
+              "change11-control_fraction: could not convert"),
+        _case({"max_coded_arms": "two"},
+              "max_coded_arms: expected an integer, got 'two'",
+              "change12-max_coded_arms: must be an integer"),
+        _case({"rho_y": float("inf")}, "rho_y must lie in [0, 1)",
+              "change13-rho_y: must be a finite number"),
+        _case({"n_trials": "x"}, "n_trials: expected an integer, got 'x'",
+              "change14-n_trials: must be an integer"),
+        _case({"n_trials": 12.9}, "n_trials: expected an integer, got 12.9",
+              "change15-n_trials: must be an integer"),
+        _case({"seed": 1.5}, "seed: expected an integer, got 1.5",
+              "change16-seed: must be an integer"),
+        _case({"seed": True}, "seed: expected an integer, got True",
+              "change17-seed: must be an integer"),
         ({"seed": -1}, "seed must be non-negative"),
         ({"rho_y": 1.5}, "rho_y must lie in [0, 1)"),
         ({"rho_d": -0.2}, "rho_d must lie in [0, 1)"),
@@ -781,7 +947,7 @@ def test_simulate_number_written_as_string_or_boolean_is_config_error(
     code = main(["simulate", "--config", str(config), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{key}: could not convert" in err and "expected a JSON number" in err
+    assert f"error: {config}: {key}" in err and "expected a number, got " in err, err
     assert not out.exists()
 
 
@@ -1059,8 +1225,6 @@ def test_out_of_range_settings_are_usage_errors_before_any_output(
     data_file, tmp_path, capsys
 ):
     for argv, message in [
-        (["--trace-points", "0"], "--trace-points must be at least 1"),
-        (["--trace-points", "-3"], "--trace-points must be at least 1"),
         (["--seed", "-1"], "seed must be non-negative"),
         (["--tau-upper", "nan"], "tau_upper must be positive and finite"),
         (["--coeff-sd", "inf"], "coeff_sd must be positive and finite"),
@@ -1069,17 +1233,6 @@ def test_out_of_range_settings_are_usage_errors_before_any_output(
         assert main(fast_fit_args(data_file, bad) + argv) == 2, argv
         assert message in capsys.readouterr().err
         assert not bad.exists()
-
-    out = tmp_path / "run"
-    assert main(fast_fit_args(data_file, out)) == 0
-    (out / "summary.tsv").unlink()
-    (out / "rhat_trace.tsv").unlink()
-    capsys.readouterr()
-    for points in ("0", "-1"):
-        assert main(["diagnose", "--run", str(out), "--trace-points", points]) == 2
-        assert "--trace-points must be at least 1" in capsys.readouterr().err
-        assert not (out / "summary.tsv").exists()
-        assert not (out / "rhat_trace.tsv").exists()
 
 
 def test_diagnose_without_chains_is_usage_error(tmp_path, capsys):

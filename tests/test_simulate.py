@@ -326,6 +326,19 @@ def test_config_rejects_non_finite_tau(tau):
         SimConfig(schema=sim_schema(), params=sim_params(tau=tau), n_trials=5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", range(5))
+def test_config_rejects_non_finite_coefficients(at, value):
+    # A NaN coefficient would make every outcome y NaN.
+    coeffs = [0.02, -0.05, 0.1, 0.03, -0.01]
+    coeffs[at] = value
+    name = ["alpha", "beta", "beta", "gamma", "phi"][at]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SimConfig(
+            schema=sim_schema(), params=sim_params(0.05, coeffs), n_trials=5
+        )
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SimConfig(
