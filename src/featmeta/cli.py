@@ -239,6 +239,23 @@ def _reject_unknown(keys, known, message: str) -> None:
         raise DataFormatError(message + " " + ", ".join(map(repr, unknown)))
 
 
+def _range_error(name: str, value) -> str | None:
+    """Why the fit setting ``name`` cannot take ``value``, whatever the
+    other settings are, as a message that starts with ``name``; None
+    when it can."""
+    if name in ("rho_y", "rho_d"):
+        if value is not None and not 0.0 <= value < 1.0:
+            return f"{name} must lie in [0, 1)"
+        return None
+    for cls in (McmcConfig, PriorSpec):
+        if name in {field.name for field in fields(cls)}:
+            try:
+                cls(**{name: value})
+            except ValueError as e:
+                return str(e)
+    return None
+
+
 def _resolve_fit_settings(
     args,
 ) -> tuple[str, FitSettings, McmcConfig, PriorSpec]:
@@ -290,23 +307,25 @@ def _resolve_fit_settings(
     if data_path is None:
         raise ConfigError("fit needs --data (or --from-manifest)")
     settings = FitSettings(**recorded, **explicit)
-
-    for name in ("rho_y", "rho_d"):
-        rho = getattr(settings, name)
-        if rho is not None and not 0.0 <= rho < 1.0:
-            raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1)")
-    try:
-        config = McmcConfig(
-            chains=settings.chains,
-            adapt=settings.adapt,
-            burn_in=settings.burn_in,
-            samples=settings.samples,
-            thin=settings.thin,
-            seed=settings.seed,
-        )
-        prior = PriorSpec(coeff_sd=settings.coeff_sd, tau_upper=settings.tau_upper)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # Each value is checked on its own, so a message can name where the
+    # value came from; the defaults need no check.
+    sources = {
+        **{name: f"{args.from_manifest}: settings.{name}" for name in recorded},
+        **{name: "--" + name.replace("_", "-") for name in explicit},
+    }
+    for name, source in sources.items():
+        error = _range_error(name, getattr(settings, name))
+        if error is not None:
+            raise ConfigError(source + error.removeprefix(name))
+    config = McmcConfig(
+        chains=settings.chains,
+        adapt=settings.adapt,
+        burn_in=settings.burn_in,
+        samples=settings.samples,
+        thin=settings.thin,
+        seed=settings.seed,
+    )
+    prior = PriorSpec(coeff_sd=settings.coeff_sd, tau_upper=settings.tau_upper)
     if config.chains >= 2 and config.samples < 2:
         raise ConfigError(
             "R-hat of 2 or more chains requires >= 2 samples per chain; "

@@ -23,8 +23,10 @@ Martino & Chopin 2009). Its mode, its curvature there and the slope of
 the conditional mean of c give a Gaussian (Laplace) approximation of
 the joint posterior of (c, u), N(mu, R R') with mu = (E[c | tau_mode, y],
 u_mode) and R the lower Cholesky factor of its covariance, computed once
-per run from the assembled arrays and the prior. tau is sampled on the
-log scale (with the Jacobian term), keeping its support positive.
+per run from the assembled arrays and the prior. All three are read off
+parabolas through three nodes of one grid of u over the bulk of f. tau
+is sampled on the log scale (with the Jacobian term), keeping its
+support positive.
 
 The chains cycle through two Metropolis-Hastings kernels, fixed by the
 iteration index; a fixed cycle of kernels that each leave the posterior
@@ -94,11 +96,10 @@ __all__ = [
 
 TARGET_ACCEPT = 0.234  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
-LOG_TAU_SPAN = 12.0  # the mode of f is sought on (log tau_upper - span, log tau_upper)
-LOG_TAU_GRID = 25  # grid nodes over that bracket
-ZOOM_NODES = 9  # nodes of each refinement between a node's two neighbours
-ZOOMS = 6  # refinements; each narrows the bracket by (ZOOM_NODES - 1) / 2
-FD_STEP = 1e-3  # finite-difference step in log(tau)
+LOG_TAU_SPAN = 30.0  # f is scanned on (log tau_upper - span, log tau_upper)
+SCAN_NODES = 61  # nodes of that scan
+TAIL_DROP = 40.0  # the tau grid spans the scan where f > max f - this
+GRID_NODES = 151  # nodes of the tau grid
 COLLAPSED_BYTES = 1 << 20  # largest temporary of the collapsed density
 WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded product (see _LaneProduct)
@@ -120,8 +121,14 @@ class PriorSpec:
     def __post_init__(self):
         if not 0.0 < self.coeff_sd < math.inf:
             raise ValueError("coeff_sd must be positive and finite")
+        # The log prior takes log(2 pi sd^2) and 1 / sd^2.
+        square = self.coeff_sd * self.coeff_sd
+        if not 0.0 < 2.0 * math.pi * square < math.inf or 1.0 / square == math.inf:
+            raise ValueError("coeff_sd must lie in about (1e-154, 5e153)")
         if not 0.0 < self.tau_upper < math.inf:
             raise ValueError("tau_upper must be positive and finite")
+        if 0.1 * self.tau_upper == 0.0:  # the chains start at a tenth of it
+            raise ValueError("tau_upper must have a tenth that is not 0")
 
 
 @dataclass(frozen=True)
@@ -144,16 +151,12 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.chains < 1:
-            raise ValueError("need at least one chain")
-        if self.adapt < 0 or self.burn_in < 0:
-            raise ValueError("adapt and burn_in must be non-negative")
-        if self.samples < 1:
-            raise ValueError("need at least one retained sample")
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name in ("chains", "samples", "thin"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("adapt", "burn_in", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,8 +461,8 @@ class _Collapsed:
     log p(u | y) up to a constant, the prior's uniform bound aside. f is
     -inf wherever it is not finite (some lam + tau^2 <= 0 among them);
     the mean and L are NaN there. Several u are evaluated at once, in
-    temporaries of at most about COLLAPSED_BYTES; the arrays that do not
-    depend on u are built once, with the object.
+    temporaries of at most about COLLAPSED_BYTES each; the arrays that do
+    not depend on u are built once, with the object.
 
     One Cholesky factor per u does it: that of [X y]'D^-1 [X y] plus
     diag(1/sd^2, ..., 1/sd^2, 1) has L in its leading block, L^-1 b below
@@ -471,53 +474,36 @@ class _Collapsed:
         columns = np.column_stack([assembled.stacked_design, assembled.stacked_y])
         n_obs, width = columns.shape
         self.k = width - 1
-        self.columns = columns
-        self.columns_t = np.ascontiguousarray(columns.T)
+        # Row j: the products of observation j's columns; (1/D) @ rows is
+        # [X y]'D^-1 [X y], flattened.
+        self.products = (columns[:, :, None] * columns[:, None, :]).reshape(n_obs, -1)
         self.eigenvalues = assembled.stacked_eigenvalues
         self.diagonal = np.arange(width)
         self.ridge = np.append(np.full(self.k, 1.0 / prior.coeff_sd**2), 1.0)
-        self.per_u = max(1, COLLAPSED_BYTES // (8 * n_obs * width))
-
-    def _blocks(self, u: np.ndarray):
-        """For each block of ``u``: its slice, where f is finite there, f
-        and the Cholesky factors. Call with numpy's errors ignored."""
-        k, diagonal = self.k, self.diagonal
-        for lo in range(0, u.size, self.per_u):
-            part = slice(lo, lo + self.per_u)
-            denom = self.eigenvalues + np.exp(2.0 * u[part])[:, None]
-            weighted = self.columns_t * (1.0 / denom)[:, None, :]  # [X y]'D^-1
-            gram = np.matmul(weighted, self.columns)
-            gram[:, diagonal, diagonal] += self.ridge
-            good = np.all(denom > 0.0, axis=1) & np.all(
-                np.isfinite(gram), axis=(1, 2)
-            )
-            gram[~good] = np.eye(k + 1)  # keeps the factorization finite
-            chol = _cholesky(gram)
-            log_det = 2.0 * np.log(chol[:, diagonal[:k], diagonal[:k]]).sum(axis=1)
-            quad = chol[:, k, k] ** 2 - 1.0
-            value = u[part] - 0.5 * (np.log(denom).sum(axis=1) + log_det + quad)
-            good &= np.isfinite(value)
-            yield part, good, np.where(good, value, -math.inf), chol
-
-    def density(self, log_tau) -> np.ndarray:
-        """f at each u of ``log_tau``."""
-        u = np.asarray(log_tau, dtype=float)
-        f = np.full(u.shape, -math.inf)
-        with np.errstate(all="ignore"):
-            for part, _, value, _ in self._blocks(u):
-                f[part] = value
-        return f
+        self.per_u = max(1, COLLAPSED_BYTES // (8 * n_obs))
 
     def moments(self, log_tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """f, the mean of c | tau, y and L at each u of ``log_tau``."""
         u = np.asarray(log_tau, dtype=float)
-        k = self.k
+        k, diagonal = self.k, self.diagonal
         f = np.full(u.shape, -math.inf)
         mean = np.full((u.size, k), math.nan)
         lower = np.full((u.size, k, k), math.nan)
         with np.errstate(all="ignore"):
-            for part, good, value, chol in self._blocks(u):
-                f[part] = value
+            for lo in range(0, u.size, self.per_u):
+                part = slice(lo, lo + self.per_u)
+                denom = self.eigenvalues + np.exp(2.0 * u[part])[:, None]
+                gram = ((1.0 / denom) @ self.products).reshape(-1, k + 1, k + 1)
+                gram[:, diagonal, diagonal] += self.ridge
+                good = np.all(denom > 0.0, axis=1)
+                good &= np.all(np.isfinite(gram), axis=(1, 2))
+                gram[~good] = np.eye(k + 1)  # keeps the factorization finite
+                chol = _cholesky(gram)
+                log_det = 2.0 * np.log(chol[:, diagonal[:k], diagonal[:k]]).sum(axis=1)
+                quad = chol[:, k, k] ** 2 - 1.0
+                value = u[part] - 0.5 * (np.log(denom).sum(axis=1) + log_det + quad)
+                good &= np.isfinite(value)
+                f[part] = np.where(good, value, -math.inf)
                 # The mean L^-T (L^-1 b); the upper-triangular L' needs no
                 # pivoting.
                 upper = chol[:, :k, :k].transpose(0, 2, 1)
@@ -541,6 +527,33 @@ def _cholesky(matrices: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return out
+
+
+def _tau_grid(
+    collapsed: _Collapsed, prior: PriorSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes u over the bulk of f, with f and the mean of c | tau, y at
+    each.
+
+    A scan of SCAN_NODES nodes over (log tau_upper - LOG_TAU_SPAN,
+    log tau_upper) brackets the nodes where f > max f - TAIL_DROP,
+    widened by one scan node on each side within the scan; the grid has
+    GRID_NODES evenly spaced nodes over that bracket.
+    """
+    top = math.log(prior.tau_upper)
+    scan = np.linspace(top - LOG_TAU_SPAN, top, SCAN_NODES)
+    values = collapsed.moments(scan)[0]
+    peak = values.max()
+    if peak == -math.inf:
+        raise SamplerError(
+            "the collapsed posterior of tau is not finite anywhere on "
+            f"({scan[0]:.4g}, {top:.4g}) in log(tau)"
+        )
+    bulk = np.flatnonzero(values > peak - TAIL_DROP)
+    lo, hi = max(bulk[0] - 1, 0), min(bulk[-1] + 1, SCAN_NODES - 1)
+    nodes = np.linspace(scan[lo], scan[hi], GRID_NODES)
+    values, means, _ = collapsed.moments(nodes)
+    return nodes, values, means
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,51 +582,37 @@ class Preconditioner:
 
 def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditioner:
     """The proposals of ``run_chain``, from the assembled arrays and the
-    prior alone.
+    prior alone, read off ``_tau_grid``.
 
-    The mode of f is found on a grid over (log tau_upper - LOG_TAU_SPAN,
-    log tau_upper), then refined ZOOMS times between the best node's
-    neighbours; f'' and g come from central differences.
+    Where f is finite at the best node's two neighbours, the parabola
+    through the three gives the mode u (its vertex) and f'' (its
+    curvature), and g is the slope at u of the parabola through the
+    three conditional means. At an edge mode, where the best node ends
+    the grid or neighbours a node where f is not finite, u is that node,
+    s is 1 and g is zero. Lambda(u)^-1 and the centre are taken at u.
     """
     collapsed = _Collapsed(assembled, prior)
-    top = math.log(prior.tau_upper)
-    nodes = np.linspace(top - LOG_TAU_SPAN, top, LOG_TAU_GRID)
-    values = collapsed.density(nodes)
-    best = int(np.argmax(values))
-    if values[best] == -math.inf:
-        raise SamplerError(
-            "the collapsed posterior of tau is not finite anywhere on "
-            f"({nodes[0]:.4g}, {top:.4g}) in log(tau)"
-        )
-    interior = 0 < best < nodes.size - 1 and (
-        values[best - 1] > -math.inf and values[best + 1] > -math.inf
-    )
-    mode = float(nodes[best])
-    if interior:
-        lo, hi = nodes[best - 1], nodes[best + 1]
-        for _ in range(ZOOMS):
-            zoom = np.linspace(lo, hi, ZOOM_NODES)
-            best = int(np.argmax(collapsed.density(zoom)))
-            mode = float(zoom[best])
-            lo, hi = zoom[max(best - 1, 0)], zoom[min(best + 1, ZOOM_NODES - 1)]
-    values, means, lowers = collapsed.moments(
-        mode + FD_STEP * np.array([-1.0, 0.0, 1.0])
-    )
+    nodes, values, means = _tau_grid(collapsed, prior)
     k = assembled.n_coefficients
-    root = np.linalg.solve(lowers[1].T, np.eye(k))  # L^-T
+    best = int(np.argmax(values))
+    mode, sd, slope = float(nodes[best]), 1.0, np.zeros(k)
+    if 0 < best < nodes.size - 1 and np.all(values[best - 1 : best + 2] > -math.inf):
+        step = 0.5 * (nodes[best + 1] - nodes[best - 1])
+        left, peak, right = values[best - 1 : best + 2]
+        second = left - 2.0 * peak + right  # step^2 f''
+        offset = 0.0  # of the vertex, in steps
+        if second < 0.0:
+            offset = 0.5 * (left - right) / second
+            sd = float(step / math.sqrt(-second))
+        mode += offset * step
+        below, at, above = means[best - 1 : best + 2]
+        slope = ((above - below) / 2.0 + offset * (above - 2.0 * at + below)) / step
+    _, [centre], [lower] = collapsed.moments([mode])
+    root = np.linalg.solve(lower.T, np.eye(k))  # L^-T
     cov = root @ root.T  # Lambda(u)^-1
-    curvature = (values[0] - 2.0 * values[1] + values[2]) / FD_STEP**2
-    sd = (
-        1.0 / math.sqrt(-curvature)
-        if interior and -math.inf < curvature < 0.0 else 1.0
-    )
-    slope = (means[2] - means[0]) / (2.0 * FD_STEP)
-    if not np.all(np.isfinite(slope)):
-        slope = np.zeros_like(slope)  # f is not finite on one side
-    sigma = np.empty((k + 1, k + 1))
-    sigma[:k, :k] = 0.5 * (cov + cov.T) + sd * sd * np.outer(slope, slope)
-    sigma[:k, k] = sigma[k, :k] = sd * sd * slope
-    sigma[k, k] = sd * sd
+    column = np.append(slope, 1.0)  # Sigma's last column over s^2
+    sigma = sd * sd * np.outer(column, column)
+    sigma[:k, :k] += 0.5 * (cov + cov.T)
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as e:
@@ -624,7 +623,7 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
             "those of collinear covariates, make it so"
         ) from e
     return Preconditioner(
-        mean=np.append(means[1], mode),
+        mean=np.append(centre, mode),
         factor=factor,
         tau_mode=math.exp(mode),
         log_tau_sd=sd,

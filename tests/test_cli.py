@@ -1226,13 +1226,44 @@ def test_out_of_range_settings_are_usage_errors_before_any_output(
 ):
     for argv, message in [
         (["--seed", "-1"], "seed must be non-negative"),
-        (["--tau-upper", "nan"], "tau_upper must be positive and finite"),
-        (["--coeff-sd", "inf"], "coeff_sd must be positive and finite"),
+        (["--tau-upper", "nan"], "--tau-upper must be positive and finite"),
+        (["--coeff-sd", "inf"], "--coeff-sd must be positive and finite"),
     ]:
         bad = tmp_path / "bad"
         assert main(fast_fit_args(data_file, bad) + argv) == 2, argv
         assert message in capsys.readouterr().err
         assert not bad.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+@pytest.mark.parametrize("name, value, message", [
+    ("rho_y", 2.0, "must lie in [0, 1)"),
+    ("chains", 0, "must be at least 1"),
+    ("tau_upper", -1.0, "must be positive and finite"),
+    # Each of these once ended in a traceback from a derived value: sd^2
+    # overflows or underflows, or a tenth of tau_upper underflows.
+    ("coeff_sd", 1e300, "must lie in about (1e-154, 5e153)"),
+    ("coeff_sd", 1e-200, "must lie in about (1e-154, 5e153)"),
+    ("tau_upper", 5e-324, "must have a tenth that is not 0"),
+])
+def test_out_of_range_setting_is_reported_where_it_came_from(
+    source, name, value, message, data_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    if source == "flag":
+        argv = fast_fit_args(data_file, out, **{name: value})
+        where = "--" + name.replace("_", "-")
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"data": str(data_file), "settings": {name: value}}
+        ))
+        argv = ["fit", "--from-manifest", str(manifest), "--out", str(out)]
+        where = f"{manifest}: settings.{name}"
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {where} {message}")
+    assert not out.exists()
 
 
 def test_diagnose_without_chains_is_usage_error(tmp_path, capsys):

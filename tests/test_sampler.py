@@ -388,7 +388,7 @@ def test_singular_within_covariance_is_minus_inf_at_tau_zero():
     with np.errstate(all="ignore"):  # as in run_chain
         assert log_post(coeffs, np.array([-400.0])) == [-math.inf]
         assert math.isfinite(log_post(coeffs, np.array([math.log(0.05)]))[0])
-    f = sampler._Collapsed(assembled, PriorSpec()).density(np.array([-3.0, 0.0]))
+    f = sampler._Collapsed(assembled, PriorSpec()).moments([-3.0, 0.0])[0]
     assert np.all(np.isfinite(f))
 
 
@@ -561,7 +561,6 @@ def test_collapsed_density_alone_equals_that_of_the_moments():
     collapsed = sampler._Collapsed(assembled, PriorSpec())
     u = np.linspace(-6.0, 1.5, 2 * collapsed.per_u + 3)  # three blocks
     f, mean, lower = collapsed.moments(u)
-    assert np.array_equal(collapsed.density(u), f)
     bad = f == -math.inf
     assert 0 < bad.sum() < u.size
     assert np.isnan(mean[bad]).all() and np.isnan(lower[bad]).all()
@@ -574,19 +573,30 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
     assembled = assemble(centered)
     pre = sampler.precondition(assembled, prior)
     mode = math.log(pre.tau_mode)
-    f = sampler._Collapsed(assembled, prior).density(
-        mode + np.array([-1e-3, 0.0, 1e-3])
-    )
+    collapsed = sampler._Collapsed(assembled, prior)
+    f = collapsed.moments(mode + np.array([-1e-3, 0.0, 1e-3]))[0]
     assert f[1] >= f[0] and f[1] >= f[2]
     assert 0.0 < pre.log_tau_sd < 1.0
     # The factor reproduces the stated covariance, rebuilt from the dense
-    # conditional moments: Lambda^-1 + s^2 g g', s^2 g and s^2.
-    h = 1e-3
-    lower, _ = conditional_coefficients(centered, pre.tau_mode * math.exp(-h), 100.0)
-    upper, _ = conditional_coefficients(centered, pre.tau_mode * math.exp(h), 100.0)
+    # conditional moments: Lambda^-1 + s^2 g g', s^2 g and s^2. The
+    # parabola through the dense f at the best grid node and its two
+    # neighbours gives the mode and s, and g is the slope at the mode of
+    # the parabola through the dense conditional means at those nodes.
+    nodes, values, _ = sampler._tau_grid(collapsed, prior)
+    best = int(np.argmax(values))
+    assert 0 < best < nodes.size - 1
+    around = nodes[best - 1 : best + 2]
+    left, peak, right = (dense_collapsed_density(centered, u, prior) for u in around)
+    h = 0.5 * (around[2] - around[0])
+    second = left - 2.0 * peak + right
+    offset = 0.5 * (left - right) / second
+    assert mode == pytest.approx(around[1] + offset * h, abs=1e-6 * h)
+    s2 = h * h / -second
+    below, at, above = (
+        conditional_coefficients(centered, math.exp(u), 100.0)[0] for u in around
+    )
+    g = ((above - below) / 2.0 + offset * (above - 2.0 * at + below)) / h
     _, precision = conditional_coefficients(centered, pre.tau_mode, 100.0)
-    g = (upper - lower) / (2.0 * h)
-    s2 = pre.log_tau_sd**2
     k = assembled.n_coefficients
     sigma = np.empty((k + 1, k + 1))
     sigma[:k, :k] = np.linalg.inv(precision) + s2 * np.outer(g, g)
@@ -601,6 +611,58 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
         pre.conditional_sd, np.sqrt(np.diag(np.linalg.inv(precision))),
         rtol=1e-9,
     )
+
+
+def dense_collapsed_density(dataset, u, prior):
+    """f(u) up to a constant by the dense identity of
+    ``test_collapsed_density_matches_the_dense_identity``, at the
+    conditional mean of c."""
+    tau = math.exp(u)
+    mean, precision = conditional_coefficients(dataset, tau, prior.coeff_sd)
+    params = ParameterVector.from_array(np.append(mean, tau), dataset.schema)
+    return (
+        log_likelihood_marginal_direct(dataset, params)
+        + log_prior(params, prior)
+        - log_conditional_density(mean, mean, precision)
+        + u
+    )
+
+
+@pytest.mark.parametrize("which", ["basic", "recovery"])
+def test_preconditioner_matches_an_independent_search_of_f(which):
+    # The tolerances were fixed before the first run: the mode within
+    # 0.01 of the reference s, s within 1 % and g within 1 % of the
+    # largest entry of the reference g.
+    from scipy.optimize import minimize_scalar
+
+    if which == "basic":
+        dataset = centered_basic_dataset()
+    else:
+        dataset, _ = center_covariates(
+            simulate_dataset(recovery_sim_config(1000))
+        )
+    prior = PriorSpec()
+    assembled = assemble(dataset)
+    collapsed = sampler._Collapsed(assembled, prior)
+    top = math.log(prior.tau_upper)
+    ref = minimize_scalar(
+        lambda u: -collapsed.moments([u])[0][0],
+        bounds=(top - 12.0, top), method="bounded", options={"xatol": 1e-10},
+    ).x
+    h = 1e-3
+    f = collapsed.moments(ref + h * np.array([-1.0, 0.0, 1.0]))[0]
+    s_ref = h / math.sqrt(-(f[0] - 2.0 * f[1] + f[2]))
+    lower, _ = conditional_coefficients(dataset, math.exp(ref - h), prior.coeff_sd)
+    upper, _ = conditional_coefficients(dataset, math.exp(ref + h), prior.coeff_sd)
+    g_ref = (upper - lower) / (2.0 * h)
+
+    pre = sampler.precondition(assembled, prior)
+    k = assembled.n_coefficients
+    sigma = pre.factor @ pre.factor.T
+    g = sigma[:k, k] / sigma[k, k]  # Sigma_cu / Sigma_uu
+    assert abs(math.log(pre.tau_mode) - ref) <= 0.01 * s_ref
+    assert abs(pre.log_tau_sd / s_ref - 1.0) <= 0.01
+    assert np.max(np.abs(g - g_ref)) <= 0.01 * np.max(np.abs(g_ref))
 
 
 def test_preconditioner_mean_is_the_conditional_mean_at_the_mode():
@@ -637,9 +699,9 @@ def test_preconditioner_survives_nan_densities():
     assert np.all(np.isfinite(pre.factor))
     assert pre.tau_mode**2 > 0.2
     assert pre.log_tau_sd == 1.0
-    f = sampler._Collapsed(assembled, PriorSpec()).density(
-        np.array([math.log(0.3), math.log(0.5)])
-    )
+    f = sampler._Collapsed(assembled, PriorSpec()).moments(
+        [math.log(0.3), math.log(0.5)]
+    )[0]
     assert f[0] == -math.inf and math.isfinite(f[1])
 
 
@@ -1026,7 +1088,10 @@ def test_centered_fit_does_not_warn(recwarn):
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # The message starts with the field's name, which the CLI replaces
+    # with the value's source.
+    [name] = kwargs
+    with pytest.raises(ValueError, match=f"^{name} "):
         McmcConfig(**kwargs)
 
 
@@ -1038,8 +1103,16 @@ def test_config_rejects_bad_values(kwargs):
         dict(tau_upper=0.0),
         dict(coeff_sd=math.inf),
         dict(tau_upper=math.nan),
+        # sd^2 overflows, 2 pi sd^2 overflows, 1 / sd^2 overflows, and
+        # sd^2 underflows to 0.
+        dict(coeff_sd=1e300),
+        dict(coeff_sd=1e154),
+        dict(coeff_sd=1e-160),
+        dict(coeff_sd=1e-200),
+        dict(tau_upper=5e-324),  # a tenth of it underflows to 0
     ],
 )
 def test_prior_spec_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    [name] = kwargs
+    with pytest.raises(ValueError, match=f"^{name} "):
         PriorSpec(**kwargs)
