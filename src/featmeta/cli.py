@@ -391,6 +391,10 @@ def cmd_fit(args) -> int:
                 "independence_accept_rate": _null_nan(
                     c.independence_accept_rate
                 ),
+                # -1, unknown, is written as null.
+                "density_evaluations": (
+                    c.density_evaluations if c.density_evaluations >= 0 else None
+                ),
             }
             for c in chains
         ],
@@ -504,6 +508,12 @@ def _params_from_dict(raw, schema) -> ParameterVector:
 
 
 def cmd_simulate(args) -> int:
+    # The flags are checked first, so a message names the flag, not the
+    # config file whose value it replaces.
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     raw = _load_json(args.config, "generator config")
     with _reading(args.config):
         for field in fields(SimConfig):

@@ -222,8 +222,8 @@ def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
 
     Only the draws and parameter names survive the round trip; the
     acceptance rates and proposal scale are not stored in the file and
-    come back as NaN (and ``seed_used`` and ``nonfinite_rejections``
-    as -1). Every row is parsed, with ``np.loadtxt``'s syntax; blank
+    come back as NaN (and ``seed_used``, ``nonfinite_rejections`` and
+    ``density_evaluations`` as -1). Every row is parsed, with ``np.loadtxt``'s syntax; blank
     lines hold no row. Raises ValueError when the header does not start
     with ``iteration``, a row has the wrong number of fields or a field is
     not a number (naming the file line, the header being line 1), or
@@ -326,6 +326,7 @@ def _chain_output(
         nonfinite_rejections=-1,
         adapt_accept_rate=math.nan,
         independence_accept_rate=math.nan,
+        density_evaluations=-1,
     )
 
 

@@ -31,29 +31,49 @@ support positive.
 The chains cycle through two Metropolis-Hastings kernels, fixed by the
 iteration index; a fixed cycle of kernels that each leave the posterior
 invariant leaves it invariant too (Tierney 1994). Nine iterations in
-ten are random-walk steps: each chain proposes x + exp(l) R z, with z
-standard normal and one log-scale l per chain, which starts at
-log(2.38/sqrt(dim)) (Roberts & Rosenthal 2001) and moves toward a 0.234
-acceptance rate by Robbins-Monro updates during a dedicated adaptation
-phase, then is frozen. Every INDEPENDENCE_PERIOD-th iteration is an
-independence step: each chain proposes mu + R z, whatever its state,
-and accepts it with the ratio that corrects for the Gaussian proposal
-density. The approximation is close to the posterior on well-identified
-data, so these steps are mostly accepted and decorrelate the chain; the
-nine local moves keep a chain sound where it is poor, such as a mode on
-the edge of tau's bracket.
+ten are random-walk steps: each chain proposes x + s R z, with z
+standard normal and one scale s = exp(l) per chain, whose log l starts
+at log(2.38/sqrt(dim)) (Roberts & Rosenthal 2001) and moves toward a
+0.234 acceptance rate by Robbins-Monro updates during a dedicated
+adaptation phase, then is frozen. Every INDEPENDENCE_PERIOD-th
+iteration is an independence step: each chain proposes mu + R z,
+whatever its state, and accepts it with the ratio that corrects for
+the Gaussian proposal density. The approximation is close to the
+posterior on well-identified data, so these steps are mostly accepted
+and decorrelate the chain; the nine local moves keep a chain sound
+where it is poor, such as a mode on the edge of tau's bracket.
 
-All chains of a run advance in lockstep as one (chains, dim) state in
-a single loop, whose one body serves the adaptation, burn-in and
-sampling phases: each iteration makes one batched design product and
-one density evaluation over a (chains, observations) block. Only the
-random-walk iterations of the adaptation phase move the scales, and
-only sampling iterations record draws. Chain k still draws from its
-own random stream and turns each block of normals into proposal
-directions with its own fixed-shape product by R'; the design product,
-and the product by R^-1 that whitens the states for an independence
-step, keep each chain in a fixed row of fixed-shape blocks. So its
-draws do not depend on which chains run with it.
+After adaptation the random-walk steps use delayed acceptance (Christen
+& Fox 2005; Banterle, Grazian, Lee & Robert 2019): the approximation q
+screens each proposal before the posterior sees it. With
+w = R^-1 (x - mu), the screen r1 = log q(x') - log q(x) =
+-(s w.z + s^2 |z|^2 / 2) costs a dot product; the log posterior is
+evaluated only if log u < min(0, r1), and the proposal is accepted iff
+log u < min(0, r1) + min(0, log pi(x') - log pi(x) - r1). One uniform
+serves both stages, since the second test implies the first. The
+kernel is reversible with respect to the posterior whatever q is: q
+sets how often a proposal is evaluated and accepted, never the target.
+Where q fits, about three random-walk proposals in four are turned away
+unevaluated. The adaptation phase is not screened: a flat screen,
+r1 = 0, is plain Metropolis, and chains that start far out in q's tails
+stall under the screen.
+
+Every chain draws from its own random stream, a block of iterations at
+a time. While adapting, every proposal is evaluated, so the chains
+advance in lockstep as one (chains, dim) state: each random-walk
+iteration makes one batched design product and one density evaluation
+over a (chains, observations) block. After adaptation each chain steps
+on its own through the iterations whose proposals the screen turns
+away, which leave its state in place, and one batched evaluation per
+round carries the next screened-in proposal of every chain. Independence proposals
+do not depend on the state, so the chains draw their next blocks
+together once all have used up their current ones, and the independence
+proposals of those blocks are evaluated in batches then. Each chain
+turns its blocks of normals into proposal directions with its own
+fixed-shape product by R'; every design product, and every product by
+R^-1 that whitens a state, keeps each chain in a fixed lane of
+fixed-shape blocks. So its draws do not depend on which chains run with
+it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
@@ -105,6 +125,7 @@ WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 INDEPENDENCE_PERIOD = 10  # every this many iterations, an independence step
+BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
 
 
 class SamplerError(Exception):
@@ -166,11 +187,14 @@ class ChainOutput:
     ``draws`` has shape (samples, n_parameters) in canonical order
     (intercept, beta, gamma, phi, eta, tau) with tau on its natural
     scale. ``seed_used`` is the derived stream key recorded for reruns.
-    ``nonfinite_rejections`` counts proposals rejected because their log
-    posterior was not finite (NaN or infinite) inside the prior's
-    support; -1 where unknown. ``adapt_accept_rate`` is the acceptance
-    rate over the adaptation phase; NaN where unknown or with no
-    adaptation. ``accept_rate`` and ``adapt_accept_rate`` count both
+    ``nonfinite_rejections`` counts evaluated proposals rejected because
+    their log posterior was not finite (NaN or infinite) inside the
+    prior's support; a random-walk proposal the screen turns away is
+    never evaluated, so never counted. -1 where unknown.
+    ``density_evaluations`` counts the log-posterior evaluations after
+    adaptation, independence steps included; -1 where unknown.
+    ``adapt_accept_rate`` is the acceptance rate over the adaptation
+    phase; NaN where unknown or with no adaptation. ``accept_rate`` and ``adapt_accept_rate`` count both
     kinds of step; ``independence_accept_rate`` is the acceptance of
     the independence steps of the sampling phase alone, NaN where
     unknown or where the phase has none. A low value flags a poor
@@ -186,6 +210,7 @@ class ChainOutput:
     nonfinite_rejections: int = 0
     adapt_accept_rate: float = math.nan
     independence_accept_rate: float = math.nan
+    density_evaluations: int = -1
 
     @property
     def n_samples(self) -> int:
@@ -446,6 +471,63 @@ class _LogPosterior:
         return out
 
 
+class _IndependenceBatch:
+    """The log posterior, w = R^-1 (x' - mu) and |w|^2 of the independence
+    proposals x' = mu + R z of a set of chains, up to ``steps`` of each
+    at a time.
+
+    They do not depend on the chains' states, so a block's are evaluated
+    together when it is drawn: the log posteriors in batches whose
+    buffers hold at most about BATCH_BYTES, the ws in one product. In
+    every product each chain keeps its lane of the padded blocks, so
+    each value is bit-identical to that of the chain's row in a lockstep
+    evaluation.
+    """
+
+    def __init__(
+        self,
+        assembled: AssembledDataset,
+        prior: PriorSpec,
+        chains: Sequence[int],
+        mean: np.ndarray,
+        inverse: np.ndarray,
+        steps: int,
+    ):
+        n_obs = assembled.stacked_y.shape[0]
+        per_batch = max(1, BATCH_BYTES // (8 * n_obs * len(chains)))  # steps
+        steps = -(-steps // per_batch) * per_batch  # whole batches
+
+        def lanes(n_steps: int) -> list[int]:
+            # Chain k of step i is chain k + stride * i, in chain k's lane.
+            stride = LANES * (max(chains) // LANES + 1)
+            return [k + stride * i for i in range(n_steps) for k in chains]
+
+        self.log_post = _LogPosterior(assembled, prior, lanes(per_batch))
+        self.whiten = _LaneProduct(inverse, lanes(steps))
+        self.mean = mean
+        self.proposals = np.tile(mean, (steps, len(chains), 1))
+        self.rows = per_batch * len(chains)
+
+    def __call__(self, increments: np.ndarray):
+        """For (chains, steps, dim) ``increments``, the log posteriors and
+        |w|^2 of mean + each, (steps, chains) arrays, and their ws, a
+        (steps, chains, dim) array."""
+        n_chains, n_steps, dim = increments.shape
+        np.add(
+            self.mean, increments.transpose(1, 0, 2),
+            out=self.proposals[:n_steps],
+        )
+        flat = self.proposals.reshape(-1, dim)
+        lps = []
+        for lo in range(0, n_steps * n_chains, self.rows):
+            rows = flat[lo : lo + self.rows]
+            lps += self.log_post(rows[:, : dim - 1], rows[:, dim - 1])
+        n = n_steps * n_chains
+        ws = self.whiten(flat - self.mean)[:n].reshape(n_steps, n_chains, dim)
+        lps = np.reshape(lps[:n], (n_steps, n_chains))
+        return lps, ws, np.add.reduce(ws * ws, axis=2)
+
+
 # ---------------------------------------------------------------------------
 # The proposal: a Laplace approximation built on the collapsed density
 # ---------------------------------------------------------------------------
@@ -633,8 +715,8 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
 
 
 # ---------------------------------------------------------------------------
-# Metropolis with one adapted scale per chain and independence steps,
-# in lockstep
+# Metropolis with one adapted scale per chain, a screen and independence
+# steps
 # ---------------------------------------------------------------------------
 
 
@@ -645,19 +727,22 @@ def run_chain(
     chains: Sequence[int],
     preconditioner: Preconditioner | None = None,
 ) -> list[ChainOutput]:
-    """Run the Metropolis chains ``chains``, advancing them in lockstep.
+    """Run the Metropolis chains ``chains``.
 
-    One loop runs every iteration. On iteration ``it`` with
-    ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes
-    mu + R z, its block increment added to the approximation's mean;
-    with w = R^-1 (x - mu) for its state x, the log acceptance ratio is
-    log pi(x') - log pi(x) + (|z|^2 / 2 - |w|^2 / 2). On every other
-    iteration each chain proposes its state plus its block increment
-    times its scale. The first ``config.adapt`` iterations then move the
-    log-scales, on random-walk iterations only, so from iteration
-    ``config.adapt`` on each scale is exp of its final log-scale; the
-    next ``config.burn_in`` are discarded, and the rest are thinned into
-    the draws.
+    On iteration ``it`` with ``(it + 1) % INDEPENDENCE_PERIOD == 0``
+    each chain proposes mu + R z, its block increment added to the
+    approximation's mean; with w = R^-1 (x - mu) for its state x, the
+    log acceptance ratio is log pi(x') - log pi(x) + (|z|^2 / 2 -
+    |w|^2 / 2). On every other iteration each chain proposes its state
+    plus its block increment times its scale s. The first
+    ``config.adapt`` iterations move the log-scales, on random-walk
+    iterations only, and are plain Metropolis. From iteration
+    ``config.adapt`` on, each random-walk step is screened: with
+    r1 = -(s w.z + s^2 |z|^2 / 2), the log ratio of the approximation's
+    density, the proposal is evaluated only if log u < min(0, r1), and
+    accepted iff log u < min(0, r1) + min(0, log pi(x') - log pi(x) -
+    r1). The next ``config.burn_in`` iterations are discarded, and the
+    rest are thinned into the draws.
 
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its proposals and acceptance uniforms come
@@ -666,8 +751,9 @@ def run_chain(
     iteration on its index alone, and every batched operation treats
     each chain's row on its own. ``preconditioner`` is
     ``precondition(assembled, prior)``, computed here when not given.
-    tau is recorded on its natural scale. A proposal whose log posterior
-    is not finite inside the prior's support is rejected and counted.
+    tau is recorded on its natural scale. An evaluated proposal whose
+    log posterior is not finite inside the prior's support is rejected
+    and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -706,85 +792,269 @@ def run_chain(
         preconditioner = precondition(assembled, prior)
     mean = preconditioner.mean
     factor_t = preconditioner.factor.T
-    whiten = _LaneProduct(np.linalg.inv(preconditioner.factor), chains)  # R^-1
+    inverse = np.linalg.inv(preconditioner.factor)  # R^-1
+    whiten = _LaneProduct(inverse, chains)
 
     # One log-scale per chain, moved by Robbins-Monro toward the target
-    # acceptance during the adapt phase, then frozen.
+    # acceptance during the adapt phase, then frozen. np.exp, not
+    # math.exp: the two may differ in the last bit. One row per chain, to
+    # scale that chain's increment.
     log_scale = [math.log(2.38 / math.sqrt(dim))] * n_chains
+    scale = np.exp(log_scale)[:, None]
 
+    period = INDEPENDENCE_PERIOD
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
+    independence = _IndependenceBatch(
+        assembled, prior, chains, mean, inverse, -(-block // period)
+    )
+    ahead = np.arange(1, period)  # a window's rows after its start
     normals = np.empty((n_chains, block, dim))
     increments = np.empty((n_chains, block, dim))  # normals @ R'
-    uniforms = np.empty((n_chains, block))
+    uniforms = np.empty(block)
+    squares = np.empty((block, dim))
+    log_u = [[]] * n_chains  # of each iteration of each chain's block
+    z_sq = [[]] * n_chains  # |z|^2, likewise
+    # Of each independence proposal of the blocks: its log posterior, w,
+    # |w|^2, and the window that follows its acceptance.
+    independent = None
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
     offset = np.empty((n_chains, dim))
-    squares = np.empty((n_chains, dim))
+    w_squares = np.empty((n_chains, dim))
+    # A window's normals, with w last: one product gives w.z and |w|^2.
+    window_terms = np.empty((n_chains, period, dim))
+    flat_normals = normals.reshape(-1, dim)
+    flat_increments = increments.reshape(-1, dim)
+    taken = np.empty((n_chains, dim))
+    spans = np.empty((n_chains, period - 1), dtype=np.intp)
+    origins = np.arange(0, n_chains * block, block)  # of the chains' blocks
+    last = origins[:, None] + (block - 1)
 
     draws = np.empty((n_chains, config.samples, dim))
     adapt_accepted = [0] * n_chains
     accepted = [0] * n_chains
     independent_accepted = [0] * n_chains
     nonfinite = [0] * n_chains
-    recorded = 0
-    warm = config.adapt + config.burn_in
-    total_iters = warm + config.samples * config.thin
-    # np.exp, not math.exp: the two may differ in the last bit. One row
-    # per chain, to scale that chain's increment.
-    scale = np.exp(log_scale)[:, None]
+    evaluations = [0] * n_chains
+    adapt = config.adapt
+    warm = adapt + config.burn_in
+    thin = config.thin
+    total_iters = warm + config.samples * thin
+
+    # Each chain keeps its own next iteration, since a screened-out
+    # proposal leaves its state in place; all draw their blocks together,
+    # once every chain has used up its own. A chain keeps its state's w
+    # and |w|^2 too, taken again for every chain when ``stale``, and a
+    # window of w.z for up to period - 1 iterations from ``since`` on,
+    # within its block. Draws are written when the state moves:
+    # ``recorded`` counts those written.
+    its = [0] * n_chains
+    end = 0  # the iteration after the blocks
+    spots = [0] * n_chains  # block positions of the pending proposals
+    at = np.zeros(n_chains, dtype=np.intp)  # their rows of flat_increments
+    screens = [0.0] * n_chains  # their r1
+    windows = [(0, [])] * n_chains  # (since, w.z per iteration)
+    recorded = [0] * n_chains
+    w = np.empty((n_chains, dim))
+    w_sq = [0.0] * n_chains
+    stale = True
+    steps = half_steps = None  # s and s^2 / 2, once adaptation ends
+
+    def draw_blocks(it: int) -> None:
+        nonlocal end, independent
+        for c, rng in enumerate(rngs):
+            # A fixed-shape product per chain: one product over all
+            # chains would round each chain's rows differently for each
+            # count.
+            rng.standard_normal(out=normals[c])
+            rng.random(out=uniforms)
+            np.matmul(normals[c], factor_t, out=increments[c])
+            log_u[c] = np.log(uniforms).tolist()
+            z_sq[c] = np.add.reduce(
+                np.multiply(normals[c], normals[c], out=squares), axis=1
+            ).tolist()
+        first = period - 1 - it % period  # the blocks' first independence step
+        starts = np.arange(first, min(block, total_iters - it), period)
+        lps, ws, ws_sq = independence(increments[:, starts])
+        spans = np.minimum(starts[:, None] + ahead, block - 1)
+        terms = normals[:, spans]  # (chains, steps, period - 1, dim)
+        np.multiply(terms, ws.transpose(1, 0, 2)[:, :, None, :], out=terms)
+        after = np.add.reduce(terms, axis=3).tolist()
+        # The last window may end with the block.
+        room = block - 1 - int(starts[-1]) if starts.size else period
+        if room < period - 1:
+            for windows_of_chain in after:
+                windows_of_chain[-1] = windows_of_chain[-1][:room]
+        independent = (lps.T.tolist(), ws, ws_sq.T.tolist(), after)
+        end = it + block
+
+    def record(c: int, it: int) -> None:
+        # The state before iteration ``it`` is the draw of every sampling
+        # iteration before it.
+        done = max(0, it - warm) // thin
+        if done > recorded[c]:
+            draws[c, recorded[c] : done] = state[c]
+            recorded[c] = done
+
+    def refresh() -> None:
+        # w and |w|^2 of every chain's state.
+        nonlocal w_sq, stale
+        np.copyto(w, whiten(np.subtract(state, mean, out=offset)))
+        w_sq = np.add.reduce(np.multiply(w, w, out=w_squares), axis=1).tolist()
+        stale = False
+
+    def independence_step(c: int, it: int, j: int) -> None:
+        lps, ws, ws_sq, after = independent
+        k = j // period
+        lp = lps[c][k]
+        if stale:
+            refresh()
+        # |z|^2 / 2 - |w|^2 / 2: log q(x) - log q(x') for the proposal
+        # density q = N(mu, R R').
+        ratio = lp - current_lp[c]
+        ratio += 0.5 * z_sq[c][j] - 0.5 * w_sq[c]
+        if it >= adapt:
+            evaluations[c] += 1
+        # A NaN ratio fails this test, so its proposal is rejected; it is
+        # counted.
+        if log_u[c][j] < ratio:
+            record(c, it)
+            np.add(mean, increments[c, j], out=state[c])
+            current_lp[c] = lp
+            w[c] = ws[k, c]
+            w_sq[c] = ws_sq[c][k]
+            windows[c] = (it + 1, after[c][k])
+            if it < adapt:
+                adapt_accepted[c] += 1
+            elif it >= warm:
+                accepted[c] += 1
+                independent_accepted[c] += 1
+        elif ratio != ratio:
+            nonfinite[c] += 1
+        its[c] = it + 1
 
     with np.errstate(all="ignore"):
-        for it in range(total_iters):
-            j = it % block
-            if j == 0:
-                # A fixed-shape product per chain: one product over all
-                # chains would round each chain's rows differently for
-                # each count.
-                for c, rng in enumerate(rngs):
-                    rng.standard_normal(out=normals[c])
-                    rng.random(out=uniforms[c])
-                    np.matmul(normals[c], factor_t, out=increments[c])
-                log_u = np.log(uniforms).T.tolist()
-            independent = (it + 1) % INDEPENDENCE_PERIOD == 0
-            if independent:
-                np.add(mean, increments[:, j], out=proposal)
-                # |z|^2 / 2 - |w|^2 / 2 with w = R^-1 (x - mu): log q(x)
-                # - log q(x') for the proposal density q = N(mu, R R').
-                z_sq = np.add.reduce(
-                    np.multiply(normals[:, j], normals[:, j], out=squares),
-                    axis=1,
-                )
-                w = whiten(np.subtract(state, mean, out=offset))
-                w_sq = np.add.reduce(np.multiply(w, w, out=squares), axis=1)
-                corrections = (0.5 * z_sq - 0.5 * w_sq).tolist()
+        while True:
+            it = its[0]
+            lockstep = it < adapt
+            if lockstep:
+                # Every proposal is evaluated while adapting, so the chains
+                # share the iteration.
+                if it == end:
+                    draw_blocks(it)
+                j = it - end + block
+                if (it + 1) % period == 0:
+                    for c in range(n_chains):
+                        independence_step(c, it, j)
+                    continue
+                pending = range(n_chains)
+                spots = [j] * n_chains
+                screens = [0.0] * n_chains
             else:
-                np.multiply(increments[:, j], scale, out=proposal)
-                proposal += state
-            # Acceptances count in the adapt and sampling phases only.
-            counts = (
-                adapt_accepted if it < config.adapt
-                else accepted if it >= warm
-                else None
-            )
+                # Bring every chain to its next random-walk proposal that
+                # passes the screen, or to the end of its block.
+                stop = min(end, total_iters)
+                if steps is None:
+                    steps = scale[:, 0].tolist()
+                    half_steps = [0.5 * s * s for s in steps]
+                    # A window from the adaptation may predate a move.
+                    windows = [(0, [])] * n_chains
+                for c in range(n_chains):
+                    it = its[c]
+                    lus, zs = log_u[c], z_sq[c]
+                    s, half_s_sq = steps[c], half_steps[c]
+                    since, dots = windows[c]
+                    while it < stop:
+                        j = it - end + block
+                        if (it + 1) % period == 0:
+                            independence_step(c, it, j)
+                            since, dots = windows[c]
+                            it += 1
+                            continue
+                        k = it - since
+                        if not 0 <= k < len(dots):
+                            if stale:
+                                refresh()
+                            since, k = it, 0
+                            dots = np.add.reduce(
+                                np.multiply(
+                                    normals[c, j : j + period - 1], w[c],
+                                    out=squares[: min(period - 1, block - j)],
+                                ),
+                                axis=1,
+                            ).tolist()
+                            windows[c] = (since, dots)
+                        # The screen: log q(x') - log q(x), q the
+                        # approximation. log u < 0, so the test is
+                        # log u < min(0, r1).
+                        r1 = -(s * dots[k] + half_s_sq * zs[j])
+                        if lus[j] < r1:
+                            screens[c] = r1
+                            spots[c] = j
+                            break
+                        it += 1
+                    its[c] = it
+                pending = [c for c in range(n_chains) if its[c] < stop]
+                if not pending:
+                    if stop == total_iters:
+                        break
+                    draw_blocks(stop)
+                    continue
+
+            if lockstep:
+                picked = increments[:, j]
+            else:
+                np.add(origins, spots, out=at)
+                picked = flat_increments.take(at, axis=0, out=taken, mode="clip")
+            np.multiply(picked, scale, out=proposal)
+            proposal += state
+            lps = log_post(*proposed)
+            if not lockstep:
+                # w, |w|^2 and the next window of each proposal, should it
+                # be accepted.
+                w_new = whiten(np.subtract(proposal, mean, out=offset))
+                np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
+                flat_normals.take(
+                    spans, axis=0, out=window_terms[:, :-1], mode="clip"
+                )
+                window_terms[:, -1] = w_new
+                np.multiply(window_terms, w_new[:, None, :], out=window_terms)
+                after = np.add.reduce(window_terms, axis=2).tolist()
             ratios = []
-            for c, (lp, lu) in enumerate(zip(log_post(*proposed), log_u[j])):
+            for c in pending:
+                it = its[c]
+                j = spots[c]
+                lp = lps[c]
                 ratio = lp - current_lp[c]
-                if independent:
-                    ratio += corrections[c]
-                # A NaN ratio fails this test, so its proposal is
-                # rejected; it is counted.
-                if lu < ratio:
+                r1 = screens[c]
+                r2 = ratio - r1
+                if not lockstep:
+                    evaluations[c] += 1
+                # A NaN ratio rejects its proposal and is counted. The test
+                # is log u < min(0, r1) + min(0, r2), plain Metropolis
+                # while adapting, where r1 = 0.
+                if r2 != r2:
+                    nonfinite[c] += 1
+                elif log_u[c][j] < (r1 if r1 < 0.0 else 0.0) + (
+                    r2 if r2 < 0.0 else 0.0
+                ):
+                    if lockstep:
+                        adapt_accepted[c] += 1
+                        stale = True
+                    else:
+                        record(c, it)
+                        if it >= warm:
+                            accepted[c] += 1
+                        w[c] = w_new[c]
+                        w_sq[c] = after[c][-1]
+                        # The window ends with the block.
+                        windows[c] = (it + 1, after[c][: min(period, block - j) - 1])
                     state[c] = proposal[c]
                     current_lp[c] = lp
-                    if counts is not None:
-                        counts[c] += 1
-                        if independent and it >= warm:
-                            independent_accepted[c] += 1
-                elif ratio != ratio:
-                    nonfinite[c] += 1
+                its[c] = it + 1
                 ratios.append(ratio)
 
-            if it < config.adapt and not independent:
+            if lockstep:
                 gamma = (10.0 + it) ** -0.6
                 # A NaN ratio scores 0.
                 accept_prob = np.exp(
@@ -795,12 +1065,11 @@ def run_chain(
                     for ls, p in zip(log_scale, accept_prob)
                 ]
                 scale = np.exp(log_scale)[:, None]
-            elif it >= warm and (it - warm + 1) % config.thin == 0:
-                draws[:, recorded] = state
-                recorded += 1
 
-    assert recorded == config.samples
-    draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])
+    for c in range(n_chains):
+        record(c, total_iters)
+    assert recorded == [config.samples] * n_chains
+    np.exp(draws[:, :, n_coeff], out=draws[:, :, n_coeff])
     # Independence steps of the sampling phase, iterations warm..total - 1.
     n_independent = (
         total_iters // INDEPENDENCE_PERIOD - warm // INDEPENDENCE_PERIOD
@@ -821,6 +1090,7 @@ def run_chain(
                 independent_accepted[c] / n_independent if n_independent
                 else math.nan
             ),
+            density_evaluations=evaluations[c],
         )
         for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
     ]

@@ -406,15 +406,22 @@ def reference_run_chain(
     mu + R z and accepts with the Metropolis-Hastings ratio
     pi(x') q(x) / (pi(x) q(x')) for the density q of N(mu, R R'), whose
     log is log pi(x') - log pi(x) + (|z|^2 / 2 - |R^-1 (x - mu)|^2 / 2).
-    On the other iterations chain k proposes x + exp(l_k) R z with one
-    log-scale l_k, adapted by Robbins-Monro toward the target acceptance
-    on those iterations only, then frozen. Chain k's output depends on
+    On the other iterations chain k proposes x + s_k R z with one scale
+    s_k = exp(l_k), adapted by Robbins-Monro toward the target acceptance
+    on those iterations only, then frozen. After adaptation each such
+    step is delayed acceptance: with w = R^-1 (x - mu) and
+    r1 = log q(x') - log q(x) = -(s_k w.z + s_k^2 |z|^2 / 2), the
+    proposal counts as evaluated only if log u < min(0, r1), and is
+    accepted iff log u < min(0, r1) + min(0, log pi(x') - log pi(x) - r1).
+    Here every proposal's log posterior is computed, but one that is not
+    evaluated is neither accepted nor counted. Chain k's output depends on
     (config.seed, k) alone: its normals and uniforms come from its own
     stream, taken in blocks sized from the state dimension, each block
     of its normals is multiplied by R' on its own, and its state is
     whitened by R^-1 in a fixed lane of a fixed-shape product. tau is
-    recorded on its natural scale. A proposal whose log posterior is not
-    finite inside the prior's support is rejected and counted.
+    recorded on its natural scale. An evaluated proposal whose log
+    posterior is not finite inside the prior's support is rejected and
+    counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -464,6 +471,7 @@ def reference_run_chain(
     independent_accepted = np.zeros(n_chains, dtype=np.int64)
     n_independent = 0  # independence steps of the sampling phase
     nonfinite = np.zeros(n_chains, dtype=np.int64)
+    evaluations = np.zeros(n_chains, dtype=np.int64)
     recorded = 0
     warm = config.adapt + config.burn_in
     total_iters = warm + config.samples * config.thin
@@ -482,22 +490,31 @@ def reference_run_chain(
                 scale = np.exp(log_scale)
 
             independent = (it + 1) % INDEPENDENCE_PERIOD == 0
+            z = normals[:, j]
+            z_sq = (z * z).sum(axis=1)
+            w = whiten(state - mean)
             if independent:
-                z = normals[:, j]
                 proposal = mean + increments[:, j]
-                w = whiten(state - mean)
-                half_z = 0.5 * (z * z).sum(axis=1)
-                half_w = 0.5 * (w * w).sum(axis=1)
             else:
                 proposal = state + increments[:, j] * scale[:, None]
+            # The screen r1, flat (0) while adapting and on independence
+            # steps, where every proposal is evaluated.
+            screen = np.zeros(n_chains)
+            if not adapting and not independent:
+                screen = -(scale * (z * w).sum(axis=1) + 0.5 * scale * scale * z_sq)
+            first = np.minimum(screen, 0.0)
+            evaluated = log_u[:, j] < first
             proposal_lp = log_post(proposal)
-            # A NaN log ratio fails the test below, so the proposal is
-            # rejected; it is counted here and scores 0 in the adaptation.
-            nonfinite += np.isnan(proposal_lp)
             log_ratio = proposal_lp - current_lp
             if independent:
-                log_ratio += half_z - half_w
-            accept = log_u[:, j] < log_ratio
+                log_ratio += 0.5 * z_sq - 0.5 * (w * w).sum(axis=1)
+            second = log_ratio - screen
+            # A NaN ratio fails the test below, so the proposal is
+            # rejected; it is counted here and scores 0 in the adaptation.
+            nonfinite += evaluated & np.isnan(second)
+            accept = evaluated & (log_u[:, j] < first + np.minimum(second, 0.0))
+            if not adapting:
+                evaluations += evaluated
             np.copyto(state, proposal, where=accept[:, None])
             np.copyto(current_lp, proposal_lp, where=accept)
 
@@ -537,6 +554,7 @@ def reference_run_chain(
                 float(independent_accepted[c]) / n_independent
                 if n_independent else math.nan
             ),
+            density_evaluations=int(evaluations[c]),
         )
         for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
     ]

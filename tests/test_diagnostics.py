@@ -470,6 +470,7 @@ def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown(tmp_path):
     assert math.isnan(back.accept_rate) and math.isnan(back.adapt_accept_rate)
     assert math.isnan(back.proposal_log_scale)
     assert back.seed_used == -1 and back.nonfinite_rejections == -1
+    assert back.density_evaluations == -1
 
 
 def test_chain_tsv_requires_iteration_column(tmp_path):

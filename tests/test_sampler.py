@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -885,6 +886,69 @@ def test_nonfinite_proposals_are_rejected_and_counted():
         assert np.all(chain.draws[:, -1] ** 2 > cut)
 
 
+def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
+    # One chain: after adaptation each call of its one-row log posterior
+    # evaluates a random-walk proposal, and their number is the count
+    # of proposals that pass the screen in the reference loop.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(chains=1, adapt=300, burn_in=0, samples=2000)
+    calls = []
+    evaluate = sampler._LogPosterior.__call__
+
+    def counted(self, coeffs, log_tau):
+        calls.append(log_tau.shape[0])
+        return evaluate(self, coeffs, log_tau)
+
+    monkeypatch.setattr(sampler._LogPosterior, "__call__", counted)
+    [chain] = run_chain(assembled, config, PriorSpec(), [0])
+    [want] = reference_run_chain(assembled, config, PriorSpec(), [0])
+    period = sampler.INDEPENDENCE_PERIOD
+    total = config.adapt + config.samples
+    independent = total // period - config.adapt // period  # after adaptation
+    screened_in = want.density_evaluations - independent
+    random_walk = total - config.adapt - independent
+    assert 0 < screened_in < random_walk
+    assert chain.density_evaluations == want.density_evaluations
+    # The first call evaluates the start.
+    rows = calls.count(1)
+    assert rows == 1 + config.adapt - config.adapt // period + screened_in
+
+
+def test_the_screen_spares_most_evaluations_after_adaptation():
+    # On the recovery schema at the recovery protocol, at most 40 % of
+    # the iterations after adaptation evaluate the log posterior, and
+    # the sampling acceptance stays in the benchmark's band.
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    assembled = assemble(centered)
+    config = McmcConfig(chains=4, adapt=2000, burn_in=2000, samples=5000, seed=3)
+    for chain in run_chain(assembled, config, PriorSpec(), range(4)):
+        assert chain.density_evaluations <= 0.4 * 7000, chain.chain_index
+        assert 0.08 <= chain.accept_rate <= 0.40, chain.chain_index
+
+
+def test_run_chain_memory_does_not_grow_with_the_run():
+    # The per-block state (normals, uniforms, independence proposals and
+    # their windows) is fixed in size; only the draws grow with the run.
+    # The bound was fixed before the first run.
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    assembled = assemble(centered)
+    preconditioner = sampler.precondition(assembled, PriorSpec())
+    config = McmcConfig(
+        chains=4, adapt=1000, burn_in=1000, samples=20_000, seed=3
+    )
+    tracemalloc.start()
+    try:
+        chains = run_chain(
+            assembled, config, PriorSpec(), range(4), preconditioner
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draws = sum(c.draws.nbytes for c in chains)
+    assert draws == 4 * 20_000 * assembled.n_parameters * 8
+    assert peak - draws < 1 << 22
+
+
 def assert_same_chains(got, want):
     """Bit-equal draws and equal values of every other ChainOutput field."""
     assert len(got) == len(want)
@@ -1047,6 +1111,42 @@ def test_sampler_matches_exact_posterior_on_realistic_data():
     )
     for chain in chains:
         assert chain.independence_accept_rate > 0.5, chain.chain_index
+    pooled = np.vstack([c.draws for c in chains])
+    for j, name in enumerate(chains[0].parameter_names):
+        se = mcse_mean(pooled[:, j])
+        gap = abs(pooled[:, j].mean() - exact.mean[j])
+        assert gap < 4.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+        sd = pooled[:, j].std(ddof=1)
+        assert abs(sd / exact.sd[j] - 1.0) < 0.10, f"{name}: sd {sd:.3g}"
+
+
+def test_a_wrong_approximation_changes_efficiency_not_the_target():
+    # The data of the test above, with the approximation's centre moved
+    # 2 sds in log(tau) and its factor tripled: the screen and the
+    # independence steps then fit the posterior poorly, but the chains
+    # must still sample it. Thresholds and seeds were fixed before the
+    # first run.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from oracle import CollapsedPosterior
+    finally:
+        sys.path.pop(0)
+    config = dataclasses.replace(recovery_sim_config(40), n_trials=40)
+    centered, _ = center_covariates(simulate_dataset(config))
+    prior = PriorSpec()
+    exact = CollapsedPosterior(
+        centered, coeff_sd=prior.coeff_sd, tau_upper=prior.tau_upper
+    )
+    assembled = assemble(centered)
+    right = sampler.precondition(assembled, prior)
+    mean = right.mean.copy()
+    mean[-1] += 2.0 * right.log_tau_sd
+    wrong = dataclasses.replace(right, mean=mean, factor=3.0 * right.factor)
+    chains = run_chain(
+        assembled,
+        McmcConfig(chains=4, adapt=1000, burn_in=1000, samples=4000, seed=7),
+        prior, range(4), wrong,
+    )
     pooled = np.vstack([c.draws for c in chains])
     for j, name in enumerate(chains[0].parameter_names):
         se = mcse_mean(pooled[:, j])
