@@ -220,14 +220,15 @@ def summarize(
 def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     """Read a chain TSV back into a ChainOutput.
 
-    Only the draws and parameter names survive the round trip; the
-    acceptance rates and proposal scale are not stored in the file and
-    come back as NaN (and ``seed_used``, ``nonfinite_rejections`` and
-    ``density_evaluations`` as -1). Every row is parsed, with ``np.loadtxt``'s syntax; blank
-    lines hold no row. Raises ValueError when the header does not start
-    with ``iteration``, a row has the wrong number of fields or a field is
-    not a number (naming the file line, the header being line 1), or
-    the iteration column is not 1..n.
+    Only the draws and parameter names survive the round trip. The
+    acceptance rates and the proposal scale are not stored in the file
+    and come back as NaN; ``seed_used``, ``nonfinite_rejections`` and
+    ``density_evaluations`` come back as -1. Every row is parsed, with
+    ``np.loadtxt``'s syntax; blank lines hold no row. Raises ValueError
+    when the header does not start with ``iteration``, a row has the
+    wrong number of fields or a field is not a number (naming the file
+    line, the header being line 1), or the iteration column is not
+    1..n.
 
     The draws come from the binary copy that ``write_chain_tsv`` put
     beside the file, without parsing, when the copy is intact, holds the

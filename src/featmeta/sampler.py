@@ -30,59 +30,54 @@ support positive.
 
 The chains cycle through two Metropolis-Hastings kernels, fixed by the
 iteration index; a fixed cycle of kernels that each leave the posterior
-invariant leaves it invariant too (Tierney 1994). Nine iterations in
-ten are random-walk steps: each chain proposes x + s R z, with z
-standard normal and one scale s = exp(l) per chain, whose log l starts
-at log(2.38/sqrt(dim)) (Roberts & Rosenthal 2001) and moves toward a
-0.234 acceptance rate by Robbins-Monro updates during a dedicated
-adaptation phase, then is frozen. Every INDEPENDENCE_PERIOD-th
-iteration is an independence step: each chain proposes mu + R z,
-whatever its state, and accepts it with the ratio that corrects for
-the Gaussian proposal density. The approximation is close to the
-posterior on well-identified data, so these steps are mostly accepted
-and decorrelate the chain; the nine local moves keep a chain sound
-where it is poor, such as a mode on the edge of tau's bracket.
+invariant leaves it invariant too (Tierney 1994). Each chain starts at
+a draw of the approximation. Nine iterations in ten are random-walk
+steps: each chain proposes x + s R z, with z standard normal and one
+scale s = exp(l) per chain, whose log l starts at log(2.38/sqrt(dim))
+(Roberts & Rosenthal 2001). Every INDEPENDENCE_PERIOD-th iteration is
+an independence step: each chain proposes mu + R z, whatever its
+state, and accepts it with the ratio that corrects for the Gaussian
+proposal density. The approximation is close to the posterior on
+well-identified data, so these steps are mostly accepted and
+decorrelate the chain; the nine local moves keep a chain sound where it
+is poor, such as a mode on the edge of tau's bracket.
 
-After adaptation the random-walk steps use delayed acceptance (Christen
-& Fox 2005; Banterle, Grazian, Lee & Robert 2019): the approximation q
-screens each proposal before the posterior sees it. With
-w = R^-1 (x - mu), the screen r1 = log q(x') - log q(x) =
--(s w.z + s^2 |z|^2 / 2) costs a dot product; the log posterior is
-evaluated only if log u < min(0, r1), and the proposal is accepted iff
+The random-walk steps use delayed acceptance (Christen & Fox 2005;
+Banterle, Grazian, Lee & Robert 2019): the approximation q screens
+each proposal before the posterior sees it. With w = R^-1 (x - mu), the
+screen r1 = log q(x') - log q(x) = -(s w.z + s^2 |z|^2 / 2) costs a
+dot product; the log posterior is evaluated only if log u < min(0, r1),
+and the proposal is accepted iff
 log u < min(0, r1) + min(0, log pi(x') - log pi(x) - r1). One uniform
 serves both stages, since the second test implies the first. The
 kernel is reversible with respect to the posterior whatever q is: q
 sets how often a proposal is evaluated and accepted, never the target.
 Where q fits, about three random-walk proposals in four are turned away
-unevaluated. The adaptation phase is not screened: a flat screen,
-r1 = 0, is plain Metropolis, and chains that start far out in q's tails
-stall under the screen.
+unevaluated. During a dedicated adaptation phase each random-walk step
+moves l toward a 0.234 acceptance rate by a Robbins-Monro update on its
+acceptance indicator, 0 for a proposal the screen turns away (Andrieu &
+Thoms 2008); then l is frozen.
 
 Every chain draws from its own random stream, a block of iterations at
-a time. While adapting, every proposal is evaluated, so the chains
-advance in lockstep as one (chains, dim) state: each random-walk
-iteration makes one batched design product and one density evaluation
-over a (chains, observations) block. After adaptation each chain steps
-on its own through the iterations whose proposals the screen turns
-away, which leave its state in place, and one batched evaluation per
-round carries the next screened-in proposal of every chain. Independence proposals
-do not depend on the state, so the chains draw their next blocks
-together once all have used up their current ones, and the independence
-proposals of those blocks are evaluated in batches then. Each chain
-turns its blocks of normals into proposal directions with its own
-fixed-shape product by R'; every design product, and every product by
-R^-1 that whitens a state, keeps each chain in a fixed lane of
-fixed-shape blocks. So its draws do not depend on which chains run with
-it.
+a time. Each chain steps on its own through the iterations whose
+proposals the screen turns away, which leave its state in place, and
+one batched evaluation per round carries the next screened-in proposal
+of every chain. Independence proposals do not depend on the state, so
+the chains draw their next blocks together once all have used up their
+current ones, and the independence proposals of those blocks are
+evaluated in batches then. Each chain turns its blocks of normals into
+proposal directions with its own fixed-shape product by R'; every
+design product, and every product by R^-1 that whitens a state, keeps
+each chain in a fixed lane of fixed-shape blocks. So its draws do not
+depend on which chains run with it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
-allocated once. Per-chain scalars (log posteriors, acceptance,
+allocated once. Per-chain scalars (log posteriors, scales, acceptance,
 counters) are Python floats and ints, since a numpy call on a handful
 of values costs more than the arithmetic; each is formed with the same
 IEEE operations in the same order, so the draws are those of an
-all-numpy loop bit for bit. The adaptation keeps numpy's exp, which may
-differ from math.exp in the last bit.
+all-numpy loop bit for bit. The scales are taken with math.exp.
 """
 
 from __future__ import annotations
@@ -148,7 +143,9 @@ class PriorSpec:
             raise ValueError("coeff_sd must lie in about (1e-154, 5e153)")
         if not 0.0 < self.tau_upper < math.inf:
             raise ValueError("tau_upper must be positive and finite")
-        if 0.1 * self.tau_upper == 0.0:  # the chains start at a tenth of it
+        # Earlier versions started the chains at a tenth of tau_upper;
+        # the rule stays so that a setting they refused is still refused.
+        if 0.1 * self.tau_upper == 0.0:
             raise ValueError("tau_upper must have a tenth that is not 0")
 
 
@@ -184,21 +181,30 @@ class McmcConfig:
 class ChainOutput:
     """One chain's retained draws plus bookkeeping.
 
-    ``draws`` has shape (samples, n_parameters) in canonical order
+    ``chain_index`` is the chain's index k, which with the run's seed
+    fixes its stream.
+    ``draws`` has shape (samples, n_parameters), in canonical order
     (intercept, beta, gamma, phi, eta, tau) with tau on its natural
-    scale. ``seed_used`` is the derived stream key recorded for reruns.
-    ``nonfinite_rejections`` counts evaluated proposals rejected because
-    their log posterior was not finite (NaN or infinite) inside the
-    prior's support; a random-walk proposal the screen turns away is
-    never evaluated, so never counted. -1 where unknown.
+    scale.
+    ``parameter_names`` names the columns of ``draws``.
+    ``accept_rate`` is the acceptance rate over the retained
+    iterations, both kinds of step.
+    ``seed_used`` is the derived stream key recorded for reruns.
+    ``proposal_log_scale`` is the log-scale l of the random-walk steps
+    once adaptation ends.
+    ``nonfinite_rejections`` counts the evaluated proposals rejected
+    because their log posterior was not finite (NaN or infinite) inside
+    the prior's support, so never one the screen turned away, and is -1
+    where unknown.
+    ``adapt_accept_rate`` is the acceptance rate of the screened kernel
+    over the adaptation phase, both kinds of step, and is NaN where
+    unknown or with no adaptation.
+    ``independence_accept_rate`` is the acceptance rate of the
+    independence steps of the sampling phase alone, which is low where
+    the Laplace approximation is poor, and is NaN where unknown or where
+    the phase has none.
     ``density_evaluations`` counts the log-posterior evaluations after
-    adaptation, independence steps included; -1 where unknown.
-    ``adapt_accept_rate`` is the acceptance rate over the adaptation
-    phase; NaN where unknown or with no adaptation. ``accept_rate`` and ``adapt_accept_rate`` count both
-    kinds of step; ``independence_accept_rate`` is the acceptance of
-    the independence steps of the sampling phase alone, NaN where
-    unknown or where the phase has none. A low value flags a poor
-    Laplace approximation.
+    adaptation, independence steps included, and is -1 where unknown.
     """
 
     chain_index: int
@@ -355,7 +361,7 @@ def _zero_denominator(eigenvalues: np.ndarray, tau_sq: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chains in lockstep: streams and the batched log posterior
+# Streams and the batched log posterior
 # ---------------------------------------------------------------------------
 
 
@@ -480,8 +486,8 @@ class _IndependenceBatch:
     together when it is drawn: the log posteriors in batches whose
     buffers hold at most about BATCH_BYTES, the ws in one product. In
     every product each chain keeps its lane of the padded blocks, so
-    each value is bit-identical to that of the chain's row in a lockstep
-    evaluation.
+    each value is bit-identical to that of the chain's row in an
+    evaluation of one state per chain.
     """
 
     def __init__(
@@ -729,31 +735,32 @@ def run_chain(
 ) -> list[ChainOutput]:
     """Run the Metropolis chains ``chains``.
 
-    On iteration ``it`` with ``(it + 1) % INDEPENDENCE_PERIOD == 0``
-    each chain proposes mu + R z, its block increment added to the
-    approximation's mean; with w = R^-1 (x - mu) for its state x, the
-    log acceptance ratio is log pi(x') - log pi(x) + (|z|^2 / 2 -
-    |w|^2 / 2). On every other iteration each chain proposes its state
-    plus its block increment times its scale s. The first
-    ``config.adapt`` iterations move the log-scales, on random-walk
-    iterations only, and are plain Metropolis. From iteration
-    ``config.adapt`` on, each random-walk step is screened: with
-    r1 = -(s w.z + s^2 |z|^2 / 2), the log ratio of the approximation's
-    density, the proposal is evaluated only if log u < min(0, r1), and
-    accepted iff log u < min(0, r1) + min(0, log pi(x') - log pi(x) -
-    r1). The next ``config.burn_in`` iterations are discarded, and the
-    rest are thinned into the draws.
+    Each chain starts at a draw mu + R z of the approximation, drawn
+    again while its log posterior is not finite. On iteration ``it``
+    with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes
+    mu + R z, its block increment added to the approximation's mean;
+    with w = R^-1 (x - mu) for its state x, the log acceptance ratio is
+    log pi(x') - log pi(x) + (|z|^2 / 2 - |w|^2 / 2). On every other
+    iteration each chain proposes its state plus its block increment
+    times its scale s, screened: with r1 = -(s w.z + s^2 |z|^2 / 2), the
+    log ratio of the approximation's density, the proposal is evaluated
+    only if log u < min(0, r1), and accepted iff log u < min(0, r1) +
+    min(0, log pi(x') - log pi(x) - r1). On the random-walk iterations
+    among the first ``config.adapt``, the chain's log-scale moves by
+    (10 + it)^-0.6 (a - TARGET_ACCEPT), with a 1 for an accepted
+    proposal and 0 otherwise. The next ``config.burn_in`` iterations
+    are discarded, and the rest are thinned into the draws.
 
     Chain k's output depends on (config.seed, k) alone, never on which
-    other chains run with it: its proposals and acceptance uniforms come
-    from its own stream, taken in blocks sized from the state dimension,
-    mu and R depend on the data and the prior alone, the kernel of an
-    iteration on its index alone, and every batched operation treats
-    each chain's row on its own. ``preconditioner`` is
-    ``precondition(assembled, prior)``, computed here when not given.
-    tau is recorded on its natural scale. An evaluated proposal whose
-    log posterior is not finite inside the prior's support is rejected
-    and counted.
+    other chains run with it: its start, proposals and acceptance
+    uniforms come from its own stream, the proposals taken in blocks
+    sized from the state dimension, mu and R depend on the data and the
+    prior alone, the kernel of an iteration on its index alone, and
+    every batched operation treats each chain's row on its own.
+    ``preconditioner`` is ``precondition(assembled, prior)``, computed
+    here when not given. tau is recorded on its natural scale. An
+    evaluated proposal whose log posterior is not finite inside the
+    prior's support is rejected and counted.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -761,46 +768,47 @@ def run_chain(
     n_chains = len(chains)
     n_coeff = assembled.n_coefficients
     dim = n_coeff + 1
-    log_post = _LogPosterior(assembled, prior, chains)
-    streams = [_chain_rng(config.seed, k) for k in chains]
-    rngs = [rng for rng, _ in streams]
-
-    # Initial state: zero coefficients, tau at a tenth of its prior range;
-    # small jitter separates chains. A chain whose start is not finite
-    # draws a new jitter, up to INIT_RETRIES times.
-    start = np.zeros(dim)
-    start[n_coeff] = math.log(0.1 * prior.tau_upper)
-    state = np.tile(start, (n_chains, 1))
-    current_lp = [math.nan] * n_chains
-    with np.errstate(all="ignore"):
-        for _ in range(INIT_RETRIES):
-            retry = np.flatnonzero(~np.isfinite(current_lp))
-            if retry.size == 0:
-                break
-            for c in retry:
-                state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
-            lps = log_post(state[:, :n_coeff], state[:, n_coeff])
-            for c in retry:
-                current_lp[c] = lps[c]
-    stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
-    if stuck:
-        raise SamplerError(
-            f"chain(s) {stuck}: no finite starting point after "
-            f"{INIT_RETRIES} attempts"
-        )
     if preconditioner is None:
         preconditioner = precondition(assembled, prior)
     mean = preconditioner.mean
     factor_t = preconditioner.factor.T
     inverse = np.linalg.inv(preconditioner.factor)  # R^-1
     whiten = _LaneProduct(inverse, chains)
+    log_post = _LogPosterior(assembled, prior, chains)
+    streams = [_chain_rng(config.seed, k) for k in chains]
+    rngs = [rng for rng, _ in streams]
+
+    # Initial state: a draw of the approximation from each chain's own
+    # stream. A chain whose start is not finite draws again, up to
+    # INIT_RETRIES times.
+    state = np.empty((n_chains, dim))
+    current_lp = [math.nan] * n_chains
+    retry = list(range(n_chains))
+    with np.errstate(all="ignore"):
+        for _ in range(INIT_RETRIES):
+            for c in retry:
+                z = rngs[c].standard_normal(dim)
+                np.add(mean, z @ factor_t, out=state[c])
+            lps = log_post(state[:, :n_coeff], state[:, n_coeff])
+            for c in retry:
+                current_lp[c] = lps[c]
+            retry = [c for c in retry if not math.isfinite(current_lp[c])]
+            if not retry:
+                break
+    if retry:
+        raise SamplerError(
+            f"chain(s) {[chains[c] for c in retry]}: no finite starting "
+            f"point after {INIT_RETRIES} attempts"
+        )
+    offset = np.subtract(state, mean)
+    w = whiten(offset).copy()  # R^-1 (x - mu) of each chain's state
+    w_sq = np.add.reduce(w * w, axis=1).tolist()
 
     # One log-scale per chain, moved by Robbins-Monro toward the target
-    # acceptance during the adapt phase, then frozen. np.exp, not
-    # math.exp: the two may differ in the last bit. One row per chain, to
-    # scale that chain's increment.
+    # acceptance during the adapt phase, then frozen. A row per chain of
+    # ``scale`` scales its pending proposal's increment.
     log_scale = [math.log(2.38 / math.sqrt(dim))] * n_chains
-    scale = np.exp(log_scale)[:, None]
+    scale = np.zeros((n_chains, 1))
 
     period = INDEPENDENCE_PERIOD
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
@@ -819,8 +827,6 @@ def run_chain(
     independent = None
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
-    offset = np.empty((n_chains, dim))
-    w_squares = np.empty((n_chains, dim))
     # A window's normals, with w last: one product gives w.z and |w|^2.
     window_terms = np.empty((n_chains, period, dim))
     flat_normals = normals.reshape(-1, dim)
@@ -844,10 +850,9 @@ def run_chain(
     # Each chain keeps its own next iteration, since a screened-out
     # proposal leaves its state in place; all draw their blocks together,
     # once every chain has used up its own. A chain keeps its state's w
-    # and |w|^2 too, taken again for every chain when ``stale``, and a
-    # window of w.z for up to period - 1 iterations from ``since`` on,
-    # within its block. Draws are written when the state moves:
-    # ``recorded`` counts those written.
+    # and |w|^2 too, and a window of w.z for up to period - 1 iterations
+    # from ``since`` on, within its block. Draws are written when the
+    # state moves: ``recorded`` counts those written.
     its = [0] * n_chains
     end = 0  # the iteration after the blocks
     spots = [0] * n_chains  # block positions of the pending proposals
@@ -855,10 +860,6 @@ def run_chain(
     screens = [0.0] * n_chains  # their r1
     windows = [(0, [])] * n_chains  # (since, w.z per iteration)
     recorded = [0] * n_chains
-    w = np.empty((n_chains, dim))
-    w_sq = [0.0] * n_chains
-    stale = True
-    steps = half_steps = None  # s and s^2 / 2, once adaptation ends
 
     def draw_blocks(it: int) -> None:
         nonlocal end, independent
@@ -896,19 +897,10 @@ def run_chain(
             draws[c, recorded[c] : done] = state[c]
             recorded[c] = done
 
-    def refresh() -> None:
-        # w and |w|^2 of every chain's state.
-        nonlocal w_sq, stale
-        np.copyto(w, whiten(np.subtract(state, mean, out=offset)))
-        w_sq = np.add.reduce(np.multiply(w, w, out=w_squares), axis=1).tolist()
-        stale = False
-
     def independence_step(c: int, it: int, j: int) -> None:
         lps, ws, ws_sq, after = independent
         k = j // period
         lp = lps[c][k]
-        if stale:
-            refresh()
         # |z|^2 / 2 - |w|^2 / 2: log q(x) - log q(x') for the proposal
         # density q = N(mu, R R').
         ratio = lp - current_lp[c]
@@ -935,136 +927,102 @@ def run_chain(
 
     with np.errstate(all="ignore"):
         while True:
-            it = its[0]
-            lockstep = it < adapt
-            if lockstep:
-                # Every proposal is evaluated while adapting, so the chains
-                # share the iteration.
-                if it == end:
-                    draw_blocks(it)
-                j = it - end + block
-                if (it + 1) % period == 0:
-                    for c in range(n_chains):
+            # Bring every chain to its next random-walk proposal that
+            # passes the screen, or to the end of its block.
+            stop = min(end, total_iters)
+            for c in range(n_chains):
+                it = its[c]
+                lus, zs = log_u[c], z_sq[c]
+                ls = log_scale[c]
+                s = math.exp(ls)
+                half_s_sq = 0.5 * s * s
+                since, dots = windows[c]
+                while it < stop:
+                    j = it - end + block
+                    if (it + 1) % period == 0:
                         independence_step(c, it, j)
-                    continue
-                pending = range(n_chains)
-                spots = [j] * n_chains
-                screens = [0.0] * n_chains
-            else:
-                # Bring every chain to its next random-walk proposal that
-                # passes the screen, or to the end of its block.
-                stop = min(end, total_iters)
-                if steps is None:
-                    steps = scale[:, 0].tolist()
-                    half_steps = [0.5 * s * s for s in steps]
-                    # A window from the adaptation may predate a move.
-                    windows = [(0, [])] * n_chains
-                for c in range(n_chains):
-                    it = its[c]
-                    lus, zs = log_u[c], z_sq[c]
-                    s, half_s_sq = steps[c], half_steps[c]
-                    since, dots = windows[c]
-                    while it < stop:
-                        j = it - end + block
-                        if (it + 1) % period == 0:
-                            independence_step(c, it, j)
-                            since, dots = windows[c]
-                            it += 1
-                            continue
-                        k = it - since
-                        if not 0 <= k < len(dots):
-                            if stale:
-                                refresh()
-                            since, k = it, 0
-                            dots = np.add.reduce(
-                                np.multiply(
-                                    normals[c, j : j + period - 1], w[c],
-                                    out=squares[: min(period - 1, block - j)],
-                                ),
-                                axis=1,
-                            ).tolist()
-                            windows[c] = (since, dots)
-                        # The screen: log q(x') - log q(x), q the
-                        # approximation. log u < 0, so the test is
-                        # log u < min(0, r1).
-                        r1 = -(s * dots[k] + half_s_sq * zs[j])
-                        if lus[j] < r1:
-                            screens[c] = r1
-                            spots[c] = j
-                            break
+                        since, dots = windows[c]
                         it += 1
-                    its[c] = it
-                pending = [c for c in range(n_chains) if its[c] < stop]
-                if not pending:
-                    if stop == total_iters:
+                        continue
+                    k = it - since
+                    if not 0 <= k < len(dots):
+                        since, k = it, 0
+                        dots = np.add.reduce(
+                            np.multiply(
+                                normals[c, j : j + period - 1], w[c],
+                                out=squares[: min(period - 1, block - j)],
+                            ),
+                            axis=1,
+                        ).tolist()
+                        windows[c] = (since, dots)
+                    # The screen: log q(x') - log q(x), q the
+                    # approximation. log u < 0, so the test is
+                    # log u < min(0, r1).
+                    r1 = -(s * dots[k] + half_s_sq * zs[j])
+                    if lus[j] < r1:
+                        screens[c] = r1
+                        spots[c] = j
+                        scale[c, 0] = s
                         break
-                    draw_blocks(stop)
-                    continue
+                    if it < adapt:  # a screened-out proposal scores 0
+                        ls += (10.0 + it) ** -0.6 * -TARGET_ACCEPT
+                        s = math.exp(ls)
+                        half_s_sq = 0.5 * s * s
+                    it += 1
+                its[c] = it
+                log_scale[c] = ls
+            pending = [c for c in range(n_chains) if its[c] < stop]
+            if not pending:
+                if stop == total_iters:
+                    break
+                draw_blocks(stop)
+                continue
 
-            if lockstep:
-                picked = increments[:, j]
-            else:
-                np.add(origins, spots, out=at)
-                picked = flat_increments.take(at, axis=0, out=taken, mode="clip")
+            np.add(origins, spots, out=at)
+            picked = flat_increments.take(at, axis=0, out=taken, mode="clip")
             np.multiply(picked, scale, out=proposal)
             proposal += state
             lps = log_post(*proposed)
-            if not lockstep:
-                # w, |w|^2 and the next window of each proposal, should it
-                # be accepted.
-                w_new = whiten(np.subtract(proposal, mean, out=offset))
-                np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
-                flat_normals.take(
-                    spans, axis=0, out=window_terms[:, :-1], mode="clip"
-                )
-                window_terms[:, -1] = w_new
-                np.multiply(window_terms, w_new[:, None, :], out=window_terms)
-                after = np.add.reduce(window_terms, axis=2).tolist()
-            ratios = []
+            # w, |w|^2 and the next window of each proposal, should it be
+            # accepted.
+            w_new = whiten(np.subtract(proposal, mean, out=offset))
+            np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
+            flat_normals.take(spans, axis=0, out=window_terms[:, :-1], mode="clip")
+            window_terms[:, -1] = w_new
+            np.multiply(window_terms, w_new[:, None, :], out=window_terms)
+            after = np.add.reduce(window_terms, axis=2).tolist()
             for c in pending:
                 it = its[c]
                 j = spots[c]
                 lp = lps[c]
-                ratio = lp - current_lp[c]
                 r1 = screens[c]
-                r2 = ratio - r1
-                if not lockstep:
+                r2 = lp - current_lp[c] - r1
+                if it >= adapt:
                     evaluations[c] += 1
-                # A NaN ratio rejects its proposal and is counted. The test
-                # is log u < min(0, r1) + min(0, r2), plain Metropolis
-                # while adapting, where r1 = 0.
-                if r2 != r2:
-                    nonfinite[c] += 1
-                elif log_u[c][j] < (r1 if r1 < 0.0 else 0.0) + (
-                    r2 if r2 < 0.0 else 0.0
-                ):
-                    if lockstep:
+                # The test is log u < min(0, r1) + min(0, r2); a NaN r2
+                # fails it, so its proposal is rejected, and is counted.
+                move = log_u[c][j] < (r1 if r1 < 0.0 else 0.0) + (
+                    0.0 if r2 >= 0.0 else r2
+                )
+                if move:
+                    record(c, it)
+                    if it < adapt:
                         adapt_accepted[c] += 1
-                        stale = True
-                    else:
-                        record(c, it)
-                        if it >= warm:
-                            accepted[c] += 1
-                        w[c] = w_new[c]
-                        w_sq[c] = after[c][-1]
-                        # The window ends with the block.
-                        windows[c] = (it + 1, after[c][: min(period, block - j) - 1])
+                    elif it >= warm:
+                        accepted[c] += 1
                     state[c] = proposal[c]
                     current_lp[c] = lp
+                    w[c] = w_new[c]
+                    w_sq[c] = after[c][-1]
+                    # The window ends with the block.
+                    windows[c] = (it + 1, after[c][: min(period, block - j) - 1])
+                elif r2 != r2:
+                    nonfinite[c] += 1
+                if it < adapt:
+                    log_scale[c] += (10.0 + it) ** -0.6 * (
+                        (1.0 if move else 0.0) - TARGET_ACCEPT
+                    )
                 its[c] = it + 1
-                ratios.append(ratio)
-
-            if lockstep:
-                gamma = (10.0 + it) ** -0.6
-                # A NaN ratio scores 0.
-                accept_prob = np.exp(
-                    [min(r, 0.0) if r == r else -math.inf for r in ratios]
-                ).tolist()
-                log_scale = [
-                    ls + gamma * (p - TARGET_ACCEPT)
-                    for ls, p in zip(log_scale, accept_prob)
-                ]
-                scale = np.exp(log_scale)[:, None]
 
     for c in range(n_chains):
         record(c, total_iters)

@@ -395,33 +395,39 @@ def reference_run_chain(
     config: McmcConfig,
     prior: PriorSpec,
     chains: Sequence[int],
+    screened_in: list[int] | None = None,
 ) -> list[ChainOutput]:
     """``featmeta.sampler.run_chain`` with every per-chain quantity in
-    numpy arrays, one iteration at a time; the sampler must reproduce it
-    bit for bit. The approximation N(mu, R R') is ``precondition``'s.
+    numpy arrays, one iteration at a time for all chains; the sampler
+    must reproduce it bit for bit. The approximation N(mu, R R') is
+    ``precondition``'s.
 
-    Run the Metropolis chains ``chains``, advancing them in lockstep.
-    Iterations 1, 2, ... (counting from 1) that are multiples of
-    INDEPENDENCE_PERIOD are independence steps: chain k proposes
-    mu + R z and accepts with the Metropolis-Hastings ratio
+    Chain k starts at mu + R z, with z drawn from its own stream before
+    its first block, and drawn again while the log posterior there is
+    not finite. Iterations 1, 2, ... (counting from 1) that are
+    multiples of INDEPENDENCE_PERIOD are independence steps: chain k
+    proposes mu + R z and accepts with the Metropolis-Hastings ratio
     pi(x') q(x) / (pi(x) q(x')) for the density q of N(mu, R R'), whose
     log is log pi(x') - log pi(x) + (|z|^2 / 2 - |R^-1 (x - mu)|^2 / 2).
     On the other iterations chain k proposes x + s_k R z with one scale
-    s_k = exp(l_k), adapted by Robbins-Monro toward the target acceptance
-    on those iterations only, then frozen. After adaptation each such
-    step is delayed acceptance: with w = R^-1 (x - mu) and
-    r1 = log q(x') - log q(x) = -(s_k w.z + s_k^2 |z|^2 / 2), the
-    proposal counts as evaluated only if log u < min(0, r1), and is
-    accepted iff log u < min(0, r1) + min(0, log pi(x') - log pi(x) - r1).
-    Here every proposal's log posterior is computed, but one that is not
-    evaluated is neither accepted nor counted. Chain k's output depends on
-    (config.seed, k) alone: its normals and uniforms come from its own
-    stream, taken in blocks sized from the state dimension, each block
-    of its normals is multiplied by R' on its own, and its state is
-    whitened by R^-1 in a fixed lane of a fixed-shape product. tau is
-    recorded on its natural scale. An evaluated proposal whose log
-    posterior is not finite inside the prior's support is rejected and
-    counted.
+    s_k = exp(l_k), and the step is delayed acceptance: with
+    w = R^-1 (x - mu) and r1 = log q(x') - log q(x) =
+    -(s_k w.z + s_k^2 |z|^2 / 2), the proposal counts as evaluated only
+    if log u < min(0, r1), and is accepted iff log u < min(0, r1) +
+    min(0, log pi(x') - log pi(x) - r1). Here every proposal's log
+    posterior is computed, but one that is not evaluated is neither
+    accepted nor counted. On those iterations among the first
+    ``config.adapt``, l_k moves by (10 + it)^-0.6 (a - TARGET_ACCEPT),
+    a being 1 for an accepted proposal and 0 otherwise; then it is
+    frozen. Chain k's output depends on (config.seed, k) alone: its
+    normals and uniforms come from its own stream, taken in blocks
+    sized from the state dimension, each block of its normals is
+    multiplied by R' on its own, and its state is whitened by R^-1 in a
+    fixed lane of a fixed-shape product. tau is recorded on its natural
+    scale. An evaluated proposal whose log posterior is not finite
+    inside the prior's support is rejected and counted. When given,
+    ``screened_in`` receives each chain's count of random-walk
+    proposals evaluated over the whole run, adaptation included.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -429,16 +435,14 @@ def reference_run_chain(
     n_chains = len(chains)
     n_coeff = assembled.n_coefficients
     dim = n_coeff + 1
+    approximation = precondition(assembled, prior)
+    mean, factor = approximation.mean, approximation.factor
+    whiten = _LaneProduct(np.linalg.inv(factor), chains)  # R^-1, per row
     log_post = _LogPosterior(assembled, prior, chains)
     streams = [_chain_rng(config.seed, k) for k in chains]
     rngs = [rng for rng, _ in streams]
 
-    # Initial state: zero coefficients, tau at a tenth of its prior range;
-    # small jitter separates chains. A chain whose start is not finite
-    # draws a new jitter, up to INIT_RETRIES times.
-    start = np.zeros(dim)
-    start[n_coeff] = math.log(0.1 * prior.tau_upper)
-    state = np.tile(start, (n_chains, 1))
+    state = np.tile(mean, (n_chains, 1))
     current_lp = np.full(n_chains, math.nan)
     with np.errstate(all="ignore"):
         for _ in range(INIT_RETRIES):
@@ -446,7 +450,7 @@ def reference_run_chain(
             if retry.size == 0:
                 break
             for c in retry:
-                state[c] = start + rngs[c].normal(0.0, 0.01, size=dim)
+                state[c] = mean + rngs[c].standard_normal(dim) @ factor.T
             current_lp[retry] = log_post(state)[retry]
     stuck = [chains[c] for c in np.flatnonzero(~np.isfinite(current_lp))]
     if stuck:
@@ -454,9 +458,6 @@ def reference_run_chain(
             f"chain(s) {stuck}: no finite starting point after "
             f"{INIT_RETRIES} attempts"
         )
-    approximation = precondition(assembled, prior)
-    mean, factor = approximation.mean, approximation.factor
-    whiten = _LaneProduct(np.linalg.inv(factor), chains)  # R^-1, per row
     log_scale = np.full(n_chains, math.log(2.38 / math.sqrt(dim)))
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
@@ -472,6 +473,7 @@ def reference_run_chain(
     n_independent = 0  # independence steps of the sampling phase
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     evaluations = np.zeros(n_chains, dtype=np.int64)
+    random_walk_evaluations = np.zeros(n_chains, dtype=np.int64)
     recorded = 0
     warm = config.adapt + config.burn_in
     total_iters = warm + config.samples * config.thin
@@ -486,8 +488,9 @@ def reference_run_chain(
                     increments[c] = normals[c] @ factor.T
                 np.log(uniforms, out=log_u)
             adapting = it < config.adapt
-            if it <= config.adapt:  # the scale is frozen once adaptation ends
-                scale = np.exp(log_scale)
+            # math.exp, as the sampler takes it; numpy's may differ in
+            # the last bit.
+            scale = np.array([math.exp(ls) for ls in log_scale])
 
             independent = (it + 1) % INDEPENDENCE_PERIOD == 0
             z = normals[:, j]
@@ -495,12 +498,9 @@ def reference_run_chain(
             w = whiten(state - mean)
             if independent:
                 proposal = mean + increments[:, j]
+                screen = np.zeros(n_chains)  # every proposal is evaluated
             else:
                 proposal = state + increments[:, j] * scale[:, None]
-            # The screen r1, flat (0) while adapting and on independence
-            # steps, where every proposal is evaluated.
-            screen = np.zeros(n_chains)
-            if not adapting and not independent:
                 screen = -(scale * (z * w).sum(axis=1) + 0.5 * scale * scale * z_sq)
             first = np.minimum(screen, 0.0)
             evaluated = log_u[:, j] < first
@@ -508,6 +508,8 @@ def reference_run_chain(
             log_ratio = proposal_lp - current_lp
             if independent:
                 log_ratio += 0.5 * z_sq - 0.5 * (w * w).sum(axis=1)
+            else:
+                random_walk_evaluations += evaluated
             second = log_ratio - screen
             # A NaN ratio fails the test below, so the proposal is
             # rejected; it is counted here and scores 0 in the adaptation.
@@ -522,10 +524,7 @@ def reference_run_chain(
                 adapt_accepted += accept
                 if not independent:
                     gamma = (10.0 + it) ** -0.6
-                    accept_prob = np.nan_to_num(
-                        np.exp(np.minimum(log_ratio, 0.0)), nan=0.0
-                    )
-                    log_scale += gamma * (accept_prob - TARGET_ACCEPT)
+                    log_scale += gamma * (accept - TARGET_ACCEPT)
             elif it >= warm:
                 accepted += accept
                 if independent:
@@ -535,6 +534,8 @@ def reference_run_chain(
                     draws[:, recorded] = state
                     recorded += 1
 
+    if screened_in is not None:
+        screened_in.extend(random_walk_evaluations.tolist())
     assert recorded == config.samples
     draws[:, :, n_coeff] = np.exp(draws[:, :, n_coeff])
     return [

@@ -886,12 +886,8 @@ def test_nonfinite_proposals_are_rejected_and_counted():
         assert np.all(chain.draws[:, -1] ** 2 > cut)
 
 
-def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
-    # One chain: after adaptation each call of its one-row log posterior
-    # evaluates a random-walk proposal, and their number is the count
-    # of proposals that pass the screen in the reference loop.
-    assembled = assemble(centered_basic_dataset())
-    config = small_config(chains=1, adapt=300, burn_in=0, samples=2000)
+def count_one_row_calls(monkeypatch) -> list[int]:
+    """Rows of each call of ``_LogPosterior``, recorded as they happen."""
     calls = []
     evaluate = sampler._LogPosterior.__call__
 
@@ -900,18 +896,63 @@ def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
         return evaluate(self, coeffs, log_tau)
 
     monkeypatch.setattr(sampler._LogPosterior, "__call__", counted)
+    return calls
+
+
+def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
+    # One chain: each call of its one-row log posterior evaluates a
+    # random-walk proposal, and their number is the count of proposals
+    # that pass the screen in the reference loop.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(chains=1, adapt=300, burn_in=0, samples=2000)
+    calls = count_one_row_calls(monkeypatch)
     [chain] = run_chain(assembled, config, PriorSpec(), [0])
-    [want] = reference_run_chain(assembled, config, PriorSpec(), [0])
+    screened_in = []
+    [want] = reference_run_chain(
+        assembled, config, PriorSpec(), [0], screened_in=screened_in
+    )
     period = sampler.INDEPENDENCE_PERIOD
     total = config.adapt + config.samples
     independent = total // period - config.adapt // period  # after adaptation
-    screened_in = want.density_evaluations - independent
+    after_adaptation = want.density_evaluations - independent
     random_walk = total - config.adapt - independent
-    assert 0 < screened_in < random_walk
+    assert 0 < after_adaptation < random_walk
+    assert after_adaptation < screened_in[0]
     assert chain.density_evaluations == want.density_evaluations
     # The first call evaluates the start.
     rows = calls.count(1)
-    assert rows == 1 + config.adapt - config.adapt // period + screened_in
+    assert rows == 1 + screened_in[0]
+
+
+def test_adaptation_is_screened(monkeypatch):
+    # One chain adapting for 2000 iterations evaluates at most half of
+    # its random-walk proposals; an unscreened adaptation evaluates
+    # every one. The bound was fixed before the first run.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(chains=1, adapt=2000, burn_in=0, samples=1)
+    calls = count_one_row_calls(monkeypatch)
+    [chain] = run_chain(assembled, config, PriorSpec(), [0])
+    random_walk = config.adapt - config.adapt // sampler.INDEPENDENCE_PERIOD
+    # The first call evaluates the start; the last iteration, after
+    # adaptation, is a random-walk step evaluated or not.
+    evaluated = calls.count(1) - 1 - chain.density_evaluations
+    assert 0 < evaluated <= 0.5 * random_walk
+
+
+def test_a_start_that_is_never_finite_names_every_chain():
+    # Every log posterior is NaN, so no chain finds a finite start.
+    assembled = assemble(centered_basic_dataset())
+    prior = PriorSpec(tau_upper=1.0)
+    preconditioner = sampler.precondition(assembled, prior)
+    assembled.stacked_eigenvalues[0] = -10.0  # NaN below tau^2 = 10 > 1
+    with pytest.raises(
+        sampler.SamplerError,
+        match=r"chain\(s\) \[0, 1, 2\]: no finite starting point",
+    ):
+        run_chain(
+            assembled, small_config(chains=3), prior, range(3),
+            preconditioner=preconditioner,
+        )
 
 
 def test_the_screen_spares_most_evaluations_after_adaptation():
