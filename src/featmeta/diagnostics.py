@@ -423,8 +423,20 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     repeats = np.zeros(n, dtype=bool)
     repeats[1:] = np.all(bits[1:] == bits[:-1], axis=1)
     values = "\t%r" * k + "\n"
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
+    # Imported here, as in _sha256.
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as stream:
+
+        def write(text: str) -> None:
+            # The digest of the bytes as they are written, so the file is
+            # never read back.
+            data = text.encode("utf-8")
+            digest.update(data)
+            stream.write(data)
+
+        write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
             fresh = ~repeats[start:stop]
@@ -437,16 +449,16 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
             cells = [None] * (2 * (stop - start))
             cells[0::2] = range(start + 1, stop + 1)
             cells[1::2] = [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
-            stream.write("%d%s\n" * (stop - start) % tuple(cells))
+            write("%d%s\n" * (stop - start) % tuple(cells))
     copy = _copy_path(Path(path))
     if copy is None:
         return None
-    with open(path, "rb") as written:
-        digest = _sha256(written)
     nan = np.isnan(draws)
     if nan.any():
         draws = np.where(nan, math.nan, draws)
-    np.savez(copy, draws=draws, sha256=np.frombuffer(digest, dtype=np.uint8))
+    np.savez(
+        copy, draws=draws, sha256=np.frombuffer(digest.digest(), dtype=np.uint8)
+    )
     return copy
 
 

@@ -31,35 +31,44 @@ support positive.
 The chains cycle through two Metropolis-Hastings kernels, fixed by the
 iteration index; a fixed cycle of kernels that each leave the posterior
 invariant leaves it invariant too (Tierney 1994). Each chain starts at
-a draw of the approximation. Nine iterations in ten are random-walk
-steps: each chain proposes x + s R z, with z standard normal and one
-scale s = exp(l) per chain, whose log l starts at log(2.38/sqrt(dim))
-(Roberts & Rosenthal 2001). Every INDEPENDENCE_PERIOD-th iteration is
-an independence step: each chain proposes mu + R z, whatever its
-state, and accepts it with the ratio that corrects for the Gaussian
-proposal density. The approximation is close to the posterior on
-well-identified data, so these steps are mostly accepted and
-decorrelate the chain; the nine local moves keep a chain sound where it
-is poor, such as a mode on the edge of tau's bracket.
+a draw of the approximation. Every INDEPENDENCE_PERIOD-th iteration is
+an independence step: each chain proposes mu + R z sqrt(nu / g), with
+z standard normal, g a chi^2_nu draw and nu = INDEPENDENCE_DOF, whatever
+its state. That is a draw of the multivariate t with centre mu and
+scale R R', and the chain accepts it with the ratio that corrects for
+the t density. An independence sampler is uniformly ergodic only when
+pi / q is bounded (Mengersen & Tweedie 1996); the t's polynomial tails
+keep the ratio bounded where the Gaussian's would be too light. The
+approximation is close to the posterior on well-identified data, so
+these steps are accepted often, and each accepted one is about a fresh
+draw.
 
-The random-walk steps use delayed acceptance (Christen & Fox 2005;
-Banterle, Grazian, Lee & Robert 2019): the approximation q screens
-each proposal before the posterior sees it. With w = R^-1 (x - mu), the
-screen r1 = log q(x') - log q(x) = -(s w.z + s^2 |z|^2 / 2) costs a
-dot product; the log posterior is evaluated only if log u < min(0, r1),
+The other iterations are random-walk steps: each chain proposes
+x + s R z, with z standard normal and one scale s = exp(l) per chain,
+whose log l starts at log(2.38/sqrt(dim)) (Roberts & Rosenthal 2001).
+They keep a chain sound where the approximation is poor, such as a mode
+on the edge of tau's bracket. They use delayed acceptance (Christen &
+Fox 2005; Banterle, Grazian, Lee & Robert 2019): the Gaussian
+approximation q = N(mu, R R') screens each proposal before the
+posterior sees it. With w = R^-1 (x - mu), the screen
+r1 = log q(x') - log q(x) = -(s w.z + s^2 |z|^2 / 2) costs a dot
+product; the log posterior is evaluated only if log u < min(0, r1),
 and the proposal is accepted iff
 log u < min(0, r1) + min(0, log pi(x') - log pi(x) - r1). One uniform
 serves both stages, since the second test implies the first. The
 kernel is reversible with respect to the posterior whatever q is: q
 sets how often a proposal is evaluated and accepted, never the target.
-Where q fits, about three random-walk proposals in four are turned away
-unevaluated. During a dedicated adaptation phase each random-walk step
-moves l toward a 0.234 acceptance rate by a Robbins-Monro update on its
+During a dedicated adaptation phase each random-walk step moves l
+toward a TARGET_ACCEPT acceptance rate by a Robbins-Monro update on its
 acceptance indicator, 0 for a proposal the screen turns away (Andrieu &
-Thoms 2008); then l is frozen.
+Thoms 2008); then l is frozen. The target sits below the usual 0.234:
+a proposal the screen turns away costs almost nothing, which lowers the
+best acceptance of a delayed-acceptance random walk (Sherlock, Thiery &
+Golightly 2021), and the independence steps carry the mixing.
 
 Every chain draws from its own random stream, a block of iterations at
-a time. Each chain steps on its own through the iterations whose
+a time: the block's normals, then its uniforms, then one chi^2_nu draw
+per iteration. Each chain steps on its own through the iterations whose
 proposals the screen turns away, which leave its state in place, and
 one batched evaluation per round carries the next screened-in proposal
 of every chain. Independence proposals do not depend on the state, so
@@ -77,7 +86,8 @@ allocated once. Per-chain scalars (log posteriors, scales, acceptance,
 counters) are Python floats and ints, since a numpy call on a handful
 of values costs more than the arithmetic; each is formed with the same
 IEEE operations in the same order, so the draws are those of an
-all-numpy loop bit for bit. The scales are taken with math.exp.
+all-numpy loop bit for bit. The scales are taken with math.exp and the
+t density's terms with math.log1p.
 """
 
 from __future__ import annotations
@@ -109,7 +119,7 @@ __all__ = [
     "run_mcmc",
 ]
 
-TARGET_ACCEPT = 0.234  # acceptance rate the adaptation steers each scale to
+TARGET_ACCEPT = 0.1  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
 LOG_TAU_SPAN = 30.0  # f is scanned on (log tau_upper - span, log tau_upper)
 SCAN_NODES = 61  # nodes of that scan
@@ -119,7 +129,8 @@ COLLAPSED_BYTES = 1 << 20  # largest temporary of the collapsed density
 WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
-INDEPENDENCE_PERIOD = 10  # every this many iterations, an independence step
+INDEPENDENCE_PERIOD = 4  # every this many iterations, an independence step
+INDEPENDENCE_DOF = 5  # degrees of freedom of the independence proposals
 BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
 
 
@@ -479,8 +490,8 @@ class _LogPosterior:
 
 class _IndependenceBatch:
     """The log posterior, w = R^-1 (x' - mu) and |w|^2 of the independence
-    proposals x' = mu + R z of a set of chains, up to ``steps`` of each
-    at a time.
+    proposals x' = mu + d of a set of chains, for increments d, up to
+    ``steps`` of each at a time.
 
     They do not depend on the chains' states, so a block's are evaluated
     together when it is drawn: the log posteriors in batches whose
@@ -726,6 +737,15 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
 # ---------------------------------------------------------------------------
 
 
+def _independence_term(w_sq_new: float, w_sq: float, dim: int) -> float:
+    """log q(x) - log q(x') for the density q of the independence
+    proposals, the multivariate t with centre mu, scale R R' and
+    INDEPENDENCE_DOF degrees of freedom, from |w'|^2 and |w|^2 of
+    w = R^-1 (x - mu)."""
+    nu = INDEPENDENCE_DOF
+    return 0.5 * (nu + dim) * (math.log1p(w_sq_new / nu) - math.log1p(w_sq / nu))
+
+
 def run_chain(
     assembled: AssembledDataset,
     config: McmcConfig,
@@ -738,9 +758,11 @@ def run_chain(
     Each chain starts at a draw mu + R z of the approximation, drawn
     again while its log posterior is not finite. On iteration ``it``
     with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes
-    mu + R z, its block increment added to the approximation's mean;
-    with w = R^-1 (x - mu) for its state x, the log acceptance ratio is
-    log pi(x') - log pi(x) + (|z|^2 / 2 - |w|^2 / 2). On every other
+    mu + R z sqrt(nu / g), its block increment stretched by the
+    iteration's chi^2_nu draw g and added to the approximation's mean;
+    with w = R^-1 (x - mu) for its state x and w' for the proposal, the
+    log acceptance ratio is log pi(x') - log pi(x) + (nu + dim) / 2
+    (log1p(|w'|^2 / nu) - log1p(|w|^2 / nu)). On every other
     iteration each chain proposes its state plus its block increment
     times its scale s, screened: with r1 = -(s w.z + s^2 |z|^2 / 2), the
     log ratio of the approximation's density, the proposal is evaluated
@@ -752,11 +774,11 @@ def run_chain(
     are discarded, and the rest are thinned into the draws.
 
     Chain k's output depends on (config.seed, k) alone, never on which
-    other chains run with it: its start, proposals and acceptance
-    uniforms come from its own stream, the proposals taken in blocks
-    sized from the state dimension, mu and R depend on the data and the
-    prior alone, the kernel of an iteration on its index alone, and
-    every batched operation treats each chain's row on its own.
+    other chains run with it: its start, proposals, chi^2_nu draws and
+    acceptance uniforms come from its own stream, the proposals taken in
+    blocks sized from the state dimension, mu and R depend on the data
+    and the prior alone, the kernel of an iteration on its index alone,
+    and every batched operation treats each chain's row on its own.
     ``preconditioner`` is ``precondition(assembled, prior)``, computed
     here when not given. tau is recorded on its natural scale. An
     evaluated proposal whose log posterior is not finite inside the
@@ -819,11 +841,13 @@ def run_chain(
     normals = np.empty((n_chains, block, dim))
     increments = np.empty((n_chains, block, dim))  # normals @ R'
     uniforms = np.empty(block)
+    gammas = np.empty((n_chains, block))  # chi^2_nu / 2 of each iteration
     squares = np.empty((block, dim))
     log_u = [[]] * n_chains  # of each iteration of each chain's block
     z_sq = [[]] * n_chains  # |z|^2, likewise
-    # Of each independence proposal of the blocks: its log posterior, w,
-    # |w|^2, and the window that follows its acceptance.
+    # Of each independence proposal of the blocks: its log posterior, its
+    # increment from mu, w, |w|^2, and the window that follows its
+    # acceptance.
     independent = None
     proposal = np.empty((n_chains, dim))
     proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
@@ -869,6 +893,7 @@ def run_chain(
             # count.
             rng.standard_normal(out=normals[c])
             rng.random(out=uniforms)
+            rng.standard_gamma(0.5 * INDEPENDENCE_DOF, out=gammas[c])
             np.matmul(normals[c], factor_t, out=increments[c])
             log_u[c] = np.log(uniforms).tolist()
             z_sq[c] = np.add.reduce(
@@ -876,7 +901,10 @@ def run_chain(
             ).tolist()
         first = period - 1 - it % period  # the blocks' first independence step
         starts = np.arange(first, min(block, total_iters - it), period)
-        lps, ws, ws_sq = independence(increments[:, starts])
+        # Multivariate t: R z stretched by sqrt(nu / chi^2_nu).
+        stretch = np.sqrt(INDEPENDENCE_DOF / (2.0 * gammas[:, starts]))
+        jumps = increments[:, starts] * stretch[:, :, None]
+        lps, ws, ws_sq = independence(jumps)
         spans = np.minimum(starts[:, None] + ahead, block - 1)
         terms = normals[:, spans]  # (chains, steps, period - 1, dim)
         np.multiply(terms, ws.transpose(1, 0, 2)[:, :, None, :], out=terms)
@@ -886,7 +914,7 @@ def run_chain(
         if room < period - 1:
             for windows_of_chain in after:
                 windows_of_chain[-1] = windows_of_chain[-1][:room]
-        independent = (lps.T.tolist(), ws, ws_sq.T.tolist(), after)
+        independent = (lps.T.tolist(), jumps, ws, ws_sq.T.tolist(), after)
         end = it + block
 
     def record(c: int, it: int) -> None:
@@ -898,20 +926,18 @@ def run_chain(
             recorded[c] = done
 
     def independence_step(c: int, it: int, j: int) -> None:
-        lps, ws, ws_sq, after = independent
+        lps, jumps, ws, ws_sq, after = independent
         k = j // period
         lp = lps[c][k]
-        # |z|^2 / 2 - |w|^2 / 2: log q(x) - log q(x') for the proposal
-        # density q = N(mu, R R').
         ratio = lp - current_lp[c]
-        ratio += 0.5 * z_sq[c][j] - 0.5 * w_sq[c]
+        ratio += _independence_term(ws_sq[c][k], w_sq[c], dim)
         if it >= adapt:
             evaluations[c] += 1
         # A NaN ratio fails this test, so its proposal is rejected; it is
         # counted.
         if log_u[c][j] < ratio:
             record(c, it)
-            np.add(mean, increments[c, j], out=state[c])
+            np.add(mean, jumps[c, k], out=state[c])
             current_lp[c] = lp
             w[c] = ws[k, c]
             w_sq[c] = ws_sq[c][k]

@@ -53,6 +53,7 @@ from featmeta.design import ParameterVector, trial_design_matrix
 from featmeta.diagnostics import _prefix_shrink_factors
 from featmeta.sampler import (
     DRAW_BLOCK_VALUES,
+    INDEPENDENCE_DOF,
     INDEPENDENCE_PERIOD,
     INIT_RETRIES,
     TARGET_ACCEPT,
@@ -406,13 +407,17 @@ def reference_run_chain(
     its first block, and drawn again while the log posterior there is
     not finite. Iterations 1, 2, ... (counting from 1) that are
     multiples of INDEPENDENCE_PERIOD are independence steps: chain k
-    proposes mu + R z and accepts with the Metropolis-Hastings ratio
-    pi(x') q(x) / (pi(x) q(x')) for the density q of N(mu, R R'), whose
-    log is log pi(x') - log pi(x) + (|z|^2 / 2 - |R^-1 (x - mu)|^2 / 2).
-    On the other iterations chain k proposes x + s_k R z with one scale
-    s_k = exp(l_k), and the step is delayed acceptance: with
-    w = R^-1 (x - mu) and r1 = log q(x') - log q(x) =
-    -(s_k w.z + s_k^2 |z|^2 / 2), the proposal counts as evaluated only
+    proposes mu + R z sqrt(nu / g), g the iteration's chi^2_nu draw and
+    nu = INDEPENDENCE_DOF, and accepts with the Metropolis-Hastings ratio
+    pi(x') q_t(x) / (pi(x) q_t(x')) for the density q_t of the
+    multivariate t with centre mu, scale R R' and nu degrees of freedom,
+    whose log is log pi(x') - log pi(x) + (nu + dim) / 2
+    (log1p(|w'|^2 / nu) - log1p(|w|^2 / nu)), with w = R^-1 (x - mu)
+    and w' = R^-1 (x' - mu). On the other iterations chain k proposes
+    x + s_k R z with one scale s_k = exp(l_k), and the step is delayed
+    acceptance: with r1 = log q(x') - log q(x) =
+    -(s_k w.z + s_k^2 |z|^2 / 2) for the density q of N(mu, R R'), the
+    proposal counts as evaluated only
     if log u < min(0, r1), and is accepted iff log u < min(0, r1) +
     min(0, log pi(x') - log pi(x) - r1). Here every proposal's log
     posterior is computed, but one that is not evaluated is neither
@@ -420,8 +425,8 @@ def reference_run_chain(
     ``config.adapt``, l_k moves by (10 + it)^-0.6 (a - TARGET_ACCEPT),
     a being 1 for an accepted proposal and 0 otherwise; then it is
     frozen. Chain k's output depends on (config.seed, k) alone: its
-    normals and uniforms come from its own stream, taken in blocks
-    sized from the state dimension, each block of its normals is
+    normals, uniforms and chi^2_nu draws come from its own stream, taken
+    in blocks sized from the state dimension, each block of its normals is
     multiplied by R' on its own, and its state is whitened by R^-1 in a
     fixed lane of a fixed-shape product. tau is recorded on its natural
     scale. An evaluated proposal whose log posterior is not finite
@@ -465,6 +470,8 @@ def reference_run_chain(
     increments = np.empty((n_chains, block, dim))
     uniforms = np.empty((n_chains, block))
     log_u = np.empty((n_chains, block))
+    chi_sq = np.empty((n_chains, block))
+    dof = INDEPENDENCE_DOF
 
     draws = np.empty((n_chains, config.samples, dim))
     accepted = np.zeros(n_chains, dtype=np.int64)
@@ -485,6 +492,7 @@ def reference_run_chain(
                 for c, rng in enumerate(rngs):
                     rng.standard_normal(out=normals[c])
                     rng.random(out=uniforms[c])
+                    chi_sq[c] = 2.0 * rng.standard_gamma(0.5 * dof, block)
                     increments[c] = normals[c] @ factor.T
                 np.log(uniforms, out=log_u)
             adapting = it < config.adapt
@@ -496,8 +504,10 @@ def reference_run_chain(
             z = normals[:, j]
             z_sq = (z * z).sum(axis=1)
             w = whiten(state - mean)
+            w_sq = (w * w).sum(axis=1)  # now: whitening x' overwrites w
             if independent:
-                proposal = mean + increments[:, j]
+                stretch = np.sqrt(dof / chi_sq[:, j])
+                proposal = mean + increments[:, j] * stretch[:, None]
                 screen = np.zeros(n_chains)  # every proposal is evaluated
             else:
                 proposal = state + increments[:, j] * scale[:, None]
@@ -507,7 +517,14 @@ def reference_run_chain(
             proposal_lp = log_post(proposal)
             log_ratio = proposal_lp - current_lp
             if independent:
-                log_ratio += 0.5 * z_sq - 0.5 * (w * w).sum(axis=1)
+                w_new = whiten(proposal - mean)
+                # math.log1p, as the sampler takes it; numpy's may differ
+                # in the last bit.
+                tails = [
+                    np.array([math.log1p(v) for v in (sq / dof).tolist()])
+                    for sq in ((w_new * w_new).sum(axis=1), w_sq)
+                ]
+                log_ratio += 0.5 * (dof + dim) * (tails[0] - tails[1])
             else:
                 random_walk_evaluations += evaluated
             second = log_ratio - screen

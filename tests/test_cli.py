@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import pytest
 
+import featmeta.sampler as sampler
 from featmeta import DataFormatError, SimConfig, dataset_to_dict, save_dataset
 from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
 from featmeta.diagnostics import TRACE_POINTS
@@ -293,20 +294,24 @@ def test_fit_manifest_records_adaptation_acceptance(data_file, tmp_path):
 def test_fit_manifest_records_independence_acceptance(
     data_file, tmp_path, capsys
 ):
-    # 150 samples hold 15 independence steps; 5 samples after 300
-    # warm-up iterations hold none, which the manifest writes as null.
+    # 150 samples after 300 warm-up iterations hold the independence
+    # steps counted below; the samples before the first of them hold
+    # none, which the manifest writes as null.
+    period = sampler.INDEPENDENCE_PERIOD
+    steps = 450 // period - 300 // period
+    before = period - 1 - 300 % period
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     for entry in manifest["chains"]:
         assert 0.0 <= entry["independence_accept_rate"] <= 1.0
-        assert entry["independence_accept_rate"] * 15 == pytest.approx(
-            round(entry["independence_accept_rate"] * 15)
+        assert entry["independence_accept_rate"] * steps == pytest.approx(
+            round(entry["independence_accept_rate"] * steps)
         )
     rates = ", ".join(f"{e['accept_rate']:.3f}" for e in manifest["chains"])
     assert f"acceptance rates: {rates}\n" in capsys.readouterr().out
     short = tmp_path / "short"
-    assert main(fast_fit_args(data_file, short, samples=5)) == 0
+    assert main(fast_fit_args(data_file, short, samples=before)) == 0
     manifest = json.loads((short / "manifest.json").read_text())
     assert [e["independence_accept_rate"] for e in manifest["chains"]] == [
         None, None

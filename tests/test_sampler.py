@@ -813,16 +813,23 @@ def test_accept_rate_lands_near_target():
         assert 0.1 <= chain.accept_rate <= 0.5
 
 
+PERIOD = sampler.INDEPENDENCE_PERIOD
+
+
 @pytest.mark.parametrize(
     "adapt, burn_in, samples, steps",
-    [(0, 0, 9, 0), (0, 0, 10, 1), (0, 0, 19, 1), (0, 0, 20, 2),
-     (5, 3, 2, 1), (5, 3, 1, 0), (300, 200, 400, 40)],
+    [(0, 0, PERIOD - 1, 0), (0, 0, PERIOD, 1), (0, 0, 2 * PERIOD - 1, 1),
+     (0, 0, 2 * PERIOD, 2), (5, 3, PERIOD - 8 % PERIOD, 1),
+     (5, 3, PERIOD - 8 % PERIOD - 1, 0),
+     (300, 200, 400, 900 // PERIOD - 500 // PERIOD)],
 )
 def test_independence_acceptance_counts_the_sampling_phase_steps(
     adapt, burn_in, samples, steps
 ):
-    # Iterations 10, 20, ... (counting from 1) are independence steps;
-    # the rate is over those that fall in the sampling phase.
+    # Iterations PERIOD, 2 PERIOD, ... (counting from 1) are independence
+    # steps; the rate is over those that fall in the sampling phase. After
+    # 8 warm-up iterations, PERIOD - 8 % PERIOD samples end on the first
+    # step of the sampling phase.
     assembled = assemble(centered_basic_dataset())
     config = small_config(adapt=adapt, burn_in=burn_in, samples=samples)
     for chain in run_chain(assembled, config, PriorSpec(), [0, 1]):
@@ -843,9 +850,10 @@ def test_thinning_keeps_every_kth_draw():
 
 
 def test_chain_draws_do_not_depend_on_other_chains():
-    # Chains advance in lockstep, but chain k's draws must depend on
-    # (seed, k) alone: alone, in a subset, or among all of them. Six
-    # chains span two padded blocks of the batched design product.
+    # Chains share batched density evaluations, but chain k's draws must
+    # depend on (seed, k) alone: alone, in a subset, or among all of
+    # them. Six chains span two padded blocks of the batched design
+    # product.
     assembled = assemble(centered_basic_dataset())
     config = small_config(chains=6)
     full = run_chain(assembled, config, PriorSpec(), range(6))
@@ -1084,12 +1092,14 @@ def test_run_chain_matches_reference_loop_property(
     assert_same_chains(got, want)
 
 
-@pytest.mark.filterwarnings("ignore:fitting on uncentered")
-def test_marginal_sampler_matches_exact_posterior():
-    # Three dim-1 trials. With c ~ N(0, sd^2 I) integrated out,
-    # y | tau ~ N(0, sd^2 X X' + D), D = diag(v + tau^2), and
-    # E[c | tau, y] = sd^2 X' (sd^2 X X' + D)^-1 y. Weighting a fine tau
-    # grid by that density gives the exact posterior means.
+def conjugate_toy():
+    """Three dim-1 trials, their prior and the exact posterior means.
+
+    With c ~ N(0, sd^2 I) integrated out, y | tau ~ N(0, sd^2 X X' + D),
+    D = diag(v + tau^2), and E[c | tau, y] = sd^2 X' (sd^2 X X' + D)^-1 y.
+    Weighting a fine tau grid by that density gives the exact posterior
+    means.
+    """
     trials = [
         scalar_trial("c1", y=0.05, v=0.004),
         scalar_trial("c2", y=0.02, v=0.006),
@@ -1116,8 +1126,12 @@ def test_marginal_sampler_matches_exact_posterior():
         )
     weights = np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
-    exact = np.append(weights @ conditional_means, weights @ taus)
+    return data, prior, np.append(weights @ conditional_means, weights @ taus)
 
+
+@pytest.mark.filterwarnings("ignore:fitting on uncentered")
+def test_marginal_sampler_matches_exact_posterior():
+    data, prior, exact = conjugate_toy()
     chains = run_mcmc(
         data,
         McmcConfig(chains=2, adapt=3000, burn_in=2000, samples=10_000, seed=5),
@@ -1128,6 +1142,49 @@ def test_marginal_sampler_matches_exact_posterior():
         se = mcse_mean(pooled[:, j])
         gap = abs(pooled[:, j].mean() - exact[j])
         assert gap < 3.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+
+
+@pytest.mark.filterwarnings("ignore:fitting on uncentered")
+@pytest.mark.parametrize("seed", range(101, 113))
+def test_marginal_sampler_matches_exact_posterior_over_seeds(seed):
+    # The toy above, where the posterior of tau reaches 0 and the
+    # independence proposals' tails matter, on twelve more seeds. The
+    # seeds and the bound were fixed before the first run.
+    data, prior, exact = conjugate_toy()
+    chains = run_mcmc(
+        data,
+        McmcConfig(chains=2, adapt=3000, burn_in=2000, samples=10_000, seed=seed),
+        prior,
+    )
+    pooled = np.vstack([c.draws for c in chains])
+    for j, name in enumerate(chains[0].parameter_names):
+        se = mcse_mean(pooled[:, j])
+        gap = abs(pooled[:, j].mean() - exact[j])
+        assert gap < 4.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+
+
+def test_independence_term_is_the_t_density_ratio():
+    # The term of the independence steps' log ratio against scipy's
+    # multivariate t with the approximation's centre and scale, at
+    # points near the centre and far in its tails.
+    from scipy.stats import multivariate_t
+
+    assembled = assemble(centered_basic_dataset())
+    pre = sampler.precondition(assembled, PriorSpec())
+    dim = assembled.n_parameters
+    density = multivariate_t(
+        loc=pre.mean, shape=pre.factor @ pre.factor.T,
+        df=sampler.INDEPENDENCE_DOF,
+    )
+    rng = np.random.default_rng(11)
+    for spread in (0.5, 1.0, 3.0, 30.0):
+        z = spread * rng.standard_normal((2, dim))
+        x, x_new = pre.mean + z @ pre.factor.T
+        offsets = np.array([x, x_new]) - pre.mean
+        w, w_new = np.linalg.solve(pre.factor, offsets.T).T
+        term = sampler._independence_term(float(w_new @ w_new), float(w @ w), dim)
+        want = density.logpdf(x) - density.logpdf(x_new)
+        assert term == pytest.approx(want, rel=1e-10), spread
 
 
 def test_sampler_matches_exact_posterior_on_realistic_data():
