@@ -569,6 +569,8 @@ def cmd_diagnose(args) -> int:
     chain_files = [numbered[k] for k in sorted(numbered)]
     if not chain_files:
         raise ConfigError(f"{run_dir}: no chain files under chains/")
+    # fit's rule: R-hat of 2 or more chains needs 2 draws per chain.
+    needed = 2 if len(chain_files) >= 2 else 1
     chains = []
     for i, path in enumerate(chain_files):
         try:
@@ -577,9 +579,10 @@ def cmd_diagnose(args) -> int:
             raise ConfigError(f"{path}: {e.strerror or e}") from e
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
-        if chain.n_samples < 2:
+        if chain.n_samples < needed:
             raise ConfigError(
-                f"{path}: {chain.n_samples} draw(s); diagnose needs at least 2"
+                f"{path}: {chain.n_samples} draw(s); diagnose needs at "
+                f"least {needed}"
             )
         if chains and chain.parameter_names != chains[0].parameter_names:
             raise ConfigError(

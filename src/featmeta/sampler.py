@@ -68,17 +68,20 @@ Golightly 2021), and the independence steps carry the mixing.
 
 Every chain draws from its own random stream, a block of iterations at
 a time: the block's normals, then its uniforms, then one chi^2_nu draw
-per iteration. Each chain steps on its own through the iterations whose
+per iteration. Each chain's whole run is one sequential generator, its
+state in locals. It steps on its own through the iterations whose
 proposals the screen turns away, which leave its state in place, and
-one batched evaluation per round carries the next screened-in proposal
-of every chain. Independence proposals do not depend on the state, so
-the chains draw their next blocks together once all have used up their
-current ones, and the independence proposals of those blocks are
-evaluated in batches then. Each chain turns its blocks of normals into
-proposal directions with its own fixed-shape product by R'; every
-design product, and every product by R^-1 that whitens a state, keeps
-each chain in a fixed lane of fixed-shape blocks. So its draws do not
-depend on which chains run with it.
+pauses at the next proposal that passes the screen; a short driver
+evaluates the pending proposals of all chains in one batched call per
+round and resumes each with its result. Independence proposals do not
+depend on the state, so a chain that has used up its block draws the
+next one and pauses too; once every chain has, the driver evaluates the
+independence proposals of the new blocks in batches. Each chain turns
+its blocks of normals into proposal directions with its own
+fixed-shape product by R'; every design product, and every product by
+R^-1 that whitens a state, keeps each chain in a fixed lane of
+fixed-shape blocks. So its draws do not depend on which chains run with
+it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
@@ -93,6 +96,7 @@ t density's terms with math.log1p.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -637,11 +641,19 @@ def _tau_grid(
     A scan of SCAN_NODES nodes over (log tau_upper - LOG_TAU_SPAN,
     log tau_upper) brackets the nodes where f > max f - TAIL_DROP,
     widened by one scan node on each side within the scan; the grid has
-    GRID_NODES evenly spaced nodes over that bracket.
+    GRID_NODES evenly spaced nodes over that bracket. While the scan's
+    best node is its lowest, or f is finite on none of its nodes, the
+    scan extends down by another span of as many nodes, until its lowest
+    tau^2 would fall below the smallest normal float.
     """
     top = math.log(prior.tau_upper)
+    floor = 0.5 * math.log(sys.float_info.min)
     scan = np.linspace(top - LOG_TAU_SPAN, top, SCAN_NODES)
     values = collapsed.moments(scan)[0]
+    while values.argmax() == 0 and scan[0] - LOG_TAU_SPAN > floor:
+        below = np.linspace(scan[0] - LOG_TAU_SPAN, scan[0], SCAN_NODES)[:-1]
+        scan = np.concatenate([below, scan])
+        values = np.concatenate([collapsed.moments(below)[0], values])
     peak = values.max()
     if peak == -math.inf:
         raise SamplerError(
@@ -649,7 +661,7 @@ def _tau_grid(
             f"({scan[0]:.4g}, {top:.4g}) in log(tau)"
         )
     bulk = np.flatnonzero(values > peak - TAIL_DROP)
-    lo, hi = max(bulk[0] - 1, 0), min(bulk[-1] + 1, SCAN_NODES - 1)
+    lo, hi = max(bulk[0] - 1, 0), min(bulk[-1] + 1, scan.size - 1)
     nodes = np.linspace(scan[lo], scan[hi], GRID_NODES)
     values, means, _ = collapsed.moments(nodes)
     return nodes, values, means
@@ -746,6 +758,15 @@ def _independence_term(w_sq_new: float, w_sq: float, dim: int) -> float:
     return 0.5 * (nu + dim) * (math.log1p(w_sq_new / nu) - math.log1p(w_sq / nu))
 
 
+def _resume(run, value):
+    """Send ``value`` to a generator: what it yields next, or what it
+    returns."""
+    try:
+        return run.send(value)
+    except StopIteration as stop:
+        return stop.value
+
+
 def run_chain(
     assembled: AssembledDataset,
     config: McmcConfig,
@@ -773,6 +794,13 @@ def run_chain(
     proposal and 0 otherwise. The next ``config.burn_in`` iterations
     are discarded, and the rest are thinned into the draws.
 
+    Each chain's whole run, from its start to its output, is one
+    generator with its state in locals. It pauses where it needs the
+    batched work of the driver below: the log posterior, w and window of
+    its pending proposal, taken in one call per round for every chain
+    that has one, or the log posteriors and ws of its new block's
+    independence proposals, taken for every chain's block at once.
+
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its start, proposals, chi^2_nu draws and
     acceptance uniforms come from its own stream, the proposals taken in
@@ -795,289 +823,209 @@ def run_chain(
     mean = preconditioner.mean
     factor_t = preconditioner.factor.T
     inverse = np.linalg.inv(preconditioner.factor)  # R^-1
-    whiten = _LaneProduct(inverse, chains)
-    log_post = _LogPosterior(assembled, prior, chains)
-    streams = [_chain_rng(config.seed, k) for k in chains]
-    rngs = [rng for rng, _ in streams]
-
-    # Initial state: a draw of the approximation from each chain's own
-    # stream. A chain whose start is not finite draws again, up to
-    # INIT_RETRIES times.
-    state = np.empty((n_chains, dim))
-    current_lp = [math.nan] * n_chains
-    retry = list(range(n_chains))
-    with np.errstate(all="ignore"):
-        for _ in range(INIT_RETRIES):
-            for c in retry:
-                z = rngs[c].standard_normal(dim)
-                np.add(mean, z @ factor_t, out=state[c])
-            lps = log_post(state[:, :n_coeff], state[:, n_coeff])
-            for c in retry:
-                current_lp[c] = lps[c]
-            retry = [c for c in retry if not math.isfinite(current_lp[c])]
-            if not retry:
-                break
-    if retry:
-        raise SamplerError(
-            f"chain(s) {[chains[c] for c in retry]}: no finite starting "
-            f"point after {INIT_RETRIES} attempts"
-        )
-    offset = np.subtract(state, mean)
-    w = whiten(offset).copy()  # R^-1 (x - mu) of each chain's state
-    w_sq = np.add.reduce(w * w, axis=1).tolist()
-
-    # One log-scale per chain, moved by Robbins-Monro toward the target
-    # acceptance during the adapt phase, then frozen. A row per chain of
-    # ``scale`` scales its pending proposal's increment.
-    log_scale = [math.log(2.38 / math.sqrt(dim))] * n_chains
-    scale = np.zeros((n_chains, 1))
-
     period = INDEPENDENCE_PERIOD
-    block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
-    independence = _IndependenceBatch(
-        assembled, prior, chains, mean, inverse, -(-block // period)
-    )
+    block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per block
     ahead = np.arange(1, period)  # a window's rows after its start
-    normals = np.empty((n_chains, block, dim))
-    increments = np.empty((n_chains, block, dim))  # normals @ R'
-    uniforms = np.empty(block)
-    gammas = np.empty((n_chains, block))  # chi^2_nu / 2 of each iteration
-    squares = np.empty((block, dim))
-    log_u = [[]] * n_chains  # of each iteration of each chain's block
-    z_sq = [[]] * n_chains  # |z|^2, likewise
-    # Of each independence proposal of the blocks: its log posterior, its
-    # increment from mu, w, |w|^2, and the window that follows its
-    # acceptance.
-    independent = None
-    proposal = np.empty((n_chains, dim))
-    proposed = proposal[:, :n_coeff], proposal[:, n_coeff]
-    # A window's normals, with w last: one product gives w.z and |w|^2.
-    window_terms = np.empty((n_chains, period, dim))
-    flat_normals = normals.reshape(-1, dim)
-    flat_increments = increments.reshape(-1, dim)
-    taken = np.empty((n_chains, dim))
-    spans = np.empty((n_chains, period - 1), dtype=np.intp)
-    origins = np.arange(0, n_chains * block, block)  # of the chains' blocks
-    last = origins[:, None] + (block - 1)
-
-    draws = np.empty((n_chains, config.samples, dim))
-    adapt_accepted = [0] * n_chains
-    accepted = [0] * n_chains
-    independent_accepted = [0] * n_chains
-    nonfinite = [0] * n_chains
-    evaluations = [0] * n_chains
     adapt = config.adapt
     warm = adapt + config.burn_in
     thin = config.thin
-    total_iters = warm + config.samples * thin
+    total = warm + config.samples * thin
+    # Independence steps of the sampling phase, iterations warm..total - 1.
+    n_independent = total // period - warm // period
+    # Each chain's block of normals and its pending proposal, read by the
+    # driver's batched products, and scratch that a chain uses up
+    # between two of its yields.
+    normals = np.empty((n_chains, block, dim))
+    proposal = np.empty((n_chains, dim))
+    uniforms, gammas = np.empty(block), np.empty(block)
+    squares = np.empty((block, dim))
 
-    # Each chain keeps its own next iteration, since a screened-out
-    # proposal leaves its state in place; all draw their blocks together,
-    # once every chain has used up its own. A chain keeps its state's w
-    # and |w|^2 too, and a window of w.z for up to period - 1 iterations
-    # from ``since`` on, within its block. Draws are written when the
-    # state moves: ``recorded`` counts those written.
-    its = [0] * n_chains
-    end = 0  # the iteration after the blocks
-    spots = [0] * n_chains  # block positions of the pending proposals
-    at = np.zeros(n_chains, dtype=np.intp)  # their rows of flat_increments
-    screens = [0.0] * n_chains  # their r1
-    windows = [(0, [])] * n_chains  # (since, w.z per iteration)
-    recorded = [0] * n_chains
-
-    def draw_blocks(it: int) -> None:
-        nonlocal end, independent
-        for c, rng in enumerate(rngs):
-            # A fixed-shape product per chain: one product over all
-            # chains would round each chain's rows differently for each
-            # count.
-            rng.standard_normal(out=normals[c])
-            rng.random(out=uniforms)
-            rng.standard_gamma(0.5 * INDEPENDENCE_DOF, out=gammas[c])
-            np.matmul(normals[c], factor_t, out=increments[c])
-            log_u[c] = np.log(uniforms).tolist()
-            z_sq[c] = np.add.reduce(
-                np.multiply(normals[c], normals[c], out=squares), axis=1
-            ).tolist()
-        first = period - 1 - it % period  # the blocks' first independence step
-        starts = np.arange(first, min(block, total_iters - it), period)
-        # Multivariate t: R z stretched by sqrt(nu / chi^2_nu).
-        stretch = np.sqrt(INDEPENDENCE_DOF / (2.0 * gammas[:, starts]))
-        jumps = increments[:, starts] * stretch[:, :, None]
-        lps, ws, ws_sq = independence(jumps)
-        spans = np.minimum(starts[:, None] + ahead, block - 1)
-        terms = normals[:, spans]  # (chains, steps, period - 1, dim)
-        np.multiply(terms, ws.transpose(1, 0, 2)[:, :, None, :], out=terms)
-        after = np.add.reduce(terms, axis=3).tolist()
-        # The last window may end with the block.
-        room = block - 1 - int(starts[-1]) if starts.size else period
-        if room < period - 1:
-            for windows_of_chain in after:
-                windows_of_chain[-1] = windows_of_chain[-1][:room]
-        independent = (lps.T.tolist(), jumps, ws, ws_sq.T.tolist(), after)
-        end = it + block
-
-    def record(c: int, it: int) -> None:
-        # The state before iteration ``it`` is the draw of every sampling
-        # iteration before it.
-        done = max(0, it - warm) // thin
-        if done > recorded[c]:
-            draws[c, recorded[c] : done] = state[c]
-            recorded[c] = done
-
-    def independence_step(c: int, it: int, j: int) -> None:
-        lps, jumps, ws, ws_sq, after = independent
-        k = j // period
-        lp = lps[c][k]
-        ratio = lp - current_lp[c]
-        ratio += _independence_term(ws_sq[c][k], w_sq[c], dim)
-        if it >= adapt:
-            evaluations[c] += 1
-        # A NaN ratio fails this test, so its proposal is rejected; it is
-        # counted.
-        if log_u[c][j] < ratio:
-            record(c, it)
-            np.add(mean, jumps[c, k], out=state[c])
-            current_lp[c] = lp
-            w[c] = ws[k, c]
-            w_sq[c] = ws_sq[c][k]
-            windows[c] = (it + 1, after[c][k])
-            if it < adapt:
-                adapt_accepted[c] += 1
-            elif it >= warm:
-                accepted[c] += 1
-                independent_accepted[c] += 1
-        elif ratio != ratio:
-            nonfinite[c] += 1
-        its[c] = it + 1
-
-    with np.errstate(all="ignore"):
-        while True:
-            # Bring every chain to its next random-walk proposal that
-            # passes the screen, or to the end of its block.
-            stop = min(end, total_iters)
-            for c in range(n_chains):
-                it = its[c]
-                lus, zs = log_u[c], z_sq[c]
-                ls = log_scale[c]
-                s = math.exp(ls)
-                half_s_sq = 0.5 * s * s
-                since, dots = windows[c]
-                while it < stop:
-                    j = it - end + block
-                    if (it + 1) % period == 0:
-                        independence_step(c, it, j)
-                        since, dots = windows[c]
-                        it += 1
-                        continue
+    def chain(c: int, rng: np.random.Generator, seed_used: int):
+        """Chain c's run. For its pending proposal, in ``proposal[c]``,
+        it yields the row of the proposal's normals in ``normals``
+        flattened, and is sent the proposal's log posterior, w and
+        window (w.z for the next period - 1 rows, then |w|^2). With a
+        new block drawn it yields the block's independence increments,
+        and is sent their log posteriors, ws and |w|^2. It returns its
+        output, or None where it finds no finite start."""
+        origin, row = c * block, proposal[c]
+        for _ in range(INIT_RETRIES):
+            np.add(mean, rng.standard_normal(dim) @ factor_t, out=row)
+            lp, w_new, window = yield origin
+            if math.isfinite(lp):
+                break
+        else:
+            return None
+        # The state, with lp, w = R^-1 (x - mu) and |w|^2 of it.
+        state, w, w_sq = row.copy(), w_new.copy(), window[-1]
+        # One log-scale, moved by Robbins-Monro toward the target
+        # acceptance during the adapt phase, then frozen.
+        ls = math.log(2.38 / math.sqrt(dim))
+        s = math.exp(ls)
+        half_s_sq = 0.5 * s * s
+        own, increments = normals[c], np.empty((block, dim))
+        draws = np.empty((config.samples, dim))
+        recorded = accepted = adapt_accepted = independent_accepted = 0
+        nonfinite = evaluations = 0
+        for first in range(0, total, block):
+            rng.standard_normal(out=own)
+            log_u = np.log(rng.random(out=uniforms)).tolist()
+            rng.standard_gamma(0.5 * INDEPENDENCE_DOF, out=gammas)
+            # A product of one chain's fixed shape: one over all chains
+            # would round each chain's rows differently for each count.
+            np.matmul(own, factor_t, out=increments)
+            z_sq = np.add.reduce(np.multiply(own, own, out=squares), axis=1).tolist()
+            size = min(block, total - first)
+            steps = np.arange(period - 1 - first % period, size, period)
+            # Multivariate t: R z stretched by sqrt(nu / chi^2_nu).
+            jumps = increments[steps] * np.sqrt(
+                INDEPENDENCE_DOF / (2.0 * gammas[steps])
+            )[:, None]
+            lps, ws, ws_sq = yield jumps
+            targets = mean + jumps
+            # The window that follows each independence proposal.
+            terms = own[np.minimum(steps[:, None] + ahead, block - 1)]
+            np.multiply(terms, ws[:, None, :], out=terms)
+            windows = np.add.reduce(terms, axis=2).tolist()
+            # A window holds w.z for up to period - 1 iterations from
+            # ``since`` on; none outlives its block.
+            since, dots = first, []
+            for j in range(size):
+                it = first + j
+                if (it + 1) % period == 0:
+                    k = j // period
+                    lp_new = lps[k]
+                    ratio = lp_new - lp + _independence_term(ws_sq[k], w_sq, dim)
+                    # A NaN ratio fails this test, so its proposal is
+                    # rejected; it is counted.
+                    move = log_u[j] < ratio
+                    target, w_new = targets[k], ws[k]
+                    w_sq_new, window = ws_sq[k], windows[k]
+                    if move and it >= warm:
+                        independent_accepted += 1
+                else:
                     k = it - since
                     if not 0 <= k < len(dots):
                         since, k = it, 0
                         dots = np.add.reduce(
                             np.multiply(
-                                normals[c, j : j + period - 1], w[c],
+                                own[j : j + period - 1], w,
                                 out=squares[: min(period - 1, block - j)],
                             ),
                             axis=1,
                         ).tolist()
-                        windows[c] = (since, dots)
                     # The screen: log q(x') - log q(x), q the
                     # approximation. log u < 0, so the test is
                     # log u < min(0, r1).
-                    r1 = -(s * dots[k] + half_s_sq * zs[j])
-                    if lus[j] < r1:
-                        screens[c] = r1
-                        spots[c] = j
-                        scale[c, 0] = s
-                        break
+                    r1 = -(s * dots[k] + half_s_sq * z_sq[j])
+                    evaluated = move = log_u[j] < r1
+                    if evaluated:
+                        np.multiply(increments[j], s, out=row)
+                        row += state
+                        lp_new, w_new, window = yield origin + j
+                        ratio = lp_new - lp - r1
+                        # The test is log u < min(0, r1) + min(0, ratio);
+                        # a NaN ratio fails it, so its proposal is
+                        # rejected, and is counted.
+                        move = log_u[j] < (r1 if r1 < 0.0 else 0.0) + (
+                            0.0 if ratio >= 0.0 else ratio
+                        )
+                        target, w_sq_new, window = row, window[-1], window[:-1]
                     if it < adapt:  # a screened-out proposal scores 0
-                        ls += (10.0 + it) ** -0.6 * -TARGET_ACCEPT
+                        ls += (10.0 + it) ** -0.6 * (
+                            (1.0 if move else 0.0) - TARGET_ACCEPT
+                        )
                         s = math.exp(ls)
                         half_s_sq = 0.5 * s * s
-                    it += 1
-                its[c] = it
-                log_scale[c] = ls
-            pending = [c for c in range(n_chains) if its[c] < stop]
-            if not pending:
-                if stop == total_iters:
-                    break
-                draw_blocks(stop)
-                continue
-
-            np.add(origins, spots, out=at)
-            picked = flat_increments.take(at, axis=0, out=taken, mode="clip")
-            np.multiply(picked, scale, out=proposal)
-            proposal += state
-            lps = log_post(*proposed)
-            # w, |w|^2 and the next window of each proposal, should it be
-            # accepted.
-            w_new = whiten(np.subtract(proposal, mean, out=offset))
-            np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
-            flat_normals.take(spans, axis=0, out=window_terms[:, :-1], mode="clip")
-            window_terms[:, -1] = w_new
-            np.multiply(window_terms, w_new[:, None, :], out=window_terms)
-            after = np.add.reduce(window_terms, axis=2).tolist()
-            for c in pending:
-                it = its[c]
-                j = spots[c]
-                lp = lps[c]
-                r1 = screens[c]
-                r2 = lp - current_lp[c] - r1
+                    if not evaluated:
+                        continue
                 if it >= adapt:
-                    evaluations[c] += 1
-                # The test is log u < min(0, r1) + min(0, r2); a NaN r2
-                # fails it, so its proposal is rejected, and is counted.
-                move = log_u[c][j] < (r1 if r1 < 0.0 else 0.0) + (
-                    0.0 if r2 >= 0.0 else r2
-                )
+                    evaluations += 1
                 if move:
-                    record(c, it)
+                    # The state before iteration it is the draw of every
+                    # sampling iteration before it.
+                    if it > warm:
+                        done = (it - warm) // thin
+                        draws[recorded:done] = state
+                        recorded = done
+                    state[:] = target
+                    lp, w_sq = lp_new, w_sq_new
+                    w[:] = w_new
+                    since, dots = it + 1, window
                     if it < adapt:
-                        adapt_accepted[c] += 1
+                        adapt_accepted += 1
                     elif it >= warm:
-                        accepted[c] += 1
-                    state[c] = proposal[c]
-                    current_lp[c] = lp
-                    w[c] = w_new[c]
-                    w_sq[c] = after[c][-1]
-                    # The window ends with the block.
-                    windows[c] = (it + 1, after[c][: min(period, block - j) - 1])
-                elif r2 != r2:
-                    nonfinite[c] += 1
-                if it < adapt:
-                    log_scale[c] += (10.0 + it) ** -0.6 * (
-                        (1.0 if move else 0.0) - TARGET_ACCEPT
-                    )
-                its[c] = it + 1
-
-    for c in range(n_chains):
-        record(c, total_iters)
-    assert recorded == [config.samples] * n_chains
-    np.exp(draws[:, :, n_coeff], out=draws[:, :, n_coeff])
-    # Independence steps of the sampling phase, iterations warm..total - 1.
-    n_independent = (
-        total_iters // INDEPENDENCE_PERIOD - warm // INDEPENDENCE_PERIOD
-    )
-    return [
-        ChainOutput(
-            chain_index=k,
-            draws=draws[c],
+                        accepted += 1
+                elif ratio != ratio:
+                    nonfinite += 1
+        draws[recorded:] = state
+        np.exp(draws[:, n_coeff], out=draws[:, n_coeff])
+        return ChainOutput(
+            chain_index=chains[c],
+            draws=draws,
             parameter_names=assembled.parameter_names,
-            accept_rate=accepted[c] / (config.samples * config.thin),
+            accept_rate=accepted / (config.samples * thin),
             seed_used=seed_used,
-            proposal_log_scale=log_scale[c],
-            nonfinite_rejections=nonfinite[c],
-            adapt_accept_rate=(
-                adapt_accepted[c] / config.adapt if config.adapt else math.nan
-            ),
+            proposal_log_scale=ls,
+            nonfinite_rejections=nonfinite,
+            adapt_accept_rate=adapt_accepted / adapt if adapt else math.nan,
             independence_accept_rate=(
-                independent_accepted[c] / n_independent if n_independent
+                independent_accepted / n_independent if n_independent
                 else math.nan
             ),
-            density_evaluations=evaluations[c],
+            density_evaluations=evaluations,
         )
-        for c, (k, (_, seed_used)) in enumerate(zip(chains, streams))
-    ]
+
+    # The driver: one batched evaluation per round carries the pending
+    # proposal of every chain that has one, and once every chain has
+    # drawn its next block, one batch carries their independence
+    # proposals.
+    runs = [chain(c, *_chain_rng(config.seed, k)) for c, k in enumerate(chains)]
+    log_post = _LogPosterior(assembled, prior, chains)
+    whiten = _LaneProduct(inverse, chains)
+    independence = _IndependenceBatch(
+        assembled, prior, chains, mean, inverse, -(-block // period)
+    )
+    offset = np.empty((n_chains, dim))
+    # A window's normals, with w last: one product gives w.z and |w|^2.
+    window_terms = np.empty((n_chains, period, dim))
+    flat_normals = normals.reshape(-1, dim)
+    at = np.zeros(n_chains, dtype=np.intp)  # rows of the pending proposals
+    spans = np.empty((n_chains, period - 1), dtype=np.intp)
+    last = np.arange(block - 1, n_chains * block, block)[:, None]
+
+    # What each chain waits for: the row of its pending proposal, its
+    # block's independence increments, or nothing more (its output).
+    with np.errstate(all="ignore"):
+        requests = [_resume(run, None) for run in runs]
+        while True:
+            pending = [c for c, r in enumerate(requests) if type(r) is int]
+            if pending:
+                for c in pending:
+                    at[c] = requests[c]
+                lps = log_post(proposal[:, :n_coeff], proposal[:, n_coeff])
+                w_new = whiten(np.subtract(proposal, mean, out=offset))
+                np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
+                flat_normals.take(spans, axis=0, out=window_terms[:, :-1], mode="clip")
+                window_terms[:, -1] = w_new
+                np.multiply(window_terms, w_new[:, None, :], out=window_terms)
+                after = np.add.reduce(window_terms, axis=2).tolist()
+                for c in pending:
+                    requests[c] = _resume(runs[c], (lps[c], w_new[c], after[c]))
+                failed = [chains[c] for c in pending if requests[c] is None]
+                if failed:
+                    raise SamplerError(
+                        f"chain(s) {failed}: no finite starting point after "
+                        f"{INIT_RETRIES} attempts"
+                    )
+            elif isinstance(requests[0], ChainOutput):
+                return requests
+            else:
+                lps, ws, ws_sq = independence(np.stack(requests))
+                for c, run in enumerate(runs):
+                    requests[c] = _resume(
+                        run, (lps[:, c].tolist(), ws[:, c], ws_sq[:, c].tolist())
+                    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1146,6 +1146,19 @@ def test_diagnose_of_one_chain_deletes_the_fits_trace(data_file, tmp_path, capsy
     assert not (out / "rhat_trace.tsv").exists()
 
 
+def test_diagnose_accepts_the_run_of_one_chain_and_one_draw(
+    data_file, tmp_path, capsys
+):
+    # fit allows one draw when one chain runs, so diagnose does too.
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out, chains=1, samples=1)) == 0
+    written = (out / "summary.tsv").read_bytes()
+    capsys.readouterr()
+
+    assert main(["diagnose", "--run", str(out)]) == 0
+    assert (out / "summary.tsv").read_bytes() == written
+
+
 def _delete_copies(out):
     for copy in (out / "chains").glob("*.npz"):
         copy.unlink()

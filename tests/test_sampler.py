@@ -713,6 +713,48 @@ def test_preconditioner_refuses_a_density_finite_nowhere():
         sampler.precondition(assembled, PriorSpec())
 
 
+def with_scaled_outcomes(dataset, k):
+    """The dataset with every outcome times k and every variance times
+    k^2, whose posterior of tau is that of the dataset times k."""
+    def trial(t):
+        observations = tuple(
+            dataclasses.replace(o, y=o.y * k, v=o.v * k * k)
+            for o in t.observations
+        )
+        variances = None if t.ref_change_var is None else {
+            c: v * k * k for c, v in t.ref_change_var.items()
+        }
+        return dataclasses.replace(
+            t, observations=observations, ref_change_var=variances
+        )
+
+    return dataclasses.replace(
+        dataset, trials=tuple(trial(t) for t in dataset.trials)
+    )
+
+
+@pytest.mark.parametrize("tau_upper, k", [
+    (1e12, 1.0), (1e20, 1.0), (1e200, 1.0), (5.0, 1e-14),
+])
+def test_preconditioner_finds_a_posterior_far_below_tau_upper(tau_upper, k):
+    # The bulk of f lies more than LOG_TAU_SPAN below log tau_upper, or
+    # f is not finite at the top of the scan (tau^2 overflows at 1e200).
+    # The approximation must match that of tau_upper = 5 on the
+    # unscaled outcomes, its mode moved by log k: within 0.01 s for the
+    # mode and 1 % for s. The bounds were fixed before the first run.
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    want = sampler.precondition(assemble(centered), PriorSpec())
+    got = sampler.precondition(
+        assemble(with_scaled_outcomes(centered, k)),
+        PriorSpec(tau_upper=tau_upper),
+    )
+    s = want.log_tau_sd
+    assert s < 1.0
+    shift = math.log(got.tau_mode) - math.log(want.tau_mode) - math.log(k)
+    assert abs(shift) <= 0.01 * s
+    assert got.log_tau_sd == pytest.approx(s, rel=0.01)
+
+
 def test_unadapted_chain_keeps_the_initial_scale():
     assembled = assemble(centered_basic_dataset())
     config = small_config(adapt=0, burn_in=0, samples=50)
@@ -1060,6 +1102,19 @@ def test_run_chain_matches_reference_loop_with_nan_densities():
     assert_same_chains(
         got, reference_run_chain(assembled, config, PriorSpec(), [0])
     )
+
+
+def test_run_chain_ignores_an_outer_errstate():
+    # The NaN densities of the eigenvalue -0.2 raise under an outer
+    # errstate unless every step of every chain runs in run_chain's own.
+    config = small_config(adapt=500, burn_in=0, samples=2000)
+    assembled = assemble(centered_basic_dataset())
+    assembled.stacked_eigenvalues[0] = -0.2
+    plain = run_chain(assembled, config, PriorSpec(), [0, 1])
+    with np.errstate(all="raise"):
+        got = run_chain(assembled, config, PriorSpec(), [0, 1])
+    assert all(chain.nonfinite_rejections > 0 for chain in got)
+    assert_same_chains(got, plain)
 
 
 @settings(max_examples=40, deadline=None)
