@@ -136,6 +136,7 @@ DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 INDEPENDENCE_PERIOD = 4  # every this many iterations, an independence step
 INDEPENDENCE_DOF = 5  # degrees of freedom of the independence proposals
 BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
+FILL_ROWS = 2048  # rows of draws filled in at a time at the end of a chain
 
 
 class SamplerError(Exception):
@@ -758,6 +759,18 @@ def _independence_term(w_sq_new: float, w_sq: float, dim: int) -> float:
     return 0.5 * (nu + dim) * (math.log1p(w_sq_new / nu) - math.log1p(w_sq / nu))
 
 
+def _fill_forward(rows: np.ndarray, marked: bytearray) -> None:
+    """Set each row whose entry of ``marked`` is 0 to the last marked
+    row before it, in place; row 0 is marked. Chunks of FILL_ROWS rows
+    keep the temporary small."""
+    marks = np.frombuffer(marked, dtype=np.bool_)
+    source = np.where(marks, np.arange(marks.size), 0)
+    np.maximum.accumulate(source, out=source)
+    for lo in range(0, marks.size, FILL_ROWS):
+        # Every source row lies before lo or is marked, so it is final.
+        rows[lo : lo + FILL_ROWS] = rows[source[lo : lo + FILL_ROWS]]
+
+
 def _resume(run, value):
     """Send ``value`` to a generator: what it yields next, or what it
     returns."""
@@ -856,16 +869,21 @@ def run_chain(
                 break
         else:
             return None
+        # Each move writes its state to the draw it holds from on, and
+        # marks that draw; draw 0 holds the state through the warm-up.
+        # The draws in between repeat the marked one before them.
+        draws = np.empty((config.samples, dim))
+        marked = bytearray(config.samples)
+        draws[0], marked[0] = row, 1
         # The state, with lp, w = R^-1 (x - mu) and |w|^2 of it.
-        state, w, w_sq = row.copy(), w_new.copy(), window[-1]
+        state, w, w_sq = draws[0], w_new.copy(), window[-1]
         # One log-scale, moved by Robbins-Monro toward the target
         # acceptance during the adapt phase, then frozen.
         ls = math.log(2.38 / math.sqrt(dim))
         s = math.exp(ls)
         half_s_sq = 0.5 * s * s
         own, increments = normals[c], np.empty((block, dim))
-        draws = np.empty((config.samples, dim))
-        recorded = accepted = adapt_accepted = independent_accepted = 0
+        accepted = adapt_accepted = independent_accepted = 0
         nonfinite = evaluations = 0
         for first in range(0, total, block):
             rng.standard_normal(out=own)
@@ -881,6 +899,9 @@ def run_chain(
             jumps = increments[steps] * np.sqrt(
                 INDEPENDENCE_DOF / (2.0 * gammas[steps])
             )[:, None]
+            # w may be a row of the last block's ws, which the driver
+            # overwrites.
+            w = w.copy()
             lps, ws, ws_sq = yield jumps
             targets = mean + jumps
             # The window that follows each independence proposal.
@@ -931,6 +952,8 @@ def run_chain(
                             0.0 if ratio >= 0.0 else ratio
                         )
                         target, w_sq_new, window = row, window[-1], window[:-1]
+                        if move:  # the driver overwrites w_new next round
+                            w_new = w_new.copy()
                     if it < adapt:  # a screened-out proposal scores 0
                         ls += (10.0 + it) ** -0.6 * (
                             (1.0 if move else 0.0) - TARGET_ACCEPT
@@ -943,14 +966,12 @@ def run_chain(
                     evaluations += 1
                 if move:
                     # The state before iteration it is the draw of every
-                    # sampling iteration before it.
-                    if it > warm:
-                        done = (it - warm) // thin
-                        draws[recorded:done] = state
-                        recorded = done
-                    state[:] = target
+                    # sampling iteration before it, so the new one is the
+                    # draw of iteration it on.
+                    at = (it - warm) // thin if it > warm else 0
+                    draws[at], marked[at] = target, 1
+                    state, w = draws[at], w_new
                     lp, w_sq = lp_new, w_sq_new
-                    w[:] = w_new
                     since, dots = it + 1, window
                     if it < adapt:
                         adapt_accepted += 1
@@ -958,7 +979,7 @@ def run_chain(
                         accepted += 1
                 elif ratio != ratio:
                     nonfinite += 1
-        draws[recorded:] = state
+        _fill_forward(draws, marked)
         np.exp(draws[:, n_coeff], out=draws[:, n_coeff])
         return ChainOutput(
             chain_index=chains[c],
