@@ -54,6 +54,7 @@ from .sampler import (
     Preconditioner,
     PriorSpec,
     SamplerError,
+    TauGrid,
     assemble,
     log_likelihood_marginal,
     precondition,
@@ -102,6 +103,7 @@ __all__ = [
     "SamplerError",
     "AssembledDataset",
     "Preconditioner",
+    "TauGrid",
     "McmcRun",
     "assemble",
     "log_likelihood_marginal",

@@ -55,7 +55,13 @@ from .diagnostics import (
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
-from .sampler import McmcConfig, PriorSpec, SamplerError, sample_posterior
+from .sampler import (
+    DEFENSIVE_WEIGHT,
+    McmcConfig,
+    PriorSpec,
+    SamplerError,
+    sample_posterior,
+)
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = ["main", "cmd_validate", "cmd_fit", "cmd_simulate", "cmd_diagnose"]
@@ -354,7 +360,7 @@ def cmd_fit(args) -> int:
         dataset, centering = center_covariates(dataset)
 
     run = sample_posterior(dataset, config, prior)
-    chains = run.chains
+    chains, pre = run.chains, run.preconditioner
     written = []
     for chain in chains:
         rel = _chain_file(chain)
@@ -373,9 +379,14 @@ def cmd_fit(args) -> int:
         "zeroed_eigenvalues": run.zeroed_eigenvalues,
         "weakly_identified": list(run.weak_coefficients),
         "preconditioner": {
-            "tau_mode": run.preconditioner.tau_mode,
-            "log_tau_sd": run.preconditioner.log_tau_sd,
-            "condition_number": run.preconditioner.condition_number,
+            "tau_mode": pre.tau_mode,
+            "log_tau_sd": pre.log_tau_sd,
+            "condition_number": pre.condition_number,
+            # The tau grid the independence proposals are drawn from.
+            "grid_nodes": int(pre.grid.nodes.size),
+            "grid_log_tau": [float(pre.grid.nodes[0]), float(pre.grid.nodes[-1])],
+            "grid_spacing_sd": pre.grid.spacing / pre.log_tau_sd,
+            "defensive_weight": DEFENSIVE_WEIGHT,
         },
         "chains": [
             {

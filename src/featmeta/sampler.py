@@ -32,15 +32,21 @@ The chains cycle through two Metropolis-Hastings kernels, fixed by the
 iteration index; a fixed cycle of kernels that each leave the posterior
 invariant leaves it invariant too (Tierney 1994). Each chain starts at
 a draw of the approximation. Every INDEPENDENCE_PERIOD-th iteration is
-an independence step: each chain proposes mu + R z sqrt(nu / g), with
-z standard normal, g a chi^2_nu draw and nu = INDEPENDENCE_DOF, whatever
-its state. That is a draw of the multivariate t with centre mu and
-scale R R', and the chain accepts it with the ratio that corrects for
-the t density. An independence sampler is uniformly ergodic only when
-pi / q is bounded (Mengersen & Tweedie 1996); the t's polynomial tails
-keep the ratio bounded where the Gaussian's would be too light. The
-approximation is close to the posterior on well-identified data, so
-these steps are accepted often, and each accepted one is about a fresh
+an independence step: each chain proposes a draw of the mixture
+q = (1 - eps) q_grid + eps q_t, eps = DEFENSIVE_WEIGHT, whatever its
+state, and accepts it with the ratio that corrects for q. q_grid is the
+exact posterior on the tau grid the approximation is read off (Rue,
+Martino & Chopin 2009): node n with probability w_n, proportional to
+exp f(u_n), u uniform on the node's cell of width h, and c from the
+conditional N(m_n, Lambda_n^-1) at the node. q_t is the multivariate t
+with centre mu, scale R R' and nu = INDEPENDENCE_DOF degrees of
+freedom: mu + R z sqrt(nu / g), with z standard normal and g a
+chi^2_nu draw. An independence sampler is uniformly ergodic only when
+pi / q is bounded (Mengersen & Tweedie 1996). q_grid is 0 outside the
+grid and flat in u within a cell, and the defensive t component, whose
+tails are polynomial, keeps the ratio bounded (Hesterberg 1995). On
+well-identified data q_grid is close to the posterior, so these steps
+are accepted almost always, and each accepted one is about a fresh
 draw.
 
 The other iterations are random-walk steps: each chain proposes
@@ -68,7 +74,13 @@ Golightly 2021), and the independence steps carry the mixing.
 
 Every chain draws from its own random stream, a block of iterations at
 a time: the block's normals, then its uniforms, then one chi^2_nu draw
-per iteration. Each chain's whole run is one sequential generator, its
+per iteration, then three uniforms per iteration that pick the
+mixture's component, the node and the place in its cell. A chain builds
+its block's independence proposals at once, and their log q_grid with
+them: that of a grid proposal is read off its normals, since
+L_n' (c - m_n) = z. It keeps log q of its state; a state a random-walk
+step moved gets its log q when an independence step next needs it.
+Each chain's whole run is one sequential generator, its
 state in locals. It steps on its own through the iterations whose
 proposals the screen turns away, which leave its state in place, and
 pauses at the next proposal that passes the screen; a short driver
@@ -90,7 +102,7 @@ counters) are Python floats and ints, since a numpy call on a handful
 of values costs more than the arithmetic; each is formed with the same
 IEEE operations in the same order, so the draws are those of an
 all-numpy loop bit for bit. The scales are taken with math.exp and the
-t density's terms with math.log1p.
+mixture's terms with math.log1p and math.exp.
 """
 
 from __future__ import annotations
@@ -114,6 +126,7 @@ __all__ = [
     "ChainOutput",
     "AssembledDataset",
     "Preconditioner",
+    "TauGrid",
     "McmcRun",
     "assemble",
     "log_likelihood_marginal",
@@ -134,7 +147,8 @@ WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 INDEPENDENCE_PERIOD = 4  # every this many iterations, an independence step
-INDEPENDENCE_DOF = 5  # degrees of freedom of the independence proposals
+INDEPENDENCE_DOF = 5  # degrees of freedom of the t component
+DEFENSIVE_WEIGHT = 1 / 16  # weight of the t component of the proposals
 BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
 FILL_ROWS = 2048  # rows of draws filled in at a time at the end of a chain
 
@@ -217,8 +231,8 @@ class ChainOutput:
     unknown or with no adaptation.
     ``independence_accept_rate`` is the acceptance rate of the
     independence steps of the sampling phase alone, which is low where
-    the Laplace approximation is poor, and is NaN where unknown or where
-    the phase has none.
+    their proposals fit the posterior poorly, and is NaN where unknown
+    or where the phase has none.
     ``density_evaluations`` counts the log-posterior evaluations after
     adaptation, independence steps included, and is -1 where unknown.
     """
@@ -495,8 +509,7 @@ class _LogPosterior:
 
 class _IndependenceBatch:
     """The log posterior, w = R^-1 (x' - mu) and |w|^2 of the independence
-    proposals x' = mu + d of a set of chains, for increments d, up to
-    ``steps`` of each at a time.
+    proposals x' of a set of chains, up to ``steps`` of each at a time.
 
     They do not depend on the chains' states, so a block's are evaluated
     together when it is drawn: the log posteriors in batches whose
@@ -530,15 +543,12 @@ class _IndependenceBatch:
         self.proposals = np.tile(mean, (steps, len(chains), 1))
         self.rows = per_batch * len(chains)
 
-    def __call__(self, increments: np.ndarray):
-        """For (chains, steps, dim) ``increments``, the log posteriors and
-        |w|^2 of mean + each, (steps, chains) arrays, and their ws, a
-        (steps, chains, dim) array."""
-        n_chains, n_steps, dim = increments.shape
-        np.add(
-            self.mean, increments.transpose(1, 0, 2),
-            out=self.proposals[:n_steps],
-        )
+    def __call__(self, proposals: np.ndarray):
+        """For (chains, steps, dim) ``proposals``, their log posteriors
+        and |w|^2, (steps, chains) arrays, and their ws, a (steps, chains,
+        dim) array."""
+        n_chains, n_steps, dim = proposals.shape
+        self.proposals[:n_steps] = proposals.transpose(1, 0, 2)
         flat = self.proposals.reshape(-1, dim)
         lps = []
         for lo in range(0, n_steps * n_chains, self.rows):
@@ -633,11 +643,32 @@ def _cholesky(matrices: np.ndarray) -> np.ndarray:
         return out
 
 
-def _tau_grid(
-    collapsed: _Collapsed, prior: PriorSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes u over the bulk of f, with f and the mean of c | tau, y at
-    each.
+@dataclass(frozen=True, eq=False)
+class TauGrid:
+    """The collapsed posterior on evenly spaced nodes u of log(tau).
+
+    ``nodes`` holds the nodes u_n and ``log_density`` f at each, -inf
+    where f is not finite. ``weights`` are exp(f_n - max f) normalised
+    to sum to 1, so 0 where f is -inf. ``means`` holds the mean m_n of
+    c | tau, y at each node and ``factors`` the lower Cholesky factor
+    L_n of its precision Lambda_n, both NaN where f is -inf.
+    """
+
+    nodes: np.ndarray
+    log_density: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    factors: np.ndarray
+
+    @property
+    def spacing(self) -> float:
+        """The spacing h of the nodes."""
+        return float((self.nodes[-1] - self.nodes[0]) / (self.nodes.size - 1))
+
+
+def _tau_grid(collapsed: _Collapsed, prior: PriorSpec) -> TauGrid:
+    """Nodes u over the bulk of f, with f, its normalised weights and the
+    moments of c | tau, y at each.
 
     A scan of SCAN_NODES nodes over (log tau_upper - LOG_TAU_SPAN,
     log tau_upper) brackets the nodes where f > max f - TAIL_DROP,
@@ -664,8 +695,9 @@ def _tau_grid(
     bulk = np.flatnonzero(values > peak - TAIL_DROP)
     lo, hi = max(bulk[0] - 1, 0), min(bulk[-1] + 1, scan.size - 1)
     nodes = np.linspace(scan[lo], scan[hi], GRID_NODES)
-    values, means, _ = collapsed.moments(nodes)
-    return nodes, values, means
+    values, means, factors = collapsed.moments(nodes)
+    weights = np.exp(values - values.max())
+    return TauGrid(nodes, values, weights / weights.sum(), means, factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,7 +713,9 @@ class Preconditioner:
     Cholesky factor R and ``condition_number`` its 2-norm condition
     number. ``mean`` is its centre, the mean of c | tau, y at the mode
     followed by the mode u. ``conditional_sd`` is the sd of each
-    coefficient given tau at the mode.
+    coefficient given tau at the mode. ``grid`` is the tau grid the
+    approximation is read off, from which the independence proposals
+    are drawn.
     """
 
     mean: np.ndarray
@@ -690,6 +724,7 @@ class Preconditioner:
     log_tau_sd: float
     condition_number: float
     conditional_sd: np.ndarray
+    grid: TauGrid
 
 
 def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditioner:
@@ -704,7 +739,8 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
     s is 1 and g is zero. Lambda(u)^-1 and the centre are taken at u.
     """
     collapsed = _Collapsed(assembled, prior)
-    nodes, values, means = _tau_grid(collapsed, prior)
+    grid = _tau_grid(collapsed, prior)
+    nodes, values, means = grid.nodes, grid.log_density, grid.means
     k = assembled.n_coefficients
     best = int(np.argmax(values))
     mode, sd, slope = float(nodes[best]), 1.0, np.zeros(k)
@@ -741,6 +777,7 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
         log_tau_sd=sd,
         condition_number=float(np.linalg.cond(sigma)),
         conditional_sd=np.sqrt(np.diagonal(cov)),
+        grid=grid,
     )
 
 
@@ -750,13 +787,117 @@ def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditione
 # ---------------------------------------------------------------------------
 
 
-def _independence_term(w_sq_new: float, w_sq: float, dim: int) -> float:
-    """log q(x) - log q(x') for the density q of the independence
-    proposals, the multivariate t with centre mu, scale R R' and
-    INDEPENDENCE_DOF degrees of freedom, from |w'|^2 and |w|^2 of
-    w = R^-1 (x - mu)."""
-    nu = INDEPENDENCE_DOF
-    return 0.5 * (nu + dim) * (math.log1p(w_sq_new / nu) - math.log1p(w_sq / nu))
+class _IndependenceProposal:
+    """The proposal q = (1 - eps) q_grid + eps q_t of the independence
+    steps, eps = DEFENSIVE_WEIGHT, and its log density.
+
+    q_grid draws from the tau grid of the approximation: node n with
+    probability w_n, u uniform on its cell [u_n - h/2, u_n + h/2) and
+    c = m_n + L_n^-T z. Its density is w_n / h N(c; m_n, Lambda_n^-1) in
+    the cell of node n and 0 outside the cells. q_t, the multivariate t
+    with centre mu, scale R R' and nu = INDEPENDENCE_DOF degrees of
+    freedom, keeps pi / q bounded (Hesterberg 1995). A block's proposals
+    get their log q_grid from their normals and their log q by numpy
+    (``draw``, ``log_q_block``); a single state gets its log q_grid from
+    its u and its log q by ``math`` (``log_grid_at``, ``log_q``). The
+    two routes differ in rounding alone.
+    """
+
+    def __init__(self, preconditioner: Preconditioner):
+        grid = preconditioner.grid
+        self.mean = preconditioner.mean
+        dim = self.mean.size
+        k = dim - 1
+        keep = grid.weights > 0.0
+        cdf = np.cumsum(grid.weights)
+        self.cdf = cdf / cdf[-1]  # ends at 1, so every draw finds a node
+        self.nodes, self.size = grid.nodes, grid.nodes.size
+        self.origin, self.spacing = float(grid.nodes[0]), grid.spacing
+        # Where the weight is 0, finite stand-ins for the NaN moments.
+        lower = np.where(keep[:, None, None], grid.factors, np.eye(k))
+        self.means = np.where(keep[:, None], grid.means, 0.0)
+        upper = np.ascontiguousarray(lower.transpose(0, 2, 1))  # L_n'
+        self.roots = np.linalg.inv(upper)  # L_n^-T
+        # L_n' (c - m_n) = [L_n' 0] x - L_n' m_n for a state x = (c, u).
+        self.upper = np.concatenate([upper, np.zeros((self.size, k, 1))], axis=2)
+        self.shifts = np.matmul(upper, self.means[:, :, None])[:, :, 0]
+        # log(w_n / h) + log det L_n - k/2 log(2 pi), -inf where w_n = 0.
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(grid.weights)
+        log_det = np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+        self.consts = (
+            log_weights - math.log(self.spacing) + log_det
+            - 0.5 * k * math.log(2.0 * math.pi)
+        )
+        self.const_list = self.consts.tolist()
+        nu = INDEPENDENCE_DOF
+        self.half_nu_dim = 0.5 * (nu + dim)
+        self.t_const = (
+            math.lgamma(0.5 * (nu + dim)) - math.lgamma(0.5 * nu)
+            - 0.5 * dim * math.log(nu * math.pi)
+            - float(np.log(np.diagonal(preconditioner.factor)).sum())
+        )
+        self.log_grid_share = math.log1p(-DEFENSIVE_WEIGHT)
+        self.log_t_share = math.log(DEFENSIVE_WEIGHT)
+
+    def draw(
+        self,
+        normals: np.ndarray,
+        increments: np.ndarray,
+        gammas: np.ndarray,
+        choices: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One proposal per row of ``normals`` z, ``increments`` R z and
+        ``gammas`` g, with (3, rows) ``choices`` of uniforms: the
+        component (q_t where below eps), the node and the place in the
+        cell; and the log q_grid of each. A q_t proposal is
+        mu + R z sqrt(nu / (2 g)), 2 g a chi^2_nu draw; a q_grid one
+        takes c from the first k entries of z."""
+        n = np.searchsorted(self.cdf, choices[1], side="right")
+        proposals = np.empty_like(normals)
+        proposals[:, -1] = self.nodes[n] + self.spacing * (choices[2] - 0.5)
+        z = normals[:, :-1]
+        np.add(
+            self.means[n], np.matmul(self.roots[n], z[:, :, None])[:, :, 0],
+            out=proposals[:, :-1],
+        )
+        # L_n' (c - m_n) is z itself.
+        log_grid = self.consts[n] - 0.5 * np.add.reduce(z * z, axis=1)
+        t = np.flatnonzero(choices[0] < DEFENSIVE_WEIGHT)
+        proposals[t] = self.mean + increments[t] * np.sqrt(
+            INDEPENDENCE_DOF / (2.0 * gammas[t])
+        )[:, None]
+        for row in t.tolist():
+            log_grid[row] = self.log_grid_at(proposals[row])
+        return proposals, log_grid
+
+    def log_grid_at(self, state: np.ndarray) -> float:
+        """log q_grid of a state, in the cell of node
+        floor((u - u_0) / h + 1/2)."""
+        at = (float(state[-1]) - self.origin) / self.spacing + 0.5
+        if not 0.0 <= at < self.size:
+            return -math.inf
+        n = int(at)
+        v = np.dot(self.upper[n], state) - self.shifts[n]
+        return self.const_list[n] - 0.5 * float(np.dot(v, v))
+
+    def log_q_block(self, log_grid: np.ndarray, w_sq: np.ndarray) -> list[float]:
+        """``log_q`` of each entry of a block."""
+        log_t = self.t_const - self.half_nu_dim * np.log1p(w_sq / INDEPENDENCE_DOF)
+        return np.logaddexp(
+            self.log_grid_share + log_grid, self.log_t_share + log_t
+        ).tolist()
+
+    def log_q(self, log_grid: float, w_sq: float) -> float:
+        """log q from log q_grid and |w|^2 of w = R^-1 (x - mu)."""
+        log_t = self.t_const - self.half_nu_dim * math.log1p(w_sq / INDEPENDENCE_DOF)
+        a = self.log_grid_share + log_grid
+        b = self.log_t_share + log_t
+        if a < b:
+            a, b = b, a
+        if b == -math.inf:
+            return a
+        return a + math.log1p(math.exp(b - a))
 
 
 def _fill_forward(rows: np.ndarray, marked: bytearray) -> None:
@@ -791,12 +932,15 @@ def run_chain(
 
     Each chain starts at a draw mu + R z of the approximation, drawn
     again while its log posterior is not finite. On iteration ``it``
-    with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes
-    mu + R z sqrt(nu / g), its block increment stretched by the
-    iteration's chi^2_nu draw g and added to the approximation's mean;
-    with w = R^-1 (x - mu) for its state x and w' for the proposal, the
-    log acceptance ratio is log pi(x') - log pi(x) + (nu + dim) / 2
-    (log1p(|w'|^2 / nu) - log1p(|w|^2 / nu)). On every other
+    with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes a
+    draw x' of q = (1 - eps) q_grid + eps q_t (see
+    ``_IndependenceProposal``): where the iteration's component uniform
+    is below eps, mu + R z sqrt(nu / g), its block increment stretched
+    by the iteration's chi^2_nu draw g; otherwise node n of the tau grid
+    picked by the node uniform from the cumulative weights, u = u_n +
+    h (v - 1/2) for the in-cell uniform v, and c = m_n + L_n^-T z from
+    the first k normals of the row. The log acceptance ratio is
+    log pi(x') - log pi(x) + log q(x) - log q(x'). On every other
     iteration each chain proposes its state plus its block increment
     times its scale s, screened: with r1 = -(s w.z + s^2 |z|^2 / 2), the
     log ratio of the approximation's density, the proposal is evaluated
@@ -812,14 +956,17 @@ def run_chain(
     batched work of the driver below: the log posterior, w and window of
     its pending proposal, taken in one call per round for every chain
     that has one, or the log posteriors and ws of its new block's
-    independence proposals, taken for every chain's block at once.
+    independence proposals, taken for every chain's block at once. Each
+    move writes the new state into the draw it holds from on; the draws
+    in between are filled in once, at the end.
 
     Chain k's output depends on (config.seed, k) alone, never on which
-    other chains run with it: its start, proposals, chi^2_nu draws and
-    acceptance uniforms come from its own stream, the proposals taken in
-    blocks sized from the state dimension, mu and R depend on the data
-    and the prior alone, the kernel of an iteration on its index alone,
-    and every batched operation treats each chain's row on its own.
+    other chains run with it: its start, proposals, chi^2_nu draws,
+    mixture uniforms and acceptance uniforms come from its own stream,
+    the proposals taken in blocks sized from the state dimension, mu, R
+    and the tau grid depend on the data and the prior alone, the kernel
+    of an iteration on its index alone, and every batched operation
+    treats each chain's row on its own.
     ``preconditioner`` is ``precondition(assembled, prior)``, computed
     here when not given. tau is recorded on its natural scale. An
     evaluated proposal whose log posterior is not finite inside the
@@ -851,14 +998,17 @@ def run_chain(
     normals = np.empty((n_chains, block, dim))
     proposal = np.empty((n_chains, dim))
     uniforms, gammas = np.empty(block), np.empty(block)
+    choices = np.empty((3, block))
     squares = np.empty((block, dim))
+    mixture = _IndependenceProposal(preconditioner)
+    log_q = mixture.log_q
 
     def chain(c: int, rng: np.random.Generator, seed_used: int):
         """Chain c's run. For its pending proposal, in ``proposal[c]``,
         it yields the row of the proposal's normals in ``normals``
         flattened, and is sent the proposal's log posterior, w and
         window (w.z for the next period - 1 rows, then |w|^2). With a
-        new block drawn it yields the block's independence increments,
+        new block drawn it yields the block's independence proposals,
         and is sent their log posteriors, ws and |w|^2. It returns its
         output, or None where it finds no finite start."""
         origin, row = c * block, proposal[c]
@@ -875,8 +1025,9 @@ def run_chain(
         draws = np.empty((config.samples, dim))
         marked = bytearray(config.samples)
         draws[0], marked[0] = row, 1
-        # The state, with lp, w = R^-1 (x - mu) and |w|^2 of it.
-        state, w, w_sq = draws[0], w_new.copy(), window[-1]
+        # The state, with lp, w = R^-1 (x - mu) and |w|^2 of it, and
+        # log q of it, None until an independence step needs it.
+        state, w, w_sq, lq = draws[0], w_new.copy(), window[-1], None
         # One log-scale, moved by Robbins-Monro toward the target
         # acceptance during the adapt phase, then frozen.
         ls = math.log(2.38 / math.sqrt(dim))
@@ -889,21 +1040,22 @@ def run_chain(
             rng.standard_normal(out=own)
             log_u = np.log(rng.random(out=uniforms)).tolist()
             rng.standard_gamma(0.5 * INDEPENDENCE_DOF, out=gammas)
+            rng.random(out=choices)
             # A product of one chain's fixed shape: one over all chains
             # would round each chain's rows differently for each count.
             np.matmul(own, factor_t, out=increments)
             z_sq = np.add.reduce(np.multiply(own, own, out=squares), axis=1).tolist()
             size = min(block, total - first)
             steps = np.arange(period - 1 - first % period, size, period)
-            # Multivariate t: R z stretched by sqrt(nu / chi^2_nu).
-            jumps = increments[steps] * np.sqrt(
-                INDEPENDENCE_DOF / (2.0 * gammas[steps])
-            )[:, None]
+            targets, log_grid = mixture.draw(
+                own[steps], increments[steps], gammas[steps], choices[:, steps]
+            )
             # w may be a row of the last block's ws, which the driver
             # overwrites.
             w = w.copy()
-            lps, ws, ws_sq = yield jumps
-            targets = mean + jumps
+            lps, ws, ws_sq = yield targets
+            lq_news = mixture.log_q_block(log_grid, ws_sq)
+            ws_sq = ws_sq.tolist()
             # The window that follows each independence proposal.
             terms = own[np.minimum(steps[:, None] + ahead, block - 1)]
             np.multiply(terms, ws[:, None, :], out=terms)
@@ -915,13 +1067,14 @@ def run_chain(
                 it = first + j
                 if (it + 1) % period == 0:
                     k = j // period
-                    lp_new = lps[k]
-                    ratio = lp_new - lp + _independence_term(ws_sq[k], w_sq, dim)
+                    lp_new, w_sq_new, lq_new = lps[k], ws_sq[k], lq_news[k]
+                    if lq is None:  # a random-walk step moved the state
+                        lq = log_q(mixture.log_grid_at(state), w_sq)
+                    ratio = lp_new - lp + (lq - lq_new)
                     # A NaN ratio fails this test, so its proposal is
                     # rejected; it is counted.
                     move = log_u[j] < ratio
-                    target, w_new = targets[k], ws[k]
-                    w_sq_new, window = ws_sq[k], windows[k]
+                    target, w_new, window = targets[k], ws[k], windows[k]
                     if move and it >= warm:
                         independent_accepted += 1
                 else:
@@ -952,6 +1105,7 @@ def run_chain(
                             0.0 if ratio >= 0.0 else ratio
                         )
                         target, w_sq_new, window = row, window[-1], window[:-1]
+                        lq_new = None
                         if move:  # the driver overwrites w_new next round
                             w_new = w_new.copy()
                     if it < adapt:  # a screened-out proposal scores 0
@@ -971,7 +1125,7 @@ def run_chain(
                     at = (it - warm) // thin if it > warm else 0
                     draws[at], marked[at] = target, 1
                     state, w = draws[at], w_new
-                    lp, w_sq = lp_new, w_sq_new
+                    lp, w_sq, lq = lp_new, w_sq_new, lq_new
                     since, dots = it + 1, window
                     if it < adapt:
                         adapt_accepted += 1
@@ -1045,7 +1199,7 @@ def run_chain(
                 lps, ws, ws_sq = independence(np.stack(requests))
                 for c, run in enumerate(runs):
                     requests[c] = _resume(
-                        run, (lps[:, c].tolist(), ws[:, c], ws_sq[:, c].tolist())
+                        run, (lps[:, c].tolist(), ws[:, c], ws_sq[:, c])
                     )
 
 

@@ -52,6 +52,7 @@ from featmeta.data import (
 from featmeta.design import ParameterVector, trial_design_matrix
 from featmeta.diagnostics import _prefix_shrink_factors
 from featmeta.sampler import (
+    DEFENSIVE_WEIGHT,
     DRAW_BLOCK_VALUES,
     INDEPENDENCE_DOF,
     INDEPENDENCE_PERIOD,
@@ -60,6 +61,7 @@ from featmeta.sampler import (
     AssembledDataset,
     ChainOutput,
     McmcConfig,
+    Preconditioner,
     PriorSpec,
     SamplerError,
     _chain_rng,
@@ -391,6 +393,75 @@ class _LogPosterior:
         )
 
 
+class _Mixture:
+    """The independence proposal q = (1 - eps) q_grid + eps q_t of an
+    approximation, eps = DEFENSIVE_WEIGHT.
+
+    q_grid(x) = w_n / h N(c; m_n, Lambda_n^-1), Lambda_n = L_n L_n', in
+    the cell of node n = floor((u - u_0) / h + 1/2), and 0 where there is
+    no such node or w_n = 0. q_t is the multivariate t with centre mu,
+    scale R R' and nu = INDEPENDENCE_DOF degrees of freedom. Each
+    product and sum is taken by the numpy or ``math`` routine the
+    sampler uses; other routes may differ in the last bit.
+    """
+
+    def __init__(self, approximation: Preconditioner):
+        self.grid = grid = approximation.grid
+        nu, dim = INDEPENDENCE_DOF, approximation.mean.size
+        self.nu, self.dim = nu, dim
+        # np.log over the whole grid, as the sampler takes it.
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(grid.weights)
+        log_det = np.log(np.diagonal(grid.factors, axis1=1, axis2=2)).sum(axis=1)
+        # L_n' (c - m_n) = [L_n' 0] x - L_n' m_n, as the sampler takes it.
+        upper = np.ascontiguousarray(grid.factors.transpose(0, 2, 1))
+        self.shifts = np.matmul(upper, grid.means[:, :, None])[:, :, 0]
+        self.upper = np.concatenate(
+            [upper, np.zeros((grid.nodes.size, dim - 1, 1))], axis=2
+        )
+        self.consts = (
+            log_weights - math.log(grid.spacing) + log_det
+            - 0.5 * (dim - 1) * math.log(2.0 * math.pi)
+        )
+        self.t_const = (
+            math.lgamma(0.5 * (nu + dim)) - math.lgamma(0.5 * nu)
+            - 0.5 * dim * math.log(nu * math.pi)
+            - float(np.log(np.diagonal(approximation.factor)).sum())
+        )
+
+    def log_grid(self, x: np.ndarray) -> float:
+        """log q_grid(x), looked up from u."""
+        grid = self.grid
+        at = (x[-1] - grid.nodes[0]) / grid.spacing + 0.5
+        if not (0.0 <= at < grid.nodes.size and grid.weights[int(at)] > 0.0):
+            return -math.inf
+        n = int(at)
+        v = np.dot(self.upper[n], x) - self.shifts[n]
+        return float(self.consts[n]) - 0.5 * float(np.dot(v, v))
+
+    def log_q_rows(self, log_grid: np.ndarray, w_sq: np.ndarray) -> np.ndarray:
+        """``log_q`` of each entry, by numpy's log1p and logaddexp, as
+        the sampler takes it for a block of proposals."""
+        log_t = self.t_const - 0.5 * (self.nu + self.dim) * np.log1p(w_sq / self.nu)
+        return np.logaddexp(
+            math.log1p(-DEFENSIVE_WEIGHT) + log_grid,
+            math.log(DEFENSIVE_WEIGHT) + log_t,
+        )
+
+    def log_q(self, log_grid: float, w_sq: float) -> float:
+        """log q from log q_grid and |w|^2 of w = R^-1 (x - mu)."""
+        log_t = self.t_const - 0.5 * (self.nu + self.dim) * math.log1p(
+            float(w_sq) / self.nu
+        )
+        terms = sorted([
+            math.log1p(-DEFENSIVE_WEIGHT) + log_grid,
+            math.log(DEFENSIVE_WEIGHT) + log_t,
+        ])
+        if terms[0] == -math.inf:
+            return terms[1]
+        return terms[1] + math.log1p(math.exp(terms[0] - terms[1]))
+
+
 def reference_run_chain(
     assembled: AssembledDataset,
     config: McmcConfig,
@@ -406,14 +477,21 @@ def reference_run_chain(
     Chain k starts at mu + R z, with z drawn from its own stream before
     its first block, and drawn again while the log posterior there is
     not finite. Iterations 1, 2, ... (counting from 1) that are
-    multiples of INDEPENDENCE_PERIOD are independence steps: chain k
-    proposes mu + R z sqrt(nu / g), g the iteration's chi^2_nu draw and
-    nu = INDEPENDENCE_DOF, and accepts with the Metropolis-Hastings ratio
-    pi(x') q_t(x) / (pi(x) q_t(x')) for the density q_t of the
-    multivariate t with centre mu, scale R R' and nu degrees of freedom,
-    whose log is log pi(x') - log pi(x) + (nu + dim) / 2
-    (log1p(|w'|^2 / nu) - log1p(|w|^2 / nu)), with w = R^-1 (x - mu)
-    and w' = R^-1 (x' - mu). On the other iterations chain k proposes
+    multiples of INDEPENDENCE_PERIOD are independence steps. With the
+    iteration's three uniforms (component, node, place in the cell),
+    chain k proposes, when the first is below eps = DEFENSIVE_WEIGHT,
+    mu + R z sqrt(nu / g), g the iteration's chi^2_nu draw and
+    nu = INDEPENDENCE_DOF; otherwise it takes the node n of the tau grid
+    whose cumulative weight first exceeds the second uniform, u = u_n +
+    h (third - 1/2) and c = m_n + L_n^-T z, z the first k normals. It
+    accepts with the Metropolis-Hastings ratio pi(x') q(x) / (pi(x)
+    q(x')) for the density q of ``_Mixture``. log q_grid of such a grid
+    proposal is log(w_n / h) + log det L_n - k/2 log(2 pi) - |z|^2 / 2,
+    since L_n' (c - m_n) = z, and that of any other state is looked up
+    from its u; each chain keeps log q of its state. A block's
+    proposals mix the two terms by numpy, and a state a random-walk
+    step moved by ``math``, as the sampler does. On the other
+    iterations chain k proposes
     x + s_k R z with one scale s_k = exp(l_k), and the step is delayed
     acceptance: with r1 = log q(x') - log q(x) =
     -(s_k w.z + s_k^2 |z|^2 / 2) for the density q of N(mu, R R'), the
@@ -442,6 +520,10 @@ def reference_run_chain(
     dim = n_coeff + 1
     approximation = precondition(assembled, prior)
     mean, factor = approximation.mean, approximation.factor
+    grid = approximation.grid
+    mixture = _Mixture(approximation)
+    cdf = np.cumsum(grid.weights)
+    cdf /= cdf[-1]
     whiten = _LaneProduct(np.linalg.inv(factor), chains)  # R^-1, per row
     log_post = _LogPosterior(assembled, prior, chains)
     streams = [_chain_rng(config.seed, k) for k in chains]
@@ -464,6 +546,7 @@ def reference_run_chain(
             f"{INIT_RETRIES} attempts"
         )
     log_scale = np.full(n_chains, math.log(2.38 / math.sqrt(dim)))
+    current_lq = [None] * n_chains  # log q of the state, once known
 
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per refill
     normals = np.empty((n_chains, block, dim))
@@ -471,6 +554,7 @@ def reference_run_chain(
     uniforms = np.empty((n_chains, block))
     log_u = np.empty((n_chains, block))
     chi_sq = np.empty((n_chains, block))
+    choices = np.empty((n_chains, 3, block))
     dof = INDEPENDENCE_DOF
 
     draws = np.empty((n_chains, config.samples, dim))
@@ -493,6 +577,7 @@ def reference_run_chain(
                     rng.standard_normal(out=normals[c])
                     rng.random(out=uniforms[c])
                     chi_sq[c] = 2.0 * rng.standard_gamma(0.5 * dof, block)
+                    choices[c] = rng.random((3, block))
                     increments[c] = normals[c] @ factor.T
                 np.log(uniforms, out=log_u)
             adapting = it < config.adapt
@@ -508,6 +593,21 @@ def reference_run_chain(
             if independent:
                 stretch = np.sqrt(dof / chi_sq[:, j])
                 proposal = mean + increments[:, j] * stretch[:, None]
+                proposal_grid = []  # log q_grid of each proposal
+                for c in range(n_chains):
+                    component, at, place = choices[c, :, j]
+                    if component < DEFENSIVE_WEIGHT:
+                        proposal_grid.append(mixture.log_grid(proposal[c]))
+                        continue
+                    n = int(np.searchsorted(cdf, at, side="right"))
+                    proposal[c, -1] = grid.nodes[n] + grid.spacing * (place - 0.5)
+                    root = np.linalg.inv(np.ascontiguousarray(grid.factors[n].T))
+                    normal = z[c, :-1]
+                    proposal[c, :-1] = grid.means[n] + root @ normal
+                    proposal_grid.append(
+                        float(mixture.consts[n])
+                        - 0.5 * float(np.add.reduce(normal * normal))
+                    )
                 screen = np.zeros(n_chains)  # every proposal is evaluated
             else:
                 proposal = state + increments[:, j] * scale[:, None]
@@ -518,13 +618,14 @@ def reference_run_chain(
             log_ratio = proposal_lp - current_lp
             if independent:
                 w_new = whiten(proposal - mean)
-                # math.log1p, as the sampler takes it; numpy's may differ
-                # in the last bit.
-                tails = [
-                    np.array([math.log1p(v) for v in (sq / dof).tolist()])
-                    for sq in ((w_new * w_new).sum(axis=1), w_sq)
-                ]
-                log_ratio += 0.5 * (dof + dim) * (tails[0] - tails[1])
+                w_sq_new = (w_new * w_new).sum(axis=1)
+                lq_new = mixture.log_q_rows(np.array(proposal_grid), w_sq_new)
+                for c, lq in enumerate(current_lq):
+                    if lq is None:
+                        current_lq[c] = mixture.log_q(
+                            mixture.log_grid(state[c]), w_sq[c]
+                        )
+                log_ratio += np.array(current_lq) - np.array(lq_new)
             else:
                 random_walk_evaluations += evaluated
             second = log_ratio - screen
@@ -536,6 +637,8 @@ def reference_run_chain(
                 evaluations += evaluated
             np.copyto(state, proposal, where=accept[:, None])
             np.copyto(current_lp, proposal_lp, where=accept)
+            for c in np.flatnonzero(accept):
+                current_lq[c] = lq_new[c] if independent else None
 
             if adapting:
                 adapt_accepted += accept

@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -323,10 +324,20 @@ def test_fit_manifest_records_the_proposal_and_the_checks(data_file, tmp_path):
     assert main(fast_fit_args(data_file, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     pre = manifest["preconditioner"]
-    assert set(pre) == {"tau_mode", "log_tau_sd", "condition_number"}
+    assert set(pre) == {
+        "tau_mode", "log_tau_sd", "condition_number", "grid_nodes",
+        "grid_log_tau", "grid_spacing_sd", "defensive_weight",
+    }
     assert 0.0 < pre["tau_mode"] < manifest["settings"]["tau_upper"]
     assert pre["log_tau_sd"] > 0.0
     assert pre["condition_number"] >= 1.0
+    assert pre["grid_nodes"] == sampler.GRID_NODES
+    low, high = pre["grid_log_tau"]
+    assert low < math.log(pre["tau_mode"]) < high
+    assert pre["grid_spacing_sd"] == pytest.approx(
+        (high - low) / (pre["grid_nodes"] - 1) / pre["log_tau_sd"]
+    )
+    assert pre["defensive_weight"] == sampler.DEFENSIVE_WEIGHT
     assert manifest["zeroed_eigenvalues"] == 0
     assert isinstance(manifest["weakly_identified"], list)
 

@@ -583,7 +583,9 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
     # parabola through the dense f at the best grid node and its two
     # neighbours gives the mode and s, and g is the slope at the mode of
     # the parabola through the dense conditional means at those nodes.
-    nodes, values, _ = sampler._tau_grid(collapsed, prior)
+    grid = sampler._tau_grid(collapsed, prior)
+    nodes, values = grid.nodes, grid.log_density
+    assert np.array_equal(pre.grid.nodes, nodes)
     best = int(np.argmax(values))
     assert 0 < best < nodes.size - 1
     around = nodes[best - 1 : best + 2]
@@ -1218,28 +1220,140 @@ def test_marginal_sampler_matches_exact_posterior_over_seeds(seed):
         assert gap < 4.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
 
 
-def test_independence_term_is_the_t_density_ratio():
-    # The term of the independence steps' log ratio against scipy's
-    # multivariate t with the approximation's centre and scale, at
-    # points near the centre and far in its tails.
-    from scipy.stats import multivariate_t
+def recovery_proposal():
+    """The recovery dataset of seed 1000, its approximation and the
+    independence proposal built on it."""
+    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
+    pre = sampler.precondition(assemble(centered), PriorSpec())
+    return pre, sampler._IndependenceProposal(pre)
 
-    assembled = assemble(centered_basic_dataset())
-    pre = sampler.precondition(assembled, PriorSpec())
-    dim = assembled.n_parameters
-    density = multivariate_t(
+
+def block_proposals(pre, proposal, rows, rng, choices=None):
+    """``rows`` proposals drawn as the sampler draws a block's, and
+    their log q_grid."""
+    normals = rng.standard_normal((rows, pre.mean.size))
+    if choices is None:
+        choices = rng.random((3, rows))
+    return proposal.draw(
+        normals, normals @ pre.factor.T,
+        rng.standard_gamma(0.5 * sampler.INDEPENDENCE_DOF, rows), choices,
+    )
+
+
+def grid_cells(grid, u):
+    """The node whose cell [u_n - h/2, u_n + h/2] holds each u, or -1."""
+    nearest = np.abs(u[:, None] - grid.nodes).argmin(axis=1)
+    inside = np.abs(u - grid.nodes[nearest]) <= 0.5 * grid.spacing
+    return np.where(inside, nearest, -1)
+
+
+def test_independence_log_q_is_the_mixture_density():
+    # log q, taken alone and for a block, against (1 - eps) w_n / h
+    # N(c; m_n, Lambda_n^-1) + eps times scipy's multivariate t with the
+    # approximation's centre and scale, at points near the centre, in
+    # the tails and outside the bracket of the grid, to 1e-10 relative.
+    # The tolerance was fixed before the first run.
+    from scipy.stats import multivariate_normal, multivariate_t
+
+    pre, proposal = recovery_proposal()
+    grid, eps = pre.grid, sampler.DEFENSIVE_WEIGHT
+    dim = pre.mean.size
+    t = multivariate_t(
         loc=pre.mean, shape=pre.factor @ pre.factor.T,
         df=sampler.INDEPENDENCE_DOF,
     )
     rng = np.random.default_rng(11)
+    drawn, drawn_grid = block_proposals(pre, proposal, 40, rng)
+    points = [drawn]
     for spread in (0.5, 1.0, 3.0, 30.0):
-        z = spread * rng.standard_normal((2, dim))
-        x, x_new = pre.mean + z @ pre.factor.T
-        offsets = np.array([x, x_new]) - pre.mean
-        w, w_new = np.linalg.solve(pre.factor, offsets.T).T
-        term = sampler._independence_term(float(w_new @ w_new), float(w @ w), dim)
-        want = density.logpdf(x) - density.logpdf(x_new)
-        assert term == pytest.approx(want, rel=1e-10), spread
+        points.append(pre.mean + spread * rng.standard_normal((5, dim)) @ pre.factor.T)
+    outside = pre.mean + rng.standard_normal((4, dim)) @ pre.factor.T
+    outside[:, -1] = [
+        grid.nodes[0] - grid.spacing, grid.nodes[0] - 0.51 * grid.spacing,
+        grid.nodes[-1] + 0.51 * grid.spacing, grid.nodes[-1] + 5.0,
+    ]
+    points = np.vstack(points + [outside])
+    cells = grid_cells(grid, points[:, -1])
+    assert (cells[-4:] == -1).all() and (cells[:-4] >= 0).sum() > 40
+    # A drawn proposal's log q_grid is read off its normals.
+    looked_up = [proposal.log_grid_at(x) for x in points]
+    assert drawn_grid == pytest.approx(looked_up[:40], rel=1e-10)
+    offsets = np.linalg.solve(pre.factor, (points - pre.mean).T).T
+    w_sq = np.add.reduce(offsets * offsets, axis=1)
+    block = proposal.log_q_block(np.array(looked_up), w_sq)
+    for x, n, log_grid, sq, in_block in zip(points, cells, looked_up, w_sq, block):
+        want_t = math.log(eps) + t.logpdf(x)
+        if n < 0:
+            want = want_t
+        else:
+            lower = grid.factors[n]
+            normal = multivariate_normal(
+                grid.means[n], np.linalg.inv(lower @ lower.T)
+            )
+            want = np.logaddexp(
+                math.log(1.0 - eps) + math.log(grid.weights[n] / grid.spacing)
+                + normal.logpdf(x[:-1]),
+                want_t,
+            )
+        got = proposal.log_q(log_grid, float(sq))
+        assert got == pytest.approx(want, rel=1e-10), (x, n)
+        assert in_block == pytest.approx(want, rel=1e-10), (x, n)
+
+
+def test_grid_proposals_fall_in_each_cell_with_its_weight():
+    # Of 10^5 block proposals, those of the grid component fall in the
+    # cell of node n in proportion to w_n: a chi-squared test over the
+    # cells expected to hold at least 5 (the rest pooled) with p > 1e-3,
+    # and none in a cell of weight 0 or outside the cells. The bounds
+    # were fixed before the first run.
+    from scipy.stats import chisquare
+
+    pre, proposal = recovery_proposal()
+    grid = pre.grid
+    rng = np.random.default_rng(12)
+    choices = rng.random((3, 100_000))
+    proposals, _ = block_proposals(pre, proposal, 100_000, rng, choices)
+    from_grid = choices[0] >= sampler.DEFENSIVE_WEIGHT
+    assert abs(from_grid.mean() - (1.0 - sampler.DEFENSIVE_WEIGHT)) < 0.005
+    cells = grid_cells(grid, proposals[from_grid, -1])
+    assert (cells >= 0).all()
+    counts = np.bincount(cells, minlength=grid.nodes.size)
+    assert (counts[grid.weights == 0.0] == 0).all()
+    expected = from_grid.sum() * grid.weights
+    big = expected >= 5.0
+    observed = np.append(counts[big], counts[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    assert big.sum() > 20
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_grid_proposals_in_one_cell_have_its_conditional_moments():
+    # 10^5 grid proposals in the cell of the heaviest node n: u uniform
+    # on the cell (Kolmogorov-Smirnov p > 1e-3) and z = L_n' (c - m_n)
+    # standard normal, its mean within 5/sqrt(N) and its covariance
+    # within 0.03 of the identity in every entry, that is c with mean
+    # m_n and covariance Lambda_n^-1. The bounds were fixed before the
+    # first run.
+    from scipy.stats import kstest
+
+    pre, proposal = recovery_proposal()
+    grid = pre.grid
+    n = int(np.argmax(grid.weights))
+    rows = 100_000
+    rng = np.random.default_rng(13)
+    low, high = proposal.cdf[n - 1], proposal.cdf[n]
+    choices = np.vstack([
+        np.full(rows, 0.5), low + (high - low) * rng.random(rows),
+        rng.random(rows),
+    ])
+    proposals, _ = block_proposals(pre, proposal, rows, rng, choices)
+    assert (grid_cells(grid, proposals[:, -1]) == n).all()
+    place = (proposals[:, -1] - grid.nodes[n]) / grid.spacing + 0.5
+    assert kstest(place, "uniform").pvalue > 1e-3
+    z = (proposals[:, :-1] - grid.means[n]) @ grid.factors[n]
+    assert np.abs(z.mean(axis=0)).max() < 5.0 / math.sqrt(rows)
+    cov = np.cov(z, rowvar=False)
+    assert np.abs(cov - np.eye(cov.shape[0])).max() < 0.03
 
 
 def test_sampler_matches_exact_posterior_on_realistic_data():
@@ -1264,6 +1378,9 @@ def test_sampler_matches_exact_posterior_on_realistic_data():
     )
     for chain in chains:
         assert chain.independence_accept_rate > 0.5, chain.chain_index
+        # The grid proposals fit the posterior; the bound was fixed
+        # before the first run.
+        assert chain.independence_accept_rate >= 0.85, chain.chain_index
     pooled = np.vstack([c.draws for c in chains])
     for j, name in enumerate(chains[0].parameter_names):
         se = mcse_mean(pooled[:, j])
@@ -1299,6 +1416,48 @@ def test_a_wrong_approximation_changes_efficiency_not_the_target():
         assembled,
         McmcConfig(chains=4, adapt=1000, burn_in=1000, samples=4000, seed=7),
         prior, range(4), wrong,
+    )
+    pooled = np.vstack([c.draws for c in chains])
+    for j, name in enumerate(chains[0].parameter_names):
+        se = mcse_mean(pooled[:, j])
+        gap = abs(pooled[:, j].mean() - exact.mean[j])
+        assert gap < 4.0 * se, f"{name}: gap {gap:.3g} vs mcse {se:.3g}"
+        sd = pooled[:, j].std(ddof=1)
+        assert abs(sd / exact.sd[j] - 1.0) < 0.10, f"{name}: sd {sd:.3g}"
+
+
+def test_a_wrong_grid_changes_efficiency_not_the_target():
+    # The data of the test above, with the grid's weights tilted by
+    # exp(2 (u_n - mode) / s), which moves their centre 2 sds s in
+    # log(tau), and every conditional mean m_n moved by one conditional
+    # sd of each coefficient: the independence proposals then fit the
+    # posterior poorly, but the chains must still sample it. Thresholds
+    # and seeds were fixed before the first run.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from oracle import CollapsedPosterior
+    finally:
+        sys.path.pop(0)
+    config = dataclasses.replace(recovery_sim_config(40), n_trials=40)
+    centered, _ = center_covariates(simulate_dataset(config))
+    prior = PriorSpec()
+    exact = CollapsedPosterior(
+        centered, coeff_sd=prior.coeff_sd, tau_upper=prior.tau_upper
+    )
+    assembled = assemble(centered)
+    right = sampler.precondition(assembled, prior)
+    grid = right.grid
+    mode = math.log(right.tau_mode)
+    weights = grid.weights * np.exp(2.0 * (grid.nodes - mode) / right.log_tau_sd)
+    precisions = grid.factors @ grid.factors.transpose(0, 2, 1)
+    sds = np.sqrt(np.diagonal(np.linalg.inv(precisions), axis1=1, axis2=2))
+    wrong = dataclasses.replace(
+        grid, weights=weights / weights.sum(), means=grid.means + sds
+    )
+    chains = run_chain(
+        assembled,
+        McmcConfig(chains=4, adapt=1000, burn_in=1000, samples=4000, seed=7),
+        prior, range(4), dataclasses.replace(right, grid=wrong),
     )
     pooled = np.vstack([c.draws for c in chains])
     for j, name in enumerate(chains[0].parameter_names):
@@ -1369,3 +1528,4 @@ def test_prior_spec_rejects_bad_values(kwargs):
     [name] = kwargs
     with pytest.raises(ValueError, match=f"^{name} "):
         PriorSpec(**kwargs)
+
