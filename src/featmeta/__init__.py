@@ -6,7 +6,8 @@ intervention features, study covariates, follow-up indicators, and
 their interactions. Within-trial covariances account for shared
 reference arms and repeated measurement; between-trial heterogeneity
 uses a common-reference correlation structure. Posteriors are sampled
-by adaptive random-walk Metropolis.
+by Metropolis chains whose independence steps, drawn from the exact
+posterior on a grid of tau, carry the mixing.
 """
 
 from .covariance import (
@@ -46,11 +47,8 @@ from .diagnostics import (
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
-from .sampler import (
+from .posterior import (
     AssembledDataset,
-    ChainOutput,
-    McmcConfig,
-    McmcRun,
     Preconditioner,
     PriorSpec,
     SamplerError,
@@ -58,6 +56,11 @@ from .sampler import (
     assemble,
     log_likelihood_marginal,
     precondition,
+)
+from .sampler import (
+    ChainOutput,
+    McmcConfig,
+    McmcRun,
     run_chain,
     run_mcmc,
     sample_posterior,
@@ -96,18 +99,19 @@ __all__ = [
     "rho_for_separation",
     "impute_ref_change_variance",
     "build_within_covariance",
-    # sampler
+    # posterior
     "PriorSpec",
-    "McmcConfig",
-    "ChainOutput",
     "SamplerError",
     "AssembledDataset",
     "Preconditioner",
     "TauGrid",
-    "McmcRun",
     "assemble",
     "log_likelihood_marginal",
     "precondition",
+    # sampler
+    "McmcConfig",
+    "ChainOutput",
+    "McmcRun",
     "run_chain",
     "sample_posterior",
     "run_mcmc",

@@ -55,13 +55,8 @@ from .diagnostics import (
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
-from .sampler import (
-    DEFENSIVE_WEIGHT,
-    McmcConfig,
-    PriorSpec,
-    SamplerError,
-    sample_posterior,
-)
+from .posterior import PriorSpec, SamplerError
+from .sampler import DEFENSIVE_WEIGHT, McmcConfig, sample_posterior
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = ["main", "cmd_validate", "cmd_fit", "cmd_simulate", "cmd_diagnose"]

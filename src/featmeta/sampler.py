@@ -1,47 +1,21 @@
-"""Posterior sampling by random-walk Metropolis with a model-derived proposal.
+"""Posterior sampling by Metropolis-Hastings chains.
 
-The model: per trial i, observed contrasts y_i ~ N(delta_i, V_i) with
-heterogeneous arm effects delta_i ~ N(X_i c, tau^2 S_i), where c packs
-the fixed-effect coefficients, V_i is the within-trial covariance, and
-S_i = 0.5(I + 11') carries the common-reference correlation. The
-sampler integrates delta out and samples the marginal form
-y_i ~ N(X_i c, V_i + tau^2 S_i).
-
-The marginal density is evaluated through a per-trial simultaneous
-diagonalization fixed at assembly time: with L the Cholesky factor of
-S and A = L^-1 V L^-T = Q diag(lam) Q', the map P = Q' L^-1 turns
-V + tau^2 S into diag(lam + tau^2), so each likelihood evaluation is a
-vector operation with no refactorization. This is exact, not an
-approximation. Eigenvalues at or below a trial's rounding floor are set
-to 0 and counted; where lam + tau^2 = 0 the density is -inf.
-
-The proposal comes from the model. Given tau the coefficients are
-conjugate: with D = diag(lam + tau^2) and Lambda = X'D^-1 X + I/sd^2
-(whitened, stacked arrays), c | tau, y ~ N(Lambda^-1 X'D^-1 y, Lambda^-1),
-so u = log tau has a one-dimensional collapsed density f(u) (Rue,
-Martino & Chopin 2009). Its mode, its curvature there and the slope of
-the conditional mean of c give a Gaussian (Laplace) approximation of
-the joint posterior of (c, u), N(mu, R R') with mu = (E[c | tau_mode, y],
-u_mode) and R the lower Cholesky factor of its covariance, computed once
-per run from the assembled arrays and the prior. All three are read off
-parabolas through three nodes of one grid of u over the bulk of f. tau
-is sampled on the log scale (with the Jacobian term), keeping its
-support positive.
-
-The chains cycle through two Metropolis-Hastings kernels, fixed by the
-iteration index; a fixed cycle of kernels that each leave the posterior
-invariant leaves it invariant too (Tierney 1994). Each chain starts at
-a draw of the approximation. Every INDEPENDENCE_PERIOD-th iteration is
-an independence step: each chain proposes a draw of the mixture
-q = (1 - eps) q_grid + eps q_t, eps = DEFENSIVE_WEIGHT, whatever its
-state, and accepts it with the ratio that corrects for q. q_grid is the
-exact posterior on the tau grid the approximation is read off (Rue,
-Martino & Chopin 2009): node n with probability w_n, proportional to
-exp f(u_n), u uniform on the node's cell of width h, and c from the
-conditional N(m_n, Lambda_n^-1) at the node. q_t is the multivariate t
-with centre mu, scale R R' and nu = INDEPENDENCE_DOF degrees of
-freedom: mu + R z sqrt(nu / g), with z standard normal and g a
-chi^2_nu draw. An independence sampler is uniformly ergodic only when
+The chains sample the posterior of ``featmeta.posterior`` in (c, u),
+u = log tau, with its Jacobian, which keeps tau positive. They cycle
+through two Metropolis-Hastings kernels, fixed by the iteration index;
+a fixed cycle of kernels that each leave the posterior invariant leaves
+it invariant too (Tierney 1994). Each chain starts at a draw of the
+Laplace approximation N(mu, R R'). Every INDEPENDENCE_PERIOD-th
+iteration is an independence step: each chain proposes a draw of the
+mixture q = (1 - eps) q_grid + eps q_t, eps = DEFENSIVE_WEIGHT,
+whatever its state, and accepts it with the ratio that corrects for q.
+q_grid is the exact posterior on the tau grid the approximation is read
+off (Rue, Martino & Chopin 2009): node n with probability w_n,
+proportional to exp f(u_n), u uniform on the node's cell of width h,
+and c from the conditional N(m_n, Lambda_n^-1) at the node. q_t is the
+multivariate t with centre mu, scale R R' and nu = INDEPENDENCE_DOF
+degrees of freedom: mu + R z sqrt(nu / g), with z standard normal and g
+a chi^2_nu draw. An independence sampler is uniformly ergodic only when
 pi / q is bounded (Mengersen & Tweedie 1996). q_grid is 0 outside the
 grid and flat in u within a cell, and the defensive t component, whose
 tails are polynomial, keeps the ratio bounded (Hesterberg 1995). On
@@ -80,20 +54,20 @@ its block's independence proposals at once, and their log q_grid with
 them: that of a grid proposal is read off its normals, since
 L_n' (c - m_n) = z. It keeps log q of its state; a state a random-walk
 step moved gets its log q when an independence step next needs it.
-Each chain's whole run is one sequential generator, its
-state in locals. It steps on its own through the iterations whose
-proposals the screen turns away, which leave its state in place, and
-pauses at the next proposal that passes the screen; a short driver
-evaluates the pending proposals of all chains in one batched call per
-round and resumes each with its result. Independence proposals do not
-depend on the state, so a chain that has used up its block draws the
-next one and pauses too; once every chain has, the driver evaluates the
-independence proposals of the new blocks in batches. Each chain turns
-its blocks of normals into proposal directions with its own
-fixed-shape product by R'; every design product, and every product by
-R^-1 that whitens a state, keeps each chain in a fixed lane of
-fixed-shape blocks. So its draws do not depend on which chains run with
-it.
+Each chain's whole run is one sequential generator, its state in
+locals. It forms the screen's dot products from its own normals, steps
+on its own through the iterations whose proposals the screen turns
+away, which leave its state in place, and pauses at the next proposal
+that passes the screen; a short driver evaluates the pending proposals
+of all chains in one batched call per round and resumes each with its
+result. Independence proposals do not depend on the state, so a chain
+that has used up its block draws the next one and pauses too; once
+every chain has, the driver evaluates the independence proposals of the
+new blocks in batches. Each chain turns its blocks of normals into
+proposal directions with its own fixed-shape product by R'; every
+design product, and every product by R^-1 that whitens a state, keeps
+each chain in a fixed lane of fixed-shape blocks. So its draws do not
+depend on which chains run with it.
 
 numpy does the work whose size grows with the data: the design product
 and the density's (chains, observations) arithmetic, in buffers
@@ -108,29 +82,28 @@ mixture's terms with math.log1p and math.exp.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import between_structure, build_within_covariance
 from .data import Dataset
-from .design import ParameterVector, trial_design_matrix
+from .posterior import (
+    AssembledDataset,
+    Preconditioner,
+    PriorSpec,
+    SamplerError,
+    _marginal_sums,
+    _zero_denominator,
+    assemble,
+    precondition,
+)
 
 __all__ = [
-    "SamplerError",
-    "PriorSpec",
     "McmcConfig",
     "ChainOutput",
-    "AssembledDataset",
-    "Preconditioner",
-    "TauGrid",
     "McmcRun",
-    "assemble",
-    "log_likelihood_marginal",
-    "precondition",
     "run_chain",
     "sample_posterior",
     "run_mcmc",
@@ -138,11 +111,6 @@ __all__ = [
 
 TARGET_ACCEPT = 0.1  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
-LOG_TAU_SPAN = 30.0  # f is scanned on (log tau_upper - span, log tau_upper)
-SCAN_NODES = 61  # nodes of that scan
-TAIL_DROP = 40.0  # the tau grid spans the scan where f > max f - this
-GRID_NODES = 151  # nodes of the tau grid
-COLLAPSED_BYTES = 1 << 20  # largest temporary of the collapsed density
 WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
 LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
@@ -151,32 +119,6 @@ INDEPENDENCE_DOF = 5  # degrees of freedom of the t component
 DEFENSIVE_WEIGHT = 1 / 16  # weight of the t component of the proposals
 BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
 FILL_ROWS = 2048  # rows of draws filled in at a time at the end of a chain
-
-
-class SamplerError(Exception):
-    """Sampling could not start or produced an invalid state."""
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Independent priors: coefficients N(0, coeff_sd^2), tau Uniform(0, tau_upper)."""
-
-    coeff_sd: float = 100.0
-    tau_upper: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 < self.coeff_sd < math.inf:
-            raise ValueError("coeff_sd must be positive and finite")
-        # The log prior takes log(2 pi sd^2) and 1 / sd^2.
-        square = self.coeff_sd * self.coeff_sd
-        if not 0.0 < 2.0 * math.pi * square < math.inf or 1.0 / square == math.inf:
-            raise ValueError("coeff_sd must lie in about (1e-154, 5e153)")
-        if not 0.0 < self.tau_upper < math.inf:
-            raise ValueError("tau_upper must be positive and finite")
-        # Earlier versions started the chains at a tenth of tau_upper;
-        # the rule stays so that a setting they refused is still refused.
-        if 0.1 * self.tau_upper == 0.0:
-            raise ValueError("tau_upper must have a tenth that is not 0")
 
 
 @dataclass(frozen=True)
@@ -251,143 +193,6 @@ class ChainOutput:
     @property
     def n_samples(self) -> int:
         return self.draws.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# Assembly: everything fixed across iterations is computed once
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class AssembledDataset:
-    """Dataset compiled to stacked arrays for fast marginal evaluation."""
-
-    dataset: Dataset
-    stacked_y: np.ndarray  # concat of P_i y_i
-    stacked_design: np.ndarray  # vstack of P_i X_i
-    stacked_eigenvalues: np.ndarray  # concat of lam_i, rounding noise set to 0
-    log_density_const: float  # sum_i (dim_i log 2pi + logdet S_i)
-    n_coefficients: int
-    zeroed_eigenvalues: int = 0  # lam_i at or below the trial's rounding floor
-
-    @property
-    def n_parameters(self) -> int:
-        return self.n_coefficients + 1
-
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(self.dataset.schema.parameter_names())
-
-
-def _trials_with_covariance(dataset: Dataset):
-    """Yield (trial, V, X) per trial, built from scratch."""
-    for trial in dataset.trials:
-        within = build_within_covariance(
-            trial, dataset.base_rho_y, dataset.base_rho_d
-        ).matrix
-        yield trial, within, trial_design_matrix(
-            dataset.schema, trial, dataset.centering
-        )
-
-
-def assemble(dataset: Dataset) -> AssembledDataset:
-    """Whiten every trial once (see the module docstring) and stack them.
-
-    An eigenvalue of the whitened V at or below the trial's rounding
-    floor, dim * eps * max(lam), is set to 0 and counted: it is a
-    singular direction of V, or a negative one repaired to 0.
-    """
-    ys, designs, eigenvalues = [], [], []
-    const = 0.0
-    zeroed = 0
-    # L^-1 and the trial's constant depend on the dimension alone.
-    by_dim: dict[int, tuple[np.ndarray, float]] = {}
-    for trial, within, design in _trials_with_covariance(dataset):
-        dim = within.shape[0]
-        if dim not in by_dim:
-            chol_s = np.linalg.cholesky(between_structure(dim))
-            log_det_s = 2.0 * float(np.sum(np.log(np.diag(chol_s))))
-            by_dim[dim] = (
-                np.linalg.inv(chol_s),
-                dim * math.log(2.0 * math.pi) + log_det_s,
-            )
-        inv_chol, trial_const = by_dim[dim]
-        whitened = inv_chol @ within @ inv_chol.T
-        whitened = 0.5 * (whitened + whitened.T)
-        lam, q = np.linalg.eigh(whitened)
-        projector = q.T @ inv_chol  # P
-        ys.append(projector @ trial.y_vector())
-        designs.append(projector @ design)
-        noise = lam <= dim * np.finfo(float).eps * lam[-1]  # eigh sorts lam
-        zeroed += int(np.count_nonzero(noise))
-        eigenvalues.append(np.where(noise, 0.0, lam))
-        const += trial_const
-    stacked_design = np.vstack(designs)
-    return AssembledDataset(
-        dataset=dataset,
-        stacked_y=np.concatenate(ys),
-        stacked_design=stacked_design,
-        stacked_eigenvalues=np.concatenate(eigenvalues),
-        log_density_const=const,
-        n_coefficients=stacked_design.shape[1],
-        zeroed_eigenvalues=zeroed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Densities
-# ---------------------------------------------------------------------------
-
-
-def _marginal_sums(
-    y: np.ndarray,
-    eigenvalues: np.ndarray,
-    mean: np.ndarray,
-    tau_sq,
-    denom: np.ndarray | None = None,
-    resid: np.ndarray | None = None,
-):
-    """Sum over observations of r^2 / (lam + tau^2) + log(lam + tau^2),
-    with r = y - mean, for each row of ``mean`` (the whitened, stacked
-    X c); ``y`` and ``eigenvalues`` are the stacked arrays of
-    ``assemble`` or rows of copies of them. The marginal log likelihood
-    is -0.5 * (log_density_const + sum). ``tau_sq`` is a scalar or an
-    array that broadcasts against ``mean``; ``denom`` and ``resid``,
-    buffers shaped like ``mean``, are overwritten when given.
-    """
-    denom = np.add(eigenvalues, tau_sq, out=denom)
-    resid = np.subtract(y, mean, out=resid)
-    np.multiply(resid, resid, out=resid)
-    np.divide(resid, denom, out=resid)
-    np.add(resid, np.log(denom, out=denom), out=resid)
-    return np.add.reduce(resid, axis=-1)  # resid.sum without its wrapper
-
-
-def log_likelihood_marginal(
-    data: Dataset | AssembledDataset, params: ParameterVector
-) -> float:
-    """Marginal log likelihood over all trials (delta integrated out).
-
-    Accepts a raw dataset or a pre-assembled one; pass the latter when
-    evaluating many parameter values. -inf where some lam + tau^2 is 0
-    (a singular V at tau = 0).
-    """
-    assembled = data if isinstance(data, AssembledDataset) else assemble(data)
-    mean = assembled.stacked_design @ params.coefficients()
-    tau = float(params.tau)
-    eigenvalues = assembled.stacked_eigenvalues
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = float(
-            _marginal_sums(assembled.stacked_y, eigenvalues, mean, tau * tau)
-        )
-    if not math.isfinite(total) and _zero_denominator(eigenvalues, tau * tau):
-        return -math.inf
-    return -0.5 * (assembled.log_density_const + total)
-
-
-def _zero_denominator(eigenvalues: np.ndarray, tau_sq: float) -> bool:
-    """Whether some lam + tau^2 is 0, where the density is -inf."""
-    return bool(np.any(eigenvalues + tau_sq == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -558,227 +363,6 @@ class _IndependenceBatch:
         ws = self.whiten(flat - self.mean)[:n].reshape(n_steps, n_chains, dim)
         lps = np.reshape(lps[:n], (n_steps, n_chains))
         return lps, ws, np.add.reduce(ws * ws, axis=2)
-
-
-# ---------------------------------------------------------------------------
-# The proposal: a Laplace approximation built on the collapsed density
-# ---------------------------------------------------------------------------
-
-
-class _Collapsed:
-    """The collapsed log density f(u) of u = log(tau), the mean of
-    c | tau, y and the lower Cholesky factor L of its precision Lambda,
-    for one assembled dataset and prior.
-
-    f(u) = -1/2 sum log(lam + tau^2) - 1/2 log det Lambda
-    - 1/2 (y'D^-1 y - b'Lambda^-1 b) + u, with b = X'D^-1 y, is
-    log p(u | y) up to a constant, the prior's uniform bound aside. f is
-    -inf wherever it is not finite (some lam + tau^2 <= 0 among them);
-    the mean and L are NaN there. Several u are evaluated at once, in
-    temporaries of at most about COLLAPSED_BYTES each; the arrays that do
-    not depend on u are built once, with the object.
-
-    One Cholesky factor per u does it: that of [X y]'D^-1 [X y] plus
-    diag(1/sd^2, ..., 1/sd^2, 1) has L in its leading block, L^-1 b below
-    it and sqrt(1 + y'D^-1 y - b'Lambda^-1 b) last; the 1 keeps that
-    pivot positive when the fit is exact.
-    """
-
-    def __init__(self, assembled: AssembledDataset, prior: PriorSpec):
-        columns = np.column_stack([assembled.stacked_design, assembled.stacked_y])
-        n_obs, width = columns.shape
-        self.k = width - 1
-        # Row j: the products of observation j's columns; (1/D) @ rows is
-        # [X y]'D^-1 [X y], flattened.
-        self.products = (columns[:, :, None] * columns[:, None, :]).reshape(n_obs, -1)
-        self.eigenvalues = assembled.stacked_eigenvalues
-        self.diagonal = np.arange(width)
-        self.ridge = np.append(np.full(self.k, 1.0 / prior.coeff_sd**2), 1.0)
-        self.per_u = max(1, COLLAPSED_BYTES // (8 * n_obs))
-
-    def moments(self, log_tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """f, the mean of c | tau, y and L at each u of ``log_tau``."""
-        u = np.asarray(log_tau, dtype=float)
-        k, diagonal = self.k, self.diagonal
-        f = np.full(u.shape, -math.inf)
-        mean = np.full((u.size, k), math.nan)
-        lower = np.full((u.size, k, k), math.nan)
-        with np.errstate(all="ignore"):
-            for lo in range(0, u.size, self.per_u):
-                part = slice(lo, lo + self.per_u)
-                denom = self.eigenvalues + np.exp(2.0 * u[part])[:, None]
-                gram = ((1.0 / denom) @ self.products).reshape(-1, k + 1, k + 1)
-                gram[:, diagonal, diagonal] += self.ridge
-                good = np.all(denom > 0.0, axis=1)
-                good &= np.all(np.isfinite(gram), axis=(1, 2))
-                gram[~good] = np.eye(k + 1)  # keeps the factorization finite
-                chol = _cholesky(gram)
-                log_det = 2.0 * np.log(chol[:, diagonal[:k], diagonal[:k]]).sum(axis=1)
-                quad = chol[:, k, k] ** 2 - 1.0
-                value = u[part] - 0.5 * (np.log(denom).sum(axis=1) + log_det + quad)
-                good &= np.isfinite(value)
-                f[part] = np.where(good, value, -math.inf)
-                # The mean L^-T (L^-1 b); the upper-triangular L' needs no
-                # pivoting.
-                upper = chol[:, :k, :k].transpose(0, 2, 1)
-                upper[~good] = np.eye(k)
-                m = np.linalg.solve(upper, chol[:, k, :k, None])[:, :, 0]
-                mean[part][good] = m[good]
-                lower[part][good] = chol[good, :k, :k]
-        return f, mean, lower
-
-
-def _cholesky(matrices: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of matrices; NaN for one that is
-    not numerically positive definite."""
-    try:
-        return np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        out = np.full_like(matrices, math.nan)
-        for i, matrix in enumerate(matrices):
-            try:
-                out[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class TauGrid:
-    """The collapsed posterior on evenly spaced nodes u of log(tau).
-
-    ``nodes`` holds the nodes u_n and ``log_density`` f at each, -inf
-    where f is not finite. ``weights`` are exp(f_n - max f) normalised
-    to sum to 1, so 0 where f is -inf. ``means`` holds the mean m_n of
-    c | tau, y at each node and ``factors`` the lower Cholesky factor
-    L_n of its precision Lambda_n, both NaN where f is -inf.
-    """
-
-    nodes: np.ndarray
-    log_density: np.ndarray
-    weights: np.ndarray
-    means: np.ndarray
-    factors: np.ndarray
-
-    @property
-    def spacing(self) -> float:
-        """The spacing h of the nodes."""
-        return float((self.nodes[-1] - self.nodes[0]) / (self.nodes.size - 1))
-
-
-def _tau_grid(collapsed: _Collapsed, prior: PriorSpec) -> TauGrid:
-    """Nodes u over the bulk of f, with f, its normalised weights and the
-    moments of c | tau, y at each.
-
-    A scan of SCAN_NODES nodes over (log tau_upper - LOG_TAU_SPAN,
-    log tau_upper) brackets the nodes where f > max f - TAIL_DROP,
-    widened by one scan node on each side within the scan; the grid has
-    GRID_NODES evenly spaced nodes over that bracket. While the scan's
-    best node is its lowest, or f is finite on none of its nodes, the
-    scan extends down by another span of as many nodes, until its lowest
-    tau^2 would fall below the smallest normal float.
-    """
-    top = math.log(prior.tau_upper)
-    floor = 0.5 * math.log(sys.float_info.min)
-    scan = np.linspace(top - LOG_TAU_SPAN, top, SCAN_NODES)
-    values = collapsed.moments(scan)[0]
-    while values.argmax() == 0 and scan[0] - LOG_TAU_SPAN > floor:
-        below = np.linspace(scan[0] - LOG_TAU_SPAN, scan[0], SCAN_NODES)[:-1]
-        scan = np.concatenate([below, scan])
-        values = np.concatenate([collapsed.moments(below)[0], values])
-    peak = values.max()
-    if peak == -math.inf:
-        raise SamplerError(
-            "the collapsed posterior of tau is not finite anywhere on "
-            f"({scan[0]:.4g}, {top:.4g}) in log(tau)"
-        )
-    bulk = np.flatnonzero(values > peak - TAIL_DROP)
-    lo, hi = max(bulk[0] - 1, 0), min(bulk[-1] + 1, scan.size - 1)
-    nodes = np.linspace(scan[lo], scan[hi], GRID_NODES)
-    values, means, factors = collapsed.moments(nodes)
-    weights = np.exp(values - values.max())
-    return TauGrid(nodes, values, weights / weights.sum(), means, factors)
-
-
-@dataclass(frozen=True, eq=False)
-class Preconditioner:
-    """Gaussian (Laplace) approximation of the posterior of (c, log tau).
-
-    ``tau_mode`` is exp of the mode u of the collapsed density f,
-    ``log_tau_sd`` is s = (-f''(u))^-1/2, or 1 where the mode sits on
-    the edge of the bracket or of the region where f is finite, or f''
-    is not negative there. With g the slope in u of the conditional mean
-    of c, the covariance is Sigma_cc = Lambda(u)^-1 + s^2 g g',
-    Sigma_cu = s^2 g and Sigma_uu = s^2; ``factor`` is its lower
-    Cholesky factor R and ``condition_number`` its 2-norm condition
-    number. ``mean`` is its centre, the mean of c | tau, y at the mode
-    followed by the mode u. ``conditional_sd`` is the sd of each
-    coefficient given tau at the mode. ``grid`` is the tau grid the
-    approximation is read off, from which the independence proposals
-    are drawn.
-    """
-
-    mean: np.ndarray
-    factor: np.ndarray
-    tau_mode: float
-    log_tau_sd: float
-    condition_number: float
-    conditional_sd: np.ndarray
-    grid: TauGrid
-
-
-def precondition(assembled: AssembledDataset, prior: PriorSpec) -> Preconditioner:
-    """The proposals of ``run_chain``, from the assembled arrays and the
-    prior alone, read off ``_tau_grid``.
-
-    Where f is finite at the best node's two neighbours, the parabola
-    through the three gives the mode u (its vertex) and f'' (its
-    curvature), and g is the slope at u of the parabola through the
-    three conditional means. At an edge mode, where the best node ends
-    the grid or neighbours a node where f is not finite, u is that node,
-    s is 1 and g is zero. Lambda(u)^-1 and the centre are taken at u.
-    """
-    collapsed = _Collapsed(assembled, prior)
-    grid = _tau_grid(collapsed, prior)
-    nodes, values, means = grid.nodes, grid.log_density, grid.means
-    k = assembled.n_coefficients
-    best = int(np.argmax(values))
-    mode, sd, slope = float(nodes[best]), 1.0, np.zeros(k)
-    if 0 < best < nodes.size - 1 and np.all(values[best - 1 : best + 2] > -math.inf):
-        step = 0.5 * (nodes[best + 1] - nodes[best - 1])
-        left, peak, right = values[best - 1 : best + 2]
-        second = left - 2.0 * peak + right  # step^2 f''
-        offset = 0.0  # of the vertex, in steps
-        if second < 0.0:
-            offset = 0.5 * (left - right) / second
-            sd = float(step / math.sqrt(-second))
-        mode += offset * step
-        below, at, above = means[best - 1 : best + 2]
-        slope = ((above - below) / 2.0 + offset * (above - 2.0 * at + below)) / step
-    _, [centre], [lower] = collapsed.moments([mode])
-    root = np.linalg.solve(lower.T, np.eye(k))  # L^-T
-    cov = root @ root.T  # Lambda(u)^-1
-    column = np.append(slope, 1.0)  # Sigma's last column over s^2
-    sigma = sd * sd * np.outer(column, column)
-    sigma[:k, :k] += 0.5 * (cov + cov.T)
-    try:
-        factor = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as e:
-        raise SamplerError(
-            "the Laplace approximation of the posterior is not positive "
-            f"definite (condition number {np.linalg.cond(sigma):.3g}); "
-            "coefficients that only a very wide prior constrains, such as "
-            "those of collinear covariates, make it so"
-        ) from e
-    return Preconditioner(
-        mean=np.append(centre, mode),
-        factor=factor,
-        tau_mode=math.exp(mode),
-        log_tau_sd=sd,
-        condition_number=float(np.linalg.cond(sigma)),
-        conditional_sd=np.sqrt(np.diagonal(cov)),
-        grid=grid,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +537,9 @@ def run_chain(
 
     Each chain's whole run, from its start to its output, is one
     generator with its state in locals. It pauses where it needs the
-    batched work of the driver below: the log posterior, w and window of
-    its pending proposal, taken in one call per round for every chain
-    that has one, or the log posteriors and ws of its new block's
+    batched work of the driver below: the log posterior and w of its
+    pending proposal, taken in one call per round for every chain that
+    has one, or the log posteriors and ws of its new block's
     independence proposals, taken for every chain's block at once. Each
     move writes the new state into the draw it holds from on; the draws
     in between are filled in once, at the end.
@@ -985,17 +569,16 @@ def run_chain(
     inverse = np.linalg.inv(preconditioner.factor)  # R^-1
     period = INDEPENDENCE_PERIOD
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per block
-    ahead = np.arange(1, period)  # a window's rows after its start
+    ahead = np.arange(1, period)  # the rows after an independence step
     adapt = config.adapt
     warm = adapt + config.burn_in
     thin = config.thin
     total = warm + config.samples * thin
     # Independence steps of the sampling phase, iterations warm..total - 1.
     n_independent = total // period - warm // period
-    # Each chain's block of normals and its pending proposal, read by the
-    # driver's batched products, and scratch that a chain uses up
-    # between two of its yields.
-    normals = np.empty((n_chains, block, dim))
+    # Each chain's pending proposal, read by the driver's batched
+    # products, and scratch that a chain uses up between two of its
+    # yields.
     proposal = np.empty((n_chains, dim))
     uniforms, gammas = np.empty(block), np.empty(block)
     choices = np.empty((3, block))
@@ -1005,16 +588,14 @@ def run_chain(
 
     def chain(c: int, rng: np.random.Generator, seed_used: int):
         """Chain c's run. For its pending proposal, in ``proposal[c]``,
-        it yields the row of the proposal's normals in ``normals``
-        flattened, and is sent the proposal's log posterior, w and
-        window (w.z for the next period - 1 rows, then |w|^2). With a
-        new block drawn it yields the block's independence proposals,
+        it yields c and is sent the proposal's log posterior and w. With
+        a new block drawn it yields the block's independence proposals,
         and is sent their log posteriors, ws and |w|^2. It returns its
         output, or None where it finds no finite start."""
-        origin, row = c * block, proposal[c]
+        row = proposal[c]
         for _ in range(INIT_RETRIES):
             np.add(mean, rng.standard_normal(dim) @ factor_t, out=row)
-            lp, w_new, window = yield origin
+            lp, w_new = yield c
             if math.isfinite(lp):
                 break
         else:
@@ -1025,15 +606,15 @@ def run_chain(
         draws = np.empty((config.samples, dim))
         marked = bytearray(config.samples)
         draws[0], marked[0] = row, 1
-        # The state, with lp, w = R^-1 (x - mu) and |w|^2 of it, and
-        # log q of it, None until an independence step needs it.
-        state, w, w_sq, lq = draws[0], w_new.copy(), window[-1], None
+        # The state, with lp and w = R^-1 (x - mu) of it, and log q of
+        # it, None until an independence step needs it.
+        state, w, lq = draws[0], w_new.copy(), None
         # One log-scale, moved by Robbins-Monro toward the target
         # acceptance during the adapt phase, then frozen.
         ls = math.log(2.38 / math.sqrt(dim))
         s = math.exp(ls)
         half_s_sq = 0.5 * s * s
-        own, increments = normals[c], np.empty((block, dim))
+        own, increments = np.empty((block, dim)), np.empty((block, dim))
         accepted = adapt_accepted = independent_accepted = 0
         nonfinite = evaluations = 0
         for first in range(0, total, block):
@@ -1050,31 +631,30 @@ def run_chain(
             targets, log_grid = mixture.draw(
                 own[steps], increments[steps], gammas[steps], choices[:, steps]
             )
-            # w may be a row of the last block's ws, which the driver
-            # overwrites.
+            # w may be a row of the last block's ws, overwritten next.
             w = w.copy()
             lps, ws, ws_sq = yield targets
             lq_news = mixture.log_q_block(log_grid, ws_sq)
-            ws_sq = ws_sq.tolist()
-            # The window that follows each independence proposal.
+            # The dots that follow each independence proposal.
             terms = own[np.minimum(steps[:, None] + ahead, block - 1)]
             np.multiply(terms, ws[:, None, :], out=terms)
-            windows = np.add.reduce(terms, axis=2).tolist()
-            # A window holds w.z for up to period - 1 iterations from
-            # ``since`` on; none outlives its block.
+            dots_after = np.add.reduce(terms, axis=2).tolist()
+            # ``dots`` holds w.z for up to period - 1 iterations from
+            # ``since`` on, formed anew where they run out; none outlives
+            # its block.
             since, dots = first, []
             for j in range(size):
                 it = first + j
                 if (it + 1) % period == 0:
                     k = j // period
-                    lp_new, w_sq_new, lq_new = lps[k], ws_sq[k], lq_news[k]
+                    lp_new, lq_new = lps[k], lq_news[k]
                     if lq is None:  # a random-walk step moved the state
-                        lq = log_q(mixture.log_grid_at(state), w_sq)
+                        lq = log_q(mixture.log_grid_at(state), np.add.reduce(w * w))
                     ratio = lp_new - lp + (lq - lq_new)
                     # A NaN ratio fails this test, so its proposal is
                     # rejected; it is counted.
                     move = log_u[j] < ratio
-                    target, w_new, window = targets[k], ws[k], windows[k]
+                    target, w_new, after = targets[k], ws[k], dots_after[k]
                     if move and it >= warm:
                         independent_accepted += 1
                 else:
@@ -1096,7 +676,7 @@ def run_chain(
                     if evaluated:
                         np.multiply(increments[j], s, out=row)
                         row += state
-                        lp_new, w_new, window = yield origin + j
+                        lp_new, w_new = yield c
                         ratio = lp_new - lp - r1
                         # The test is log u < min(0, r1) + min(0, ratio);
                         # a NaN ratio fails it, so its proposal is
@@ -1104,8 +684,8 @@ def run_chain(
                         move = log_u[j] < (r1 if r1 < 0.0 else 0.0) + (
                             0.0 if ratio >= 0.0 else ratio
                         )
-                        target, w_sq_new, window = row, window[-1], window[:-1]
-                        lq_new = None
+                        # The next random-walk step forms its dots anew.
+                        target, after, lq_new = row, [], None
                         if move:  # the driver overwrites w_new next round
                             w_new = w_new.copy()
                     if it < adapt:  # a screened-out proposal scores 0
@@ -1125,8 +705,8 @@ def run_chain(
                     at = (it - warm) // thin if it > warm else 0
                     draws[at], marked[at] = target, 1
                     state, w = draws[at], w_new
-                    lp, w_sq, lq = lp_new, w_sq_new, lq_new
-                    since, dots = it + 1, window
+                    lp, lq = lp_new, lq_new
+                    since, dots = it + 1, after
                     if it < adapt:
                         adapt_accepted += 1
                     elif it >= warm:
@@ -1152,9 +732,8 @@ def run_chain(
         )
 
     # The driver: one batched evaluation per round carries the pending
-    # proposal of every chain that has one, and once every chain has
-    # drawn its next block, one batch carries their independence
-    # proposals.
+    # proposal of every chain that has one, and once every chain has drawn
+    # its next block, one batch carries their independence proposals.
     runs = [chain(c, *_chain_rng(config.seed, k)) for c, k in enumerate(chains)]
     log_post = _LogPosterior(assembled, prior, chains)
     whiten = _LaneProduct(inverse, chains)
@@ -1162,12 +741,6 @@ def run_chain(
         assembled, prior, chains, mean, inverse, -(-block // period)
     )
     offset = np.empty((n_chains, dim))
-    # A window's normals, with w last: one product gives w.z and |w|^2.
-    window_terms = np.empty((n_chains, period, dim))
-    flat_normals = normals.reshape(-1, dim)
-    at = np.zeros(n_chains, dtype=np.intp)  # rows of the pending proposals
-    spans = np.empty((n_chains, period - 1), dtype=np.intp)
-    last = np.arange(block - 1, n_chains * block, block)[:, None]
 
     # What each chain waits for: the row of its pending proposal, its
     # block's independence increments, or nothing more (its output).
@@ -1176,17 +749,10 @@ def run_chain(
         while True:
             pending = [c for c, r in enumerate(requests) if type(r) is int]
             if pending:
-                for c in pending:
-                    at[c] = requests[c]
                 lps = log_post(proposal[:, :n_coeff], proposal[:, n_coeff])
                 w_new = whiten(np.subtract(proposal, mean, out=offset))
-                np.minimum(np.add(at[:, None], ahead, out=spans), last, out=spans)
-                flat_normals.take(spans, axis=0, out=window_terms[:, :-1], mode="clip")
-                window_terms[:, -1] = w_new
-                np.multiply(window_terms, w_new[:, None, :], out=window_terms)
-                after = np.add.reduce(window_terms, axis=2).tolist()
                 for c in pending:
-                    requests[c] = _resume(runs[c], (lps[c], w_new[c], after[c]))
+                    requests[c] = _resume(runs[c], (lps[c], w_new[c]))
                 failed = [chains[c] for c in pending if requests[c] is None]
                 if failed:
                     raise SamplerError(

@@ -2,7 +2,7 @@
 
 The densities are rebuilt trial by trial from the covariance and design
 layers, without the whitened, stacked arrays of
-``featmeta.sampler.assemble``; ``mvn_logpdf`` is the dense Gaussian
+``featmeta.posterior.assemble``; ``mvn_logpdf`` is the dense Gaussian
 density and ``build_between_covariance`` the heterogeneity covariance
 tau^2 S they use. ``conditional_coefficients`` is the mean and
 precision of c | tau, y by a dense solve over the trials.
@@ -51,6 +51,14 @@ from featmeta.data import (
 )
 from featmeta.design import ParameterVector, trial_design_matrix
 from featmeta.diagnostics import _prefix_shrink_factors
+from featmeta.posterior import (
+    AssembledDataset,
+    Preconditioner,
+    PriorSpec,
+    SamplerError,
+    _trials_with_covariance,
+    precondition,
+)
 from featmeta.sampler import (
     DEFENSIVE_WEIGHT,
     DRAW_BLOCK_VALUES,
@@ -58,16 +66,10 @@ from featmeta.sampler import (
     INDEPENDENCE_PERIOD,
     INIT_RETRIES,
     TARGET_ACCEPT,
-    AssembledDataset,
     ChainOutput,
     McmcConfig,
-    Preconditioner,
-    PriorSpec,
-    SamplerError,
     _chain_rng,
     _LaneProduct,
-    _trials_with_covariance,
-    precondition,
 )
 from featmeta.simulate import SimConfig
 
@@ -682,7 +684,7 @@ def reference_run_chain(
 
 
 def reference_assemble(dataset: Dataset) -> AssembledDataset:
-    """``featmeta.sampler.assemble`` as it was: S factored once per trial."""
+    """``featmeta.posterior.assemble`` as it was: S factored once per trial."""
     ys, designs, eigenvalues = [], [], []
     const = 0.0
     for trial, within, design in _trials_with_covariance(dataset):

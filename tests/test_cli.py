@@ -12,6 +12,7 @@ from dataclasses import fields
 
 import pytest
 
+import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import DataFormatError, SimConfig, dataset_to_dict, save_dataset
 from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
@@ -331,7 +332,7 @@ def test_fit_manifest_records_the_proposal_and_the_checks(data_file, tmp_path):
     assert 0.0 < pre["tau_mode"] < manifest["settings"]["tau_upper"]
     assert pre["log_tau_sd"] > 0.0
     assert pre["condition_number"] >= 1.0
-    assert pre["grid_nodes"] == sampler.GRID_NODES
+    assert pre["grid_nodes"] == posterior.GRID_NODES
     low, high = pre["grid_log_tau"]
     assert low < math.log(pre["tau_mode"]) < high
     assert pre["grid_spacing_sd"] == pytest.approx(

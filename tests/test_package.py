@@ -1,8 +1,10 @@
 """The library's surface: every exported name resolves, and the helpers
 only the tests use live in tests/reference.py, not in the package."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ MODULES = (
     "featmeta.data",
     "featmeta.design",
     "featmeta.diagnostics",
+    "featmeta.posterior",
     "featmeta.sampler",
     "featmeta.simulate",
 )
@@ -53,3 +56,16 @@ def test_test_only_methods_are_not_on_the_records():
 def test_positive_semidefinite_check_has_one_tolerance():
     parameters = inspect.signature(ensure_positive_semidefinite).parameters
     assert list(parameters) == ["matrix", "context"]
+
+
+def test_posterior_imports_no_chain_code():
+    # The model stands without the chains, the diagnostics and the CLI.
+    path = Path(importlib.import_module("featmeta.posterior").__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    own = {name for name in imported if name.startswith((".", "featmeta"))}
+    assert own <= {".covariance", ".data", ".design"}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import (
     ChainOutput,
@@ -35,6 +36,7 @@ from featmeta import (
     trial_design_matrix,
     validate_dataset,
 )
+from featmeta.cli import main
 
 import reference
 from conftest import arm, build_basic_dataset, build_basic_schema, grid_trial
@@ -389,7 +391,7 @@ def test_singular_within_covariance_is_minus_inf_at_tau_zero():
     with np.errstate(all="ignore"):  # as in run_chain
         assert log_post(coeffs, np.array([-400.0])) == [-math.inf]
         assert math.isfinite(log_post(coeffs, np.array([math.log(0.05)]))[0])
-    f = sampler._Collapsed(assembled, PriorSpec()).moments([-3.0, 0.0])[0]
+    f = posterior._Collapsed(assembled, PriorSpec()).moments([-3.0, 0.0])[0]
     assert np.all(np.isfinite(f))
 
 
@@ -489,17 +491,64 @@ INPUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload, index", sorted(INPUT_DIGESTS))
-def test_benchmark_inputs_keep_every_byte(tmp_path, workload, index):
+def save_benchmark_input(path, workload, index):
+    """Write seed-1 dataset ``index`` of a workload as perfbench/inputs.py
+    does."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         from inputs import sim_config
     finally:
         sys.path.pop(0)
-    path = tmp_path / "data.json"
     save_dataset(simulate_dataset(sim_config(workload, 1, index)), path)
+
+
+@pytest.mark.parametrize("workload, index", sorted(INPUT_DIGESTS))
+def test_benchmark_inputs_keep_every_byte(tmp_path, workload, index):
+    path = tmp_path / "data.json"
+    save_benchmark_input(path, workload, index)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == INPUT_DIGESTS[workload, index]
+
+
+# SHA-256 of every file that `featmeta fit --seed 1 --adapt 2000
+# --burn-in 2000 --samples 5000` writes for fit150's seed-1 data0
+# (numpy 2.4, x86-64), manifest.json without its line of the absolute
+# `data` path. A change that alters the draws must update them and say
+# so in CHANGES.md.
+RUN_DIGESTS = {
+    "chains/chain_1.npz": "5fe5109bcdec783650bc49c4db3354478b43f7bb1fc31d2251bae1d17a085a42",
+    "chains/chain_1.tsv": "b71009f5f4f151dba41194a7e5e716e4324058d0913dc6d47c0474978302c028",
+    "chains/chain_2.npz": "a0f1f1a1665c2ba9889dc3f2fb121a8c32ad34791449090ad45d2ffb0fce71fc",
+    "chains/chain_2.tsv": "a5517df3690f686f0d0423c3356a64351d60e8c7ebdac3f5cf8da903a9d82d03",
+    "chains/chain_3.npz": "bb203e8905fa2a5fff5af6f142e7c99717eacfa128ac00c8e04f41a4311791df",
+    "chains/chain_3.tsv": "dc9c72e3145ba08544951973a991f8d3b376e990fce36566e7c9cbd87b5483df",
+    "chains/chain_4.npz": "7d4b557ddab8b2562b4c5f999a7d7283f1727a32e51fc7d810f9a69ac5228421",
+    "chains/chain_4.tsv": "0407bd0dbf5bfe92a06a628ebef2287109f8cc8cb52a4c3c380a56a94d8ca2d8",
+    "manifest.json": "901464b99d7398857fdb7c3ed28ded02f33cc19800189bb7d30f25782488c757",
+    "rhat_trace.tsv": "f7db5b1e4d6fc312feb24a9685329ef061a7bf4690098728b74f6c4d70d9cb51",
+    "summary.tsv": "1297390199a3f1e2e2a3a8a1024f6362ab2c3fcccad559e4ade002ce4e97c12b",
+}
+
+
+def test_fit_run_directory_keeps_every_byte(tmp_path):
+    data, out = tmp_path / "data.json", tmp_path / "run"
+    save_benchmark_input(data, "fit150", 0)
+    assert main([
+        "fit", "--data", str(data), "--out", str(out), "--seed", "1",
+        "--adapt", "2000", "--burn-in", "2000", "--samples", "5000",
+    ]) == 0
+    digests = {}
+    for path in out.rglob("*.*"):
+        content = path.read_bytes()
+        if path.name == "manifest.json":
+            content = b"".join(
+                line for line in content.splitlines(keepends=True)
+                if not line.startswith(b'  "data": ')
+            )
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(
+            content
+        ).hexdigest()
+    assert digests == RUN_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +581,7 @@ def test_collapsed_density_matches_the_dense_identity(which):
     k = assembled.n_coefficients
     rng = np.random.default_rng(7)
     taus = np.exp(rng.uniform(math.log(0.01), math.log(1.0), size=6))
-    f, means, _ = sampler._Collapsed(assembled, prior).moments(np.log(taus))
+    f, means, _ = posterior._Collapsed(assembled, prior).moments(np.log(taus))
     coeffs = [rng.normal(0.0, 0.05, size=k) for _ in range(2)]
     rights = []
     for c in coeffs:
@@ -559,7 +608,7 @@ def test_collapsed_density_alone_equals_that_of_the_moments():
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
     assembled = assemble(centered)
     assembled.stacked_eigenvalues[0] = -0.2  # -inf below tau^2 = 0.2
-    collapsed = sampler._Collapsed(assembled, PriorSpec())
+    collapsed = posterior._Collapsed(assembled, PriorSpec())
     u = np.linspace(-6.0, 1.5, 2 * collapsed.per_u + 3)  # three blocks
     f, mean, lower = collapsed.moments(u)
     bad = f == -math.inf
@@ -572,9 +621,9 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
     prior = PriorSpec()
     assembled = assemble(centered)
-    pre = sampler.precondition(assembled, prior)
+    pre = posterior.precondition(assembled, prior)
     mode = math.log(pre.tau_mode)
-    collapsed = sampler._Collapsed(assembled, prior)
+    collapsed = posterior._Collapsed(assembled, prior)
     f = collapsed.moments(mode + np.array([-1e-3, 0.0, 1e-3]))[0]
     assert f[1] >= f[0] and f[1] >= f[2]
     assert 0.0 < pre.log_tau_sd < 1.0
@@ -583,7 +632,7 @@ def test_preconditioner_sits_at_a_local_maximum_of_f():
     # parabola through the dense f at the best grid node and its two
     # neighbours gives the mode and s, and g is the slope at the mode of
     # the parabola through the dense conditional means at those nodes.
-    grid = sampler._tau_grid(collapsed, prior)
+    grid = posterior._tau_grid(collapsed, prior)
     nodes, values = grid.nodes, grid.log_density
     assert np.array_equal(pre.grid.nodes, nodes)
     best = int(np.argmax(values))
@@ -646,7 +695,7 @@ def test_preconditioner_matches_an_independent_search_of_f(which):
         )
     prior = PriorSpec()
     assembled = assemble(dataset)
-    collapsed = sampler._Collapsed(assembled, prior)
+    collapsed = posterior._Collapsed(assembled, prior)
     top = math.log(prior.tau_upper)
     ref = minimize_scalar(
         lambda u: -collapsed.moments([u])[0][0],
@@ -659,7 +708,7 @@ def test_preconditioner_matches_an_independent_search_of_f(which):
     upper, _ = conditional_coefficients(dataset, math.exp(ref + h), prior.coeff_sd)
     g_ref = (upper - lower) / (2.0 * h)
 
-    pre = sampler.precondition(assembled, prior)
+    pre = posterior.precondition(assembled, prior)
     k = assembled.n_coefficients
     sigma = pre.factor @ pre.factor.T
     g = sigma[:k, k] / sigma[k, k]  # Sigma_cu / Sigma_uu
@@ -670,7 +719,7 @@ def test_preconditioner_matches_an_independent_search_of_f(which):
 
 def test_preconditioner_mean_is_the_conditional_mean_at_the_mode():
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
-    pre = sampler.precondition(assemble(centered), PriorSpec())
+    pre = posterior.precondition(assemble(centered), PriorSpec())
     want, _ = conditional_coefficients(centered, pre.tau_mode, 100.0)
     np.testing.assert_allclose(pre.mean[:-1], want, rtol=1e-8, atol=1e-12)
     assert pre.mean[-1] == math.log(pre.tau_mode)
@@ -684,7 +733,7 @@ def test_preconditioner_falls_back_to_unit_log_tau_sd_at_the_bracket_edge():
                        categories=(1,), v=0.005, y=0.03)
     dataset = Dataset(schema=schema, trials=(trial,), base_rho_y=0.8,
                       base_rho_d=0.64)
-    pre = sampler.precondition(
+    pre = posterior.precondition(
         assemble(dataset), PriorSpec(coeff_sd=1e8, tau_upper=1e-6)
     )
     assert pre.log_tau_sd == 1.0
@@ -698,11 +747,11 @@ def test_preconditioner_survives_nan_densities():
     # finite.
     assembled = assemble(centered_basic_dataset())
     assembled.stacked_eigenvalues[0] = -0.2
-    pre = sampler.precondition(assembled, PriorSpec())
+    pre = posterior.precondition(assembled, PriorSpec())
     assert np.all(np.isfinite(pre.factor))
     assert pre.tau_mode**2 > 0.2
     assert pre.log_tau_sd == 1.0
-    f = sampler._Collapsed(assembled, PriorSpec()).moments(
+    f = posterior._Collapsed(assembled, PriorSpec()).moments(
         [math.log(0.3), math.log(0.5)]
     )[0]
     assert f[0] == -math.inf and math.isfinite(f[1])
@@ -711,8 +760,8 @@ def test_preconditioner_survives_nan_densities():
 def test_preconditioner_refuses_a_density_finite_nowhere():
     assembled = assemble(centered_basic_dataset())
     assembled.stacked_eigenvalues[0] = -30.0  # NaN below tau^2 = 30 > 5^2
-    with pytest.raises(sampler.SamplerError, match="not finite anywhere"):
-        sampler.precondition(assembled, PriorSpec())
+    with pytest.raises(posterior.SamplerError, match="not finite anywhere"):
+        posterior.precondition(assembled, PriorSpec())
 
 
 def with_scaled_outcomes(dataset, k):
@@ -745,8 +794,8 @@ def test_preconditioner_finds_a_posterior_far_below_tau_upper(tau_upper, k):
     # unscaled outcomes, its mode moved by log k: within 0.01 s for the
     # mode and 1 % for s. The bounds were fixed before the first run.
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
-    want = sampler.precondition(assemble(centered), PriorSpec())
-    got = sampler.precondition(
+    want = posterior.precondition(assemble(centered), PriorSpec())
+    got = posterior.precondition(
         assemble(with_scaled_outcomes(centered, k)),
         PriorSpec(tau_upper=tau_upper),
     )
@@ -995,10 +1044,10 @@ def test_a_start_that_is_never_finite_names_every_chain():
     # Every log posterior is NaN, so no chain finds a finite start.
     assembled = assemble(centered_basic_dataset())
     prior = PriorSpec(tau_upper=1.0)
-    preconditioner = sampler.precondition(assembled, prior)
+    preconditioner = posterior.precondition(assembled, prior)
     assembled.stacked_eigenvalues[0] = -10.0  # NaN below tau^2 = 10 > 1
     with pytest.raises(
-        sampler.SamplerError,
+        posterior.SamplerError,
         match=r"chain\(s\) \[0, 1, 2\]: no finite starting point",
     ):
         run_chain(
@@ -1025,7 +1074,7 @@ def test_run_chain_memory_does_not_grow_with_the_run():
     # The bound was fixed before the first run.
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
     assembled = assemble(centered)
-    preconditioner = sampler.precondition(assembled, PriorSpec())
+    preconditioner = posterior.precondition(assembled, PriorSpec())
     config = McmcConfig(
         chains=4, adapt=1000, burn_in=1000, samples=20_000, seed=3
     )
@@ -1224,7 +1273,7 @@ def recovery_proposal():
     """The recovery dataset of seed 1000, its approximation and the
     independence proposal built on it."""
     centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
-    pre = sampler.precondition(assemble(centered), PriorSpec())
+    pre = posterior.precondition(assemble(centered), PriorSpec())
     return pre, sampler._IndependenceProposal(pre)
 
 
@@ -1408,7 +1457,7 @@ def test_a_wrong_approximation_changes_efficiency_not_the_target():
         centered, coeff_sd=prior.coeff_sd, tau_upper=prior.tau_upper
     )
     assembled = assemble(centered)
-    right = sampler.precondition(assembled, prior)
+    right = posterior.precondition(assembled, prior)
     mean = right.mean.copy()
     mean[-1] += 2.0 * right.log_tau_sd
     wrong = dataclasses.replace(right, mean=mean, factor=3.0 * right.factor)
@@ -1445,7 +1494,7 @@ def test_a_wrong_grid_changes_efficiency_not_the_target():
         centered, coeff_sd=prior.coeff_sd, tau_upper=prior.tau_upper
     )
     assembled = assemble(centered)
-    right = sampler.precondition(assembled, prior)
+    right = posterior.precondition(assembled, prior)
     grid = right.grid
     mode = math.log(right.tau_mode)
     weights = grid.weights * np.exp(2.0 * (grid.nodes - mode) / right.log_tau_sd)
