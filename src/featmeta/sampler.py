@@ -50,33 +50,24 @@ Every chain draws from its own random stream, a block of iterations at
 a time: the block's normals, then its uniforms, then one chi^2_nu draw
 per iteration, then three uniforms per iteration that pick the
 mixture's component, the node and the place in its cell. A chain builds
-its block's independence proposals at once, and their log q_grid with
-them: that of a grid proposal is read off its normals, since
-L_n' (c - m_n) = z. It keeps log q of its state; a state a random-walk
-step moved gets its log q when an independence step next needs it.
-Each chain's whole run is one sequential generator, its state in
-locals. It forms the screen's dot products from its own normals, steps
-on its own through the iterations whose proposals the screen turns
-away, which leave its state in place, and pauses at the next proposal
-that passes the screen; a short driver evaluates the pending proposals
-of all chains in one batched call per round and resumes each with its
-result. Independence proposals do not depend on the state, so a chain
-that has used up its block draws the next one and pauses too; once
-every chain has, the driver evaluates the independence proposals of the
-new blocks in batches. Each chain turns its blocks of normals into
-proposal directions with its own fixed-shape product by R'; every
-design product, and every product by R^-1 that whitens a state, keeps
-each chain in a fixed lane of fixed-shape blocks. So its draws do not
-depend on which chains run with it.
+its block's independence proposals at once and evaluates them together,
+with their log q_grid: that of a grid proposal is read off its normals,
+since L_n' (c - m_n) = z. It keeps log q of its state; a state a
+random-walk step moved gets its log q when an independence step next
+needs it. Each chain runs on its own, from its start to its output,
+with its state in locals: it forms the screen's dot products from its
+own normals, steps through the iterations whose proposals the screen
+turns away, which leave its state in place, and evaluates each proposal
+that passes the screen as it comes. So its draws depend on the run's
+seed and its index alone, never on which chains run with it.
 
 numpy does the work whose size grows with the data: the design product
-and the density's (chains, observations) arithmetic, in buffers
-allocated once. Per-chain scalars (log posteriors, scales, acceptance,
-counters) are Python floats and ints, since a numpy call on a handful
-of values costs more than the arithmetic; each is formed with the same
-IEEE operations in the same order, so the draws are those of an
-all-numpy loop bit for bit. The scales are taken with math.exp and the
-mixture's terms with math.log1p and math.exp.
+and the density's per-observation arithmetic, in buffers allocated
+once. Per-chain scalars (log posteriors, scales, acceptance, counters)
+are Python floats and ints, since a numpy call on a handful of values
+costs more than the arithmetic; each is formed with the same IEEE
+operations in the same order as an all-numpy loop. The scales are taken
+with math.exp and the mixture's terms with math.log1p and math.exp.
 """
 
 from __future__ import annotations
@@ -112,12 +103,11 @@ __all__ = [
 TARGET_ACCEPT = 0.1  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
 WEAK_SD_FRACTION = 0.5  # conditional sd above this share of coeff_sd: weak
-LANES = 4  # rows of one padded product (see _LaneProduct)
 DRAW_BLOCK_VALUES = 8192  # random normals taken from a chain's stream at once
 INDEPENDENCE_PERIOD = 4  # every this many iterations, an independence step
 INDEPENDENCE_DOF = 5  # degrees of freedom of the t component
 DEFENSIVE_WEIGHT = 1 / 16  # weight of the t component of the proposals
-BATCH_BYTES = 1 << 16  # largest buffer of a batch of independence proposals
+BATCH_BYTES = 1 << 16  # bytes of a chunk buffer of independence proposals
 FILL_ROWS = 2048  # rows of draws filled in at a time at the end of a chain
 
 
@@ -196,7 +186,7 @@ class ChainOutput:
 
 
 # ---------------------------------------------------------------------------
-# Streams and the batched log posterior
+# Streams and the log posterior
 # ---------------------------------------------------------------------------
 
 
@@ -206,163 +196,115 @@ def _chain_rng(seed: int, chain_index: int) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seq), derived
 
 
-class _LaneProduct:
-    """``matrix @ v`` for each row v of a batch, one row per chain.
+class _Evaluator:
+    """The log posterior and w = R^-1 (x - mu) of sampler states.
 
-    A BLAS product over C rows rounds each row differently for each C.
-    Chain k therefore always sits in row ``k % LANES`` of a zero-padded
-    block of LANES rows, so every product has the same shape and each
-    chain's row is bit-identical whichever chains share the batch. The
-    returned rows are overwritten by the next call.
-    """
-
-    def __init__(self, matrix: np.ndarray, chains: Sequence[int]):
-        blocks = sorted({k // LANES for k in chains})
-        rows = [blocks.index(k // LANES) * LANES + k % LANES for k in chains]
-        # A slice keeps the common case, chains 0..C-1, free of copies.
-        self.rows = (
-            slice(0, len(rows)) if rows == list(range(len(rows)))
-            else np.array(rows)
-        )
-        self.matrix_t = np.ascontiguousarray(matrix.T)
-        self.vectors = np.zeros((len(blocks) * LANES, matrix.shape[1]))
-        self.product = np.empty((len(blocks) * LANES, matrix.shape[0]))
-        self.blocks = [
-            (self.vectors[lo : lo + LANES], self.product[lo : lo + LANES])
-            for lo in range(0, len(blocks) * LANES, LANES)
-        ]
-
-    def __call__(self, vectors: np.ndarray) -> np.ndarray:
-        self.vectors[self.rows] = vectors
-        for block, out in self.blocks:
-            np.matmul(block, self.matrix_t, out=out)
-        return self.product[self.rows]
-
-
-class _LogPosterior:
-    """Log posterior of a batch of sampler states, one per chain.
-
-    A call takes the (chains, coefficients) and (chains,) log(tau) parts
-    of the states and returns one float per chain: -inf where tau is
-    outside the prior's support or some lam + tau^2 is 0, and NaN where
-    the density is otherwise not finite inside the support. Each chain's
-    value depends on its own state alone. The
-    (chains, observations) work runs in buffers allocated once; each
-    chain's few scalars are finished in Python, with the IEEE operations
-    numpy would do, in the same order.
+    A call takes one state, the coefficients then log(tau), and returns
+    its log posterior: -inf where tau is outside the prior's support or
+    some lam + tau^2 is 0, and NaN where the density is otherwise not
+    finite inside the support. ``whiten`` returns the w of one state,
+    and ``block`` the log posteriors, ws and |w|^2 of a block of
+    independence proposals, in chunks of the fewest rows whose buffers
+    hold BATCH_BYTES. The work over the observations runs in buffers
+    allocated once; each state's few scalars are finished in Python,
+    with the IEEE operations numpy would do, in the same order. A chunk
+    holds one chain's proposals, so no chain's values depend on another
+    chain.
     """
 
     def __init__(
         self,
         assembled: AssembledDataset,
         prior: PriorSpec,
-        chains: Sequence[int],
+        preconditioner: Preconditioner,
     ):
-        n_chains = len(chains)
         n_obs = assembled.stacked_y.shape[0]
+        self.n_coeff = n_coeff = assembled.n_coefficients
         self.log_density_const = assembled.log_density_const
         self.stacked_eigenvalues = assembled.stacked_eigenvalues
         self.tau_upper = prior.tau_upper
-        n_coeff = assembled.n_coefficients
-        self.design = _LaneProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
         self.prior_const = -0.5 * n_coeff * math.log(
             2.0 * math.pi * prior.coeff_sd**2
         ) - math.log(prior.tau_upper)
         self.half_precision = 0.5 / prior.coeff_sd**2
-        # A row per chain: a ufunc runs slower when an operand is
-        # broadcast along the rows and slower still along the columns.
-        self.y = np.tile(assembled.stacked_y, (n_chains, 1))
-        self.eigenvalues = np.tile(assembled.stacked_eigenvalues, (n_chains, 1))
-        self.tau = np.empty(n_chains)
-        self.tau_sq = np.empty(n_chains)
-        self.tau_sq_column = self.tau_sq[:, None]
-        self.tau_sq_rows = np.empty((n_chains, n_obs))
-        self.squares = np.empty((n_chains, n_coeff))
-        self.denom = np.empty((n_chains, n_obs))
-        self.resid = np.empty((n_chains, n_obs))
+        # c @ X~' on a contiguous X~' is twice as fast as X~ @ c for one
+        # state; likewise (x - mu) @ R^-T.
+        self.design_t = np.ascontiguousarray(assembled.stacked_design.T)
+        self.mean = preconditioner.mean
+        self.inverse_t = np.ascontiguousarray(np.linalg.inv(preconditioner.factor).T)
+        # A row per state of a chunk: a ufunc runs slower when an operand
+        # is broadcast along the rows. A chunk takes the fewest rows whose
+        # buffers hold BATCH_BYTES: at 5,000 observations, one-row chunks
+        # made the sampling about a fifth slower than two-row ones.
+        self.rows = rows = -(-BATCH_BYTES // (8 * n_obs))
+        self.y = np.tile(assembled.stacked_y, (rows, 1))
+        self.eigenvalues = np.tile(assembled.stacked_eigenvalues, (rows, 1))
+        self.product = np.empty((rows, n_obs))
+        self.denom = np.empty((rows, n_obs))
+        self.resid = np.empty((rows, n_obs))
+        self.squares = np.empty((rows, n_coeff))
+        # One state's 1-D buffers: row 0 of each.
+        self.one = tuple(buffer[0] for buffer in (
+            self.y, self.eigenvalues, self.product, self.denom, self.resid,
+            self.squares,
+        ))
 
-    def __call__(self, coeffs: np.ndarray, log_tau: np.ndarray) -> list[float]:
+    def _finish(self, s: float, q: float, lt: float, t: float) -> float:
+        """The log posterior from the marginal sum s, |c|^2 q, log(tau)
+        lt and tau t."""
+        if not 0.0 < t < self.tau_upper:
+            return -math.inf
+        # lt is the Jacobian of the tau -> log(tau) reparameterization.
+        lp = -0.5 * (self.log_density_const + s) - self.half_precision * q + (
+            lt + self.prior_const
+        )
+        if not math.isfinite(lp):
+            zero = _zero_denominator(self.stacked_eigenvalues, t * t)
+            return -math.inf if zero else math.nan
+        return lp
+
+    def __call__(self, state: np.ndarray) -> float:
         # exp overflows to inf for log(tau) > 709, which lies outside the
         # support; the caller silences floating-point warnings.
-        tau = np.exp(log_tau, out=self.tau)
-        np.multiply(tau, tau, out=self.tau_sq)
-        np.copyto(self.tau_sq_rows, self.tau_sq_column)
-        sums = _marginal_sums(
-            self.y, self.eigenvalues, self.design(coeffs), self.tau_sq_rows,
-            self.denom, self.resid,
+        y, eigenvalues, product, denom, resid, squares = self.one
+        coeffs = state[: self.n_coeff]
+        lt = float(state[self.n_coeff])
+        t = float(np.exp(lt))
+        s = _marginal_sums(
+            y, eigenvalues, np.matmul(coeffs, self.design_t, out=product),
+            t * t, denom, resid,
         )
-        squares = np.multiply(coeffs, coeffs, out=self.squares)
-        quads = np.add.reduce(squares, axis=1)
-        const = self.log_density_const
-        upper, hp, pc = self.tau_upper, self.half_precision, self.prior_const
-        out = []
-        for s, q, lt, t in zip(
-            sums.tolist(), quads.tolist(), log_tau.tolist(), tau.tolist()
-        ):
-            if not 0.0 < t < upper:
-                out.append(-math.inf)
-                continue
-            # lt is the Jacobian of the tau -> log(tau) reparameterization.
-            lp = -0.5 * (const + s) - hp * q + (lt + pc)
-            if not math.isfinite(lp):
-                zero = _zero_denominator(self.stacked_eigenvalues, t * t)
-                lp = -math.inf if zero else math.nan
-            out.append(lp)
-        return out
+        q = np.add.reduce(np.multiply(coeffs, coeffs, out=squares))
+        return self._finish(float(s), float(q), lt, t)
 
+    def whiten(self, state: np.ndarray) -> np.ndarray:
+        return np.subtract(state, self.mean) @ self.inverse_t
 
-class _IndependenceBatch:
-    """The log posterior, w = R^-1 (x' - mu) and |w|^2 of the independence
-    proposals x' of a set of chains, up to ``steps`` of each at a time.
-
-    They do not depend on the chains' states, so a block's are evaluated
-    together when it is drawn: the log posteriors in batches whose
-    buffers hold at most about BATCH_BYTES, the ws in one product. In
-    every product each chain keeps its lane of the padded blocks, so
-    each value is bit-identical to that of the chain's row in an
-    evaluation of one state per chain.
-    """
-
-    def __init__(
-        self,
-        assembled: AssembledDataset,
-        prior: PriorSpec,
-        chains: Sequence[int],
-        mean: np.ndarray,
-        inverse: np.ndarray,
-        steps: int,
-    ):
-        n_obs = assembled.stacked_y.shape[0]
-        per_batch = max(1, BATCH_BYTES // (8 * n_obs * len(chains)))  # steps
-        steps = -(-steps // per_batch) * per_batch  # whole batches
-
-        def lanes(n_steps: int) -> list[int]:
-            # Chain k of step i is chain k + stride * i, in chain k's lane.
-            stride = LANES * (max(chains) // LANES + 1)
-            return [k + stride * i for i in range(n_steps) for k in chains]
-
-        self.log_post = _LogPosterior(assembled, prior, lanes(per_batch))
-        self.whiten = _LaneProduct(inverse, lanes(steps))
-        self.mean = mean
-        self.proposals = np.tile(mean, (steps, len(chains), 1))
-        self.rows = per_batch * len(chains)
-
-    def __call__(self, proposals: np.ndarray):
-        """For (chains, steps, dim) ``proposals``, their log posteriors
-        and |w|^2, (steps, chains) arrays, and their ws, a (steps, chains,
-        dim) array."""
-        n_chains, n_steps, dim = proposals.shape
-        self.proposals[:n_steps] = proposals.transpose(1, 0, 2)
-        flat = self.proposals.reshape(-1, dim)
-        lps = []
-        for lo in range(0, n_steps * n_chains, self.rows):
-            rows = flat[lo : lo + self.rows]
-            lps += self.log_post(rows[:, : dim - 1], rows[:, dim - 1])
-        n = n_steps * n_chains
-        ws = self.whiten(flat - self.mean)[:n].reshape(n_steps, n_chains, dim)
-        lps = np.reshape(lps[:n], (n_steps, n_chains))
-        return lps, ws, np.add.reduce(ws * ws, axis=2)
+    def block(
+        self, proposals: np.ndarray
+    ) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """The log posteriors of the rows of ``proposals``, their ws and
+        their |w|^2."""
+        n, lps = self.n_coeff, []
+        for lo in range(0, proposals.shape[0], self.rows):
+            chunk = proposals[lo : lo + self.rows]
+            m = chunk.shape[0]
+            coeffs, log_tau = chunk[:, :n], chunk[:, n]
+            tau = np.exp(log_tau)
+            sums = _marginal_sums(
+                self.y[:m], self.eigenvalues[:m],
+                np.matmul(coeffs, self.design_t, out=self.product[:m]),
+                (tau * tau)[:, None], self.denom[:m], self.resid[:m],
+            )
+            squares = np.multiply(coeffs, coeffs, out=self.squares[:m])
+            lps += map(
+                self._finish, sums.tolist(),
+                np.add.reduce(squares, axis=1).tolist(), log_tau.tolist(),
+                tau.tolist(),
+            )
+        ws = self.whiten(proposals)
+        return lps, ws, np.add.reduce(ws * ws, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +438,6 @@ def _fill_forward(rows: np.ndarray, marked: bytearray) -> None:
         rows[lo : lo + FILL_ROWS] = rows[source[lo : lo + FILL_ROWS]]
 
 
-def _resume(run, value):
-    """Send ``value`` to a generator: what it yields next, or what it
-    returns."""
-    try:
-        return run.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
 def run_chain(
     assembled: AssembledDataset,
     config: McmcConfig,
@@ -515,7 +448,9 @@ def run_chain(
     """Run the Metropolis chains ``chains``.
 
     Each chain starts at a draw mu + R z of the approximation, drawn
-    again while its log posterior is not finite. On iteration ``it``
+    again while its log posterior is not finite; every chain draws its
+    start before any chain runs, so a chain that finds none stops the
+    run before any work is spent on the others. On iteration ``it``
     with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes a
     draw x' of q = (1 - eps) q_grid + eps q_t (see
     ``_IndependenceProposal``): where the iteration's component uniform
@@ -535,22 +470,16 @@ def run_chain(
     proposal and 0 otherwise. The next ``config.burn_in`` iterations
     are discarded, and the rest are thinned into the draws.
 
-    Each chain's whole run, from its start to its output, is one
-    generator with its state in locals. It pauses where it needs the
-    batched work of the driver below: the log posterior and w of its
-    pending proposal, taken in one call per round for every chain that
-    has one, or the log posteriors and ws of its new block's
-    independence proposals, taken for every chain's block at once. Each
-    move writes the new state into the draw it holds from on; the draws
-    in between are filled in once, at the end.
+    Then each chain runs on its own, from its start to its output, with
+    its state in locals. Each move writes the new state into the draw it
+    holds from on; the draws in between are filled in once, at the end.
 
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its start, proposals, chi^2_nu draws,
     mixture uniforms and acceptance uniforms come from its own stream,
     the proposals taken in blocks sized from the state dimension, mu, R
-    and the tau grid depend on the data and the prior alone, the kernel
-    of an iteration on its index alone, and every batched operation
-    treats each chain's row on its own.
+    and the tau grid depend on the data and the prior alone, and the
+    kernel of an iteration on its index alone.
     ``preconditioner`` is ``precondition(assembled, prior)``, computed
     here when not given. tau is recorded on its natural scale. An
     evaluated proposal whose log posterior is not finite inside the
@@ -559,14 +488,12 @@ def run_chain(
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
         raise ValueError(f"need distinct chain indices, got {chains}")
-    n_chains = len(chains)
     n_coeff = assembled.n_coefficients
     dim = n_coeff + 1
     if preconditioner is None:
         preconditioner = precondition(assembled, prior)
     mean = preconditioner.mean
     factor_t = preconditioner.factor.T
-    inverse = np.linalg.inv(preconditioner.factor)  # R^-1
     period = INDEPENDENCE_PERIOD
     block = max(1, DRAW_BLOCK_VALUES // dim)  # iterations per block
     ahead = np.arange(1, period)  # the rows after an independence step
@@ -576,45 +503,32 @@ def run_chain(
     total = warm + config.samples * thin
     # Independence steps of the sampling phase, iterations warm..total - 1.
     n_independent = total // period - warm // period
-    # Each chain's pending proposal, read by the driver's batched
-    # products, and scratch that a chain uses up between two of its
-    # yields.
-    proposal = np.empty((n_chains, dim))
+    # Scratch that each chain uses in turn.
+    own, increments = np.empty((block, dim)), np.empty((block, dim))
     uniforms, gammas = np.empty(block), np.empty(block)
     choices = np.empty((3, block))
     squares = np.empty((block, dim))
     mixture = _IndependenceProposal(preconditioner)
     log_q = mixture.log_q
+    evaluate = _Evaluator(assembled, prior, preconditioner)
 
-    def chain(c: int, rng: np.random.Generator, seed_used: int):
-        """Chain c's run. For its pending proposal, in ``proposal[c]``,
-        it yields c and is sent the proposal's log posterior and w. With
-        a new block drawn it yields the block's independence proposals,
-        and is sent their log posteriors, ws and |w|^2. It returns its
-        output, or None where it finds no finite start."""
-        row = proposal[c]
-        for _ in range(INIT_RETRIES):
-            np.add(mean, rng.standard_normal(dim) @ factor_t, out=row)
-            lp, w_new = yield c
-            if math.isfinite(lp):
-                break
-        else:
-            return None
+    def chain(k: int, rng: np.random.Generator, seed_used: int, start, lp):
+        """Chain k's run on from ``start``, whose log posterior is lp."""
         # Each move writes its state to the draw it holds from on, and
         # marks that draw; draw 0 holds the state through the warm-up.
         # The draws in between repeat the marked one before them.
         draws = np.empty((config.samples, dim))
         marked = bytearray(config.samples)
-        draws[0], marked[0] = row, 1
+        draws[0], marked[0] = start, 1
         # The state, with lp and w = R^-1 (x - mu) of it, and log q of
         # it, None until an independence step needs it.
-        state, w, lq = draws[0], w_new.copy(), None
+        state, w, lq = draws[0], evaluate.whiten(start), None
         # One log-scale, moved by Robbins-Monro toward the target
         # acceptance during the adapt phase, then frozen.
         ls = math.log(2.38 / math.sqrt(dim))
         s = math.exp(ls)
         half_s_sq = 0.5 * s * s
-        own, increments = np.empty((block, dim)), np.empty((block, dim))
+        row = np.empty(dim)  # a random-walk proposal
         accepted = adapt_accepted = independent_accepted = 0
         nonfinite = evaluations = 0
         for first in range(0, total, block):
@@ -631,9 +545,7 @@ def run_chain(
             targets, log_grid = mixture.draw(
                 own[steps], increments[steps], gammas[steps], choices[:, steps]
             )
-            # w may be a row of the last block's ws, overwritten next.
-            w = w.copy()
-            lps, ws, ws_sq = yield targets
+            lps, ws, ws_sq = evaluate.block(targets)
             lq_news = mixture.log_q_block(log_grid, ws_sq)
             # The dots that follow each independence proposal.
             terms = own[np.minimum(steps[:, None] + ahead, block - 1)]
@@ -646,21 +558,21 @@ def run_chain(
             for j in range(size):
                 it = first + j
                 if (it + 1) % period == 0:
-                    k = j // period
-                    lp_new, lq_new = lps[k], lq_news[k]
+                    i = j // period
+                    lp_new, lq_new = lps[i], lq_news[i]
                     if lq is None:  # a random-walk step moved the state
                         lq = log_q(mixture.log_grid_at(state), np.add.reduce(w * w))
                     ratio = lp_new - lp + (lq - lq_new)
                     # A NaN ratio fails this test, so its proposal is
                     # rejected; it is counted.
                     move = log_u[j] < ratio
-                    target, w_new, after = targets[k], ws[k], dots_after[k]
+                    target, w_new, after = targets[i], ws[i], dots_after[i]
                     if move and it >= warm:
                         independent_accepted += 1
                 else:
-                    k = it - since
-                    if not 0 <= k < len(dots):
-                        since, k = it, 0
+                    i = it - since
+                    if not 0 <= i < len(dots):
+                        since, i = it, 0
                         dots = np.add.reduce(
                             np.multiply(
                                 own[j : j + period - 1], w,
@@ -671,12 +583,12 @@ def run_chain(
                     # The screen: log q(x') - log q(x), q the
                     # approximation. log u < 0, so the test is
                     # log u < min(0, r1).
-                    r1 = -(s * dots[k] + half_s_sq * z_sq[j])
+                    r1 = -(s * dots[i] + half_s_sq * z_sq[j])
                     evaluated = move = log_u[j] < r1
                     if evaluated:
                         np.multiply(increments[j], s, out=row)
                         row += state
-                        lp_new, w_new = yield c
+                        lp_new = evaluate(row)
                         ratio = lp_new - lp - r1
                         # The test is log u < min(0, r1) + min(0, ratio);
                         # a NaN ratio fails it, so its proposal is
@@ -686,8 +598,8 @@ def run_chain(
                         )
                         # The next random-walk step forms its dots anew.
                         target, after, lq_new = row, [], None
-                        if move:  # the driver overwrites w_new next round
-                            w_new = w_new.copy()
+                        if move:
+                            w_new = evaluate.whiten(row)
                     if it < adapt:  # a screened-out proposal scores 0
                         ls += (10.0 + it) ** -0.6 * (
                             (1.0 if move else 0.0) - TARGET_ACCEPT
@@ -716,7 +628,7 @@ def run_chain(
         _fill_forward(draws, marked)
         np.exp(draws[:, n_coeff], out=draws[:, n_coeff])
         return ChainOutput(
-            chain_index=chains[c],
+            chain_index=k,
             draws=draws,
             parameter_names=assembled.parameter_names,
             accept_rate=accepted / (config.samples * thin),
@@ -731,42 +643,24 @@ def run_chain(
             density_evaluations=evaluations,
         )
 
-    # The driver: one batched evaluation per round carries the pending
-    # proposal of every chain that has one, and once every chain has drawn
-    # its next block, one batch carries their independence proposals.
-    runs = [chain(c, *_chain_rng(config.seed, k)) for c, k in enumerate(chains)]
-    log_post = _LogPosterior(assembled, prior, chains)
-    whiten = _LaneProduct(inverse, chains)
-    independence = _IndependenceBatch(
-        assembled, prior, chains, mean, inverse, -(-block // period)
-    )
-    offset = np.empty((n_chains, dim))
-
-    # What each chain waits for: the row of its pending proposal, its
-    # block's independence increments, or nothing more (its output).
     with np.errstate(all="ignore"):
-        requests = [_resume(run, None) for run in runs]
-        while True:
-            pending = [c for c, r in enumerate(requests) if type(r) is int]
-            if pending:
-                lps = log_post(proposal[:, :n_coeff], proposal[:, n_coeff])
-                w_new = whiten(np.subtract(proposal, mean, out=offset))
-                for c in pending:
-                    requests[c] = _resume(runs[c], (lps[c], w_new[c]))
-                failed = [chains[c] for c in pending if requests[c] is None]
-                if failed:
-                    raise SamplerError(
-                        f"chain(s) {failed}: no finite starting point after "
-                        f"{INIT_RETRIES} attempts"
-                    )
-            elif isinstance(requests[0], ChainOutput):
-                return requests
+        starts, failed = [], []
+        for k in chains:
+            rng, seed_used = _chain_rng(config.seed, k)
+            for _ in range(INIT_RETRIES):
+                start = mean + rng.standard_normal(dim) @ factor_t
+                lp = evaluate(start)
+                if math.isfinite(lp):
+                    break
             else:
-                lps, ws, ws_sq = independence(np.stack(requests))
-                for c, run in enumerate(runs):
-                    requests[c] = _resume(
-                        run, (lps[:, c].tolist(), ws[:, c], ws_sq[:, c])
-                    )
+                failed.append(k)
+            starts.append((k, rng, seed_used, start, lp))
+        if failed:
+            raise SamplerError(
+                f"chain(s) {failed}: no finite starting point after "
+                f"{INIT_RETRIES} attempts"
+            )
+        return [chain(*args) for args in starts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -792,8 +686,8 @@ def sample_posterior(
 ) -> McmcRun:
     """Sample the posterior with ``config.chains`` chains.
 
-    All chains advance together in one ``run_chain`` call. Each chain is
-    reproducible from ``config.seed`` and its index alone. Warns about
+    One ``run_chain`` call runs the chains, each on its own. Each chain
+    is reproducible from ``config.seed`` and its index alone. Warns about
     uncentered covariates and about weakly identified coefficients.
     """
     if dataset.centering is None and dataset.schema.n_parameters > 2:

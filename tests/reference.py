@@ -8,9 +8,11 @@ tau^2 S they use. ``conditional_coefficients`` is the mean and
 precision of c | tau, y by a dense solve over the trials.
 ``reference_run_chain`` is the sampler loop, with its cycle of
 random-walk and independence steps, written with numpy arrays for every
-per-chain quantity, ``reference_assemble``
-the assembly that factors S once per trial, and
-``reference_trial_design_matrix`` the design matrix built one
+per-chain quantity and plain products over all chains; it need not
+mirror the sampler's product shapes, since a chain's log posteriors and
+w reach its draws only through its accept/reject decisions.
+``reference_assemble`` is the assembly that factors S once per trial,
+and ``reference_trial_design_matrix`` the design matrix built one
 ``DesignRow`` object per observation. ``reference_within_covariance`` is
 the within-trial covariance built from its four entry types one case at
 a time. ``reference_simulate_dataset`` is the generator that draws,
@@ -69,7 +71,6 @@ from featmeta.sampler import (
     ChainOutput,
     McmcConfig,
     _chain_rng,
-    _LaneProduct,
 )
 from featmeta.simulate import SimConfig
 
@@ -354,19 +355,14 @@ class _LogPosterior:
     A state holds the coefficients, then log(tau). The result is -inf
     where tau is outside the prior's support or some lam + tau^2 is 0,
     and NaN where the density is otherwise not finite inside the
-    support. Each row depends on that row alone.
+    support. The design product is a plain ``@`` over the batch (see
+    ``reference_run_chain`` for why it need not match the sampler's).
     """
 
-    def __init__(
-        self,
-        assembled: AssembledDataset,
-        prior: PriorSpec,
-        chains: Sequence[int],
-    ):
+    def __init__(self, assembled: AssembledDataset, prior: PriorSpec):
         self.assembled = assembled
         self.prior = prior
         self.n_coeff = assembled.n_coefficients
-        self.design = _LaneProduct(assembled.stacked_design, chains)
         # Normal and uniform normalizing constants of the prior.
         self.prior_const = -0.5 * self.n_coeff * math.log(
             2.0 * math.pi * prior.coeff_sd**2
@@ -381,7 +377,9 @@ class _LogPosterior:
         # support; the caller silences floating-point warnings.
         tau = np.exp(log_tau)
         support = (tau > 0.0) & (tau < self.prior.tau_upper)
-        ll = _marginal_rows(self.assembled, self.design(coeffs), tau)
+        ll = _marginal_rows(
+            self.assembled, coeffs @ self.assembled.stacked_design.T, tau
+        )
         quad = (coeffs * coeffs).sum(axis=1)
         # log_tau is the Jacobian of the tau -> log(tau) reparameterization.
         lp = ll - self.half_precision * quad + (log_tau + self.prior_const)
@@ -506,13 +504,18 @@ def reference_run_chain(
     a being 1 for an accepted proposal and 0 otherwise; then it is
     frozen. Chain k's output depends on (config.seed, k) alone: its
     normals, uniforms and chi^2_nu draws come from its own stream, taken
-    in blocks sized from the state dimension, each block of its normals is
-    multiplied by R' on its own, and its state is whitened by R^-1 in a
-    fixed lane of a fixed-shape product. tau is recorded on its natural
-    scale. An evaluated proposal whose log posterior is not finite
-    inside the prior's support is rejected and counted. When given,
-    ``screened_in`` receives each chain's count of random-walk
-    proposals evaluated over the whole run, adaptation included.
+    in blocks sized from the state dimension, and each block of its
+    normals is multiplied by R' on its own. The log posteriors and the
+    ws = R^-1 (x - mu) are plain products over all chains, which may
+    round a chain's row differently for each count of chains and
+    differently from the sampler's products of one state or one chunk:
+    they enter a chain's draws only through its accept/reject decisions,
+    so the draws are the sampler's unless a decision turns on a last
+    bit. tau is recorded on its natural scale. An evaluated proposal
+    whose log posterior is not finite inside the prior's support is
+    rejected and counted. When given, ``screened_in`` receives each
+    chain's count of random-walk proposals evaluated over the whole
+    run, adaptation included.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -526,8 +529,8 @@ def reference_run_chain(
     mixture = _Mixture(approximation)
     cdf = np.cumsum(grid.weights)
     cdf /= cdf[-1]
-    whiten = _LaneProduct(np.linalg.inv(factor), chains)  # R^-1, per row
-    log_post = _LogPosterior(assembled, prior, chains)
+    inverse_t = np.linalg.inv(factor).T  # R^-T
+    log_post = _LogPosterior(assembled, prior)
     streams = [_chain_rng(config.seed, k) for k in chains]
     rngs = [rng for rng, _ in streams]
 
@@ -590,8 +593,8 @@ def reference_run_chain(
             independent = (it + 1) % INDEPENDENCE_PERIOD == 0
             z = normals[:, j]
             z_sq = (z * z).sum(axis=1)
-            w = whiten(state - mean)
-            w_sq = (w * w).sum(axis=1)  # now: whitening x' overwrites w
+            w = (state - mean) @ inverse_t
+            w_sq = (w * w).sum(axis=1)
             if independent:
                 stretch = np.sqrt(dof / chi_sq[:, j])
                 proposal = mean + increments[:, j] * stretch[:, None]
@@ -619,7 +622,7 @@ def reference_run_chain(
             proposal_lp = log_post(proposal)
             log_ratio = proposal_lp - current_lp
             if independent:
-                w_new = whiten(proposal - mean)
+                w_new = (proposal - mean) @ inverse_t
                 w_sq_new = (w_new * w_new).sum(axis=1)
                 lq_new = mixture.log_q_rows(np.array(proposal_grid), w_sq_new)
                 for c, lq in enumerate(current_lq):

@@ -386,11 +386,13 @@ def test_singular_within_covariance_is_minus_inf_at_tau_zero():
             log_likelihood_marginal_direct(dataset, params), rel=1e-12
         )
     # tau = exp(-400) lies inside the support, but tau^2 underflows to 0.
-    log_post = sampler._LogPosterior(assembled, PriorSpec(), [0])
-    coeffs = 0.03 * np.ones((1, 7))
+    log_post = sampler._Evaluator(
+        assembled, PriorSpec(), posterior.precondition(assembled, PriorSpec())
+    )
+    coeffs = 0.03 * np.ones(7)
     with np.errstate(all="ignore"):  # as in run_chain
-        assert log_post(coeffs, np.array([-400.0])) == [-math.inf]
-        assert math.isfinite(log_post(coeffs, np.array([math.log(0.05)]))[0])
+        assert log_post(np.append(coeffs, -400.0)) == -math.inf
+        assert math.isfinite(log_post(np.append(coeffs, math.log(0.05))))
     f = posterior._Collapsed(assembled, PriorSpec()).moments([-3.0, 0.0])[0]
     assert np.all(np.isfinite(f))
 
@@ -988,15 +990,16 @@ def test_nonfinite_proposals_are_rejected_and_counted():
 
 
 def count_one_row_calls(monkeypatch) -> list[int]:
-    """Rows of each call of ``_LogPosterior``, recorded as they happen."""
+    """A 1 for each one-state call of ``_Evaluator``, recorded as it
+    happens."""
     calls = []
-    evaluate = sampler._LogPosterior.__call__
+    evaluate = sampler._Evaluator.__call__
 
-    def counted(self, coeffs, log_tau):
-        calls.append(log_tau.shape[0])
-        return evaluate(self, coeffs, log_tau)
+    def counted(self, state):
+        calls.append(1)
+        return evaluate(self, state)
 
-    monkeypatch.setattr(sampler._LogPosterior, "__call__", counted)
+    monkeypatch.setattr(sampler._Evaluator, "__call__", counted)
     return calls
 
 
@@ -1054,6 +1057,44 @@ def test_a_start_that_is_never_finite_names_every_chain():
             assembled, small_config(chains=3), prior, range(3),
             preconditioner=preconditioner,
         )
+
+
+def test_a_failed_start_stops_the_run_before_any_block(monkeypatch):
+    # Every start chain 2 draws puts u = log(tau) 1000 above mu's, where
+    # tau overflows and lies outside the prior's support. Chains 0 and 1
+    # find finite starts, but none of them may draw a block.
+    assembled = assemble(centered_basic_dataset())
+    prior = PriorSpec()
+    preconditioner = posterior.precondition(assembled, prior)
+    shift = np.zeros(preconditioner.mean.size)
+    shift[-1] = 1000.0
+    outside = np.linalg.solve(preconditioner.factor, shift)  # R z = shift
+
+    class OutsideSupport:
+        def standard_normal(self, size):
+            return outside.copy()
+
+    chain_rng = sampler._chain_rng
+    monkeypatch.setattr(
+        sampler, "_chain_rng",
+        lambda seed, k: (OutsideSupport(), 0) if k == 2 else chain_rng(seed, k),
+    )
+    blocks = []
+    draw = sampler._IndependenceProposal.draw
+
+    def counted(self, *args):
+        blocks.append(1)
+        return draw(self, *args)
+
+    monkeypatch.setattr(sampler._IndependenceProposal, "draw", counted)
+    with pytest.raises(
+        posterior.SamplerError, match=r"chain\(s\) \[2\]: no finite starting point"
+    ):
+        run_chain(
+            assembled, small_config(chains=3), prior, range(3),
+            preconditioner=preconditioner,
+        )
+    assert blocks == []
 
 
 def test_the_screen_spares_most_evaluations_after_adaptation():
