@@ -56,10 +56,22 @@ since L_n' (c - m_n) = z. It keeps log q of its state; a state a
 random-walk step moved gets its log q when an independence step next
 needs it. Each chain runs on its own, from its start to its output,
 with its state in locals: it forms the screen's dot products from its
-own normals, steps through the iterations whose proposals the screen
-turns away, which leave its state in place, and evaluates each proposal
-that passes the screen as it comes. So its draws depend on the run's
-seed and its index alone, never on which chains run with it.
+own normals and steps through the iterations whose proposals the screen
+turns away, which leave its state in place. So its draws depend on the
+run's seed and its index alone, never on which chains run with it.
+
+Once adaptation has frozen s, a block also prefetches random-walk
+proposals (Brockwell 2006; Angelino, Kohler, Waterland, Seltzer & Adams
+2014). Most independence steps are accepted, and the state they move to
+fixes the screen of the next few iterations. So for each independence
+step the block finds the first of those iterations whose proposal would
+pass the screen if the step were accepted, with the loop's own
+operations, and evaluates that proposal, formed as the loop forms it,
+with the independence proposals. The loop takes the prefetched values
+where the step was accepted and that proposal is the first to pass the
+screen since; every other proposal that passes it, in adaptation, after
+a rejected step, after a first random-walk proposal, or in a window the
+block's end cuts, is evaluated as it comes.
 
 numpy does the work whose size grows with the data: the design product
 and the density's per-observation arithmetic, in buffers allocated
@@ -166,7 +178,9 @@ class ChainOutput:
     their proposals fit the posterior poorly, and is NaN where unknown
     or where the phase has none.
     ``density_evaluations`` counts the log-posterior evaluations after
-    adaptation, independence steps included, and is -1 where unknown.
+    adaptation, independence steps included, and is -1 where unknown. A
+    prefetched random-walk proposal counts only where its step uses it,
+    so the count is that of an unprefetched run.
     """
 
     chain_index: int
@@ -202,9 +216,10 @@ class _Evaluator:
     A call takes one state, the coefficients then log(tau), and returns
     its log posterior: -inf where tau is outside the prior's support or
     some lam + tau^2 is 0, and NaN where the density is otherwise not
-    finite inside the support. ``whiten`` returns the w of one state,
-    and ``block`` the log posteriors, ws and |w|^2 of a block of
-    independence proposals, in chunks of the fewest rows whose buffers
+    finite inside the support. ``whiten`` returns the w of one state or
+    of each row of an array. ``block`` returns the log posteriors of a
+    block's independence proposals and of the random-walk proposals
+    prefetched with them, in chunks of the fewest rows whose buffers
     hold BATCH_BYTES. The work over the observations runs in buffers
     allocated once; each state's few scalars are finished in Python,
     with the IEEE operations numpy would do, in the same order. A chunk
@@ -281,11 +296,8 @@ class _Evaluator:
     def whiten(self, state: np.ndarray) -> np.ndarray:
         return np.subtract(state, self.mean) @ self.inverse_t
 
-    def block(
-        self, proposals: np.ndarray
-    ) -> tuple[list[float], np.ndarray, np.ndarray]:
-        """The log posteriors of the rows of ``proposals``, their ws and
-        their |w|^2."""
+    def block(self, proposals: np.ndarray) -> list[float]:
+        """The log posteriors of the rows of ``proposals``."""
         n, lps = self.n_coeff, []
         for lo in range(0, proposals.shape[0], self.rows):
             chunk = proposals[lo : lo + self.rows]
@@ -303,8 +315,7 @@ class _Evaluator:
                 np.add.reduce(squares, axis=1).tolist(), log_tau.tolist(),
                 tau.tolist(),
             )
-        ws = self.whiten(proposals)
-        return lps, ws, np.add.reduce(ws * ws, axis=1)
+        return lps
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +334,11 @@ class _IndependenceProposal:
     the cell of node n and 0 outside the cells. q_t, the multivariate t
     with centre mu, scale R R' and nu = INDEPENDENCE_DOF degrees of
     freedom, keeps pi / q bounded (Hesterberg 1995). A block's proposals
-    get their log q_grid from their normals and their log q by numpy
-    (``draw``, ``log_q_block``); a single state gets its log q_grid from
-    its u and its log q by ``math`` (``log_grid_at``, ``log_q``). The
-    two routes differ in rounding alone.
+    get their log q_grid from their normals, or from their u where
+    they are not grid draws (``log_grid_rows``), and their log q by
+    numpy (``draw``, ``log_q_block``); a single state gets its log
+    q_grid from its u and its log q by ``math`` (``log_grid_at``,
+    ``log_q``). The two routes differ in rounding alone.
     """
 
     def __init__(self, preconditioner: Preconditioner):
@@ -393,8 +405,7 @@ class _IndependenceProposal:
         proposals[t] = self.mean + increments[t] * np.sqrt(
             INDEPENDENCE_DOF / (2.0 * gammas[t])
         )[:, None]
-        for row in t.tolist():
-            log_grid[row] = self.log_grid_at(proposals[row])
+        log_grid[t] = self.log_grid_rows(proposals[t])
         return proposals, log_grid
 
     def log_grid_at(self, state: np.ndarray) -> float:
@@ -406,6 +417,15 @@ class _IndependenceProposal:
         n = int(at)
         v = np.dot(self.upper[n], state) - self.shifts[n]
         return self.const_list[n] - 0.5 * float(np.dot(v, v))
+
+    def log_grid_rows(self, states: np.ndarray) -> np.ndarray:
+        """``log_grid_at`` of each row of ``states``."""
+        at = (states[:, -1] - self.origin) / self.spacing + 0.5
+        inside = (0.0 <= at) & (at < self.size)
+        n = np.where(inside, at, 0.0).astype(np.intp)
+        v = np.matmul(self.upper[n], states[:, :, None])[:, :, 0] - self.shifts[n]
+        log_grid = self.consts[n] - 0.5 * np.add.reduce(v * v, axis=1)
+        return np.where(inside, log_grid, -math.inf)
 
     def log_q_block(self, log_grid: np.ndarray, w_sq: np.ndarray) -> list[float]:
         """``log_q`` of each entry of a block."""
@@ -473,6 +493,15 @@ def run_chain(
     Then each chain runs on its own, from its start to its output, with
     its state in locals. Each move writes the new state into the draw it
     holds from on; the draws in between are filled in once, at the end.
+    In each block that starts after adaptation, each independence
+    proposal x' brings one random-walk proposal into the block's
+    evaluation: that of the first iteration before the next
+    independence step whose screen passes from x', with r1 formed by
+    the loop's operations on the same values. Its log posterior, w and
+    log q are used where the chain moved to x' and that iteration is the
+    next to pass the screen; they agree with those the loop forms itself
+    up to rounding, which has left every draw unchanged in every case
+    measured. Unused ones are not counted.
 
     Chain k's output depends on (config.seed, k) alone, never on which
     other chains run with it: its start, proposals, chi^2_nu draws,
@@ -533,28 +562,57 @@ def run_chain(
         nonfinite = evaluations = 0
         for first in range(0, total, block):
             rng.standard_normal(out=own)
-            log_u = np.log(rng.random(out=uniforms)).tolist()
+            log_u = np.log(rng.random(out=uniforms))
             rng.standard_gamma(0.5 * INDEPENDENCE_DOF, out=gammas)
             rng.random(out=choices)
             # A product of one chain's fixed shape: one over all chains
             # would round each chain's rows differently for each count.
             np.matmul(own, factor_t, out=increments)
-            z_sq = np.add.reduce(np.multiply(own, own, out=squares), axis=1).tolist()
+            z_sq = np.add.reduce(np.multiply(own, own, out=squares), axis=1)
             size = min(block, total - first)
             steps = np.arange(period - 1 - first % period, size, period)
-            targets, log_grid = mixture.draw(
+            proposals, log_grid = mixture.draw(
                 own[steps], increments[steps], gammas[steps], choices[:, steps]
             )
-            lps, ws, ws_sq = evaluate.block(targets)
-            lq_news = mixture.log_q_block(log_grid, ws_sq)
-            # The dots that follow each independence proposal.
-            terms = own[np.minimum(steps[:, None] + ahead, block - 1)]
+            ws = evaluate.whiten(proposals)
+            # The random-walk iterations after each independence step, the
+            # block's last standing in for those past its end, and the
+            # dots of their normals with the step's w.
+            later = steps[:, None] + ahead
+            held = np.minimum(later, block - 1)
+            terms = own[held]
             np.multiply(terms, ws[:, None, :], out=terms)
-            dots_after = np.add.reduce(terms, axis=2).tolist()
+            dots_after = np.add.reduce(terms, axis=2)
+            # Once s is frozen, the first of those iterations whose
+            # proposal passes the screen if the step is accepted, found
+            # by the loop's own operations, is known ahead: its proposal
+            # s z + x, formed as the loop forms it, is evaluated with
+            # the block. ``prefetched`` maps step i to that iteration
+            # and the proposal's row.
+            prefetched = {}
+            if first >= adapt:
+                r1 = -(s * dots_after + half_s_sq * z_sq[held])
+                passes = (log_u[held] < r1) & (later < size)
+                hit = np.flatnonzero(passes.any(axis=1))
+                fetch_at = later[hit, passes[hit].argmax(axis=1)]
+                fetched = np.multiply(increments[fetch_at], s)
+                fetched += proposals[hit]
+                prefetched = {
+                    i: (j, steps.size + n)
+                    for n, (i, j) in enumerate(zip(hit.tolist(), fetch_at.tolist()))
+                }
+                proposals = np.concatenate([proposals, fetched])
+                ws = np.concatenate([ws, evaluate.whiten(fetched)])
+                log_grid = np.concatenate([log_grid, mixture.log_grid_rows(fetched)])
+            lps = evaluate.block(proposals)
+            lq_news = mixture.log_q_block(log_grid, np.add.reduce(ws * ws, axis=1))
+            log_u, z_sq, dots_after = log_u.tolist(), z_sq.tolist(), dots_after.tolist()
             # ``dots`` holds w.z for up to period - 1 iterations from
             # ``since`` on, formed anew where they run out; none outlives
-            # its block.
-            since, dots = first, []
+            # its block. ``fetch`` is the iteration whose proposal from
+            # the state is prefetched, in row ``fetched_row``, and -1
+            # once a random-walk proposal is evaluated.
+            since, dots, fetch, fetched_row = first, [], -1, 0
             for j in range(size):
                 it = first + j
                 if (it + 1) % period == 0:
@@ -566,9 +624,11 @@ def run_chain(
                     # A NaN ratio fails this test, so its proposal is
                     # rejected; it is counted.
                     move = log_u[j] < ratio
-                    target, w_new, after = targets[i], ws[i], dots_after[i]
-                    if move and it >= warm:
-                        independent_accepted += 1
+                    target, w_new, after = proposals[i], ws[i], dots_after[i]
+                    if move:
+                        fetch, fetched_row = prefetched.get(i, (-1, 0))
+                        if it >= warm:
+                            independent_accepted += 1
                 else:
                     i = it - since
                     if not 0 <= i < len(dots):
@@ -586,9 +646,16 @@ def run_chain(
                     r1 = -(s * dots[i] + half_s_sq * z_sq[j])
                     evaluated = move = log_u[j] < r1
                     if evaluated:
-                        np.multiply(increments[j], s, out=row)
-                        row += state
-                        lp_new = evaluate(row)
+                        # Only the first to pass since the state moved to
+                        # an independence proposal can be prefetched.
+                        from_block, fetch = j == fetch, -1
+                        if from_block:
+                            target = proposals[fetched_row]
+                            lp_new = lps[fetched_row]
+                        else:
+                            np.multiply(increments[j], s, out=row)
+                            row += state
+                            target, lp_new = row, evaluate(row)
                         ratio = lp_new - lp - r1
                         # The test is log u < min(0, r1) + min(0, ratio);
                         # a NaN ratio fails it, so its proposal is
@@ -597,9 +664,11 @@ def run_chain(
                             0.0 if ratio >= 0.0 else ratio
                         )
                         # The next random-walk step forms its dots anew.
-                        target, after, lq_new = row, [], None
-                        if move:
-                            w_new = evaluate.whiten(row)
+                        after = []
+                        if move and from_block:
+                            w_new, lq_new = ws[fetched_row], lq_news[fetched_row]
+                        elif move:
+                            w_new, lq_new = evaluate.whiten(row), None
                     if it < adapt:  # a screened-out proposal scores 0
                         ls += (10.0 + it) ** -0.6 * (
                             (1.0 if move else 0.0) - TARGET_ACCEPT

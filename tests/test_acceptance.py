@@ -446,9 +446,8 @@ def test_criterion_6_determinism(report):
 
 
 def test_criterion_6_chain_subsets_agree_bitwise():
-    # Additive to criterion 6: chains share batched density evaluations,
-    # yet chain k's draws depend on (seed, k) alone, never on which chains
-    # run with it.
+    # Additive to criterion 6: chain k's draws depend on (seed, k) alone,
+    # never on which chains run with it.
     config = SimConfig(
         schema=CovariateSchema(n=2, p=1, q=2, interactions=()),
         params=ParameterVector(

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -553,6 +555,47 @@ def test_fit_run_directory_keeps_every_byte(tmp_path):
     assert digests == RUN_DIGESTS
 
 
+# RUN_DIGESTS hold at two BLAS threads, and the draws differ at one,
+# which is what perfbench/run.py runs at. So this pins one thread too:
+# the SHA-256 of the four chains' draws of `run_chain` at the paper's
+# default protocol, seed 1000, on fit150's seed-1 data0, centered
+# (numpy 2.4, x86-64, OpenBLAS at one thread).
+ONE_THREAD_DRAWS = "b080d676103325548e6a8c26d0a5382c3fa2fb8733e7c812566bf5f56b1247dc"
+ONE_THREAD_SCRIPT = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from inputs import sim_config
+from featmeta import (
+    McmcConfig, PriorSpec, assemble, center_covariates, run_chain,
+    simulate_dataset,
+)
+centered, _ = center_covariates(simulate_dataset(sim_config("fit150", 1, 0)))
+digest = hashlib.sha256()
+for chain in run_chain(
+    assemble(centered), McmcConfig(seed=1000), PriorSpec(), range(4)
+):
+    digest.update(chain.draws.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_run_chain_keeps_every_byte_at_one_blas_thread():
+    # A fresh interpreter, since BLAS reads its thread count at load.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    result = subprocess.run(
+        [
+            sys.executable, "-c", ONE_THREAD_SCRIPT,
+            str(root / "src"), str(root / "perfbench"),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ONE_THREAD_DRAWS
+
+
 # ---------------------------------------------------------------------------
 # the collapsed density of log(tau) and the proposal built on it
 # ---------------------------------------------------------------------------
@@ -1003,13 +1046,52 @@ def count_one_row_calls(monkeypatch) -> list[int]:
     return calls
 
 
+class CountedReads(list):
+    """A block's log posteriors that record each read of a row from
+    ``first`` on."""
+
+    def __init__(self, values, first, reads):
+        super().__init__(values)
+        self.first, self.reads = first, reads
+
+    def __getitem__(self, index):
+        if index >= self.first:
+            self.reads.append(index)
+        return super().__getitem__(index)
+
+
+def count_prefetched_reads(monkeypatch) -> tuple[list, list, list]:
+    """Per block, the number of independence proposals and of the rows
+    evaluated with them, and a 1 for each read of a prefetched
+    random-walk proposal's log posterior, recorded as they happen."""
+    windows, rows, reads = [], [], []
+    draw = sampler._IndependenceProposal.draw
+    block = sampler._Evaluator.block
+
+    def drawn(self, *args):
+        proposals, log_grid = draw(self, *args)
+        windows.append(proposals.shape[0])
+        return proposals, log_grid
+
+    def evaluated(self, proposals):
+        rows.append(proposals.shape[0])
+        return CountedReads(block(self, proposals), windows[-1], reads)
+
+    monkeypatch.setattr(sampler._IndependenceProposal, "draw", drawn)
+    monkeypatch.setattr(sampler._Evaluator, "block", evaluated)
+    return windows, rows, reads
+
+
 def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
-    # One chain: each call of its one-row log posterior evaluates a
-    # random-walk proposal, and their number is the count of proposals
-    # that pass the screen in the reference loop.
+    # One chain: each random-walk proposal it evaluates is either a
+    # call of its one-row log posterior or a read of one prefetched
+    # with its block, and their number is the count of proposals that
+    # pass the screen in the reference loop. A block prefetches at most
+    # one proposal per independence step.
     assembled = assemble(centered_basic_dataset())
     config = small_config(chains=1, adapt=300, burn_in=0, samples=2000)
     calls = count_one_row_calls(monkeypatch)
+    windows, rows, reads = count_prefetched_reads(monkeypatch)
     [chain] = run_chain(assembled, config, PriorSpec(), [0])
     screened_in = []
     [want] = reference_run_chain(
@@ -1024,8 +1106,25 @@ def test_a_screened_out_proposal_is_never_evaluated(monkeypatch):
     assert after_adaptation < screened_in[0]
     assert chain.density_evaluations == want.density_evaluations
     # The first call evaluates the start.
-    rows = calls.count(1)
-    assert rows == 1 + screened_in[0]
+    assert calls.count(1) + len(reads) == 1 + screened_in[0]
+    assert len(reads) > 0
+    assert all(n <= 2 * m for n, m in zip(rows, windows, strict=True))
+
+
+def test_most_random_walk_evaluations_come_with_the_block(monkeypatch):
+    # One chain without adaptation makes at most half of its random-walk
+    # evaluations through the one-row log posterior; the rest are
+    # prefetched with the independence proposals of their block. The
+    # bound was fixed before the first run.
+    assembled = assemble(centered_basic_dataset())
+    config = small_config(chains=1, adapt=0, burn_in=0, samples=2000)
+    calls = count_one_row_calls(monkeypatch)
+    [chain] = run_chain(assembled, config, PriorSpec(), [0])
+    independent = config.samples // sampler.INDEPENDENCE_PERIOD
+    random_walk = chain.density_evaluations - independent
+    one_row = calls.count(1) - 1  # the first call evaluates the start
+    assert random_walk > 0
+    assert one_row <= 0.5 * random_walk
 
 
 def test_adaptation_is_screened(monkeypatch):
@@ -1368,6 +1467,10 @@ def test_independence_log_q_is_the_mixture_density():
     # A drawn proposal's log q_grid is read off its normals.
     looked_up = [proposal.log_grid_at(x) for x in points]
     assert drawn_grid == pytest.approx(looked_up[:40], rel=1e-10)
+    # So is the batched one, row by row, -inf outside the cells.
+    batched = proposal.log_grid_rows(points)
+    assert np.isneginf(batched[-4:]).all()
+    np.testing.assert_allclose(batched, looked_up, rtol=1e-12)
     offsets = np.linalg.solve(pre.factor, (points - pre.mean).T).T
     w_sq = np.add.reduce(offsets * offsets, axis=1)
     block = proposal.log_q_block(np.array(looked_up), w_sq)
