@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -318,15 +319,10 @@ def _resolve_fit_settings(
         error = _range_error(name, getattr(settings, name))
         if error is not None:
             raise ConfigError(source + error.removeprefix(name))
-    config = McmcConfig(
-        chains=settings.chains,
-        adapt=settings.adapt,
-        burn_in=settings.burn_in,
-        samples=settings.samples,
-        thin=settings.thin,
-        seed=settings.seed,
+    config, prior = (
+        cls(**{field.name: getattr(settings, field.name) for field in fields(cls)})
+        for cls in (McmcConfig, PriorSpec)
     )
-    prior = PriorSpec(coeff_sd=settings.coeff_sd, tau_upper=settings.tau_upper)
     if config.chains >= 2 and config.samples < 2:
         raise ConfigError(
             "R-hat of 2 or more chains requires >= 2 samples per chain; "
@@ -644,6 +640,11 @@ def _load_json(path: str | Path, what: str) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A warning the filters let through prints as one line, as errors
+    # do; a recording caller (catch_warnings(record=True)) still records
+    # it, since only the format changes.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except (ConfigError, DataFormatError) as e:
@@ -652,6 +653,8 @@ def main(argv=None) -> int:
     except (DataValidationError, CovarianceError, SamplerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -19,12 +19,15 @@ and Lambda = X'D^-1 X + I/sd^2 (whitened, stacked arrays),
 c | tau, y ~ N(Lambda^-1 X'D^-1 y, Lambda^-1), so u = log tau has a
 one-dimensional collapsed density f(u) (Rue, Martino & Chopin 2009).
 On a grid of u over the bulk of f, f and the moments of c | tau, y at
-each node give the exact posterior up to the grid's spacing. Parabolas
-through three nodes give the mode of f, its curvature there and the
-slope of the conditional mean of c, and so a Gaussian (Laplace)
-approximation N(mu, R R') of the joint posterior of (c, u), with
-mu = (E[c | tau_mode, y], u_mode) and R the lower Cholesky factor of
-its covariance. ``featmeta.sampler`` builds its proposals from both.
+each node give the exact posterior up to the grid's spacing, q_grid:
+node n with probability w_n, proportional to exp f(u_n), u uniform on
+its cell of width h, and c ~ N(m_n, Lambda_n^-1) at the node
+(``TauGrid``). Parabolas through three nodes give the mode of f, its
+curvature there and the slope of the conditional mean of c, and so a
+Gaussian (Laplace) approximation N(mu, R R') of the joint posterior of
+(c, u), with mu = (E[c | tau_mode, y], u_mode) and R the lower Cholesky
+factor of its covariance. ``featmeta.sampler`` builds its proposals
+from both.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -304,6 +308,31 @@ def _cholesky(matrices: np.ndarray) -> np.ndarray:
         return out
 
 
+class _Cells:
+    """q_grid's arrays per node, with stand-ins m_n = 0, L_n = I where w_n = 0."""
+
+    def __init__(self, grid: TauGrid):
+        size, k = grid.means.shape
+        keep = grid.weights > 0.0
+        lower = np.where(keep[:, None, None], grid.factors, np.eye(k))
+        self.means = np.where(keep[:, None], grid.means, 0.0)
+        upper = np.ascontiguousarray(lower.transpose(0, 2, 1))  # L_n'
+        self.roots = np.linalg.inv(upper)  # L_n^-T
+        # L_n' (c - m_n) = [L_n' 0] x - L_n' m_n for a state x = (c, u).
+        self.rows = np.concatenate([upper, np.zeros((size, k, 1))], axis=2)
+        self.shifts = np.matmul(upper, self.means[:, :, None])[:, :, 0]
+        # log(w_n / h) + log det L_n - k/2 log(2 pi), -inf where w_n = 0.
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(grid.weights)
+        log_det = np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+        self.consts = (
+            log_weights - math.log(grid.spacing) + log_det
+            - 0.5 * k * math.log(2.0 * math.pi)
+        )
+        self.const_list = self.consts.tolist()
+        self.origin = float(grid.nodes[0])
+
+
 @dataclass(frozen=True, eq=False)
 class TauGrid:
     """The collapsed posterior on evenly spaced nodes u of log(tau).
@@ -313,6 +342,14 @@ class TauGrid:
     to sum to 1, so 0 where f is -inf. ``means`` holds the mean m_n of
     c | tau, y at each node and ``factors`` the lower Cholesky factor
     L_n of its precision Lambda_n, both NaN where f is -inf.
+
+    ``draw`` draws from q_grid: node n by inverse CDF on ``cdf``, the
+    cumulative weights scaled to end at 1, u uniform on its cell
+    [u_n - h/2, u_n + h/2) and c = m_n + L_n^-T z. ``log_pdf`` is
+    log q_grid in the cell of node floor((u - u_0) / h + 1/2), and -inf
+    outside the cells. Where w_n = 0 both use the finite stand-ins
+    m_n = 0 and L_n = I: no draw lands there, and the density is 0 by
+    its weight. A ``dataclasses.replace`` copy derives its own arrays.
     """
 
     nodes: np.ndarray
@@ -321,10 +358,53 @@ class TauGrid:
     means: np.ndarray
     factors: np.ndarray
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         """The spacing h of the nodes."""
         return float((self.nodes[-1] - self.nodes[0]) / (self.nodes.size - 1))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        cdf = np.cumsum(self.weights)
+        return cdf / cdf[-1]
+
+    _cells = cached_property(_Cells)
+
+    def draw(
+        self, normals: np.ndarray, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A state (c, u) per row of the (rows, k) ``normals`` z, node and
+        place picked by the (2, rows) ``uniforms``, and the log q_grid of
+        each, read off z since L_n' (c - m_n) = z."""
+        cells = self._cells
+        n = np.searchsorted(self.cdf, uniforms[0], side="right")
+        states = np.empty((normals.shape[0], normals.shape[1] + 1))
+        states[:, -1] = self.nodes[n] + self.spacing * (uniforms[1] - 0.5)
+        np.add(
+            cells.means[n], np.matmul(cells.roots[n], normals[:, :, None])[:, :, 0],
+            out=states[:, :-1],
+        )
+        return states, cells.consts[n] - 0.5 * np.add.reduce(normals * normals, axis=1)
+
+    def log_pdf(self, state: np.ndarray) -> float:
+        """log q_grid of one state, -inf outside the cells."""
+        cells = self._cells
+        at = (float(state[-1]) - cells.origin) / self.spacing + 0.5
+        if not 0.0 <= at < self.nodes.size:
+            return -math.inf
+        n = int(at)
+        v = np.dot(cells.rows[n], state) - cells.shifts[n]
+        return cells.const_list[n] - 0.5 * float(np.dot(v, v))
+
+    def log_pdf_rows(self, states: np.ndarray) -> np.ndarray:
+        """``log_pdf`` of each row of ``states``."""
+        cells = self._cells
+        at = (states[:, -1] - cells.origin) / self.spacing + 0.5
+        inside = (0.0 <= at) & (at < self.nodes.size)
+        n = np.where(inside, at, 0.0).astype(np.intp)
+        v = np.matmul(cells.rows[n], states[:, :, None])[:, :, 0] - cells.shifts[n]
+        log_grid = cells.consts[n] - 0.5 * np.add.reduce(v * v, axis=1)
+        return np.where(inside, log_grid, -math.inf)
 
 
 def _tau_grid(collapsed: _Collapsed, prior: PriorSpec) -> TauGrid:

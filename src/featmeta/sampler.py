@@ -10,15 +10,13 @@ iteration is an independence step: each chain proposes a draw of the
 mixture q = (1 - eps) q_grid + eps q_t, eps = DEFENSIVE_WEIGHT,
 whatever its state, and accepts it with the ratio that corrects for q.
 q_grid is the exact posterior on the tau grid the approximation is read
-off (Rue, Martino & Chopin 2009): node n with probability w_n,
-proportional to exp f(u_n), u uniform on the node's cell of width h,
-and c from the conditional N(m_n, Lambda_n^-1) at the node. q_t is the
-multivariate t with centre mu, scale R R' and nu = INDEPENDENCE_DOF
-degrees of freedom: mu + R z sqrt(nu / g), with z standard normal and g
-a chi^2_nu draw. An independence sampler is uniformly ergodic only when
-pi / q is bounded (Mengersen & Tweedie 1996). q_grid is 0 outside the
-grid and flat in u within a cell, and the defensive t component, whose
-tails are polynomial, keeps the ratio bounded (Hesterberg 1995). On
+off (``featmeta.posterior``). q_t is the multivariate t with centre mu,
+scale R R' and nu = INDEPENDENCE_DOF degrees of freedom:
+mu + R z sqrt(nu / g), with z standard normal and g a chi^2_nu draw.
+An independence sampler is uniformly ergodic only when pi / q is
+bounded (Mengersen & Tweedie 1996). q_grid is 0 outside the grid and
+flat in u within a cell, and the defensive t component, whose tails are
+polynomial, keeps the ratio bounded (Hesterberg 1995). On
 well-identified data q_grid is close to the posterior, so these steps
 are accepted almost always, and each accepted one is about a fresh
 draw.
@@ -51,8 +49,7 @@ a time: the block's normals, then its uniforms, then one chi^2_nu draw
 per iteration, then three uniforms per iteration that pick the
 mixture's component, the node and the place in its cell. A chain builds
 its block's independence proposals at once and evaluates them together,
-with their log q_grid: that of a grid proposal is read off its normals,
-since L_n' (c - m_n) = z. It keeps log q of its state; a state a
+with their log q_grid. It keeps log q of its state; a state a
 random-walk step moved gets its log q when an independence step next
 needs it. Each chain runs on its own, from its start to its output,
 with its state in locals: it forms the screen's dot products from its
@@ -325,49 +322,16 @@ class _Evaluator:
 
 
 class _IndependenceProposal:
-    """The proposal q = (1 - eps) q_grid + eps q_t of the independence
-    steps, eps = DEFENSIVE_WEIGHT, and its log density.
-
-    q_grid draws from the tau grid of the approximation: node n with
-    probability w_n, u uniform on its cell [u_n - h/2, u_n + h/2) and
-    c = m_n + L_n^-T z. Its density is w_n / h N(c; m_n, Lambda_n^-1) in
-    the cell of node n and 0 outside the cells. q_t, the multivariate t
-    with centre mu, scale R R' and nu = INDEPENDENCE_DOF degrees of
-    freedom, keeps pi / q bounded (Hesterberg 1995). A block's proposals
-    get their log q_grid from their normals, or from their u where
-    they are not grid draws (``log_grid_rows``), and their log q by
-    numpy (``draw``, ``log_q_block``); a single state gets its log
-    q_grid from its u and its log q by ``math`` (``log_grid_at``,
-    ``log_q``). The two routes differ in rounding alone.
+    """The independence steps' q = (1 - eps) q_grid + eps q_t,
+    eps = DEFENSIVE_WEIGHT, q_grid the grid's (``TauGrid``) and q_t the
+    module docstring's; log q by numpy for a block (``log_q_block``) and
+    by ``math`` for one state (``log_q``), which differ in rounding alone.
     """
 
     def __init__(self, preconditioner: Preconditioner):
-        grid = preconditioner.grid
+        self.grid = preconditioner.grid
         self.mean = preconditioner.mean
         dim = self.mean.size
-        k = dim - 1
-        keep = grid.weights > 0.0
-        cdf = np.cumsum(grid.weights)
-        self.cdf = cdf / cdf[-1]  # ends at 1, so every draw finds a node
-        self.nodes, self.size = grid.nodes, grid.nodes.size
-        self.origin, self.spacing = float(grid.nodes[0]), grid.spacing
-        # Where the weight is 0, finite stand-ins for the NaN moments.
-        lower = np.where(keep[:, None, None], grid.factors, np.eye(k))
-        self.means = np.where(keep[:, None], grid.means, 0.0)
-        upper = np.ascontiguousarray(lower.transpose(0, 2, 1))  # L_n'
-        self.roots = np.linalg.inv(upper)  # L_n^-T
-        # L_n' (c - m_n) = [L_n' 0] x - L_n' m_n for a state x = (c, u).
-        self.upper = np.concatenate([upper, np.zeros((self.size, k, 1))], axis=2)
-        self.shifts = np.matmul(upper, self.means[:, :, None])[:, :, 0]
-        # log(w_n / h) + log det L_n - k/2 log(2 pi), -inf where w_n = 0.
-        with np.errstate(divide="ignore"):
-            log_weights = np.log(grid.weights)
-        log_det = np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-        self.consts = (
-            log_weights - math.log(self.spacing) + log_det
-            - 0.5 * k * math.log(2.0 * math.pi)
-        )
-        self.const_list = self.consts.tolist()
         nu = INDEPENDENCE_DOF
         self.half_nu_dim = 0.5 * (nu + dim)
         self.t_const = (
@@ -385,47 +349,18 @@ class _IndependenceProposal:
         gammas: np.ndarray,
         choices: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One proposal per row of ``normals`` z, ``increments`` R z and
-        ``gammas`` g, with (3, rows) ``choices`` of uniforms: the
-        component (q_t where below eps), the node and the place in the
-        cell; and the log q_grid of each. A q_t proposal is
-        mu + R z sqrt(nu / (2 g)), 2 g a chi^2_nu draw; a q_grid one
-        takes c from the first k entries of z."""
-        n = np.searchsorted(self.cdf, choices[1], side="right")
-        proposals = np.empty_like(normals)
-        proposals[:, -1] = self.nodes[n] + self.spacing * (choices[2] - 0.5)
-        z = normals[:, :-1]
-        np.add(
-            self.means[n], np.matmul(self.roots[n], z[:, :, None])[:, :, 0],
-            out=proposals[:, :-1],
-        )
-        # L_n' (c - m_n) is z itself.
-        log_grid = self.consts[n] - 0.5 * np.add.reduce(z * z, axis=1)
+        """One proposal per row: the grid's draw from the first k entries
+        of ``normals`` z and rows 1 and 2 of the (3, rows) uniforms
+        ``choices``, or, where row 0 is below eps, mu + R z sqrt(nu / (2 g))
+        from ``increments`` R z and ``gammas`` g, 2 g a chi^2_nu draw; and
+        the log q_grid of each."""
+        proposals, log_grid = self.grid.draw(normals[:, :-1], choices[1:])
         t = np.flatnonzero(choices[0] < DEFENSIVE_WEIGHT)
         proposals[t] = self.mean + increments[t] * np.sqrt(
             INDEPENDENCE_DOF / (2.0 * gammas[t])
         )[:, None]
-        log_grid[t] = self.log_grid_rows(proposals[t])
+        log_grid[t] = self.grid.log_pdf_rows(proposals[t])
         return proposals, log_grid
-
-    def log_grid_at(self, state: np.ndarray) -> float:
-        """log q_grid of a state, in the cell of node
-        floor((u - u_0) / h + 1/2)."""
-        at = (float(state[-1]) - self.origin) / self.spacing + 0.5
-        if not 0.0 <= at < self.size:
-            return -math.inf
-        n = int(at)
-        v = np.dot(self.upper[n], state) - self.shifts[n]
-        return self.const_list[n] - 0.5 * float(np.dot(v, v))
-
-    def log_grid_rows(self, states: np.ndarray) -> np.ndarray:
-        """``log_grid_at`` of each row of ``states``."""
-        at = (states[:, -1] - self.origin) / self.spacing + 0.5
-        inside = (0.0 <= at) & (at < self.size)
-        n = np.where(inside, at, 0.0).astype(np.intp)
-        v = np.matmul(self.upper[n], states[:, :, None])[:, :, 0] - self.shifts[n]
-        log_grid = self.consts[n] - 0.5 * np.add.reduce(v * v, axis=1)
-        return np.where(inside, log_grid, -math.inf)
 
     def log_q_block(self, log_grid: np.ndarray, w_sq: np.ndarray) -> list[float]:
         """``log_q`` of each entry of a block."""
@@ -472,13 +407,8 @@ def run_chain(
     start before any chain runs, so a chain that finds none stops the
     run before any work is spent on the others. On iteration ``it``
     with ``(it + 1) % INDEPENDENCE_PERIOD == 0`` each chain proposes a
-    draw x' of q = (1 - eps) q_grid + eps q_t (see
-    ``_IndependenceProposal``): where the iteration's component uniform
-    is below eps, mu + R z sqrt(nu / g), its block increment stretched
-    by the iteration's chi^2_nu draw g; otherwise node n of the tau grid
-    picked by the node uniform from the cumulative weights, u = u_n +
-    h (v - 1/2) for the in-cell uniform v, and c = m_n + L_n^-T z from
-    the first k normals of the row. The log acceptance ratio is
+    draw x' of q = (1 - eps) q_grid + eps q_t from its row of the block
+    (``_IndependenceProposal.draw``). The log acceptance ratio is
     log pi(x') - log pi(x) + log q(x) - log q(x'). On every other
     iteration each chain proposes its state plus its block increment
     times its scale s, screened: with r1 = -(s w.z + s^2 |z|^2 / 2), the
@@ -538,7 +468,8 @@ def run_chain(
     choices = np.empty((3, block))
     squares = np.empty((block, dim))
     mixture = _IndependenceProposal(preconditioner)
-    log_q = mixture.log_q
+    grid = preconditioner.grid
+    log_q, log_grid_at = mixture.log_q, grid.log_pdf
     evaluate = _Evaluator(assembled, prior, preconditioner)
 
     def chain(k: int, rng: np.random.Generator, seed_used: int, start, lp):
@@ -603,7 +534,7 @@ def run_chain(
                 }
                 proposals = np.concatenate([proposals, fetched])
                 ws = np.concatenate([ws, evaluate.whiten(fetched)])
-                log_grid = np.concatenate([log_grid, mixture.log_grid_rows(fetched)])
+                log_grid = np.concatenate([log_grid, grid.log_pdf_rows(fetched)])
             lps = evaluate.block(proposals)
             lq_news = mixture.log_q_block(log_grid, np.add.reduce(ws * ws, axis=1))
             log_u, z_sq, dots_after = log_u.tolist(), z_sq.tolist(), dots_after.tolist()
@@ -619,7 +550,7 @@ def run_chain(
                     i = j // period
                     lp_new, lq_new = lps[i], lq_news[i]
                     if lq is None:  # a random-walk step moved the state
-                        lq = log_q(mixture.log_grid_at(state), np.add.reduce(w * w))
+                        lq = log_q(log_grid_at(state), np.add.reduce(w * w))
                     ratio = lp_new - lp + (lq - lq_new)
                     # A NaN ratio fails this test, so its proposal is
                     # rejected; it is counted.

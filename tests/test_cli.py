@@ -1421,3 +1421,30 @@ def test_module_entry_point(data_file):
     )
     assert result.returncode == 0
     assert "0 violations" in result.stdout
+
+
+def test_a_library_warning_prints_as_one_line(data_file, tmp_path):
+    # At a prior sd of 1e-100 only the prior constrains the coefficients,
+    # so fit warns once. The warning prints as one "warning:" line, and
+    # the fit writes what it writes with the warning ignored.
+    def fit(out, *options):
+        return subprocess.run(
+            [sys.executable, *options, "-m", "featmeta",
+             *fast_fit_args(data_file, tmp_path / out, coeff_sd="1e-100")],
+            capture_output=True, text=True,
+        )
+
+    shown, quiet = fit("shown"), fit("quiet", "-W", "ignore::UserWarning")
+    assert shown.returncode == quiet.returncode == 0
+    [line] = shown.stderr.splitlines()
+    assert line.startswith("warning: weakly identified coefficient(s) alpha")
+    assert "cli.py" not in shown.stderr and quiet.stderr == ""
+    assert shown.stdout == quiet.stdout.replace("quiet", "shown")
+    files = sorted(p.relative_to(tmp_path / "shown")
+                   for p in (tmp_path / "shown").rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "quiet")
+                           for p in (tmp_path / "quiet").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "shown" / name).read_bytes() == (
+            tmp_path / "quiet" / name
+        ).read_bytes(), name

@@ -4,6 +4,7 @@ only the tests use live in tests/reference.py, not in the package."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,23 @@ def test_posterior_imports_no_chain_code():
             imported.update(alias.name for alias in node.names)
     own = {name for name in imported if name.startswith((".", "featmeta"))}
     assert own <= {".covariance", ".data", ".design"}
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml declares numpy as the one runtime dependency; scipy
+    # and the other test dependencies must not reach the package.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "featmeta"}
+    outside = set()
+    for path in Path(featmeta.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            outside.update(
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in allowed
+            )
+    assert outside == set()

@@ -1465,10 +1465,10 @@ def test_independence_log_q_is_the_mixture_density():
     cells = grid_cells(grid, points[:, -1])
     assert (cells[-4:] == -1).all() and (cells[:-4] >= 0).sum() > 40
     # A drawn proposal's log q_grid is read off its normals.
-    looked_up = [proposal.log_grid_at(x) for x in points]
+    looked_up = [grid.log_pdf(x) for x in points]
     assert drawn_grid == pytest.approx(looked_up[:40], rel=1e-10)
     # So is the batched one, row by row, -inf outside the cells.
-    batched = proposal.log_grid_rows(points)
+    batched = grid.log_pdf_rows(points)
     assert np.isneginf(batched[-4:]).all()
     np.testing.assert_allclose(batched, looked_up, rtol=1e-12)
     offsets = np.linalg.solve(pre.factor, (points - pre.mean).T).T
@@ -1534,7 +1534,7 @@ def test_grid_proposals_in_one_cell_have_its_conditional_moments():
     n = int(np.argmax(grid.weights))
     rows = 100_000
     rng = np.random.default_rng(13)
-    low, high = proposal.cdf[n - 1], proposal.cdf[n]
+    low, high = grid.cdf[n - 1], grid.cdf[n]
     choices = np.vstack([
         np.full(rows, 0.5), low + (high - low) * rng.random(rows),
         rng.random(rows),
@@ -1547,6 +1547,34 @@ def test_grid_proposals_in_one_cell_have_its_conditional_moments():
     assert np.abs(z.mean(axis=0)).max() < 5.0 / math.sqrt(rows)
     cov = np.cov(z, rowvar=False)
     assert np.abs(cov - np.eye(cov.shape[0])).max() < 0.03
+
+
+def test_a_replaced_grid_draws_and_weighs_by_its_own_weights():
+    # The grid of a recovery dataset, its arrays derived by a draw, then
+    # replaced by a grid whose weights are 1 on its lowest node of
+    # positive weight: every draw of the new grid lands in that node's
+    # cell, with the log density its draw reports, and a state in any
+    # other cell has density 0.
+    pre, _ = recovery_proposal()
+    grid = pre.grid
+    k = grid.means.shape[1]
+    rng = np.random.default_rng(14)
+    grid.draw(rng.standard_normal((10, k)), rng.random((2, 10)))
+    n = int(np.flatnonzero(grid.weights > 0.0)[0])
+    assert grid.weights[n] < 1e-6
+    one_hot = np.zeros_like(grid.weights)
+    one_hot[n] = 1.0
+    single = dataclasses.replace(grid, weights=one_hot)
+    states, log_q = single.draw(rng.standard_normal((1000, k)), rng.random((2, 1000)))
+    assert (grid_cells(grid, states[:, -1]) == n).all()
+    np.testing.assert_allclose(single.log_pdf_rows(states), log_q, rtol=1e-12)
+    assert single.log_pdf(states[0]) == pytest.approx(log_q[0], rel=1e-12)
+    elsewhere = np.repeat(states[:1], grid.nodes.size, axis=0)
+    elsewhere[:, -1] = grid.nodes
+    others = np.arange(grid.nodes.size) != n
+    assert np.isneginf(single.log_pdf_rows(elsewhere)[others]).all()
+    assert all(single.log_pdf(x) == -math.inf for x in elsewhere[others])
+    assert np.isfinite(grid.log_pdf_rows(elsewhere)[grid.weights > 0.0]).all()
 
 
 def test_sampler_matches_exact_posterior_on_realistic_data():
