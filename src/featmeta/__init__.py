@@ -39,7 +39,6 @@ from .data import (
 )
 from .design import ParameterVector, trial_design_matrix
 from .diagnostics import (
-    PosteriorSummary,
     read_chain_tsv,
     shrink_factor_trace,
     summarize,
@@ -49,6 +48,8 @@ from .diagnostics import (
 )
 from .posterior import (
     AssembledDataset,
+    ChainOutput,
+    PosteriorSummary,
     Preconditioner,
     PriorSpec,
     SamplerError,
@@ -58,7 +59,6 @@ from .posterior import (
     precondition,
 )
 from .sampler import (
-    ChainOutput,
     McmcConfig,
     McmcRun,
     run_chain,

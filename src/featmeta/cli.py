@@ -383,20 +383,7 @@ def cmd_fit(args) -> int:
             {
                 "index": c.chain_index,
                 "file": _chain_file(c),
-                "seed_used": c.seed_used,
-                "accept_rate": c.accept_rate,
-                "proposal_log_scale": c.proposal_log_scale,
-                "nonfinite_rejections": c.nonfinite_rejections,
-                # NaN (no adaptation phase, or no independence step in
-                # the sampling phase) is written as null.
-                "adapt_accept_rate": _null_nan(c.adapt_accept_rate),
-                "independence_accept_rate": _null_nan(
-                    c.independence_accept_rate
-                ),
-                # -1, unknown, is written as null.
-                "density_evaluations": (
-                    c.density_evaluations if c.density_evaluations >= 0 else None
-                ),
+                **{name: _known(getattr(c, name)) for name in _CHAIN_STATISTICS},
             }
             for c in chains
         ],
@@ -457,9 +444,19 @@ def _write_results(run_dir: Path, chains, kept: list[str],
     return summaries, outputs
 
 
-def _null_nan(value: float) -> float | None:
-    """``value`` for JSON, with NaN written as null."""
-    return None if math.isnan(value) else value
+# The statistics of ``ChainOutput`` that the manifest records per chain.
+_CHAIN_STATISTICS = (
+    "seed_used", "accept_rate", "proposal_log_scale", "nonfinite_rejections",
+    "adapt_accept_rate", "independence_accept_rate", "density_evaluations",
+)
+
+
+def _known(value: float | int) -> float | int | None:
+    """A chain statistic for JSON: null where it is unknown, a NaN float
+    or a -1 int (see ``ChainOutput``)."""
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    return None if value == -1 else value
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import io
 import math
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .sampler import ChainOutput
+from .posterior import ChainOutput, PosteriorSummary
 
 __all__ = [
     "PosteriorSummary",
@@ -55,24 +54,6 @@ SUMMARY_COLUMNS = (
     "p_above",
     "r_hat",
 )
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """One parameter's posterior summary (pooled across chains).
-
-    ``ci_low``/``ci_high`` bound the central 95% credible interval;
-    ``p_below``/``p_above`` are P(param < 0) and P(param > 0) with
-    strict inequalities. ``r_hat`` is NaN when only one chain was run.
-    """
-
-    name: str
-    median: float
-    ci_low: float
-    ci_high: float
-    p_below: float
-    p_above: float
-    r_hat: float
 
 
 def _shrink_factors(
@@ -220,15 +201,13 @@ def summarize(
 def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     """Read a chain TSV back into a ChainOutput.
 
-    Only the draws and parameter names survive the round trip. The
-    acceptance rates and the proposal scale are not stored in the file
-    and come back as NaN; ``seed_used``, ``nonfinite_rejections`` and
-    ``density_evaluations`` come back as -1. Every row is parsed, with
-    ``np.loadtxt``'s syntax; blank lines hold no row. Raises ValueError
-    when the header does not start with ``iteration``, a row has the
-    wrong number of fields or a field is not a number (naming the file
-    line, the header being line 1), or the iteration column is not
-    1..n.
+    Only the draws and parameter names survive the round trip; every
+    statistic of the run comes back unknown (``ChainOutput``'s
+    defaults). Every row is parsed, with ``np.loadtxt``'s syntax; blank
+    lines hold no row. Raises ValueError when the header does not start
+    with ``iteration``, a row has the wrong number of fields or a field
+    is not a number (naming the file line, the header being line 1), or
+    the iteration column is not 1..n.
 
     The draws come from the binary copy that ``write_chain_tsv`` put
     beside the file, without parsing, when the copy is intact, holds the
@@ -237,7 +216,7 @@ def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     """
     stored = _read_copy(Path(path))
     if stored is not None:
-        return _chain_output(chain_index, *stored)
+        return ChainOutput(chain_index, *stored)
     with open(path, encoding="utf-8") as stream:
         return _read_chain(stream, chain_index)
 
@@ -314,23 +293,6 @@ def _header_names(first: str) -> tuple[str, ...]:
     return tuple(header[1:])
 
 
-def _chain_output(
-    chain_index: int, draws: np.ndarray, names: tuple[str, ...]
-) -> ChainOutput:
-    return ChainOutput(
-        chain_index=chain_index,
-        draws=draws,
-        parameter_names=names,
-        accept_rate=math.nan,
-        seed_used=-1,
-        proposal_log_scale=math.nan,
-        nonfinite_rejections=-1,
-        adapt_accept_rate=math.nan,
-        independence_accept_rate=math.nan,
-        density_evaluations=-1,
-    )
-
-
 def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
     names = _header_names(stream.readline())
     width = len(names) + 1
@@ -350,7 +312,7 @@ def _read_chain(stream: IO[str], chain_index: int) -> ChainOutput:
             f"iteration column is not 1..{len(table)}: line "
             f"{numbers[wrong[0]]} holds {table[wrong[0], 0]:g}"
         )
-    return _chain_output(chain_index, np.ascontiguousarray(table[:, 1:]), names)
+    return ChainOutput(chain_index, np.ascontiguousarray(table[:, 1:]), names)
 
 
 def _parse_rows(rows: list[str], numbers: list[int], width: int) -> np.ndarray:

@@ -28,6 +28,12 @@ Gaussian (Laplace) approximation N(mu, R R') of the joint posterior of
 (c, u), with mu = (E[c | tau_mode, y], u_mode) and R the lower Cholesky
 factor of its covariance. ``featmeta.sampler`` builds its proposals
 from both.
+
+The records every engine returns live here too, so that none needs
+the chains: ``ChainOutput``, one chain's draws and the statistics of
+its run, and ``PosteriorSummary``, one parameter's summary. So does
+the stream rule: chain k of a run with seed s draws from
+``_chain_rng(s, k)``, spawned from s for k, so from (s, k) alone.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from .data import Dataset
 from .design import ParameterVector, trial_design_matrix
 
 __all__ = [
+    "ChainOutput",
+    "PosteriorSummary",
     "SamplerError",
     "PriorSpec",
     "AssembledDataset",
@@ -86,6 +94,77 @@ class PriorSpec:
         if 0.1 * self.tau_upper == 0.0:
             raise ValueError("tau_upper must have a tenth that is not 0")
 
+
+# ---------------------------------------------------------------------------
+# Records and streams
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ChainOutput:
+    """One chain's retained draws plus the statistics of its run.
+
+    ``chain_index`` is the chain's index k, which with the run's seed
+    fixes its stream (``_chain_rng``). ``draws`` has shape (samples,
+    n_parameters), in canonical order (intercept, beta, gamma, phi, eta,
+    tau) with tau on its natural scale; ``parameter_names`` names its
+    columns.
+
+    Each statistic defaults to its unknown value, NaN for a rate or a
+    scale and -1 for a key or a count, which a record keeps where its
+    engine has no such statistic or where it was read from a file:
+    ``accept_rate``, the share of the retained iterations whose proposal
+    was accepted; ``seed_used``, the key of the chain's stream;
+    ``proposal_log_scale``, the log of the proposal scale the retained
+    iterations ran at; ``nonfinite_rejections``, the proposals rejected
+    because their log posterior was not finite inside the prior's
+    support; ``adapt_accept_rate``, the acceptance rate over adaptation,
+    NaN also with none; ``independence_accept_rate``, that of the
+    sampling phase's independence proposals, NaN also with none; and
+    ``density_evaluations``, the log-posterior evaluations after
+    adaptation.
+    """
+
+    chain_index: int
+    draws: np.ndarray
+    parameter_names: tuple[str, ...]
+    accept_rate: float = math.nan
+    seed_used: int = -1
+    proposal_log_scale: float = math.nan
+    nonfinite_rejections: int = -1
+    adapt_accept_rate: float = math.nan
+    independence_accept_rate: float = math.nan
+    density_evaluations: int = -1
+
+    @property
+    def n_samples(self) -> int:
+        return self.draws.shape[0]
+
+
+@dataclass(frozen=True)
+class PosteriorSummary:
+    """One parameter's posterior summary (pooled across chains).
+
+    ``ci_low``/``ci_high`` bound the central 95% credible interval;
+    ``p_below``/``p_above`` are P(param < 0) and P(param > 0) with
+    strict inequalities. ``r_hat`` is NaN when only one chain was run.
+    """
+
+    name: str
+    median: float
+    ci_low: float
+    ci_high: float
+    p_below: float
+    p_above: float
+    r_hat: float
+
+
+def _chain_rng(seed: int, chain_index: int) -> tuple[np.random.Generator, int]:
+    """Chain ``chain_index``'s stream, spawned from ``seed``, and the key
+    derived from it that ``ChainOutput.seed_used`` records."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chain_index,))
+    derived = int(seq.generate_state(1, dtype=np.uint64)[0])
+    return np.random.default_rng(seq), derived
 
 
 # ---------------------------------------------------------------------------

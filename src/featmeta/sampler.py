@@ -91,9 +91,11 @@ import numpy as np
 from .data import Dataset
 from .posterior import (
     AssembledDataset,
+    ChainOutput,
     Preconditioner,
     PriorSpec,
     SamplerError,
+    _chain_rng,
     _marginal_sums,
     _zero_denominator,
     assemble,
@@ -148,63 +150,9 @@ class McmcConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class ChainOutput:
-    """One chain's retained draws plus bookkeeping.
-
-    ``chain_index`` is the chain's index k, which with the run's seed
-    fixes its stream.
-    ``draws`` has shape (samples, n_parameters), in canonical order
-    (intercept, beta, gamma, phi, eta, tau) with tau on its natural
-    scale.
-    ``parameter_names`` names the columns of ``draws``.
-    ``accept_rate`` is the acceptance rate over the retained
-    iterations, both kinds of step.
-    ``seed_used`` is the derived stream key recorded for reruns.
-    ``proposal_log_scale`` is the log-scale l of the random-walk steps
-    once adaptation ends.
-    ``nonfinite_rejections`` counts the evaluated proposals rejected
-    because their log posterior was not finite (NaN or infinite) inside
-    the prior's support, so never one the screen turned away, and is -1
-    where unknown.
-    ``adapt_accept_rate`` is the acceptance rate of the screened kernel
-    over the adaptation phase, both kinds of step, and is NaN where
-    unknown or with no adaptation.
-    ``independence_accept_rate`` is the acceptance rate of the
-    independence steps of the sampling phase alone, which is low where
-    their proposals fit the posterior poorly, and is NaN where unknown
-    or where the phase has none.
-    ``density_evaluations`` counts the log-posterior evaluations after
-    adaptation, independence steps included, and is -1 where unknown. A
-    prefetched random-walk proposal counts only where its step uses it,
-    so the count is that of an unprefetched run.
-    """
-
-    chain_index: int
-    draws: np.ndarray
-    parameter_names: tuple[str, ...]
-    accept_rate: float
-    seed_used: int
-    proposal_log_scale: float
-    nonfinite_rejections: int = 0
-    adapt_accept_rate: float = math.nan
-    independence_accept_rate: float = math.nan
-    density_evaluations: int = -1
-
-    @property
-    def n_samples(self) -> int:
-        return self.draws.shape[0]
-
-
 # ---------------------------------------------------------------------------
-# Streams and the log posterior
+# The log posterior
 # ---------------------------------------------------------------------------
-
-
-def _chain_rng(seed: int, chain_index: int) -> tuple[np.random.Generator, int]:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chain_index,))
-    derived = int(seq.generate_state(1, dtype=np.uint64)[0])
-    return np.random.default_rng(seq), derived
 
 
 class _Evaluator:
@@ -440,9 +388,19 @@ def run_chain(
     and the tau grid depend on the data and the prior alone, and the
     kernel of an iteration on its index alone.
     ``preconditioner`` is ``precondition(assembled, prior)``, computed
-    here when not given. tau is recorded on its natural scale. An
-    evaluated proposal whose log posterior is not finite inside the
-    prior's support is rejected and counted.
+    here when not given. tau is recorded on its natural scale.
+
+    Each chain knows every statistic of ``ChainOutput``.
+    ``accept_rate`` and ``adapt_accept_rate`` count both kinds of step,
+    the latter for the screened kernel during adaptation (NaN with
+    none); ``independence_accept_rate`` counts the sampling phase's
+    independence steps alone, and is low where their proposals fit the
+    posterior poorly. ``seed_used`` is the key ``_chain_rng`` derives;
+    ``proposal_log_scale`` is l once adaptation ends.
+    ``nonfinite_rejections`` counts evaluated proposals only, so never
+    one the screen turned away. ``density_evaluations`` counts the
+    independence steps too; a prefetched proposal counts only where its
+    step uses it, so the count is that of an unprefetched run.
     """
     chains = list(chains)
     if not chains or len(set(chains)) != len(chains):
@@ -690,6 +648,22 @@ def sample_posterior(
     is reproducible from ``config.seed`` and its index alone. Warns about
     uncentered covariates and about weakly identified coefficients.
     """
+    return _sample_posterior(dataset, config, prior)
+
+
+def run_mcmc(
+    dataset: Dataset,
+    config: McmcConfig = McmcConfig(),
+    prior: PriorSpec = PriorSpec(),
+) -> list[ChainOutput]:
+    """The chains of ``sample_posterior``."""
+    return _sample_posterior(dataset, config, prior).chains
+
+
+def _sample_posterior(
+    dataset: Dataset, config: McmcConfig, prior: PriorSpec
+) -> McmcRun:
+    """Both entry points call this, so stacklevel=3 names their caller."""
     if dataset.centering is None and dataset.schema.n_parameters > 2:
         warnings.warn(
             "fitting on uncentered covariates; the intercept and "
@@ -719,12 +693,3 @@ def sample_posterior(
         weak_coefficients=weak,
         zeroed_eigenvalues=assembled.zeroed_eigenvalues,
     )
-
-
-def run_mcmc(
-    dataset: Dataset,
-    config: McmcConfig = McmcConfig(),
-    prior: PriorSpec = PriorSpec(),
-) -> list[ChainOutput]:
-    """The chains of ``sample_posterior``."""
-    return sample_posterior(dataset, config, prior).chains

@@ -8,13 +8,16 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 import featmeta.posterior as posterior
 import featmeta.sampler as sampler
-from featmeta import DataFormatError, SimConfig, dataset_to_dict, save_dataset
+from featmeta import (
+    ChainOutput, DataFormatError, SimConfig, dataset_to_dict, sample_posterior,
+    save_dataset,
+)
 from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
 from featmeta.diagnostics import TRACE_POINTS
 
@@ -291,6 +294,48 @@ def test_fit_manifest_records_adaptation_acceptance(data_file, tmp_path):
     assert main(fast_fit_args(data_file, bare, adapt=0)) == 0
     manifest = json.loads((bare / "manifest.json").read_text())
     assert [e["adapt_accept_rate"] for e in manifest["chains"]] == [None, None]
+
+
+STATISTICS = [
+    "seed_used", "accept_rate", "proposal_log_scale", "nonfinite_rejections",
+    "adapt_accept_rate", "independence_accept_rate", "density_evaluations",
+]
+
+
+def unknown_statistics(out):
+    """The statistics that ``out``'s manifest writes as null, per chain.
+    The manifest must list every statistic, in order, and be strict
+    JSON: no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"manifest.json holds {constant}")
+
+    text = (out / "manifest.json").read_text()
+    chains = json.loads(text, parse_constant=refuse)["chains"]
+    assert [list(entry)[2:] for entry in chains] == [STATISTICS] * len(chains)
+    return [[k for k in STATISTICS if entry[k] is None] for entry in chains]
+
+
+def test_fit_manifest_writes_null_exactly_where_a_statistic_is_unknown(
+    data_file, tmp_path, monkeypatch
+):
+    base = ["fit", "--data", str(data_file)]
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert unknown_statistics(tmp_path / "default") == [[]] * 4
+    assert main(base + ["--out", str(tmp_path / "bare"), "--adapt", "0"]) == 0
+    assert unknown_statistics(tmp_path / "bare") == [["adapt_accept_rate"]] * 4
+
+    # Chains whose engine knows none of the statistics.
+    def draws_alone(*args):
+        run = sample_posterior(*args)
+        return replace(run, chains=[
+            ChainOutput(c.chain_index, c.draws, c.parameter_names)
+            for c in run.chains
+        ])
+
+    monkeypatch.setattr("featmeta.cli.sample_posterior", draws_alone)
+    assert main(fast_fit_args(data_file, tmp_path / "unknown")) == 0
+    assert unknown_statistics(tmp_path / "unknown") == [STATISTICS] * 2
 
 
 def test_fit_manifest_records_independence_acceptance(

@@ -3,7 +3,7 @@
 import io
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -471,6 +471,29 @@ def test_chain_tsv_read_leaves_sampler_bookkeeping_unknown(tmp_path):
     assert math.isnan(back.proposal_log_scale)
     assert back.seed_used == -1 and back.nonfinite_rejections == -1
     assert back.density_evaluations == -1
+
+
+def test_a_record_of_draws_alone_knows_no_statistic_and_round_trips(tmp_path):
+    draws = np.array([[0.5, -1.25], [0.5, -1.25], [2.0, 1e-300]])
+    chain = ChainOutput(3, draws, ("a", "tau"))
+    for name in (
+        "accept_rate", "proposal_log_scale", "adapt_accept_rate",
+        "independence_accept_rate",
+    ):
+        assert math.isnan(getattr(chain, name))
+    assert chain.seed_used == chain.nonfinite_rejections == -1
+    assert chain.density_evaluations == -1
+    path = tmp_path / "chain_4.tsv"
+    copy = write_chain_tsv(chain, path)
+    from_copy = read_chain_tsv(path, 3)
+    copy.unlink()
+    for back in (from_copy, read_chain_tsv(path, 3)):  # the copy, then parsing
+        for field in fields(ChainOutput):
+            want, got = getattr(chain, field.name), getattr(back, field.name)
+            if field.name == "draws":
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            else:
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_chain_tsv_requires_iteration_column(tmp_path):

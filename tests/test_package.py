@@ -72,6 +72,24 @@ def test_posterior_imports_no_chain_code():
     assert own <= {".covariance", ".data", ".design"}
 
 
+def test_diagnostics_imports_no_chain_or_cli_code():
+    # The records diagnostics reads come from the model, so any engine's
+    # chains can be summarized and written without the sampler.
+    path = Path(importlib.import_module("featmeta.diagnostics").__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            # Absolute names, so "from . import sampler" counts too.
+            package = "featmeta" if node.level else ""
+            module = ".".join(filter(None, (package, node.module)))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    chain_code = ("featmeta.sampler", "featmeta.cli")
+    assert [n for n in imported if n.startswith(chain_code)] == []
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml declares numpy as the one runtime dependency; scipy
     # and the other test dependencies must not reach the package.

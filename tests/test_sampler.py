@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1694,6 +1695,20 @@ def test_uncentered_fit_warns():
     assert dataset.centering is None
     with pytest.warns(UserWarning, match="uncentered"):
         run_mcmc(dataset, small_config(samples=20, adapt=20, burn_in=10))
+
+
+@pytest.mark.parametrize("entry", [sampler.sample_posterior, run_mcmc])
+def test_warnings_name_the_line_that_called_the_sampler(entry):
+    # Uncentered covariates, and a prior sd small enough that it alone
+    # constrains the coefficients, raise both warnings.
+    config = small_config(chains=1, samples=20, adapt=20, burn_in=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        entry(build_basic_dataset(), config, PriorSpec(coeff_sd=0.1))
+    kinds = sorted(str(w.message).split()[0] for w in caught)
+    assert kinds == ["fitting", "weakly"]
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
 
 
 def test_centered_fit_does_not_warn(recwarn):
