@@ -92,6 +92,7 @@ def shrink_factor_trace(
         raise ValueError("the shrink factor needs at least two chains")
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
+    _parameter_names(chains)
     s = chains[0].n_samples
     # From s - 1 points on the grid holds every end 2..s, so more points
     # than draws give the same ends; the clamp keeps the work, and the
@@ -146,20 +147,72 @@ def _prefix_shrink_factors(
     return _shrink_factors(means, squares, np.asarray(ends)[:, None])
 
 
+def _parameter_names(chains: Sequence[ChainOutput]) -> tuple[str, ...]:
+    """The parameter names every chain shares; ValueError naming the
+    first chain whose names differ from the first chain's."""
+    names = chains[0].parameter_names
+    for k, chain in enumerate(chains):
+        if chain.parameter_names != names:
+            raise ValueError(
+                f"chain {k} names its parameters {chain.parameter_names}, "
+                f"chain 0 {names}"
+            )
+    return names
+
+
+def _sorted_quantiles(
+    column: np.ndarray, levels: Sequence[float]
+) -> list[float] | None:
+    """``np.quantile(column, levels)`` of a sorted ``column``, bit for bit.
+
+    The rule is numpy's default, Hyndman & Fan's type 7: at the virtual
+    index v = (n - 1) q, the order statistics at floor(v) and the next
+    are interpolated with gamma = v - floor(v), as numpy's lerp does
+    (a + (b - a) gamma, or b - (b - a)(1 - gamma) for gamma >= 0.5); at
+    or past the last index numpy reads the last value twice and takes
+    gamma from index -1. None where the result depends on the order of
+    the values before the sort: with a NaN (numpy returns the one its
+    partition leaves last) or a zero read (-0.0 and 0.0 tie).
+    """
+    n = column.size
+    if math.isnan(column[-1]):  # a NaN sorts last
+        return None
+    out = []
+    for q in levels:
+        v = (n - 1) * q
+        i = -1 if v >= n - 1 else math.floor(v)
+        a = float(column[i])
+        b = float(column[i + 1 if i >= 0 else -1])
+        if a == 0.0 or b == 0.0:
+            return None
+        gamma = v - i
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out
+
+
 def summarize(
     chains: Sequence[ChainOutput], *, r_hat: np.ndarray | None = None
 ) -> list[PosteriorSummary]:
     """Per-parameter posterior summaries from one or more chains.
 
     Quantiles use linear interpolation on the pooled draws, which are
-    gathered one parameter at a time. With a single chain the shrink
-    factor is undefined and reported as NaN. A caller that has computed
+    gathered one parameter at a time; they equal ``np.quantile``'s
+    default bit for bit. With a single chain the shrink factor is
+    undefined and reported as NaN. A caller that has computed
     ``shrink_factor_trace`` passes its last row as ``r_hat``: that row is
     the full-length factor of each parameter, so it is not computed again.
+    Raises ValueError when the chains name different parameters or
+    ``r_hat`` holds other than one value per parameter.
     """
     if not chains:
         raise ValueError("no chains to summarize")
-    names = chains[0].parameter_names
+    names = _parameter_names(chains)
+    if r_hat is not None and np.shape(r_hat) != (len(names),):
+        raise ValueError(
+            f"r_hat has shape {np.shape(r_hat)}, not one value for each "
+            f"of {len(names)} parameters"
+        )
     if r_hat is None and len(chains) >= 2:
         r_hat = _prefix_shrink_factors(
             [c.draws for c in chains], [chains[0].n_samples]
@@ -167,8 +220,9 @@ def summarize(
     elif r_hat is None:
         r_hat = np.full(len(names), math.nan)
     # One parameter's pooled draws at a time, in one reused buffer that
-    # the quantiles partition in place.
+    # is sorted in place for the quantiles.
     column = np.empty(sum(c.n_samples for c in chains))
+    levels = (0.025, 0.5, 0.975)
     out = []
     for j, name in enumerate(names):
         np.concatenate([c.draws[:, j] for c in chains], out=column)
@@ -176,9 +230,13 @@ def summarize(
         # the flags as floats.
         p_below = np.count_nonzero(column < 0.0) / column.size
         p_above = np.count_nonzero(column > 0.0) / column.size
-        low, mid, high = np.quantile(
-            column, [0.025, 0.5, 0.975], overwrite_input=True
-        )
+        column.sort()
+        quantiles = _sorted_quantiles(column, levels)
+        if quantiles is None:
+            # The bits depend on the draws' order, which the sort lost.
+            np.concatenate([c.draws[:, j] for c in chains], out=column)
+            quantiles = np.quantile(column, levels, overwrite_input=True)
+        low, mid, high = quantiles
         out.append(
             PosteriorSummary(
                 name=name,

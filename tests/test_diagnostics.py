@@ -186,6 +186,13 @@ def test_trace_needs_two_chains():
         shrink_factor_trace([two_param_chains()[0]])
 
 
+def test_trace_rejects_chains_that_name_parameters_differently():
+    chains = two_param_chains()
+    chains[2] = replace(chains[2], parameter_names=("p1", "p0"))
+    with pytest.raises(ValueError, match="chain 2 names"):
+        shrink_factor_trace(chains)
+
+
 def mixed_chains(m, s, seed):
     """Chains with normal columns at several scales and offsets, a column
     constant and equal across chains (factor 1.0) and a column constant
@@ -335,15 +342,130 @@ def test_all_negative_draws():
     assert summary.p_above == 0.0
 
 
+def assert_quantile_bits(summary, want):
+    """The summary's (ci_low, median, ci_high) are ``want``'s bits."""
+    got = np.array([summary.ci_low, summary.median, summary.ci_high])
+    assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+
+
 def test_quantiles_match_pooled_vector():
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal(300), rng.standard_normal(300)
     (summary,) = summarize([make_chain(a, 0), make_chain(b, 1)])
     pooled = np.concatenate([a, b])
-    low, mid, high = np.quantile(pooled, [0.025, 0.5, 0.975])
-    assert summary.ci_low == pytest.approx(low, rel=1e-12)
-    assert summary.median == pytest.approx(mid, rel=1e-12)
-    assert summary.ci_high == pytest.approx(high, rel=1e-12)
+    want = np.quantile(pooled, [0.025, 0.5, 0.975])
+    assert_quantile_bits(summary, want)
+
+
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2e-308, -1.5e-310, 1.0, -1.0, 1e308, -1e308,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+        min_size=1,
+        max_size=500,
+    ),
+    m=st.integers(1, 4),
+)
+def test_summary_quantiles_are_np_quantile_bit_for_bit(values, m):
+    # Heavy ties come from the special values; the chains may differ in
+    # length, as r_hat is passed in.
+    pooled = np.asarray(values, dtype=float)
+    parts = np.array_split(pooled, min(m, pooled.size))
+    chains = [make_chain(part, k) for k, part in enumerate(parts)]
+    with np.errstate(all="ignore"):  # numpy's lerp warns on inf - inf
+        want = np.quantile(pooled, [0.025, 0.5, 0.975])
+        (summary,) = summarize(chains, r_hat=np.ones(1))
+    assert_quantile_bits(summary, want)
+
+
+@pytest.mark.parametrize(
+    "draws, want",
+    [
+        ([2.5], [2.5, 2.5, 2.5]),
+        # numpy reads the one draw twice with gamma 1: inf - inf is nan.
+        ([math.inf], [math.nan] * 3),
+        ([-0.0], [-0.0] * 3),
+        ([1.0, 3.0], [1.05, 2.0, 2.95]),
+        ([3.0, 1.0], [1.05, 2.0, 2.95]),
+        ([4.0, 1.0, 2.0], [1.05, 2.0, 3.9]),
+        ([1.0, math.nan, 2.0], [math.nan] * 3),
+    ],
+)
+def test_summary_quantiles_of_one_to_three_draws(draws, want):
+    (summary,) = summarize([make_chain(draws)])
+    with np.errstate(all="ignore"):
+        exact = np.quantile(np.asarray(draws), [0.025, 0.5, 0.975])
+    assert_quantile_bits(summary, exact)
+    got = [summary.ci_low, summary.median, summary.ci_high]
+    assert got == pytest.approx(want, rel=1e-15, nan_ok=True)
+
+
+def test_np_quantile_runs_only_for_a_signed_zero_tie_at_a_read_rank(
+    monkeypatch,
+):
+    calls = []
+    quantile = np.quantile
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", counted)
+    rng = np.random.default_rng(16)
+    chains = [make_chain(rng.standard_normal((200, 3)), k) for k in range(2)]
+    summarize(chains)
+    assert calls == []
+    # Of 400 pooled draws the 2.5 % point reads ranks 9 and 10
+    # (v = 399 * 0.025): 9 draws below zero, then 0.0 and -0.0.
+    for chain in chains:
+        chain.draws[:, 1] = np.abs(chain.draws[:, 1]) + 0.1
+    chains[0].draws[:9, 1] *= -1.0
+    chains[0].draws[20, 1] = 0.0
+    chains[1].draws[30, 1] = -0.0
+    got = summarize(chains)
+    assert calls == [400]
+    want = reference_summarize(chains)
+    for summary, (mid, low, high, *_) in zip(got, want):
+        assert_quantile_bits(summary, [low, mid, high])
+
+
+def test_summarize_rejects_chains_that_name_parameters_differently():
+    rng = np.random.default_rng(17)
+    draws = rng.standard_normal((50, 2))
+    chains = [
+        make_chain(draws, 0, ("alpha", "beta_1")),
+        make_chain(draws, 1, ("alpha", "beta_1")),
+        make_chain(draws, 2, ("beta_1", "alpha")),
+        make_chain(draws, 3, ("beta_2", "alpha")),
+    ]
+    with pytest.raises(ValueError, match="chain 2 names"):
+        summarize(chains)
+    with pytest.raises(ValueError, match="chain 2 names"):
+        summarize(chains, r_hat=np.ones(2))
+
+
+@pytest.mark.parametrize("first, other", [(2, 3), (3, 2)])
+def test_summarize_rejects_a_narrower_or_wider_first_chain(first, other):
+    rng = np.random.default_rng(18)
+    chains = [
+        make_chain(rng.standard_normal((50, first)), 0),
+        make_chain(rng.standard_normal((50, other)), 1),
+    ]
+    with pytest.raises(ValueError, match="chain 1 names"):
+        summarize(chains, r_hat=np.ones(first))
+
+
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_summarize_rejects_r_hat_of_the_wrong_length(length):
+    chains = two_param_chains(seed=19)
+    with pytest.raises(ValueError, match="r_hat"):
+        summarize(chains, r_hat=np.ones(length))
 
 
 def test_summaries_invariant_to_chain_order():
