@@ -49,6 +49,7 @@ from .data import (
 from .design import ParameterVector
 from .diagnostics import (
     _copy_path,
+    _with_trace_moments,
     read_chain_tsv,
     shrink_factor_trace,
     summarize,
@@ -352,6 +353,10 @@ def cmd_fit(args) -> int:
 
     run = sample_posterior(dataset, config, prior)
     chains, pre = run.chains, run.preconditioner
+    if len(chains) >= 2:
+        # Each chain's trace moments, computed once: the copies keep them
+        # for diagnose, and the trace combines them.
+        chains = _with_trace_moments(chains)
     written = []
     for chain in chains:
         rel = _chain_file(chain)

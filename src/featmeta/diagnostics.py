@@ -8,9 +8,11 @@ posterior probabilities of lying strictly below / strictly above zero.
 
 The writers and the reader take file paths. A chain TSV gets a binary
 copy beside it (``.npz`` in place of the file's suffix) holding the
-draws and the SHA-256 of the TSV's bytes. The TSV is normative: the
-reader takes the draws from the copy only while that digest matches
-the TSV, and parses the TSV in every other case.
+draws, the SHA-256 of the TSV's bytes and, for a chain that carries
+them, the moments of its draws that the shrink-factor trace combines.
+The TSV is normative: the reader takes the draws and the moments from
+the copy only while that digest matches the TSV, and parses the TSV in
+every other case; moments it cannot take are computed from the draws.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import io
 import math
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -87,41 +90,93 @@ def shrink_factor_trace(
     Returns (iterations, values) where ``values[i, j]`` is the factor
     for parameter j using each chain's first ``iterations[i]`` draws.
     Useful for spotting runs whose apparent convergence is recent.
+
+    Each chain's prefix moments depend on that chain alone. A chain
+    whose ``trace_moments`` hold exactly these iterations (``fit``'s
+    chains, and chains read from an intact copy, at the default
+    ``n_points``) supplies them; those of the other chains are computed
+    from their draws. Both routes give the same values bit for bit.
+    Raises ValueError naming a chain with no draws or whose parameter
+    names differ from the first chain's.
     """
     if len(chains) < 2:
         raise ValueError("the shrink factor needs at least two chains")
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     _parameter_names(chains)
-    s = chains[0].n_samples
+    ends = _trace_ends(chains[0].n_samples, n_points)
+    return ends, _prefix_factors(chains, ends)
+
+
+def _trace_ends(s: int, n_points: int) -> np.ndarray:
+    """The prefix lengths of a trace of ``n_points`` rows over ``s``
+    draws."""
     # From s - 1 points on the grid holds every end 2..s, so more points
     # than draws give the same ends; the clamp keeps the work, and the
     # grid, proportional to the draws.
     n_points = min(n_points, s)
-    ends = np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
-    return ends, _prefix_shrink_factors([c.draws for c in chains], ends)
+    return np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
 
 
-def _prefix_shrink_factors(
-    draws: Sequence[np.ndarray], ends: Sequence[int]
+def _with_trace_moments(chains: Sequence[ChainOutput]) -> list[ChainOutput]:
+    """``chains``, each with the ``trace_moments`` of its draws at the
+    ends of a default trace, computed in one batch. Raises ValueError
+    unless the chains have equal length >= 2."""
+    ends = _trace_ends(_common_length(chains), TRACE_POINTS)
+    means, squares = _prefix_moments([c.draws for c in chains], ends)
+    return [
+        replace(c, trace_moments=(ends, means[..., k], squares[..., k]))
+        for k, c in enumerate(chains)
+    ]
+
+
+def _prefix_factors(
+    chains: Sequence[ChainOutput], ends: np.ndarray
 ) -> np.ndarray:
     """Shrink factors of every parameter over each chain's first ``ends``
-    draws, as an (ends, params) array."""
-    m = len(draws)
-    if m < 2:
-        raise ValueError("the shrink factor needs at least two chains")
-    s, n_params = draws[0].shape
-    if s < 2 or any(d.shape != draws[0].shape for d in draws):
+    draws, as an (ends, params) array. A chain that carries its moments
+    for these ends supplies them; those of the others are computed in
+    one batch."""
+    _common_length(chains)
+    moments = []
+    for chain in chains:
+        held = chain.trace_moments
+        same = held is not None and np.array_equal(held[0], ends)
+        moments.append(held[1:] if same else None)
+    missing = [k for k, held in enumerate(moments) if held is None]
+    if missing:
+        means, squares = _prefix_moments([chains[k].draws for k in missing], ends)
+        for i, k in enumerate(missing):
+            moments[k] = means[..., i], squares[..., i]
+    # Chains on the last axis, in the order given.
+    means, squares = (np.stack(held, axis=-1) for held in zip(*moments))
+    return _shrink_factors(means, squares, ends[:, None])
+
+
+def _common_length(chains: Sequence[ChainOutput]) -> int:
+    s = chains[0].n_samples
+    if s < 2 or any(c.n_samples != s for c in chains):
         raise ValueError("chains must have equal length >= 2")
+    return s
+
+
+def _prefix_moments(
+    draws: Sequence[np.ndarray], ends: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the sum of squared deviations of every parameter over
+    each chain's first ``ends`` draws, as (ends, params, chains) arrays."""
+    m = len(draws)
+    s, n_params = draws[0].shape
     means = np.empty((len(ends), n_params, m))
     squares = np.empty_like(means)
     # Parameters are stacked a group at a time as (params, chains, draws).
     # Each parameter's draws lie contiguous along the last axis, so a
     # reduction over draws sums the same values in the same order as one
-    # over a chain's column copied on its own. The stack, and the buffer
-    # for the deviations of every prefix, are made once. A larger stack
-    # raised the peak resident memory of a default four-chain fit of 150
-    # trials by up to 4 MB.
+    # over a chain's column copied on its own: the moments of a chain do
+    # not depend on the chains computed with it. The stack, and the
+    # buffer for the deviations of every prefix, are made once. A larger
+    # stack raised the peak resident memory of a default four-chain fit
+    # of 150 trials by up to 4 MB.
     group = max(1, min(n_params, _STACK_BYTES // (m * s * 8)))
     stack = np.empty((group, m, s))
     buffer = np.empty_like(stack)
@@ -143,13 +198,13 @@ def _prefix_shrink_factors(
             np.square(deviations, out=deviations)
             means[i, columns] = mean[:, :, 0]
             np.sum(deviations, axis=2, out=squares[i, columns])
-    # The factors of every prefix at once: a few calls on small arrays.
-    return _shrink_factors(means, squares, np.asarray(ends)[:, None])
+    return means, squares
 
 
 def _parameter_names(chains: Sequence[ChainOutput]) -> tuple[str, ...]:
     """The parameter names every chain shares; ValueError naming the
-    first chain whose names differ from the first chain's."""
+    first chain with no draws or whose names differ from the first
+    chain's."""
     names = chains[0].parameter_names
     for k, chain in enumerate(chains):
         if chain.parameter_names != names:
@@ -157,6 +212,8 @@ def _parameter_names(chains: Sequence[ChainOutput]) -> tuple[str, ...]:
                 f"chain {k} names its parameters {chain.parameter_names}, "
                 f"chain 0 {names}"
             )
+        if chain.n_samples == 0:
+            raise ValueError(f"chain {k} holds no draws")
     return names
 
 
@@ -214,9 +271,7 @@ def summarize(
             f"of {len(names)} parameters"
         )
     if r_hat is None and len(chains) >= 2:
-        r_hat = _prefix_shrink_factors(
-            [c.draws for c in chains], [chains[0].n_samples]
-        )[0]
+        r_hat = _prefix_factors(chains, np.array([chains[0].n_samples]))[0]
     elif r_hat is None:
         r_hat = np.full(len(names), math.nan)
     # One parameter's pooled draws at a time, in one reused buffer that
@@ -270,11 +325,15 @@ def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
     The draws come from the binary copy that ``write_chain_tsv`` put
     beside the file, without parsing, when the copy is intact, holds the
     SHA-256 of the file's present bytes and one column per parameter of
-    its header. They are the draws parsing would give, bit for bit.
+    its header. They are the draws parsing would give, bit for bit. The
+    record then carries the copy's trace moments too, when it holds
+    them as int64 ends and float64 (ends, parameters) arrays; otherwise
+    ``trace_moments`` is None, and the trace computes them.
     """
     stored = _read_copy(Path(path))
     if stored is not None:
-        return ChainOutput(chain_index, *stored)
+        draws, names, moments = stored
+        return ChainOutput(chain_index, draws, names, trace_moments=moments)
     with open(path, encoding="utf-8") as stream:
         return _read_chain(stream, chain_index)
 
@@ -298,9 +357,13 @@ def _sha256(stream: IO[bytes], start: bytes = b"") -> bytes:
     return digest.digest()
 
 
-def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
-    """The draws and parameter names of the chain TSV at ``path`` from its
-    binary copy; None when there is none to trust."""
+def _read_copy(
+    path: Path,
+) -> tuple[np.ndarray, tuple[str, ...], tuple | None] | None:
+    """The draws, parameter names and trace moments (None when the copy
+    holds none of the right shapes and types) of the chain TSV at
+    ``path`` from its binary copy; None when there is no copy to
+    trust."""
     copy = _copy_path(path)
     if copy is None or not copy.is_file():
         return None
@@ -321,6 +384,12 @@ def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
             if _member(archive, "sha256.npy").tobytes() != digest:
                 return None
             draws = _member(archive, "draws.npy")
+            moments = None
+            if "trace_ends.npy" in archive.namelist():
+                moments = tuple(
+                    _member(archive, f"trace_{name}.npy")
+                    for name in ("ends", "means", "squares")
+                )
     except Exception:
         # A truncated archive, or one with a byte flipped, raises
         # BadZipFile, KeyError, EOFError, ValueError, NotImplementedError
@@ -329,7 +398,16 @@ def _read_copy(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
         return None
     if draws.dtype != np.float64 or draws.shape[1:] != (len(names),):
         return None
-    return np.ascontiguousarray(draws), names
+    if moments is not None:
+        ends, means, squares = moments
+        rows = (ends.size, len(names))
+        if not (
+            ends.dtype == np.int64 and ends.ndim == 1
+            and means.dtype == squares.dtype == np.float64
+            and means.shape == squares.shape == rows
+        ):
+            moments = None  # computed from the draws instead
+    return np.ascontiguousarray(draws), names, moments
 
 
 def _member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -435,7 +513,9 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     bytes written, for ``read_chain_tsv``; the path of that copy is
     returned, or None for a file named with the copy's suffix, which
     gets no copy. Every NaN is saved as the NaN that parsing "nan"
-    gives.
+    gives. The chain's ``trace_moments``, if any, are saved as
+    ``trace_ends``, ``trace_means`` and ``trace_squares``, unless a draw
+    is NaN: the saved draws could then have other moments.
     """
     draws = np.asarray(chain.draws, dtype=float)
     n, k = draws.shape
@@ -473,11 +553,19 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     copy = _copy_path(Path(path))
     if copy is None:
         return None
+    moments = chain.trace_moments
     nan = np.isnan(draws)
     if nan.any():
-        draws = np.where(nan, math.nan, draws)
+        # The moments of the draws as saved could differ in NaN bits.
+        draws, moments = np.where(nan, math.nan, draws), None
+    trace = {}
+    if moments is not None:
+        trace = dict(zip(("trace_ends", "trace_means", "trace_squares"), moments))
     np.savez(
-        copy, draws=draws, sha256=np.frombuffer(digest.digest(), dtype=np.uint8)
+        copy,
+        draws=draws,
+        sha256=np.frombuffer(digest.digest(), dtype=np.uint8),
+        **trace,
     )
     return copy
 

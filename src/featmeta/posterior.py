@@ -123,6 +123,15 @@ class ChainOutput:
     sampling phase's independence proposals, NaN also with none; and
     ``density_evaluations``, the log-posterior evaluations after
     adaptation.
+
+    ``trace_moments`` is None, or the (ends, means, squares) of the
+    draws that ``featmeta.diagnostics`` combines into shrink factors:
+    per end, the mean and the sum of squared deviations of each
+    parameter over the chain's first ``end`` draws, as (ends,
+    n_parameters) arrays. ``fit`` computes them once per chain and
+    saves them with the chain's binary copy. Raises ValueError unless
+    the draws are 2-D with one column per name, and the moments, if
+    any, hold one row per end and one column per name.
     """
 
     chain_index: int
@@ -135,6 +144,24 @@ class ChainOutput:
     adapt_accept_rate: float = math.nan
     independence_accept_rate: float = math.nan
     density_evaluations: int = -1
+    trace_moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.draws)
+        names = len(self.parameter_names)
+        if len(shape) != 2 or shape[1] != names:
+            raise ValueError(
+                f"draws of shape {shape} are not one column for each of "
+                f"{names} parameters"
+            )
+        if self.trace_moments is not None:
+            ends, means, squares = self.trace_moments
+            rows = (len(ends), names)
+            if np.shape(means) != rows or np.shape(squares) != rows:
+                raise ValueError(
+                    f"trace moments of shapes {np.shape(means)} and "
+                    f"{np.shape(squares)} are not {rows}"
+                )
 
     @property
     def n_samples(self) -> int:

@@ -52,7 +52,7 @@ from featmeta.data import (
     TrialRecord,
 )
 from featmeta.design import ParameterVector, trial_design_matrix
-from featmeta.diagnostics import _prefix_shrink_factors
+from featmeta.diagnostics import shrink_factor_trace
 from featmeta.posterior import (
     AssembledDataset,
     Preconditioner,
@@ -128,8 +128,11 @@ def gelman_rubin(chain_draws: Sequence[np.ndarray]) -> float:
     between-chain sampling correction; identical chains give a value
     slightly below 1 (exactly sqrt((s-1)/s)).
     """
-    columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in chain_draws]
-    return float(_prefix_shrink_factors(columns, [columns[0].shape[0]])[0, 0])
+    chains = [
+        ChainOutput(k, np.asarray(c, dtype=float).reshape(-1, 1), ("x",))
+        for k, c in enumerate(chain_draws)
+    ]
+    return float(shrink_factor_trace(chains, n_points=1)[1][0, 0])
 
 
 def mcse_mean(draws: np.ndarray, n_batches: int = 50) -> float:

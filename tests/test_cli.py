@@ -10,8 +10,10 @@ import sys
 import warnings
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+import featmeta.diagnostics as diagnostics
 import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import (
@@ -1233,11 +1235,36 @@ def _flip_copy_byte(out):
     copy.write_bytes(bytes(data))
 
 
+def _delete_one_copy(out):
+    (out / "chains" / "chain_2.npz").unlink()
+
+
+def _copies_without_moments(out):
+    # The layout of copies written before they held trace moments.
+    for copy in (out / "chains").glob("*.npz"):
+        with np.load(copy, allow_pickle=False) as stored:
+            np.savez(copy, draws=stored["draws"], sha256=stored["sha256"])
+
+
+def _moments_of_other_ends(out):
+    # The moments of every other row of the trace: computed again.
+    copy = out / "chains" / "chain_1.npz"
+    with np.load(copy, allow_pickle=False) as stored:
+        members = {name: stored[name] for name in stored.files}
+    ends = members["trace_ends"][::2]
+    means, squares = diagnostics._prefix_moments([members["draws"]], ends)
+    np.savez(copy, **dict(members, trace_ends=ends, trace_means=means[..., 0],
+                          trace_squares=squares[..., 0]))
+
+
 @pytest.mark.parametrize("damage", [
     None,  # the copies as the fit wrote them
     _delete_copies,  # chain TSVs alone, as fits before the copies wrote them
     _cut_copy,
     _flip_copy_byte,
+    _delete_one_copy,  # one chain parsed, the other from its copy
+    _copies_without_moments,
+    _moments_of_other_ends,
 ])
 def test_diagnose_writes_the_same_bytes_whatever_the_state_of_the_copies(
     damage, data_file, tmp_path, capsys

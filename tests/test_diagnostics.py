@@ -1,6 +1,7 @@
 """Shrink factor, posterior summaries, and their serialized forms."""
 
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -261,6 +262,105 @@ def test_trace_is_the_same_for_any_parameter_grouping(monkeypatch):
         assert np.array_equal(values, reference)
 
 
+def with_trace_moments(chains, n_points=None):
+    """``chains`` carrying their trace moments: at the default trace's
+    ends, as ``fit`` gives them, or at those of ``n_points`` rows."""
+    if n_points is None:
+        return diagnostics._with_trace_moments(chains)
+    ends = diagnostics._trace_ends(chains[0].n_samples, n_points)
+    means, squares = diagnostics._prefix_moments([c.draws for c in chains], ends)
+    return [
+        replace(c, trace_moments=(ends, means[..., k], squares[..., k]))
+        for k, c in enumerate(chains)
+    ]
+
+
+def count_computed_moments(monkeypatch):
+    """The chain counts of each batch of trace moments computed from
+    draws from now on."""
+    batches = []
+    compute = diagnostics._prefix_moments
+
+    def counted(draws, ends):
+        batches.append(len(draws))
+        return compute(draws, ends)
+
+    monkeypatch.setattr(diagnostics, "_prefix_moments", counted)
+    return batches
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("s", [3, 101, 1999])
+def test_stored_moments_give_the_computed_trace_for_any_chains_in_any_order(
+    m, s, monkeypatch
+):
+    chains = mixed_chains(m, s, seed=100 * m + s)
+    stored = with_trace_moments(chains)
+    batches = count_computed_moments(monkeypatch)
+    # Every ordered subset of up to 4 chains; of 5 or 6, every subset in
+    # its own order and in one shuffled order.
+    rng = np.random.default_rng(m + s)
+    orders = []
+    for size in range(2, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            if m <= 4:
+                orders += itertools.permutations(subset)
+            else:
+                orders += [subset, tuple(rng.permutation(subset))]
+    for order in orders:
+        size = len(order)
+        ends, want = shrink_factor_trace([chains[k] for k in order])
+        assert batches == [size]
+        from_stored = shrink_factor_trace([stored[k] for k in order])
+        assert batches == [size]  # nothing computed
+        # Stored and computed moments mixed: the computed ones in one batch.
+        mixed = [(stored if i % 2 else chains)[k] for i, k in enumerate(order)]
+        from_mixed = shrink_factor_trace(mixed)
+        assert batches == [size, size - size // 2]
+        for got_ends, got in (from_stored, from_mixed):
+            assert np.array_equal(got_ends, ends)
+            assert same_bits(got, want)
+        batches.clear()
+
+
+def test_moments_stored_for_other_ends_are_computed_again(monkeypatch):
+    chains = mixed_chains(3, 101, seed=5)
+    stored = with_trace_moments(chains, n_points=13)
+    batches = count_computed_moments(monkeypatch)
+    for n_points in (1, 12, 20, 14):
+        assert same_bits(
+            shrink_factor_trace(stored, n_points)[1],
+            shrink_factor_trace(chains, n_points)[1],
+        )
+    assert batches == [3] * 8
+    shrink_factor_trace(stored, 13)
+    assert batches == [3] * 8
+
+
+def test_summary_r_hat_from_stored_moments_is_the_computed_one():
+    chains = mixed_chains(4, 777, seed=16)
+    stored = with_trace_moments(chains)
+    assert summarize(stored) == summarize(chains)
+
+
+@pytest.mark.parametrize("s", [3, 101, 1999])
+def test_trace_moments_of_each_chain_are_those_of_the_chain_alone(s):
+    chains = mixed_chains(3, s, seed=6)
+    for chain in with_trace_moments(chains):
+        ends, means, squares = chain.trace_moments
+        assert np.array_equal(ends, shrink_factor_trace(chains)[0])
+        want = diagnostics._prefix_moments([chain.draws], ends)
+        assert same_bits(means, want[0][..., 0])
+        assert same_bits(squares, want[1][..., 0])
+    for lengths in ((1, 1), (5, 6)):
+        with pytest.raises(ValueError, match="equal length"):
+            with_trace_moments([make_chain(np.ones((n, 2))) for n in lengths])
+
+
 def test_summary_and_gelman_rubin_equal_reference():
     chains = mixed_chains(4, 777, seed=13)
     summaries = summarize(chains)
@@ -484,6 +584,40 @@ def test_single_chain_r_hat_is_nan():
 def test_empty_chain_list_rejected():
     with pytest.raises(ValueError):
         summarize([])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,), (4, 2, 1), ()])
+def test_a_chain_needs_one_draw_column_per_parameter(shape):
+    with pytest.raises(ValueError, match="not one column for each of 2"):
+        ChainOutput(0, np.zeros(shape), ("a", "b"))
+    ChainOutput(0, np.zeros((4, 2)), ("a", "b"))
+    ChainOutput(0, np.zeros((0, 2)), ("a", "b"))  # a file of no rows
+
+
+def test_a_chain_needs_trace_moments_of_one_row_per_end():
+    ends = np.array([2, 3, 4])
+    ChainOutput(0, np.zeros((4, 2)), ("a", "b"),
+                trace_moments=(ends, np.zeros((3, 2)), np.zeros((3, 2))))
+    for means, squares in (
+        (np.zeros((2, 2)), np.zeros((3, 2))),
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+        (np.zeros(6), np.zeros(6)),
+    ):
+        with pytest.raises(ValueError, match="are not \\(3, 2\\)"):
+            ChainOutput(0, np.zeros((4, 2)), ("a", "b"),
+                        trace_moments=(ends, means, squares))
+
+
+def test_summarize_and_trace_name_the_chain_with_no_draws():
+    full = make_chain(np.ones((5, 2)), 0)
+    empty = make_chain(np.ones((0, 2)), 1)
+    with pytest.raises(ValueError, match="chain 0 holds no draws"):
+        summarize([replace(empty, chain_index=0)])
+    for call in (summarize, shrink_factor_trace):
+        with pytest.raises(ValueError, match="chain 1 holds no draws"):
+            call([full, empty])
+    with pytest.raises(ValueError, match="chain 1 holds no draws"):
+        summarize([full, empty], r_hat=np.ones(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -824,6 +958,59 @@ def assert_same_chain(a, b):
     assert a.draws.flags.c_contiguous and b.draws.flags.c_contiguous
 
 
+def moments_chain():
+    """A chain of finite draws that carries its trace moments."""
+    draws = np.random.default_rng(13).standard_normal((9, 3))
+    draws[1] = draws[0]
+    chain = make_chain(draws, names=("alpha", "beta_1", "tau"))
+    return with_trace_moments([chain])[0]
+
+
+def assert_same_moments(got, want):
+    assert got is not None and len(got) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert same_bits(a, b)
+
+
+def test_chain_copy_keeps_the_trace_moments(tmp_path, monkeypatch):
+    chain = moments_chain()
+    path = tmp_path / "chain_1.tsv"
+    copy = write_chain_tsv(chain, path)
+    with np.load(copy, allow_pickle=False) as stored:
+        assert sorted(stored.files) == [
+            "draws", "sha256", "trace_ends", "trace_means", "trace_squares",
+        ]
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+        back = read_chain_tsv(path)
+    assert_same_chain(back, parsed(path))
+    assert_same_moments(back.trace_moments, chain.trace_moments)
+
+    # A copy of the earlier layout, draws and digest alone: the draws are
+    # still read from it, and the moments computed.
+    with np.load(copy, allow_pickle=False) as stored:
+        np.savez(copy, draws=stored["draws"], sha256=stored["sha256"])
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_read_chain", None)
+        back = read_chain_tsv(path)
+    assert_same_chain(back, parsed(path))
+    assert back.trace_moments is None
+
+
+def test_chain_copy_of_draws_with_a_nan_holds_no_trace_moments(tmp_path):
+    # The copy saves every NaN as the default NaN, so the moments of the
+    # chain's own draws need not be those of the saved ones.
+    draws = moments_chain().draws.copy()
+    draws[4, 1] = math.nan
+    (chain,) = with_trace_moments([make_chain(draws)])
+    assert chain.trace_moments is not None
+    path = tmp_path / "chain_1.tsv"
+    with np.load(write_chain_tsv(chain, path), allow_pickle=False) as stored:
+        assert sorted(stored.files) == ["draws", "sha256"]
+    assert read_chain_tsv(path).trace_moments is None
+
+
 def test_chain_copy_gives_the_parsed_draws_bit_for_bit(tmp_path, monkeypatch):
     path = tmp_path / "chain_1.tsv"
     copy = write_chain_tsv(odd_values_chain(), path)
@@ -875,13 +1062,15 @@ def test_chain_copy_is_not_written_onto_the_tsv(tmp_path):
 
 def test_chain_copy_of_a_changed_tsv_is_ignored(tmp_path):
     path = tmp_path / "chain_1.tsv"
-    write_chain_tsv(odd_values_chain(), path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = "1\t0.25\t0.5\t0.75\n"
-    path.write_text("".join(lines))
-    back = read_chain_tsv(path)
-    assert back.draws[0].tolist() == [0.25, 0.5, 0.75]
-    assert_same_chain(back, parsed(path))
+    for chain in (moments_chain(), odd_values_chain()):
+        write_chain_tsv(chain, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "1\t0.25\t0.5\t0.75\n"
+        path.write_text("".join(lines))
+        back = read_chain_tsv(path)
+        assert back.draws[0].tolist() == [0.25, 0.5, 0.75]
+        assert_same_chain(back, parsed(path))
+        assert back.trace_moments is None
 
     path.write_text("".join(lines[:1] + lines[2:]))
     with pytest.raises(ValueError, match="not 1..8: line 2 holds 2"):
@@ -891,33 +1080,65 @@ def test_chain_copy_of_a_changed_tsv_is_ignored(tmp_path):
 def test_chain_copy_with_any_byte_flipped_or_cut_off_leaves_the_tsv_parsed(
     tmp_path,
 ):
+    # Whatever the damage, the draws are those parsing gives, and the
+    # trace moments are either the chain's own or computed again.
     path = tmp_path / "chain_1.tsv"
-    copy = write_chain_tsv(odd_values_chain(), path)
-    want = parsed(path)
-    intact = copy.read_bytes()
-    damaged = [intact[:cut] for cut in range(len(intact))]
-    for i in range(len(intact)):
-        flipped = bytearray(intact)
-        flipped[i] ^= 0x10
-        damaged.append(bytes(flipped))
-    for data in damaged:
-        copy.write_bytes(data)
-        assert_same_chain(read_chain_tsv(path), want)
+    for chain in (odd_values_chain(), moments_chain()):
+        copy = write_chain_tsv(chain, path)
+        want = parsed(path)
+        intact = copy.read_bytes()
+        damaged = [intact[:cut] for cut in range(len(intact))]
+        for i in range(len(intact)):
+            flipped = bytearray(intact)
+            flipped[i] ^= 0x10
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            copy.write_bytes(data)
+            back = read_chain_tsv(path)
+            assert_same_chain(back, want)
+            if back.trace_moments is not None:
+                assert_same_moments(back.trace_moments, chain.trace_moments)
 
 
-def test_chain_copy_of_the_wrong_shape_or_type_is_ignored(tmp_path):
+def test_chain_copy_of_the_wrong_shape_or_type_is_ignored(tmp_path, monkeypatch):
     path = tmp_path / "chain_1.tsv"
-    chain = odd_values_chain()
+    chain = moments_chain()
     copy = write_chain_tsv(chain, path)
     want = parsed(path)
     with np.load(copy, allow_pickle=False) as stored:
-        digest = stored["sha256"]
+        members = {name: stored[name] for name in stored.files}
     for draws in (
         chain.draws[:, :2], chain.draws.ravel(), chain.draws.view(np.int64),
         chain.draws[None],
     ):
-        np.savez(copy, draws=draws, sha256=digest)
+        np.savez(copy, draws=draws, sha256=members["sha256"])
         assert_same_chain(read_chain_tsv(path), want)
+    # Trace moments of the wrong shape or type are computed again, from
+    # the draws of the copy.
+    ends, means, squares = chain.trace_moments
+    for name, value in (
+        ("trace_ends", ends.astype(float)),
+        ("trace_ends", ends.astype(np.int32)),
+        ("trace_ends", ends[None]),
+        ("trace_ends", ends[:-1]),
+        ("trace_means", means.astype(np.float32)),
+        ("trace_means", means[:, :2]),
+        ("trace_means", means.ravel()),
+        ("trace_squares", squares[:-1]),
+        ("trace_squares", squares.view(np.int64)),
+    ):
+        np.savez(copy, **dict(members, **{name: value}))
+        with monkeypatch.context() as patch:
+            patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+            back = read_chain_tsv(path)
+        assert_same_chain(back, want)
+        assert back.trace_moments is None, name
+    # A copy that lacks one of the three is not trusted at all.
+    del members["trace_squares"]
+    np.savez(copy, **members)
+    back = read_chain_tsv(path)
+    assert_same_chain(back, want)
+    assert back.trace_moments is None
 
 
 _unpickled = []

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import featmeta.diagnostics as diagnostics
 import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import (
@@ -521,13 +523,13 @@ def test_benchmark_inputs_keep_every_byte(tmp_path, workload, index):
 # `data` path. A change that alters the draws must update them and say
 # so in CHANGES.md.
 RUN_DIGESTS = {
-    "chains/chain_1.npz": "5fe5109bcdec783650bc49c4db3354478b43f7bb1fc31d2251bae1d17a085a42",
+    "chains/chain_1.npz": "dc95e3fafb4491b0c661ad3e4b81f390c7539717440e46e90c36463b6438c510",
     "chains/chain_1.tsv": "b71009f5f4f151dba41194a7e5e716e4324058d0913dc6d47c0474978302c028",
-    "chains/chain_2.npz": "a0f1f1a1665c2ba9889dc3f2fb121a8c32ad34791449090ad45d2ffb0fce71fc",
+    "chains/chain_2.npz": "080273c9e82472584832d6ec98df0c5619ce5a29568f53b325c8a1cd33b8ec38",
     "chains/chain_2.tsv": "a5517df3690f686f0d0423c3356a64351d60e8c7ebdac3f5cf8da903a9d82d03",
-    "chains/chain_3.npz": "bb203e8905fa2a5fff5af6f142e7c99717eacfa128ac00c8e04f41a4311791df",
+    "chains/chain_3.npz": "1641ab742b25a8d1b396c953826d2eb9e16d8f7e2cedb7be4332eeb82b4d2ec0",
     "chains/chain_3.tsv": "dc9c72e3145ba08544951973a991f8d3b376e990fce36566e7c9cbd87b5483df",
-    "chains/chain_4.npz": "7d4b557ddab8b2562b4c5f999a7d7283f1727a32e51fc7d810f9a69ac5228421",
+    "chains/chain_4.npz": "459773ccc298a5d47e9d197928e0e7aebf9fa3e46ad25f1aa551497762aff77e",
     "chains/chain_4.tsv": "0407bd0dbf5bfe92a06a628ebef2287109f8cc8cb52a4c3c380a56a94d8ca2d8",
     "manifest.json": "901464b99d7398857fdb7c3ed28ded02f33cc19800189bb7d30f25782488c757",
     "rhat_trace.tsv": "f7db5b1e4d6fc312feb24a9685329ef061a7bf4690098728b74f6c4d70d9cb51",
@@ -535,13 +537,21 @@ RUN_DIGESTS = {
 }
 
 
-def test_fit_run_directory_keeps_every_byte(tmp_path):
-    data, out = tmp_path / "data.json", tmp_path / "run"
+@pytest.fixture(scope="module")
+def fit150_run(tmp_path_factory):
+    """The run directory that RUN_DIGESTS pin, written once per module;
+    a test that changes it works on a copy."""
+    root = tmp_path_factory.mktemp("fit150")
+    data, out = root / "data.json", root / "run"
     save_benchmark_input(data, "fit150", 0)
     assert main([
         "fit", "--data", str(data), "--out", str(out), "--seed", "1",
         "--adapt", "2000", "--burn-in", "2000", "--samples", "5000",
     ]) == 0
+    return out
+
+
+def run_digests(out):
     digests = {}
     for path in out.rglob("*.*"):
         content = path.read_bytes()
@@ -553,7 +563,28 @@ def test_fit_run_directory_keeps_every_byte(tmp_path):
         digests[path.relative_to(out).as_posix()] = hashlib.sha256(
             content
         ).hexdigest()
-    assert digests == RUN_DIGESTS
+    return digests
+
+
+def test_fit_run_directory_keeps_every_byte(fit150_run):
+    assert run_digests(fit150_run) == RUN_DIGESTS
+
+
+def test_diagnose_of_the_fit_run_directory_keeps_every_byte(
+    fit150_run, tmp_path, monkeypatch, capsys
+):
+    # Every copy holds its chain's trace moments, so diagnose computes
+    # none from the draws, and writes the fit's bytes.
+    out = tmp_path / "run"
+    shutil.copytree(fit150_run, out)
+
+    def computed(*args):
+        raise AssertionError("trace moments computed from the draws")
+
+    monkeypatch.setattr(diagnostics, "_prefix_moments", computed)
+    assert main(["diagnose", "--run", str(out)]) == 0
+    capsys.readouterr()
+    assert run_digests(out) == RUN_DIGESTS
 
 
 # RUN_DIGESTS hold at two BLAS threads, and the draws differ at one,
