@@ -19,7 +19,6 @@ import contextlib
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -48,12 +47,11 @@ from .data import (
 )
 from .design import ParameterVector
 from .diagnostics import (
-    _copy_path,
-    _with_trace_moments,
-    read_chain_tsv,
+    CHAINS_DIR,
+    read_chain_files,
     shrink_factor_trace,
     summarize,
-    write_chain_tsv,
+    write_chain_files,
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
@@ -336,10 +334,10 @@ def cmd_fit(args) -> int:
     data_path, st, config, prior = _resolve_fit_settings(args)
     out = Path(args.out)
     try:
-        (out / "chains").mkdir(parents=True, exist_ok=True)
+        (out / CHAINS_DIR).mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(
-            f"--out {out}: cannot make {out / 'chains'}: {e.strerror or e}"
+            f"--out {out}: cannot make {out / CHAINS_DIR}: {e.strerror or e}"
         ) from e
     with _readable(data_path) as fh:
         dataset = load_dataset(fh)
@@ -353,16 +351,8 @@ def cmd_fit(args) -> int:
 
     run = sample_posterior(dataset, config, prior)
     chains, pre = run.chains, run.preconditioner
-    if len(chains) >= 2:
-        # Each chain's trace moments, computed once: the copies keep them
-        # for diagnose, and the trace combines them.
-        chains = _with_trace_moments(chains)
-    written = []
-    for chain in chains:
-        rel = _chain_file(chain)
-        copy = write_chain_tsv(chain, out / rel)
-        written += [rel, copy.relative_to(out).as_posix()]
-    summaries, outputs = _write_results(out, chains, written, _FIT_OWNS)
+    written = write_chain_files(out, chains)
+    summaries, outputs = _write_results(out, written)
 
     manifest = {
         "package": "featmeta",
@@ -387,10 +377,10 @@ def cmd_fit(args) -> int:
         "chains": [
             {
                 "index": c.chain_index,
-                "file": _chain_file(c),
+                "file": files[0],
                 **{name: _known(getattr(c, name)) for name in _CHAIN_STATISTICS},
             }
-            for c in chains
+            for c, files in written
         ],
         "outputs": outputs,
     }
@@ -407,31 +397,14 @@ def cmd_fit(args) -> int:
 # run directory
 # ---------------------------------------------------------------------------
 
-# The files of a run directory that each command owns. Having written
-# its results, a command deletes every owned file it did not write: it
-# would be an earlier run's, and diagnose would take it for this one's.
-_DIAGNOSE_OWNS = ("summary.tsv", "rhat_trace.tsv")
-_FIT_OWNS = (
-    "chains/chain_*.tsv",
-    _copy_path(Path("chains/chain_*.tsv")).as_posix(),
-    *_DIAGNOSE_OWNS,
-)
-
-
-def _chain_file(chain) -> str:
-    """The run-directory path of ``chain``'s TSV."""
-    return f"chains/chain_{chain.chain_index + 1}.tsv"
-
-
-def _write_results(run_dir: Path, chains, kept: list[str],
-                   owns: tuple[str, ...]):
-    """Write ``rhat_trace.tsv`` for 2 or more chains, then ``summary.tsv``.
-
-    Returns the summaries and the run's files, in the order fit writes
-    them: ``kept`` (its chain files), then ``summary.tsv`` and the trace.
-    Every other file matching a pattern of ``owns`` is deleted.
+def _write_results(run_dir: Path, held):
+    """Write ``rhat_trace.tsv`` (delete it for one chain), then
+    ``summary.tsv``, for ``held``: each chain with its files, as the
+    diagnostics module writes or reads them. Returns the summaries and
+    the run's files: the chain files, ``summary.tsv``, then the trace.
     """
-    outputs = [*kept, "summary.tsv"]
+    chains = [chain for chain, _ in held]
+    outputs = [*(file for _, files in held for file in files), "summary.tsv"]
     r_hat = None
     if len(chains) >= 2:
         trace = shrink_factor_trace(chains)
@@ -440,12 +413,9 @@ def _write_results(run_dir: Path, chains, kept: list[str],
         r_hat = trace[1][-1]  # summary.tsv's r_hat, not computed twice
     else:
         print("single chain: shrink factors unavailable", file=sys.stderr)
+        (run_dir / "rhat_trace.tsv").unlink(missing_ok=True)
     summaries = summarize(chains, r_hat=r_hat)
     write_summary_tsv(summaries, run_dir / "summary.tsv")
-    for pattern in owns:
-        for path in run_dir.glob(pattern):
-            if path.relative_to(run_dir).as_posix() not in outputs:
-                path.unlink()
     return summaries, outputs
 
 
@@ -564,41 +534,12 @@ def cmd_diagnose(args) -> int:
     manifest_path = run_dir / "manifest.json"
     manifest = (_load_json(manifest_path, "manifest")
                 if manifest_path.exists() else None)
-    numbered = {}
-    for path in run_dir.glob("chains/chain_*.tsv"):
-        match = re.fullmatch(r"chain_([1-9]\d*)\.tsv", path.name)
-        if match is None:
-            raise ConfigError(f"{path}: not a chain file name (chain_<k>.tsv)")
-        numbered[int(match.group(1))] = path
-    chain_files = [numbered[k] for k in sorted(numbered)]
-    if not chain_files:
-        raise ConfigError(f"{run_dir}: no chain files under chains/")
-    # fit's rule: R-hat of 2 or more chains needs 2 draws per chain.
-    needed = 2 if len(chain_files) >= 2 else 1
-    chains = []
-    for i, path in enumerate(chain_files):
-        try:
-            chain = read_chain_tsv(path, chain_index=i)
-        except OSError as e:
-            raise ConfigError(f"{path}: {e.strerror or e}") from e
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from e
-        if chain.n_samples < needed:
-            raise ConfigError(
-                f"{path}: {chain.n_samples} draw(s); diagnose needs at "
-                f"least {needed}"
-            )
-        if chains and chain.parameter_names != chains[0].parameter_names:
-            raise ConfigError(
-                f"{path}: header differs from that of {chain_files[0]}"
-            )
-        chains.append(chain)
-    lengths = {c.n_samples for c in chains}
-    if len(lengths) > 1:
-        raise ConfigError(f"{run_dir}: chains have unequal lengths {lengths}")
-    kept = [held.relative_to(run_dir).as_posix() for path in chain_files
-            for held in (path, _copy_path(path)) if held.is_file()]
-    summaries, outputs = _write_results(run_dir, chains, kept, _DIAGNOSE_OWNS)
+    try:
+        held = read_chain_files(run_dir)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    kept = [file for _, files in held for file in files]
+    summaries, outputs = _write_results(run_dir, held)
     if manifest is not None:
         # The manifest lists the files now held, and the recorded chains
         # whose file was read; it is rewritten only when that changes it.

@@ -13,12 +13,16 @@ them, the moments of its draws that the shrink-factor trace combines.
 The TSV is normative: the reader takes the draws and the moments from
 the copy only while that digest matches the TSV, and parses the TSV in
 every other case; moments it cannot take are computed from the draws.
+
+Only ``write_chain_files`` and ``read_chain_files`` know where a run
+directory's chain files lie: they name, write, find and check them.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -36,10 +40,13 @@ __all__ = [
     "write_chain_tsv",
     "write_rhat_trace_tsv",
     "read_chain_tsv",
+    "write_chain_files",
+    "read_chain_files",
 ]
 
 # Default rows of a shrink-factor trace.
 TRACE_POINTS = 20
+CHAINS_DIR = "chains"  # the folder of a run directory's chain files
 # Rows formatted per write in write_chain_tsv.
 _BLOCK_ROWS = 1024
 # Bytes of a chain TSV hashed per read.
@@ -59,6 +66,7 @@ SUMMARY_COLUMNS = (
 )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _shrink_factors(
     means: np.ndarray, squares: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
@@ -69,14 +77,13 @@ def _shrink_factors(
     against the factors. Uses the pooled-variance estimate with the
     between-chain sampling correction. A parameter with zero
     within-chain variance gets 1.0 when the chains agree and inf when
-    they do not.
+    they do not; a draw of +-inf gives nan (inf - inf), without warning.
     """
     m = means.shape[-1]
     within = np.mean(squares / (s - 1)[..., None], axis=-1)
     between = s * np.var(means, axis=-1, ddof=1)
     pooled = (s - 1) / s * within + between / s + between / (m * s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.sqrt(pooled / within)
+    factors = np.sqrt(pooled / within)
     flat = within == 0.0
     factors[flat] = np.where(pooled[flat] <= 0.0, 1.0, math.inf)
     return factors
@@ -115,7 +122,9 @@ def _trace_ends(s: int, n_points: int) -> np.ndarray:
     # than draws give the same ends; the clamp keeps the work, and the
     # grid, proportional to the draws.
     n_points = min(n_points, s)
-    return np.unique(np.linspace(max(2, s // n_points), s, n_points).astype(int))
+    grid = np.linspace(max(2, s // n_points), s, n_points).astype(int)
+    # np.unique of the non-decreasing grid, without importing numpy.ma.
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def _with_trace_moments(chains: Sequence[ChainOutput]) -> list[ChainOutput]:
@@ -160,6 +169,7 @@ def _common_length(chains: Sequence[ChainOutput]) -> int:
     return s
 
 
+@np.errstate(invalid="ignore")  # a draw of +-inf gives nan, as in np.var
 def _prefix_moments(
     draws: Sequence[np.ndarray], ends: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -585,3 +595,65 @@ def write_rhat_trace_tsv(
         for end, row in zip(*trace):
             fields = [str(int(end))] + [f"{v:.6g}" for v in row]
             stream.write("\t".join(fields) + "\n")
+
+
+
+def write_chain_files(
+    run_dir: str | Path, chains: Sequence[ChainOutput]
+) -> list[tuple[ChainOutput, tuple[str, ...]]]:
+    """Write each chain's TSV, ``chains/chain_<chain_index + 1>.tsv`` in
+    ``run_dir``, and its copy, after giving 2 or more chains their trace
+    moments in one batch; delete every other chain file there. Returns
+    each chain as written with its TSV and copy (POSIX, run-relative)."""
+    folder = Path(run_dir, CHAINS_DIR)
+    folder.mkdir(parents=True, exist_ok=True)
+    if len(chains) >= 2:
+        chains = _with_trace_moments(chains)
+    written, held = [], set()
+    for chain in chains:
+        path = folder / f"chain_{chain.chain_index + 1}.tsv"
+        files = (path, write_chain_tsv(chain, path))
+        held.update(files)
+        written.append((chain, tuple(f"{CHAINS_DIR}/{f.name}" for f in files)))
+    for path in folder.glob("chain_*"):
+        if path.suffix in (".tsv", ".npz") and path not in held:
+            path.unlink()  # an earlier run's, which diagnose would read
+    return written
+
+
+def read_chain_files(
+    run_dir: str | Path,
+) -> list[tuple[ChainOutput, tuple[str, ...]]]:
+    """Every ``chains/chain_<k>.tsv`` of ``run_dir`` read back, indexed
+    from 0 in the order of k, each with its files held: the TSV, then its
+    copy if any. Raises ValueError naming the path at fault for another
+    ``chain_*.tsv`` name, no chain file, a file that cannot be read, fewer
+    draws than fit writes (2 each of 2 or more chains, else 1), a header
+    unlike the first file's, or unequal lengths."""
+    numbered = {}
+    for path in Path(run_dir, CHAINS_DIR).glob("chain_*.tsv"):
+        match = re.fullmatch(r"chain_([1-9]\d*)\.tsv", path.name)
+        if match is None:
+            raise ValueError(f"{path}: not a chain file name (chain_<k>.tsv)")
+        numbered[int(match.group(1))] = path
+    paths = [numbered[k] for k in sorted(numbered)]
+    if not paths:
+        raise ValueError(f"{run_dir}: no chain files under {CHAINS_DIR}/")
+    needed = 2 if len(paths) >= 2 else 1
+    read = []
+    for i, path in enumerate(paths):
+        try:
+            chain = read_chain_tsv(path, chain_index=i)
+        except (OSError, ValueError) as e:  # an OSError by its strerror
+            raise ValueError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
+        if chain.n_samples < needed:
+            raise ValueError(f"{path}: {chain.n_samples} draw(s); diagnose "
+                             f"needs at least {needed}")
+        if read and chain.parameter_names != read[0][0].parameter_names:
+            raise ValueError(f"{path}: header differs from that of {paths[0]}")
+        files = [f for f in (path, _copy_path(path)) if f.is_file()]
+        read.append((chain, tuple(f"{CHAINS_DIR}/{f.name}" for f in files)))
+    lengths = {chain.n_samples for chain, _ in read}
+    if len(lengths) > 1:
+        raise ValueError(f"{run_dir}: chains have unequal lengths {lengths}")
+    return read

@@ -1473,6 +1473,25 @@ def test_diagnose_rejects_an_iteration_column_other_than_1_to_n(
     )
 
 
+def test_diagnose_of_an_infinite_draw_prints_no_warning(data_file, tmp_path):
+    # inf - inf in the shrink-factor arithmetic gives the parameter's nan
+    # R-hat, and nothing on stderr (a child process shows what the
+    # interpreter's default warning filters let through).
+    out = tmp_path / "run"
+    assert main(fast_fit_args(data_file, out)) == 0
+    _edit_line(out / "chains" / "chain_2.tsv", 5,
+               lambda ln: ln.rsplit("\t", 1)[0] + "\tinf\n")
+
+    result = subprocess.run(
+        [sys.executable, "-m", "featmeta", "diagnose", "--run", str(out)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    last = (out / "summary.tsv").read_text().splitlines()[-1]
+    assert last.split("\t")[-1] == "nan"
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -1493,6 +1512,24 @@ def test_module_entry_point(data_file):
     )
     assert result.returncode == 0
     assert "0 violations" in result.stdout
+
+
+def test_fit_and_diagnose_leave_numpy_ma_unimported(data_file, tmp_path):
+    # The first np.unique call in a process imports numpy.ma, about 9 ms
+    # of a command that uses no masked array.
+    out = tmp_path / "run"
+    code = (
+        "import sys\n"
+        "from featmeta.cli import main\n"
+        f"assert main({fast_fit_args(data_file, out)!r}) == 0\n"
+        f"assert main(['diagnose', '--run', {str(out)!r}]) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_a_library_warning_prints_as_one_line(data_file, tmp_path):

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -171,6 +172,19 @@ def test_trace_grid_is_increasing_and_within_range():
     assert np.all(np.diff(ends) > 0)
     assert ends[0] >= 2
     assert values.shape == (ends.shape[0], 2)
+
+
+def test_trace_ends_are_np_uniques_of_the_grid():
+    # The copies store the ends, so dropping the grid's repeats without
+    # np.unique must keep its values and its int64 dtype.
+    for s in range(2, 3000):
+        for n_points in (1, 2, 3, 5, 19, 20, 21, 50):
+            points = min(n_points, s)
+            grid = np.linspace(max(2, s // points), s, points).astype(int)
+            want = np.unique(grid)
+            got = diagnostics._trace_ends(s, n_points)
+            assert got.dtype == want.dtype == np.int64, (s, n_points)
+            assert np.array_equal(got, want), (s, n_points)
 
 
 def test_trace_flat_for_identical_chains():
@@ -618,6 +632,26 @@ def test_summarize_and_trace_name_the_chain_with_no_draws():
             call([full, empty])
     with pytest.raises(ValueError, match="chain 1 holds no draws"):
         summarize([full, empty], r_hat=np.ones(2))
+
+
+def test_infinite_draws_give_nan_factors_without_a_warning():
+    # +inf in one chain and -inf in another make inf - inf in the prefix
+    # moments and in the variance of the chain means.
+    draws = np.random.default_rng(21).standard_normal((2, 60, 2))
+    draws[0, 10, 0], draws[1, 30, 0] = math.inf, -math.inf
+    chains = [make_chain(d, k) for k, d in enumerate(draws)]
+    finite = [make_chain(d[:, 1:], k) for k, d in enumerate(draws)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends, values = shrink_factor_trace(chains)
+        summaries = summarize(chains)
+        stored = shrink_factor_trace(diagnostics._with_trace_moments(chains))
+    # A prefix holding the +inf draw (index 10) has a nan factor.
+    assert np.array_equal(np.isnan(values[:, 0]), ends > 10)
+    assert same_bits(values[:, 1:], shrink_factor_trace(finite)[1])
+    assert same_bits(stored[1], values)
+    assert math.isnan(summaries[0].r_hat)
+    assert summaries[1].r_hat == values[-1, 1]
 
 
 @settings(max_examples=50, deadline=None)
@@ -1159,6 +1193,26 @@ def test_chain_copy_is_loaded_without_unpickling(tmp_path):
     np.savez(copy, draws=draws, sha256=digest)
     assert_same_chain(read_chain_tsv(path), parsed(path))
     assert _unpickled == []
+
+
+def test_chain_files_of_a_smaller_run_replace_those_of_a_larger(tmp_path):
+    chains = [
+        make_chain(np.random.default_rng(k).standard_normal((30, 3)), k)
+        for k in range(3)
+    ]
+    diagnostics.write_chain_files(tmp_path, chains)
+    written = diagnostics.write_chain_files(tmp_path, chains[:2])
+    assert sorted(p.name for p in (tmp_path / "chains").iterdir()) == [
+        "chain_1.npz", "chain_1.tsv", "chain_2.npz", "chain_2.tsv",
+    ]
+    files = [("chains/chain_1.tsv", "chains/chain_1.npz"),
+             ("chains/chain_2.tsv", "chains/chain_2.npz")]
+    assert [held for _, held in written] == files
+    read = diagnostics.read_chain_files(tmp_path)
+    assert [held for _, held in read] == files
+    for (got, _), (want, _), chain in zip(read, written, chains):
+        assert_same_chain(got, chain)
+        assert_same_moments(got.trace_moments, want.trace_moments)
 
 
 def test_rhat_trace_tsv_layout(tmp_path):

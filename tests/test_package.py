@@ -90,6 +90,29 @@ def test_diagnostics_imports_no_chain_or_cli_code():
     assert [n for n in imported if n.startswith(chain_code)] == []
 
 
+def test_cli_knows_nothing_of_the_chain_file_layout():
+    # diagnostics.py alone names, writes, finds and checks the chain
+    # files: cli.py takes none of its private names and spells no chain
+    # file name, in a string or in a part of an f-string.
+    path = Path(importlib.import_module("featmeta.cli").__file__)
+    private, literals = [], []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "featmeta." * bool(node.level) + (node.module or "")
+            private += [
+                f"{module}.{alias.name}" for alias in node.names
+                if module == "featmeta.diagnostics" and alias.name.startswith("_")
+            ]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "diagnostics"):
+            private.append(f"diagnostics.{node.attr}")
+        elif isinstance(node, ast.Constant) and "chain_" in str(node.value):
+            literals.append(node.value)
+    assert private == []
+    assert literals == []
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml declares numpy as the one runtime dependency; scipy
     # and the other test dependencies must not reach the package.
