@@ -39,8 +39,10 @@ from .data import (
     DataValidationError,
     _checked,
     _items,
+    _object,
     center_covariates,
     load_dataset,
+    read_json,
     save_dataset,
     schema_from_dict,
     validate_dataset,
@@ -232,14 +234,6 @@ def _reading(path):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _reject_unknown(keys, known, message: str) -> None:
-    """Raise a DataFormatError, ``message`` followed by the sorted keys,
-    when ``keys`` holds any that is not ``known``."""
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise DataFormatError(message + " " + ", ".join(map(repr, unknown)))
-
-
 def _range_error(name: str, value) -> str | None:
     """Why the fit setting ``name`` cannot take ``value``, whatever the
     other settings are, as a message that starts with ``name``; None
@@ -273,19 +267,13 @@ def _resolve_fit_settings(
     recorded: dict = {}
     data_path = args.data
     if args.from_manifest:
-        manifest = _load_json(args.from_manifest, "manifest")
+        manifest = _load_json(
+            args.from_manifest, "manifest", {"data": _STRING, "settings": _OBJECT}
+        )
         with _reading(args.from_manifest):
-            if "settings" not in manifest or "data" not in manifest:
-                raise DataFormatError(
-                    "not a fit manifest (missing 'settings' or 'data')"
-                )
-            data = _checked(manifest["data"], "data", _STRING)
-            settings = _checked(manifest["settings"], "settings", _OBJECT)
-            _reject_unknown(
-                settings,
-                {field.name for field in fields(FitSettings)} | RETIRED_SETTINGS,
-                "unknown settings",
-            )
+            known = {field.name for field in fields(FitSettings)} | RETIRED_SETTINGS
+            settings = _object(manifest["settings"], "settings", {},
+                               dict.fromkeys(known), "unknown settings")
             # Manifests written before the latent-effects sampler was
             # removed record the likelihood; only the marginal one can be
             # replayed.
@@ -304,7 +292,7 @@ def _resolve_fit_settings(
         if data_path is None:
             # Relative to the working directory, as for the fit that
             # recorded it.
-            data_path = data
+            data_path = manifest["data"]
     if data_path is None:
         raise ConfigError("fit needs --data (or --from-manifest)")
     settings = FitSettings(**recorded, **explicit)
@@ -456,29 +444,14 @@ def format_summary_table(summaries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params_from_dict(raw, schema) -> ParameterVector:
-    """The generator's true parameters; a block ``schema`` sizes at 0
+def _params_from_dict(raw) -> ParameterVector:
+    """The generator's true parameters; a block the schema sizes at 0
     may be left out."""
-    _checked(raw, "params", _OBJECT)
-    missing = {"alpha", "tau"} - set(raw)
-    if missing:
-        raise DataFormatError(f"params: missing {sorted(missing)}")
-    _reject_unknown(
-        raw,
-        {field.name for field in fields(ParameterVector)},
-        "params: unknown keys",
-    )
-    counts = {"beta": schema.n, "gamma": schema.p, "phi": schema.q - 1,
-              "eta": schema.l}
-    values = _field_values(
-        ParameterVector, {**dict.fromkeys(counts, []), **raw}, "params."
-    )
-    for key, count in counts.items():
-        if len(values[key]) != count:
-            raise DataFormatError(
-                f"params.{key}: expected {count} value(s), got {len(values[key])}"
-            )
-    return ParameterVector(**values)
+    blocks = ("beta", "gamma", "phi", "eta")
+    _object(raw, "params", {"alpha": None, "tau": None}, dict.fromkeys(blocks))
+    return ParameterVector(**_field_values(
+        ParameterVector, {**dict.fromkeys(blocks, []), **raw}, "params."
+    ))
 
 
 def cmd_simulate(args) -> int:
@@ -488,16 +461,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--trials must be at least 1")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    raw = _load_json(args.config, "generator config")
+    required = {f.name: None for f in fields(SimConfig) if f.default is MISSING}
+    optional = {f.name: None for f in fields(SimConfig) if f.name not in required}
+    raw = _load_json(args.config, "generator config", required, optional)
     with _reading(args.config):
-        for field in fields(SimConfig):
-            if field.default is MISSING and field.name not in raw:
-                raise DataFormatError(f"missing {field.name!r}")
-        _reject_unknown(
-            raw, {field.name for field in fields(SimConfig)}, "unknown keys"
-        )
         schema = schema_from_dict(raw["schema"])
-        params = _params_from_dict(raw["params"], schema)
+        params = _params_from_dict(raw["params"])
         settings = _field_values(
             SimConfig,
             {k: v for k, v in raw.items() if k not in ("schema", "params")},
@@ -532,7 +501,7 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
-    manifest = (_load_json(manifest_path, "manifest")
+    manifest = (_load_json(manifest_path, "manifest", {})
                 if manifest_path.exists() else None)
     try:
         held = read_chain_files(run_dir)
@@ -566,18 +535,12 @@ def _readable(path: str):
         raise ConfigError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _load_json(path: str | Path, what: str) -> dict:
+def _load_json(path: str | Path, what: str, required, optional=None) -> dict:
+    """The JSON object, ``what``, in the file ``path``; see ``_object``."""
     with _readable(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{path}: {what} parse error at line {e.lineno}: {e.msg}"
-            ) from e
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: {what} is not UTF-8: {e}") from e
+        raw = read_json(fh, what)
     with _reading(path):
-        return _checked(raw, "top level", _OBJECT)
+        return _object(raw, "", required, optional)
 
 
 def main(argv=None) -> int:
@@ -590,7 +553,9 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as e:
+    except (ConfigError, DataFormatError, OSError) as e:
+        # An OSError left is a run file fit or diagnose cannot write or
+        # delete, such as a directory named summary.tsv; it names the file.
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (DataValidationError, CovarianceError, SamplerError) as e:

@@ -13,12 +13,17 @@ Trials whose reference arm is an inactive control are "control
 comparison" trials; trials whose reference is itself a coded intervention
 are "active comparison" trials. All per-trial vectors and matrices are
 ordered time-major, then arm (in input order).
+
+Every JSON input (datasets, fit manifests, generator configs) is decoded
+by ``read_json`` and checked object by object by ``_object``: required
+and optional keys, their JSON kinds, and no key the format lacks.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -377,7 +382,7 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
 
     if len(trial.z) != schema.p:
         out.append(f"expected {schema.p} study covariates, got {len(trial.z)}")
-    elif not all(np.isfinite(trial.z)):
+    elif not all(map(math.isfinite, trial.z)):
         out.append("non-finite study covariate")
 
     if not trial.observations:
@@ -401,9 +406,9 @@ def validate_trial(trial: TrialRecord, schema: CovariateSchema) -> list[str]:
             out.append(f"duplicate (arm, time) observation {key}")
         seen_obs.add(key)
         per_arm_cats[obs.arm_id].add(cat)
-        if not np.isfinite(obs.y):
+        if not math.isfinite(obs.y):
             out.append(f"non-finite mean difference at {key}")
-        if not (np.isfinite(obs.v) and obs.v > 0):
+        if not (math.isfinite(obs.v) and obs.v > 0):
             out.append(f"non-positive observation variance at {key}")
         elif not VARIANCE_RANGE[0] <= obs.v <= VARIANCE_RANGE[1]:
             out.append(
@@ -471,10 +476,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
-# JSON with top-level keys: schema {n, p, q, l, interactions, names},
-# correlations {rho_y, rho_d}, trials [...]. Factor and category indices
-# are 1-based on disk (0-based in memory, except follow-up categories
-# which are 1-based everywhere).
+# Factor and category indices are 1-based on disk (0-based in memory,
+# except follow-up categories which are 1-based everywhere).
 
 
 # JSON value kinds as exact Python types, so true and false are no numbers.
@@ -486,6 +489,20 @@ _EXPECTED = {
     _BOOL: "true or false", _NUMBER_OR_NULL: "a number or null",
     _STRING: "a string",
 }
+
+# The keys of each object of a dataset and the JSON kinds of their values
+# (None for any); the keys of schema.names and ref_change_var are free.
+_TOP_LEVEL = {"schema": _OBJECT, "correlations": _OBJECT, "trials": _LIST}
+_SCHEMA = dict.fromkeys("npql", _INTEGER)
+_SCHEMA_OPTIONAL = {"interactions": _LIST, "names": _OBJECT}
+_FACTOR = {"level": None, "index": _INTEGER}
+_CORRELATIONS = {"rho_y": _NUMBER, "rho_d": _NUMBER}
+_TRIAL = {"id": None, "comparison": None, "z": _LIST, "arms": _LIST,
+          "observations": _LIST}
+_TRIAL_OPTIONAL = {"reference_arm": None, "ref_change_var": _OBJECT,
+                   "rho_y": _NUMBER, "rho_d": _NUMBER}
+_ARM = {"id": None, "x": _LIST}
+_OBSERVATION = {"arm": None, "category": _INTEGER, "y": _NUMBER, "v": _NUMBER}
 
 
 def _checked(value, path, kind):
@@ -505,37 +522,69 @@ def _items(value, path, kind, count=None) -> list:
     return value
 
 
-def _require(mapping, key, path, kind=None):
-    """``mapping[key]``, which must be of the JSON ``kind`` if one is given."""
-    if not isinstance(mapping, dict):
-        raise DataFormatError(f"{path}: expected an object")
-    if key not in mapping:
-        raise DataFormatError(f"{path}: missing required field {key!r}")
-    value = mapping[key]
-    return value if kind is None else _checked(value, f"{path}.{key}", kind)
+def _object(raw, path, required, optional=None, unknown="unknown keys"):
+    """``raw``, a JSON object that must hold every ``required`` key.
+
+    ``required`` and ``optional``, two disjoint maps, take each key to
+    the JSON kind of its value, or to None for any kind; an optional key
+    holding null counts as absent. With ``optional`` given, another key
+    is an error, ``unknown`` and the sorted keys. ``path`` names the
+    object, "" the top level of a file.
+    """
+    where = path or "top level"
+    if type(raw) is not dict:
+        _checked(raw, where, _OBJECT)
+    for key, kind in required.items():
+        if key not in raw:
+            raise DataFormatError(f"{where}: missing required field {key!r}")
+        if kind is not None and type(raw[key]) not in kind:
+            _checked(raw[key], f"{path}.{key}" if path else key, kind)
+    if optional is None:
+        return raw
+    extra = len(raw) - len(required)  # keys other than the required ones
+    for key, kind in optional.items():
+        if key in raw:
+            extra -= 1
+            if raw[key] is not None and kind is not None and type(raw[key]) not in kind:
+                _checked(raw[key], f"{path}.{key}" if path else key, kind)
+    if extra:
+        keys = sorted(raw.keys() - required.keys() - optional.keys())
+        raise DataFormatError(f"{where}: {unknown} " + ", ".join(map(repr, keys)))
+    return raw
 
 
-def _optional(mapping, key, path, kind):
-    if mapping.get(key) is None:
-        return None
-    return _require(mapping, key, path, kind)
+def _file_error(stream, message: str) -> DataFormatError:
+    """A format error naming the file ``stream`` reads, if it has a name."""
+    name = getattr(stream, "name", None)
+    return DataFormatError(message if name is None else f"{name}: {message}")
 
 
-def _numbers(mapping, key, path) -> list:
-    return _items(_require(mapping, key, path), f"{path}.{key}", _NUMBER)
+def read_json(stream: IO[str], what: str):
+    """The JSON value in ``stream``, a ``what`` ("dataset", say); a
+    DataFormatError names the file, ``what``, and the line and column."""
+    try:
+        return json.loads(stream.read())
+    except json.JSONDecodeError as e:
+        raise _file_error(stream, f"{what} parse error at line {e.lineno}, "
+                                  f"column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise _file_error(stream, f"{what} is not UTF-8: {e}") from e
+    except RecursionError as e:
+        raise _file_error(stream, f"{what} nests too deeply to parse") from e
 
 
 def schema_from_dict(raw: dict) -> CovariateSchema:
     """Build a schema from its file representation (1-based indices)."""
-    n, p, q, l = (_require(raw, key, "schema", _INTEGER) for key in "npql")
+    _object(raw, "schema", _SCHEMA, _SCHEMA_OPTIONAL)
+    n, p, q, l = (raw[key] for key in "npql")
     factor_sets = []
-    raw_sets = _items(raw.get("interactions", []), "schema.interactions", _LIST)
+    raw_sets = _items(raw.get("interactions") or [], "schema.interactions", _LIST)
     for j, raw_set in enumerate(raw_sets):
         factors = []
         for k, raw_f in enumerate(raw_set):
             path = f"schema.interactions[{j}][{k}]"
-            level = _require(raw_f, "level", path)
-            index = _require(raw_f, "index", path, _INTEGER)
+            _object(raw_f, path, _FACTOR, {})
+            level, index = raw_f["level"], raw_f["index"]
             if index < 1:
                 raise DataFormatError(f"{path}: index is 1-based, got {index}")
             if level not in FACTOR_LEVELS:
@@ -546,45 +595,36 @@ def schema_from_dict(raw: dict) -> CovariateSchema:
         raise DataFormatError(
             f"schema: l={l} but {len(factor_sets)} interactions defined"
         )
-    names = _optional(raw, "names", "schema", _OBJECT)
+    names = raw.get("names")
     for key, labels in (names or {}).items():
         if type(labels) not in _LIST or not all(type(v) is str for v in labels):
             raise DataFormatError(
                 f"schema.names.{key}: expected a list of strings, got {labels!r}"
             )
     try:
-        return CovariateSchema(
-            n=n, p=p, q=q, interactions=tuple(factor_sets), names=names
-        )
+        return CovariateSchema(n, p, q, tuple(factor_sets), names)
     except ValueError as e:
         raise DataValidationError(f"schema: {e}") from e
 
 
 def _parse_trial(raw, idx: int) -> TrialRecord:
     path = f"trials[{idx}]"
-    trial_id = str(_require(raw, "id", path))
-    comparison = _require(raw, "comparison", path)
+    _object(raw, path, _TRIAL, _TRIAL_OPTIONAL)
     arms = []
-    for k, raw_arm in enumerate(_require(raw, "arms", path, _LIST)):
+    for k, raw_arm in enumerate(raw["arms"]):
         apath = f"{path}.arms[{k}]"
-        arms.append(
-            InterventionArm(
-                arm_id=str(_require(raw_arm, "id", apath)),
-                x=_numbers(raw_arm, "x", apath),
-            )
-        )
+        _object(raw_arm, apath, _ARM, {})
+        arms.append(InterventionArm(
+            str(raw_arm["id"]), _items(raw_arm["x"], f"{apath}.x", _NUMBER)
+        ))
     observations = []
-    for k, raw_obs in enumerate(_require(raw, "observations", path, _LIST)):
-        opath = f"{path}.observations[{k}]"
-        observations.append(
-            Observation(
-                arm_id=str(_require(raw_obs, "arm", opath)),
-                category=_require(raw_obs, "category", opath, _INTEGER),
-                y=float(_require(raw_obs, "y", opath, _NUMBER)),
-                v=float(_require(raw_obs, "v", opath, _NUMBER)),
-            )
-        )
-    ref_change_var = _optional(raw, "ref_change_var", path, _OBJECT)
+    for k, raw_obs in enumerate(raw["observations"]):
+        _object(raw_obs, f"{path}.observations[{k}]", _OBSERVATION, {})
+        observations.append(Observation(
+            str(raw_obs["arm"]), raw_obs["category"],
+            float(raw_obs["y"]), float(raw_obs["v"]),
+        ))
+    ref_change_var = raw.get("ref_change_var")
     for key, value in (ref_change_var or {}).items():
         if not (key.isdecimal() and type(value) in _NUMBER):
             raise DataFormatError(
@@ -594,15 +634,15 @@ def _parse_trial(raw, idx: int) -> TrialRecord:
     # Ids are read as strings, the reference arm's as the arms' own.
     reference = raw.get("reference_arm")
     return TrialRecord(
-        trial_id=trial_id,
-        comparison=comparison,
+        trial_id=str(raw["id"]),
+        comparison=raw["comparison"],
         arms=tuple(arms),
-        z=_numbers(raw, "z", path),
+        z=_items(raw["z"], f"{path}.z", _NUMBER),
         observations=tuple(observations),
         reference_arm=None if reference is None else str(reference),
         ref_change_var=ref_change_var,
-        rho_y=_optional(raw, "rho_y", path, _NUMBER),
-        rho_d=_optional(raw, "rho_d", path, _NUMBER),
+        rho_y=raw.get("rho_y"),
+        rho_d=raw.get("rho_d"),
     )
 
 
@@ -610,43 +650,27 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
     """Parse and (by default) fully validate a dataset document.
 
     ``source`` may be a path or an open text stream. Raises
-    DataFormatError for unparseable or structurally malformed input (a
-    value of the wrong JSON type names its path) and DataValidationError
-    (naming the trial) when an invariant fails. Pass ``validate=False``
-    to obtain the parsed dataset and run ``validate_dataset`` separately,
-    e.g. to report every violation.
+    DataFormatError for an undecodable or structurally malformed
+    document: a value of the wrong JSON type, a missing key or a key the
+    format does not define, each named by its path (an optional key may
+    hold null); the message names the file when the source has a name.
+    Raises DataValidationError (naming the trial) when an invariant
+    fails. Pass ``validate=False`` to obtain the parsed dataset and run
+    ``validate_dataset`` separately, e.g. to report every violation.
     """
+    if hasattr(source, "read"):
+        stream, raw = source, read_json(source, "dataset")
+    else:
+        with open(source, encoding="utf-8") as stream:
+            raw = read_json(stream, "dataset")
     try:
-        text = (source.read() if hasattr(source, "read")
-                else Path(source).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        name = getattr(source, "name", source)
-        raise DataFormatError(f"{name}: not UTF-8: {e}") from e
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(
-            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(raw, dict):
-        raise DataFormatError("top level: expected an object")
-
-    schema = schema_from_dict(_require(raw, "schema", "top level"))
-    correlations = _require(raw, "correlations", "top level")
-    trials = [
-        _parse_trial(t, i)
-        for i, t in enumerate(_require(raw, "trials", "top level", _LIST))
-    ]
-    dataset = Dataset(
-        schema=schema,
-        trials=tuple(trials),
-        base_rho_y=float(
-            _require(correlations, "rho_y", "correlations", _NUMBER)
-        ),
-        base_rho_d=float(
-            _require(correlations, "rho_d", "correlations", _NUMBER)
-        ),
-    )
+        _object(raw, "", _TOP_LEVEL, {})
+        schema = schema_from_dict(raw["schema"])
+        rho = _object(raw["correlations"], "correlations", _CORRELATIONS, {})
+        trials = tuple(_parse_trial(t, i) for i, t in enumerate(raw["trials"]))
+    except DataFormatError as e:
+        raise _file_error(stream, str(e)) from e
+    dataset = Dataset(schema, trials, float(rho["rho_y"]), float(rho["rho_d"]))
     if validate:
         violations = validate_dataset(dataset)
         if violations:

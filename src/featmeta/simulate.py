@@ -87,6 +87,12 @@ class SimConfig:
             raise ValueError("control_fraction must lie in [0, 1]")
         if self.max_coded_arms < 1:
             raise ValueError("need at least one coded arm per trial")
+        schema = self.schema
+        for name, count in (("beta", schema.n), ("gamma", schema.p),
+                            ("phi", schema.q - 1), ("eta", schema.l)):
+            got = len(getattr(self.params, name))
+            if got != count:
+                raise ValueError(f"params.{name}: expected {count} value(s), got {got}")
         for name in ("alpha", "beta", "gamma", "phi", "eta"):
             values = getattr(self.params, name)
             if not np.isfinite(values).all():

@@ -17,8 +17,8 @@ import featmeta.diagnostics as diagnostics
 import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import (
-    ChainOutput, DataFormatError, SimConfig, dataset_to_dict, sample_posterior,
-    save_dataset,
+    ChainOutput, DataFormatError, SimConfig, dataset_to_dict, load_dataset,
+    sample_posterior, save_dataset,
 )
 from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
 from featmeta.diagnostics import TRACE_POINTS
@@ -210,6 +210,60 @@ def test_validate_wrongly_typed_value_is_usage_error(
     err = capsys.readouterr().err
     assert message in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        ((), "correlation", "top level: unknown keys 'correlation'"),
+        (("schema",), "interaction", "schema: unknown keys 'interaction'"),
+        (("schema", "interactions", 0, 1), "levels",
+         "schema.interactions[0][1]: unknown keys 'levels'"),
+        (("correlations",), "rho_Y", "correlations: unknown keys 'rho_Y'"),
+        (("trials", 0), "ref_change_vars",
+         "trials[0]: unknown keys 'ref_change_vars'"),
+        (("trials", 2, "arms", 1), "X", "trials[2].arms[1]: unknown keys 'X'"),
+        (("trials", 1, "observations", 2), "se",
+         "trials[1].observations[2]: unknown keys 'se'"),
+    ],
+)
+def test_validate_key_the_format_does_not_define_is_usage_error(
+    tmp_path, capsys, where, key, message
+):
+    # A misspelled key would otherwise load, and its value go unused.
+    doc = dataset_to_dict(build_basic_dataset())
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = 0.3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == f"{bad}: {message}"
+    assert main(["validate", "--data", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_dataset_parse_error_names_the_file_and_the_column(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"schema": {"n": 1,,}}')
+    argv = {"validate": ["validate", "--data", str(bad)],
+            "fit": fast_fit_args(bad, tmp_path / "run")}
+    for command in ("validate", "fit"):
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {bad}: dataset parse error at line 1, column 20: "
+        ), err
+
+
+def test_dataset_nested_too_deeply_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: dataset nests too deeply to parse\n", err
 
 
 def test_validate_nan_value_is_a_violation(tmp_path, capsys):
@@ -1303,6 +1357,40 @@ def test_diagnose_reads_a_chain_file_changed_after_the_fit(
     _delete_copies(out)
     assert main(["diagnose", "--run", str(out)]) == 0
     assert (out / "summary.tsv").read_bytes() == edited
+
+
+# A directory where fit or diagnose writes or deletes a run file: the
+# command, the chains it fits (None for diagnose of a 2-chain fit) and
+# the blocked file.
+BLOCKED_RUN_FILES = {
+    "stale chain file": (2, "chains/chain_9.tsv"),
+    "trace of one chain": (1, "rhat_trace.tsv"),
+    "summary of a fit": (2, "summary.tsv"),
+    "summary of a diagnose": (None, "summary.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_RUN_FILES))
+def test_a_directory_in_place_of_a_run_file_is_usage_error(
+    case, data_file, tmp_path, capsys
+):
+    chains, name = BLOCKED_RUN_FILES[case]
+    out = tmp_path / "run"
+    blocked = out / name
+    if chains is None:
+        assert main(fast_fit_args(data_file, out)) == 0
+        blocked.unlink()
+        argv = ["diagnose", "--run", str(out)]
+    else:
+        argv = fast_fit_args(data_file, out, chains=chains)
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and last.endswith(f": '{blocked}'"), err
+    assert "Traceback" not in err
+    assert blocked.is_dir()
 
 
 @pytest.mark.parametrize("blocked", ["out", "out/chains"])

@@ -85,6 +85,33 @@ def test_missing_field_names_path():
         load_doc(doc)
 
 
+def test_an_optional_key_holding_null_is_absent():
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["schema"].update(interactions=None, names=None)
+    doc["trials"][0].update(
+        reference_arm=None, ref_change_var=None, rho_y=None, rho_d=None
+    )
+    assert load_doc(doc) == load_doc(MINIMAL_DOC)
+
+
+@pytest.mark.parametrize(
+    "extra, unknown",
+    [
+        ({"rho_y": 0.5, "rho_Y": 0.5}, "'rho_Y'"),
+        ({"rho_y": None, "rho_d": 0.1, "rho_Y": 0.5}, "'rho_Y'"),
+        ({"reference_arm": None, "ref_change_var": None, "rho_y": None,
+          "rho_d": None, "note": "x"}, "'note'"),
+        ({"zeta": 1, "alpha": None}, "'alpha', 'zeta'"),
+    ],
+)
+def test_unknown_key_beside_optional_keys_is_format_error(extra, unknown):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["trials"][0].update(extra)
+    with pytest.raises(DataFormatError) as exc:
+        load_doc(doc)
+    assert str(exc.value) == f"trials[0]: unknown keys {unknown}"
+
+
 def test_dataset_without_control_trial_rejected():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["trials"][0]["comparison"] = "active"

@@ -113,6 +113,22 @@ def test_cli_knows_nothing_of_the_chain_file_layout():
     assert literals == []
 
 
+def test_only_the_data_module_decodes_json():
+    # data.read_json is the one decoder of datasets, manifests and
+    # generator configs; no other module calls json.load or json.loads.
+    callers = set()
+    for path in Path(featmeta.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                callers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                if {alias.name for alias in node.names} & {"load", "loads"}:
+                    callers.add(path.name)
+    assert callers == {"data.py"}
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml declares numpy as the one runtime dependency; scipy
     # and the other test dependencies must not reach the package.

@@ -1,6 +1,8 @@
 """Synthetic data generation against the model's own covariance rules."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,3 +346,17 @@ def test_config_rejects_negative_seed():
         SimConfig(
             schema=sim_schema(), params=sim_params(tau=0.1), n_trials=5, seed=-1
         )
+
+
+@pytest.mark.parametrize("block", ["beta", "gamma", "phi", "eta"])
+def test_config_rejects_a_parameter_block_the_schema_does_not_size(block):
+    # Caught here, not as a shape error inside the generator's arithmetic.
+    params = sim_params(tau=0.05)
+    values = getattr(params, block)
+    wrong = replace(params, **{block: values + (0.0,)})
+    count = len(values)
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"params.{block}: expected {count} value(s), got {count + 1}"),
+    ):
+        SimConfig(schema=sim_schema(), params=wrong, n_trials=5)
