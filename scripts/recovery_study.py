@@ -2,11 +2,11 @@
 """Simulate-and-refit study: how well does the model recover known values?
 
 Generates replicate datasets from a fixed "true" parameter vector,
-refits each with the default pipeline (centering on, marginal
-likelihood), and tabulates credible-interval coverage and shrink
-factors across replicates. The defaults mirror the desk-scale recovery
-setup used in the acceptance tests; crank --trials / --samples up for a
-slower, tighter study.
+refits each with ``featmeta.fit`` (centering on, the default prior),
+and tabulates credible-interval coverage and shrink factors across
+replicates. The defaults mirror the desk-scale recovery setup used in
+the acceptance tests; crank --trials / --samples up for a slower,
+tighter study.
 
 Usage:
     python3 scripts/recovery_study.py --replicates 20 --out results.tsv
@@ -21,14 +21,11 @@ import numpy as np
 from featmeta import (
     CovariateSchema,
     Factor,
-    McmcConfig,
+    FitSettings,
     ParameterVector,
-    PriorSpec,
     SimConfig,
-    center_covariates,
-    run_mcmc,
+    fit,
     simulate_dataset,
-    summarize,
 )
 
 SCHEMA = CovariateSchema(
@@ -77,17 +74,11 @@ def run_replicate(rep, args):
         control_fraction=0.5,
         max_coded_arms=3,
     )
-    dataset = simulate_dataset(config)
-    centered, record = center_covariates(dataset)
-    chains = run_mcmc(
-        centered,
-        McmcConfig(
-            chains=args.chains, adapt=args.adapt, burn_in=args.burn_in,
-            samples=args.samples, seed=rep,
-        ),
-        PriorSpec(),
-    )
-    summaries = summarize(chains)
+    result = fit(simulate_dataset(config), FitSettings(
+        chains=args.chains, adapt=args.adapt, burn_in=args.burn_in,
+        samples=args.samples, seed=rep,
+    ))
+    summaries, record = result.summaries, result.centering
 
     # The fit is on centered covariates, so the recoverable intercept is
     # the raw one plus the recorded column-mean shift.

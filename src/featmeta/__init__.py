@@ -58,13 +58,9 @@ from .posterior import (
     log_likelihood_marginal,
     precondition,
 )
-from .sampler import (
-    McmcConfig,
-    McmcRun,
-    run_chain,
-    run_mcmc,
-    sample_posterior,
-)
+from .pipeline import Fit, FitSettings, fit
+# run_chain is importable here, but featmeta.sampler exports it.
+from .sampler import McmcConfig, run_chain, run_mcmc  # noqa: F401
 from .simulate import SimConfig, simulate_dataset
 
 __version__ = "0.1.0"
@@ -111,10 +107,11 @@ __all__ = [
     # sampler
     "McmcConfig",
     "ChainOutput",
-    "McmcRun",
-    "run_chain",
-    "sample_posterior",
     "run_mcmc",
+    # pipeline
+    "FitSettings",
+    "Fit",
+    "fit",
     # diagnostics
     "PosteriorSummary",
     "read_chain_tsv",

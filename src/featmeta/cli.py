@@ -7,9 +7,9 @@ files included), and inconsistent settings.
 
 Every fit writes a manifest.json capturing the exact settings and
 per-chain seeds; ``fit --from-manifest`` replays it bit for bit.
-``FitSettings`` is the one table of fit settings: each field's name,
-type and default serve the ``fit`` flags, the manifest's ``settings``
-and the checks on a replayed manifest.
+``featmeta.pipeline.FitSettings`` is the one table of fit settings:
+each field's name, type and default serve the ``fit`` flags, the
+manifest's ``settings`` and the checks on a replayed manifest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +40,6 @@ from .data import (
     _checked,
     _items,
     _object,
-    center_covariates,
     load_dataset,
     read_json,
     save_dataset,
@@ -51,14 +50,14 @@ from .design import ParameterVector
 from .diagnostics import (
     CHAINS_DIR,
     read_chain_files,
-    shrink_factor_trace,
-    summarize,
+    summarize_chains,
     write_chain_files,
     write_rhat_trace_tsv,
     write_summary_tsv,
 )
+from .pipeline import FitSettings, fit
 from .posterior import PriorSpec, SamplerError
-from .sampler import DEFENSIVE_WEIGHT, McmcConfig, sample_posterior
+from .sampler import DEFENSIVE_WEIGHT, McmcConfig
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = ["main", "cmd_validate", "cmd_fit", "cmd_simulate", "cmd_diagnose"]
@@ -167,29 +166,6 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitSettings:
-    """The settings of one fit, in the order of the manifest's ``settings``.
-
-    Each field is a ``fit`` flag and a manifest setting of the annotated
-    type. The defaults are the paper's protocol, taken from
-    ``McmcConfig`` and ``PriorSpec``; ``rho_y`` and ``rho_d`` of None
-    keep the dataset's correlations.
-    """
-
-    chains: int = McmcConfig.chains
-    adapt: int = McmcConfig.adapt
-    burn_in: int = McmcConfig.burn_in
-    samples: int = McmcConfig.samples
-    thin: int = McmcConfig.thin
-    seed: int = McmcConfig.seed
-    tau_upper: float = PriorSpec.tau_upper
-    coeff_sd: float = PriorSpec.coeff_sd
-    rho_y: float | None = None
-    rho_d: float | None = None
-    center: bool = True
-
-
 def _floats(value, path, count=None) -> tuple[float, ...]:
     return tuple(map(float, _items(value, path, _NUMBER, count)))
 
@@ -251,9 +227,7 @@ def _range_error(name: str, value) -> str | None:
     return None
 
 
-def _resolve_fit_settings(
-    args,
-) -> tuple[str, FitSettings, McmcConfig, PriorSpec]:
+def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
     """Merge explicit flags over manifest values over the defaults.
 
     Every settings error is raised here, before the data file is read
@@ -306,20 +280,16 @@ def _resolve_fit_settings(
         error = _range_error(name, getattr(settings, name))
         if error is not None:
             raise ConfigError(source + error.removeprefix(name))
-    config, prior = (
-        cls(**{field.name: getattr(settings, field.name) for field in fields(cls)})
-        for cls in (McmcConfig, PriorSpec)
-    )
-    if config.chains >= 2 and config.samples < 2:
+    if settings.chains >= 2 and settings.samples < 2:
         raise ConfigError(
             "R-hat of 2 or more chains requires >= 2 samples per chain; "
             "add samples or run one chain"
         )
-    return data_path, settings, config, prior
+    return data_path, settings
 
 
 def cmd_fit(args) -> int:
-    data_path, st, config, prior = _resolve_fit_settings(args)
+    data_path, st = _resolve_fit_settings(args)
     out = Path(args.out)
     try:
         (out / CHAINS_DIR).mkdir(parents=True, exist_ok=True)
@@ -329,18 +299,10 @@ def cmd_fit(args) -> int:
         ) from e
     with _readable(data_path) as fh:
         dataset = load_dataset(fh)
-    if st.rho_y is not None:
-        dataset = replace(dataset, base_rho_y=st.rho_y)
-    if st.rho_d is not None:
-        dataset = replace(dataset, base_rho_d=st.rho_d)
-    centering = None
-    if st.center:
-        dataset, centering = center_covariates(dataset)
-
-    run = sample_posterior(dataset, config, prior)
-    chains, pre = run.chains, run.preconditioner
+    result = fit(dataset, st)
+    chains, pre, centering = result.chains, result.preconditioner, result.centering
     written = write_chain_files(out, chains)
-    summaries, outputs = _write_results(out, written)
+    outputs = _write_results(out, written, result.trace, result.summaries)
 
     manifest = {
         "package": "featmeta",
@@ -350,8 +312,8 @@ def cmd_fit(args) -> int:
         "settings": asdict(st),
         "centering": centering.as_dict() if centering is not None else None,
         "parameters": list(chains[0].parameter_names),
-        "zeroed_eigenvalues": run.zeroed_eigenvalues,
-        "weakly_identified": list(run.weak_coefficients),
+        "zeroed_eigenvalues": result.zeroed_eigenvalues,
+        "weakly_identified": list(result.weak_coefficients),
         "preconditioner": {
             "tau_mode": pre.tau_mode,
             "log_tau_sd": pre.log_tau_sd,
@@ -374,7 +336,7 @@ def cmd_fit(args) -> int:
     }
     _write_manifest(out / "manifest.json", manifest)
 
-    print(format_summary_table(summaries))
+    print(format_summary_table(result.summaries))
     rates = ", ".join(f"{c.accept_rate:.3f}" for c in chains)
     print(f"acceptance rates: {rates}")
     print(f"results written to {out}")
@@ -385,26 +347,22 @@ def cmd_fit(args) -> int:
 # run directory
 # ---------------------------------------------------------------------------
 
-def _write_results(run_dir: Path, held):
-    """Write ``rhat_trace.tsv`` (delete it for one chain), then
-    ``summary.tsv``, for ``held``: each chain with its files, as the
-    diagnostics module writes or reads them. Returns the summaries and
-    the run's files: the chain files, ``summary.tsv``, then the trace.
-    """
-    chains = [chain for chain, _ in held]
+def _write_results(run_dir: Path, held, trace, summaries) -> list[str]:
+    """Write ``rhat_trace.tsv`` from ``trace`` (delete it for None, the
+    trace of one chain), then ``summary.tsv``, for ``held``: each chain
+    with its files, as the diagnostics module writes or reads them.
+    Returns the run's files: the chain files, ``summary.tsv``, then the
+    trace."""
     outputs = [*(file for _, files in held for file in files), "summary.tsv"]
-    r_hat = None
-    if len(chains) >= 2:
-        trace = shrink_factor_trace(chains)
+    if trace is not None:
+        chains = [chain for chain, _ in held]
         write_rhat_trace_tsv(chains, run_dir / "rhat_trace.tsv", trace)
         outputs.append("rhat_trace.tsv")
-        r_hat = trace[1][-1]  # summary.tsv's r_hat, not computed twice
     else:
         print("single chain: shrink factors unavailable", file=sys.stderr)
         (run_dir / "rhat_trace.tsv").unlink(missing_ok=True)
-    summaries = summarize(chains, r_hat=r_hat)
     write_summary_tsv(summaries, run_dir / "summary.tsv")
-    return summaries, outputs
+    return outputs
 
 
 # The statistics of ``ChainOutput`` that the manifest records per chain.
@@ -508,7 +466,8 @@ def cmd_diagnose(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     kept = [file for _, files in held for file in files]
-    summaries, outputs = _write_results(run_dir, held)
+    _, trace, summaries = summarize_chains([chain for chain, _ in held])
+    outputs = _write_results(run_dir, held, trace, summaries)
     if manifest is not None:
         # The manifest lists the files now held, and the recorded chains
         # whose file was read; it is rewritten only when that changes it.

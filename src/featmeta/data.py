@@ -54,6 +54,12 @@ __all__ = [
 
 FACTOR_LEVELS = ("intervention", "study", "followup")
 
+# The largest n, p, q or l a dataset file may declare. Each adds
+# parameters, and the chains hold dense (parameters x parameters)
+# matrices, so a size far beyond any trial set's fails validation
+# rather than an allocation.
+MAX_SCHEMA_SIZE = 1000
+
 # Observation and reference change variances must lie in this range:
 # inside it, every product of two of them (and of half of one, the
 # imputed reference variance) is a normal double, so each entry
@@ -506,9 +512,18 @@ _OBSERVATION = {"arm": None, "category": _INTEGER, "y": _NUMBER, "v": _NUMBER}
 
 
 def _checked(value, path, kind):
-    """``value``, which must be of the JSON ``kind``."""
+    """``value``, which must be of the JSON ``kind``; an integer of a
+    number kind must convert to a float."""
     if type(value) not in kind:
         raise DataFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+    if type(value) is int and float in kind:
+        try:
+            float(value)
+        except OverflowError:
+            raise DataFormatError(
+                f"{path}: expected {_EXPECTED[kind]}, got an integer too "
+                "large for a float"
+            ) from None
     return value
 
 
@@ -534,10 +549,13 @@ def _object(raw, path, required, optional=None, unknown="unknown keys"):
     where = path or "top level"
     if type(raw) is not dict:
         _checked(raw, where, _OBJECT)
+    # Only a value of another kind, or an integer, can fail _checked.
     for key, kind in required.items():
         if key not in raw:
             raise DataFormatError(f"{where}: missing required field {key!r}")
-        if kind is not None and type(raw[key]) not in kind:
+        if kind is not None and (
+            type(raw[key]) not in kind or type(raw[key]) is int
+        ):
             _checked(raw[key], f"{path}.{key}" if path else key, kind)
     if optional is None:
         return raw
@@ -545,7 +563,9 @@ def _object(raw, path, required, optional=None, unknown="unknown keys"):
     for key, kind in optional.items():
         if key in raw:
             extra -= 1
-            if raw[key] is not None and kind is not None and type(raw[key]) not in kind:
+            if raw[key] is not None and kind is not None and (
+                type(raw[key]) not in kind or type(raw[key]) is int
+            ):
                 _checked(raw[key], f"{path}.{key}" if path else key, kind)
     if extra:
         keys = sorted(raw.keys() - required.keys() - optional.keys())
@@ -569,6 +589,9 @@ def read_json(stream: IO[str], what: str):
                                   f"column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise _file_error(stream, f"{what} is not UTF-8: {e}") from e
+    except ValueError as e:  # an integer of more digits than int() takes
+        raise _file_error(stream, f"{what} holds an integer too long to "
+                                  "parse") from e
     except RecursionError as e:
         raise _file_error(stream, f"{what} nests too deeply to parse") from e
 
@@ -577,6 +600,12 @@ def schema_from_dict(raw: dict) -> CovariateSchema:
     """Build a schema from its file representation (1-based indices)."""
     _object(raw, "schema", _SCHEMA, _SCHEMA_OPTIONAL)
     n, p, q, l = (raw[key] for key in "npql")
+    for key in "npql":
+        if raw[key] > MAX_SCHEMA_SIZE:
+            raise DataValidationError(
+                f"schema.{key}: larger than {MAX_SCHEMA_SIZE}, the largest "
+                "size a schema may declare"
+            )
     factor_sets = []
     raw_sets = _items(raw.get("interactions") or [], "schema.interactions", _LIST)
     for j, raw_set in enumerate(raw_sets):
@@ -631,6 +660,7 @@ def _parse_trial(raw, idx: int) -> TrialRecord:
                 f"{path}.ref_change_var: expected numbers keyed by category, "
                 f"got {key!r}: {value!r}"
             )
+        _checked(value, f"{path}.ref_change_var.{key}", _NUMBER)
     # Ids are read as strings, the reference arm's as the arms' own.
     reference = raw.get("reference_arm")
     return TrialRecord(

@@ -36,6 +36,7 @@ __all__ = [
     "PosteriorSummary",
     "shrink_factor_trace",
     "summarize",
+    "summarize_chains",
     "write_summary_tsv",
     "write_chain_tsv",
     "write_rhat_trace_tsv",
@@ -127,38 +128,42 @@ def _trace_ends(s: int, n_points: int) -> np.ndarray:
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
-def _with_trace_moments(chains: Sequence[ChainOutput]) -> list[ChainOutput]:
-    """``chains``, each with the ``trace_moments`` of its draws at the
-    ends of a default trace, computed in one batch. Raises ValueError
-    unless the chains have equal length >= 2."""
-    ends = _trace_ends(_common_length(chains), TRACE_POINTS)
-    means, squares = _prefix_moments([c.draws for c in chains], ends)
-    return [
-        replace(c, trace_moments=(ends, means[..., k], squares[..., k]))
-        for k, c in enumerate(chains)
+def _with_moments(
+    chains: Sequence[ChainOutput], ends: np.ndarray
+) -> list[ChainOutput]:
+    """``chains``, each with the ``trace_moments`` of its draws at
+    ``ends``: a chain that holds them keeps its own, and those of the
+    others are computed in one batch. Raises ValueError unless the
+    chains have equal length >= 2."""
+    _common_length(chains)
+    missing = [
+        k for k, c in enumerate(chains)
+        if c.trace_moments is None or not np.array_equal(c.trace_moments[0], ends)
     ]
+    chains = list(chains)
+    if missing:
+        means, squares = _prefix_moments([chains[k].draws for k in missing], ends)
+        for i, k in enumerate(missing):
+            chains[k] = replace(
+                chains[k], trace_moments=(ends, means[..., i], squares[..., i])
+            )
+    return chains
+
+
+def _with_trace_moments(chains: Sequence[ChainOutput]) -> list[ChainOutput]:
+    """``_with_moments`` at the ends of a default trace."""
+    return _with_moments(chains, _trace_ends(_common_length(chains), TRACE_POINTS))
 
 
 def _prefix_factors(
     chains: Sequence[ChainOutput], ends: np.ndarray
 ) -> np.ndarray:
     """Shrink factors of every parameter over each chain's first ``ends``
-    draws, as an (ends, params) array. A chain that carries its moments
-    for these ends supplies them; those of the others are computed in
-    one batch."""
-    _common_length(chains)
-    moments = []
-    for chain in chains:
-        held = chain.trace_moments
-        same = held is not None and np.array_equal(held[0], ends)
-        moments.append(held[1:] if same else None)
-    missing = [k for k, held in enumerate(moments) if held is None]
-    if missing:
-        means, squares = _prefix_moments([chains[k].draws for k in missing], ends)
-        for i, k in enumerate(missing):
-            moments[k] = means[..., i], squares[..., i]
+    draws, as an (ends, params) array, from the moments ``_with_moments``
+    gives the chains."""
+    held = [c.trace_moments[1:] for c in _with_moments(chains, ends)]
     # Chains on the last axis, in the order given.
-    means, squares = (np.stack(held, axis=-1) for held in zip(*moments))
+    means, squares = (np.stack(m, axis=-1) for m in zip(*held))
     return _shrink_factors(means, squares, ends[:, None])
 
 
@@ -314,6 +319,26 @@ def summarize(
             )
         )
     return out
+
+
+def summarize_chains(
+    chains: Sequence[ChainOutput],
+) -> tuple[list[ChainOutput], tuple[np.ndarray, np.ndarray] | None,
+           list[PosteriorSummary]]:
+    """The chains, their shrink-factor trace and their summaries.
+
+    2 or more chains come back with their ``trace_moments`` (see
+    ``_with_moments``), which the trace combines; the summaries take
+    the trace's last row as ``r_hat``. One chain comes back as given,
+    with no trace and an ``r_hat`` of NaN. Raises ValueError as
+    ``shrink_factor_trace`` and ``summarize`` do.
+    """
+    if len(chains) < 2:
+        return list(chains), None, summarize(chains)
+    _parameter_names(chains)
+    chains = _with_trace_moments(chains)
+    trace = shrink_factor_trace(chains)
+    return chains, trace, summarize(chains, r_hat=trace[1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +628,9 @@ def write_chain_files(
 ) -> list[tuple[ChainOutput, tuple[str, ...]]]:
     """Write each chain's TSV, ``chains/chain_<chain_index + 1>.tsv`` in
     ``run_dir``, and its copy, after giving 2 or more chains their trace
-    moments in one batch; delete every other chain file there. Returns
-    each chain as written with its TSV and copy (POSIX, run-relative)."""
+    moments (``_with_trace_moments``); delete every other chain file
+    there. Returns each chain as written with its TSV and copy (POSIX,
+    run-relative)."""
     folder = Path(run_dir, CHAINS_DIR)
     folder.mkdir(parents=True, exist_ok=True)
     if len(chains) >= 2:

@@ -102,14 +102,7 @@ from .posterior import (
     precondition,
 )
 
-__all__ = [
-    "McmcConfig",
-    "ChainOutput",
-    "McmcRun",
-    "run_chain",
-    "sample_posterior",
-    "run_mcmc",
-]
+__all__ = ["McmcConfig", "ChainOutput", "run_chain", "run_mcmc"]
 
 TARGET_ACCEPT = 0.1  # acceptance rate the adaptation steers each scale to
 INIT_RETRIES = 100
@@ -621,49 +614,26 @@ def run_chain(
         return [chain(*args) for args in starts]
 
 
-@dataclass(frozen=True, eq=False)
-class McmcRun:
-    """The chains of ``sample_posterior`` and what the run found out.
-
-    ``weak_coefficients`` names the coefficients that only the prior
-    constrains: their ``Preconditioner.conditional_sd`` exceeds
-    WEAK_SD_FRACTION of the prior sd. ``zeroed_eigenvalues`` is
-    ``AssembledDataset.zeroed_eigenvalues``.
-    """
-
-    chains: list[ChainOutput]
-    preconditioner: Preconditioner
-    weak_coefficients: tuple[str, ...]
-    zeroed_eigenvalues: int
-
-
-def sample_posterior(
-    dataset: Dataset,
-    config: McmcConfig = McmcConfig(),
-    prior: PriorSpec = PriorSpec(),
-) -> McmcRun:
-    """Sample the posterior with ``config.chains`` chains.
-
-    One ``run_chain`` call runs the chains, each on its own. Each chain
-    is reproducible from ``config.seed`` and its index alone. Warns about
-    uncentered covariates and about weakly identified coefficients.
-    """
-    return _sample_posterior(dataset, config, prior)
-
-
 def run_mcmc(
     dataset: Dataset,
     config: McmcConfig = McmcConfig(),
     prior: PriorSpec = PriorSpec(),
 ) -> list[ChainOutput]:
-    """The chains of ``sample_posterior``."""
-    return _sample_posterior(dataset, config, prior).chains
+    """The chains of ``featmeta.fit``'s sampling on ``dataset`` as given:
+    no correlation override, no centering and no summaries."""
+    return _sample(dataset, config, prior)[0]
 
 
-def _sample_posterior(
+def _sample(
     dataset: Dataset, config: McmcConfig, prior: PriorSpec
-) -> McmcRun:
-    """Both entry points call this, so stacklevel=3 names their caller."""
+) -> tuple[list[ChainOutput], Preconditioner, tuple[str, ...], int]:
+    """The sampling of ``run_mcmc`` and ``featmeta.fit``: the chains of
+    one ``run_chain`` call, the preconditioner, the weakly identified
+    coefficients (``Preconditioner.conditional_sd`` above
+    WEAK_SD_FRACTION of the prior sd) and
+    ``AssembledDataset.zeroed_eigenvalues``. Both callers call this
+    directly, so stacklevel=3 names their caller in each warning.
+    """
     if dataset.centering is None and dataset.schema.n_parameters > 2:
         warnings.warn(
             "fitting on uncentered covariates; the intercept and "
@@ -687,9 +657,4 @@ def _sample_posterior(
     chains = run_chain(
         assembled, config, prior, range(config.chains), preconditioner
     )
-    return McmcRun(
-        chains=chains,
-        preconditioner=preconditioner,
-        weak_coefficients=weak,
-        zeroed_eigenvalues=assembled.zeroed_eigenvalues,
-    )
+    return chains, preconditioner, weak, assembled.zeroed_eigenvalues

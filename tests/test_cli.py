@@ -17,8 +17,8 @@ import featmeta.diagnostics as diagnostics
 import featmeta.posterior as posterior
 import featmeta.sampler as sampler
 from featmeta import (
-    ChainOutput, DataFormatError, SimConfig, dataset_to_dict, load_dataset,
-    sample_posterior, save_dataset,
+    ChainOutput, DataFormatError, SimConfig, dataset_to_dict, fit, load_dataset,
+    save_dataset,
 )
 from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
 from featmeta.diagnostics import TRACE_POINTS
@@ -212,6 +212,77 @@ def test_validate_wrongly_typed_value_is_usage_error(
     assert "Traceback" not in err
 
 
+def write_with_integer(tmp_path, where, digits):
+    """The basic dataset's file, with the integer 10**``digits`` written
+    at ``where``."""
+    doc = dataset_to_dict(build_basic_dataset())
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = "INTEGER"
+    # Spliced in as text: json.dumps will not write more than 4300 digits.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"INTEGER"', "1" + "0" * digits))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("trials", 0, "observations", 0, "y"), "trials[0].observations[0].y"),
+        (("trials", 0, "observations", 1, "v"), "trials[0].observations[1].v"),
+        (("trials", 0, "arms", 1, "x", 0), "trials[0].arms[1].x[0]"),
+        (("trials", 2, "z", 0), "trials[2].z[0]"),
+        (("trials", 1, "ref_change_var", "2"), "trials[1].ref_change_var.2"),
+        (("correlations", "rho_y"), "correlations.rho_y"),
+        (("trials", 0, "rho_y"), "trials[0].rho_y"),
+    ],
+)
+def test_integer_too_large_for_a_float_is_usage_error(
+    tmp_path, capsys, command, where, path
+):
+    data = write_with_integer(tmp_path, where, 400)
+    args = ["validate", "--data", str(data)]
+    if command == "fit":
+        args = fast_fit_args(data, tmp_path / "run")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"big.json: {path}: expected a number, got an integer too large" in err
+    assert "Traceback" not in err
+
+
+def test_integer_too_long_to_parse_is_usage_error(tmp_path, capsys):
+    data = write_with_integer(tmp_path, ("trials", 0, "z", 0), 5000)
+    assert main(["validate", "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "big.json: dataset holds an integer too long to parse" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+@pytest.mark.parametrize("digits", [None, 400])
+def test_schema_size_beyond_the_bound_fails_validation(
+    tmp_path, capsys, command, digits
+):
+    # 2**63 is one past the largest int64; 10**400 no float holds.
+    if digits is None:
+        doc = dataset_to_dict(build_basic_dataset())
+        doc["schema"]["q"] = 2**63
+        data = tmp_path / "big.json"
+        data.write_text(json.dumps(doc))
+    else:
+        data = write_with_integer(tmp_path, ("schema", "q"), digits)
+    args = ["validate", "--data", str(data)]
+    if command == "fit":
+        args = fast_fit_args(data, tmp_path / "run")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: schema.q: larger than 1000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "where, key, message",
     [
@@ -383,13 +454,13 @@ def test_fit_manifest_writes_null_exactly_where_a_statistic_is_unknown(
 
     # Chains whose engine knows none of the statistics.
     def draws_alone(*args):
-        run = sample_posterior(*args)
-        return replace(run, chains=[
+        result = fit(*args)
+        return replace(result, chains=[
             ChainOutput(c.chain_index, c.draws, c.parameter_names)
-            for c in run.chains
+            for c in result.chains
         ])
 
-    monkeypatch.setattr("featmeta.cli.sample_posterior", draws_alone)
+    monkeypatch.setattr("featmeta.cli.fit", draws_alone)
     assert main(fast_fit_args(data_file, tmp_path / "unknown")) == 0
     assert unknown_statistics(tmp_path / "unknown") == [STATISTICS] * 2
 
@@ -1406,7 +1477,7 @@ def test_unusable_out_is_usage_error_before_the_data_is_read(
         raise AssertionError("fit went past the --out check")
 
     monkeypatch.setattr("featmeta.cli.load_dataset", unreachable)
-    monkeypatch.setattr("featmeta.cli.sample_posterior", unreachable)
+    monkeypatch.setattr("featmeta.cli.fit", unreachable)
     assert main(fast_fit_args(data_file, out)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

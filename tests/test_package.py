@@ -20,6 +20,7 @@ MODULES = (
     "featmeta.data",
     "featmeta.design",
     "featmeta.diagnostics",
+    "featmeta.pipeline",
     "featmeta.posterior",
     "featmeta.sampler",
     "featmeta.simulate",
@@ -46,6 +47,41 @@ def test_test_only_helpers_are_not_in_the_package(module_name):
         assert not hasattr(module, name)
         assert not hasattr(featmeta, name)
         assert name not in featmeta.__all__
+
+
+def test_the_retired_sampler_entry_points_are_gone():
+    # featmeta.fit replaced sample_posterior and its McmcRun record;
+    # run_chain is reached through featmeta.sampler.
+    for name in MODULES:
+        module = importlib.import_module(name)
+        assert not hasattr(module, "sample_posterior"), name
+        assert not hasattr(module, "McmcRun"), name
+    assert {"fit", "Fit", "FitSettings"} <= set(featmeta.__all__)
+    assert "run_chain" not in featmeta.__all__
+    assert "run_chain" in importlib.import_module("featmeta.sampler").__all__
+
+
+def test_pipeline_imports_no_cli_code_and_writes_no_file():
+    # fit is the library's pipeline: the CLI writes its files.
+    path = Path(importlib.import_module("featmeta.pipeline").__file__)
+    imported, written = set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            package = "featmeta" if node.level else ""
+            module = ".".join(filter(None, (package, node.module)))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", ""
+            )
+            if name.startswith("write"):
+                written.append(name)
+    assert [n for n in imported if n.startswith("featmeta.cli")] == []
+    assert written == []
 
 
 def test_test_only_methods_are_not_on_the_records():

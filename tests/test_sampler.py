@@ -25,6 +25,7 @@ from featmeta import (
     CovariateSchema,
     Dataset,
     Factor,
+    FitSettings,
     McmcConfig,
     ParameterVector,
     PriorSpec,
@@ -33,11 +34,14 @@ from featmeta import (
     between_structure,
     build_within_covariance,
     center_covariates,
+    fit,
     log_likelihood_marginal,
     run_chain,
     run_mcmc,
     save_dataset,
+    shrink_factor_trace,
     simulate_dataset,
+    summarize,
     trial_design_matrix,
     validate_dataset,
 )
@@ -906,22 +910,20 @@ def with_constant_feature(dataset, j):
 
 def test_feature_that_never_varies_is_reported_weakly_identified():
     raw = with_constant_feature(simulate_dataset(recovery_sim_config(1000)), 3)
-    centered, _ = center_covariates(raw)
-    config = small_config(adapt=100, burn_in=0, samples=50)
+    settings = small_settings(adapt=100, burn_in=0, samples=50)
     with pytest.warns(UserWarning, match="weakly identified coefficient.*beta_4"):
-        run = sampler.sample_posterior(centered, config, PriorSpec())
-    assert run.weak_coefficients == ("beta_4",)
-    assert run.preconditioner.conditional_sd[4] == pytest.approx(100.0)
+        result = fit(raw, settings)
+    assert result.weak_coefficients == ("beta_4",)
+    assert result.preconditioner.conditional_sd[4] == pytest.approx(100.0)
 
 
 def test_recovery_schema_raises_no_identifiability_warning(recwarn):
-    centered, _ = center_covariates(simulate_dataset(recovery_sim_config(1000)))
-    config = small_config(adapt=100, burn_in=0, samples=50)
-    run = sampler.sample_posterior(centered, config, PriorSpec())
-    assert run.weak_coefficients == ()
-    assert run.zeroed_eigenvalues == 0
+    settings = small_settings(adapt=100, burn_in=0, samples=50)
+    result = fit(simulate_dataset(recovery_sim_config(1000)), settings)
+    assert result.weak_coefficients == ()
+    assert result.zeroed_eigenvalues == 0
     assert not [w for w in recwarn if "weakly identified" in str(w.message)]
-    assert len(run.chains) == config.chains
+    assert len(result.chains) == settings.chains
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +939,74 @@ def small_config(**overrides):
     return McmcConfig(**base)
 
 
+def small_settings(**overrides):
+    """``FitSettings`` with the run lengths and seed of ``small_config``."""
+    return FitSettings(**{**dataclasses.asdict(small_config()), **overrides})
+
+
 def centered_basic_dataset():
     centered, _ = center_covariates(build_basic_dataset())
     return centered
+
+
+def without_moments(chains):
+    return [dataclasses.replace(c, trace_moments=None) for c in chains]
+
+
+def test_fit_runs_the_chains_of_run_mcmc_on_the_centered_dataset():
+    # A criterion-5 recovery dataset (replicate 0).
+    dataset = simulate_dataset(recovery_sim_config(5_000))
+    result = fit(dataset, small_settings(chains=4))
+    centered, record = center_covariates(dataset)
+    chains = run_mcmc(centered, small_config(chains=4), PriorSpec())
+    assert_same_chains(without_moments(result.chains), chains)
+    assert result.centering == record
+    ends, values = shrink_factor_trace(chains)
+    assert np.array_equal(result.trace[0], ends)
+    assert np.array_equal(result.trace[1], values)
+    assert result.summaries == summarize(chains, r_hat=values[-1])
+    # The moments the trace combined travel with the chains, for the
+    # chain files' copies.
+    for got, want in zip(
+        result.chains, diagnostics._with_trace_moments(chains)
+    ):
+        for a, b in zip(got.trace_moments, want.trace_moments):
+            assert np.array_equal(a, b)
+
+
+def test_fit_of_one_chain_has_no_trace():
+    result = fit(centered_basic_dataset(), small_settings(chains=1))
+    assert result.trace is None
+    assert result.chains[0].trace_moments is None
+    assert all(math.isnan(s.r_hat) for s in result.summaries)
+    known = [dataclasses.replace(s, r_hat=0.0) for s in result.summaries]
+    assert known == [
+        dataclasses.replace(s, r_hat=0.0) for s in summarize(result.chains)
+    ]
+
+
+def test_fit_overrides_the_correlations_before_it_samples():
+    dataset = build_basic_dataset()
+    settings = small_settings(rho_y=0.3, rho_d=0.2, center=False)
+    with pytest.warns(UserWarning, match="uncentered"):
+        result = fit(dataset, settings)
+    assert result.centering is None
+    overridden = dataclasses.replace(dataset, base_rho_y=0.3, base_rho_d=0.2)
+    with pytest.warns(UserWarning, match="uncentered"):
+        chains = run_mcmc(overridden, small_config(), PriorSpec())
+    assert_same_chains(without_moments(result.chains), chains)
+
+
+@pytest.mark.parametrize(
+    "setting", [dict(chains=0), dict(seed=-1), dict(coeff_sd=0.0)]
+)
+def test_fit_rejects_a_bad_setting_before_it_samples(setting, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("fit sampled")
+
+    monkeypatch.setattr("featmeta.pipeline._sample", unreachable)
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        fit(centered_basic_dataset(), small_settings(**setting))
 
 
 def test_identical_seeds_bitwise_identical_draws():
@@ -1728,15 +1795,19 @@ def test_uncentered_fit_warns():
         run_mcmc(dataset, small_config(samples=20, adapt=20, burn_in=10))
 
 
-@pytest.mark.parametrize("entry", [sampler.sample_posterior, run_mcmc])
+@pytest.mark.parametrize("entry", [fit, run_mcmc])
 def test_warnings_name_the_line_that_called_the_sampler(entry):
     # Uncentered covariates, and a prior sd small enough that it alone
     # constrains the coefficients, raise both warnings.
     config = small_config(chains=1, samples=20, adapt=20, burn_in=10)
+    args = (config, PriorSpec(coeff_sd=0.1))
+    if entry is fit:
+        args = (FitSettings(**dataclasses.asdict(config), coeff_sd=0.1,
+                            center=False),)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         line = sys._getframe().f_lineno + 1
-        entry(build_basic_dataset(), config, PriorSpec(coeff_sd=0.1))
+        entry(build_basic_dataset(), *args)
     kinds = sorted(str(w.message).split()[0] for w in caught)
     assert kinds == ["fitting", "weakly"]
     assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
