@@ -10,6 +10,9 @@ per-chain seeds; ``fit --from-manifest`` replays it bit for bit.
 ``featmeta.pipeline.FitSettings`` is the one table of fit settings:
 each field's name, type and default serve the ``fit`` flags, the
 manifest's ``settings`` and the checks on a replayed manifest.
+``FitSettings`` and ``SimConfig`` check the ranges of their own fields;
+this module only checks each JSON value's kind and, when a record
+refuses a value, names the flag or the file's key it came from.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from .diagnostics import (
     write_summary_tsv,
 )
 from .pipeline import FitSettings, fit
-from .posterior import PriorSpec, SamplerError
-from .sampler import DEFENSIVE_WEIGHT, McmcConfig
+from .posterior import SamplerError
+from .sampler import DEFENSIVE_WEIGHT
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = ["main", "cmd_validate", "cmd_fit", "cmd_simulate", "cmd_diagnose"]
@@ -210,21 +213,17 @@ def _reading(path):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _range_error(name: str, value) -> str | None:
-    """Why the fit setting ``name`` cannot take ``value``, whatever the
-    other settings are, as a message that starts with ``name``; None
-    when it can."""
-    if name in ("rho_y", "rho_d"):
-        if value is not None and not 0.0 <= value < 1.0:
-            return f"{name} must lie in [0, 1)"
-        return None
-    for cls in (McmcConfig, PriorSpec):
-        if name in {field.name for field in fields(cls)}:
-            try:
-                cls(**{name: value})
-            except ValueError as e:
-                return str(e)
-    return None
+def _constructed(cls, values: dict, sources: dict[str, str]):
+    """``cls(**values)``. A ValueError whose message starts with a field
+    named in ``sources`` is raised as a usage error that names the
+    field's source, a flag or a file's key, in its place."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        name, _, rest = str(e).partition(" ")
+        if name not in sources:
+            raise
+        raise ConfigError(f"{sources[name]} {rest}") from e
 
 
 def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
@@ -269,22 +268,11 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
             data_path = manifest["data"]
     if data_path is None:
         raise ConfigError("fit needs --data (or --from-manifest)")
-    settings = FitSettings(**recorded, **explicit)
-    # Each value is checked on its own, so a message can name where the
-    # value came from; the defaults need no check.
     sources = {
         **{name: f"{args.from_manifest}: settings.{name}" for name in recorded},
         **{name: "--" + name.replace("_", "-") for name in explicit},
     }
-    for name, source in sources.items():
-        error = _range_error(name, getattr(settings, name))
-        if error is not None:
-            raise ConfigError(source + error.removeprefix(name))
-    if settings.chains >= 2 and settings.samples < 2:
-        raise ConfigError(
-            "R-hat of 2 or more chains requires >= 2 samples per chain; "
-            "add samples or run one chain"
-        )
+    settings = _constructed(FitSettings, {**recorded, **explicit}, sources)
     return data_path, settings
 
 
@@ -413,12 +401,6 @@ def _params_from_dict(raw) -> ParameterVector:
 
 
 def cmd_simulate(args) -> int:
-    # The flags are checked first, so a message names the flag, not the
-    # config file whose value it replaces.
-    if args.trials is not None and args.trials < 1:
-        raise ConfigError("--trials must be at least 1")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed must be non-negative")
     required = {f.name: None for f in fields(SimConfig) if f.default is MISSING}
     optional = {f.name: None for f in fields(SimConfig) if f.name not in required}
     raw = _load_json(args.config, "generator config", required, optional)
@@ -429,11 +411,15 @@ def cmd_simulate(args) -> int:
             SimConfig,
             {k: v for k, v in raw.items() if k not in ("schema", "params")},
         )
-        if args.trials is not None:
-            settings["n_trials"] = args.trials
-        if args.seed is not None:
-            settings["seed"] = args.seed
-        config = SimConfig(schema=schema, params=params, **settings)
+        # A flag's value replaces the file's, and a message names the flag.
+        flags = {}
+        for name, flag, value in (("n_trials", "--trials", args.trials),
+                                  ("seed", "--seed", args.seed)):
+            if value is not None:
+                settings[name], flags[name] = value, flag
+        config = _constructed(
+            SimConfig, dict(settings, schema=schema, params=params), flags
+        )
 
     dataset = simulate_dataset(config)
     violations = validate_dataset(dataset)

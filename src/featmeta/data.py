@@ -573,10 +573,11 @@ def _object(raw, path, required, optional=None, unknown="unknown keys"):
     return raw
 
 
-def _file_error(stream, message: str) -> DataFormatError:
-    """A format error naming the file ``stream`` reads, if it has a name."""
+def _file_error(stream, message: str, kind=DataFormatError) -> DataError:
+    """A data error of class ``kind`` naming the file ``stream`` reads,
+    if it has a name."""
     name = getattr(stream, "name", None)
-    return DataFormatError(message if name is None else f"{name}: {message}")
+    return kind(message if name is None else f"{name}: {message}")
 
 
 def read_json(stream: IO[str], what: str):
@@ -683,9 +684,10 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
     DataFormatError for an undecodable or structurally malformed
     document: a value of the wrong JSON type, a missing key or a key the
     format does not define, each named by its path (an optional key may
-    hold null); the message names the file when the source has a name.
-    Raises DataValidationError (naming the trial) when an invariant
-    fails. Pass ``validate=False`` to obtain the parsed dataset and run
+    hold null). Raises DataValidationError for a schema it cannot build,
+    naming the key, and, naming the trial, when an invariant fails. A
+    format or schema error names the file when the source has a name.
+    Pass ``validate=False`` to obtain the parsed dataset and run
     ``validate_dataset`` separately, e.g. to report every violation.
     """
     if hasattr(source, "read"):
@@ -698,8 +700,8 @@ def load_dataset(source: str | Path | IO[str], validate: bool = True) -> Dataset
         schema = schema_from_dict(raw["schema"])
         rho = _object(raw["correlations"], "correlations", _CORRELATIONS, {})
         trials = tuple(_parse_trial(t, i) for i, t in enumerate(raw["trials"]))
-    except DataFormatError as e:
-        raise _file_error(stream, str(e)) from e
+    except DataError as e:
+        raise _file_error(stream, str(e), type(e)) from e
     dataset = Dataset(schema, trials, float(rho["rho_y"]), float(rho["rho_d"]))
     if validate:
         violations = validate_dataset(dataset)

@@ -21,9 +21,11 @@ class FitSettings:
     """The settings of one fit, in the order of the manifest's ``settings``.
 
     Each field is a ``fit`` flag and a manifest setting of the annotated
-    type. The defaults are the paper's protocol, taken from
-    ``McmcConfig`` and ``PriorSpec``; ``rho_y`` and ``rho_d`` of None
-    keep the dataset's correlations.
+    type. The defaults are the paper's protocol, and the ranges are those
+    of ``McmcConfig`` and ``PriorSpec``, which ``mcmc`` and ``prior``
+    hold; ``rho_y`` and ``rho_d`` lie in [0, 1), None keeping the
+    dataset's correlation, and 2 or more chains need 2 or more samples.
+    A ValueError for a setting out of range starts with its name.
     """
 
     chains: int = McmcConfig.chains
@@ -37,6 +39,17 @@ class FitSettings:
     rho_y: float | None = None
     rho_d: float | None = None
     center: bool = True
+
+    def __post_init__(self):
+        for name, cls in (("mcmc", McmcConfig), ("prior", PriorSpec)):
+            record = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+            object.__setattr__(self, name, record)
+        for name, value in (("rho_y", self.rho_y), ("rho_d", self.rho_d)):
+            if value is not None and not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.chains >= 2 and self.samples < 2:
+            raise ValueError("samples must be at least 2 with 2 or more chains "
+                             "(R-hat requires >= 2 samples per chain)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +77,9 @@ def fit(dataset: Dataset, settings: FitSettings = FitSettings()) -> Fit:
     (``summarize_chains``).
 
     Warns, naming the line that called ``fit``, about uncentered
-    covariates and weakly identified coefficients. Raises ValueError
-    for a setting ``McmcConfig`` or ``PriorSpec`` rejects, and, once the
-    chains have run, for 2 or more chains of fewer than 2 samples each.
+    covariates and weakly identified coefficients. ``settings`` were
+    checked when they were constructed.
     """
-    config, prior = (
-        cls(**{field.name: getattr(settings, field.name) for field in fields(cls)})
-        for cls in (McmcConfig, PriorSpec)
-    )
     if settings.rho_y is not None:
         dataset = replace(dataset, base_rho_y=settings.rho_y)
     if settings.rho_d is not None:
@@ -79,6 +87,6 @@ def fit(dataset: Dataset, settings: FitSettings = FitSettings()) -> Fit:
     centering = None
     if settings.center:
         dataset, centering = center_covariates(dataset)
-    chains, preconditioner, weak, zeroed = _sample(dataset, config, prior)
+    chains, pre, weak, zeroed = _sample(dataset, settings.mcmc, settings.prior)
     chains, trace, summaries = summarize_chains(chains)
-    return Fit(chains, summaries, trace, preconditioner, weak, zeroed, centering)
+    return Fit(chains, summaries, trace, pre, weak, zeroed, centering)

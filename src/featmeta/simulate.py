@@ -82,7 +82,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValueError("n_trials must be at least 1")
         if not 0.0 <= self.control_fraction <= 1.0:
             raise ValueError("control_fraction must lie in [0, 1]")
         if self.max_coded_arms < 1:

@@ -279,8 +279,19 @@ def test_schema_size_beyond_the_bound_fails_validation(
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: schema.q: larger than 1000" in captured.err
+    assert f"error: {data}: schema.q: larger than 1000" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_schema_that_cannot_be_built_names_the_file(tmp_path, capsys):
+    doc = dataset_to_dict(build_basic_dataset())
+    doc["schema"]["n"] = -1
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(doc))
+    assert main(["validate", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: schema: covariate counts must be non-negative\n"
+    )
 
 
 @pytest.mark.parametrize(

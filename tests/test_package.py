@@ -149,6 +149,22 @@ def test_cli_knows_nothing_of_the_chain_file_layout():
     assert literals == []
 
 
+def test_cli_holds_no_range_rule_of_the_fit_settings():
+    # FitSettings checks its fields by constructing McmcConfig and
+    # PriorSpec; cli.py neither imports nor names them, so it cannot
+    # check those fields again.
+    path = Path(importlib.import_module("featmeta.cli").__file__)
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    assert named & {"McmcConfig", "PriorSpec"} == set()
+
+
 def test_only_the_data_module_decodes_json():
     # data.read_json is the one decoder of datasets, manifests and
     # generator configs; no other module calls json.load or json.loads.

@@ -998,7 +998,9 @@ def test_fit_overrides_the_correlations_before_it_samples():
 
 
 @pytest.mark.parametrize(
-    "setting", [dict(chains=0), dict(seed=-1), dict(coeff_sd=0.0)]
+    "setting",
+    [dict(chains=0), dict(seed=-1), dict(coeff_sd=0.0),
+     dict(chains=2, samples=1), dict(rho_y=1.5)],
 )
 def test_fit_rejects_a_bad_setting_before_it_samples(setting, monkeypatch):
     def unreachable(*args):

@@ -341,6 +341,11 @@ def test_config_rejects_non_finite_coefficients(at, value):
         )
 
 
+def test_config_rejects_zero_trials():
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        SimConfig(schema=sim_schema(), params=sim_params(tau=0.1), n_trials=0)
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SimConfig(
