@@ -6,12 +6,12 @@ chains have mixed into the same distribution. Summaries are computed on
 the draws pooled across chains: median, central 95% interval, and the
 posterior probabilities of lying strictly below / strictly above zero.
 
-The writers and the reader take file paths. A chain TSV gets a binary
-copy beside it (``.npz`` in place of the file's suffix) holding the
-draws, the SHA-256 of the TSV's bytes and, for a chain that carries
-them, the moments of its draws that the shrink-factor trace combines.
-The TSV is normative: the reader takes the draws and the moments from
-the copy only while that digest matches the TSV, and parses the TSV in
+The writers and the reader take file paths. A chain TSV is a text
+export; its record beside it (``.npz`` in place of the file's suffix)
+holds the draws, the parameter names, the TSV's size in bytes and, for
+a chain that carries them, the moments of its draws that the
+shrink-factor trace combines. The reader returns an intact record that
+names its parameters without opening the TSV, and parses the TSV in
 every other case; moments it cannot take are computed from the draws.
 
 Only ``write_chain_files`` and ``read_chain_files`` know where a run
@@ -20,9 +20,9 @@ directory's chain files lie: they name, write, find and check them.
 
 from __future__ import annotations
 
-import io
 import math
 import re
+import warnings
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -50,8 +50,6 @@ TRACE_POINTS = 20
 CHAINS_DIR = "chains"  # the folder of a run directory's chain files
 # Rows formatted per write in write_chain_tsv.
 _BLOCK_ROWS = 1024
-# Bytes of a chain TSV hashed per read.
-_HASH_BYTES = 1 << 16
 # Largest (params, chains, draws) stack built to compute shrink factors;
 # the buffer for its deviations is as large again.
 _STACK_BYTES = 2**19
@@ -101,7 +99,7 @@ def shrink_factor_trace(
 
     Each chain's prefix moments depend on that chain alone. A chain
     whose ``trace_moments`` hold exactly these iterations (``fit``'s
-    chains, and chains read from an intact copy, at the default
+    chains, and chains read from an intact record, at the default
     ``n_points``) supplies them; those of the other chains are computed
     from their draws. Both routes give the same values bit for bit.
     Raises ValueError naming a chain with no draws or whose parameter
@@ -347,78 +345,67 @@ def summarize_chains(
 
 
 def read_chain_tsv(path: str | Path, chain_index: int = 0) -> ChainOutput:
-    """Read a chain TSV back into a ChainOutput.
+    """Read a chain back into a ChainOutput, from its record if it can.
 
     Only the draws and parameter names survive the round trip; every
     statistic of the run comes back unknown (``ChainOutput``'s
-    defaults). Every row is parsed, with ``np.loadtxt``'s syntax; blank
-    lines hold no row. Raises ValueError when the header does not start
-    with ``iteration``, a row has the wrong number of fields or a field
-    is not a number (naming the file line, the header being line 1), or
-    the iteration column is not 1..n.
+    defaults).
 
-    The draws come from the binary copy that ``write_chain_tsv`` put
-    beside the file, without parsing, when the copy is intact, holds the
-    SHA-256 of the file's present bytes and one column per parameter of
-    its header. They are the draws parsing would give, bit for bit. The
-    record then carries the copy's trace moments too, when it holds
-    them as int64 ends and float64 (ends, parameters) arrays; otherwise
-    ``trace_moments`` is None, and the trace computes them.
+    The record that ``write_chain_tsv`` put beside the TSV is returned,
+    without opening the TSV, when it is intact (zip's CRC-32 of each
+    member), loads without unpickling and holds float64 draws with one
+    column per parameter it names: the draws and names that parsing the
+    TSV as written gives, bit for bit. It carries its trace moments too
+    when they are int64 ends and float64 (ends, parameters) arrays;
+    otherwise ``trace_moments`` is None, and the trace computes them.
+    When the TSV's size on disk is not the one recorded, a one-line
+    warning names both files, and the record is still returned; deleting
+    the record has the TSV read.
+
+    In every other case (no record, a damaged one, or one written before
+    records named their parameters) the TSV is parsed, every row, with
+    ``np.loadtxt``'s syntax; blank lines hold no row. Raises ValueError
+    when the header does not start with ``iteration``, a row has the
+    wrong number of fields or a field is not a number (naming the file
+    line, the header being line 1), or the iteration column is not 1..n.
     """
-    stored = _read_copy(Path(path))
-    if stored is not None:
-        draws, names, moments = stored
-        return ChainOutput(chain_index, draws, names, trace_moments=moments)
-    with open(path, encoding="utf-8") as stream:
-        return _read_chain(stream, chain_index)
+    path = Path(path)
+    record = _read_record(path)
+    if record is None:
+        with open(path, encoding="utf-8") as stream:
+            return _read_chain(stream, chain_index)
+    draws, names, moments, size = record
+    if path.stat().st_size != size:
+        npz = _record_path(path)
+        warnings.warn(f"{path} is not the size recorded in {npz}, whose "
+                      f"draws are read; delete {npz} to have {path} read",
+                      stacklevel=2)
+    return ChainOutput(chain_index, draws, names, trace_moments=moments)
 
 
-def _copy_path(path: Path) -> Path | None:
-    """Where the binary copy of the chain TSV at ``path`` lives; None for
-    a file whose copy would be the file itself."""
-    copy = path.with_suffix(".npz")
-    return None if copy == path else copy
+def _record_path(path: Path) -> Path | None:
+    """Where the record of the chain TSV at ``path`` lives; None for a
+    file whose record would be the file itself."""
+    npz = path.with_suffix(".npz")
+    return None if npz == path else npz
 
 
-def _sha256(stream: IO[bytes], start: bytes = b"") -> bytes:
-    """SHA-256 of ``start`` followed by the rest of ``stream``."""
-    # Imported here, since every command imports this module: loading
-    # hashlib's OpenSSL library takes about 5 ms.
-    import hashlib
-
-    digest = hashlib.sha256(start)
-    while block := stream.read(_HASH_BYTES):
-        digest.update(block)
-    return digest.digest()
-
-
-def _read_copy(
+def _read_record(
     path: Path,
-) -> tuple[np.ndarray, tuple[str, ...], tuple | None] | None:
-    """The draws, parameter names and trace moments (None when the copy
-    holds none of the right shapes and types) of the chain TSV at
-    ``path`` from its binary copy; None when there is no copy to
-    trust."""
-    copy = _copy_path(path)
-    if copy is None or not copy.is_file():
+) -> tuple[np.ndarray, tuple[str, ...], tuple | None, int] | None:
+    """The draws, parameter names, trace moments (None when the record
+    holds none of the right shapes and types) and TSV size in bytes that
+    the record of the chain TSV at ``path`` holds; None when there is no
+    record to trust."""
+    npz = _record_path(path)
+    if npz is None or not npz.is_file():
         return None
     try:
-        # One pass over the bytes: the first line is the header, and the
-        # digest continues from it.
-        with open(path, "rb") as stream:
-            first = stream.readline()
-            digest = _sha256(stream, first)
-        # Decoded as reading the file as text would: the same encoding,
-        # and the line ends at its first "\r" or "\n".
-        with io.TextIOWrapper(io.BytesIO(first), encoding="utf-8") as text:
-            names = _header_names(text.readline())
-    except (OSError, ValueError):
-        return None  # parsing reports the fault
-    try:
-        with zipfile.ZipFile(copy) as archive:
-            if _member(archive, "sha256.npy").tobytes() != digest:
-                return None
-            draws = _member(archive, "draws.npy")
+        with zipfile.ZipFile(npz) as archive:
+            draws, names, size = (
+                _member(archive, f"{name}.npy")
+                for name in ("draws", "names", "tsv_bytes")
+            )
             moments = None
             if "trace_ends.npy" in archive.namelist():
                 moments = tuple(
@@ -429,20 +416,25 @@ def _read_copy(
         # A truncated archive, or one with a byte flipped, raises
         # BadZipFile, KeyError, EOFError, ValueError, NotImplementedError
         # (a compression method) or RuntimeError (an encryption flag),
-        # among others. The TSV is parsed instead.
+        # among others; a record that names no parameters, KeyError. The
+        # TSV is parsed instead.
         return None
-    if draws.dtype != np.float64 or draws.shape[1:] != (len(names),):
+    if not (
+        names.dtype.kind == "U" and names.ndim == 1
+        and draws.dtype == np.float64 and draws.shape[1:] == names.shape
+        and size.dtype == np.int64 and size.ndim == 0
+    ):
         return None
     if moments is not None:
         ends, means, squares = moments
-        rows = (ends.size, len(names))
+        rows = (ends.size, names.size)
         if not (
             ends.dtype == np.int64 and ends.ndim == 1
             and means.dtype == squares.dtype == np.float64
             and means.shape == squares.shape == rows
         ):
             moments = None  # computed from the draws instead
-    return np.ascontiguousarray(draws), names, moments
+    return np.ascontiguousarray(draws), tuple(names.tolist()), moments, int(size)
 
 
 def _member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -544,34 +536,26 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
     and 0.0, or NaNs with different payloads, differ) reuses that row's
     formatted values, so each distinct row is formatted once.
 
-    The draws are also saved beside the file, with the SHA-256 of the
-    bytes written, for ``read_chain_tsv``; the path of that copy is
-    returned, or None for a file named with the copy's suffix, which
-    gets no copy. Every NaN is saved as the NaN that parsing "nan"
-    gives. The chain's ``trace_moments``, if any, are saved as
-    ``trace_ends``, ``trace_means`` and ``trace_squares``, unless a draw
-    is NaN: the saved draws could then have other moments.
+    The chain's record is saved beside the file for ``read_chain_tsv``:
+    ``draws``, with every NaN as the NaN that parsing "nan" gives;
+    ``names``, the parameter names, unless the header cannot hold them
+    as given (a tab or a line end) or a unicode array cannot (a trailing
+    NUL), since parsing must then decide them; ``tsv_bytes``, the file's
+    size; and the chain's ``trace_moments``, if any, as ``trace_ends``,
+    ``trace_means`` and ``trace_squares``, unless a draw is NaN: the
+    saved draws could then have other moments. The record's path is
+    returned, or None for a file named with the record's suffix, which
+    gets no record.
     """
     draws = np.asarray(chain.draws, dtype=float)
+    names = tuple(chain.parameter_names)
     n, k = draws.shape
     bits = draws.view(np.int64)
     repeats = np.zeros(n, dtype=bool)
     repeats[1:] = np.all(bits[1:] == bits[:-1], axis=1)
     values = "\t%r" * k + "\n"
-    # Imported here, as in _sha256.
-    import hashlib
-
-    digest = hashlib.sha256()
     with open(path, "wb") as stream:
-
-        def write(text: str) -> None:
-            # The digest of the bytes as they are written, so the file is
-            # never read back.
-            data = text.encode("utf-8")
-            digest.update(data)
-            stream.write(data)
-
-        write("\t".join(("iteration",) + tuple(chain.parameter_names)) + "\n")
+        stream.write(("\t".join(("iteration",) + names) + "\n").encode("utf-8"))
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
             fresh = ~repeats[start:stop]
@@ -584,25 +568,24 @@ def write_chain_tsv(chain: ChainOutput, path: str | Path) -> Path | None:
             cells = [None] * (2 * (stop - start))
             cells[0::2] = range(start + 1, stop + 1)
             cells[1::2] = [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
-            write("%d%s\n" * (stop - start) % tuple(cells))
-    copy = _copy_path(Path(path))
-    if copy is None:
+            stream.write(("%d%s\n" * (stop - start) % tuple(cells)).encode("utf-8"))
+        size = stream.tell()
+    npz = _record_path(Path(path))
+    if npz is None:
         return None
     moments = chain.trace_moments
     nan = np.isnan(draws)
     if nan.any():
         # The moments of the draws as saved could differ in NaN bits.
         draws, moments = np.where(nan, math.nan, draws), None
-    trace = {}
+    record = dict(draws=draws, tsv_bytes=np.int64(size))
+    labels = np.array(names, dtype=str)
+    if labels.tolist() == list(names) and not re.search("[\t\r\n]", "".join(names)):
+        record["names"] = labels
     if moments is not None:
-        trace = dict(zip(("trace_ends", "trace_means", "trace_squares"), moments))
-    np.savez(
-        copy,
-        draws=draws,
-        sha256=np.frombuffer(digest.digest(), dtype=np.uint8),
-        **trace,
-    )
-    return copy
+        record.update(zip(("trace_ends", "trace_means", "trace_squares"), moments))
+    np.savez(npz, **record)
+    return npz
 
 
 def write_rhat_trace_tsv(
@@ -627,9 +610,9 @@ def write_chain_files(
     run_dir: str | Path, chains: Sequence[ChainOutput]
 ) -> list[tuple[ChainOutput, tuple[str, ...]]]:
     """Write each chain's TSV, ``chains/chain_<chain_index + 1>.tsv`` in
-    ``run_dir``, and its copy, after giving 2 or more chains their trace
+    ``run_dir``, and its record, after giving 2 or more chains their trace
     moments (``_with_trace_moments``); delete every other chain file
-    there. Returns each chain as written with its TSV and copy (POSIX,
+    there. Returns each chain as written with its TSV and record (POSIX,
     run-relative)."""
     folder = Path(run_dir, CHAINS_DIR)
     folder.mkdir(parents=True, exist_ok=True)
@@ -652,7 +635,7 @@ def read_chain_files(
 ) -> list[tuple[ChainOutput, tuple[str, ...]]]:
     """Every ``chains/chain_<k>.tsv`` of ``run_dir`` read back, indexed
     from 0 in the order of k, each with its files held: the TSV, then its
-    copy if any. Raises ValueError naming the path at fault for another
+    record if any. Raises ValueError naming the path at fault for another
     ``chain_*.tsv`` name, no chain file, a file that cannot be read, fewer
     draws than fit writes (2 each of 2 or more chains, else 1), a header
     unlike the first file's, or unequal lengths."""
@@ -677,7 +660,7 @@ def read_chain_files(
                              f"needs at least {needed}")
         if read and chain.parameter_names != read[0][0].parameter_names:
             raise ValueError(f"{path}: header differs from that of {paths[0]}")
-        files = [f for f in (path, _copy_path(path)) if f.is_file()]
+        files = [f for f in (path, _record_path(path)) if f.is_file()]
         read.append((chain, tuple(f"{CHAINS_DIR}/{f.name}" for f in files)))
     lengths = {chain.n_samples for chain, _ in read}
     if len(lengths) > 1:

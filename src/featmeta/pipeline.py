@@ -4,6 +4,7 @@ pipeline of the ``fit`` command and the recovery study, without files.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -15,6 +16,12 @@ from .sampler import McmcConfig, _sample
 
 __all__ = ["FitSettings", "Fit", "fit"]
 
+# The values a setting of each annotation takes, and their description;
+# a bool, though an int to Python, is only a bool setting's value.
+_KINDS = {"int": (numbers.Integral, "an integer"), "bool": (bool, "True or False"),
+          "float": (numbers.Real, "a number"),
+          "float | None": ((numbers.Real, type(None)), "a number or None")}
+
 
 @dataclass(frozen=True)
 class FitSettings:
@@ -25,7 +32,8 @@ class FitSettings:
     of ``McmcConfig`` and ``PriorSpec``, which ``mcmc`` and ``prior``
     hold; ``rho_y`` and ``rho_d`` lie in [0, 1), None keeping the
     dataset's correlation, and 2 or more chains need 2 or more samples.
-    A ValueError for a setting out of range starts with its name.
+    A ValueError for a setting of another type (a bool is not an int)
+    or out of range starts with its name.
     """
 
     chains: int = McmcConfig.chains
@@ -41,6 +49,11 @@ class FitSettings:
     center: bool = True
 
     def __post_init__(self):
+        for field in fields(self):
+            kind, words = _KINDS[field.type]
+            value = getattr(self, field.name)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{field.name} must be {words}")
         for name, cls in (("mcmc", McmcConfig), ("prior", PriorSpec)):
             record = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
             object.__setattr__(self, name, record)

@@ -129,7 +129,7 @@ class ChainOutput:
     per end, the mean and the sum of squared deviations of each
     parameter over the chain's first ``end`` draws, as (ends,
     n_parameters) arrays. ``fit`` computes them once per chain and
-    saves them with the chain's binary copy. Raises ValueError unless
+    saves them in the chain's record. Raises ValueError unless
     the draws are 2-D with one column per name, and the moments, if
     any, hold one row per end and one column per name.
     """

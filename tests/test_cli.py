@@ -1376,10 +1376,21 @@ def _delete_one_copy(out):
 
 
 def _copies_without_moments(out):
-    # The layout of copies written before they held trace moments.
+    # Copies that hold no trace moments: computed from their draws.
     for copy in (out / "chains").glob("*.npz"):
         with np.load(copy, allow_pickle=False) as stored:
-            np.savez(copy, draws=stored["draws"], sha256=stored["sha256"])
+            np.savez(copy, **{name: stored[name]
+                              for name in ("draws", "names", "tsv_bytes")})
+
+
+def _copies_of_the_digest_layout(out):
+    # Copies as written before they named their parameters, with the
+    # TSV's SHA-256 in place of names and size: the TSVs are parsed.
+    for copy in (out / "chains").glob("*.npz"):
+        with np.load(copy, allow_pickle=False) as stored:
+            members = {name: stored[name] for name in stored.files
+                       if name not in ("names", "tsv_bytes")}
+        np.savez(copy, sha256=np.zeros(32, dtype=np.uint8), **members)
 
 
 def _moments_of_other_ends(out):
@@ -1400,6 +1411,7 @@ def _moments_of_other_ends(out):
     _flip_copy_byte,
     _delete_one_copy,  # one chain parsed, the other from its copy
     _copies_without_moments,
+    _copies_of_the_digest_layout,
     _moments_of_other_ends,
 ])
 def test_diagnose_writes_the_same_bytes_whatever_the_state_of_the_copies(
@@ -1419,21 +1431,36 @@ def test_diagnose_writes_the_same_bytes_whatever_the_state_of_the_copies(
         assert (out / name).read_bytes() == data
 
 
-def test_diagnose_reads_a_chain_file_changed_after_the_fit(
-    data_file, tmp_path
+def test_diagnose_of_an_edited_chain_tsv_warns_and_reads_its_copy(
+    data_file, tmp_path, capsys
 ):
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0
     written = (out / "summary.tsv").read_bytes()
+    tsv, copy = out / "chains" / "chain_1.tsv", out / "chains" / "chain_1.npz"
 
     def set_alpha(line):
         cells = line.split("\t")
         cells[1] = "100.0"
         return "\t".join(cells)
 
-    _edit_line(out / "chains" / "chain_1.tsv", 5, set_alpha)
+    _edit_line(tsv, 5, set_alpha)
+    diagnose = subprocess.run(
+        [sys.executable, "-m", "featmeta", "diagnose", "--run", str(out)],
+        capture_output=True, text=True,
+    )
+    assert diagnose.returncode == 0, diagnose.stderr
+    assert diagnose.stderr == (
+        f"warning: {tsv} is not the size recorded in {copy}, whose draws "
+        f"are read; delete {copy} to have {tsv} read\n"
+    )
+    assert (out / "summary.tsv").read_bytes() == written
 
+    # Deleting the copy has the edited TSV read.
+    copy.unlink()
+    capsys.readouterr()
     assert main(["diagnose", "--run", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     edited = (out / "summary.tsv").read_bytes()
     assert edited != written
     _delete_copies(out)
@@ -1593,6 +1620,7 @@ def test_diagnose_malformed_chain_file_is_usage_error(
     assert main(fast_fit_args(data_file, out)) == 0
     name, corrupt, message = MALFORMED_CHAIN_FILES[case]
     path = out / "chains" / name
+    _delete_copies(out)  # else each chain is read from its copy, unparsed
     corrupt(path)
     capsys.readouterr()
 
@@ -1619,6 +1647,7 @@ def test_diagnose_rejects_chain_files_whose_headers_disagree(
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0
     written = (out / "summary.tsv").read_bytes()
+    _delete_copies(out)  # else each chain is read from its copy, unparsed
     _edit_line(out / "chains" / "chain_2.tsv", 0,
                lambda ln: ln.replace("alpha", "intercept"))
     capsys.readouterr()
@@ -1633,6 +1662,7 @@ def test_diagnose_rejects_an_iteration_column_other_than_1_to_n(
 ):
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0
+    _delete_copies(out)  # else each chain is read from its copy, unparsed
     _edit_line(out / "chains" / "chain_2.tsv", 3,
                lambda ln: "7" + ln[ln.index("\t"):])
     capsys.readouterr()
@@ -1649,6 +1679,7 @@ def test_diagnose_of_an_infinite_draw_prints_no_warning(data_file, tmp_path):
     # interpreter's default warning filters let through).
     out = tmp_path / "run"
     assert main(fast_fit_args(data_file, out)) == 0
+    _delete_copies(out)  # else each chain is read from its copy, unparsed
     _edit_line(out / "chains" / "chain_2.tsv", 5,
                lambda ln: ln.rsplit("\t", 1)[0] + "\tinf\n")
 

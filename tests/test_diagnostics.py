@@ -3,9 +3,12 @@
 import io
 import itertools
 import math
+import re
+import shutil
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from featmeta import (
     write_summary_tsv,
 )
 from featmeta import diagnostics
+from featmeta.cli import main
 from featmeta.diagnostics import SUMMARY_COLUMNS
 
 from reference import effective_sample_size, gelman_rubin, mcse_mean
@@ -1007,27 +1011,38 @@ def assert_same_moments(got, want):
         assert same_bits(a, b)
 
 
+def stored_members(copy):
+    with np.load(copy, allow_pickle=False) as stored:
+        return {name: stored[name] for name in stored.files}
+
+
+def no_parsing(*args):
+    raise AssertionError("the TSV was parsed")
+
+
 def test_chain_copy_keeps_the_trace_moments(tmp_path, monkeypatch):
     chain = moments_chain()
     path = tmp_path / "chain_1.tsv"
     copy = write_chain_tsv(chain, path)
-    with np.load(copy, allow_pickle=False) as stored:
-        assert sorted(stored.files) == [
-            "draws", "sha256", "trace_ends", "trace_means", "trace_squares",
-        ]
+    members = stored_members(copy)
+    assert sorted(members) == [
+        "draws", "names", "trace_ends", "trace_means", "trace_squares",
+        "tsv_bytes",
+    ]
+    assert members["names"].tolist() == ["alpha", "beta_1", "tau"]
+    assert members["tsv_bytes"].dtype == np.int64
+    assert members["tsv_bytes"] == path.stat().st_size
     with monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+        patch.setattr(diagnostics, "_read_chain", no_parsing)
         back = read_chain_tsv(path)
     assert_same_chain(back, parsed(path))
     assert_same_moments(back.trace_moments, chain.trace_moments)
 
-    # A copy of the earlier layout, draws and digest alone: the draws are
-    # still read from it, and the moments computed.
-    with np.load(copy, allow_pickle=False) as stored:
-        np.savez(copy, draws=stored["draws"], sha256=stored["sha256"])
-    with monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_read_chain", None)
-        back = read_chain_tsv(path)
+    # A copy of the earlier layout, which held the TSV's SHA-256 and no
+    # names: the TSV is parsed, and the moments computed.
+    del members["names"], members["tsv_bytes"]
+    np.savez(copy, sha256=np.zeros(32, dtype=np.uint8), **members)
+    back = read_chain_tsv(path)
     assert_same_chain(back, parsed(path))
     assert back.trace_moments is None
 
@@ -1040,8 +1055,8 @@ def test_chain_copy_of_draws_with_a_nan_holds_no_trace_moments(tmp_path):
     (chain,) = with_trace_moments([make_chain(draws)])
     assert chain.trace_moments is not None
     path = tmp_path / "chain_1.tsv"
-    with np.load(write_chain_tsv(chain, path), allow_pickle=False) as stored:
-        assert sorted(stored.files) == ["draws", "sha256"]
+    copy = write_chain_tsv(chain, path)
+    assert sorted(stored_members(copy)) == ["draws", "names", "tsv_bytes"]
     assert read_chain_tsv(path).trace_moments is None
 
 
@@ -1065,25 +1080,37 @@ def test_chain_copy_gives_the_parsed_draws_bit_for_bit(tmp_path, monkeypatch):
     assert_same_chain(read_chain_tsv(path), want)
 
 
-def test_chain_copy_is_read_past_a_header_longer_than_a_hash_block(
-    tmp_path, monkeypatch
-):
-    names = tuple(f"p{j}_" + "x" * 5000 for j in range(3))
+def test_chain_copy_names_long_and_non_ascii_parameters(tmp_path, monkeypatch):
+    # The size recorded is the TSV's in bytes, not in characters.
+    names = ("α_" + "x" * 5000, "β_1", "τ")
     chain = make_chain(odd_values_chain().draws, names=names)
     path = tmp_path / "chain_1.tsv"
-    monkeypatch.setattr(diagnostics, "_HASH_BYTES", 64)
     write_chain_tsv(chain, path)
-    assert len(path.read_text().splitlines()[0]) > 200 * 64
     want = parsed(path)
-    with monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+    assert want.parameter_names == names
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(diagnostics, "_read_chain", no_parsing)
         assert_same_chain(read_chain_tsv(path), want)
 
-    # A header changed after the fit changes the digest: the TSV is parsed.
-    path.write_text(path.read_text().replace("p1_", "q1_", 1))
-    back = read_chain_tsv(path)
-    assert back.parameter_names[1].startswith("q1_")
-    assert_same_chain(back, parsed(path))
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "a\r\n", "a\x00"])
+def test_chain_copy_leaves_names_the_header_cannot_hold_to_parsing(
+    name, tmp_path
+):
+    # A tab or a line end in a name changes the header as parsed, and a
+    # unicode array drops a trailing NUL, so the copy names nothing and
+    # the reader gives what parsing gives.
+    path = tmp_path / "chain_1.tsv"
+    chain = make_chain(odd_values_chain().draws[:, :2], names=("alpha", name))
+    assert "names" not in stored_members(write_chain_tsv(chain, path))
+    try:
+        want = parsed(path)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            read_chain_tsv(path)
+    else:
+        assert_same_chain(read_chain_tsv(path), want)
 
 
 def test_chain_copy_is_not_written_onto_the_tsv(tmp_path):
@@ -1094,28 +1121,50 @@ def test_chain_copy_is_not_written_onto_the_tsv(tmp_path):
     )
 
 
-def test_chain_copy_of_a_changed_tsv_is_ignored(tmp_path):
+def test_an_edited_tsv_beside_an_intact_copy_gives_the_copys_draws(tmp_path):
     path = tmp_path / "chain_1.tsv"
     for chain in (moments_chain(), odd_values_chain()):
-        write_chain_tsv(chain, path)
+        copy = write_chain_tsv(chain, path)
+        want = parsed(path)
+        # An edit that keeps the size goes unseen: the copy is read.
+        path.write_text(path.read_text().replace("beta_1", "beta_2", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_chain(read_chain_tsv(path), want)
+
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = "1\t0.25\t0.5\t0.75\n"
         path.write_text("".join(lines))
+        with pytest.warns(UserWarning) as caught:
+            back = read_chain_tsv(path)
+        assert [str(w.message) for w in caught] == [
+            f"{path} is not the size recorded in {copy}, whose draws are "
+            f"read; delete {copy} to have {path} read"
+        ]
+        assert_same_chain(back, want)
+        if chain.trace_moments is not None:
+            assert_same_moments(back.trace_moments, chain.trace_moments)
+
+        # Deleting the copy has the edited TSV read.
+        copy.unlink()
         back = read_chain_tsv(path)
+        assert back.parameter_names == ("alpha", "beta_2", "tau")
         assert back.draws[0].tolist() == [0.25, 0.5, 0.75]
         assert_same_chain(back, parsed(path))
-        assert back.trace_moments is None
 
-    path.write_text("".join(lines[:1] + lines[2:]))
-    with pytest.raises(ValueError, match="not 1..8: line 2 holds 2"):
+    # A copy whose TSV is gone: the TSV's absence is the error.
+    write_chain_tsv(odd_values_chain(), path)
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
         read_chain_tsv(path)
 
 
 def test_chain_copy_with_any_byte_flipped_or_cut_off_leaves_the_tsv_parsed(
     tmp_path,
 ):
-    # Whatever the damage, the draws are those parsing gives, and the
-    # trace moments are either the chain's own or computed again.
+    # Whatever the damage, the draws are those parsing gives, with no
+    # warning, and the trace moments are either the chain's own or
+    # computed again.
     path = tmp_path / "chain_1.tsv"
     for chain in (odd_values_chain(), moments_chain()):
         copy = write_chain_tsv(chain, path)
@@ -1128,7 +1177,9 @@ def test_chain_copy_with_any_byte_flipped_or_cut_off_leaves_the_tsv_parsed(
             damaged.append(bytes(flipped))
         for data in damaged:
             copy.write_bytes(data)
-            back = read_chain_tsv(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                back = read_chain_tsv(path)
             assert_same_chain(back, want)
             if back.trace_moments is not None:
                 assert_same_moments(back.trace_moments, chain.trace_moments)
@@ -1139,14 +1190,30 @@ def test_chain_copy_of_the_wrong_shape_or_type_is_ignored(tmp_path, monkeypatch)
     chain = moments_chain()
     copy = write_chain_tsv(chain, path)
     want = parsed(path)
-    with np.load(copy, allow_pickle=False) as stored:
-        members = {name: stored[name] for name in stored.files}
-    for draws in (
-        chain.draws[:, :2], chain.draws.ravel(), chain.draws.view(np.int64),
-        chain.draws[None],
+    members = stored_members(copy)
+    names, size = members["names"], members["tsv_bytes"]
+    for name, value in (
+        ("draws", chain.draws[:, :2]),
+        ("draws", chain.draws.ravel()),
+        ("draws", chain.draws.view(np.int64)),
+        ("draws", chain.draws[None]),
+        ("names", names[:2]),
+        ("names", names[None]),
+        ("names", names.astype(bytes)),
+        ("tsv_bytes", size.astype(float)),
+        ("tsv_bytes", size.astype(np.int32)),
+        ("tsv_bytes", size[None]),
     ):
-        np.savez(copy, draws=draws, sha256=members["sha256"])
-        assert_same_chain(read_chain_tsv(path), want)
+        np.savez(copy, **dict(members, **{name: value}))
+        back = read_chain_tsv(path)
+        assert_same_chain(back, want)
+        assert back.trace_moments is None, name  # parsed
+    # A copy that lacks the draws, the names or the size is not read.
+    for name in ("draws", "names", "tsv_bytes"):
+        np.savez(copy, **{k: v for k, v in members.items() if k != name})
+        back = read_chain_tsv(path)
+        assert_same_chain(back, want)
+        assert back.trace_moments is None, name
     # Trace moments of the wrong shape or type are computed again, from
     # the draws of the copy.
     ends, means, squares = chain.trace_moments
@@ -1163,7 +1230,7 @@ def test_chain_copy_of_the_wrong_shape_or_type_is_ignored(tmp_path, monkeypatch)
     ):
         np.savez(copy, **dict(members, **{name: value}))
         with monkeypatch.context() as patch:
-            patch.setattr(diagnostics, "_read_chain", None)  # no parsing
+            patch.setattr(diagnostics, "_read_chain", no_parsing)
             back = read_chain_tsv(path)
         assert_same_chain(back, want)
         assert back.trace_moments is None, name
@@ -1186,13 +1253,48 @@ class _Trap:
 def test_chain_copy_is_loaded_without_unpickling(tmp_path):
     path = tmp_path / "chain_1.tsv"
     copy = write_chain_tsv(odd_values_chain(), path)
-    with np.load(copy, allow_pickle=False) as stored:
-        digest = stored["sha256"]
-    draws = np.empty((9, 3), dtype=object)
-    draws[...] = _Trap()
-    np.savez(copy, draws=draws, sha256=digest)
-    assert_same_chain(read_chain_tsv(path), parsed(path))
+    members = stored_members(copy)
+    traps = np.empty((9, 3), dtype=object)
+    traps[...] = _Trap()
+    for name, value in (("draws", traps), ("names", traps[0])):
+        np.savez(copy, **dict(members, **{name: value}))
+        assert_same_chain(read_chain_tsv(path), parsed(path))
     assert _unpickled == []
+
+
+# A run directory that `featmeta fit --chains 2 --adapt 200 --burn-in 200
+# --samples 40 --seed 3` wrote on a 20-trial simulated dataset before
+# chain records named their parameters: each chain_<k>.npz holds the
+# draws, the trace moments and the SHA-256 of its TSV. The manifest's
+# absolute data path was replaced with "data.json".
+RUN_BEFORE_NAMED_RECORDS = Path(__file__).parent / "data" / "run_before_named_records"
+
+
+def test_diagnose_of_a_run_written_before_named_records_keeps_every_byte(
+    tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "run"
+    shutil.copytree(RUN_BEFORE_NAMED_RECORDS, out)
+    assert "sha256" in stored_members(out / "chains" / "chain_1.npz")
+    parses = []
+    parse = diagnostics._read_chain
+
+    def counted(stream, index):
+        parses.append(index)
+        return parse(stream, index)
+
+    monkeypatch.setattr(diagnostics, "_read_chain", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--run", str(out)]) == 0
+    capsys.readouterr()
+    assert parses == [0, 1]
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert files(out) == files(RUN_BEFORE_NAMED_RECORDS)
 
 
 def test_chain_files_of_a_smaller_run_replace_those_of_a_larger(tmp_path):

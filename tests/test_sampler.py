@@ -527,13 +527,13 @@ def test_benchmark_inputs_keep_every_byte(tmp_path, workload, index):
 # `data` path. A change that alters the draws must update them and say
 # so in CHANGES.md.
 RUN_DIGESTS = {
-    "chains/chain_1.npz": "dc95e3fafb4491b0c661ad3e4b81f390c7539717440e46e90c36463b6438c510",
+    "chains/chain_1.npz": "607f9f9255286aa0bcda467e877f5aa3a9df9c393fcb763686835d7aba78f74f",
     "chains/chain_1.tsv": "b71009f5f4f151dba41194a7e5e716e4324058d0913dc6d47c0474978302c028",
-    "chains/chain_2.npz": "080273c9e82472584832d6ec98df0c5619ce5a29568f53b325c8a1cd33b8ec38",
+    "chains/chain_2.npz": "ce1c90419dc76ee53254fe6ab44c91c48606c5f78253fd3bf43a91681174ae94",
     "chains/chain_2.tsv": "a5517df3690f686f0d0423c3356a64351d60e8c7ebdac3f5cf8da903a9d82d03",
-    "chains/chain_3.npz": "1641ab742b25a8d1b396c953826d2eb9e16d8f7e2cedb7be4332eeb82b4d2ec0",
+    "chains/chain_3.npz": "fc77a48fedfa7012599655dac5a971231fad387eb1775d4d0034d95951c8d9d7",
     "chains/chain_3.tsv": "dc9c72e3145ba08544951973a991f8d3b376e990fce36566e7c9cbd87b5483df",
-    "chains/chain_4.npz": "459773ccc298a5d47e9d197928e0e7aebf9fa3e46ad25f1aa551497762aff77e",
+    "chains/chain_4.npz": "3f0dfe8fabb28c32a898d07f96ed3cec0f425158342c426eda51b955b49d08ee",
     "chains/chain_4.tsv": "0407bd0dbf5bfe92a06a628ebef2287109f8cc8cb52a4c3c380a56a94d8ca2d8",
     "manifest.json": "901464b99d7398857fdb7c3ed28ded02f33cc19800189bb7d30f25782488c757",
     "rhat_trace.tsv": "f7db5b1e4d6fc312feb24a9685329ef061a7bf4690098728b74f6c4d70d9cb51",
@@ -1000,7 +1000,8 @@ def test_fit_overrides_the_correlations_before_it_samples():
 @pytest.mark.parametrize(
     "setting",
     [dict(chains=0), dict(seed=-1), dict(coeff_sd=0.0),
-     dict(chains=2, samples=1), dict(rho_y=1.5)],
+     dict(chains=2, samples=1), dict(rho_y=1.5), dict(chains=2.5),
+     dict(center="no"), dict(samples="3"), dict(seed=True)],
 )
 def test_fit_rejects_a_bad_setting_before_it_samples(setting, monkeypatch):
     def unreachable(*args):
