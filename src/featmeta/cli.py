@@ -10,8 +10,9 @@ per-chain seeds; ``fit --from-manifest`` replays it bit for bit.
 ``featmeta.pipeline.FitSettings`` is the one table of fit settings:
 each field's name, type and default serve the ``fit`` flags, the
 manifest's ``settings`` and the checks on a replayed manifest.
-``FitSettings`` and ``SimConfig`` check the ranges of their own fields;
-this module only checks each JSON value's kind and, when a record
+The settings records (``FitSettings``, ``SimConfig``,
+``ParameterVector``) check the kinds and ranges of their own fields;
+this module checks each file's objects and keys and, when a record
 refuses a value, names the flag or the file's key it came from.
 """
 
@@ -22,26 +23,19 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import __version__
+from ._kinds import _OBJECT, _STRING
 from .covariance import CovarianceError
 from .data import (
-    _BOOL,
-    _INTEGER,
-    _LIST,
-    _NUMBER,
-    _NUMBER_OR_NULL,
-    _OBJECT,
-    _STRING,
     DataError,
     DataFormatError,
     DataValidationError,
-    _checked,
-    _items,
     _object,
     load_dataset,
     read_json,
@@ -169,44 +163,10 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _floats(value, path, count=None) -> tuple[float, ...]:
-    return tuple(map(float, _items(value, path, _NUMBER, count)))
-
-
-# The check of a JSON value for a dataclass field, by the field's
-# annotation; each returns the value the field takes. A tuple setting's
-# None is its default, not a JSON null.
-_FIELD_CHECKS = {
-    "int": lambda value, path: _checked(value, path, _INTEGER),
-    "bool": lambda value, path: _checked(value, path, _BOOL),
-    "float": lambda value, path: float(_checked(value, path, _NUMBER)),
-    "float | None": lambda value, path: (
-        None if _checked(value, path, _NUMBER_OR_NULL) is None else float(value)
-    ),
-    "tuple[float, ...]": _floats,
-    "tuple[float, ...] | None": _floats,
-    "tuple[float, float]": lambda value, path: _floats(value, path, 2),
-    "tuple[tuple[int, ...], ...] | None": lambda value, path: tuple(
-        tuple(_items(item, f"{path}[{k}]", _INTEGER))
-        for k, item in enumerate(_checked(value, path, _LIST))
-    ),
-}
-
-
-def _field_values(cls, raw: dict, prefix: str = "") -> dict:
-    """``raw``'s values for the fields of the dataclass ``cls``, each
-    checked by its annotation; a message names the key after ``prefix``."""
-    return {
-        field.name: _FIELD_CHECKS[field.type](raw[field.name], prefix + field.name)
-        for field in fields(cls)
-        if field.name in raw
-    }
-
-
 @contextlib.contextmanager
 def _reading(path):
-    """Raise a data error or an out-of-range value met within as a usage
-    error that names ``path``, the file being read."""
+    """Raise a data error or a value a record refuses, met within, as a
+    usage error that names ``path``, the file being read."""
     try:
         yield
     except (DataError, ValueError) as e:
@@ -220,10 +180,10 @@ def _constructed(cls, values: dict, sources: dict[str, str]):
     try:
         return cls(**values)
     except ValueError as e:
-        name, _, rest = str(e).partition(" ")
-        if name not in sources:
+        name = re.match(r"[A-Za-z_]\w*", str(e))
+        if name is None or name[0] not in sources:
             raise
-        raise ConfigError(f"{sources[name]} {rest}") from e
+        raise ConfigError(sources[name[0]] + str(e)[name.end():]) from e
 
 
 def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
@@ -257,11 +217,7 @@ def _resolve_fit_settings(args) -> tuple[str, FitSettings]:
                     "latent-effects sampler was removed; only the marginal "
                     "likelihood can be sampled"
                 )
-            recorded = _field_values(
-                FitSettings,
-                {k: v for k, v in settings.items() if k not in explicit},
-                "settings.",
-            )
+            recorded = {k: v for k, v in settings.items() if k not in RETIRED_SETTINGS}
         if data_path is None:
             # Relative to the working directory, as for the fit that
             # recorded it.
@@ -390,14 +346,13 @@ def format_summary_table(summaries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params_from_dict(raw) -> ParameterVector:
-    """The generator's true parameters; a block the schema sizes at 0
-    may be left out."""
+def _params_from_dict(raw, path) -> ParameterVector:
+    """The generator's true parameters, from the file ``path``; a block
+    the schema sizes at 0 may be left out."""
     blocks = ("beta", "gamma", "phi", "eta")
     _object(raw, "params", {"alpha": None, "tau": None}, dict.fromkeys(blocks))
-    return ParameterVector(**_field_values(
-        ParameterVector, {**dict.fromkeys(blocks, []), **raw}, "params."
-    ))
+    sources = {f.name: f"{path}: params.{f.name}" for f in fields(ParameterVector)}
+    return _constructed(ParameterVector, {**dict.fromkeys(blocks, []), **raw}, sources)
 
 
 def cmd_simulate(args) -> int:
@@ -406,11 +361,8 @@ def cmd_simulate(args) -> int:
     raw = _load_json(args.config, "generator config", required, optional)
     with _reading(args.config):
         schema = schema_from_dict(raw["schema"])
-        params = _params_from_dict(raw["params"])
-        settings = _field_values(
-            SimConfig,
-            {k: v for k, v in raw.items() if k not in ("schema", "params")},
-        )
+        params = _params_from_dict(raw["params"], args.config)
+        settings = {k: v for k, v in raw.items() if k not in ("schema", "params")}
         # A flag's value replaces the file's, and a message names the flag.
         flags = {}
         for name, flag, value in (("n_trials", "--trials", args.trials),

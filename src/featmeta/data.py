@@ -31,6 +31,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from ._kinds import _INTEGER, _LIST, _NUMBER, _OBJECT, _expected
 from .design import _raw_rows, _trial_rows
 
 __all__ = [
@@ -486,16 +487,6 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 # except follow-up categories which are 1-based everywhere).
 
 
-# JSON value kinds as exact Python types, so true and false are no numbers.
-_NUMBER, _INTEGER, _LIST, _OBJECT = (int, float), (int,), (list,), (dict,)
-_BOOL, _NUMBER_OR_NULL, _STRING = (bool,), (int, float, type(None)), (str,)
-_EXPECTED = {
-    _NUMBER: "a number", _INTEGER: "an integer",
-    _LIST: "a list", _OBJECT: "an object",
-    _BOOL: "true or false", _NUMBER_OR_NULL: "a number or null",
-    _STRING: "a string",
-}
-
 # The keys of each object of a dataset and the JSON kinds of their values
 # (None for any); the keys of schema.names and ref_change_var are free.
 _TOP_LEVEL = {"schema": _OBJECT, "correlations": _OBJECT, "trials": _LIST}
@@ -515,15 +506,12 @@ def _checked(value, path, kind):
     """``value``, which must be of the JSON ``kind``; an integer of a
     number kind must convert to a float."""
     if type(value) not in kind:
-        raise DataFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+        raise DataFormatError(_expected(path, kind, value))
     if type(value) is int and float in kind:
         try:
             float(value)
         except OverflowError:
-            raise DataFormatError(
-                f"{path}: expected {_EXPECTED[kind]}, got an integer too "
-                "large for a float"
-            ) from None
+            raise DataFormatError(_expected(path, kind, value)) from None
     return value
 
 

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ._kinds import _normalize
+
 if TYPE_CHECKING:
     from .data import CenteringRecord, CovariateSchema, TrialRecord
 
@@ -47,21 +49,11 @@ class ParameterVector:
     tau: float
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "phi", "eta"):
-            object.__setattr__(
-                self, name, tuple(float(v) for v in getattr(self, name))
-            )
+        _normalize(self)
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(
-            [
-                [self.alpha],
-                self.beta,
-                self.gamma,
-                self.phi,
-                self.eta,
-                [self.tau],
-            ]
+            [[self.alpha], self.beta, self.gamma, self.phi, self.eta, [self.tau]]
         )
 
     def coefficients(self) -> np.ndarray:
@@ -77,16 +69,9 @@ class ParameterVector:
             raise ValueError(
                 f"expected {schema.n_parameters} parameters, got {values.shape}"
             )
-        n, p, w_len, l = schema.n, schema.p, schema.q - 1, schema.l
-        cuts = np.cumsum([1, n, p, w_len, l])
-        return cls(
-            alpha=float(values[0]),
-            beta=tuple(values[cuts[0] : cuts[1]]),
-            gamma=tuple(values[cuts[1] : cuts[2]]),
-            phi=tuple(values[cuts[2] : cuts[3]]),
-            eta=tuple(values[cuts[3] : cuts[4]]),
-            tau=float(values[-1]),
-        )
+        cuts = np.cumsum([1, schema.n, schema.p, schema.q - 1, schema.l])
+        alpha, *blocks, tau = np.split(values, cuts)
+        return cls(alpha[0], *map(tuple, blocks), tau[0])
 
 
 def _raw_rows(

@@ -4,24 +4,17 @@ pipeline of the ``fit`` command and the recovery study, without files.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._kinds import _normalize
 from .data import CenteringRecord, Dataset, center_covariates
 from .diagnostics import summarize_chains
 from .posterior import ChainOutput, PosteriorSummary, Preconditioner, PriorSpec
 from .sampler import McmcConfig, _sample
 
 __all__ = ["FitSettings", "Fit", "fit"]
-
-# The values a setting of each annotation takes, and their description;
-# a bool, though an int to Python, is only a bool setting's value.
-_KINDS = {"int": (numbers.Integral, "an integer"), "bool": (bool, "True or False"),
-          "float": (numbers.Real, "a number"),
-          "float | None": ((numbers.Real, type(None)), "a number or None")}
-
 
 @dataclass(frozen=True)
 class FitSettings:
@@ -49,11 +42,7 @@ class FitSettings:
     center: bool = True
 
     def __post_init__(self):
-        for field in fields(self):
-            kind, words = _KINDS[field.type]
-            value = getattr(self, field.name)
-            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-                raise ValueError(f"{field.name} must be {words}")
+        _normalize(self)
         for name, cls in (("mcmc", McmcConfig), ("prior", PriorSpec)):
             record = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
             object.__setattr__(self, name, record)

@@ -45,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kinds import _normalize
 from .covariance import between_structure, build_within_covariance
 from .data import Dataset
 from .design import ParameterVector, trial_design_matrix
@@ -81,6 +82,7 @@ class PriorSpec:
     tau_upper: float = 5.0
 
     def __post_init__(self):
+        _normalize(self)
         if not 0.0 < self.coeff_sd < math.inf:
             raise ValueError("coeff_sd must be positive and finite")
         # The log prior takes log(2 pi sd^2) and 1 / sd^2.

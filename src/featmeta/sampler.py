@@ -88,6 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kinds import _normalize
 from .data import Dataset
 from .posterior import (
     AssembledDataset,
@@ -135,6 +136,7 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _normalize(self)
         for name in ("chains", "samples", "thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -428,8 +430,11 @@ def run_chain(
         # Each move writes its state to the draw it holds from on, and
         # marks that draw; draw 0 holds the state through the warm-up.
         # The draws in between repeat the marked one before them.
-        draws = np.empty((config.samples, dim))
-        marked = bytearray(config.samples)
+        try:
+            draws, marked = np.empty((config.samples, dim)), bytearray(config.samples)
+        except (ValueError, MemoryError) as e:
+            raise SamplerError(f"samples: cannot hold {config.samples} draws "
+                               f"of {dim} parameters ({e})") from None
         draws[0], marked[0] = start, 1
         # The state, with lp and w = R^-1 (x - mu) of it, and log q of
         # it, None until an independence step needs it.

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kinds import _normalize
 from .covariance import (
     between_structure,
     ensure_positive_semidefinite,
@@ -81,12 +82,13 @@ class SimConfig:
     z_sd: float = 1.0
 
     def __post_init__(self):
+        _normalize(self)
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if not 0.0 <= self.control_fraction <= 1.0:
             raise ValueError("control_fraction must lie in [0, 1]")
         if self.max_coded_arms < 1:
-            raise ValueError("need at least one coded arm per trial")
+            raise ValueError("max_coded_arms must be at least 1")
         schema = self.schema
         for name, count in (("beta", schema.n), ("gamma", schema.p),
                             ("phi", schema.q - 1), ("eta", schema.l)):
@@ -121,11 +123,6 @@ class SimConfig:
         if not 0.0 <= self.z_sd < math.inf:
             raise ValueError("z_sd must be non-negative and finite")
         if self.followup_patterns is not None:
-            object.__setattr__(
-                self,
-                "followup_patterns",
-                tuple(tuple(p) for p in self.followup_patterns),
-            )
             if not self.followup_patterns:
                 raise ValueError("followup_patterns must list a pattern")
             q = self.schema.q
@@ -134,8 +131,8 @@ class SimConfig:
                     1 <= c <= q for c in pattern
                 ):
                     raise ValueError(
-                        f"followup pattern {list(pattern)} must hold distinct "
-                        f"categories in 1..{q}, at least one"
+                        f"followup_patterns: followup pattern {list(pattern)} "
+                        f"must hold distinct categories in 1..{q}, at least one"
                     )
         weights = self.pattern_weights
         if weights is not None:

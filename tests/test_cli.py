@@ -20,7 +20,8 @@ from featmeta import (
     ChainOutput, DataFormatError, SimConfig, dataset_to_dict, fit, load_dataset,
     save_dataset,
 )
-from featmeta.cli import _FIELD_CHECKS, FitSettings, build_parser, main
+from featmeta._kinds import _ANNOTATION_CHECKS
+from featmeta.cli import FitSettings, build_parser, main
 from featmeta.diagnostics import TRACE_POINTS
 
 from conftest import build_basic_dataset
@@ -829,8 +830,8 @@ def test_each_json_kind_is_checked_by_one_rule(kind, data_file, tmp_path, capsys
         if name is None:
             continue
         annotation = {f.name: f.type for f in fields(cls)}[name]
-        with pytest.raises(DataFormatError) as exc:
-            _FIELD_CHECKS[annotation](value, "")
+        with pytest.raises(ValueError) as exc:
+            _ANNOTATION_CHECKS[annotation](value, "")
         messages |= {error(name, value, data_file, tmp_path, capsys),
                      f"{exc.value}\n"}
     assert len(messages) == 1, messages
@@ -907,15 +908,37 @@ def test_manifest_setting_of_the_wrong_type_is_config_error(
 
 def test_manifest_int_for_a_float_setting_replays_bit_identically(data_file, tmp_path):
     # A float setting takes an int, and rho_y takes null.
+    # The replay records each float setting as a float, as the first fit
+    # did, so its manifest is the first one byte for byte.
     first = tmp_path / "run1"
     second = tmp_path / "run2"
     assert main(fast_fit_args(data_file, first)) == 0
+    recorded = (first / "manifest.json").read_bytes()
     manifest = _edit_manifest_settings(first, tau_upper=5, coeff_sd=100, rho_y=None)
     assert main(["fit", "--from-manifest", str(manifest), "--out", str(second)]) == 0
     for k in (1, 2):
         assert (first / f"chains/chain_{k}.tsv").read_bytes() == (
             second / f"chains/chain_{k}.tsv"
         ).read_bytes()
+    assert (second / "manifest.json").read_bytes() == recorded
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_a_number_of_samples_no_array_can_hold_is_a_sampler_error(
+    replay, data_file, tmp_path, capsys
+):
+    # numpy refuses 10**20 rows of draws before it allocates anything.
+    samples = 10**20
+    argv = fast_fit_args(data_file, tmp_path / "run", chains=1, samples=samples)
+    if replay:
+        assert main(fast_fit_args(data_file, tmp_path / "run1", chains=1)) == 0
+        manifest = _edit_manifest_settings(tmp_path / "run1", samples=samples)
+        argv = ["fit", "--from-manifest", str(manifest), "--out", str(tmp_path / "run")]
+        capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: samples: cannot hold {samples} draws of ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_manifest_with_unknown_setting_is_config_error(

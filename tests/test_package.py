@@ -96,7 +96,9 @@ def test_positive_semidefinite_check_has_one_tolerance():
 
 
 def test_posterior_imports_no_chain_code():
-    # The model stands without the chains, the diagnostics and the CLI.
+    # The model stands without the chains, the diagnostics and the CLI;
+    # _kinds, the settings records' kind rule, imports no module of the
+    # package.
     path = Path(importlib.import_module("featmeta.posterior").__file__)
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -105,7 +107,7 @@ def test_posterior_imports_no_chain_code():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     own = {name for name in imported if name.startswith((".", "featmeta"))}
-    assert own <= {".covariance", ".data", ".design"}
+    assert own <= {"._kinds", ".covariance", ".data", ".design"}
 
 
 def test_diagnostics_imports_no_chain_or_cli_code():
@@ -163,6 +165,34 @@ def test_cli_holds_no_range_rule_of_the_fit_settings():
         elif isinstance(node, ast.Name):
             named.add(node.id)
     assert named & {"McmcConfig", "PriorSpec"} == set()
+
+
+def test_the_settings_records_own_the_one_kind_rule():
+    # _kinds holds the one table of checks keyed by a field's annotation;
+    # cli.py imports no JSON kind of a setting and no check, and pipeline.py
+    # keeps no table of its own.
+    from featmeta._kinds import _ANNOTATION_CHECKS
+
+    package = Path(featmeta.__file__).parent
+    tables = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value in _ANNOTATION_CHECKS
+                for key in node.keys
+            ):
+                tables.add(path.name)
+    assert tables == {"_kinds.py"}
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert imported & {"_INTEGER", "_NUMBER", "_BOOL", "_NUMBER_OR_NULL", "_LIST",
+                       "_checked", "_items"} == set()
+    tree = ast.parse((package / "pipeline.py").read_text(encoding="utf-8"))
+    assigned = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert "_KINDS" not in assigned
 
 
 def test_only_the_data_module_decodes_json():
